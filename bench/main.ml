@@ -322,7 +322,7 @@ let memscale () =
    gets a "scaling"-prefixed label so it never shadows the plain flow
    records in latest-by-label comparisons. *)
 
-let scaling_bits = [ 6; 8; 10 ]
+let scaling_bits = [ 8; 10; 12; 14; 16 ]
 
 let scaling () =
   let path = out_path "qor_ledger.jsonl" in

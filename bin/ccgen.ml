@@ -304,7 +304,7 @@ let mc_cmd =
     let style = resolve_style ~bits ~granularity style in
     let r = Ccdac.Flow.run ~tech ~bits style in
     let mc =
-      Dacmodel.Montecarlo.run tech ~trials
+      Dacmodel.Montecarlo.run tech ~trials ~cov:r.Ccdac.Flow.covariance
         ~top_parasitic:r.Ccdac.Flow.parasitics.Extract.Parasitics.total_top_cap
         r.Ccdac.Flow.placement
     in
@@ -822,8 +822,10 @@ let profile_cmd =
 let scale_cmd =
   let bits_list_arg =
     let doc =
-      "Comma-separated bit-width ladder to probe (each in [2, 14]); the \
-       growth exponents are fitted across these rungs."
+      Printf.sprintf
+        "Comma-separated bit-width ladder to probe (each in [2, %d]); the \
+         growth exponents are fitted across these rungs."
+        Ccgrid.Weights.max_bits
     in
     Arg.(value & opt (list int) [ 6; 8; 10; 12 ]
          & info [ "b"; "bits" ] ~docv:"N,.." ~doc)

@@ -2,24 +2,32 @@ type t = {
   matrix : float array array;  (* Cov(j, k), fF^2; symmetric *)
 }
 
-let build tech positions =
+let pairwise_sums tech positions =
   let n = Array.length positions in
+  let sums = Array.make_matrix n n 0. in
+  for j = 0 to n - 1 do
+    let count_j = float_of_int (Array.length positions.(j)) in
+    sums.(j).(j) <- count_j +. (2. *. Mismatch.intra_sum tech positions.(j));
+    for k = j + 1 to n - 1 do
+      let cross = Mismatch.pair_sum tech positions.(j) positions.(k) in
+      sums.(j).(k) <- cross;
+      sums.(k).(j) <- cross
+    done
+  done;
+  sums
+
+let build tech positions =
   let sigma2_u =
     let s = Tech.Process.sigma_u tech in
     s *. s
   in
-  let matrix = Array.make_matrix n n 0. in
-  for j = 0 to n - 1 do
-    let count_j = float_of_int (Array.length positions.(j)) in
-    let intra = Mismatch.intra_sum tech positions.(j) in
-    matrix.(j).(j) <- sigma2_u *. (count_j +. (2. *. intra));
-    for k = j + 1 to n - 1 do
-      let cross = sigma2_u *. Mismatch.pair_sum tech positions.(j) positions.(k) in
-      matrix.(j).(k) <- cross;
-      matrix.(k).(j) <- cross
-    done
-  done;
-  { matrix }
+  let sums =
+    match Lattice.of_positions tech positions with
+    | Some lattice when Lattice.cheaper_than_pairwise lattice ->
+      Lattice.correlation_sums tech lattice
+    | Some _ | None -> pairwise_sums tech positions
+  in
+  { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums }
 
 let size t = Array.length t.matrix
 

@@ -8,9 +8,15 @@
 
 type t
 
-(** [build tech positions] precomputes the covariance matrix for capacitors
-    whose unit-cell centre positions are given per capacitor index.
-    Cost is quadratic in the total number of unit cells. *)
+(** [build tech positions] precomputes the covariance matrix for
+    capacitors whose unit-cell centre positions are given per capacitor
+    index.  When every position lies on [tech]'s half-pitch lattice
+    (always true for {!Ccgrid.Placement.positions_by_cap}) and the array
+    is large enough to pay for the transforms (about 8 bits and up), the
+    cell-pair sums come from the 2-D FFT kernel {!Lattice}:
+    [O(N G log G)] for [N] capacitors and [G] unit cells, equal to the
+    pair sum up to float rounding but not bitwise.  Otherwise every pair
+    of cells is enumerated: [O(G^2)]. *)
 val build : Tech.Process.t -> Geom.Point.t array array -> t
 
 (** Number of capacitors. *)

@@ -4,9 +4,11 @@ let correlation (tech : Tech.Process.t) a b =
 
 let pair_sum tech ps qs =
   let total = ref 0. in
-  Array.iter
-    (fun a -> Array.iter (fun b -> total := !total +. correlation tech a b) qs)
-    ps;
+  for a = 0 to Array.length ps - 1 do
+    for b = 0 to Array.length qs - 1 do
+      total := !total +. correlation tech ps.(a) qs.(b)
+    done
+  done;
   !total
 
 let intra_sum tech ps =

@@ -1,4 +1,4 @@
-let max_bits = 14
+let max_bits = 16
 
 let check_bits bits =
   if bits < 1 || bits > max_bits then

@@ -18,20 +18,19 @@ let style_name ~core_bits ~granularity =
    mirrored pairs along the spiral order so the core is centred and
    mirror-symmetric. *)
 let collect_core b order core_units =
-  let core = ref Cellset.empty in
+  let core = ref Cellset.empty and size = ref 0 in
   let add_pair c =
     let m = Builder.mirror b c in
     if Builder.is_free b c && (not (Cellset.mem c !core))
        && not (Cell.equal c m)
     then begin
       core := Cellset.add c !core;
-      core := Cellset.add m !core
+      core := Cellset.add m !core;
+      size := !size + 2
     end
   in
-  List.iter
-    (fun c -> if Cellset.cardinal !core < core_units then add_pair c)
-    order;
-  if Cellset.cardinal !core < core_units then
+  List.iter (fun c -> if !size < core_units then add_pair c) order;
+  if !size < core_units then
     invalid_arg "Block_chess: not enough cells for the core";
   !core
 
@@ -53,9 +52,10 @@ let place ~bits ?core_bits ?granularity () =
   (* --- inner core: chessboard of C_core_bits .. C_0 --- *)
   let core_list =
     let key c = (Chessboard.rank ~rows ~cols c, c.Cell.row, c.Cell.col) in
-    List.stable_sort
-      (fun a b -> Chessboard.compare_rank_key (key a) (key b))
-      (Cellset.elements core)
+    Builder.cursor
+      (List.stable_sort
+         (fun a b -> Chessboard.compare_rank_key (key a) (key b))
+         (Cellset.elements core))
   in
   for k = core_bits downto 2 do
     while Builder.remaining b k > 1 do

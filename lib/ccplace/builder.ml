@@ -81,7 +81,21 @@ let assign_center_single t k =
   let c = Cell.make ~row:(t.grid_rows / 2) ~col:(t.grid_cols / 2) in
   put t c k
 
-let first_free_in t order = List.find_opt (is_free t) order
+type cursor = { mutable rest : Cell.t list }
+
+let cursor order = { rest = order }
+
+(* Cells are never freed again, so a cell found taken stays taken: the
+   scan resumes where the previous one stopped. *)
+let first_free_in t cur =
+  let rec skip = function
+    | c :: rest when not (is_free t c) -> skip rest
+    | cells -> cells
+  in
+  cur.rest <- skip cur.rest;
+  match cur.rest with
+  | c :: _ -> Some c
+  | [] -> None
 
 let finish t ~style_name =
   Array.iteri

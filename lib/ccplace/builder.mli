@@ -55,8 +55,17 @@ val reserve_center_dummy : t -> unit
     placements with an odd total. *)
 val assign_center_single : t -> int -> unit
 
-(** [first_free_in t order] is the first cell of [order] that is free. *)
-val first_free_in : t -> Cell.t list -> Cell.t option
+(** A scan position in a cell order.  Builders only ever take cells, so
+    one cursor serves every {!first_free_in} over the same order and the
+    whole placement scans that order once. *)
+type cursor
+
+(** [cursor order] starts a scan at the head of [order]. *)
+val cursor : Cell.t list -> cursor
+
+(** [first_free_in t cur] is the first free cell of the cursor's order,
+    skipping (for good) the cells before it, which are all taken. *)
+val first_free_in : t -> cursor -> Cell.t option
 
 (** [finish t ~style_name] fills every remaining free cell with dummies and
     returns the validated placement.  Raises [Invalid_argument] when some

@@ -47,7 +47,7 @@ let place ~bits =
   let { Sizing.rows; cols; dummies } = Sizing.compute ~total_units:total in
   assert (dummies = 0 && rows = cols);
   let b = Builder.make ~bits ~rows ~cols ~unit_multiplier ~counts in
-  let order = sorted_cells ~rows ~cols in
+  let order = Builder.cursor (sorted_cells ~rows ~cols) in
   (* Mirror cells share the same rank on even-by-even grids, so assigning
      mirrored pairs in rank order keeps each capacitor inside its bucket. *)
   let take_pairs k =

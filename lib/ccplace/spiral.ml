@@ -12,7 +12,7 @@ let place ~bits =
   (* An odd number of dummies forces one onto the self-mirror centre cell,
      keeping the free set mirror-symmetric for the pair discipline. *)
   if dummies mod 2 = 1 then Builder.reserve_center_dummy b;
-  let order = Cell.spiral_order ~rows ~cols in
+  let order = Builder.cursor (Cell.spiral_order ~rows ~cols) in
   (* C_0 and C_1: innermost free mirror pair, diagonally opposite. *)
   (match Builder.first_free_in b order with
    | None -> invalid_arg "Spiral.place: no free cell for C_0/C_1"

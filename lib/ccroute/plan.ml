@@ -111,7 +111,7 @@ let make (placement : Placement.t) groups =
   let choices =
     Array.of_list
       (List.map
-         (fun (cap, g, channel, attach) -> (cap, g, channel, ref attach))
+         (fun (cap, g, channel, attach) -> (cap, g, ref channel, ref attach))
          per_cap_choices)
   in
   let cyclic channel idxs =
@@ -154,12 +154,13 @@ let make (placement : Placement.t) groups =
   let by_channel_idx = Hashtbl.create 16 in
   Array.iteri
     (fun i (_, _, channel, _) ->
-       Hashtbl.replace by_channel_idx channel
-         (i :: Option.value ~default:[] (Hashtbl.find_opt by_channel_idx channel)))
+       Hashtbl.replace by_channel_idx !channel
+         (i :: Option.value ~default:[] (Hashtbl.find_opt by_channel_idx !channel)))
     choices;
+  let stuck = ref [] in
   Hashtbl.iter
     (fun channel idxs ->
-       if cyclic channel idxs then
+       if cyclic channel idxs then begin
          (* greedy single-move repair: try re-attaching each connection at
             another cell adjacent to the channel, nearest row first *)
          List.iter
@@ -191,11 +192,40 @@ let make (placement : Placement.t) groups =
                 in
                 try_cells candidates
               end)
-           idxs)
+           idxs;
+         if cyclic channel idxs then stuck := channel :: !stuck
+       end)
     by_channel_idx;
+  (* A cycle no re-attachment breaks (groups with a single cell on the
+     channel, e.g. rowwise strips) is broken by moving one connection to
+     the channel on the other side of its attach cell: the group gets a
+     trunk of its own there, joined to the net by the bridge. *)
+  let idxs channel =
+    Option.value ~default:[] (Hashtbl.find_opt by_channel_idx channel)
+  in
+  let move i ~from ~into =
+    let _, _, ch, _ = choices.(i) in
+    ch := into;
+    Hashtbl.replace by_channel_idx from (List.filter (fun j -> j <> i) (idxs from));
+    Hashtbl.replace by_channel_idx into (i :: idxs into)
+  in
+  List.iter
+    (fun channel ->
+       List.iter
+         (fun i ->
+            if cyclic channel (idxs channel) then begin
+              let _, _, _, attach = choices.(i) in
+              let col = (!attach).Cell.col in
+              let other = if col >= channel then col + 1 else col in
+              move i ~from:channel ~into:other;
+              if cyclic channel (idxs channel) || cyclic other (idxs other) then
+                move i ~from:other ~into:channel
+            end)
+         (idxs channel))
+    (List.sort Int.compare !stuck);
   let per_cap_choices =
     Array.to_list choices
-    |> List.map (fun (cap, g, channel, attach) -> (cap, g, channel, !attach))
+    |> List.map (fun (cap, g, channel, attach) -> (cap, g, !channel, !attach))
   in
   (* Step 2: one track per (channel, capacitor); a capacitor's groups in
      the same channel share the track (they are one electrical net).

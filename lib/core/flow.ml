@@ -9,6 +9,7 @@ type result = {
   placement : Ccgrid.Placement.t;
   layout : Ccroute.Layout.t;
   parasitics : Extract.Parasitics.t;
+  covariance : Capmodel.Covariance.t;
   nonlinearity : Dacmodel.Nonlinearity.t;
   max_inl : float;
   max_dnl : float;
@@ -95,10 +96,13 @@ let analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout =
   let parasitics =
     stage "extract" (fun () -> Extract.Parasitics.extract layout)
   in
-  let nonlinearity =
+  let covariance, nonlinearity =
     stage "analyse" (fun () ->
-        Dacmodel.Nonlinearity.analyze tech ?theta ?sign_mode
-          ~top_parasitic:parasitics.Extract.Parasitics.total_top_cap placement)
+        let cov = Dacmodel.Nonlinearity.covariance tech placement in
+        ( cov,
+          Dacmodel.Nonlinearity.analyze tech ?theta ~cov ?sign_mode
+            ~top_parasitic:parasitics.Extract.Parasitics.total_top_cap
+            placement ))
   in
   let tau_fs = parasitics.Extract.Parasitics.critical_elmore_fs in
   Log.debug (fun m ->
@@ -112,6 +116,7 @@ let analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout =
     placement;
     layout;
     parasitics;
+    covariance;
     nonlinearity;
     max_inl = nonlinearity.Dacmodel.Nonlinearity.max_abs_inl;
     max_dnl = nonlinearity.Dacmodel.Nonlinearity.max_abs_dnl;

@@ -14,6 +14,10 @@ type result = {
   placement : Ccgrid.Placement.t;
   layout : Ccroute.Layout.t;
   parasitics : Extract.Parasitics.t;
+  covariance : Capmodel.Covariance.t;
+      (** Eq. 6 covariance of the placement, built once in the analyse
+          stage; pass it as [?cov] to {!Dacmodel.Montecarlo.run} or
+          {!Dacmodel.Nonlinearity.attribute} instead of rebuilding it *)
   nonlinearity : Dacmodel.Nonlinearity.t;
   max_inl : float;           (** max |INL(i)|, LSB *)
   max_dnl : float;           (** max |DNL(i)|, LSB *)

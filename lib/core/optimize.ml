@@ -23,7 +23,7 @@ let evaluate ?(tech = Tech.Process.finfet_12nm) ?(trials = 200) ?(bound = 0.5)
   let tech = scale_tech tech ~unit_cap in
   let r = Flow.run ~tech ~bits style in
   let mc =
-    Dacmodel.Montecarlo.run tech ~trials ~bound ?jobs
+    Dacmodel.Montecarlo.run tech ~trials ~bound ?jobs ~cov:r.Flow.covariance
       ~top_parasitic:r.Flow.parasitics.Extract.Parasitics.total_top_cap
       r.Flow.placement
   in

@@ -76,7 +76,7 @@ let probe ~tech ~style_of_bits ~trials ~seed ?jobs bits =
             let t0 = Telemetry.Clock.now_ns () in
             let (_ : Dacmodel.Montecarlo.t) =
               Dacmodel.Montecarlo.run tech ~seed ?jobs ~trials
-                r.Flow.placement
+                ~cov:r.Flow.covariance r.Flow.placement
             in
             let mc_s = Telemetry.Clock.since_s t0 in
             let mc_mb =

@@ -43,7 +43,7 @@ let evaluate ~bits ~m ~cu ~top_parasitic ~sys shifts =
    the seed.  That makes the whole distribution bitwise-identical at any
    worker count and in any completion order; the pool only has to keep
    slot order, which it guarantees. *)
-let trial_curves tech ?(seed = 0x5eed) ?theta ?(top_parasitic = 0.) ?jobs
+let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     ~trials placement =
   if trials < 1 then invalid_arg "Montecarlo: trials must be >= 1";
   let bits = placement.Ccgrid.Placement.bits in
@@ -54,7 +54,11 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?(top_parasitic = 0.) ?jobs
     Array.map (fun ps -> Capmodel.Gradient.systematic_shift tech ?theta ps)
       positions
   in
-  let cov = Capmodel.Covariance.build tech positions in
+  let cov =
+    match cov with
+    | Some cov -> cov
+    | None -> Capmodel.Covariance.build tech positions
+  in
   let factor = Capmodel.Gauss.factorize cov in
   Par.Pool.map_list_exn ?jobs
     (fun trial ->
@@ -75,13 +79,14 @@ let percentile sorted q =
     sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
   end
 
-let run tech ?seed ?theta ?top_parasitic ?(bound = 0.5) ?jobs ~trials placement =
+let run tech ?seed ?theta ?cov ?top_parasitic ?(bound = 0.5) ?jobs ~trials
+    placement =
   Telemetry.Span.with_ ~name:"analyse.montecarlo"
     ~attrs:[ ("trials", Telemetry.Span.Int trials) ]
   @@ fun () ->
   Telemetry.Metrics.incr ~n:trials "analyse/mc_trials_total";
   let curves =
-    trial_curves tech ?seed ?theta ?top_parasitic ?jobs ~trials placement
+    trial_curves tech ?seed ?theta ?cov ?top_parasitic ?jobs ~trials placement
   in
   let inls = Array.of_list (List.map fst curves) in
   let dnls = Array.of_list (List.map snd curves) in

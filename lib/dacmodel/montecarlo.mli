@@ -21,25 +21,30 @@ type t = {
                                    and max |DNL| within the bound *)
 }
 
-(** [run tech ?seed ?theta ?top_parasitic ?bound ?jobs ~trials placement].
+(** [run tech ?seed ?theta ?cov ?top_parasitic ?bound ?jobs ~trials placement].
     [bound] is the pass/fail linearity limit in LSB (default 0.5).
+    [cov] is {!Nonlinearity.covariance}[ tech placement] (a flow's
+    [Ccdac.Flow.result] carries it), built here when absent.
     [jobs] (default {!Par.Jobs.default}) parallelises the trials over a
     domain pool; each trial draws from a counter-based substream keyed
     by [(seed, trial)], so the statistics are {e bitwise identical} at
     every [jobs] value (docs/PARALLEL.md).
-    Cost: one covariance build plus [trials * 2^N * N] flops.
+    Cost: one covariance build unless [cov] is given, one Cholesky
+    factorisation, plus [trials * 2^N * N] flops.
     Raises [Invalid_argument] when [trials < 1]. *)
 val run :
-  Tech.Process.t -> ?seed:int -> ?theta:float -> ?top_parasitic:float ->
-  ?bound:float -> ?jobs:int -> trials:int -> Ccgrid.Placement.t -> t
+  Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
+  ?top_parasitic:float -> ?bound:float -> ?jobs:int -> trials:int ->
+  Ccgrid.Placement.t -> t
 
-(** [trial_curves tech ?seed ?theta ?top_parasitic ?jobs placement
+(** [trial_curves tech ?seed ?theta ?cov ?top_parasitic ?jobs placement
     ~trials] is the per-trial (max |INL|, max |DNL|) list in trial
     order, for callers that want the raw distribution.  Same determinism
     contract as {!run}. *)
 val trial_curves :
-  Tech.Process.t -> ?seed:int -> ?theta:float -> ?top_parasitic:float ->
-  ?jobs:int -> trials:int -> Ccgrid.Placement.t -> (float * float) list
+  Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
+  ?top_parasitic:float -> ?jobs:int -> trials:int -> Ccgrid.Placement.t ->
+  (float * float) list
 
 (** [percentile sorted q] is the ceiling nearest-rank [q]-quantile of an
     ascending-sorted array: the [ceil (q n)]-th smallest sample (clamped

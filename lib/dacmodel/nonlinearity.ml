@@ -88,9 +88,12 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
          (step -. lsb) /. lsb
        end)
 
+let covariance tech placement =
+  Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)
+
 (* Systematic shifts, covariance matrix, and total-capacitance sigma of a
    placement — the model inputs shared by [analyze] and [attribute]. *)
-let model_inputs tech ?theta ?profile (placement : Ccgrid.Placement.t) =
+let model_inputs tech ?theta ?profile ?cov (placement : Ccgrid.Placement.t) =
   let bits = placement.Ccgrid.Placement.bits in
   let positions = Ccgrid.Placement.positions_by_cap tech placement in
   let systematic_shift =
@@ -99,19 +102,23 @@ let model_inputs tech ?theta ?profile (placement : Ccgrid.Placement.t) =
     | None -> Capmodel.Gradient.systematic_shift tech ?theta
   in
   let sys = Array.map systematic_shift positions in
-  let cov = Capmodel.Covariance.build tech positions in
+  let cov =
+    match cov with
+    | Some cov -> cov
+    | None -> Capmodel.Covariance.build tech positions
+  in
   let all_caps = List.init (bits + 1) (fun k -> k) in
   let sigma_t = Capmodel.Covariance.sigma_of_subset cov all_caps in
   (sys, cov, sigma_t)
 
-let analyze tech ?theta ?profile ?(sign_mode = Paper) ?(top_parasitic = 0.)
+let analyze tech ?theta ?profile ?cov ?(sign_mode = Paper) ?(top_parasitic = 0.)
     placement =
   let bits = placement.Ccgrid.Placement.bits in
   Telemetry.Span.with_ ~name:"analyse.nonlinearity"
     ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
   @@ fun () ->
   Telemetry.Metrics.set "analyse/codes" (float_of_int (Transfer.num_codes ~bits));
-  let sys, cov, sigma_t = model_inputs tech ?theta ?profile placement in
+  let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
   let run_inl ~s_on ~s_t =
     inl_of_voltages ~bits
       (voltages tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_on ~s_t)
@@ -167,7 +174,7 @@ type attribution = {
   parasitic_lsb : float;
 }
 
-let attribute tech ?theta ?profile ?(top_parasitic = 0.) placement =
+let attribute tech ?theta ?profile ?cov ?(top_parasitic = 0.) placement =
   let bits = placement.Ccgrid.Placement.bits in
   let vref = 1.0 in
   let m = float_of_int placement.Ccgrid.Placement.unit_multiplier in
@@ -175,7 +182,7 @@ let attribute tech ?theta ?profile ?(top_parasitic = 0.) placement =
   let codes = Transfer.num_codes ~bits in
   let c_t = float_of_int codes *. m *. cu in
   let lsb = Transfer.lsb ~bits ~vref in
-  let sys, cov, sigma_t = model_inputs tech ?theta ?profile placement in
+  let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
   let inl =
     inl_of_voltages ~bits
       (voltages tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_on:1.

@@ -21,15 +21,24 @@ type t = {
   sigma_t : float;         (** sigma of the total-capacitance shift, fF *)
 }
 
-(** [analyze tech ?theta ?profile ?sign_mode ?top_parasitic placement]:
+(** [covariance tech placement] is the Eq. 6 covariance of the
+    placement's capacitors ({!Capmodel.Covariance.build} on
+    {!Ccgrid.Placement.positions_by_cap}).  {!analyze}, {!attribute} and
+    {!Montecarlo.run} take it as [?cov], so a flow builds it once. *)
+val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
+
+(** [analyze tech ?theta ?profile ?cov ?sign_mode ?top_parasitic placement]:
     [top_parasitic] is the extracted [sum C^TS] in fF (default 0);
     [theta] overrides the gradient angle; [profile] replaces the linear
     gradient with an arbitrary {!Capmodel.Profile} (curvature studies);
+    [cov] is [covariance tech placement], built here when absent;
     [sign_mode] defaults to [Paper].  Cost: one covariance build
-    (quadratic in unit cells) plus [O(2^N * N^2)] code evaluation. *)
+    ([O(N G log G)] for [G] unit cells, {!Capmodel.Lattice}) unless [cov]
+    is given, plus [O(2^N * N^2)] code evaluation. *)
 val analyze :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->
-  ?sign_mode:sign_mode -> ?top_parasitic:float -> Ccgrid.Placement.t -> t
+  ?cov:Capmodel.Covariance.t -> ?sign_mode:sign_mode -> ?top_parasitic:float ->
+  Ccgrid.Placement.t -> t
 
 (** One capacitor's share of the worst-code INL. *)
 type inl_share = {
@@ -48,7 +57,7 @@ type attribution = {
   parasitic_lsb : float;    (** top-plate parasitic pseudo-share *)
 }
 
-(** [attribute tech ?theta ?profile ?top_parasitic placement] decomposes
+(** [attribute tech ?theta ?profile ?cov ?top_parasitic placement] decomposes
     the worst-code INL per capacitor: the systematic shifts split
     directly, the correlated 3-sigma terms split through covariance row
     sums (each capacitor gets the sigma mass in proportion to its
@@ -59,4 +68,5 @@ type attribution = {
     every sign mode.  Same cost as {!analyze}'s INL pass. *)
 val attribute :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->
-  ?top_parasitic:float -> Ccgrid.Placement.t -> attribution
+  ?cov:Capmodel.Covariance.t -> ?top_parasitic:float -> Ccgrid.Placement.t ->
+  attribution

@@ -24,7 +24,7 @@ let of_curve ~bits ~vout ?(samples = 4096) ?(cycles = 63) () =
   let codes = 1 lsl bits in
   if Array.length vout <> codes then
     invalid_arg "Spectrum.of_curve: vout length must be 2^bits";
-  if not (Fft.is_power_of_two samples) then
+  if not (Capmodel.Fft.is_power_of_two samples) then
     invalid_arg "Spectrum.of_curve: samples must be a power of two";
   if cycles < 1 || cycles mod 2 = 0 || cycles >= samples / 2 then
     invalid_arg "Spectrum.of_curve: cycles must be odd and < samples/2";
@@ -46,8 +46,8 @@ let of_curve ~bits ~vout ?(samples = 4096) ?(cycles = 63) () =
   let mean = Array.fold_left ( +. ) 0. re /. float_of_int samples in
   let re = Array.map (fun v -> v -. mean) re in
   let im = Array.make samples 0. in
-  Fft.fft ~re ~im;
-  let ps = Fft.power_spectrum ~re ~im in
+  Capmodel.Fft.fft ~re ~im;
+  let ps = Capmodel.Fft.power_spectrum ~re ~im in
   let half = samples / 2 in
   let signal_bin = cycles in
   let p_signal = ps.(signal_bin) in

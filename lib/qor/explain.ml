@@ -60,7 +60,7 @@ let of_result (r : Ccdac.Flow.result) =
   in
   let attr =
     Dacmodel.Nonlinearity.attribute r.Ccdac.Flow.tech
-      ~top_parasitic:
+      ~cov:r.Ccdac.Flow.covariance ~top_parasitic:
         r.Ccdac.Flow.parasitics.Extract.Parasitics.total_top_cap
       r.Ccdac.Flow.placement
   in

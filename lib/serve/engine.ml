@@ -71,7 +71,8 @@ let run_one (req : Request.t) =
         if req.Request.trials > 0 then
           Some
             (Dacmodel.Montecarlo.run req.Request.tech ~seed:req.Request.seed
-               ~jobs:1 ~trials:req.Request.trials r.Ccdac.Flow.placement)
+               ~cov:r.Ccdac.Flow.covariance ~jobs:1 ~trials:req.Request.trials
+               r.Ccdac.Flow.placement)
         else None
       in
       payload_of record mc)

@@ -197,13 +197,15 @@ let all =
   | Some id -> invalid_arg ("Telemetry.Registry: duplicate metric id " ^ id)
   | None -> sorted
 
+(* Built eagerly at module initialisation: a lazy table forced from two
+   pool domains at once raises [CamlinternalLazy.Undefined] in one of
+   them.  Read-only afterwards, so concurrent lookups are safe. *)
 let table =
-  lazy
-    (let t = Hashtbl.create 64 in
-     List.iter (fun def -> Hashtbl.replace t def.Metric.id def) all;
-     t)
+  let t = Hashtbl.create 64 in
+  List.iter (fun def -> Hashtbl.replace t def.Metric.id def) all;
+  t
 
-let find id = Hashtbl.find_opt (Lazy.force table) id
+let find id = Hashtbl.find_opt table id
 
 let ids = List.map (fun def -> def.Metric.id) all
 

@@ -115,7 +115,7 @@ let test_first_free_in_order () =
   let order =
     [ Cell.make ~row:0 ~col:0; Cell.make ~row:0 ~col:1; Cell.make ~row:0 ~col:2 ]
   in
-  (match Ccplace.Builder.first_free_in b order with
+  (match Ccplace.Builder.first_free_in b (Ccplace.Builder.cursor order) with
    | Some c -> Alcotest.(check bool) "skips taken" true
                  (Cell.equal c (Cell.make ~row:0 ~col:1))
    | None -> Alcotest.fail "expected a free cell")
@@ -123,7 +123,7 @@ let test_first_free_in_order () =
 let test_first_free_in_none () =
   let b = fresh () in
   Alcotest.(check bool) "empty order" true
-    (Ccplace.Builder.first_free_in b [] = None)
+    (Ccplace.Builder.first_free_in b (Ccplace.Builder.cursor []) = None)
 
 let () =
   Alcotest.run "builder"

@@ -157,6 +157,90 @@ let test_covariance_bad_index () =
     (Invalid_argument "Covariance: capacitor index out of range")
     (fun () -> ignore (Capmodel.Covariance.variance cov 5))
 
+(* --- lattice kernel vs the pair-sum oracle ---
+
+   The FFT kernel is exact up to float rounding, not bitwise equal to the
+   pair enumeration: every entry must agree to a relative 1e-10 (observed:
+   below 2e-13 up to 10 bits, 1.4e-12 at 12). *)
+
+let oracle_tol = 1e-10
+
+(* s.(j).(k) by enumerating every pair of cells, in Covariance's order
+   (lower index first) so the small-array path matches it bitwise *)
+let pairwise_sums positions =
+  Array.mapi
+    (fun j ps ->
+       Array.mapi
+         (fun k qs ->
+            if j = k then
+              float_of_int (Array.length ps) +. (2. *. Capmodel.Mismatch.intra_sum tech ps)
+            else if j < k then Capmodel.Mismatch.pair_sum tech ps qs
+            else Capmodel.Mismatch.pair_sum tech qs ps)
+         positions)
+    positions
+
+let lattice_sums positions =
+  match Capmodel.Lattice.of_positions tech positions with
+  | Some lattice -> Capmodel.Lattice.correlation_sums tech lattice
+  | None -> Alcotest.fail "positions should lie on the lattice"
+
+let check_kernels_agree what positions =
+  let lat = lattice_sums positions and pw = pairwise_sums positions in
+  let n = Array.length pw in
+  for j = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let a = lat.(j).(k) and b = pw.(j).(k) in
+      if Float.abs (a -. b) > oracle_tol *. Float.abs b then
+        Alcotest.failf "%s: s(%d,%d) lattice %.17g, pairwise %.17g" what j k a b;
+      if not (Float.equal a lat.(k).(j)) then
+        Alcotest.failf "%s: lattice s(%d,%d) not symmetric" what j k
+    done
+  done
+
+let test_lattice_matches_pairwise () =
+  for bits = 2 to 10 do
+    List.iter
+      (fun style ->
+         let p = Ccplace.Style.place ~bits style in
+         check_kernels_agree
+           (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+           (Ccgrid.Placement.positions_by_cap tech p))
+      ([ Ccplace.Style.Spiral; Ccplace.Style.Chessboard; Ccplace.Style.Rowwise ]
+       @ if bits >= 3 then Ccplace.Style.block_family ~bits else [])
+  done
+
+let test_lattice_general_weights () =
+  (* arbitrary ratios, incl. a thermometer bank, through the General placer *)
+  List.iter
+    (fun counts ->
+       let p = Ccplace.General.clustered ~counts in
+       check_kernels_agree "general" (Ccgrid.Placement.positions_by_cap tech p))
+    [ [| 1; 1; 2; 4; 8; 16; 16; 16 |]; [| 3; 5; 7; 11 |] ]
+
+let test_covariance_kernel_choice () =
+  (* build uses the lattice kernel once it pays (10 bits) and the pair
+     sum on small arrays (4 bits) and off the lattice *)
+  let sigma2_u = Tech.Process.sigma_u tech *. Tech.Process.sigma_u tech in
+  let built_from sums positions =
+    let cov = Capmodel.Covariance.build tech positions in
+    let n = Capmodel.Covariance.size cov in
+    List.for_all
+      (fun (j, k) ->
+         Float.equal (Capmodel.Covariance.covariance cov j k) (sigma2_u *. sums.(j).(k)))
+      (List.concat_map (fun j -> List.init n (fun k -> (j, k))) (List.init n Fun.id))
+  in
+  let spiral bits =
+    Ccgrid.Placement.positions_by_cap tech (Ccplace.Style.place ~bits Ccplace.Style.Spiral)
+  in
+  Alcotest.(check bool) "10-bit: lattice" true
+    (built_from (lattice_sums (spiral 10)) (spiral 10));
+  Alcotest.(check bool) "4-bit: pair sum" true
+    (built_from (pairwise_sums (spiral 4)) (spiral 4));
+  let off = [| [| point ~x:0.1234 ~y:0. |]; [| point ~x:0. ~y:0. |] |] in
+  Alcotest.(check bool) "off-lattice input is not a lattice" true
+    (Option.is_none (Capmodel.Lattice.of_positions tech off));
+  Alcotest.(check bool) "off-lattice: pair sum" true (built_from (pairwise_sums off) off)
+
 (* --- properties --- *)
 
 let coord = QCheck.Gen.float_range (-30.) 30.
@@ -207,6 +291,32 @@ let prop_weighted_sigma_nonneg =
        in
        Capmodel.Covariance.sigma_weighted cov weights >= 0.)
 
+let prop_lattice_matches_pairwise =
+  (* random cell sets on the half-pitch lattice: any shape, stride,
+     offset or repeated cell *)
+  let hx = Tech.Process.cell_pitch_x tech /. 2.
+  and hy = Tech.Process.cell_pitch_y tech /. 2. in
+  let open QCheck.Gen in
+  let cell = pair (int_range (-12) 12) (int_range (-12) 12) in
+  let capacitor = list_size (int_range 1 12) cell in
+  let gen = pair (pair (int_range 1 3) (int_range 1 3)) (list_size (int_range 1 5) capacitor) in
+  QCheck.Test.make ~name:"lattice kernel = pair sum" ~count:200 (QCheck.make gen)
+    (fun ((sx, sy), caps) ->
+       let positions =
+         Array.of_list
+           (List.map
+              (fun cells ->
+                 Array.of_list
+                   (List.map
+                      (fun (u, v) ->
+                         point ~x:(float_of_int (sx * v) *. hx)
+                           ~y:(float_of_int (sy * u) *. hy))
+                      cells))
+              caps)
+       in
+       check_kernels_agree "random lattice" positions;
+       true)
+
 let () =
   Alcotest.run "capmodel"
     [ ( "gradient",
@@ -231,8 +341,14 @@ let () =
           Alcotest.test_case "weighted = subset" `Quick test_sigma_weighted_matches_subset;
           Alcotest.test_case "difference < sum" `Quick test_sigma_weighted_difference_smaller;
           Alcotest.test_case "bad index" `Quick test_covariance_bad_index ] );
+      ( "lattice kernel",
+        [ Alcotest.test_case "matches pair sum, 2-10 bits" `Quick
+            test_lattice_matches_pairwise;
+          Alcotest.test_case "general weights" `Quick test_lattice_general_weights;
+          Alcotest.test_case "kernel choice" `Quick test_covariance_kernel_choice ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_correlation_in_range;
             prop_subset_sigma_nonneg;
-            prop_weighted_sigma_nonneg ] ) ]
+            prop_weighted_sigma_nonneg;
+            prop_lattice_matches_pairwise ] ) ]

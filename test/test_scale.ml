@@ -40,6 +40,13 @@ let test_12_bit_trends_hold () =
   Alcotest.(check bool) "spiral still much faster at 12 bits" true
     (tau chess > 3. *. tau spiral)
 
+let test_15_bit_rowwise_lvs_clean () =
+  (* rowwise strips leave one cell per group on a channel, so a stub
+     precedence cycle there can only be broken by moving a connection to
+     the neighbouring channel; at 15 bits C_10/C_11 otherwise short *)
+  let layout, _ = Ccdac.Flow.place_route ~verify:false ~bits:15 Ccplace.Style.Rowwise in
+  Alcotest.(check int) "LVS clean" 0 (List.length (Lvs.Check.check layout))
+
 let test_deep_general_ratio () =
   (* a big thermometer bank: 63 segments of 16 cells *)
   let counts = Array.append [| 1; 1; 2; 4; 8 |] (Array.make 63 16) in
@@ -57,4 +64,5 @@ let () =
           Alcotest.test_case "12-bit place+route" `Slow test_12_bit_place_route;
           Alcotest.test_case "11-bit chessboard" `Slow test_11_bit_chessboard_doubles;
           Alcotest.test_case "12-bit trends" `Slow test_12_bit_trends_hold;
+          Alcotest.test_case "15-bit rowwise LVS" `Slow test_15_bit_rowwise_lvs_clean;
           Alcotest.test_case "big thermometer" `Slow test_deep_general_ratio ] ) ]

@@ -9,7 +9,7 @@ let test_fft_impulse () =
   (* FFT of an impulse is flat *)
   let re = Array.make 8 0. and im = Array.make 8 0. in
   re.(0) <- 1.;
-  Dacmodel.Fft.fft ~re ~im;
+  Capmodel.Fft.fft ~re ~im;
   for k = 0 to 7 do
     check_float "flat re" 1. re.(k);
     check_float "flat im" 0. im.(k)
@@ -23,9 +23,9 @@ let test_fft_single_tone () =
         cos (2. *. Float.pi *. 3. *. float_of_int i /. float_of_int n))
   in
   let im = Array.make n 0. in
-  Dacmodel.Fft.fft ~re ~im;
+  Capmodel.Fft.fft ~re ~im;
   for k = 0 to n - 1 do
-    let m = Dacmodel.Fft.magnitude ~re ~im k in
+    let m = Capmodel.Fft.magnitude ~re ~im k in
     if k = 3 || k = n - 3 then
       Alcotest.(check (float 1e-6)) "tone bin" (float_of_int n /. 2.) m
     else if m > 1e-6 then Alcotest.failf "leakage at bin %d: %g" k m
@@ -35,8 +35,8 @@ let test_fft_roundtrip () =
   let n = 32 in
   let original = Array.init n (fun i -> sin (0.3 *. float_of_int i) +. 0.1) in
   let re = Array.copy original and im = Array.make n 0. in
-  Dacmodel.Fft.fft ~re ~im;
-  Dacmodel.Fft.ifft ~re ~im;
+  Capmodel.Fft.fft ~re ~im;
+  Capmodel.Fft.ifft ~re ~im;
   for i = 0 to n - 1 do
     if Float.abs (re.(i) -. original.(i)) > 1e-9 then
       Alcotest.failf "roundtrip mismatch at %d" i
@@ -48,10 +48,10 @@ let test_fft_parseval () =
   let re = Array.init n (fun i -> Float.rem (float_of_int (i * 37)) 11. -. 5.) in
   let time_energy = Array.fold_left (fun a x -> a +. (x *. x)) 0. re in
   let im = Array.make n 0. in
-  Dacmodel.Fft.fft ~re ~im;
+  Capmodel.Fft.fft ~re ~im;
   let freq_energy = ref 0. in
   for k = 0 to n - 1 do
-    let m = Dacmodel.Fft.magnitude ~re ~im k in
+    let m = Capmodel.Fft.magnitude ~re ~im k in
     freq_energy := !freq_energy +. (m *. m)
   done;
   Alcotest.(check bool) "parseval" true
@@ -61,14 +61,14 @@ let test_fft_parseval () =
 
 let test_fft_rejects_bad_length () =
   Alcotest.(check bool) "non power of two" true
-    (try Dacmodel.Fft.fft ~re:(Array.make 6 0.) ~im:(Array.make 6 0.); false
+    (try Capmodel.Fft.fft ~re:(Array.make 6 0.) ~im:(Array.make 6 0.); false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "mismatch" true
-    (try Dacmodel.Fft.fft ~re:(Array.make 8 0.) ~im:(Array.make 4 0.); false
+    (try Capmodel.Fft.fft ~re:(Array.make 8 0.) ~im:(Array.make 4 0.); false
      with Invalid_argument _ -> true)
 
 let test_hann_window () =
-  let w = Dacmodel.Fft.hann 16 in
+  let w = Capmodel.Fft.hann 16 in
   check_float "starts at 0" 0. w.(0);
   Alcotest.(check bool) "peak near centre" true (w.(8) > 0.99)
 
@@ -80,8 +80,8 @@ let test_power_spectrum_total () =
         cos (2. *. Float.pi *. 5. *. float_of_int i /. float_of_int n))
   in
   let im = Array.make n 0. in
-  Dacmodel.Fft.fft ~re ~im;
-  let ps = Dacmodel.Fft.power_spectrum ~re ~im in
+  Capmodel.Fft.fft ~re ~im;
+  let ps = Capmodel.Fft.power_spectrum ~re ~im in
   check_float "bin 5 power" 0.5 ps.(5)
 
 (* --- spectrum --- *)
@@ -162,11 +162,11 @@ let prop_fft_linearity =
        let y = Array.init n (fun i -> cos (1.3 *. float_of_int i)) in
        let tx = Array.copy x and txi = Array.make n 0. in
        let ty = Array.copy y and tyi = Array.make n 0. in
-       Dacmodel.Fft.fft ~re:tx ~im:txi;
-       Dacmodel.Fft.fft ~re:ty ~im:tyi;
+       Capmodel.Fft.fft ~re:tx ~im:txi;
+       Capmodel.Fft.fft ~re:ty ~im:tyi;
        let z = Array.init n (fun i -> (a *. x.(i)) +. (b *. y.(i))) in
        let tz = Array.copy z and tzi = Array.make n 0. in
-       Dacmodel.Fft.fft ~re:tz ~im:tzi;
+       Capmodel.Fft.fft ~re:tz ~im:tzi;
        let ok = ref true in
        for k = 0 to n - 1 do
          if Float.abs (tz.(k) -. ((a *. tx.(k)) +. (b *. ty.(k)))) > 1e-6 then
