@@ -522,7 +522,7 @@ let lvs_cmd =
   let all_arg =
     let doc =
       "Certify every shipped configuration: spiral, chessboard, rowwise and \
-       the default block-chessboard at 4, 6, 8 and 10 bits."
+       the default block-chessboard at 4, 6, 8, 10 and 12 bits."
     in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
@@ -545,7 +545,7 @@ let lvs_cmd =
              List.map
                (lvs_style tech granularity bits)
                [ `Spiral; `Chessboard; `Rowwise; `Block ])
-          [ 4; 6; 8; 10 ]
+          [ 4; 6; 8; 10; 12 ]
       else begin
         check_bits bits;
         [ lvs_style tech granularity bits style ]

@@ -66,13 +66,10 @@ let analyze tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
       invalid_arg "Chain.analyze: capacitor has no cells";
     let order = chain_order positions in
     let tree = Rcnet.Rctree.create () in
-    let root = Rcnet.Rctree.add_node tree ~label:"driver" () in
+    let root = Rcnet.Rctree.add_node tree () in
     let nodes =
       Array.map
-        (fun i ->
-           ignore i;
-           Rcnet.Rctree.add_node tree ~label:"cell"
-             ~cap:tech.Tech.Process.unit_cap ())
+        (fun _ -> Rcnet.Rctree.add_node tree ~cap:tech.Tech.Process.unit_cap ())
         order
     in
     let length = ref 0. and junctions = ref 0 in

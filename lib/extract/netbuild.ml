@@ -12,8 +12,18 @@ type part = {
   pt_r_ohm : float;
 }
 
+(* What a tree edge is.  [attribution] renders it as the edge's label;
+   building a net formats no strings. *)
+type edge =
+  | Trunk_seg of { channel : int; y0 : float; y1 : float }
+  | Strap of { channel : int; cell : Cell.t }
+  | Driver_via of int
+  | Bridge_via of int
+  | Bridge_seg of { x0 : float; x1 : float }
+  | Abutment of Cell.t * Cell.t
+
 type edge_info = {
-  ei_label : string;
+  ei_edge : edge;
   ei_parts : part list;
 }
 
@@ -28,6 +38,18 @@ let part_kind_name = function
   | Via -> "via"
   | Wire -> "wire"
   | Plate -> "plate"
+
+let edge_label = function
+  | Trunk_seg { channel; y0; y1 } ->
+    Printf.sprintf "trunk M3 ch%d y%.2f->%.2f" channel y0 y1
+  | Strap { channel; cell } ->
+    Printf.sprintf "strap ch%d->cell(%d,%d)" channel cell.Cell.row cell.Cell.col
+  | Driver_via channel -> Printf.sprintf "driver via->trunk ch%d" channel
+  | Bridge_via channel -> Printf.sprintf "bridge via->trunk ch%d" channel
+  | Bridge_seg { x0; x1 } -> Printf.sprintf "bridge M1 x%.2f->%.2f" x0 x1
+  | Abutment (a, b) ->
+    Printf.sprintf "plate (%d,%d)<->(%d,%d)" a.Cell.row a.Cell.col b.Cell.row
+      b.Cell.col
 
 (* Union-find over tree nodes: the physical net is a mesh (a group strapped
    to its trunk at several cells plus its internal abutment connections has
@@ -73,19 +95,15 @@ let build (layout : Layout.t) ~cap =
   let rvia = Tech.Parallel.via_resistance tech ~p in
   let via_part = { pt_kind = Via; pt_layer = "via"; pt_r_ohm = rvia } in
   let tree = Rcnet.Rctree.create () in
-  let node label c = Rcnet.Rctree.add_node tree ~label ~cap:c () in
-  let root = node "driver" 0. in
+  let node c = Rcnet.Rctree.add_node tree ~cap:c () in
+  let root = node 0. in
   (* --- unit-capacitor cell nodes --- *)
   let cell_tbl = Hashtbl.create 64 in
   let cell_node (c : Cell.t) =
     match Hashtbl.find_opt cell_tbl c with
     | Some n -> n
     | None ->
-      let n =
-        node
-          (Printf.sprintf "cell(%d,%d)" c.Cell.row c.Cell.col)
-          tech.Tech.Process.unit_cap
-      in
+      let n = node tech.Tech.Process.unit_cap in
       Hashtbl.add cell_tbl c n;
       n
   in
@@ -98,9 +116,7 @@ let build (layout : Layout.t) ~cap =
       List.sort_uniq Float.compare (tk.Layout.tk_y_low :: attach_ys)
     in
     let mk y =
-      let n =
-        node (Printf.sprintf "trunk(ch%d,y%.2f)" tk.Layout.tk_channel y) 0.
-      in
+      let n = node 0. in
       Hashtbl.replace trunk_nodes (tk.Layout.tk_channel, y) n;
       n
     in
@@ -113,9 +129,8 @@ let build (layout : Layout.t) ~cap =
         trunk_edges :=
           ( prev_node, n, r,
             Tech.Parallel.wire_capacitance m3 ~length:len ~p,
-            { ei_label =
-                Printf.sprintf "trunk M3 ch%d y%.2f->%.2f" tk.Layout.tk_channel
-                  prev_y y;
+            { ei_edge =
+                Trunk_seg { channel = tk.Layout.tk_channel; y0 = prev_y; y1 = y };
               ei_parts = [ { pt_kind = Wire; pt_layer = "M3"; pt_r_ohm = r } ] } )
           :: !trunk_edges;
         chain y n rest
@@ -139,9 +154,8 @@ let build (layout : Layout.t) ~cap =
          let r = rvia +. r_wire in
          let c = Tech.Parallel.wire_capacitance m1 ~length:stub_len ~p in
          let info =
-           { ei_label =
-               Printf.sprintf "strap ch%d->cell(%d,%d)" tk.Layout.tk_channel
-                 a.Layout.ap_cell.Cell.row a.Layout.ap_cell.Cell.col;
+           { ei_edge =
+               Strap { channel = tk.Layout.tk_channel; cell = a.Layout.ap_cell };
              ei_parts =
                [ via_part;
                  { pt_kind = Wire; pt_layer = "M1"; pt_r_ohm = r_wire } ] }
@@ -163,8 +177,7 @@ let build (layout : Layout.t) ~cap =
   let driver_edges =
     ref
       [ ( root, trunk_bottom primary, rvia, 0.,
-          { ei_label =
-              Printf.sprintf "driver via->trunk ch%d" primary.Layout.tk_channel;
+          { ei_edge = Driver_via primary.Layout.tk_channel;
             ei_parts = [ via_part ] } ) ]
   in
   (* --- bridge: chain along x, a via to each trunk --- *)
@@ -181,11 +194,10 @@ let build (layout : Layout.t) ~cap =
      let bridge_nodes =
        List.map
          (fun (tk : Layout.trunk) ->
-            let n = node (Printf.sprintf "bridge(x%.2f)" tk.Layout.tk_x) 0. in
+            let n = node 0. in
             driver_edges :=
               ( n, trunk_bottom tk, rvia, 0.,
-                { ei_label =
-                    Printf.sprintf "bridge via->trunk ch%d" tk.Layout.tk_channel;
+                { ei_edge = Bridge_via tk.Layout.tk_channel;
                   ei_parts = [ via_part ] } )
               :: !driver_edges;
             (n, tk.Layout.tk_x))
@@ -198,7 +210,7 @@ let build (layout : Layout.t) ~cap =
          driver_edges :=
            ( na, nb, r,
              Tech.Parallel.wire_capacitance m1 ~length:len ~p,
-             { ei_label = Printf.sprintf "bridge M1 x%.2f->%.2f" xa xb;
+             { ei_edge = Bridge_seg { x0 = xa; x1 = xb };
                ei_parts = [ { pt_kind = Wire; pt_layer = "M1"; pt_r_ohm = r } ] } )
            :: !driver_edges;
          chain rest
@@ -217,9 +229,7 @@ let build (layout : Layout.t) ~cap =
             let len = Geom.Point.manhattan pa pb in
             let r = tech.Tech.Process.plate_resistance *. len in
             let info =
-              { ei_label =
-                  Printf.sprintf "plate (%d,%d)<->(%d,%d)" a.Cell.row a.Cell.col
-                    b.Cell.row b.Cell.col;
+              { ei_edge = Abutment (a, b);
                 ei_parts =
                   [ { pt_kind = Plate; pt_layer = "plate"; pt_r_ohm = r } ] }
             in
@@ -280,9 +290,10 @@ let attribution t =
     List.concat_map
       (fun (e : Rcnet.Elmore.contribution) ->
          let info = t.edge_infos.(e.Rcnet.Elmore.edge) in
+         let label = edge_label info.ei_edge in
          List.map
            (fun pt ->
-              { nb_label = info.ei_label;
+              { nb_label = label;
                 nb_kind = pt.pt_kind;
                 nb_layer = pt.pt_layer;
                 nb_r_ohm = pt.pt_r_ohm;

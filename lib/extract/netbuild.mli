@@ -27,10 +27,16 @@ type part = {
   pt_r_ohm : float;
 }
 
+(** What a tree edge is (a trunk segment, a strap, a via, a bridge
+    segment or a plate abutment).  {!attribution} renders it as the
+    element label, e.g. ["trunk M3 ch2 y1.20->3.60"]; building a net
+    formats no strings. *)
+type edge
+
 (** Provenance of one tree edge, in {!Rcnet.Rctree.edges} insertion
     order.  The parts' resistances sum exactly to the edge resistance. *)
 type edge_info = {
-  ei_label : string;       (** e.g. ["trunk ch2 y1.20->3.60"] *)
+  ei_edge : edge;
   ei_parts : part list;
 }
 

@@ -122,25 +122,14 @@ let coupling_cap layout =
 
 let extract layout =
   let bits = layout.Layout.placement.Ccgrid.Placement.bits in
-  (* Per-capacitor extraction is independent net by net, so it fans out
-     over the ambient Par.Pool jobs (Par.Jobs.resolve None — serial
-     unless --jobs/CCDAC_JOBS says otherwise).  Results land in per-index
-     slots, so the per_bit array and every fold over it are bitwise
-     identical at any worker count.  A task failure is unwrapped back to
-     the original exception (not Task_failed) so the serial contract —
-     e.g. Verify.Engine.Rejected reaching flow callers — is preserved. *)
+  (* One capacitor at a time: a net extracts in about half a millisecond
+     at 12 bits, and a pool batch cost more to schedule than it saved
+     (docs/PARALLEL.md). *)
   let per_bit =
-    Array.of_list
-      (List.map
-         (function
-           | Ok m -> m
-           | Error (e : Par.Pool.task_error) -> raise e.Par.Pool.exn)
-         (Par.Pool.map_list
-            (fun cap ->
-               Telemetry.Span.with_ ~name:"extract.bit"
-                 ~attrs:[ ("cap", Telemetry.Span.Int cap) ]
-                 (fun () -> bit_metrics layout cap))
-            (List.init (bits + 1) Fun.id)))
+    Array.init (bits + 1) (fun cap ->
+        Telemetry.Span.with_ ~name:"extract.bit"
+          ~attrs:[ ("cap", Telemetry.Span.Int cap) ]
+          (fun () -> bit_metrics layout cap))
   in
   let total_wire_cap =
     Array.fold_left (fun acc m -> acc +. m.bm_wire_cap) 0. per_bit

@@ -18,54 +18,57 @@ let extract (shapes : Shape.t array) =
       find parent.(i)
     end
   in
+  let link small big =
+    parent.(small) <- big;
+    size.(big) <- size.(big) + size.(small)
+  in
   let union a b =
     let ra = find a and rb = find b in
-    if ra <> rb then begin
-      let big, small = if size.(ra) >= size.(rb) then ra, rb else rb, ra in
-      parent.(small) <- big;
-      size.(big) <- size.(big) + size.(small)
+    if ra <> rb then
+      if size.(ra) >= size.(rb) then link rb ra else link ra rb
+  in
+  let contacts = ref 0 in
+  let contact a b =
+    incr contacts;
+    union a b
+  in
+  (* one sweep per layer over boxes that share the shapes' extents; a via
+     carries the same shape id into both its layers, which is what closes
+     connectivity across the stack *)
+  let segs =
+    Array.map
+      (fun (s : Shape.t) -> Geom.Sweepline.box ~id:s.Shape.id s.Shape.x s.Shape.y)
+      shapes
+  in
+  let layer_segs layer =
+    let is_layer = Tech.Layer.equal_name layer in
+    let on (s : Shape.t) = List.exists is_layer s.Shape.layers in
+    let k = Array.fold_left (fun k s -> if on s then k + 1 else k) 0 shapes in
+    if k = 0 then [||]
+    else begin
+      let out = Array.make k segs.(0) and j = ref 0 in
+      Array.iteri
+        (fun i s ->
+           if on s then begin
+             out.(!j) <- segs.(i);
+             incr j
+           end)
+        shapes;
+      out
     end
   in
-  (* one sweep per layer; a via carries the same shape id into both its
-     layers, which is what closes connectivity across the stack *)
-  let contacts = ref 0 in
   List.iter
-    (fun layer ->
-       let segs =
-         Array.to_seq shapes
-         |> Seq.filter_map (fun (s : Shape.t) ->
-             if List.exists (Tech.Layer.equal_name layer) s.Shape.layers then
-               Some
-                 (Geom.Sweepline.segment ~id:s.Shape.id
-                    ~ax:s.Shape.x.Geom.Interval.lo ~ay:s.Shape.y.Geom.Interval.lo
-                    ~bx:s.Shape.x.Geom.Interval.hi ~by:s.Shape.y.Geom.Interval.hi)
-             else None)
-         |> List.of_seq
-       in
-       let pairs = Geom.Sweepline.contacts segs in
-       contacts := !contacts + List.length pairs;
-       List.iter (fun (a, b) -> union a b) pairs)
+    (fun layer -> Geom.Sweepline.contacts (layer_segs layer) contact)
     [ Tech.Layer.M1; Tech.Layer.M2; Tech.Layer.M3 ];
   (* densify component ids in shape order *)
-  let comp_of = Array.make n (-1) in
+  let comp_of = Array.make n (-1) and comp_of_root = Array.make n (-1) in
   let next = ref 0 in
-  let index = Hashtbl.create 64 in
   for i = 0 to n - 1 do
     let r = find i in
-    match Hashtbl.find_opt index r with
-    | Some c -> comp_of.(i) <- c
-    | None ->
-      Hashtbl.add index r !next;
-      comp_of.(i) <- !next;
+    if comp_of_root.(r) < 0 then begin
+      comp_of_root.(r) <- !next;
       incr next
+    end;
+    comp_of.(i) <- comp_of_root.(r)
   done;
   { shapes; comp_of; n_components = !next; n_contacts = !contacts }
-
-let component t id = t.comp_of.(id)
-
-let members t c =
-  Array.to_list
-    (Array.of_seq
-       (Seq.filter
-          (fun (s : Shape.t) -> t.comp_of.(s.Shape.id) = c)
-          (Array.to_seq t.shapes)))

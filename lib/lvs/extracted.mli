@@ -1,11 +1,15 @@
 (** Whole-layout connectivity extraction.
 
-    One {!Geom.Sweepline} pass per metal layer finds every same-layer
-    contact in O(n log n); a union-find closes connectivity across layers
-    through vias (a via's single shape id occupies both M1 and M3, so its
-    same-layer contacts merge the two layers' components).  The result
-    partitions the flattened shape set into electrical components —
-    the extracted nets. *)
+    One {!Geom.Sweepline} pass per metal layer reports every same-layer
+    contact pair once, and each pair goes straight into a union-find as
+    it arrives; the union-find closes connectivity across layers through
+    vias (a via's single shape id occupies both M1 and M3, so its
+    same-layer contacts merge the two layers' components).  A layer of n
+    shapes and k contacts costs the sweep's O(n log n + k + B/32), B being
+    the horizontal shapes summed over the y bands of its vertical ones,
+    plus a near-constant amortised union-find step per contact.  The
+    result partitions the flattened shape set into electrical components
+    — the extracted nets. *)
 
 type t = {
   shapes : Shape.t array;
@@ -16,9 +20,3 @@ type t = {
 
 (** [extract shapes] runs the per-layer sweeps and the union-find. *)
 val extract : Shape.t array -> t
-
-(** [component t id] is the component of shape [id]. *)
-val component : t -> int -> int
-
-(** [members t c] lists the shapes of component [c] in id order. *)
-val members : t -> int -> Shape.t list

@@ -1,7 +1,6 @@
 type node = int
 
 type t = {
-  mutable labels : string array;
   mutable caps : float array;
   mutable count : int;
   mutable edge_list : (int * int * float) list;  (* reversed *)
@@ -9,24 +8,19 @@ type t = {
 }
 
 let create () =
-  { labels = Array.make 16 ""; caps = Array.make 16 0.; count = 0;
-    edge_list = []; edge_count = 0 }
+  { caps = Array.make 16 0.; count = 0; edge_list = []; edge_count = 0 }
 
 let grow t =
   if t.count = Array.length t.caps then begin
-    let n = 2 * t.count in
-    let labels = Array.make n "" and caps = Array.make n 0. in
-    Array.blit t.labels 0 labels 0 t.count;
+    let caps = Array.make (2 * t.count) 0. in
     Array.blit t.caps 0 caps 0 t.count;
-    t.labels <- labels;
     t.caps <- caps
   end
 
-let add_node t ~label ?(cap = 0.) () =
+let add_node t ?(cap = 0.) () =
   if cap < 0. then invalid_arg "Rctree.add_node: negative capacitance";
   grow t;
   let n = t.count in
-  t.labels.(n) <- label;
   t.caps.(n) <- cap;
   t.count <- n + 1;
   n
@@ -65,10 +59,6 @@ let total_cap t =
     acc := !acc +. t.caps.(i)
   done;
   !acc
-
-let label t n =
-  check_node t n;
-  t.labels.(n)
 
 let edges t = List.rev t.edge_list
 

@@ -14,9 +14,9 @@ type node = private int
 
 val create : unit -> t
 
-(** [add_node t ~label ?cap ()] appends a node with grounded capacitance
-    [cap] (fF, default 0) and returns it.  [label] aids debugging. *)
-val add_node : t -> label:string -> ?cap:float -> unit -> node
+(** [add_node t ?cap ()] appends a node with grounded capacitance [cap]
+    (fF, default 0) and returns it. *)
+val add_node : t -> ?cap:float -> unit -> node
 
 (** [add_cap t n c] adds [c] fF at node [n]. *)
 val add_cap : t -> node -> float -> unit
@@ -37,9 +37,6 @@ val node_cap : t -> node -> float
 
 (** [total_cap t] sum of node capacitances, fF. *)
 val total_cap : t -> float
-
-(** [label t n]. *)
-val label : t -> node -> string
 
 (** [edges t] as [(a, b, r)] triples in insertion order. *)
 val edges : t -> (node * node * float) list

@@ -29,8 +29,12 @@ let near a b = Float.abs (a -. b) < 1e-9
 
 let seg = Geom.Sweepline.segment
 
-let sorted_pairs ps =
-  List.sort compare (List.map (fun (a, b) -> (min a b, max a b)) ps)
+(* every contact the sweep reports, as sorted (low id, high id) pairs *)
+let contacts ?eps shapes =
+  let pairs = ref [] in
+  Geom.Sweepline.contacts ?eps (Array.of_list shapes) (fun a b ->
+      pairs := (min a b, max a b) :: !pairs);
+  List.sort compare !pairs
 
 let test_sweepline_basic () =
   (* crossing, T-junction, endpoint touch, collinear overlap, disjoint *)
@@ -44,7 +48,7 @@ let test_sweepline_basic () =
   Alcotest.(check (list (pair int int)))
     "contact pairs"
     [ (0, 1); (0, 2); (0, 3); (2, 3) ]
-    (sorted_pairs (Geom.Sweepline.contacts shapes))
+    (contacts shapes)
 
 let test_sweepline_points () =
   let shapes =
@@ -56,7 +60,7 @@ let test_sweepline_points () =
   Alcotest.(check (list (pair int int)))
     "point contacts"
     [ (0, 1); (0, 3); (1, 3); (2, 3) ]
-    (sorted_pairs (Geom.Sweepline.contacts shapes))
+    (contacts shapes)
 
 let test_sweepline_rejects_rect () =
   Alcotest.check_raises "extended in both axes"
@@ -64,21 +68,100 @@ let test_sweepline_rejects_rect () =
        "Sweepline.contacts: shape 7 is not axis-aligned [0.0000, 1.0000] x \
         [0.0000, 1.0000]")
     (fun () ->
-       ignore (Geom.Sweepline.contacts [ seg ~id:7 ~ax:0. ~ay:0. ~bx:1. ~by:1. ]))
+       ignore (contacts [ seg ~id:7 ~ax:0. ~ay:0. ~bx:1. ~by:1. ]))
 
-let test_sweepline_matches_all_pairs () =
-  (* the sweep must agree with the quadratic oracle on a messy random mix *)
-  let st = Random.State.make [| 42 |] in
-  let shapes =
-    List.init 150 (fun id ->
-        let f hi = float_of_int (Random.State.int st hi) in
-        let x = f 20 and y = f 20 in
-        match Random.State.int st 3 with
-        | 0 -> seg ~id ~ax:x ~ay:y ~bx:(x +. f 8) ~by:y
-        | 1 -> seg ~id ~ax:x ~ay:y ~bx:x ~by:(y +. f 8)
-        | _ -> seg ~id ~ax:x ~ay:y ~bx:x ~by:y)
+(* Random shape soups against the quadratic all-pairs oracle.  Fixed
+   coordinates (y of a horizontal, x of a vertical, both of a point) lie
+   on a half-pitch grid, where collinear groups are exact (see
+   Sweepline.contacts); the start of a shape drawn from an earlier one
+   sits on that shape's end or eps/2 or 2·eps past or before it, so gaps
+   that must touch and gaps that must miss both occur.  Shapes are fresh
+   (horizontal, vertical, or a zero-length segment, i.e. a point), copies
+   of an earlier shape (coincident points, stacked wires), collinear
+   continuations of one, or T-junctions on one's end. *)
+let oracle_eps = 1e-6
+
+type spec =
+  | Fresh of int * int * int * int  (* orientation, x, y, length (grid) *)
+  | Copy of int
+  | Continue of int * int * int     (* earlier shape, gap, length *)
+  | Tee of int * int * int
+
+let gaps = [| 0.; oracle_eps /. 2.; -.oracle_eps /. 2.; 2. *. oracle_eps;
+              -2. *. oracle_eps |]
+
+let gen_specs =
+  let open QCheck.Gen in
+  let grid = int_range 0 24 and len = int_range 1 8 in
+  let earlier = int_range 0 1000 and gap = int_range 0 (Array.length gaps - 1) in
+  list_size (int_range 1 160)
+    (frequency
+       [ (10, map (fun (o, x, y, l) -> Fresh (o, x, y, l))
+              (quad (int_range 0 2) grid grid len));
+         (3, map (fun i -> Copy i) earlier);
+         (3, map (fun (i, g, l) -> Continue (i, g, l)) (triple earlier gap len));
+         (4, map (fun (i, g, l) -> Tee (i, g, l)) (triple earlier gap len)) ])
+
+let half k = 0.5 *. float_of_int k
+
+let shapes_of_specs specs =
+  let out = Array.make (List.length specs) (seg ~id:0 ~ax:0. ~ay:0. ~bx:0. ~by:0.) in
+  List.iteri
+    (fun id spec ->
+       let base i = out.(i mod Int.max id 1) in
+       let lo (i : Geom.Interval.t) = i.Geom.Interval.lo
+       and hi (i : Geom.Interval.t) = i.Geom.Interval.hi in
+       let horizontal (b : Geom.Sweepline.seg) =
+         Geom.Interval.length b.Geom.Sweepline.sx > oracle_eps
+       in
+       out.(id) <-
+         (match spec with
+          | Fresh (0, x, y, l) ->
+            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half (x + l)) ~by:(half y)
+          | Fresh (1, x, y, l) ->
+            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half x) ~by:(half (y + l))
+          | Fresh (_, x, y, _) ->
+            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half x) ~by:(half y)
+          | Copy i ->
+            let b = base i in
+            Geom.Sweepline.box ~id b.sx b.sy
+          | Continue (i, g, l) ->
+            (* along the earlier shape, from its high end (points extend
+               horizontally) *)
+            let b = base i in
+            if horizontal b || Geom.Interval.length b.sy <= oracle_eps then
+              seg ~id ~ax:(hi b.sx +. gaps.(g)) ~ay:(lo b.sy)
+                ~bx:(hi b.sx +. half l) ~by:(lo b.sy)
+            else
+              seg ~id ~ax:(lo b.sx) ~ay:(hi b.sy +. gaps.(g)) ~bx:(lo b.sx)
+                ~by:(hi b.sy +. half l)
+          | Tee (i, g, l) ->
+            (* across the earlier shape's high end, starting at its line *)
+            let b = base i in
+            if horizontal b then
+              seg ~id ~ax:(hi b.sx) ~ay:(lo b.sy +. gaps.(g)) ~bx:(hi b.sx)
+                ~by:(lo b.sy +. half l)
+            else
+              seg ~id ~ax:(lo b.sx +. gaps.(g)) ~ay:(hi b.sy)
+                ~bx:(lo b.sx +. half l) ~by:(hi b.sy)))
+    specs;
+  Array.to_list out
+
+let shapes_arb =
+  let print shapes =
+    String.concat "\n"
+      (List.map
+         (fun (s : Geom.Sweepline.seg) ->
+            Format.asprintf "%d: %a x %a" s.Geom.Sweepline.sid Geom.Interval.pp
+              s.Geom.Sweepline.sx Geom.Interval.pp s.Geom.Sweepline.sy)
+         shapes)
   in
-  let eps = 1e-6 in
+  QCheck.make ~print (QCheck.Gen.map shapes_of_specs gen_specs)
+
+(* The sweep reports exactly the oracle's pairs, each once (no table
+   removes duplicates), at the drawn tolerance and at [eps = 0], where a
+   gap of 0 puts insert, query and removal events at one x. *)
+let agrees_with_oracle ~eps shapes =
   let touches (a : Geom.Sweepline.seg) (b : Geom.Sweepline.seg) =
     Geom.Interval.overlaps ~eps a.Geom.Sweepline.sx b.Geom.Sweepline.sx
     && Geom.Interval.overlaps ~eps a.Geom.Sweepline.sy b.Geom.Sweepline.sy
@@ -90,10 +173,18 @@ let test_sweepline_matches_all_pairs () =
          (fun j b -> if i < j && touches a b then oracle := (i, j) :: !oracle)
          shapes)
     shapes;
-  Alcotest.(check (list (pair int int)))
-    "sweep = all-pairs oracle"
-    (List.sort compare !oracle)
-    (sorted_pairs (Geom.Sweepline.contacts ~eps shapes))
+  let calls = ref 0 and pairs = ref [] in
+  Geom.Sweepline.contacts ~eps (Array.of_list shapes) (fun a b ->
+      incr calls;
+      pairs := (min a b, max a b) :: !pairs);
+  !calls = List.length !oracle
+  && List.sort compare !pairs = List.sort compare !oracle
+
+let prop_sweepline_matches_all_pairs =
+  QCheck.Test.make ~name:"matches all-pairs oracle" ~count:300 shapes_arb
+    (fun shapes ->
+       agrees_with_oracle ~eps:oracle_eps shapes
+       && agrees_with_oracle ~eps:0. shapes)
 
 (* --- clean layouts certify clean --- *)
 
@@ -163,6 +254,100 @@ let test_stats_sane () =
     (s.Lvs.Check.contacts > s.Lvs.Check.shapes / 2);
   (* clean layout: one component per capacitor net plus the top plate *)
   Alcotest.(check int) "components" 8 s.Lvs.Check.components
+
+(* --- pinned outputs of the signoff designs --- *)
+
+(* The sorted contact pairs the sweep reports on one metal layer. *)
+let layer_contacts (shapes : Lvs.Shape.t array) layer =
+  contacts
+    (List.filter_map
+       (fun (s : Lvs.Shape.t) ->
+          if List.exists (Tech.Layer.equal_name layer) s.Lvs.Shape.layers then
+            Some (Geom.Sweepline.box ~id:s.Lvs.Shape.id s.Lvs.Shape.x s.Lvs.Shape.y)
+          else None)
+       (Array.to_list shapes))
+
+let pairs_digest pairs =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) pairs)))
+
+(* The 16 Table III designs the signoff benchmark times, routed as the
+   flow routes them: LVS stats (shapes, contacts, components) and an MD5
+   of each metal layer's sorted contact pairs (M1, M2, M3). *)
+let signoff_pins =
+  [ ("rowwise 6-bit", (251, 311, 8),
+     [ "c22c3ad674f42f0edd14b4c408d9a359"; "3cad42ae069befc1e273d3d716889a3c";
+       "89acdac7dc483733861509f4749cfb30" ]);
+    ("chessboard 6-bit", (315, 315, 8),
+     [ "55ff9be47142879f969e1e6151252ad8"; "464515937b632429c03ce19f48dfb743";
+       "f62154a5067ae7bc91eabbd3954c145f" ]);
+    ("spiral 6-bit", (242, 299, 8),
+     [ "0eec3fe7b5a1a3359d46e6f469f667e8"; "b7a98c0da363782b3501dd27ce1693a1";
+       "8161e82ce69946777f8d9da627885b85" ]);
+    ("block-chess(core=4,g=2) 6-bit", (269, 323, 8),
+     [ "198a890120b45ac6c1c4a6c41eee8ec0"; "b503a1bfa4f64ea394269b389e29997f";
+       "d4fe8b044cdb32ea839fd5c9a82472c0" ]);
+    ("rowwise 8-bit", (869, 1149, 10),
+     [ "a9a649b4cb530c49517a11b527d9bfee"; "21912e70658de04c7c17f0ea3e59763e";
+       "568f4d7b8150f17d7e4e06f4301c6f75" ]);
+    ("chessboard 8-bit", (1131, 1137, 10),
+     [ "68f65486f1dd910153253c1e509ee8b0"; "7c5606ac58ae308af9bc6b4928f04833";
+       "cd770041d799f51618a85eccaabb1aa0" ]);
+    ("spiral 8-bit", (832, 1127, 10),
+     [ "665f9cfd9b983eafc0b398370c244f68"; "d1d75d8f1c9cb64a54e2d588132d8a58";
+       "7aab8941ed85c1bc1cecc35edf5926db" ]);
+    ("block-chess(core=6,g=2) 8-bit", (957, 1182, 10),
+     [ "3eca0d39d1b4ba498a062a3cacbf1cbd"; "8e7e7613a47d1b63570f23ab99b43225";
+       "aae733dcac640ed3398827213645a79f" ]);
+    ("rowwise 10-bit", (3331, 4454, 12),
+     [ "85563ddd60d1fc29212fb5f6f0ddab1c"; "6ef636d184b56eb2419b272e5934cdfb";
+       "b63b0971a4050a9820c63ae89437a769" ]);
+    ("chessboard 10-bit", (4291, 4311, 12),
+     [ "bac21359036fd5697adf945394069eca"; "e7db50c5b30c4b9972997891ec0a8a24";
+       "fc7f747225ba65f6a1cc3a9c5c4b3975" ]);
+    ("spiral 10-bit", (3158, 4327, 12),
+     [ "506d951690960f277f415e8f209cb602"; "8be98cd355be9c3760ac5489af6c7a7f";
+       "798493551ea7046a77fdf2de8921cb79" ]);
+    ("block-chess(core=8,g=2) 10-bit", (3597, 4570, 12),
+     [ "18c56a62da29b6006b1be97498c12a03"; "69747e231cb0479aca8fc33c9cc1a491";
+       "8fe2dea724461b1bbf1a0f493ae4f56b" ]);
+    ("rowwise 12-bit", (13053, 17581, 14),
+     [ "b1cc26f80c629649e3681389b9e5d808"; "5f621b56e0d464bb7c7538eca5a818bb";
+       "b49a72abb5831ae8ffe98075580791b3" ]);
+    ("chessboard 12-bit", (16747, 16797, 14),
+     [ "c688ac806ef0e35f10abe858914a16ff"; "dccc2fae9821344c45cd931d31c82c7c";
+       "46558a296e78b8a54ad8e99e3f8818fc" ]);
+    ("spiral 12-bit", (12412, 16867, 14),
+     [ "5a427713b719a080b09463b6d8623158"; "3eff43ed6760cd3f125729ec0389c997";
+       "69d5fb6c2ec5da7b083ce0df07ad8a08" ]);
+    ("block-chess(core=10,g=2) 12-bit", (13997, 17814, 14),
+     [ "dc13a829542c5c60982dd24a08283a0c"; "1e61b0ce5af520a9608065b5e6fa1035";
+       "6310a881a71db630ab552bcc0cdf8928" ]) ]
+
+let test_signoff_pins () =
+  let actual =
+    List.concat_map
+      (fun bits ->
+         List.map
+           (fun style ->
+              let l =
+                layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style)
+                  style bits
+              in
+              let s = (Lvs.Check.run l).Lvs.Check.stats in
+              let shapes = Lvs.Shape.of_layout l in
+              ( Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
+                (s.Lvs.Check.shapes, s.Lvs.Check.contacts, s.Lvs.Check.components),
+                List.map
+                  (fun layer -> pairs_digest (layer_contacts shapes layer))
+                  Tech.Layer.[ M1; M2; M3 ] ))
+           Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
+      [ 6; 8; 10; 12 ]
+  in
+  Alcotest.(check (list (triple string (triple int int int) (list string))))
+    "stats and per-layer contact digests" signoff_pins actual
 
 (* --- mutation harness --- *)
 
@@ -473,14 +658,14 @@ let () =
         [ test_case "basic contacts" `Quick test_sweepline_basic;
           test_case "points" `Quick test_sweepline_points;
           test_case "rejects rectangles" `Quick test_sweepline_rejects_rect;
-          test_case "matches all-pairs oracle" `Quick
-            test_sweepline_matches_all_pairs ] );
+          QCheck_alcotest.to_alcotest prop_sweepline_matches_all_pairs ] );
       ( "clean",
         [ test_case "style x bits sweep" `Slow test_clean_sweep;
           test_case "parallel wires" `Quick test_clean_parallel_wires;
           test_case "odd-N chessboard" `Quick test_odd_chessboard;
           test_case "stub planarity repair" `Quick test_stub_planarity_repair;
-          test_case "stats" `Quick test_stats_sane ] );
+          test_case "stats" `Quick test_stats_sane;
+          test_case "signoff designs pinned" `Slow test_signoff_pins ] );
       ( "mutations",
         [ test_case "drop attach via" `Quick test_mut_drop_attach_via;
           test_case "delete bridge" `Quick test_mut_drop_bridge;

@@ -367,6 +367,23 @@ let test_explain_inl_sums () =
   Alcotest.(check int) "element count" (e.Qor.Explain.bits + 2)
     (List.length e.Qor.Explain.inl_elements)
 
+let test_explain_labels () =
+  (* the docs/QOR.md example: every element of the worst-bit path of
+     spiral 8-bit, root first *)
+  let e =
+    Qor.Explain.of_result (Ccdac.Flow.run ~tech ~bits:8 Ccplace.Style.Spiral)
+  in
+  Alcotest.(check (list string))
+    "labels"
+    ([ "driver via->trunk ch0"; "trunk M3 ch0 y0.00->1.40";
+       "strap ch0->cell(0,0)"; "strap ch0->cell(0,0)" ]
+     @ List.init 15 (fun i -> Printf.sprintf "plate (%d,0)<->(%d,0)" i (i + 1))
+     @ List.init 15 (fun i ->
+         Printf.sprintf "plate (15,%d)<->(15,%d)" i (i + 1)))
+    (List.map
+       (fun (d : Qor.Explain.delay_element) -> d.Qor.Explain.de_label)
+       e.Qor.Explain.delay_elements)
+
 let test_explain_renderings () =
   let e = Lazy.force explain in
   let txt = Qor.Explain.text ~top:3 e in
@@ -621,6 +638,7 @@ let () =
       ( "explain",
         [ Alcotest.test_case "delay sums" `Quick test_explain_delay_sums;
           Alcotest.test_case "inl sums" `Quick test_explain_inl_sums;
+          Alcotest.test_case "labels pinned" `Quick test_explain_labels;
           Alcotest.test_case "renderings" `Quick test_explain_renderings ] );
       ( "quantile",
         [ Alcotest.test_case "histogram quantiles" `Quick test_quantile;

@@ -2,54 +2,53 @@
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let node tree label cap = Rcnet.Rctree.add_node tree ~label ~cap ()
+let node tree cap = Rcnet.Rctree.add_node tree ~cap ()
 
 (* --- rctree --- *)
 
 let test_rctree_basics () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 1. in
-  let b = node t "b" 2. in
+  let a = node t 1. in
+  let b = node t 2. in
   Rcnet.Rctree.add_edge t a b ~r:5.;
   Alcotest.(check int) "nodes" 2 (Rcnet.Rctree.num_nodes t);
   Alcotest.(check int) "edges" 1 (Rcnet.Rctree.num_edges t);
   check_float "cap a" 1. (Rcnet.Rctree.node_cap t a);
-  check_float "total" 3. (Rcnet.Rctree.total_cap t);
-  Alcotest.(check string) "label" "a" (Rcnet.Rctree.label t a)
+  check_float "total" 3. (Rcnet.Rctree.total_cap t)
 
 let test_rctree_add_cap () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 1. in
+  let a = node t 1. in
   Rcnet.Rctree.add_cap t a 2.5;
   check_float "accumulates" 3.5 (Rcnet.Rctree.node_cap t a)
 
 let test_rctree_wire_edge_splits () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 0. in
-  let b = node t "b" 0. in
+  let a = node t 0. in
+  let b = node t 0. in
   Rcnet.Rctree.wire_edge t a b ~r:1. ~c:4.;
   check_float "half at a" 2. (Rcnet.Rctree.node_cap t a);
   check_float "half at b" 2. (Rcnet.Rctree.node_cap t b)
 
 let test_rctree_grows () =
   let t = Rcnet.Rctree.create () in
-  let nodes = Array.init 100 (fun i -> node t (string_of_int i) 1.) in
+  let nodes = Array.init 100 (fun _ -> node t 1.) in
   Alcotest.(check int) "100 nodes" 100 (Rcnet.Rctree.num_nodes t);
   check_float "caps kept" 1. (Rcnet.Rctree.node_cap t nodes.(73))
 
 let test_rctree_rejects () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 0. in
+  let a = node t 0. in
   Alcotest.(check bool) "self loop" true
     (try Rcnet.Rctree.add_edge t a a ~r:1.; false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative r" true
     (try
-       let b = node t "b" 0. in
+       let b = node t 0. in
        Rcnet.Rctree.add_edge t a b ~r:(-1.); false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative cap" true
-    (try ignore (Rcnet.Rctree.add_node t ~label:"x" ~cap:(-1.) ()); false
+    (try ignore (Rcnet.Rctree.add_node t ~cap:(-1.) ()); false
      with Invalid_argument _ -> true)
 
 (* --- elmore --- *)
@@ -57,8 +56,8 @@ let test_rctree_rejects () =
 let test_elmore_single_rc () =
   (* driver --R--> load C: tau = R * C *)
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let load = node t "load" 10. in
+  let root = node t 0. in
+  let load = node t 10. in
   Rcnet.Rctree.add_edge t root load ~r:100.;
   check_float "RC" 1000. (Rcnet.Elmore.delay_to t ~root load)
 
@@ -66,9 +65,9 @@ let test_elmore_two_stage_ladder () =
   (* drv -R1- n1(C1) -R2- n2(C2):
      delay(n1) = R1 (C1 + C2); delay(n2) = delay(n1) + R2 C2 *)
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let n1 = node t "n1" 3. in
-  let n2 = node t "n2" 7. in
+  let root = node t 0. in
+  let n1 = node t 3. in
+  let n2 = node t 7. in
   Rcnet.Rctree.add_edge t root n1 ~r:10.;
   Rcnet.Rctree.add_edge t n1 n2 ~r:20.;
   let d = Rcnet.Elmore.delays t ~root in
@@ -78,10 +77,10 @@ let test_elmore_two_stage_ladder () =
 let test_elmore_star_balance () =
   (* symmetric star: equal delays on both arms *)
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let hub = node t "hub" 1. in
-  let l1 = node t "l1" 5. in
-  let l2 = node t "l2" 5. in
+  let root = node t 0. in
+  let hub = node t 1. in
+  let l1 = node t 5. in
+  let l2 = node t 5. in
   Rcnet.Rctree.add_edge t root hub ~r:2.;
   Rcnet.Rctree.add_edge t hub l1 ~r:4.;
   Rcnet.Rctree.add_edge t hub l2 ~r:4.;
@@ -94,16 +93,16 @@ let test_elmore_star_balance () =
 
 let test_elmore_root_zero () =
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 5. in
-  let leaf = node t "leaf" 1. in
+  let root = node t 5. in
+  let leaf = node t 1. in
   Rcnet.Rctree.add_edge t root leaf ~r:1.;
   check_float "root delay 0" 0. (Rcnet.Elmore.delay_to t ~root root)
 
 let test_elmore_max_delay () =
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let near = node t "near" 1. in
-  let far = node t "far" 1. in
+  let root = node t 0. in
+  let near = node t 1. in
+  let far = node t 1. in
   Rcnet.Rctree.add_edge t root near ~r:1.;
   Rcnet.Rctree.add_edge t near far ~r:100.;
   check_float "max over subset" (1. *. 2.)
@@ -113,9 +112,9 @@ let test_elmore_max_delay () =
 
 let test_elmore_rejects_cycle () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 0. in
-  let b = node t "b" 0. in
-  let c = node t "c" 0. in
+  let a = node t 0. in
+  let b = node t 0. in
+  let c = node t 0. in
   Rcnet.Rctree.add_edge t a b ~r:1.;
   Rcnet.Rctree.add_edge t b c ~r:1.;
   Rcnet.Rctree.add_edge t c a ~r:1.;
@@ -125,10 +124,10 @@ let test_elmore_rejects_cycle () =
 
 let test_elmore_rejects_disconnected () =
   let t = Rcnet.Rctree.create () in
-  let a = node t "a" 0. in
-  let b = node t "b" 0. in
-  let c = node t "c" 0. in
-  let d = node t "d" 0. in
+  let a = node t 0. in
+  let b = node t 0. in
+  let c = node t 0. in
+  let d = node t 0. in
   Rcnet.Rctree.add_edge t a b ~r:1.;
   Rcnet.Rctree.add_edge t c d ~r:1.;
   Alcotest.(check bool) "disconnected rejected" true
@@ -137,9 +136,9 @@ let test_elmore_rejects_disconnected () =
 
 let test_path_resistance () =
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let n1 = node t "n1" 1. in
-  let n2 = node t "n2" 1. in
+  let root = node t 0. in
+  let n1 = node t 1. in
+  let n2 = node t 1. in
   Rcnet.Rctree.add_edge t root n1 ~r:10.;
   Rcnet.Rctree.add_edge t n1 n2 ~r:5.;
   check_float "path R" 15. (Rcnet.Elmore.path_resistance t ~root n2)
@@ -155,9 +154,9 @@ let ladder_arb =
 
 let build_ladder stages =
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
+  let root = node t 0. in
   let nodes =
-    List.mapi (fun i (_, c) -> node t (Printf.sprintf "n%d" i) c) stages
+    List.map (fun (_, c) -> node t c) stages
   in
   List.iteri
     (fun i (r, _) ->
@@ -205,8 +204,8 @@ let prop_more_cap_more_delay =
     (fun (r, c) ->
        let build extra =
          let t = Rcnet.Rctree.create () in
-         let root = node t "drv" 0. in
-         let leaf = node t "leaf" (c +. extra) in
+         let root = node t 0. in
+         let leaf = node t (c +. extra) in
          Rcnet.Rctree.add_edge t root leaf ~r;
          Rcnet.Elmore.delay_to t ~root leaf
        in

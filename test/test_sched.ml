@@ -117,27 +117,6 @@ let test_flow_bitwise_invariant () =
          off on)
     [ 1; 4 ]
 
-(* --- the parallel extract stage matches its serial self --- *)
-
-let test_extract_parallel_matches_serial () =
-  let layout =
-    fst
-      (Ccdac.Flow.place_route ~bits:6 ~verify:false Ccplace.Style.Spiral)
-  in
-  let run jobs =
-    Par.Jobs.set_default jobs;
-    Fun.protect ~finally:Par.Jobs.clear_default @@ fun () ->
-    Extract.Parasitics.extract layout
-  in
-  let reference = run 1 in
-  List.iter
-    (fun jobs ->
-       Alcotest.(check bool)
-         (Printf.sprintf "extract jobs=%d bitwise identical" jobs)
-         true
-         (run jobs = reference))
-    [ 2; 4 ]
-
 (* --- metrics / spans / trace surface --- *)
 
 let test_sched_metrics () =
@@ -298,9 +277,7 @@ let () =
         [ Alcotest.test_case "map bitwise invariant" `Quick
             test_bitwise_invariant_map;
           Alcotest.test_case "flow bitwise invariant" `Quick
-            test_flow_bitwise_invariant;
-          Alcotest.test_case "extract matches serial" `Quick
-            test_extract_parallel_matches_serial ] );
+            test_flow_bitwise_invariant ] );
       ( "surface",
         [ Alcotest.test_case "sched metrics" `Quick test_sched_metrics;
           Alcotest.test_case "spans and chrome trace" `Quick

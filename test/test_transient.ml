@@ -1,12 +1,12 @@
 (* Tests for the backward-Euler transient solver, including cross-checks
    against the Elmore delay and the analytic single-RC response. *)
 
-let node tree label cap = Rcnet.Rctree.add_node tree ~label ~cap ()
+let node tree cap = Rcnet.Rctree.add_node tree ~cap ()
 
 let single_rc r c =
   let t = Rcnet.Rctree.create () in
-  let root = node t "drv" 0. in
-  let load = node t "load" c in
+  let root = node t 0. in
+  let load = node t c in
   Rcnet.Rctree.add_edge t root load ~r;
   (t, root, load)
 
