@@ -174,19 +174,24 @@ let bench_flow_memory () =
         ( "major_collections",
           Num (float_of_int d.Telemetry.Memory.major_collections) ) ]
 
-(* Measured Monte-Carlo speedup at the session's job count (CCDAC_JOBS;
-   ~1.0 when serial).  One probe per document — the value is a property
-   of the machine and the pool, not of a (style, bits) cell. *)
+(* Measured Monte-Carlo speedup at the job count this run resolves to
+   (CCDAC_JOBS).  One probe per document — the value is a property of the
+   machine and the pool, not of a (style, bits) cell.  At one job there
+   is no parallel leg to time, so both are null. *)
 let bench_par_speedup () =
-  let p = Ccdac.Parbench.mc_speedup ~tech ~jobs:(Par.Jobs.resolve None) () in
   let open Telemetry.Json in
-  ( p.Ccdac.Parbench.speedup,
-    Obj
-      [ ("jobs", Num (float_of_int p.Ccdac.Parbench.jobs));
-        ("trials", Num (float_of_int p.Ccdac.Parbench.trials));
-        ("serial_s", Num p.Ccdac.Parbench.serial_s);
-        ("parallel_s", Num p.Ccdac.Parbench.parallel_s);
-        ("speedup", Num p.Ccdac.Parbench.speedup) ] )
+  let jobs = Par.Jobs.resolve None in
+  if jobs <= 1 then (Null, Null)
+  else begin
+    let p = Ccdac.Parbench.mc_speedup ~tech ~jobs () in
+    ( Num p.Ccdac.Parbench.speedup,
+      Obj
+        [ ("jobs", Num (float_of_int p.Ccdac.Parbench.jobs));
+          ("trials", Num (float_of_int p.Ccdac.Parbench.trials));
+          ("serial_s", Num p.Ccdac.Parbench.serial_s);
+          ("parallel_s", Num p.Ccdac.Parbench.parallel_s);
+          ("speedup", Num p.Ccdac.Parbench.speedup) ] )
+  end
 
 let benchflow () =
   let path = out_path "BENCH_flow.json" in
@@ -200,7 +205,7 @@ let benchflow () =
               match bench_flow_run bits style with
               | Telemetry.Json.Obj fields ->
                 Telemetry.Json.Obj
-                  (fields @ [ ("par_speedup", Telemetry.Json.Num par_speedup) ])
+                  (fields @ [ ("par_speedup", par_speedup) ])
               | other -> other)
            (bench_flow_styles bits))
       table_bits

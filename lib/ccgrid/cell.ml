@@ -43,19 +43,21 @@ let spiral_key ~rows ~cols c =
   let angle = if angle < 0. then angle +. (2. *. Float.pi) else angle in
   (ring ~rows ~cols c, angle)
 
+(* Each cell's key is computed once; a stable sort of the row-major cell
+   indices then keeps row-major order among equal keys. *)
 let spiral_order ~rows ~cols =
-  let cells = ref [] in
-  for row = rows - 1 downto 0 do
-    for col = cols - 1 downto 0 do
-      cells := { row; col } :: !cells
-    done
-  done;
-  let key = spiral_key ~rows ~cols in
-  let compare_key (ring_a, angle_a) (ring_b, angle_b) =
-    match Int.compare ring_a ring_b with
-    | 0 -> Float.compare angle_a angle_b
-    | c -> c
+  let cells =
+    Array.init (rows * cols) (fun i -> { row = i / cols; col = i mod cols })
   in
-  List.stable_sort (fun a b -> compare_key (key a) (key b)) !cells
+  let keys = Array.map (spiral_key ~rows ~cols) cells in
+  let order = Array.init (Array.length cells) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+       let ring_a, angle_a = keys.(a) and ring_b, angle_b = keys.(b) in
+       match Int.compare ring_a ring_b with
+       | 0 -> Float.compare angle_a angle_b
+       | c -> c)
+    order;
+  Array.fold_right (fun i acc -> cells.(i) :: acc) order []
 
 let pp ppf c = Format.fprintf ppf "(%d, %d)" c.row c.col

@@ -40,7 +40,10 @@ val in_bounds : rows:int -> cols:int -> t -> bool
 (** [spiral_order ~rows ~cols] lists every cell of the array sorted
     centre-outwards: by ring, then by angle walking counter-clockwise from
     the positive-u (upward) direction.  Deterministic; used by the spiral
-    placement (Sec. IV-A) and by block-chessboard corridor construction. *)
+    placement (Sec. IV-A) and by block-chessboard corridor construction.
+    Cost: each cell's key (one [atan2]) is computed once, then the cell
+    indices are stably sorted on the stored keys: O(n log n) for
+    [n = rows·cols]. *)
 val spiral_order : rows:int -> cols:int -> t list
 
 val pp : Format.formatter -> t -> unit

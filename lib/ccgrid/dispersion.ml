@@ -1,75 +1,65 @@
-let rms_distance_from points center =
-  match points with
-  | [] -> 0.
-  | _ ->
-    let n = float_of_int (List.length points) in
-    let sum2 =
-      List.fold_left
-        (fun acc p ->
-           let d = Geom.Point.distance p center in
-           acc +. (d *. d))
-        0. points
-    in
-    sqrt (sum2 /. n)
-
+(* Whole-array RMS distance of the cell centres from the array centre.
+   The squares are added in reverse row-major order; the pinned
+   dispersion figures depend on this summation order. *)
 let array_rms tech (t : Placement.t) =
-  let all = ref [] in
-  for row = 0 to t.Placement.rows - 1 do
-    for col = 0 to t.Placement.cols - 1 do
-      all := Placement.position tech t (Cell.make ~row ~col) :: !all
+  let xs, ys = Placement.axes tech t in
+  let sum2 = ref 0. in
+  for row = t.Placement.rows - 1 downto 0 do
+    for col = t.Placement.cols - 1 downto 0 do
+      let d =
+        Geom.Point.distance (Geom.Point.make ~x:xs.(col) ~y:ys.(row))
+          Geom.Point.origin
+      in
+      sum2 := !sum2 +. (d *. d)
     done
   done;
-  rms_distance_from !all Geom.Point.origin
+  let n = t.Placement.rows * t.Placement.cols in
+  if n = 0 then 0. else sqrt (!sum2 /. float_of_int n)
+
+(* Every capacitor's spread: centroids from one row-major pass
+   (Placement.position_sums), then each capacitor's squared distances
+   from its centroid summed in a second row-major pass, so every
+   capacitor's sums run over its cells in row-major order. *)
+let spreads tech (t : Placement.t) =
+  let xs, ys = Placement.axes tech t in
+  let sums = Placement.position_sums tech t in
+  let centroid =
+    Array.map
+      (fun (n, sum) -> Geom.Point.scale (1. /. float_of_int n) sum)
+      sums
+  in
+  let sum2 = Array.make (Array.length sums) 0. in
+  Array.iteri
+    (fun row ids ->
+       Array.iteri
+         (fun col k ->
+            if k >= 0 && k <= t.Placement.bits then begin
+              let d =
+                Geom.Point.distance (Geom.Point.make ~x:xs.(col) ~y:ys.(row))
+                  centroid.(k)
+              in
+              sum2.(k) <- sum2.(k) +. (d *. d)
+            end)
+         ids)
+    t.Placement.assign;
+  let denom = array_rms tech t in
+  Array.mapi
+    (fun k (n, _) ->
+       if n <= 1 || denom <= 0. then 0.
+       else sqrt (sum2.(k) /. float_of_int n) /. denom)
+    sums
 
 let spread tech t k =
-  let cells = Placement.cells_of t k in
-  match cells with
-  | [] -> 0.
-  | [ _ ] -> 0.
-  | _ ->
-    let points = List.map (Placement.position tech t) cells in
-    let centroid = Geom.Point.centroid points in
-    let denom = array_rms tech t in
-    if denom <= 0. then 0. else rms_distance_from points centroid /. denom
+  if k < 0 || k > t.Placement.bits then
+    invalid_arg "Dispersion.spread: bad capacitor id";
+  (spreads tech t).(k)
 
 let overall tech t =
+  let spread = spreads tech t in
   let total = ref 0. and weight = ref 0 in
   for k = 0 to t.Placement.bits do
     let count = t.Placement.counts.(k) in
-    total := !total +. (float_of_int count *. spread tech t k);
+    total := !total +. (float_of_int count *. spread.(k));
     weight := !weight + count
   done;
   if !weight = 0 then 0. else !total /. float_of_int !weight
-
-(* Count connected components of cap k's cells under 4-adjacency with an
-   iterative BFS over the cell set. *)
-let adjacency_runs (t : Placement.t) k =
-  let cells = Placement.cells_of t k in
-  let module S = Set.Make (struct
-      type t = Cell.t
-      let compare = Cell.compare
-    end)
-  in
-  let remaining = ref (S.of_list cells) in
-  let components = ref 0 in
-  while not (S.is_empty !remaining) do
-    incr components;
-    let seed = S.min_elt !remaining in
-    let frontier = Queue.create () in
-    Queue.add seed frontier;
-    remaining := S.remove seed !remaining;
-    while not (Queue.is_empty frontier) do
-      let c = Queue.pop frontier in
-      let next =
-        List.filter
-          (fun n -> S.mem n !remaining)
-          (Cell.neighbors ~rows:t.Placement.rows ~cols:t.Placement.cols c)
-      in
-      List.iter
-        (fun n ->
-           remaining := S.remove n !remaining;
-           Queue.add n frontier)
-        next
-    done
-  done;
-  !components

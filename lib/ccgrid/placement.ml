@@ -88,22 +88,60 @@ let position tech t (c : Cell.t) =
     ~x:(float_of_int v *. Tech.Process.cell_pitch_x tech /. 2.)
     ~y:(float_of_int u *. Tech.Process.cell_pitch_y tech /. 2.)
 
+(* x depends on the column only and y on the row only. *)
+let axes tech t =
+  let at ~row ~col = position tech t (Cell.make ~row ~col) in
+  ( Array.init t.cols (fun col -> (at ~row:0 ~col).Geom.Point.x),
+    Array.init t.rows (fun row -> (at ~row ~col:0).Geom.Point.y) )
+
+let valid_cap t id = id >= 0 && id <= t.bits
+
 let positions_by_cap tech t =
-  Array.init (num_caps t)
-    (fun k -> Array.of_list (List.map (position tech t) (cells_of t k)))
+  let xs, ys = axes tech t in
+  let points = Array.make (num_caps t) [] in
+  for row = t.rows - 1 downto 0 do
+    for col = t.cols - 1 downto 0 do
+      let id = t.assign.(row).(col) in
+      if valid_cap t id then
+        points.(id) <- Geom.Point.make ~x:xs.(col) ~y:ys.(row) :: points.(id)
+    done
+  done;
+  Array.map Array.of_list points
+
+let position_sums tech t =
+  let xs, ys = axes tech t in
+  let count = Array.make (num_caps t) 0 in
+  let sx = Array.make (num_caps t) 0. and sy = Array.make (num_caps t) 0. in
+  Array.iteri
+    (fun row ids ->
+       Array.iteri
+         (fun col id ->
+            if valid_cap t id then begin
+              count.(id) <- count.(id) + 1;
+              sx.(id) <- sx.(id) +. xs.(col);
+              sy.(id) <- sy.(id) +. ys.(row)
+            end)
+         ids)
+    t.assign;
+  Array.mapi (fun k n -> (n, Geom.Point.make ~x:sx.(k) ~y:sy.(k))) count
+
+let error_of_sum = function
+  | 0, _ -> invalid_arg "Placement.centroid_error: capacitor has no cells"
+  | n, sum ->
+    Geom.Point.distance
+      (Geom.Point.scale (1. /. float_of_int n) sum)
+      Geom.Point.origin
 
 let centroid_error tech t k =
-  match cells_of t k with
-  | [] -> invalid_arg "Placement.centroid_error: capacitor has no cells"
-  | cells ->
-    let centroid = Geom.Point.centroid (List.map (position tech t) cells) in
-    Geom.Point.distance centroid Geom.Point.origin
+  if k < 0 || k > t.bits then
+    invalid_arg "Placement.centroid_error: bad capacitor id";
+  error_of_sum (position_sums tech t).(k)
 
 let max_centroid_error tech t =
+  let sums = position_sums tech t in
   let worst = ref 0. in
   for k = 0 to t.bits do
-    if t.counts.(k) >= 2 then
-      worst := Float.max !worst (centroid_error tech t k)
+    if t.counts.(k) >= 2 then worst := Float.max !worst (error_of_sum sums.(k))
   done;
   !worst
 

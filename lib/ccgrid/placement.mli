@@ -44,10 +44,23 @@ val dummy_cells : t -> Cell.t list
     modelling uses the un-expanded grid, matching Sec. II-C. *)
 val position : Tech.Process.t -> t -> Cell.t -> Geom.Point.t
 
+(** [axes tech t] is [(xs, ys)]: [xs.(col)] and [ys.(row)] are the x and y
+    that {!position} gives every cell of that column and row.  For grid
+    passes that need positions without building a point per cell. *)
+val axes : Tech.Process.t -> t -> float array * float array
+
 (** [positions_by_cap tech t] is the per-capacitor array of unit-cell
-    centre positions, indexed by capacitor id — the input to
-    {!Capmodel.Covariance.build}-style analyses. *)
+    centre positions, indexed by capacitor id, each in row-major order —
+    the input to {!Capmodel.Covariance.build}-style analyses.  Cost: one
+    pass over the grid. *)
 val positions_by_cap : Tech.Process.t -> t -> Geom.Point.t array array
+
+(** [position_sums tech t] is, per capacitor id, its cell count and the
+    sum of its cell positions, added in row-major order starting from the
+    origin — the order in which {!Geom.Point.centroid} adds the positions
+    of {!cells_of}, so [Point.scale (1. /. float n) sum] is that centroid
+    bit for bit.  One row-major pass over the grid. *)
+val position_sums : Tech.Process.t -> t -> (int * Geom.Point.t) array
 
 (** [centroid_error tech t k] is the distance (um) between capacitor [k]'s
     unit-cell centroid and the array centre.  Zero for an exactly

@@ -1,10 +1,5 @@
 open Ccgrid
 
-module Cellset = Set.Make (struct
-    type t = Cell.t
-    let compare = Cell.compare
-  end)
-
 let default_core_bits ~bits = Int.max 1 (Int.min (bits - 2) (bits - 1))
 
 let granularities ~bits =
@@ -16,22 +11,28 @@ let style_name ~core_bits ~granularity =
 
 (* Core cells: the [core_units] cells nearest the centre, collected in
    mirrored pairs along the spiral order so the core is centred and
-   mirror-symmetric. *)
+   mirror-symmetric.  Returned in row-major order. *)
 let collect_core b order core_units =
-  let core = ref Cellset.empty and size = ref 0 in
+  let cols = Builder.cols b in
+  let n = Builder.rows b * cols in
+  let in_core = Array.make n false and size = ref 0 in
+  let index (c : Cell.t) = (c.Cell.row * cols) + c.Cell.col in
   let add_pair c =
     let m = Builder.mirror b c in
-    if Builder.is_free b c && (not (Cellset.mem c !core))
-       && not (Cell.equal c m)
+    if Builder.is_free b c && (not in_core.(index c)) && not (Cell.equal c m)
     then begin
-      core := Cellset.add c !core;
-      core := Cellset.add m !core;
+      in_core.(index c) <- true;
+      in_core.(index m) <- true;
       size := !size + 2
     end
   in
   List.iter (fun c -> if !size < core_units then add_pair c) order;
   if !size < core_units then
     invalid_arg "Block_chess: not enough cells for the core";
+  let core = ref [] in
+  for i = n - 1 downto 0 do
+    if in_core.(i) then core := Cell.make ~row:(i / cols) ~col:(i mod cols) :: !core
+  done;
   !core
 
 let place ~bits ?core_bits ?granularity () =
@@ -50,13 +51,7 @@ let place ~bits ?core_bits ?granularity () =
   let core_units = 1 lsl core_bits in
   let core = collect_core b order core_units in
   (* --- inner core: chessboard of C_core_bits .. C_0 --- *)
-  let core_list =
-    let key c = (Chessboard.rank ~rows ~cols c, c.Cell.row, c.Cell.col) in
-    Builder.cursor
-      (List.stable_sort
-         (fun a b -> Chessboard.compare_rank_key (key a) (key b))
-         (Cellset.elements core))
-  in
+  let core_list = Builder.cursor (Chessboard.sort_by_rank ~rows ~cols core) in
   for k = core_bits downto 2 do
     while Builder.remaining b k > 1 do
       match Builder.first_free_in b core_list with

@@ -20,14 +20,18 @@ let rec frac ~rows ~cols i j =
 
 let rank ~rows ~cols (c : Cell.t) = frac ~rows ~cols c.Cell.row c.Cell.col
 
-let compare_rank_key (ra, ia, ja) (rb, ib, jb) =
-  match Float.compare ra rb with
-  | 0 -> begin
-      match Int.compare ia ib with
-      | 0 -> Int.compare ja jb
-      | c -> c
-    end
-  | c -> c
+(* Each cell's rank is computed once; ties keep row-major order. *)
+let sort_by_rank ~rows ~cols cells =
+  let cells = Array.of_list cells in
+  let ranks = Array.map (rank ~rows ~cols) cells in
+  let order = Array.init (Array.length cells) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+       match Float.compare ranks.(a) ranks.(b) with
+       | 0 -> Cell.compare cells.(a) cells.(b)
+       | c -> c)
+    order;
+  Array.fold_right (fun i acc -> cells.(i) :: acc) order []
 
 let sorted_cells ~rows ~cols =
   let cells = ref [] in
@@ -36,8 +40,7 @@ let sorted_cells ~rows ~cols =
       cells := Cell.make ~row ~col :: !cells
     done
   done;
-  let key c = (rank ~rows ~cols c, c.Cell.row, c.Cell.col) in
-  List.stable_sort (fun a b -> compare_rank_key (key a) (key b)) !cells
+  sort_by_rank ~rows ~cols !cells
 
 let place ~bits =
   Weights.check_bits bits;

@@ -21,8 +21,8 @@ val place : bits:int -> Placement.t
     alternating half of the other colour, etc.  Exposed for tests. *)
 val rank : rows:int -> cols:int -> Cell.t -> float
 
-(** [compare_rank_key (rank, row, col) ...] — rank first ({!Float.compare},
-    so the sort is typed rather than polymorphic), then row-major position
-    to break ties deterministically.  Shared with {!Block_chess}, which
-    sorts its inner core by the same key. *)
-val compare_rank_key : float * int * int -> float * int * int -> int
+(** [sort_by_rank ~rows ~cols cells] sorts [cells] by {!rank}, then
+    row-major position to break ties deterministically.  Shared with
+    {!Block_chess}, which orders its inner core the same way.  Each rank is
+    computed once: O(n log n) comparisons of unboxed keys for [n] cells. *)
+val sort_by_rank : rows:int -> cols:int -> Cell.t list -> Cell.t list

@@ -11,47 +11,22 @@ type t = {
   row_hi : int;
 }
 
-module Cellset = Set.Make (struct
-    type t = Cell.t
-    let compare = Cell.compare
-  end)
-
-(* BFS from [seed] over the cells in [available]; returns the visited set
-   and the tree edges in visit order. *)
-let bfs ~rows ~cols available seed =
-  let visited = ref (Cellset.singleton seed) in
-  let edges = ref [] in
-  let q = Queue.create () in
-  Queue.add seed q;
-  while not (Queue.is_empty q) do
-    let c = Queue.pop q in
-    let next =
-      List.filter
-        (fun n -> Cellset.mem n available && not (Cellset.mem n !visited))
-        (Cell.neighbors ~rows ~cols c)
-    in
-    List.iter
-      (fun n ->
-         visited := Cellset.add n !visited;
-         edges := (c, n) :: !edges;
-         Queue.add n q)
-      next
-  done;
-  (!visited, List.rev !edges)
-
 type mode =
   | Connected
   | Straight_runs
 
 let make_group ~cap ~id cells tree_edges =
-  let col_lo, col_hi, row_lo, row_hi =
-    List.fold_left
-      (fun (cl, ch, rl, rh) (c : Cell.t) ->
-         ( Int.min cl c.Cell.col, Int.max ch c.Cell.col,
-           Int.min rl c.Cell.row, Int.max rh c.Cell.row ))
-      (max_int, min_int, max_int, min_int) cells
-  in
-  { cap; id; cells; tree_edges; col_lo; col_hi; row_lo; row_hi }
+  let col_lo = ref max_int and col_hi = ref min_int in
+  let row_lo = ref max_int and row_hi = ref min_int in
+  List.iter
+    (fun (c : Cell.t) ->
+       col_lo := Int.min !col_lo c.Cell.col;
+       col_hi := Int.max !col_hi c.Cell.col;
+       row_lo := Int.min !row_lo c.Cell.row;
+       row_hi := Int.max !row_hi c.Cell.row)
+    cells;
+  { cap; id; cells; tree_edges; col_lo = !col_lo; col_hi = !col_hi;
+    row_lo = !row_lo; row_hi = !row_hi }
 
 (* Split a cell set into maximal straight runs along one orientation.
    [major]/[minor] project a cell to (run key, position within run). *)
@@ -98,27 +73,92 @@ let run_edges cells =
   in
   pair cells
 
-let of_placement ?(mode = Connected) (p : Placement.t) =
+(* The connected components of every capacitor, as (cap, cells in
+   row-major order, BFS tree edges in visit order), ordered by (cap,
+   seed).  Cells are indexed row-major; a counting sort lists each
+   capacitor's cells in row-major order, and a BFS starts at each one not
+   yet labelled, trying neighbours in [Cell.neighbors] order through a
+   queue array.  Each cell gets one [Cell.t] when first reached, shared
+   by its group's cells and tree edges. *)
+let components (p : Placement.t) =
   let rows = p.Placement.rows and cols = p.Placement.cols in
-  let next_id = ref 0 in
-  let groups = ref [] in
+  let caps = p.Placement.bits + 1 and n = rows * cols in
+  let id i = p.Placement.assign.(i / cols).(i mod cols) in
+  let start = Array.make (caps + 1) 0 in
+  for i = 0 to n - 1 do
+    let k = id i in
+    if k >= 0 && k < caps then start.(k + 1) <- start.(k + 1) + 1
+  done;
+  for k = 1 to caps do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let by_cap = Array.make start.(caps) 0 in
+  for i = 0 to n - 1 do
+    let k = id i in
+    if k >= 0 && k < caps then begin
+      by_cap.(start.(k)) <- i;
+      start.(k) <- start.(k) + 1
+    end
+  done;
+  let label = Array.make n (-1) in
+  let cell = Array.make n (Cell.make ~row:(-1) ~col:(-1)) in
+  let queue = Array.make n 0 in
+  let reach i comp =
+    label.(i) <- comp;
+    cell.(i) <- Cell.make ~row:(i / cols) ~col:(i mod cols)
+  in
+  let comps = ref [] and count = ref 0 in
+  Array.iter
+    (fun seed ->
+       if label.(seed) < 0 then begin
+         let cap = id seed and comp = !count in
+         let edges = ref [] and tail = ref 1 in
+         reach seed comp;
+         queue.(0) <- seed;
+         let head = ref 0 in
+         while !head < !tail do
+           let i = queue.(!head) in
+           incr head;
+           let visit j =
+             if label.(j) < 0 && id j = cap then begin
+               reach j comp;
+               edges := (cell.(i), cell.(j)) :: !edges;
+               queue.(!tail) <- j;
+               incr tail
+             end
+           in
+           let row = i / cols and col = i mod cols in
+           if row > 0 then visit (i - cols);
+           if row < rows - 1 then visit (i + cols);
+           if col > 0 then visit (i - 1);
+           if col < cols - 1 then visit (i + 1)
+         done;
+         comps := (cap, List.rev !edges) :: !comps;
+         incr count
+       end)
+    by_cap;
+  let members = Array.make !count [] in
+  for i = n - 1 downto 0 do
+    let comp = label.(i) in
+    if comp >= 0 then members.(comp) <- cell.(i) :: members.(comp)
+  done;
+  List.mapi
+    (fun comp (cap, edges) -> (cap, members.(comp), edges))
+    (List.rev !comps)
+
+let of_placement ?(mode = Connected) (p : Placement.t) =
+  let next_id = ref 0 and groups = ref [] in
   let emit cap cells tree_edges =
     groups := make_group ~cap ~id:!next_id cells tree_edges :: !groups;
     incr next_id
   in
-  for cap = 0 to p.Placement.bits do
-    let remaining = ref (Cellset.of_list (Placement.cells_of p cap)) in
-    while not (Cellset.is_empty !remaining) do
-      let seed = Cellset.min_elt !remaining in
-      let members, tree_edges = bfs ~rows ~cols !remaining seed in
-      remaining := Cellset.diff !remaining members;
-      let cells = Cellset.elements members in
-      match mode with
-      | Connected -> emit cap cells tree_edges
-      | Straight_runs ->
-        List.iter (fun run -> emit cap run (run_edges run)) (split_runs cells)
-    done
-  done;
+  List.iter
+    (fun (cap, cells, tree_edges) ->
+       match mode with
+       | Connected -> emit cap cells tree_edges
+       | Straight_runs ->
+         List.iter (fun run -> emit cap run (run_edges run)) (split_runs cells))
+    (components p);
   List.rev !groups
 
 let of_cap groups k = List.filter (fun g -> g.cap = k) groups
@@ -139,26 +179,62 @@ let bend_cells g =
 let col_span_overlap a b = a.col_lo <= b.col_hi && b.col_lo <= a.col_hi
 
 (* Tie-break key per Algorithm 1 line 16: distance, then closeness to the
-   array bottom, then row-major determinism. *)
-let pair_key (a : Cell.t) (b : Cell.t) =
-  let d = abs (a.Cell.row - b.Cell.row) + abs (a.Cell.col - b.Cell.col) in
-  (d, a.Cell.row + b.Cell.row, a.Cell.row, a.Cell.col, b.Cell.row, b.Cell.col)
-
+   array bottom, then row-major determinism, compared field by field as
+   ints.  The key orders all pairs strictly.  In one row of [b] only the
+   two cells bracketing a cell's column can be closest to it (any other is
+   farther), so for each cell of [a] the search visits the rows of [b]
+   within the best distance so far and binary-searches [b]'s row-major
+   cells for the bracket. *)
 let closest_cells a b =
-  let best = ref None in
-  List.iter
-    (fun ca ->
-       List.iter
-         (fun cb ->
-            let key = pair_key ca cb in
-            match !best with
-            | Some (_, _, best_key) when best_key <= key -> ()
-            | Some _ | None -> best := Some (ca, cb, key))
-         b.cells)
-    a.cells;
-  match !best with
-  | Some (ca, cb, _) -> (ca, cb)
-  | None -> invalid_arg "Group.closest_cells: empty group"
+  let dist (x : Cell.t) (y : Cell.t) =
+    abs (x.Cell.row - y.Cell.row) + abs (x.Cell.col - y.Cell.col)
+  in
+  match (a.cells, b.cells) with
+  | [], _ | _, [] -> invalid_arg "Group.closest_cells: empty group"
+  | a0 :: _, b0 :: _ ->
+    let best_a = ref a0 and best_b = ref b0 in
+    let best_d = ref (dist a0 b0) and best_s = ref (a0.Cell.row + b0.Cell.row) in
+    let consider (ca : Cell.t) (cb : Cell.t) =
+      let d = dist ca cb and s = ca.Cell.row + cb.Cell.row in
+      if d < !best_d
+         || d = !best_d
+            && (s < !best_s
+                || s = !best_s
+                   && (match Cell.compare ca !best_a with
+                       | 0 -> Cell.compare cb !best_b < 0
+                       | c -> c < 0))
+      then begin
+        best_a := ca;
+        best_b := cb;
+        best_d := d;
+        best_s := s
+      end
+    in
+    let bs = Array.of_list b.cells in
+    let n = Array.length bs in
+    (* index of the first cell of [b] at or after (row, col) *)
+    let lower_bound row col =
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let m = (!lo + !hi) / 2 in
+        let c = bs.(m) in
+        if c.Cell.row < row || (c.Cell.row = row && c.Cell.col < col) then
+          lo := m + 1
+        else hi := m
+      done;
+      !lo
+    in
+    List.iter
+      (fun (ca : Cell.t) ->
+         let row = ref (Int.max bs.(0).Cell.row (ca.Cell.row - !best_d)) in
+         while !row <= Int.min bs.(n - 1).Cell.row (ca.Cell.row + !best_d) do
+           let i = lower_bound !row ca.Cell.col in
+           if i < n && bs.(i).Cell.row = !row then consider ca bs.(i);
+           if i > 0 && bs.(i - 1).Cell.row = !row then consider ca bs.(i - 1);
+           incr row
+         done)
+      a.cells;
+    (!best_a, !best_b)
 
 let pp ppf g =
   Format.fprintf ppf "group %d of C_%d: %d cells, cols [%d,%d], rows [%d,%d]"

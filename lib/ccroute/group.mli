@@ -32,7 +32,13 @@ type mode =
     have no group).  [mode] defaults to [Connected] — the BFS connected
     components of Sec. IV-B2; [Straight_runs] is kept as an ablation.  Deterministic:
     BFS starts at the row-major-smallest cell and visits neighbours in a
-    fixed order.  Group ids are dense from 0, ordered by (cap, seed). *)
+    fixed order.  Group ids are dense from 0, ordered by (cap, seed).  A
+    cell appears as one shared {!Cell.t} in its group's [cells] and
+    [tree_edges].
+
+    Cost: O(rows·cols) for [Connected] — a counting sort of the cells by
+    capacitor, one BFS per component over a grid-indexed visited array and
+    queue, and one row-major pass that lists each group's cells. *)
 val of_placement : ?mode:mode -> Placement.t -> t list
 
 (** [of_cap groups k] filters the groups of capacitor [k], preserving
@@ -52,7 +58,8 @@ val col_span_overlap : t -> t -> bool
 
 (** [closest_cells a b] is the pair [(u_a, u_b)] minimising the Manhattan
     cell distance; ties prefer the pair closest to the bottom of the array,
-    then row-major order (Algorithm 1 lines 15–16). *)
+    then row-major order (Algorithm 1 lines 15–16).  Cost: O(|a|·|b|)
+    integer comparisons, no allocation per pair. *)
 val closest_cells : t -> t -> Cell.t * Cell.t
 
 val pp : Format.formatter -> t -> unit

@@ -21,16 +21,33 @@ let attach_toward_channel (g : Group.t) ~channel =
     (* channel [ch] separates columns ch-1 and ch *)
     Int.min (abs (c.Cell.col - channel)) (abs (c.Cell.col - (channel - 1)))
   in
-  let key (c : Cell.t) = (distance c, c.Cell.row, c.Cell.col) in
+  let closer c best =
+    match Int.compare (distance c) (distance best) with
+    | 0 -> Cell.compare c best < 0
+    | d -> d < 0
+  in
   match g.Group.cells with
   | [] -> invalid_arg "Plan: empty group"
   | first :: rest ->
-    List.fold_left (fun best c -> if key c < key best then c else best) first rest
+    List.fold_left (fun best c -> if closer c best then c else best) first rest
 
-(* Step 1: channel selection for the groups of one capacitor. *)
-let select_channels_for_cap groups_of_i =
+(* Step 1: channel selection for the groups of one capacitor, in group
+   order.  The partners of group [j] are the groups not yet routed whose
+   column spans meet its own (Algorithm 1 line 14).  [by_col] lists, per
+   column, the groups spanning it in ascending order, so partners come
+   from [j]'s own columns instead of a test of every pair; they are
+   visited in ascending group order, as Algorithm 1 scans them. *)
+let select_channels ~cols groups_of_i =
   let n = Array.length groups_of_i in
+  let by_col = Array.make cols [] in
+  for k = n - 1 downto 0 do
+    let q = groups_of_i.(k) in
+    for col = q.Group.col_lo to q.Group.col_hi do
+      by_col.(col) <- k :: by_col.(col)
+    done
+  done;
   let visited = Array.make n false in
+  let stamp = Array.make n (-1) in
   let chosen = ref [] in
   (* emit (group, channel, attach) *)
   let emit g channel attach = chosen := (g, channel, attach) :: !chosen in
@@ -38,25 +55,32 @@ let select_channels_for_cap groups_of_i =
     if not visited.(j) then begin
       let p = groups_of_i.(j) in
       visited.(j) <- true;
+      let partners = ref [] in
+      for col = p.Group.col_lo to p.Group.col_hi do
+        List.iter
+          (fun k ->
+             if (not visited.(k)) && stamp.(k) <> j then begin
+               stamp.(k) <- j;
+               partners := k :: !partners
+             end)
+          by_col.(col)
+      done;
       let c_j = ref (-1) in
       let u_p = ref None in
       let left = ref [] and right = ref [] in
-      for k = 0 to n - 1 do
-        if (not visited.(k)) && k <> j then begin
-          let q = groups_of_i.(k) in
-          if Group.col_span_overlap p q then begin
-            let up, uq = Group.closest_cells p q in
-            if !c_j = -1 then begin
-              c_j := up.Cell.col;
-              u_p := Some up
-            end;
-            if uq.Cell.col = !c_j - 1 || uq.Cell.col = !c_j then
-              left := (k, q, uq) :: !left;
-            if uq.Cell.col = !c_j || uq.Cell.col = !c_j + 1 then
-              right := (k, q, uq) :: !right
-          end
-        end
-      done;
+      List.iter
+        (fun k ->
+           let q = groups_of_i.(k) in
+           let up, uq = Group.closest_cells p q in
+           if !c_j = -1 then begin
+             c_j := up.Cell.col;
+             u_p := Some up
+           end;
+           if uq.Cell.col = !c_j - 1 || uq.Cell.col = !c_j then
+             left := (k, q, uq) :: !left;
+           if uq.Cell.col = !c_j || uq.Cell.col = !c_j + 1 then
+             right := (k, q, uq) :: !right)
+        (List.sort Int.compare !partners);
       match !u_p with
       | None ->
         (* solo group: attach at the cell closest to the bottom, trunk in
@@ -66,9 +90,7 @@ let select_channels_for_cap groups_of_i =
           | [] -> invalid_arg "Plan: empty group"
           | first :: rest ->
             List.fold_left
-              (fun best (c : Cell.t) ->
-                 if (c.Cell.row, c.Cell.col) < (best.Cell.row, best.Cell.col)
-                 then c else best)
+              (fun best c -> if Cell.compare c best < 0 then c else best)
               first rest
         in
         emit p attach.Cell.col attach
@@ -88,17 +110,8 @@ let select_channels_for_cap groups_of_i =
   done;
   List.rev !chosen
 
-let make (placement : Placement.t) groups =
+let of_channels (placement : Placement.t) choices =
   let cols = placement.Placement.cols in
-  let per_cap_choices =
-    List.concat_map
-      (fun cap ->
-         let gs = Array.of_list (Group.of_cap groups cap) in
-         List.map
-           (fun (g, channel, attach) -> (cap, g, channel, attach))
-           (select_channels_for_cap gs))
-      (List.init (placement.Placement.bits + 1) (fun k -> k))
-  in
   (* Stub planarity repair.  Each connection straps its group to the
      trunk with an M1 stub at its attach cell's row; when capacitor A
      straps from the left column of a channel at the same row where
@@ -111,30 +124,32 @@ let make (placement : Placement.t) groups =
   let choices =
     Array.of_list
       (List.map
-         (fun (cap, g, channel, attach) -> (cap, g, ref channel, ref attach))
-         per_cap_choices)
+         (fun ((g : Group.t), channel, attach) ->
+            (g.Group.cap, g, ref channel, ref attach))
+         choices)
   in
   let cyclic channel idxs =
-    (* caps with their strap (side, row) pairs under the current attaches *)
+    (* caps with their left- and right-strap rows under the current
+       attaches *)
     let strap = Hashtbl.create 8 in
     List.iter
       (fun i ->
          let cap, _, _, attach = choices.(i) in
-         let side_row =
-           ((!attach).Cell.col >= channel, (!attach).Cell.row)
+         let lefts, rights =
+           Option.value ~default:([], []) (Hashtbl.find_opt strap cap)
          in
+         let row = (!attach).Cell.row in
          Hashtbl.replace strap cap
-           (side_row
-            :: Option.value ~default:[] (Hashtbl.find_opt strap cap)))
+           (if (!attach).Cell.col >= channel then (lefts, row :: rights)
+            else (row :: lefts, rights)))
       idxs;
     let caps = Hashtbl.fold (fun cap _ acc -> cap :: acc) strap [] in
     let before a b =
       a <> b
-      && List.exists
-           (fun (right, r) ->
-              (not right)
-              && List.exists (( = ) (true, r)) (Hashtbl.find strap b))
-           (Hashtbl.find strap a)
+      &&
+      let lefts, _ = Hashtbl.find strap a
+      and _, rights = Hashtbl.find strap b in
+      List.exists (fun r -> List.exists (Int.equal r) rights) lefts
     in
     (* Kahn: the constraint graph is cyclic iff some cap never drains *)
     let remaining = ref caps in
@@ -276,26 +291,36 @@ let make (placement : Placement.t) groups =
     (fun channel caps_rev ->
        let caps = Array.of_list (List.rev caps_rev) in
        let n = Array.length caps in
-       let lefts i = !(fst (Hashtbl.find strap_rows (channel, caps.(i))))
-       and rights i = !(snd (Hashtbl.find strap_rows (channel, caps.(i)))) in
-       (* [i] must take a track left of [j]'s *)
-       let before i j =
-         i <> j && List.exists (fun r -> List.mem r (rights j)) (lefts i)
+       let rows side =
+         Array.map (fun cap -> !(side (Hashtbl.find strap_rows (channel, cap)))) caps
+       in
+       let lefts = rows fst and rights = rows snd in
+       (* [before.(i).(j)]: [i] must take a track left of [j]'s *)
+       let before =
+         Array.init n (fun i ->
+             Array.init n (fun j ->
+                 i <> j
+                 && List.exists
+                      (fun r -> List.exists (Int.equal r) rights.(j))
+                      lefts.(i)))
        in
        let indeg = Array.make n 0 in
        for i = 0 to n - 1 do
          for j = 0 to n - 1 do
-           if before i j then indeg.(j) <- indeg.(j) + 1
+           if before.(i).(j) then indeg.(j) <- indeg.(j) + 1
          done
        done;
        (* closest-track tie-break: left-only strappers first (lowest
           tracks) in discovery order, right-only last in reverse
-          discovery order (the first discovered ends up rightmost) *)
-       let key i =
-         match (lefts i, rights i) with
-         | _ :: _, [] -> (0, i)
-         | _ :: _, _ :: _ -> (1, i)
-         | [], _ -> (2, n - i)
+          discovery order (the first discovered ends up rightmost).
+          Class c and rank r <= n are packed as c (n + 1) + r, so int
+          order is (class, rank) order. *)
+       let key =
+         Array.init n (fun i ->
+             match (lefts.(i), rights.(i)) with
+             | _ :: _, [] -> i
+             | _ :: _, _ :: _ -> (n + 1) + i
+             | [], _ -> (2 * (n + 1)) + (n - i))
        in
        let assigned = Array.make n false in
        for track = 0 to n - 1 do
@@ -303,7 +328,7 @@ let make (placement : Placement.t) groups =
            let best = ref (-1) in
            for i = 0 to n - 1 do
              if (not assigned.(i)) && ((not ready) || indeg.(i) = 0) then
-               if !best = -1 || key i < key !best then best := i
+               if !best = -1 || key.(i) < key.(!best) then best := i
            done;
            !best
          in
@@ -313,7 +338,8 @@ let make (placement : Placement.t) groups =
          let i = match pick ~ready:true with -1 -> pick ~ready:false | i -> i in
          assigned.(i) <- true;
          for j = 0 to n - 1 do
-           if (not assigned.(j)) && before i j then indeg.(j) <- indeg.(j) - 1
+           if (not assigned.(j)) && before.(i).(j) then
+             indeg.(j) <- indeg.(j) - 1
          done;
          Hashtbl.add track_table (channel, caps.(i)) track;
          track_caps.(channel).(track) <- caps.(i)
@@ -326,6 +352,20 @@ let make (placement : Placement.t) groups =
       per_cap_choices
   in
   { routes; tracks_per_channel; track_caps }
+
+let make (placement : Placement.t) groups =
+  let caps = placement.Placement.bits + 1 in
+  let per_cap = Array.make caps [] in
+  List.iter
+    (fun (g : Group.t) ->
+       if g.Group.cap >= 0 && g.Group.cap < caps then
+         per_cap.(g.Group.cap) <- g :: per_cap.(g.Group.cap))
+    (List.rev groups);
+  of_channels placement
+    (List.concat_map
+       (fun gs ->
+          select_channels ~cols:placement.Placement.cols (Array.of_list gs))
+       (Array.to_list per_cap))
 
 let routes_of_cap t k =
   List.filter (fun r -> r.group.Group.cap = k) t.routes

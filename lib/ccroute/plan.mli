@@ -30,8 +30,22 @@ type t = {
 
 (** [make placement groups] runs Steps 1–2.  Every group is guaranteed a
     route (Sec. IV-B3: "each capacitor group is guaranteed to complete
-    routing"). *)
+    routing").  It is [of_channels placement] applied to Step 1's choices
+    for each capacitor in id order.
+
+    Cost of Step 1 for a capacitor with [n] groups: a per-column index of
+    the groups spanning each column (O(Σ spans)), then for each group a
+    walk over the index entries of its own columns, a sort of its partners
+    and {!Group.closest_cells} with each partner — no test of every pair of
+    groups. *)
 val make : Placement.t -> Group.t list -> t
+
+(** [of_channels placement choices] runs the stub-planarity repair and
+    Step 2 (track assignment) on Step 1's choices: one
+    [(group, channel, attach cell)] per group, capacitors in ascending id
+    order.  Exposed so tests can feed it an independent channel
+    selection. *)
+val of_channels : Placement.t -> (Group.t * int * Cell.t) list -> t
 
 (** [routes_of_cap t k] filters routes of capacitor [k]. *)
 val routes_of_cap : t -> int -> route list

@@ -54,7 +54,12 @@ let inl_of_voltages ~bits v =
    over the bits that toggle between codes i-1 and i (Eq. 7 with the
    3-sigma point of the {e difference}, which is what a worst-case step
    error means — the common-mode 3-sigma shifts of Eq. 13 cancel in the
-   subtraction). *)
+   subtraction).
+
+   Between codes i-1 and i exactly the bits 1..t+1 toggle, t being the
+   number of trailing zeros of i: bit t+1 switches on and the bits below
+   it switch off.  So the step depends on t alone; it is evaluated once,
+   at code 2^t, for each of the N values of t. *)
 let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
     ~top_parasitic ~s_diff ~s_t =
   let bits = placement.Ccgrid.Placement.bits in
@@ -66,27 +71,30 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   let sys_total = Array.fold_left ( +. ) 0. sys in
   let delta_t = sys_total +. (s_t *. 3. *. sigma_t) +. top_parasitic in
   let lsb = Transfer.lsb ~bits ~vref in
-  Array.init codes
-    (fun code ->
-       if code = 0 then 0.
-       else begin
-         let weights = ref [] and sys_diff = ref 0. in
-         for k = 1 to bits do
-           let now = Transfer.bit ~code k and before = Transfer.bit ~code:(code - 1) k in
-           if now <> before then begin
-             let w = if now then 1. else -1. in
-             weights := (k, w) :: !weights;
-             sys_diff := !sys_diff +. (w *. sys.(k))
-           end
-         done;
-         let sigma_diff = Capmodel.Covariance.sigma_weighted cov !weights in
-         let step =
-           vref
-           *. ((m *. cu) +. !sys_diff +. (s_diff *. 3. *. sigma_diff))
-           /. (c_t +. delta_t)
-         in
-         (step -. lsb) /. lsb
-       end)
+  let dnl_at code =
+    let weights = ref [] and sys_diff = ref 0. in
+    for k = 1 to bits do
+      let now = Transfer.bit ~code k and before = Transfer.bit ~code:(code - 1) k in
+      if now <> before then begin
+        let w = if now then 1. else -1. in
+        weights := (k, w) :: !weights;
+        sys_diff := !sys_diff +. (w *. sys.(k))
+      end
+    done;
+    let sigma_diff = Capmodel.Covariance.sigma_weighted cov !weights in
+    let step =
+      vref
+      *. ((m *. cu) +. !sys_diff +. (s_diff *. 3. *. sigma_diff))
+      /. (c_t +. delta_t)
+    in
+    (step -. lsb) /. lsb
+  in
+  let by_zeros = Array.init bits (fun t -> dnl_at (1 lsl t)) in
+  let rec trailing_zeros code =
+    if code land 1 = 1 then 0 else 1 + trailing_zeros (code lsr 1)
+  in
+  Array.init codes (fun code ->
+      if code = 0 then 0. else by_zeros.(trailing_zeros code))
 
 let covariance tech placement =
   Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)

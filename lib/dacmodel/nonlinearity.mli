@@ -34,7 +34,9 @@ val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
     [cov] is [covariance tech placement], built here when absent;
     [sign_mode] defaults to [Paper].  Cost: one covariance build
     ([O(N G log G)] for [G] unit cells, {!Capmodel.Lattice}) unless [cov]
-    is given, plus [O(2^N * N^2)] code evaluation. *)
+    is given, plus [O(2^N * N^2)] for the INL codes and [O(N^3 + 2^N)]
+    for the DNL (a step depends only on how many bits toggle, so the [N]
+    distinct steps are evaluated once). *)
 val analyze :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->
   ?cov:Capmodel.Covariance.t -> ?sign_mode:sign_mode -> ?top_parasitic:float ->

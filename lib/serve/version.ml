@@ -1,4 +1,4 @@
-let changelog = "1.11.0"
+let changelog = "1.13.0"
 
 let server () =
   let p = Qor.Provenance.capture () in

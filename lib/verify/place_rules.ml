@@ -214,30 +214,38 @@ let check_mirror (p : Placement.t) (emit : emitter) =
          (Format.asprintf "%a" Cell.pp m)
          (name mid))
 
-let centroid_of tech p cells =
-  Geom.Point.centroid (List.map (Placement.position tech p) cells)
+(* [sums] is Placement.position_sums: the count and row-major position
+   sum of each capacitor, from one pass over the grid. *)
+let centroid_error (n, sum) =
+  Geom.Point.distance
+    (Geom.Point.scale (1. /. float_of_int n) sum)
+    Geom.Point.origin
 
-let check_centroid ~tol tech (p : Placement.t) (emit : emitter) =
+let check_centroid ~tol sums (p : Placement.t) (emit : emitter) =
   for k = 0 to p.Placement.bits do
-    match Placement.cells_of p k with
-    | [] | [ _ ] -> ()
-    | cells ->
-      let err = Geom.Point.distance (centroid_of tech p cells) Geom.Point.origin in
+    let n, _ = sums.(k) in
+    if n >= 2 then begin
+      let err = centroid_error sums.(k) in
       if err > tol then
         emit r_centroid ~loc:(Printf.sprintf "C_%d" k)
           (Printf.sprintf "centroid is %.4g um off the array centre (tol %g)"
              err tol)
+    end
   done
 
-let check_lsb_pair ~tol tech (p : Placement.t) (emit : emitter) =
-  match Placement.cells_of p 0 @ Placement.cells_of p 1 with
-  | [] | [ _ ] -> ()
-  | cells ->
-    let err = Geom.Point.distance (centroid_of tech p cells) Geom.Point.origin in
+(* The joint centroid adds C_1's positions to C_0's sum, in the order of
+   the C_0 cells followed by the C_1 cells. *)
+let check_lsb_pair ~tol tech sums (p : Placement.t) (emit : emitter) =
+  let n0, sum0 = sums.(0) in
+  let c1 = List.map (Placement.position tech p) (Placement.cells_of p 1) in
+  let n = n0 + List.length c1 in
+  if n >= 2 then begin
+    let err = centroid_error (n, List.fold_left Geom.Point.add sum0 c1) in
     if err > tol then
       emit r_lsb_pair ~loc:"C_0/C_1"
         (Printf.sprintf
            "joint centroid is %.4g um off the array centre (tol %g)" err tol)
+  end
 
 let check_dispersion ~bound tech (p : Placement.t) (emit : emitter) =
   let overall = Dispersion.overall tech p in
@@ -257,8 +265,9 @@ let check ?(centroid_tol = 1e-6) ?(dispersion_bound = 1.1) tech
     check_cell_count p occ emit;
     check_binary_weights p emit;
     check_mirror p emit;
-    check_centroid ~tol:centroid_tol tech p emit;
-    check_lsb_pair ~tol:centroid_tol tech p emit;
+    let sums = Placement.position_sums tech p in
+    check_centroid ~tol:centroid_tol sums p emit;
+    check_lsb_pair ~tol:centroid_tol tech sums p emit;
     check_dispersion ~bound:dispersion_bound tech p emit
   end;
   List.rev !out

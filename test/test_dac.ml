@@ -190,6 +190,82 @@ let prop_inl_zero_for_ideal =
        a.Dacmodel.Nonlinearity.max_abs_inl < 1e-9
        && a.Dacmodel.Nonlinearity.max_abs_dnl < 1e-9)
 
+(* DNL against the per-code loop it replaced, which finds each code's
+   toggling bits directly: equal bit for bit at 2-16 bits in both sign
+   modes.  A covariance over three off-lattice points per capacitor stands
+   in for the placement's own, so the 16-bit case stays cheap. *)
+let reference_dnl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
+    ~s_diff ~s_t =
+  let bits = p.bits and vref = 1.0 in
+  let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
+  let codes = Dacmodel.Transfer.num_codes ~bits in
+  let c_t = float_of_int codes *. m *. cu in
+  let delta_t =
+    Array.fold_left ( +. ) 0. sys +. (s_t *. 3. *. sigma_t) +. top_parasitic
+  in
+  let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
+  Array.init codes (fun code ->
+      if code = 0 then 0.
+      else begin
+        let weights = ref [] and sys_diff = ref 0. in
+        for k = 1 to bits do
+          let now = Dacmodel.Transfer.bit ~code k
+          and before = Dacmodel.Transfer.bit ~code:(code - 1) k in
+          if now <> before then begin
+            let w = if now then 1. else -1. in
+            weights := (k, w) :: !weights;
+            sys_diff := !sys_diff +. (w *. sys.(k))
+          end
+        done;
+        let sigma_diff = Capmodel.Covariance.sigma_weighted cov !weights in
+        let step =
+          vref
+          *. ((m *. cu) +. !sys_diff +. (s_diff *. 3. *. sigma_diff))
+          /. (c_t +. delta_t)
+        in
+        (step -. lsb) /. lsb
+      end)
+
+let test_dnl_steps_match_per_code () =
+  let bitwise a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a in
+  for bits = 2 to 16 do
+    let p = Ccplace.Style.place ~bits Ccplace.Style.Rowwise in
+    let st = Random.State.make [| bits |] in
+    let point () =
+      Geom.Point.make ~x:(Random.State.float st 40.) ~y:(Random.State.float st 40.)
+    in
+    let cov =
+      Capmodel.Covariance.build tech
+        (Array.init (bits + 1) (fun _ -> Array.init 3 (fun _ -> point ())))
+    in
+    let sys =
+      Array.map (Capmodel.Gradient.systematic_shift tech)
+        (Ccgrid.Placement.positions_by_cap tech p)
+    in
+    let sigma_t = Capmodel.Covariance.sigma_of_subset cov (List.init (bits + 1) Fun.id) in
+    let top_parasitic = 0.7 in
+    List.iter
+      (fun (sign_mode, combos) ->
+         let a = Dacmodel.Nonlinearity.analyze tech ~cov ~sign_mode ~top_parasitic p in
+         let refs =
+           List.map
+             (fun (s_diff, s_t) ->
+                reference_dnl p ~sys ~cov ~sigma_t ~top_parasitic ~s_diff ~s_t)
+             combos
+         in
+         let what = Printf.sprintf "%d-bit" bits in
+         Alcotest.(check bool) (what ^ " dnl") true
+           (Array.for_all2 bitwise (List.hd refs) a.Dacmodel.Nonlinearity.dnl);
+         Alcotest.(check bool) (what ^ " max |dnl|") true
+           (bitwise
+              (List.fold_left (fun acc r -> Float.max acc (max_abs r)) 0. refs)
+              a.Dacmodel.Nonlinearity.max_abs_dnl))
+      [ (Dacmodel.Nonlinearity.Paper, [ (1., 1.) ]);
+        ( Dacmodel.Nonlinearity.Worst_case,
+          [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ] ) ]
+  done
+
 let () =
   Alcotest.run "dacmodel"
     [ ( "transfer",
@@ -209,7 +285,9 @@ let () =
           Alcotest.test_case "gain error" `Quick test_top_parasitic_gain_error;
           Alcotest.test_case "worst case" `Quick test_worst_case_not_smaller;
           Alcotest.test_case "dispersion helps" `Quick test_dispersion_reduces_nonlinearity;
-          Alcotest.test_case "theta override" `Quick test_theta_override ] );
+          Alcotest.test_case "theta override" `Quick test_theta_override;
+          Alcotest.test_case "dnl steps = per-code loop" `Slow
+            test_dnl_steps_match_per_code ] );
       ( "speed",
         [ Alcotest.test_case "settling" `Quick test_settling_formula;
           Alcotest.test_case "f3dB" `Quick test_f3db_formula;

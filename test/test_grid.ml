@@ -195,18 +195,103 @@ let test_dispersion_chessboard_spreads_msb () =
   let s_chess = Ccgrid.Dispersion.spread tech chess 6 in
   Alcotest.(check bool) "MSB spread close to array" true (s_chess > 0.8)
 
+(* Connected groups of capacitor [k] under 4-adjacency. *)
+let groups_of p k =
+  List.length (Ccroute.Group.of_cap (Ccroute.Group.of_placement p) k)
+
 let test_adjacency_runs () =
   let chess = Ccplace.Chessboard.place ~bits:6 in
   (* chessboard colour class: no two cells of C_6 are 4-adjacent *)
   Alcotest.(check int) "C_6 fully dispersed"
     chess.Ccgrid.Placement.counts.(6)
-    (Ccgrid.Dispersion.adjacency_runs chess 6);
+    (groups_of chess 6);
   let spiral = spiral6 in
   Alcotest.(check bool) "spiral C_6 clustered" true
-    (Ccgrid.Dispersion.adjacency_runs spiral 6 < 8)
+    (groups_of spiral 6 < 8)
 
 let test_dispersion_single_cell_zero () =
   check_float "C_0 spread" 0. (Ccgrid.Dispersion.spread tech spiral6 0)
+
+(* The one-pass grid sums against per-capacitor list folds over
+   [cells_of], the way they were first written: every float must agree
+   bit for bit. *)
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let reference_rms points center =
+  match points with
+  | [] -> 0.
+  | _ ->
+    let sum2 =
+      List.fold_left
+        (fun acc p ->
+           let d = Geom.Point.distance p center in
+           acc +. (d *. d))
+        0. points
+    in
+    sqrt (sum2 /. float_of_int (List.length points))
+
+let reference_spread (p : Ccgrid.Placement.t) k =
+  let all = ref [] in
+  for row = 0 to p.rows - 1 do
+    for col = 0 to p.cols - 1 do
+      all := Ccgrid.Placement.position tech p (Ccgrid.Cell.make ~row ~col) :: !all
+    done
+  done;
+  match List.map (Ccgrid.Placement.position tech p) (Ccgrid.Placement.cells_of p k) with
+  | [] | [ _ ] -> 0.
+  | points ->
+    let denom = reference_rms !all Geom.Point.origin in
+    if denom <= 0. then 0.
+    else reference_rms points (Geom.Point.centroid points) /. denom
+
+let sums_match_lists (p : Ccgrid.Placement.t) =
+  let by_cap = Ccgrid.Placement.positions_by_cap tech p in
+  let worst = ref 0. and ok = ref true in
+  for k = 0 to p.bits do
+    let points =
+      List.map (Ccgrid.Placement.position tech p) (Ccgrid.Placement.cells_of p k)
+    in
+    ok :=
+      !ok
+      && List.equal (Geom.Point.equal ~eps:0.) points (Array.to_list by_cap.(k))
+      && same_float (reference_spread p k) (Ccgrid.Dispersion.spread tech p k);
+    if p.counts.(k) >= 2 then
+      worst :=
+        Float.max !worst
+          (Geom.Point.distance (Geom.Point.centroid points) Geom.Point.origin)
+  done;
+  !ok && same_float !worst (Ccgrid.Placement.max_centroid_error tech p)
+
+let test_one_pass_sums_match_lists () =
+  for bits = 2 to 10 do
+    List.iter
+      (fun style ->
+         Alcotest.(check bool)
+           (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+           true
+           (sums_match_lists (Ccplace.Style.place ~bits style)))
+      (Ccplace.Style.[ Rowwise; Chessboard; Spiral ] @ Ccplace.Style.block_family ~bits)
+  done
+
+(* Common-centroid placements sum to the origin, so random assignments
+   (1-12 rows and columns, dummies) are where rounding would show. *)
+let prop_one_pass_sums_random =
+  let gen =
+    QCheck.Gen.(
+      map3 (fun a b c -> (a, b, c)) (int_range 1 5) (int_range 1 12) (int_range 1 12)
+      >>= fun (bits, rows, cols) ->
+      map
+        (fun ids ->
+           let assign = Array.init rows (fun r -> Array.sub ids (r * cols) cols) in
+           let counts = Array.make (bits + 1) 0 in
+           Array.iter (fun id -> if id >= 0 then counts.(id) <- counts.(id) + 1) ids;
+           Ccgrid.Placement.create ~bits ~rows ~cols ~unit_multiplier:1 ~counts ~assign
+             ~style_name:"random")
+        (array_repeat (rows * cols) (int_range (-1) bits)))
+  in
+  QCheck.Test.make ~name:"one-pass sums = list folds, random assignments" ~count:200
+    (QCheck.make ~print:Ccgrid.Serial.to_string gen)
+    sums_match_lists
 
 (* --- render --- *)
 
@@ -293,7 +378,9 @@ let () =
       ( "dispersion",
         [ Alcotest.test_case "chessboard MSB" `Quick test_dispersion_chessboard_spreads_msb;
           Alcotest.test_case "adjacency runs" `Quick test_adjacency_runs;
-          Alcotest.test_case "single cell" `Quick test_dispersion_single_cell_zero ] );
+          Alcotest.test_case "single cell" `Quick test_dispersion_single_cell_zero;
+          Alcotest.test_case "one-pass sums = list folds" `Quick
+            test_one_pass_sums_match_lists ] );
       ( "render",
         [ Alcotest.test_case "glyphs" `Quick test_render_glyphs;
           Alcotest.test_case "dimensions" `Quick test_render_dimensions;
@@ -301,4 +388,4 @@ let () =
           Alcotest.test_case "legend" `Quick test_render_legend ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_mirror_in_bounds; prop_sizing_near_square ] ) ]
+          [ prop_mirror_in_bounds; prop_sizing_near_square; prop_one_pass_sums_random ] ) ]

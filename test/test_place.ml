@@ -6,6 +6,10 @@ let all_styles bits =
   Ccplace.Style.Spiral :: Ccplace.Style.Chessboard :: Ccplace.Style.Rowwise
   :: Ccplace.Style.block_family ~bits
 
+(* Connected groups of capacitor [k]: the trunk connections it needs. *)
+let groups_of p k =
+  List.length (Ccroute.Group.of_cap (Ccroute.Group.of_placement p) k)
+
 let check_valid p =
   match Ccgrid.Placement.validate p with
   | Ok () -> ()
@@ -86,7 +90,7 @@ let test_spiral_lsb_near_center () =
 let test_spiral_msb_clustered () =
   let p = Ccplace.Spiral.place ~bits:8 in
   Alcotest.(check bool) "few C_8 groups" true
-    (Ccgrid.Dispersion.adjacency_runs p 8 <= 4)
+    (groups_of p 8 <= 4)
 
 (* --- chessboard --- *)
 
@@ -103,7 +107,7 @@ let test_chessboard_no_adjacent_msb () =
   let p = Ccplace.Chessboard.place ~bits:8 in
   Alcotest.(check int) "C_8 singletons"
     p.Ccgrid.Placement.counts.(8)
-    (Ccgrid.Dispersion.adjacency_runs p 8)
+    (groups_of p 8)
 
 let test_chessboard_odd_bits_doubles () =
   List.iter
@@ -182,7 +186,7 @@ let test_block_corridor_msb_only () =
 let test_block_granularity_changes_clustering () =
   let runs g =
     let p = Ccplace.Block_chess.place ~bits:8 ~core_bits:6 ~granularity:g () in
-    Ccgrid.Dispersion.adjacency_runs p 8
+    groups_of p 8
   in
   Alcotest.(check bool) "coarser blocks, fewer groups" true (runs 8 <= runs 1)
 
@@ -206,7 +210,7 @@ let test_rowwise_moderate_dispersion () =
   let row = Ccplace.Rowwise.place ~bits:8 in
   let chess = Ccplace.Chessboard.place ~bits:8 in
   let spiral = Ccplace.Spiral.place ~bits:8 in
-  let runs p = Ccgrid.Dispersion.adjacency_runs p 8 in
+  let runs p = groups_of p 8 in
   Alcotest.(check bool) "more groups than spiral" true (runs row > runs spiral);
   Alcotest.(check bool) "fewer groups than chessboard" true (runs row < runs chess)
 

@@ -65,6 +65,127 @@ let test_placement_fingerprints () =
   Alcotest.(check int) "rowwise 8" 2281099
     (fingerprint (Ccplace.Rowwise.place ~bits:8))
 
+(* --- golden routing digests --- *)
+
+(* One MD5 over everything placement and routing decide for a design:
+   the placement's serial text, the groups (capacitor, cells, tree
+   edges), the plan's routes (group id, channel, track, attach cell) and
+   every wire, via and top-plate wire, floats printed exactly with %h. *)
+let layout_digest (l : Ccroute.Layout.t) =
+  let b = Buffer.create 65536 in
+  let cell (c : Ccgrid.Cell.t) = Printf.bprintf b "(%d,%d)" c.row c.col in
+  Buffer.add_string b (Ccgrid.Serial.to_string l.placement);
+  List.iter
+    (fun (g : Ccroute.Group.t) ->
+       Printf.bprintf b "\ngroup %d C_%d:" g.id g.cap;
+       List.iter cell g.cells;
+       Buffer.add_string b " edges:";
+       List.iter
+         (fun (p, c) ->
+            cell p;
+            cell c)
+         g.tree_edges)
+    l.groups;
+  List.iter
+    (fun (r : Ccroute.Plan.route) ->
+       Printf.bprintf b "\nroute %d ch %d track %d at " r.group.id r.channel
+         r.track;
+       cell r.attach)
+    l.plan.routes;
+  let kind : Ccroute.Layout.wire_kind -> string = function
+    | Branch -> "branch"
+    | Stub -> "stub"
+    | Trunk -> "trunk"
+    | Bridge -> "bridge"
+    | Top -> "top"
+  in
+  let wire (w : Ccroute.Layout.wire) =
+    Printf.bprintf b "\nwire C_%d %s %s (%h,%h)-(%h,%h) p%d" w.w_cap
+      (kind w.w_kind)
+      (Format.asprintf "%a" Tech.Layer.pp_name w.w_layer)
+      w.w_ax w.w_ay w.w_bx w.w_by w.w_p
+  in
+  List.iter wire l.wires;
+  List.iter
+    (fun (v : Ccroute.Layout.via) ->
+       Printf.bprintf b "\nvia C_%d (%h,%h) p%d" v.v_cap v.v_x v.v_y v.v_p)
+    l.vias;
+  List.iter wire l.top_wires;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The designs the signoff_pnr and paper_tables benchmark workloads
+   route: rowwise, chessboard, spiral and every block-chess granularity
+   at 6-10 bits, and the four Table III styles at 12 bits, each routed
+   with the flow's parallel-wire policy. *)
+let golden_designs =
+  List.concat_map
+    (fun bits ->
+       List.map
+         (fun style -> (bits, style))
+         (Ccplace.Style.[ Rowwise; Chessboard; Spiral ]
+          @ Ccplace.Style.block_family ~bits))
+    [ 6; 7; 8; 9; 10 ]
+  @ List.map
+    (fun style -> (12, style))
+    Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits:12 ]
+
+let golden_digests =
+  [ ("rowwise 6-bit", "a2cd3112c4fbf8383eb5c6c238c4ba1d");
+    ("chessboard 6-bit", "40c282ffb4d25fb3e9e868fe98847ac8");
+    ("spiral 6-bit", "fc3035abeaa7a8bed80ce4a56c4b7b06");
+    ("block-chess(core=4,g=1) 6-bit", "5fe252383c34b1eadf25cb347ef698cc");
+    ("block-chess(core=4,g=2) 6-bit", "acbb5d9229d066183d5791377f4364ac");
+    ("block-chess(core=4,g=4) 6-bit", "75718621ed64b859dba18d7c38ab2870");
+    ("block-chess(core=4,g=8) 6-bit", "19568d4c80412ee7e5139a84d1562072");
+    ("rowwise 7-bit", "4d03c8cd1756b94879867a2bfebdb3f1");
+    ("chessboard 7-bit", "eb89cb5c19908f2890738a2776274861");
+    ("spiral 7-bit", "a5e26f4e9cd57923669bb55c560e0dc1");
+    ("block-chess(core=5,g=1) 7-bit", "89acbca061c1914d8bde3174ffc9479a");
+    ("block-chess(core=5,g=2) 7-bit", "73db23ef46a2e90af7699774eae93ca2");
+    ("block-chess(core=5,g=4) 7-bit", "2b6746f7730eef69bb100176bb47c66c");
+    ("block-chess(core=5,g=8) 7-bit", "ecac0630a14af59370b232bc40e63ae9");
+    ("rowwise 8-bit", "f53c25fa57dbdce07981f9ccd369511d");
+    ("chessboard 8-bit", "82c8b7a39447773f66975e39d79ea81a");
+    ("spiral 8-bit", "f03ee3388c69568ec58a38d61703b4a4");
+    ("block-chess(core=6,g=1) 8-bit", "35490324af26f50b4cf7652a8f61143c");
+    ("block-chess(core=6,g=2) 8-bit", "de218c7511a53f8b79dafdea2e6e3162");
+    ("block-chess(core=6,g=4) 8-bit", "e8b4edcc5b3475198a38312b9f7defde");
+    ("block-chess(core=6,g=8) 8-bit", "cc8d180273b65e0da0b224907e4542c6");
+    ("rowwise 9-bit", "53d046b9bc420e8eae4f883cc03dca9f");
+    ("chessboard 9-bit", "e3ed74608ad8f08dc416ab361dffecdf");
+    ("spiral 9-bit", "171bb8069edaf84fc0ba870a1167caa5");
+    ("block-chess(core=7,g=1) 9-bit", "4e3e4e8d1c164438cfb319903c01ce90");
+    ("block-chess(core=7,g=2) 9-bit", "f429c173f28b485a4ba2629f5f2491a0");
+    ("block-chess(core=7,g=4) 9-bit", "c88a2aafa696d8ccbe62046f2c55ac3c");
+    ("block-chess(core=7,g=8) 9-bit", "846ab04ad837cb0e78c889cd6b93a1c2");
+    ("rowwise 10-bit", "937ac6d076cb2e0c68269ef21bcacb23");
+    ("chessboard 10-bit", "38e2e1f0b5b7858b3dac4f06c5e88499");
+    ("spiral 10-bit", "42614191cfd9b101125a2fbfe466267c");
+    ("block-chess(core=8,g=1) 10-bit", "a5016a88cc583f3b03b72a9d885fe773");
+    ("block-chess(core=8,g=2) 10-bit", "14c3191def2ae3c8fe90f9bb9249d4a0");
+    ("block-chess(core=8,g=4) 10-bit", "567646edd3595f5faee9513b84935fb1");
+    ("block-chess(core=8,g=8) 10-bit", "198cecb2645c365a06cbb228b82c9cb8");
+    ("rowwise 12-bit", "fc7a6448f550674e439296a7e212df46");
+    ("chessboard 12-bit", "a614e3ac53ffe5511d7e2fa16446e812");
+    ("spiral 12-bit", "300f2d7387cd2fd8372d119432e0830c");
+    ("block-chess(core=10,g=2) 12-bit", "3ec213159777f390b7ee713dc74ffa3f") ]
+
+let test_golden_digests () =
+  let actual =
+    List.map
+      (fun (bits, style) ->
+         let l =
+           Ccroute.Layout.route tech
+             ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style)
+             (Ccplace.Style.place ~bits style)
+         in
+         (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
+          layout_digest l))
+      golden_designs
+  in
+  Alcotest.(check (list (pair string string)))
+    "placement, groups, plan, wires and vias" golden_digests actual
+
 let test_pipeline_determinism_through_serialisation () =
   (* save -> load -> route must reproduce the exact parasitics *)
   let p = Ccplace.Block_chess.place ~bits:7 ~granularity:4 () in
@@ -100,7 +221,8 @@ let () =
           Alcotest.test_case "spiral trunks" `Quick test_spiral6_trunks;
           Alcotest.test_case "spiral vias" `Quick test_spiral6_via_budget;
           Alcotest.test_case "chessboard tracks" `Quick test_chessboard8_track_usage;
-          Alcotest.test_case "fingerprints" `Quick test_placement_fingerprints ] );
+          Alcotest.test_case "fingerprints" `Quick test_placement_fingerprints;
+          Alcotest.test_case "golden routing digests" `Slow test_golden_digests ] );
       ( "pipeline",
         [ Alcotest.test_case "serialise determinism" `Quick
             test_pipeline_determinism_through_serialisation;

@@ -337,6 +337,278 @@ let test_topplate_is_mst () =
          layout.Ccroute.Layout.top_length)
     [ layout6; layout_chess ]
 
+(* --- differential oracles --- *)
+
+(* Reference group formation: Sec. IV-B2 written directly over a balanced
+   cell set.  Each capacitor's cells go into a Set; a BFS starts at the
+   set's minimum, and the component is removed with [diff]. *)
+module Cellset = Set.Make (Ccgrid.Cell)
+
+let reference_bfs ~rows ~cols available seed =
+  let visited = ref (Cellset.singleton seed) in
+  let edges = ref [] in
+  let q = Queue.create () in
+  Queue.add seed q;
+  while not (Queue.is_empty q) do
+    let c = Queue.pop q in
+    let next =
+      List.filter
+        (fun n -> Cellset.mem n available && not (Cellset.mem n !visited))
+        (Ccgrid.Cell.neighbors ~rows ~cols c)
+    in
+    List.iter
+      (fun n ->
+         visited := Cellset.add n !visited;
+         edges := (c, n) :: !edges;
+         Queue.add n q)
+      next
+  done;
+  (!visited, List.rev !edges)
+
+let reference_group ~cap ~id cells tree_edges =
+  let cols = List.map (fun (c : Ccgrid.Cell.t) -> c.col) cells
+  and rows = List.map (fun (c : Ccgrid.Cell.t) -> c.row) cells in
+  { Ccroute.Group.cap; id; cells; tree_edges;
+    col_lo = List.fold_left Int.min max_int cols;
+    col_hi = List.fold_left Int.max min_int cols;
+    row_lo = List.fold_left Int.min max_int rows;
+    row_hi = List.fold_left Int.max min_int rows }
+
+(* Maximal straight runs of a component along one orientation, and the
+   orientation with fewer runs (columns on a tie). *)
+let reference_runs cells =
+  let runs major minor =
+    let sorted =
+      List.sort
+        (fun a b ->
+           match Int.compare (major a) (major b) with
+           | 0 -> Int.compare (minor a) (minor b)
+           | c -> c)
+        cells
+    in
+    let finish run acc = if run = [] then acc else List.rev run :: acc in
+    let rec walk run acc = function
+      | [] -> finish run acc
+      | c :: rest -> (
+          match run with
+          | prev :: _ when major prev = major c && minor c = minor prev + 1 ->
+            walk (c :: run) acc rest
+          | [] | _ :: _ -> walk [ c ] (finish run acc) rest)
+    in
+    List.rev (walk [] [] sorted)
+  in
+  let row (c : Ccgrid.Cell.t) = c.row and col (c : Ccgrid.Cell.t) = c.col in
+  let horizontal = runs row col and vertical = runs col row in
+  if List.length vertical <= List.length horizontal then vertical else horizontal
+
+let rec chain = function
+  | a :: (b :: _ as rest) -> (a, b) :: chain rest
+  | [ _ ] | [] -> []
+
+let reference_groups mode (p : Ccgrid.Placement.t) =
+  let rows = p.rows and cols = p.cols in
+  let next_id = ref 0 and groups = ref [] in
+  let emit cap cells tree_edges =
+    groups := reference_group ~cap ~id:!next_id cells tree_edges :: !groups;
+    incr next_id
+  in
+  for cap = 0 to p.bits do
+    let remaining = ref (Cellset.of_list (Ccgrid.Placement.cells_of p cap)) in
+    while not (Cellset.is_empty !remaining) do
+      let seed = Cellset.min_elt !remaining in
+      let members, tree_edges = reference_bfs ~rows ~cols !remaining seed in
+      remaining := Cellset.diff !remaining members;
+      let cells = Cellset.elements members in
+      match mode with
+      | Ccroute.Group.Connected -> emit cap cells tree_edges
+      | Ccroute.Group.Straight_runs ->
+        List.iter (fun run -> emit cap run (chain run)) (reference_runs cells)
+    done
+  done;
+  List.rev !groups
+
+(* Reference Step 1 of Algorithm 1: every pair of one capacitor's groups
+   is tested for a column overlap, and the closest cell pair compares
+   6-tuple keys. *)
+let reference_closest (a : Ccroute.Group.t) (b : Ccroute.Group.t) =
+  let key (x : Ccgrid.Cell.t) (y : Ccgrid.Cell.t) =
+    ( abs (x.row - y.row) + abs (x.col - y.col), x.row + y.row, x.row, x.col,
+      y.row, y.col )
+  in
+  let best = ref None in
+  List.iter
+    (fun ca ->
+       List.iter
+         (fun cb ->
+            let k = key ca cb in
+            match !best with
+            | Some (_, _, best_key) when best_key <= k -> ()
+            | Some _ | None -> best := Some (ca, cb, k))
+         b.cells)
+    a.cells;
+  match !best with
+  | Some (ca, cb, _) -> (ca, cb)
+  | None -> invalid_arg "reference_closest: empty group"
+
+let reference_attach (g : Ccroute.Group.t) ~channel =
+  let key (c : Ccgrid.Cell.t) =
+    (Int.min (abs (c.col - channel)) (abs (c.col - (channel - 1))), c.row, c.col)
+  in
+  match g.cells with
+  | [] -> invalid_arg "reference_attach: empty group"
+  | first :: rest ->
+    List.fold_left (fun best c -> if key c < key best then c else best) first rest
+
+let reference_select (groups : Ccroute.Group.t array) =
+  let n = Array.length groups in
+  let visited = Array.make n false in
+  let chosen = ref [] in
+  let emit g channel attach = chosen := (g, channel, attach) :: !chosen in
+  for j = 0 to n - 1 do
+    if not visited.(j) then begin
+      let p = groups.(j) in
+      visited.(j) <- true;
+      let c_j = ref (-1) and u_p = ref None in
+      let left = ref [] and right = ref [] in
+      for k = 0 to n - 1 do
+        if (not visited.(k)) && k <> j then begin
+          let q = groups.(k) in
+          if Ccroute.Group.col_span_overlap p q then begin
+            let up, (uq : Ccgrid.Cell.t) = reference_closest p q in
+            if !c_j = -1 then begin
+              c_j := up.col;
+              u_p := Some up
+            end;
+            if uq.col = !c_j - 1 || uq.col = !c_j then left := (k, q) :: !left;
+            if uq.col = !c_j || uq.col = !c_j + 1 then right := (k, q) :: !right
+          end
+        end
+      done;
+      match !u_p with
+      | None ->
+        let attach =
+          List.fold_left
+            (fun (best : Ccgrid.Cell.t) (c : Ccgrid.Cell.t) ->
+               if (c.row, c.col) < (best.row, best.col) then c else best)
+            (List.hd p.cells) p.cells
+        in
+        emit p attach.col attach
+      | Some up ->
+        let side_left = List.length !left > List.length !right in
+        let channel = if side_left then !c_j else !c_j + 1 in
+        emit p channel up;
+        List.iter
+          (fun (k, q) ->
+             visited.(k) <- true;
+             emit q channel (reference_attach q ~channel))
+          (if side_left then !left else !right)
+    end
+  done;
+  List.rev !chosen
+
+let reference_plan (p : Ccgrid.Placement.t) groups =
+  Ccroute.Plan.of_channels p
+    (List.concat_map
+       (fun cap ->
+          reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
+       (List.init (p.bits + 1) Fun.id))
+
+(* Random assignments: 1-5 bits, 1-12 rows and columns (odd, even and
+   non-square grids), dummies, and cells that copy a neighbour's id with
+   probability [clump]/4 so capacitors also form larger components. *)
+let gen_assignment =
+  QCheck.Gen.(
+    map3 (fun a b c -> (a, b, c)) (int_range 1 5) (int_range 1 12) (int_range 1 12)
+    >>= fun (bits, rows, cols) ->
+    int_range 0 3 >>= fun clump st ->
+    let a = Array.make_matrix rows cols 0 in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        a.(r).(c) <-
+          (if (r > 0 || c > 0) && Random.State.int st 4 < clump then
+             if c = 0 || (r > 0 && Random.State.bool st) then a.(r - 1).(c)
+             else a.(r).(c - 1)
+           else Random.State.int st (bits + 2) - 1)
+      done
+    done;
+    (bits, a))
+
+let placement_of_assignment (bits, assign) =
+  let counts = Array.make (bits + 1) 0 in
+  Array.iter
+    (Array.iter (fun id -> if id >= 0 then counts.(id) <- counts.(id) + 1))
+    assign;
+  Ccgrid.Placement.create ~bits ~rows:(Array.length assign)
+    ~cols:(Array.length assign.(0)) ~unit_multiplier:1 ~counts ~assign
+    ~style_name:"random"
+
+let arb_assignment =
+  QCheck.make
+    ~print:(fun (bits, assign) ->
+        Printf.sprintf "bits %d\n%s" bits
+          (String.concat "\n"
+             (Array.to_list
+                (Array.map
+                   (fun row ->
+                      String.concat " "
+                        (Array.to_list (Array.map string_of_int row)))
+                   assign))))
+    gen_assignment
+
+let prop_matches_reference mode name =
+  QCheck.Test.make ~name ~count:300 arb_assignment (fun a ->
+      let p = placement_of_assignment a in
+      let groups = Ccroute.Group.of_placement ~mode p in
+      let reference = reference_groups mode p in
+      if groups <> reference then QCheck.Test.fail_report "groups differ";
+      if Ccroute.Plan.make p groups <> reference_plan p reference then
+        QCheck.Test.fail_report "plans differ";
+      true)
+
+(* Two disjoint random cell sets on a grid of up to 12 x 12, each cell in
+   [a] or [b] with probability [density]/8: closest_cells must pick the
+   all-pairs minimum, whichever rows and columns the sets share. *)
+let prop_closest_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      map3 (fun r c d -> (r, c, d)) (int_range 1 12) (int_range 1 12) (int_range 1 4)
+      >>= fun (rows, cols, density) st ->
+      let pick () = Random.State.int st 8 < density in
+      let a = ref [] and b = ref [] in
+      for row = rows - 1 downto 0 do
+        for col = cols - 1 downto 0 do
+          let c = Ccgrid.Cell.make ~row ~col in
+          if pick () then a := c :: !a else if pick () then b := c :: !b
+        done
+      done;
+      (!a, !b))
+  in
+  let print_cells cs =
+    String.concat " "
+      (List.map (fun (c : Ccgrid.Cell.t) -> Printf.sprintf "(%d,%d)" c.row c.col) cs)
+  in
+  QCheck.Test.make ~name:"closest cells = all-pairs minimum" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "a: %s\nb: %s" (print_cells a) (print_cells b))
+       gen)
+    (fun (a, b) ->
+       a = [] || b = []
+       ||
+       let ga = reference_group ~cap:0 ~id:0 a [] and gb = reference_group ~cap:0 ~id:1 b [] in
+       let ua, ub = Ccroute.Group.closest_cells ga gb
+       and ra, rb = reference_closest ga gb in
+       Ccgrid.Cell.equal ua ra && Ccgrid.Cell.equal ub rb)
+
+let test_cells_shared_with_edges () =
+  List.iter
+    (fun (g : Ccroute.Group.t) ->
+       List.iter
+         (fun (a, b) ->
+            Alcotest.(check bool) "edge ends are the group's cells" true
+              (List.memq a g.cells && List.memq b g.cells))
+         g.tree_edges)
+    (Ccroute.Group.of_placement (Ccplace.Block_chess.place ~bits:8 ()))
+
 let prop_route_any_placement =
   QCheck.Test.make ~name:"routing succeeds on random config" ~count:40
     QCheck.(pair (int_range 2 9) (int_range 0 3))
@@ -364,7 +636,16 @@ let () =
           Alcotest.test_case "spans" `Quick test_group_spans;
           Alcotest.test_case "straight runs" `Quick test_straight_runs_are_straight;
           Alcotest.test_case "closest cells" `Quick test_closest_cells;
-          Alcotest.test_case "span overlap" `Quick test_col_span_overlap ] );
+          Alcotest.test_case "span overlap" `Quick test_col_span_overlap;
+          Alcotest.test_case "cells shared with edges" `Quick
+            test_cells_shared_with_edges ] );
+      ( "oracles",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_closest_matches_reference;
+            prop_matches_reference Ccroute.Group.Connected
+              "connected groups and plan = Set BFS + all-pairs scan";
+            prop_matches_reference Ccroute.Group.Straight_runs
+              "straight-run groups and plan = Set BFS + all-pairs scan" ] );
       ( "plan",
         [ Alcotest.test_case "all groups routed" `Quick test_every_group_routed;
           Alcotest.test_case "tracks = caps" `Quick test_tracks_count_distinct_caps;
