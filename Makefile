@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint devlint ccdeps lvs bench profile memprofile scale servebench qor doc clean examples
+.PHONY: all build test lint devlint ccdeps lvs bench profile memprofile scale qor doc clean examples
 
 all: build
 
@@ -61,13 +61,6 @@ memprofile: build
 scale: build
 	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 50 --jobs 4
 	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 50 --jobs 4 --json > scaling.json
-
-# Placement-service load bench (docs/SERVE.md): spawns a daemon child
-# process and replays 10k Zipf-skewed requests through it;
-# BENCH_serve.json is what CI uploads as an artifact, and the QoR
-# ledger gains one serve-decorated row.
-servebench: build
-	dune exec bench/main.exe -- serve
 
 # QoR regression sentinel (docs/QOR.md): record the default matrix to
 # the ledger, then diff the ledger's latest records against the

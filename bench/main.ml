@@ -5,7 +5,7 @@
      dune exec bench/main.exe              all tables, figures, benchmarks
      dune exec bench/main.exe -- table1    one artefact
        (table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b ablation bench
-        benchflow baseline memscale scaling serve csv)
+        benchflow baseline memscale scaling csv)
 
    The file-writing artefacts (benchflow, baseline) take --out FILE to
    redirect their output; exactly one of them must be requested when
@@ -621,121 +621,6 @@ let ablation () =
     transient
     (transient /. Dacmodel.Speed.settling_time_fs ~bits:6 ~tau_fs:elmore)
 
-(* --- serve: the placement-service load bench (docs/SERVE.md).  Spawn
-   the daemon as a child process (re-exec ourselves with the
-   "serve-daemon" sentinel argv — forking an OCaml 5 runtime that has
-   already spawned domains is not safe), replay a Zipf-skewed mix of
-   10k requests through Serve.Loadgen, write BENCH_serve.json, and
-   append one QoR ledger row decorated with throughput/latency/hit-rate
-   so the regression sentinel guards server performance too.  The row
-   gets a "serve"-prefixed label so it never shadows plain flow
-   records. *)
-
-let serve_requests = 10_000
-
-let serve_socket () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "ccgen-serve-%d.sock" (Unix.getpid ()))
-
-(* child mode: [bench serve-daemon SOCKET] — serve until SIGTERM *)
-let serve_daemon socket =
-  let engine = Serve.Engine.create () in
-  let stats =
-    Serve.Daemon.run ~engine (Serve.Daemon.Unix_path socket)
-  in
-  Serve.Engine.shutdown engine;
-  exit (if stats.Serve.Daemon.drained then 0 else 1)
-
-let spawn_serve_daemon socket =
-  let exe = Sys.executable_name in
-  let pid =
-    Unix.create_process exe
-      [| exe; "serve-daemon"; socket |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  (* the daemon binds before it can answer; wait for the socket file *)
-  let deadline = 200 in
-  let rec wait n =
-    if Sys.file_exists socket then ()
-    else if n >= deadline then begin
-      Unix.kill pid Sys.sigkill;
-      Printf.eprintf "bench: serve daemon did not come up\n";
-      exit 1
-    end
-    else begin
-      Unix.sleepf 0.05;
-      wait (n + 1)
-    end
-  in
-  wait 0;
-  pid
-
-let serve () =
-  let path = out_path "BENCH_serve.json" in
-  banner
-    (Printf.sprintf "serve: %d Zipf-skewed requests against the daemon"
-       serve_requests);
-  let socket = serve_socket () in
-  let pid = spawn_serve_daemon socket in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid))
-      (fun () ->
-         Serve.Loadgen.run ~seed:1 ~requests:serve_requests
-           (Serve.Daemon.Unix_path socket))
-  in
-  Printf.printf
-    "%d requests in %.2f s: %.0f req/s, p50 %.3f ms, p95 %.3f ms\n"
-    result.Serve.Loadgen.requests result.Serve.Loadgen.elapsed_s
-    result.Serve.Loadgen.throughput_rps result.Serve.Loadgen.p50_ms
-    result.Serve.Loadgen.p95_ms;
-  Printf.printf "ok %d, errors %d, busy %d, cache hit-rate %.1f%%%s\n"
-    result.Serve.Loadgen.ok result.Serve.Loadgen.errors
-    result.Serve.Loadgen.busy
-    (100. *. result.Serve.Loadgen.hit_rate)
-    (if result.Serve.Loadgen.hit_rate < 0.5 then
-       "  <- below the 50% acceptance bar"
-     else "");
-  let doc =
-    let open Telemetry.Json in
-    Obj
-      [ ("version", Num 1.);
-        ("requests", Num (float_of_int result.Serve.Loadgen.requests));
-        ("ok", Num (float_of_int result.Serve.Loadgen.ok));
-        ("errors", Num (float_of_int result.Serve.Loadgen.errors));
-        ("busy", Num (float_of_int result.Serve.Loadgen.busy));
-        ("cache_hits", Num (float_of_int result.Serve.Loadgen.cache_hits));
-        ("hit_rate", Num result.Serve.Loadgen.hit_rate);
-        ("throughput_rps", Num result.Serve.Loadgen.throughput_rps);
-        ("p50_ms", Num result.Serve.Loadgen.p50_ms);
-        ("p95_ms", Num result.Serve.Loadgen.p95_ms);
-        ("elapsed_s", Num result.Serve.Loadgen.elapsed_s) ]
-  in
-  (try
-     let oc = open_out path in
-     output_string oc (Telemetry.Json.to_string doc);
-     output_char oc '\n';
-     close_out oc
-   with Sys_error e -> write_failed path e);
-  Printf.printf "wrote %s\n" path;
-  let record =
-    let r =
-      Qor.Record.with_serve ~requests:result.Serve.Loadgen.requests
-        ~throughput_rps:result.Serve.Loadgen.throughput_rps
-        ~p50_ms:result.Serve.Loadgen.p50_ms
-        ~p95_ms:result.Serve.Loadgen.p95_ms
-        ~hit_rate:result.Serve.Loadgen.hit_rate
-        (Qor.Record.of_result (Ccdac.Flow.run ~tech ~bits:8 Ccplace.Style.Spiral))
-    in
-    { r with Qor.Record.label = "serve " ^ r.Qor.Record.label }
-  in
-  let ledger = "qor_ledger.jsonl" in
-  (try Qor.Ledger.append ~path:ledger record
-   with Sys_error e -> write_failed ledger e);
-  Printf.printf "appended %s to %s\n" record.Qor.Record.label ledger
-
 let csv () =
   banner "CSV export";
   Ccdac.Csv.write ~path:"results.csv" (Ccdac.Csv.metrics_rows (Lazy.force rows));
@@ -755,17 +640,11 @@ let artefacts =
     ("fig2", fig2); ("fig3", fig3); ("fig4", fig4); ("fig5", fig5);
     ("fig6a", fig6a); ("fig6b", fig6b); ("ablation", ablation);
     ("bench", bench); ("benchflow", benchflow); ("baseline", baseline);
-    ("memscale", memscale); ("scaling", scaling); ("serve", serve);
-    ("csv", csv) ]
+    ("memscale", memscale); ("scaling", scaling); ("csv", csv) ]
 
-let out_writers = [ "benchflow"; "baseline"; "memscale"; "scaling"; "serve" ]
+let out_writers = [ "benchflow"; "baseline"; "memscale"; "scaling" ]
 
 let () =
-  (* child re-exec sentinel (see the serve artefact): not an artefact
-     name, so it is handled before ordinary argument parsing *)
-  (match Array.to_list Sys.argv with
-   | _ :: "serve-daemon" :: socket :: _ -> serve_daemon socket
-   | _ -> ());
   let rec parse names = function
     | [] -> List.rev names
     | [ "--out" ] ->

@@ -14,8 +14,6 @@
      ccgen history --ledger FILE           QoR trend from the ledger
      ccgen explain -b 8 -s spiral          per-element delay/INL attribution
      ccgen devlint --werror                source-level static analysis (cclint)
-     ccgen serve   --socket ccgen.sock     placement-as-a-service daemon
-     ccgen request -b 8 -s spiral          one request against a running daemon
      ccgen version                         release + git/host provenance
 *)
 
@@ -26,7 +24,7 @@ let setup_logs verbose =
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
 let verbose_arg =
-  let doc = "Print debug logs (stage timings)." in
+  let doc = "Print debug logs (place+route time, diagnostic counts)." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let jobs_arg =
@@ -1172,164 +1170,11 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(const run $ bits_arg $ tech_arg $ jobs_arg)
 
-(* --- serve / request / version: the placement service (docs/SERVE.md) --- *)
-
-let socket_arg =
-  let doc = "Unix-domain socket path for the placement service." in
-  Arg.(value & opt string "ccgen.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let port_arg =
-  let doc = "Serve over TCP on $(docv) instead of the Unix socket." in
-  Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
-
-let host_arg =
-  let doc = "TCP host to bind/connect (with $(b,--port))." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let resolve_addr socket host port =
-  match port with
-  | Some p -> Serve.Daemon.Tcp (host, p)
-  | None -> Serve.Daemon.Unix_path socket
-
-let serve_cmd =
-  let cache_dir_arg =
-    let doc =
-      "Directory for the on-disk tier of the result cache (created if \
-       missing); omit for in-memory only."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let cache_cap_arg =
-    let doc = "In-memory result-cache capacity (entries)." in
-    Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~docv:"N" ~doc)
-  in
-  let max_queue_arg =
-    let doc =
-      "Bounded request-queue depth; beyond it requests get a busy \
-       response with retry_after_s (backpressure)."
-    in
-    Arg.(value & opt int 256 & info [ "max-queue" ] ~docv:"N" ~doc)
-  in
-  let batch_arg =
-    let doc = "Max queued requests scheduled onto the pool per batch." in
-    Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N" ~doc)
-  in
-  let run socket host port cache_dir cache_capacity max_queue batch jobs
-      verbose =
-    setup_logs verbose;
-    apply_jobs jobs;
-    let addr = resolve_addr socket host port in
-    let engine = Serve.Engine.create ?cache_dir ~cache_capacity () in
-    let stats =
-      Serve.Daemon.run ~max_queue ~batch
-        ~ready:(fun a ->
-          Printf.printf "ccgen serve: listening on %s (%s, jobs %d)\n%!" a
-            (Serve.Engine.server engine) (Serve.Engine.jobs engine))
-        ~engine addr
-    in
-    Serve.Engine.shutdown engine;
-    Printf.printf
-      "ccgen serve: drained (served %d, cache hits %d, errors %d, busy %d)\n"
-      stats.Serve.Daemon.served stats.Serve.Daemon.cache_hits
-      stats.Serve.Daemon.errors stats.Serve.Daemon.busy
-  in
-  let doc =
-    "Run the placement-as-a-service daemon: newline-delimited JSON \
-     requests in, QoR-record responses out, with a content-addressed \
-     result cache, bounded-queue backpressure and graceful drain on \
-     SIGINT/SIGTERM (docs/SERVE.md)."
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ socket_arg $ host_arg $ port_arg $ cache_dir_arg
-          $ cache_cap_arg $ max_queue_arg $ batch_arg $ jobs_arg
-          $ verbose_arg)
-
-let request_cmd =
-  let raw_arg =
-    let doc =
-      "Send $(docv) verbatim as the request line instead of composing \
-       one from the flags (for probing error handling)."
-    in
-    Arg.(value & opt (some string) None & info [ "raw" ] ~docv:"JSON" ~doc)
-  in
-  let seed_arg =
-    let doc = "Monte-Carlo substream seed." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let trials_arg =
-    let doc = "Monte-Carlo trials (0 = skip the mc stage)." in
-    Arg.(value & opt int 0 & info [ "trials" ] ~docv:"K" ~doc)
-  in
-  let id_arg =
-    let doc = "Correlation id echoed back in the response." in
-    Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ID" ~doc)
-  in
-  let tech_name_arg =
-    let doc = "Technology preset named in the request: finfet or bulk." in
-    Arg.(value & opt string "finfet" & info [ "t"; "tech" ] ~docv:"TECH" ~doc)
-  in
-  let run socket host port raw id style bits granularity seed trials tech =
-    let addr = resolve_addr socket host port in
-    let line =
-      match raw with
-      | Some l -> l
-      | None ->
-        let granularity =
-          match style with `Block -> Some granularity | _ -> None
-        in
-        let style =
-          match style with
-          | `Spiral -> "spiral"
-          | `Chessboard -> "chessboard"
-          | `Rowwise -> "rowwise"
-          | `Block -> "bc"
-        in
-        Telemetry.Json.to_string
-          (Serve.Request.to_json ?id ?granularity ~seed ~trials ~tech ~style
-             ~bits ())
-    in
-    let client =
-      try Serve.Client.connect addr
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "ccgen request: cannot connect (%s)\n"
-          (Unix.error_message e);
-        exit 2
-    in
-    let reply = Serve.Client.request client line in
-    Serve.Client.close client;
-    match reply with
-    | None ->
-      Printf.eprintf "ccgen request: connection closed before a response\n";
-      exit 2
-    | Some response ->
-      print_endline response;
-      let status =
-        match Telemetry.Json.parse response with
-        | Ok j ->
-          Option.bind (Telemetry.Json.member "status" j) Telemetry.Json.to_str
-        | Error _ -> None
-      in
-      (match status with
-       | Some "ok" -> ()
-       | Some "busy" -> exit 3
-       | Some _ | None -> exit 1)
-  in
-  let doc =
-    "Send one request to a running placement-service daemon and print \
-     the response line (exit 0 ok, 1 error, 2 no connection, 3 busy)."
-  in
-  Cmd.v (Cmd.info "request" ~doc)
-    Term.(const run $ socket_arg $ host_arg $ port_arg $ raw_arg $ id_arg
-          $ style_arg $ bits_arg $ gran_arg $ seed_arg $ trials_arg
-          $ tech_name_arg)
+(* --- version --- *)
 
 let version_cmd =
-  let run () = print_endline (Serve.Version.server ()) in
-  let doc =
-    "Print the release version with git/host provenance — the same \
-     string stamped into every serve response's server field."
-  in
+  let run () = print_endline (Qor.Provenance.server ()) in
+  let doc = "Print the release version with git/host provenance." in
   Cmd.v (Cmd.info "version" ~doc) Term.(const run $ const ())
 
 (* --- devlint: source-level static analysis (shared with bin/cclint) --- *)
@@ -1342,11 +1187,11 @@ let main =
     "constructive common-centroid placement and routing for binary-weighted \
      capacitor arrays (DATE 2022 reproduction)"
   in
-  Cmd.group (Cmd.info "ccgen" ~version:Serve.Version.changelog ~doc)
+  Cmd.group (Cmd.info "ccgen" ~version:Qor.Provenance.changelog ~doc)
     [ place_cmd; run_cmd; compare_cmd; tables_cmd; sweep_cmd; profile_cmd;
       scale_cmd; svg_cmd; mc_cmd; verify_cmd; lint_cmd; lvs_cmd; spectrum_cmd;
-      record_cmd; diff_cmd; history_cmd; explain_cmd; devlint_cmd; serve_cmd;
-      request_cmd; version_cmd ]
+      record_cmd; diff_cmd; history_cmd; explain_cmd; devlint_cmd;
+      version_cmd ]
 
 (* The verification and LVS gates raise [Verify.Engine.Rejected] on a
    defective layout; turn that into a report and a nonzero exit instead of

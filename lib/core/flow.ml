@@ -29,27 +29,19 @@ let default_parallel ~bits style =
     Ccroute.Layout.msb_parallel ~bits ~p:2
   | Ccplace.Style.Chessboard | Ccplace.Style.Rowwise -> fun _ -> 1
 
-(* One flow stage: a span named after the stage plus the per-stage wall
-   time gauge, both on the monotonic clock. *)
-let stage ?(attrs = []) name f =
-  let t0 = Telemetry.Clock.now_ns () in
-  Telemetry.Span.with_ ~attrs ~name (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.Metrics.set ~label:name "flow/stage_seconds"
-            (Telemetry.Clock.since_s t0))
-        f)
+(* One flow stage: a span named after the stage, timed on the monotonic
+   clock.  The span is the flow's one per-stage timing source: the
+   summary's stage table, QoR [stage_s], [ccgen profile] and Chrome
+   traces all read it. *)
+let stage name f = Telemetry.Span.with_ ~name f
 
 (* The verification gate: nothing leaves place-and-route for extraction
    unless the registry linter signs off on tech, placement and layout.
    Rejection raises [Verify.Engine.Rejected] carrying every diagnostic. *)
 let verify_layout ~what (layout : Ccroute.Layout.t) =
-  let t0 = Telemetry.Clock.now_ns () in
   let diags = Verify.Engine.check_artifacts layout in
   Log.debug (fun m ->
-      m "%s: verification %.3f ms (%d diagnostics)" what
-        (1e3 *. Telemetry.Clock.since_s t0)
-        (List.length diags));
+      m "%s: verification (%d diagnostics)" what (List.length diags));
   Verify.Engine.assert_clean ~what diags
 
 (* The LVS gate: whole-layout connectivity extraction against the
@@ -66,7 +58,6 @@ let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
   in
   let t0 = Telemetry.Clock.now_ns () in
   let placement = stage "place" (fun () -> Ccplace.Style.place ~bits style) in
-  let t_place = Telemetry.Clock.now_ns () in
   let layout =
     stage "route" (fun () ->
         Ccroute.Layout.route tech ~p_of_cap:parallel placement)
@@ -79,20 +70,19 @@ let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
     stage "verify" (fun () -> verify_layout ~what layout);
     stage "lvs" (fun () -> lvs_layout ~what layout)
   end;
+  let elapsed = Telemetry.Clock.to_s (Int64.sub t1 t0) in
   Log.debug (fun m ->
-      m "%s %d-bit: place %.3f ms, route %.3f ms (%d groups, %d tracks)"
-        (Ccplace.Style.name style) bits
-        (1e-6 *. Int64.to_float (Int64.sub t_place t0))
-        (1e-6 *. Int64.to_float (Int64.sub t1 t_place))
+      m "%s %d-bit: place+route %.3f ms (%d groups, %d tracks)"
+        (Ccplace.Style.name style) bits (1e3 *. elapsed)
         (List.length layout.Ccroute.Layout.groups)
         (Ccroute.Plan.total_tracks layout.Ccroute.Layout.plan));
-  (layout, Telemetry.Clock.to_s (Int64.sub t1 t0))
+  (layout, elapsed)
 
-(* analysis shared by [run] and [run_placement] *)
-let analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout =
+(* analysis shared by [run] and [run_placement]; [recorded] fills the
+   telemetry and the Table III runtime *)
+let analyze_layout ~tech ?sign_mode ?theta ~style layout =
   let placement = layout.Ccroute.Layout.placement in
   let bits = placement.Ccgrid.Placement.bits in
-  let t0 = Telemetry.Clock.now_ns () in
   let parasitics =
     stage "extract" (fun () -> Extract.Parasitics.extract layout)
   in
@@ -106,9 +96,8 @@ let analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout =
   in
   let tau_fs = parasitics.Extract.Parasitics.critical_elmore_fs in
   Log.debug (fun m ->
-      m "%s %d-bit: extraction + nonlinearity %.3f ms (critical C_%d, tau %.1f ps)"
+      m "%s %d-bit: extraction + nonlinearity (critical C_%d, tau %.1f ps)"
         (Ccplace.Style.name style) bits
-        (1e3 *. Telemetry.Clock.since_s t0)
         parasitics.Extract.Parasitics.critical_bit (tau_fs /. 1e3));
   { style;
     bits;
@@ -125,12 +114,12 @@ let analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout =
     critical_bit = parasitics.Extract.Parasitics.critical_bit;
     area = parasitics.Extract.Parasitics.area;
     telemetry = Telemetry.Summary.empty;
-    elapsed_place_route_s = elapsed }
+    elapsed_place_route_s = 0. }
 
 (* Record one flow invocation: fresh metric scope + span collector around
-   [f], then derive the compatibility runtime from the stage table so
-   [elapsed_place_route_s] is exactly place + route — the verification
-   gate and the analysis stages can never leak into it. *)
+   [f], then fill the telemetry and derive the Table III runtime from its
+   stage table, so [elapsed_place_route_s] is exactly place + route — the
+   verification gate and the analysis stages can never leak into it. *)
 let recorded ~attrs f =
   let r, telemetry = Telemetry.Summary.record ~attrs ~name:"flow" f in
   { r with
@@ -145,8 +134,8 @@ let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?verify ?sign_mode ?theta
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let layout, elapsed = place_route ~tech ?parallel ?verify ~bits style in
-       analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout)
+       let layout, _ = place_route ~tech ?parallel ?verify ~bits style in
+       analyze_layout ~tech ?sign_mode ?theta ~style layout)
 
 let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
     ?(verify = true) ?sign_mode ?theta ?(style = Ccplace.Style.Spiral)
@@ -170,12 +159,10 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let t0 = Telemetry.Clock.now_ns () in
        let layout =
          stage "route" (fun () ->
              Ccroute.Layout.route tech ~p_of_cap:parallel placement)
        in
-       let elapsed = Telemetry.Clock.since_s t0 in
        if verify then begin
          let what =
            Printf.sprintf "%s %d-bit (prebuilt placement)"
@@ -184,4 +171,4 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
          stage "verify" (fun () -> verify_layout ~what layout);
          stage "lvs" (fun () -> lvs_layout ~what layout)
        end;
-       analyze_layout ~tech ?sign_mode ?theta ~style ~elapsed layout)
+       analyze_layout ~tech ?sign_mode ?theta ~style layout)

@@ -44,34 +44,9 @@ type t = {
   wake : Condition.t;                      (* work arrived or stopping *)
   mutable stop : bool;                     (* guarded by [mutex] *)
   mutable workers : unit Domain.t list;
-  mutable batches : int;                   (* parallel batches submitted;
-                                              guarded by [mutex] *)
-  mutable chunks : int;                    (* chunks those batches enqueued;
-                                              guarded by [mutex] *)
 }
-
-let size t = t.size
 
 let worker_count t = List.length t.workers
-
-type stats = {
-  requested : int;
-  workers : int;
-  degraded : bool;
-  batches : int;
-  chunks : int;
-}
-
-let stats t =
-  Mutex.lock t.mutex;
-  let batches = t.batches and chunks = t.chunks in
-  Mutex.unlock t.mutex;
-  let workers = worker_count t in
-  { requested = t.size;
-    workers;
-    degraded = workers < t.size - 1;
-    batches;
-    chunks }
 
 (* Worker loop: drain the queue; on empty, exit if stopping else wait.
    Tasks are exception-barriered closures, so [task ()] never raises. *)
@@ -108,9 +83,7 @@ let create ~jobs =
       work = Queue.create ();
       wake = Condition.create ();
       stop = false;
-      workers = [];
-      batches = 0;
-      chunks = 0 }
+      workers = [] }
   in
   (* Degrade gracefully: keep whatever spawned before the limit hit.
      [Domain.spawn] signals domain exhaustion as [Failure]; that one case
@@ -127,8 +100,7 @@ let create ~jobs =
      done
    with Failure _ -> ());
   (* Degraded spawn is otherwise silent: surface the missing concurrency
-     through the registry (when a metric scope is collecting) and leave
-     the per-pool figure readable via [stats]. *)
+     through the registry (when a metric scope is collecting). *)
   let missing = jobs - 1 - worker_count t in
   if missing > 0 then
     Telemetry.Metrics.incr ~n:missing "sched/pool-degraded";
@@ -234,8 +206,6 @@ let map t f xs =
       lo := hi;
       incr ci
     done;
-    t.batches <- t.batches + 1;
-    t.chunks <- t.chunks + nchunks;
     Condition.broadcast t.wake;
     (* The caller drains the queue too; it only sleeps when every
        outstanding chunk is running in some other domain — that sleep is

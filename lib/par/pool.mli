@@ -27,38 +27,14 @@ type t
 type task_error = {
   index : int;           (** position of the task in the submitted list *)
   exn : exn;             (** the exception the task raised *)
-  backtrace : string;    (** its backtrace — {!create} enables recording
-                             on the caller and every worker domain, so
-                             pool-run tasks always capture one *)
+  backtrace : string;    (** its backtrace — pool creation enables
+                             recording on the caller and every worker
+                             domain, so pool-run tasks always capture
+                             one *)
 }
 
 (** Raised by [map_exn] / [map_list_exn] for the first failed slot. *)
 exception Task_failed of task_error
-
-(** [create ~jobs] spawns [jobs - 1] workers.  Raises [Invalid_argument]
-    when [jobs < 1].  Also turns exception-backtrace recording on (caller
-    and workers), and records any spawn shortfall in the
-    [sched/pool-degraded] metric when a {!Telemetry.Metrics} scope is
-    collecting. *)
-val create : jobs:int -> t
-
-(** The requested concurrency (including the submitting domain). *)
-val size : t -> int
-
-(** Worker domains actually alive — [size - 1] unless spawn degraded. *)
-val worker_count : t -> int
-
-(** Achieved-vs-requested concurrency and lifetime batch counters, so
-    long-lived callers (serve, bench) can detect a degraded pool. *)
-type stats = {
-  requested : int;   (** the [jobs] passed to {!create} *)
-  workers : int;     (** worker domains actually spawned *)
-  degraded : bool;   (** [workers < requested - 1] *)
-  batches : int;     (** parallel (non-serial-fallback) batches run *)
-  chunks : int;      (** work chunks those batches enqueued *)
-}
-
-val stats : t -> stats
 
 (** [map t f xs] runs [f] over [xs] on the pool; result [i] is in slot
     [i].  Reentrant: tasks may themselves call [map] on [t]. *)
@@ -68,11 +44,13 @@ val map : t -> ('a -> 'b) -> 'a list -> ('b, task_error) result list
     {!Task_failed} (after the whole batch completed). *)
 val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [shutdown t] stops the workers after the queue drains and joins
-    them.  The pool must not be used afterwards. *)
-val shutdown : t -> unit
-
-(** [with_ ~jobs f] is [f (create ~jobs)] with a guaranteed shutdown. *)
+(** [with_ ~jobs f] spawns [jobs - 1] workers, runs [f] on the pool, and
+    then stops and joins the workers once the queue drains, whether [f]
+    returns or raises; the pool must not be used after [f].  Raises
+    [Invalid_argument] when [jobs < 1].  Also turns exception-backtrace
+    recording on (caller and workers), and records any spawn shortfall
+    in the [sched/pool-degraded] metric when a {!Telemetry.Metrics}
+    scope is collecting. *)
 val with_ : jobs:int -> (t -> 'a) -> 'a
 
 (** [map_list ?jobs f xs] is the one-shot form: resolve [jobs] via

@@ -64,15 +64,6 @@ let observe (p : Policy.t) (r : Record.t) =
   | "qor/sched_caller_blocked_s" ->
     if Float.is_nan r.Record.sched_caller_blocked_s then None
     else Some (Policy.Scalar r.Record.sched_caller_blocked_s)
-  | "qor/serve_throughput_rps" ->
-    if Float.is_nan r.Record.serve_throughput_rps then None
-    else Some (Policy.Scalar r.Record.serve_throughput_rps)
-  | "qor/serve_p95_ms" ->
-    if Float.is_nan r.Record.serve_p95_ms then None
-    else Some (Policy.Scalar r.Record.serve_p95_ms)
-  | "qor/serve_hit_rate" ->
-    if Float.is_nan r.Record.serve_hit_rate then None
-    else Some (Policy.Scalar r.Record.serve_hit_rate)
   | "qor/verify_rules" -> Some (Policy.Set r.Record.verify_rules)
   | "qor/lvs_rules" -> Some (Policy.Set r.Record.lvs_rules)
   | "qor/tech_hash" -> Some (Policy.Set [ r.Record.tech_hash ])

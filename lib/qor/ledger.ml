@@ -1,9 +1,8 @@
 module Json = Telemetry.Json
 
 (* Appends take an advisory whole-file lock (lockf at offset 0 right
-   after open, before any write): concurrent appenders — serve daemon
-   requests, a parallel `make bench`, several processes sharing one
-   ledger — serialise on it, so JSONL lines never interleave partially.
+   after open, before any write): concurrent appenders — a parallel
+   `make bench`, several processes sharing one ledger — serialise on it, so JSONL lines never interleave partially.
    The lock is released by the close in [finally]; within one process,
    O_APPEND single-write atomicity already keeps domains whole-line. *)
 let append ~path record =

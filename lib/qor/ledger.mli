@@ -3,9 +3,9 @@
 
     Appending never rewrites history — the file is opened in append mode
     and each append holds an advisory whole-file lock ([lockf]) for the
-    duration of its single-line write, so concurrent recorders — a serve
-    daemon, a parallel [make bench], several processes sharing one
-    ledger — interleave whole lines, never fragments.  Loading is
+    duration of its single-line write, so concurrent recorders — a
+    parallel [make bench], several processes sharing one ledger —
+    interleave whole lines, never fragments.  Loading is
     tolerant: lines that fail to parse are skipped and reported, not
     fatal, because a ledger is a log and a log survives partial
     corruption. *)

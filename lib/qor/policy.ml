@@ -226,30 +226,6 @@ let catalogue =
       kind = Rel { tol = 1.0; floor = 0.05; repeat_aware = true };
       sense = Lower_better;
       severity = Verify.Rule.Warning };
-    (* Serve metrics exist only in records decorated by the bench serve
-       load generator.  Throughput and latency are machine-dependent
-       wall-clock figures, so they get the generous relative Warnings;
-       the cache hit-rate is a property of the mix and the cache key, so
-       its tolerance is tight — losing hits means the content address
-       changed or the cache stopped working. *)
-    { id = "qor/serve_throughput_rps";
-      metric = "serve throughput";
-      unit_ = "req/s";
-      kind = Rel { tol = 0.5; floor = 10.0; repeat_aware = false };
-      sense = Higher_better;
-      severity = Verify.Rule.Warning };
-    { id = "qor/serve_p95_ms";
-      metric = "serve p95 latency";
-      unit_ = "ms";
-      kind = Rel { tol = 1.0; floor = 0.5; repeat_aware = false };
-      sense = Lower_better;
-      severity = Verify.Rule.Warning };
-    { id = "qor/serve_hit_rate";
-      metric = "serve cache hit-rate";
-      unit_ = "1";
-      kind = Rel { tol = 0.1; floor = 0.02; repeat_aware = false };
-      sense = Higher_better;
-      severity = Verify.Rule.Warning };
     { id = "qor/verify_rules";
       metric = "verify rule ids";
       unit_ = "1";

@@ -94,3 +94,15 @@ let of_json j =
   { timestamp_s = num "timestamp_s" 0.;
     host = str "host" "";
     git_commit = Option.bind (Json.member "git_commit" j) Json.to_str }
+
+let changelog = "1.14.0"
+
+let server () =
+  let p = capture () in
+  let commit =
+    match p.git_commit with
+    | Some c ->
+      Printf.sprintf " commit=%s" (String.sub c 0 (min 8 (String.length c)))
+    | None -> ""
+  in
+  Printf.sprintf "ccdac/%s host=%s%s" changelog p.host commit

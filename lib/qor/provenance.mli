@@ -21,3 +21,13 @@ val to_json : t -> Telemetry.Json.t
 (** Total: missing fields decay to [0.] / [""] / [None], never an error —
     provenance must not make an old ledger unreadable. *)
 val of_json : Telemetry.Json.t -> t
+
+(** The release this tree is: the newest [## x.y.z] heading of
+    CHANGELOG.md, e.g. ["1.14.0"].  Bumped by hand with each CHANGELOG
+    entry; a test checks the two agree. *)
+val changelog : string
+
+(** [server ()] is ["ccdac/<version> host=<host> commit=<sha8>"] (commit
+    omitted outside a git checkout), built from {!capture} — cheap, no
+    subprocess.  It is what [ccgen version] prints. *)
+val server : unit -> string

@@ -31,11 +31,6 @@ type t = {
   sched_utilization : float;
   sched_queue_depth_max : int;
   sched_caller_blocked_s : float;
-  serve_requests : int;
-  serve_throughput_rps : float;
-  serve_p50_ms : float;
-  serve_p95_ms : float;
-  serve_hit_rate : float;
   provenance : Provenance.t;
 }
 
@@ -132,11 +127,6 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
     sched_utilization = Float.nan;
     sched_queue_depth_max = 0;
     sched_caller_blocked_s = Float.nan;
-    serve_requests = 0;
-    serve_throughput_rps = Float.nan;
-    serve_p50_ms = Float.nan;
-    serve_p95_ms = Float.nan;
-    serve_hit_rate = Float.nan;
     provenance = Provenance.capture () }
 
 (* Scaling-probe decoration (bench scaling / ccgen scale): the fitted
@@ -151,17 +141,6 @@ let with_scaling ?(stage_exponent = []) ?(sched_utilization = Float.nan)
     sched_utilization;
     sched_queue_depth_max;
     sched_caller_blocked_s }
-
-(* Serve-bench decoration (bench serve): what the load generator saw.  A
-   plain flow record keeps the neutral "not sampled" defaults, so ledger
-   rows without a serve run stay unsampled for the qor/serve_* policies. *)
-let with_serve ~requests ~throughput_rps ~p50_ms ~p95_ms ~hit_rate t =
-  { t with
-    serve_requests = requests;
-    serve_throughput_rps = throughput_rps;
-    serve_p50_ms = p50_ms;
-    serve_p95_ms = p95_ms;
-    serve_hit_rate = hit_rate }
 
 let to_json t =
   Json.Obj
@@ -199,11 +178,6 @@ let to_json t =
       ( "sched_queue_depth_max",
         Json.Num (float_of_int t.sched_queue_depth_max) );
       ("sched_caller_blocked_s", Json.Num t.sched_caller_blocked_s);
-      ("serve_requests", Json.Num (float_of_int t.serve_requests));
-      ("serve_throughput_rps", Json.Num t.serve_throughput_rps);
-      ("serve_p50_ms", Json.Num t.serve_p50_ms);
-      ("serve_p95_ms", Json.Num t.serve_p95_ms);
-      ("serve_hit_rate", Json.Num t.serve_hit_rate);
       ("provenance", Provenance.to_json t.provenance) ]
 
 let of_json j =
@@ -270,11 +244,6 @@ let of_json j =
         sched_utilization = num "sched_utilization" Float.nan;
         sched_queue_depth_max = int "sched_queue_depth_max" 0;
         sched_caller_blocked_s = num "sched_caller_blocked_s" Float.nan;
-        serve_requests = int "serve_requests" 0;
-        serve_throughput_rps = num "serve_throughput_rps" Float.nan;
-        serve_p50_ms = num "serve_p50_ms" Float.nan;
-        serve_p95_ms = num "serve_p95_ms" Float.nan;
-        serve_hit_rate = num "serve_hit_rate" Float.nan;
         provenance =
           (match Json.member "provenance" j with
            | Some p -> Provenance.of_json p

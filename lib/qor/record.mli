@@ -53,15 +53,6 @@ type t = {
   sched_caller_blocked_s : float;
                                (** caller time asleep on batch barriers
                                    ([nan] when not recorded) *)
-  serve_requests : int;        (** requests replayed by a [bench serve]
-                                   run (0 for a plain flow record) *)
-  serve_throughput_rps : float;
-                               (** client-observed requests per second
-                                   ([nan] when not a serve row) *)
-  serve_p50_ms : float;        (** median request latency, ms *)
-  serve_p95_ms : float;        (** 95th-percentile request latency, ms *)
-  serve_hit_rate : float;      (** result-cache hit fraction of the ok
-                                   responses, in [0, 1] *)
   provenance : Provenance.t;
 }
 
@@ -94,20 +85,6 @@ val with_scaling :
   ?sched_utilization:float ->
   ?sched_queue_depth_max:int ->
   ?sched_caller_blocked_s:float ->
-  t ->
-  t
-
-(** [with_serve ~requests ~throughput_rps ~p50_ms ~p95_ms ~hit_rate t]
-    decorates a record with what a [bench serve] load generator measured
-    ({!Serve.Loadgen} in the serve library); plain flow records keep the
-    neutral "not sampled" defaults and stay unsampled for the
-    qor/serve_* policies. *)
-val with_serve :
-  requests:int ->
-  throughput_rps:float ->
-  p50_ms:float ->
-  p95_ms:float ->
-  hit_rate:float ->
   t ->
   t
 

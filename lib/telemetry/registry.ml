@@ -14,9 +14,6 @@ let definitions =
     m ~id:"flow/runs_total" ~kind:Metric.Counter ~stage:"flow" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Completed Flow.run / Flow.run_placement invocations.";
-    m ~id:"flow/stage_seconds" ~kind:Metric.Gauge ~stage:"flow" ~unit_:"s"
-      ~cardinality:"per stage (place, route, verify, lvs, extract, analyse)"
-      ~doc:"Monotonic wall time of the last run's stage.";
     (* place *)
     m ~id:"place/cells" ~kind:Metric.Gauge ~stage:"place" ~unit_:"1"
       ~cardinality:"1"
@@ -133,38 +130,7 @@ let definitions =
     m ~id:"sched/pool-degraded" ~kind:Metric.Counter ~stage:"sched" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Worker domains requested but not spawned (Domain.spawn hit the \
-            domain limit); Pool.stats carries the same signal per pool.";
-    (* serve: placement-as-a-service daemon (docs/SERVE.md) *)
-    m ~id:"serve/accepted_total" ~kind:Metric.Counter ~stage:"serve"
-      ~unit_:"1" ~cardinality:"1"
-      ~doc:"Requests that parsed, validated and entered the queue.";
-    m ~id:"serve/rejected_total" ~kind:Metric.Counter ~stage:"serve"
-      ~unit_:"1"
-      ~cardinality:
-        "per reason (malformed, invalid-request, verify-rejected, \
-         queue-full, internal-error)"
-      ~doc:"Requests answered with an error or busy response, by the \
-            structured error code.";
-    m ~id:"serve/cache_hits_total" ~kind:Metric.Counter ~stage:"serve"
-      ~unit_:"1" ~cardinality:"1"
-      ~doc:"Requests served from the content-addressed result cache.";
-    m ~id:"serve/cache_misses_total" ~kind:Metric.Counter ~stage:"serve"
-      ~unit_:"1" ~cardinality:"1"
-      ~doc:"Requests that had to compute a fresh flow run.";
-    m ~id:"serve/cache_entries" ~kind:Metric.Gauge ~stage:"serve" ~unit_:"1"
-      ~cardinality:"1"
-      ~doc:"In-memory result-cache entries after the last store.";
-    m ~id:"serve/in_flight" ~kind:Metric.Gauge ~stage:"serve" ~unit_:"1"
-      ~cardinality:"1"
-      ~doc:"Requests currently being computed (batch in progress).";
-    m ~id:"serve/queue_depth" ~kind:Metric.(Histogram depth_buckets)
-      ~stage:"serve" ~unit_:"1" ~cardinality:"1"
-      ~doc:"Accepted-but-not-yet-scheduled requests observed at each \
-            enqueue.";
-    m ~id:"serve/request_us" ~kind:Metric.(Histogram time_us_buckets)
-      ~stage:"serve" ~unit_:"us" ~cardinality:"1"
-      ~doc:"Per-request service time, arrival to response line (cache \
-            hits included).";
+            domain limit); the pool then runs on the domains it got.";
     (* qor *)
     m ~id:"qor/records_total" ~kind:Metric.Counter ~stage:"qor" ~unit_:"1"
       ~cardinality:"1"

@@ -112,8 +112,9 @@ let[@inline never] deep_raise i =
   if i >= 0 then failwith "sched backtrace probe" else ignore i
 
 let test_pool_backtrace () =
-  (* create enables backtrace recording on caller and workers, so the
-     error slot's backtrace is non-empty whichever domain ran the task *)
+  (* pool creation enables backtrace recording on caller and workers, so
+     the error slot's backtrace is non-empty whichever domain ran the
+     task *)
   Par.Pool.with_ ~jobs:3 @@ fun pool ->
   let results =
     Par.Pool.map pool (fun i -> deep_raise i) (List.init 8 Fun.id)
@@ -126,27 +127,6 @@ let test_pool_backtrace () =
          Alcotest.(check bool) "backtrace captured" true
            (String.length (String.trim e.Par.Pool.backtrace) > 0))
     results
-
-(* --- Pool: stats (degraded-spawn detection + lifetime counters) --- *)
-
-let test_pool_stats () =
-  Par.Pool.with_ ~jobs:3 @@ fun pool ->
-  let s0 = Par.Pool.stats pool in
-  Alcotest.(check int) "requested" 3 s0.Par.Pool.requested;
-  Alcotest.(check int) "workers" (Par.Pool.worker_count pool)
-    s0.Par.Pool.workers;
-  (* spawn succeeds in-test, so the pool must not report degradation *)
-  Alcotest.(check bool) "not degraded" false s0.Par.Pool.degraded;
-  Alcotest.(check int) "no batches yet" 0 s0.Par.Pool.batches;
-  ignore (Par.Pool.map_exn pool (fun i -> i) (List.init 20 Fun.id));
-  ignore (Par.Pool.map_exn pool (fun i -> i) (List.init 20 Fun.id));
-  let s = Par.Pool.stats pool in
-  Alcotest.(check int) "two batches" 2 s.Par.Pool.batches;
-  Alcotest.(check bool) "chunks accumulated" true (s.Par.Pool.chunks >= 2);
-  (* single-item batches fall back to serial and are not counted *)
-  ignore (Par.Pool.map_exn pool (fun i -> i) [ 1 ]);
-  Alcotest.(check int) "serial fallback uncounted" 2
-    (Par.Pool.stats pool).Par.Pool.batches
 
 (* --- Pool: reentrancy (nested map on one pool must not deadlock) --- *)
 
@@ -309,7 +289,6 @@ let () =
           Alcotest.test_case "map_exn raises first" `Quick
             test_pool_map_exn_raises;
           Alcotest.test_case "task backtraces" `Quick test_pool_backtrace;
-          Alcotest.test_case "stats" `Quick test_pool_stats;
           Alcotest.test_case "nested map" `Quick test_pool_nested;
           Alcotest.test_case "metrics inheritance" `Quick
             test_pool_metrics_inheritance;

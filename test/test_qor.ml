@@ -1,9 +1,29 @@
 (* Tests for the QoR observability layer: records and their JSONL
-   round-trip (including schema skew), the tolerance policies, the
-   regression sentinel end-to-end, per-element attribution invariants,
-   and histogram quantiles. *)
+   round-trip (including schema skew and the committed ledger and
+   baseline), the ledger's advisory append lock under concurrent writer
+   processes, the release version against CHANGELOG.md, the tolerance
+   policies, the regression sentinel end-to-end, per-element attribution
+   invariants, and histogram quantiles.
+
+   The ledger writers are real child processes: the test re-execs its
+   own binary with a sentinel argv (forking an OCaml 5 runtime is unsafe
+   once domains exist). *)
 
 let tech = Tech.Process.finfet_12nm
+
+(* child mode: [ledger-child PATH COUNT] appends COUNT records, then
+   exits before Alcotest runs *)
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: "ledger-child" :: path :: count :: _ ->
+    let record =
+      Qor.Record.of_result (Ccdac.Flow.run ~tech ~bits:2 Ccplace.Style.Spiral)
+    in
+    for _ = 1 to int_of_string count do
+      Qor.Ledger.append ~path record
+    done;
+    exit 0
+  | _ -> ()
 
 (* one shared flow result; every QoR artefact derives from it *)
 let result = lazy (Ccdac.Flow.run ~tech ~bits:6 Ccplace.Style.Spiral)
@@ -65,6 +85,22 @@ let test_record_json_roundtrip () =
       (List.length r.Qor.Record.stage_s)
       (List.length r'.Qor.Record.stage_s)
 
+let record_text r = Telemetry.Json.to_string (Qor.Record.to_json r)
+
+(* [r] as an older schema wrote it for a service-decorated row: its
+   fields plus the five serve_* figures this schema no longer carries *)
+let with_retired_serve_keys r =
+  match Qor.Record.to_json r with
+  | Telemetry.Json.Obj fields ->
+    Telemetry.Json.Obj
+      (fields
+       @ [ ("serve_requests", Telemetry.Json.Num 10_000.);
+           ("serve_throughput_rps", Telemetry.Json.Num 25000.);
+           ("serve_p50_ms", Telemetry.Json.Num 1.5);
+           ("serve_p95_ms", Telemetry.Json.Num 2.5);
+           ("serve_hit_rate", Telemetry.Json.Num 0.99) ])
+  | _ -> Alcotest.fail "a record serialises to an object"
+
 (* A record written by an older (or newer) schema parses: missing
    scalars decay to NaN, counts to 0, sets to [] — never an exception. *)
 let test_record_schema_skew () =
@@ -85,6 +121,16 @@ let test_record_schema_skew () =
      Alcotest.(check int) "missing count is 0" 0 r.Qor.Record.via_cuts;
      Alcotest.(check (list string)) "missing set is []" []
        r.Qor.Record.verify_rules);
+  (* the serve_* figures this schema no longer carries: a row that has
+     them parses to the same record as one without them *)
+  let r = Lazy.force record in
+  (match Qor.Record.of_json (with_retired_serve_keys r) with
+   | Error e -> Alcotest.failf "row with retired keys rejected: %s" e
+   | Ok r' ->
+     Alcotest.(check string) "retired keys ignored" (record_text r)
+       (record_text r');
+     Alcotest.(check bool) "not written back" false
+       (contains (record_text r') "serve_"));
   match Qor.Record.of_json (Telemetry.Json.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-object record should not parse"
@@ -130,6 +176,97 @@ let test_baseline_roundtrip () =
   match Qor.Baseline.load ~path:"/nonexistent/baseline.json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing baseline should be an Error"
+
+(* Advisory lock: 4 writer processes x 20 appends interleave whole
+   lines, never fragments. *)
+let test_ledger_concurrent_appends () =
+  let path = Filename.temp_file "qor_ledger" ".jsonl" in
+  Sys.remove path;
+  let writers = 4 and per_writer = 20 in
+  let exe = Sys.executable_name in
+  let pids =
+    List.init writers (fun _ ->
+        Unix.create_process exe
+          [| exe; "ledger-child"; path; string_of_int per_writer |]
+          Unix.stdin Unix.stdout Unix.stderr)
+  in
+  List.iter
+    (fun pid ->
+       match Unix.waitpid [] pid with
+       | _, Unix.WEXITED code -> Alcotest.(check int) "writer exit" 0 code
+       | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+         Alcotest.failf "writer stopped by signal %d" s)
+    pids;
+  let records, complaints = Qor.Ledger.load ~path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "no torn lines" [] complaints;
+  Alcotest.(check int) "every append landed" (writers * per_writer)
+    (List.length records)
+
+(* A service-decorated row from an older schema survives the ledger: it
+   loads without complaint to the record it decorated, and appending
+   that record back writes the same row minus the retired keys. *)
+let test_ledger_serve_row_roundtrip () =
+  let path = temp_path ".jsonl" in
+  let r = Lazy.force record in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Telemetry.Json.to_string (with_retired_serve_keys r) ^ "\n"));
+  let records, complaints = Qor.Ledger.load ~path in
+  Alcotest.(check (list string)) "clean parse" [] complaints;
+  match records with
+  | [ back ] ->
+    Alcotest.(check string) "decorated record" (record_text r)
+      (record_text back);
+    Qor.Ledger.append ~path back;
+    let records, complaints = Qor.Ledger.load ~path in
+    Alcotest.(check (list string)) "clean reparse" [] complaints;
+    Alcotest.(check (list string)) "rows agree"
+      [ record_text r; record_text r ]
+      (List.map record_text records);
+    let lines = In_channel.with_open_text path In_channel.input_lines in
+    Alcotest.(check (list bool)) "retired keys not written back"
+      [ true; false ]
+      (List.map (fun l -> contains l "serve_") lines)
+  | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
+
+(* The committed QoR files load as they stand, rows written by older
+   schemas (retired serve_* keys included) among them: one record per
+   ledger line, one per baseline entry, no complaint. *)
+let test_committed_files () =
+  let ledger = "../qor_ledger.jsonl" in
+  let lines =
+    In_channel.with_open_text ledger In_channel.input_lines
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let records, complaints = Qor.Ledger.load ~path:ledger in
+  Alcotest.(check (list string)) "ledger complaints" [] complaints;
+  Alcotest.(check int) "one record per ledger line" (List.length lines)
+    (List.length records);
+  Alcotest.(check bool) "ledger has rows with retired keys" true
+    (List.exists (fun l -> contains l "\"serve_requests\"") lines);
+  match Qor.Baseline.load ~path:"../BENCH_baseline.json" with
+  | Error e -> Alcotest.failf "committed baseline: %s" e
+  | Ok records ->
+    (* 4 styles x {6, 8} bits *)
+    Alcotest.(check int) "baseline records" 8 (List.length records)
+
+(* --- release version --- *)
+
+(* The hand-bumped version constant names the newest CHANGELOG.md
+   release: the first "## x.y.z" heading. *)
+let test_version_matches_changelog () =
+  let heading =
+    In_channel.with_open_text "../CHANGELOG.md" In_channel.input_lines
+    |> List.find_map (fun l ->
+        if String.starts_with ~prefix:"## " l then
+          match String.split_on_char ' ' l with
+          | _ :: v :: _ -> Some v
+          | _ -> None
+        else None)
+  in
+  Alcotest.(check (option string)) "newest CHANGELOG release" heading
+    (Some Qor.Provenance.changelog)
 
 (* --- tolerance policies --- *)
 
@@ -602,7 +739,16 @@ let () =
         [ Alcotest.test_case "roundtrip + corruption" `Quick
             test_ledger_roundtrip;
           Alcotest.test_case "baseline roundtrip" `Quick
-            test_baseline_roundtrip ] );
+            test_baseline_roundtrip;
+          Alcotest.test_case "concurrent appends keep whole lines" `Quick
+            test_ledger_concurrent_appends;
+          Alcotest.test_case "serve row roundtrip" `Quick
+            test_ledger_serve_row_roundtrip;
+          Alcotest.test_case "committed files load" `Quick
+            test_committed_files ] );
+      ( "provenance",
+        [ Alcotest.test_case "version matches CHANGELOG" `Quick
+            test_version_matches_changelog ] );
       ( "policy",
         [ Alcotest.test_case "relative thresholds" `Quick
             test_policy_rel_thresholds;

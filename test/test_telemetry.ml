@@ -93,12 +93,12 @@ let test_metrics_counter_gauge () =
     T.Metrics.collect (fun () ->
         T.Metrics.incr "flow/runs_total";
         T.Metrics.incr ~n:2 "flow/runs_total";
-        T.Metrics.set ~label:"place" "flow/stage_seconds" 0.25;
-        T.Metrics.set ~label:"place" "flow/stage_seconds" 0.5)
+        T.Metrics.set ~label:"C0" "extract/via_cuts" 0.25;
+        T.Metrics.set ~label:"C0" "extract/via_cuts" 0.5)
   in
   Alcotest.(check int) "counter sums" 3 (T.Metrics.counter dump "flow/runs_total");
   Alcotest.(check (option (float 1e-12))) "gauge keeps last" (Some 0.5)
-    (T.Metrics.gauge ~label:"place" dump "flow/stage_seconds");
+    (T.Metrics.gauge ~label:"C0" dump "extract/via_cuts");
   Alcotest.(check int) "unlabelled series distinct" 0
     (T.Metrics.counter ~label:"zzz" dump "flow/runs_total")
 
@@ -161,7 +161,7 @@ let test_registry_catalogue () =
   Alcotest.(check bool) "core ids present" true
     (List.for_all
        (fun id -> List.mem id ids)
-       [ "flow/stage_seconds"; "route/vias"; "extract/via_cuts";
+       [ "flow/runs_total"; "route/vias"; "extract/via_cuts";
          "rcnet/elmore_solves_total"; "verify/rule_fired_total" ])
 
 (* --- JSON --- *)
@@ -351,13 +351,7 @@ let test_flow_metrics_recorded () =
   Alcotest.(check bool) "elmore solves counted" true
     (T.Metrics.counter m "rcnet/elmore_solves_total" > 0);
   Alcotest.(check bool) "verify rules audited" true
-    (T.Metrics.counter ~label:"layout" m "verify/checks_total" > 0);
-  (* all five stage gauges present *)
-  List.iter
-    (fun stage ->
-       Alcotest.(check bool) (stage ^ " stage gauge") true
-         (Option.is_some (T.Metrics.gauge ~label:stage m "flow/stage_seconds")))
-    flow_stages
+    (T.Metrics.counter ~label:"layout" m "verify/checks_total" > 0)
 
 let test_summary_empty_placeholder () =
   Alcotest.(check (list string)) "no stages" []
