@@ -613,7 +613,7 @@ let ablation () =
   let transient =
     Rcnet.Transient.slowest_settling_fs net.Extract.Netbuild.tree
       ~root:net.Extract.Netbuild.root ~vstep:1. ~tolerance
-      ~over:(List.map snd net.Extract.Netbuild.cell_nodes)
+      ~over:(Array.to_list net.Extract.Netbuild.cell_nodes)
   in
   Printf.printf
     "  Eq. 15 from Elmore: %.0f fs; backward-Euler to 1/4 LSB: %.0f fs (ratio %.2f)\n"

@@ -47,12 +47,25 @@ let verify_layout ~what (layout : Ccroute.Layout.t) =
 (* The LVS gate: whole-layout connectivity extraction against the
    intended netlist.  Runs after the rule linter (and, like it, outside
    the Table III place+route clock); a defect raises
-   [Verify.Engine.Rejected] through the same reporting path. *)
+   [Verify.Engine.Rejected] through the same reporting path.  Its
+   cross-check builds every net's RC tree; the worst-cell Elmore delays
+   it returns are all the extraction stage needs of those trees. *)
 let lvs_layout ~what layout =
-  Verify.Engine.assert_clean ~what (Lvs.Check.check layout)
+  let r = Lvs.Check.run layout in
+  Verify.Engine.assert_clean ~what r.Lvs.Check.diagnostics;
+  r.Lvs.Check.elmore_fs
 
-let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
-    ~bits style =
+(* The verify and LVS gates of one layout, when [verify]: [Some] of the
+   LVS Elmore delays, [None] when the gates are off. *)
+let gates ~verify ~what layout =
+  if verify then begin
+    stage "verify" (fun () -> verify_layout ~what layout);
+    Some (stage "lvs" (fun () -> lvs_layout ~what layout))
+  end
+  else None
+
+(* place + route + gates; also the LVS Elmore delays, for [run] *)
+let place_route_gated ~tech ?parallel ~verify ~bits style =
   let parallel =
     Option.value parallel ~default:(default_parallel ~bits style)
   in
@@ -65,26 +78,34 @@ let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
   (* Table III measurement: the clock stops before the verification gate
      runs, so linting never skews place+route timings. *)
   let t1 = Telemetry.Clock.now_ns () in
-  if verify then begin
-    let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-    stage "verify" (fun () -> verify_layout ~what layout);
-    stage "lvs" (fun () -> lvs_layout ~what layout)
-  end;
+  let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
+  let elmore_fs = gates ~verify ~what layout in
   let elapsed = Telemetry.Clock.to_s (Int64.sub t1 t0) in
   Log.debug (fun m ->
       m "%s %d-bit: place+route %.3f ms (%d groups, %d tracks)"
         (Ccplace.Style.name style) bits (1e3 *. elapsed)
         (List.length layout.Ccroute.Layout.groups)
         (Ccroute.Plan.total_tracks layout.Ccroute.Layout.plan));
+  (layout, elapsed, elmore_fs)
+
+let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
+    ~bits style =
+  let layout, elapsed, _ =
+    place_route_gated ~tech ?parallel ~verify ~bits style
+  in
   (layout, elapsed)
 
 (* analysis shared by [run] and [run_placement]; [recorded] fills the
-   telemetry and the Table III runtime *)
-let analyze_layout ~tech ?sign_mode ?theta ~style layout =
+   telemetry and the Table III runtime.  [elmore_fs] is [Some] when the
+   LVS gate already built the nets. *)
+let analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout =
   let placement = layout.Ccroute.Layout.placement in
   let bits = placement.Ccgrid.Placement.bits in
   let parasitics =
-    stage "extract" (fun () -> Extract.Parasitics.extract layout)
+    stage "extract" (fun () ->
+        match elmore_fs with
+        | Some elmore_fs -> Extract.Parasitics.with_elmore layout ~elmore_fs
+        | None -> Extract.Parasitics.extract layout)
   in
   let covariance, nonlinearity =
     stage "analyse" (fun () ->
@@ -126,16 +147,18 @@ let recorded ~attrs f =
     telemetry;
     elapsed_place_route_s = Telemetry.Summary.place_route_seconds telemetry }
 
-let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?verify ?sign_mode ?theta
-    ~bits style =
+let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
+    ?sign_mode ?theta ~bits style =
   recorded
     ~attrs:
       [ ("style", Telemetry.Span.Str (Ccplace.Style.name style));
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let layout, _ = place_route ~tech ?parallel ?verify ~bits style in
-       analyze_layout ~tech ?sign_mode ?theta ~style layout)
+       let layout, _, elmore_fs =
+         place_route_gated ~tech ?parallel ~verify ~bits style
+       in
+       analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout)
 
 let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
     ?(verify = true) ?sign_mode ?theta ?(style = Ccplace.Style.Spiral)
@@ -163,12 +186,9 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
          stage "route" (fun () ->
              Ccroute.Layout.route tech ~p_of_cap:parallel placement)
        in
-       if verify then begin
-         let what =
-           Printf.sprintf "%s %d-bit (prebuilt placement)"
-             placement.Ccgrid.Placement.style_name bits
-         in
-         stage "verify" (fun () -> verify_layout ~what layout);
-         stage "lvs" (fun () -> lvs_layout ~what layout)
-       end;
-       analyze_layout ~tech ?sign_mode ?theta ~style layout)
+       let what =
+         Printf.sprintf "%s %d-bit (prebuilt placement)"
+           placement.Ccgrid.Placement.style_name bits
+       in
+       let elmore_fs = gates ~verify ~what layout in
+       analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout)

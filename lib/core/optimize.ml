@@ -5,13 +5,18 @@ type candidate = {
   mc : Dacmodel.Montecarlo.t;
 }
 
+(* A scaled cell side is drawn on the built-in techs' 1 nm grid: the
+   router halves cell pitches, and LVS rejects a coordinate off its
+   0.5 nm grid rather than snap it. *)
+let whole_nm um = Float.round (um *. 1000.) /. 1000.
+
 let scale_tech (tech : Tech.Process.t) ~unit_cap =
   if unit_cap <= 0. then invalid_arg "Optimize.scale_tech: unit_cap <= 0";
   let ratio = sqrt (unit_cap /. tech.Tech.Process.unit_cap) in
   { tech with
     Tech.Process.unit_cap;
-    cell_width = tech.Tech.Process.cell_width *. ratio;
-    cell_height = tech.Tech.Process.cell_height *. ratio }
+    cell_width = whole_nm (tech.Tech.Process.cell_width *. ratio);
+    cell_height = whole_nm (tech.Tech.Process.cell_height *. ratio) }
 
 let evaluate ?(tech = Tech.Process.finfet_12nm) ?(trials = 200) ?(bound = 0.5)
     ?jobs ~bits ~style ~unit_cap () =

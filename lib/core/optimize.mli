@@ -20,7 +20,9 @@ type candidate = {
 }
 
 (** [scale_tech tech ~unit_cap] derives a technology with the given C_u
-    and correspondingly scaled unit-cell geometry. *)
+    and correspondingly scaled unit-cell geometry, each cell side rounded
+    to a whole nanometre so the routed layout stays on the LVS grid
+    ({!Lvs.Shape}). *)
 val scale_tech : Tech.Process.t -> unit_cap:float -> Tech.Process.t
 
 (** [evaluate ?tech ?trials ?bound ?jobs ~bits ~style ~unit_cap ()] runs

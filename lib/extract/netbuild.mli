@@ -7,6 +7,13 @@
     every cell.  Parallel-wire bundles are collapsed into equivalent
     edges (R/p wires, R/p^2 vias, C*p).
 
+    A net is built on arrays, in two passes: the first creates the nodes,
+    the second walks the candidate edges stage by stage and keeps a
+    spanning tree.  Cell nodes are looked up in a grid-indexed array and
+    trunk nodes by their index in the trunk's sorted event heights; each
+    accepted edge's provenance is a few array slots.  Building formats
+    no strings and allocates no per-edge record.
+
     Every accepted tree edge carries {e provenance}: the physical parts
     (via stacks, wire segments, plate abutments) whose resistances sum to
     the edge resistance.  {!attribution} combines that provenance with
@@ -21,35 +28,27 @@ type part_kind =
   | Wire   (** routed metal on a named layer *)
   | Plate  (** abutting-finger (device-layer) conduction inside a group *)
 
-type part = {
-  pt_kind : part_kind;
-  pt_layer : string;   (** ["M1"], ["M3"], ["via"], ["plate"] *)
-  pt_r_ohm : float;
-}
-
-(** What a tree edge is (a trunk segment, a strap, a via, a bridge
-    segment or a plate abutment).  {!attribution} renders it as the
-    element label, e.g. ["trunk M3 ch2 y1.20->3.60"]; building a net
-    formats no strings. *)
-type edge
-
-(** Provenance of one tree edge, in {!Rcnet.Rctree.edges} insertion
-    order.  The parts' resistances sum exactly to the edge resistance. *)
-type edge_info = {
-  ei_edge : edge;
-  ei_parts : part list;
-}
+(** The physical parts of every tree edge, read only by {!attribution}. *)
+type provenance
 
 type t = {
   tree : Rcnet.Rctree.t;
-  root : Rcnet.Rctree.node;          (** driver *)
-  cell_nodes : (Cell.t * Rcnet.Rctree.node) list;
-  edge_infos : edge_info array;      (** indexed like {!Rcnet.Rctree.edges} *)
+  root : Rcnet.Rctree.node;                 (** driver *)
+  cells : Cell.t array;                     (** modelled unit cells *)
+  cell_nodes : Rcnet.Rctree.node array;     (** [cell_nodes.(i)] models
+                                                [cells.(i)]; in node order *)
+  provenance : provenance;
 }
 
-(** [build layout ~cap].  Raises [Invalid_argument] for a capacitor with
-    no routed net. *)
+(** [build layout ~cap].  Raises {!Verify.Engine.Rejected} ([lvs/open])
+    for a capacitor with no routed net, and [Invalid_argument] for a
+    capacitor id out of range. *)
 val build : Ccroute.Layout.t -> cap:int -> t
+
+(** [builder layout] is [build layout] for building several nets of one
+    layout: the grid-sized cell lookup is allocated once and shared by
+    every net it builds, so use one builder in one domain at a time. *)
+val builder : Ccroute.Layout.t -> cap:int -> t
 
 (** [worst_elmore_fs net] is the maximum Elmore delay from the driver to
     any unit-capacitor cell, femtoseconds. *)
@@ -68,10 +67,11 @@ type contribution = {
 }
 
 (** [attribution net] is [(worst_cell, delay_fs, contributions)]: the
-    unit-capacitor cell with the largest Elmore delay, that delay, and
-    the per-element decomposition whose [nb_delay_fs] sum to it exactly
-    (up to float association).  Contributions are in root-first path
-    order; an edge with several parts (e.g. an attach via plus its M1
-    stub) yields one contribution per part, splitting the edge delay
-    proportionally to part resistance. *)
+    unit-capacitor cell with the largest Elmore delay (the first in
+    [cells] order on a tie), that delay, and the per-element
+    decomposition whose [nb_delay_fs] sum to it exactly (up to float
+    association).  Contributions are in root-first path order; an edge
+    with several parts (e.g. an attach via plus its M1 stub) yields one
+    contribution per part, splitting the edge delay proportionally to
+    part resistance. *)
 val attribution : t -> Cell.t * float * contribution list

@@ -28,7 +28,7 @@ let total_resistance m = m.bm_via_resistance +. m.bm_wire_resistance
 
 let layer_of layout name = Tech.Process.layer layout.Layout.tech name
 
-let bit_metrics layout cap =
+let bit_metrics layout ~elmore_fs cap =
   let tech = layout.Layout.tech in
   (* Branch wires are abutting MOM fingers (device layers), not routing
      metal: they are excluded from the wirelength, capacitance and
@@ -71,7 +71,7 @@ let bit_metrics layout cap =
        | Some _ -> List.length net.Layout.cn_trunks
        | None -> 0)
   in
-  let net = Netbuild.build layout ~cap in
+  let elmore_fs = elmore_fs cap in
   if Telemetry.Metrics.enabled () then begin
     let label = Printf.sprintf "C%d" cap in
     Telemetry.Metrics.incr "extract/nets_total";
@@ -86,7 +86,7 @@ let bit_metrics layout cap =
     bm_via_resistance = via_resistance;
     bm_wire_resistance = wire_resistance;
     bm_wire_cap = wire_cap;
-    bm_elmore_fs = Netbuild.worst_elmore_fs net }
+    bm_elmore_fs = elmore_fs }
 
 (* sum C^BB: coupling between adjacent trunk tracks in the same channel,
    proportional to the overlap of their vertical extents (Sec. II-B). *)
@@ -120,7 +120,8 @@ let coupling_cap layout =
     layout.Layout.plan.Plan.track_caps;
   !total
 
-let extract layout =
+(* [elmore_fs cap] is capacitor [cap]'s worst-cell Elmore delay. *)
+let of_elmore layout elmore_fs =
   let bits = layout.Layout.placement.Ccgrid.Placement.bits in
   (* One capacitor at a time: a net extracts in about half a millisecond
      at 12 bits, and a pool batch cost more to schedule than it saved
@@ -129,7 +130,7 @@ let extract layout =
     Array.init (bits + 1) (fun cap ->
         Telemetry.Span.with_ ~name:"extract.bit"
           ~attrs:[ ("cap", Telemetry.Span.Int cap) ]
-          (fun () -> bit_metrics layout cap))
+          (fun () -> bit_metrics layout ~elmore_fs cap))
   in
   let total_wire_cap =
     Array.fold_left (fun acc m -> acc +. m.bm_wire_cap) 0. per_bit
@@ -160,3 +161,9 @@ let extract layout =
     critical_bit;
     critical_elmore_fs;
     area = layout.Layout.width *. layout.Layout.height }
+
+let extract layout =
+  let build = Netbuild.builder layout in
+  of_elmore layout (fun cap -> Netbuild.worst_elmore_fs (build ~cap))
+
+let with_elmore layout ~elmore_fs = of_elmore layout (Array.get elmore_fs)

@@ -36,9 +36,17 @@ type t = {
   area : float;                  (** routed-array area, um^2 *)
 }
 
-(** [extract layout] computes every metric.  Cost is dominated by the
-    per-bit Elmore analyses. *)
+(** [extract layout] computes every metric, building each capacitor's
+    RC tree ({!Netbuild.build}) for its Elmore delay.  Cost is dominated
+    by those builds and the per-bit Elmore analyses. *)
 val extract : Ccroute.Layout.t -> t
+
+(** [with_elmore layout ~elmore_fs] is {!extract} for a layout whose
+    nets were already built: [elmore_fs.(k)] is capacitor [k]'s
+    worst-cell Elmore delay ({!Netbuild.worst_elmore_fs}), as the LVS
+    cross-check reads it from the one build of each net.  No tree is
+    built. *)
+val with_elmore : Ccroute.Layout.t -> elmore_fs:float array -> t
 
 (** [total_resistance m] of a bit: [R_V + R_wire], ohm. *)
 val total_resistance : bit_metrics -> float

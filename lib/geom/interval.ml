@@ -18,7 +18,6 @@ let overlap_length a b =
 
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 let expand i by = { lo = i.lo -. by; hi = i.hi +. by }
-let overlaps ?(eps = 0.) a b = a.lo <= b.hi +. eps && b.lo <= a.hi +. eps
 
 let equal ?(eps = 1e-9) a b =
   Float.abs (a.lo -. b.lo) <= eps && Float.abs (a.hi -. b.hi) <= eps

@@ -30,9 +30,5 @@ val hull : t -> t -> t
     the result may be improper if [by < -length i / 2]). *)
 val expand : t -> float -> t
 
-(** [overlaps ?eps a b] holds when the closed intervals touch or overlap,
-    with [eps] slack at both ends ([eps] defaults to [0.]). *)
-val overlaps : ?eps:float -> t -> t -> bool
-
 val equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,47 +1,89 @@
-type seg = {
-  sid : int;
-  sx : Interval.t;
-  sy : Interval.t;
+type boxes = {
+  x0 : int array;
+  y0 : int array;
+  x1 : int array;
+  y1 : int array;
 }
 
-let box ~id sx sy = { sid = id; sx; sy }
+(* --- stable LSD radix sort of index arrays --- *)
 
-let segment ~id ~ax ~ay ~bx ~by =
-  box ~id (Interval.make ax bx) (Interval.make ay by)
+(* Scratch shared by every sort of one [contacts] call, at least as long
+   as the longest index array sorted: the keys aligned with the array
+   being sorted, a second key and index array to scatter into, and the
+   counts of one digit's buckets. *)
+type scratch = {
+  keys : int array;
+  keys' : int array;
+  idx' : int array;
+  digit : int;
+  count : int array;
+}
 
-(* Orientation of one shape under the tolerance: degenerate extents are
-   points, one live extent is a segment, two is a filled rectangle (not a
-   reserved-direction wire — rejected loudly). *)
-type class_ =
-  | Point
-  | Horiz
-  | Vert
+(* [scratch n range] serves sorts of up to [n] indices by keys spanning
+   at most [range].  The digit is as narrow as the passes that range
+   needs at 11 bits a pass allow: a layout under 2^16 units wide sorts in
+   two 8-bit passes, with a bucket array small enough for the minor
+   heap. *)
+let scratch n range =
+  let rec bits r = if r = 0 then 0 else 1 + bits (r lsr 1) in
+  let b = bits range in
+  let passes = Int.max 1 ((b + 10) / 11) in
+  let digit = Int.max 1 ((b + passes - 1) / passes) in
+  { keys = Array.make n 0; keys' = Array.make n 0; idx' = Array.make n 0;
+    digit; count = Array.make (1 lsl digit) 0 }
 
-let[@inline] width (i : Interval.t) = i.Interval.hi -. i.Interval.lo
+(* [sort_by sc idx key] reorders [idx] stably by [key.(i)] of each index
+   [i]: the keys are gathered once, offset by their minimum, and
+   scattered with their indices one digit at a time, low digit first,
+   for as many digits as the key range spans. *)
+let sort_by sc idx key =
+  let n = Array.length idx in
+  let lo = ref max_int and hi = ref min_int in
+  for p = 0 to n - 1 do
+    let v = key.(idx.(p)) in
+    sc.keys.(p) <- v;
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  let lo = !lo and range = !hi - !lo in
+  let src_k = ref sc.keys and src_i = ref idx in
+  let dst_k = ref sc.keys' and dst_i = ref sc.idx' in
+  let shift = ref 0 in
+  let count = sc.count in
+  let buckets = Array.length count in
+  while n > 1 && range lsr !shift > 0 do
+    let sk = !src_k and si = !src_i and dk = !dst_k and di = !dst_i in
+    let sh = !shift in
+    Array.fill count 0 buckets 0;
+    for p = 0 to n - 1 do
+      let d = ((sk.(p) - lo) lsr sh) land (buckets - 1) in
+      count.(d) <- count.(d) + 1
+    done;
+    (* exclusive prefix sums: each bucket's first slot *)
+    let sum = ref 0 in
+    for d = 0 to buckets - 1 do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    for p = 0 to n - 1 do
+      let v = sk.(p) in
+      let d = ((v - lo) lsr sh) land (buckets - 1) in
+      let q = count.(d) in
+      count.(d) <- q + 1;
+      dk.(q) <- v;
+      di.(q) <- si.(p)
+    done;
+    src_k := dk;
+    src_i := di;
+    dst_k := sk;
+    dst_i := si;
+    shift := sh + sc.digit
+  done;
+  if !src_i != idx then Array.blit !src_i 0 idx 0 n
 
-let classify ~eps s =
-  let wx = width s.sx > eps and wy = width s.sy > eps in
-  match wx, wy with
-  | false, false -> Point
-  | true, false -> Horiz
-  | false, true -> Vert
-  | true, true ->
-    invalid_arg
-      (Format.asprintf "Sweepline.contacts: shape %d is not axis-aligned %a x %a"
-         s.sid Interval.pp s.sx Interval.pp s.sy)
-
-let is_point ~eps s = width s.sx <= eps && width s.sy <= eps
-
-let[@inline] mid (i : Interval.t) = (i.Interval.lo +. i.Interval.hi) /. 2.
-
-(* A collinear pass runs along x over horizontal shapes ([horiz]) or
-   along y over vertical ones: [fixed] is the shared coordinate's extent,
-   [running] the extent scanned. *)
-let[@inline] fixed ~horiz s = if horiz then s.sy else s.sx
-let[@inline] running ~horiz s = if horiz then s.sx else s.sy
-
-(* The open set of a collinear scan: a growable buffer of shape indices,
-   compacted in place as shapes fall behind the scan front. *)
+(* The open set of a collinear scan: a growable buffer of box indices,
+   compacted in place as boxes fall behind the scan front. *)
 type buf = {
   mutable items : int array;
   mutable len : int;
@@ -56,54 +98,39 @@ let push b x =
   b.items.(b.len) <- x;
   b.len <- b.len + 1
 
-(* Collinear pass over the shape indices [idx].  Sorted by (fixed
-   midpoint, running start), [idx] splits into runs whose fixed midpoint
-   lies within [eps] of the run's first (its anchor).  Each shape of a run
-   meets the open buffer: [emit o s] for every open [o] still reaching it,
-   [drop o p] for every open [o] that does not (at scan position [p]) or
-   that outlives its run (at the run's end).  The buffer only holds
-   shapes overlapping the scan front, so a scan is O(g + k) after the
-   O(g log g) sort. *)
-let collinear ~eps ~horiz segs idx opn ~emit ~drop =
-  Array.stable_sort
-    (fun i j ->
-       let a = segs.(i) and b = segs.(j) in
-       match Float.compare (mid (fixed ~horiz a)) (mid (fixed ~horiz b)) with
-       | 0 ->
-         Float.compare (running ~horiz a).Interval.lo
-           (running ~horiz b).Interval.lo
-       | c -> c)
-    idx;
+(* Collinear pass over the box indices [idx]: [fixed] is the shared
+   coordinate (y of a horizontal box, x of a vertical one), [lo]/[hi] the
+   extent scanned.  Sorted by (fixed, lo), [idx] splits into runs of one
+   fixed coordinate.  Each box of a run meets the open buffer: [emit o s]
+   for every open [o] still reaching it, and every open box that does not
+   leaves the buffer.  The buffer only holds boxes overlapping the scan
+   front, so a scan is O(g + k) after the sort. *)
+let collinear sc ~fixed ~lo ~hi idx opn ~emit =
+  sort_by sc idx lo;
+  sort_by sc idx fixed;
   let len = Array.length idx in
   let start = ref 0 in
   while !start < len do
-    let anchor = mid (fixed ~horiz segs.(idx.(!start))) in
+    let f = fixed.(idx.(!start)) in
     let stop = ref (!start + 1) in
-    while
-      !stop < len
-      && Float.abs (mid (fixed ~horiz segs.(idx.(!stop))) -. anchor) <= eps
-    do
+    while !stop < len && fixed.(idx.(!stop)) = f do
       incr stop
     done;
     opn.len <- 0;
     for p = !start to !stop - 1 do
       let s = idx.(p) in
-      let front = (running ~horiz segs.(s)).Interval.lo -. eps in
+      let front = lo.(s) in
       let kept = ref 0 in
       for q = 0 to opn.len - 1 do
         let o = opn.items.(q) in
-        if (running ~horiz segs.(o)).Interval.hi >= front then begin
+        if hi.(o) >= front then begin
           emit o s;
           opn.items.(!kept) <- o;
           incr kept
         end
-        else drop o p
       done;
       opn.len <- !kept;
       push opn s
-    done;
-    for q = 0 to opn.len - 1 do
-      drop opn.items.(q) !stop
     done;
     start := !stop
   done
@@ -118,68 +145,58 @@ let ctz32 w =
   if !w land 0x1 = 0 then incr n;
   !n
 
-let[@inline] rank_x segs by_y r = segs.(by_y.(r)).sx
-let[@inline] rank_y segs by_y r = mid segs.(by_y.(r)).sy
-
-(* Crossing pass: the horizontal shapes [by_y], ranked by y, are active
-   over [lo - eps, hi + eps] in x; each vertical shape (the non-points of
-   [vp], already in x order) reports the active ranks whose y lies in its
-   extent grown by [eps].  Inserts, queries and removals are three sorted
-   streams merged by x — inserts before queries before removals at equal
-   x, so touching endpoints count as contact.  Active ranks are bits of
-   32-bit words: a query binary-searches its band and skips 32 inactive
-   ranks per word read. *)
-let crossing ~eps segs by_y vp emit =
+(* Crossing pass: the horizontal boxes [by_y], ranked by y, are active
+   over [x0, x1]; each vertical box (the non-points of [vp], already in x
+   order) reports the active ranks whose y lies in its extent.  Inserts,
+   queries and removals are three sorted streams merged by x — inserts
+   before queries before removals at equal x, so touching endpoints count
+   as contact.  Active ranks are bits of 32-bit words: a query
+   binary-searches its band and skips 32 inactive ranks per word read. *)
+let crossing sc b by_y vp emit =
   let nh = Array.length by_y in
+  let hx0 = Array.make nh 0 and hx1 = Array.make nh 0 and hy = Array.make nh 0 in
+  for r = 0 to nh - 1 do
+    let s = by_y.(r) in
+    hx0.(r) <- b.x0.(s);
+    hx1.(r) <- b.x1.(s);
+    hy.(r) <- b.y0.(s)
+  done;
   let ins = Array.init nh Fun.id and rem = Array.init nh Fun.id in
-  Array.stable_sort
-    (fun a b ->
-       Float.compare (rank_x segs by_y a).Interval.lo
-         (rank_x segs by_y b).Interval.lo)
-    ins;
-  Array.stable_sort
-    (fun a b ->
-       Float.compare (rank_x segs by_y a).Interval.hi
-         (rank_x segs by_y b).Interval.hi)
-    rem;
+  sort_by sc ins hx0;
+  sort_by sc rem hx1;
   let active = Array.make ((nh + 31) / 32) 0 in
   let ni = ref 0 and nr = ref 0 in
   Array.iter
     (fun v ->
-       let sv = segs.(v) in
-       if width sv.sy > eps then begin
-         let x = mid sv.sx in
-         while
-           !ni < nh && (rank_x segs by_y ins.(!ni)).Interval.lo -. eps <= x
-         do
+       let ylo = b.y0.(v) and yhi = b.y1.(v) in
+       if yhi > ylo then begin
+         let x = b.x0.(v) in
+         while !ni < nh && hx0.(ins.(!ni)) <= x do
            let r = ins.(!ni) in
            active.(r lsr 5) <- active.(r lsr 5) lor (1 lsl (r land 31));
            incr ni
          done;
-         while
-           !nr < nh && (rank_x segs by_y rem.(!nr)).Interval.hi +. eps < x
-         do
+         while !nr < nh && hx1.(rem.(!nr)) < x do
            let r = rem.(!nr) in
            active.(r lsr 5) <- active.(r lsr 5) land lnot (1 lsl (r land 31));
            incr nr
          done;
-         let lo = sv.sy.Interval.lo -. eps and hi = sv.sy.Interval.hi +. eps in
-         (* first rank with y >= lo *)
-         let a = ref 0 and b = ref nh in
-         while !a < !b do
-           let m = (!a + !b) / 2 in
-           if rank_y segs by_y m < lo then a := m + 1 else b := m
+         (* first rank with y >= ylo *)
+         let a = ref 0 and z = ref nh in
+         while !a < !z do
+           let m = (!a + !z) / 2 in
+           if hy.(m) < ylo then a := m + 1 else z := m
          done;
          let r = ref !a in
          while !r < nh do
            let w = active.(!r lsr 5) lsr (!r land 31) in
            if w = 0 then begin
              let next = (!r lor 31) + 1 in
-             r := if next < nh && rank_y segs by_y next <= hi then next else nh
+             r := if next < nh && hy.(next) <= yhi then next else nh
            end
            else begin
              let r' = !r + ctz32 w in
-             if rank_y segs by_y r' <= hi then begin
+             if hy.(r') <= yhi then begin
                emit by_y.(r') v;
                r := r' + 1
              end
@@ -189,58 +206,67 @@ let crossing ~eps segs by_y vp emit =
        end)
     vp
 
-let contacts ?(eps = 1e-6) segs f =
-  let n = Array.length segs in
+let contacts b f =
+  let n = Array.length b.x0 in
   let nh = ref 0 and nv = ref 0 in
-  Array.iter
-    (fun s ->
-       match classify ~eps s with
-       | Horiz -> incr nh
-       | Vert -> incr nv
-       | Point -> ())
-    segs;
+  for i = 0 to n - 1 do
+    let wx = b.x1.(i) > b.x0.(i) and wy = b.y1.(i) > b.y0.(i) in
+    if wx && wy then
+      invalid_arg
+        (Printf.sprintf
+           "Sweepline.contacts: box %d is extended in both axes [%d, %d] x \
+            [%d, %d]"
+           i b.x0.(i) b.x1.(i) b.y0.(i) b.y1.(i))
+    else if wx then incr nh
+    else if wy then incr nv
+  done;
   let nh = !nh and nv = !nv in
   let np = n - nh - nv in
+  (* every sort key is a coordinate *)
+  let lo = ref 0 and hi = ref 0 in
+  if n > 0 then begin
+    lo := Int.min (Array.fold_left Int.min max_int b.x0)
+        (Array.fold_left Int.min max_int b.y0);
+    hi := Int.max (Array.fold_left Int.max min_int b.x1)
+        (Array.fold_left Int.max min_int b.y1)
+  end;
   (* horizontals then points; verticals then points *)
   let hp = Array.make (nh + np) 0 and vp = Array.make (nv + np) 0 in
   let ih = ref 0 and iv = ref 0 and ip = ref 0 in
-  Array.iteri
-    (fun i s ->
-       match classify ~eps s with
-       | Horiz -> hp.(!ih) <- i; incr ih
-       | Vert -> vp.(!iv) <- i; incr iv
-       | Point ->
-         hp.(nh + !ip) <- i;
-         vp.(nv + !ip) <- i;
-         incr ip)
-    segs;
-  let pair a b = f segs.(a).sid segs.(b).sid in
+  for i = 0 to n - 1 do
+    if b.x1.(i) > b.x0.(i) then begin
+      hp.(!ih) <- i;
+      incr ih
+    end
+    else if b.y1.(i) > b.y0.(i) then begin
+      vp.(!iv) <- i;
+      incr iv
+    end
+    else begin
+      hp.(nh + !ip) <- i;
+      vp.(nv + !ip) <- i;
+      incr ip
+    end
+  done;
+  let sc = scratch (np + Int.max nh nv) (!hi - !lo) in
   let opn = { items = Array.make 16 0; len = 0 } in
-  (* horizontal pass, remembering each shape's scan position and the
-     position at which it left the open set *)
-  let pos = Array.make n 0 and gone = Array.make n 0 in
-  collinear ~eps ~horiz:true segs hp opn ~emit:pair
-    ~drop:(fun o p -> gone.(o) <- p);
-  Array.iteri (fun p i -> pos.(i) <- p) hp;
-  (* points ride in both collinear passes: the vertical pass skips a point
-     pair the horizontal pass reported, i.e. one whose later shape was
-     scanned while the earlier was still open *)
-  let reported a b =
-    if pos.(a) < pos.(b) then pos.(b) < gone.(a) else pos.(a) < gone.(b)
-  in
-  collinear ~eps ~horiz:false segs vp opn
-    ~emit:(fun o s ->
-        if not (is_point ~eps segs.(o) && is_point ~eps segs.(s) && reported o s)
-        then pair o s)
-    ~drop:(fun _ _ -> ());
+  collinear sc ~fixed:b.y0 ~lo:b.x0 ~hi:b.x1 hp opn ~emit:f;
+  (* points ride in both collinear passes.  Two points touch only where
+     they coincide, and the horizontal pass reports every such pair: the
+     later of the two is scanned at the earlier's x, before anything
+     starting past it could close the earlier.  So the vertical pass
+     skips point pairs. *)
+  let is_point i = b.x0.(i) = b.x1.(i) && b.y0.(i) = b.y1.(i) in
+  collinear sc ~fixed:b.x0 ~lo:b.y0 ~hi:b.y1 vp opn ~emit:(fun o s ->
+      if not (is_point o && is_point s) then f o s);
   (* horizontals by y: the horizontal pass's order without its points *)
   let by_y = Array.make nh 0 in
   let k = ref 0 in
   Array.iter
     (fun i ->
-       if not (is_point ~eps segs.(i)) then begin
+       if not (is_point i) then begin
          by_y.(!k) <- i;
          incr k
        end)
     hp;
-  crossing ~eps segs by_y vp pair
+  crossing sc b by_y vp f

@@ -1,4 +1,3 @@
-open Ccgrid
 module D = Verify.Diagnostic
 module LR = Verify.Lvs_rules
 
@@ -11,118 +10,169 @@ type stats = {
 type result = {
   diagnostics : D.t list;
   stats : stats;
+  elmore_fs : float array;
 }
 
 let cap_loc k = Printf.sprintf "C_%d" k
 
-let add_once arr i v = if not (List.mem v arr.(i)) then arr.(i) <- v :: arr.(i)
+(* Labels in report order: capacitors by id, then the top plate. *)
+let label_key l = if l = Shape.top then max_int else l
 
-let cell_name (c : Cell.t) = Printf.sprintf "(%d,%d)" c.Cell.row c.Cell.col
+(* no label yet *)
+let unlabelled = min_int
 
-let rec take n = function
-  | x :: rest when n > 0 -> x :: take (n - 1) rest
-  | _ -> []
-
-let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
+let classify (shapes : Shape.t) (ex : Extracted.t)
+    (layout : Ccroute.Layout.t) =
+  let n = Shape.count shapes in
   let nc = ex.Extracted.n_components in
   let ncaps = Array.length layout.Ccroute.Layout.nets in
-  (* per-component tallies *)
-  let comp_labels = Array.make nc [] in
+  let comp_of = ex.Extracted.comp_of in
+  let kind = shapes.Shape.kind and label = shapes.Shape.label in
+  let pads = shapes.Shape.pads in
+  let n_cells = Array.length pads in
+  (* per-component tallies: the first label seen and whether another
+     followed it *)
   let comp_shapes = Array.make nc 0 in
+  let comp_label = Array.make nc unlabelled in
+  let comp_mixed = Array.make nc false in
   let comp_pads = Array.make nc 0 in
   let comp_top_pads = Array.make nc 0 in
-  let comp_drivers = Array.make nc [] in
-  (* per-capacitor views *)
-  let cap_pads = Array.make ncaps [] in      (* (cell, component) *)
-  let cap_driver = Array.make ncaps None in
-  let cap_anchored = Array.make ncaps [] in  (* components holding a pad or
-                                                the driver of the net *)
+  let comp_driver = Array.make nc false in
+  (* per-capacitor tallies: pads, the driver's component, and the first
+     component holding a pad or the driver — a second one splits the
+     net *)
+  let cap_pads = Array.make ncaps 0 in
+  let cap_driver = Array.make ncaps (-1) in
+  let cap_anchor = Array.make ncaps (-1) in
+  let cap_split = Array.make ncaps false in
+  let anchor k c =
+    if cap_anchor.(k) < 0 then cap_anchor.(k) <- c
+    else if cap_anchor.(k) <> c then cap_split.(k) <- true
+  in
+  for s = 0 to n - 1 do
+    let c = comp_of.(s) and l = label.(s) in
+    comp_shapes.(c) <- comp_shapes.(c) + 1;
+    if comp_label.(c) = unlabelled then comp_label.(c) <- l
+    else if comp_label.(c) <> l then comp_mixed.(c) <- true;
+    match kind.(s) with
+    | Shape.Pad ->
+      comp_pads.(c) <- comp_pads.(c) + 1;
+      cap_pads.(l) <- cap_pads.(l) + 1;
+      anchor l c
+    | Shape.Top_pad -> comp_top_pads.(c) <- comp_top_pads.(c) + 1
+    | Shape.Branch | Shape.Stub | Shape.Trunk | Shape.Bridge | Shape.Top_wire
+    | Shape.Via -> ()
+  done;
   Array.iter
-    (fun (s : Shape.t) ->
-       let c = ex.Extracted.comp_of.(s.Shape.id) in
-       comp_shapes.(c) <- comp_shapes.(c) + 1;
-       add_once comp_labels c s.Shape.label;
-       (match s.Shape.kind, s.Shape.label with
-        | Shape.Pad cell, Shape.Cap k ->
-          comp_pads.(c) <- comp_pads.(c) + 1;
-          cap_pads.(k) <- (cell, c) :: cap_pads.(k);
-          add_once cap_anchored k c
-        | Shape.Top_pad _, _ -> comp_top_pads.(c) <- comp_top_pads.(c) + 1
-        | _ -> ());
-       match s.Shape.label with
-       | Shape.Cap k when s.Shape.driver ->
-         if cap_driver.(k) = None then cap_driver.(k) <- Some c;
-         add_once comp_drivers c k;
-         add_once cap_anchored k c
-       | Shape.Cap _ | Shape.Top -> ())
-    ex.Extracted.shapes;
+    (fun s ->
+       let c = comp_of.(s) and k = label.(s) in
+       if cap_driver.(k) < 0 then cap_driver.(k) <- c;
+       comp_driver.(c) <- true;
+       anchor k c)
+    shapes.Shape.drivers;
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   (* shorts: one extracted component claiming >= 2 nets *)
   let shorted = Array.make ncaps false in
-  for c = 0 to nc - 1 do
-    let labels = List.sort Shape.compare_label comp_labels.(c) in
-    match labels with
-    | first :: _ :: _ ->
-      List.iter
-        (function Shape.Cap k -> shorted.(k) <- true | Shape.Top -> ())
-        labels;
-      emit
-        (D.makef ~loc:(Shape.label_name first) LR.r_short
-           "extracted component of %d shapes joins nets %s" comp_shapes.(c)
-           (String.concat ", " (List.map Shape.label_name labels)))
-    | [ _ ] | [] -> ()
-  done;
+  if Array.exists Fun.id comp_mixed then begin
+    let labels = Array.make nc [] in
+    for s = 0 to n - 1 do
+      let c = comp_of.(s) in
+      if comp_mixed.(c) then labels.(c) <- label_key label.(s) :: labels.(c)
+    done;
+    for c = 0 to nc - 1 do
+      if comp_mixed.(c) then begin
+        let keys = List.sort_uniq Int.compare labels.(c) in
+        let names =
+          List.map
+            (fun key ->
+               if key = max_int then Shape.label_name Shape.top
+               else begin
+                 shorted.(key) <- true;
+                 Shape.label_name key
+               end)
+            keys
+        in
+        emit
+          (D.makef ~loc:(List.hd names) LR.r_short
+             "extracted component of %d shapes joins nets %s" comp_shapes.(c)
+             (String.concat ", " names))
+      end
+    done
+  end;
   (* opens: a net missing its driver terminal, or anchored shapes spread
      over >= 2 components.  Unanchored stray metal is the dangling
      warning below, not an open — it cannot carry the net's charge. *)
+  let anchored = Array.make ncaps [] in
+  if Array.exists Fun.id cap_split then begin
+    Array.iter
+      (fun s ->
+         if s >= 0 && cap_split.(label.(s)) then
+           anchored.(label.(s)) <- comp_of.(s) :: anchored.(label.(s)))
+      pads;
+    Array.iter
+      (fun s ->
+         let k = label.(s) in
+         if cap_split.(k) then anchored.(k) <- comp_of.(s) :: anchored.(k))
+      shapes.Shape.drivers
+  end;
   let fractured = Array.make ncaps false in
   for k = 0 to ncaps - 1 do
-    (match cap_driver.(k) with
-     | None ->
-       fractured.(k) <- true;
-       emit
-         (D.makef ~loc:(cap_loc k) LR.r_open
-            "no driver terminal: no via of the net reaches the driver row \
-             (y = 0)")
-     | Some _ -> ());
-    let anchored = List.length cap_anchored.(k) in
-    if anchored >= 2 then begin
+    if cap_driver.(k) < 0 then begin
+      fractured.(k) <- true;
+      emit
+        (D.makef ~loc:(cap_loc k) LR.r_open
+           "no driver terminal: no via of the net reaches the driver row \
+            (y = 0)")
+    end;
+    if cap_split.(k) then begin
       fractured.(k) <- true;
       emit
         (D.makef ~loc:(cap_loc k) LR.r_open
            "net fractured into %d disconnected pieces (%d cell plates)"
-           anchored
-           (List.length cap_pads.(k)))
+           (List.length (List.sort_uniq Int.compare anchored.(k)))
+           cap_pads.(k))
     end
   done;
-  (* floating cells: pads not in their net's driver component *)
+  (* floating cells: pads not in their net's driver component.  Only a
+     split net can have them; the no-driver open already condemns every
+     cell of a net without a driver.  Walking the cells in order, the
+     first four strays are the four lowest cells. *)
   let floating = Array.make ncaps false in
+  let stray = Array.make ncaps 0 and stray_cells = Array.make ncaps [] in
+  if Array.exists Fun.id cap_split then
+    Array.iteri
+      (fun c s ->
+         if s >= 0 then begin
+           let k = label.(s) in
+           if
+             cap_split.(k) && cap_driver.(k) >= 0
+             && comp_of.(s) <> cap_driver.(k)
+           then begin
+             stray.(k) <- stray.(k) + 1;
+             if stray.(k) <= 4 then stray_cells.(k) <- c :: stray_cells.(k)
+           end
+         end)
+      pads;
   for k = 0 to ncaps - 1 do
-    match cap_driver.(k) with
-    | None -> ()   (* the no-driver open already condemns every cell *)
-    | Some dc ->
-      let stray = List.filter (fun (_, c) -> c <> dc) cap_pads.(k) in
-      if stray <> [] then begin
-        floating.(k) <- true;
-        let cells = List.sort Cell.compare (List.map fst stray) in
-        emit
-          (D.makef ~loc:(cap_loc k) LR.r_floating_cell
-             "%d of %d unit cells unreachable from the driver: %s%s"
-             (List.length stray)
-             (List.length cap_pads.(k))
-             (String.concat ", " (List.map cell_name (take 4 cells)))
-             (if List.length stray > 4 then ", ..." else ""))
-      end
+    if stray.(k) > 0 then begin
+      floating.(k) <- true;
+      emit
+        (D.makef ~loc:(cap_loc k) LR.r_floating_cell
+           "%d of %d unit cells unreachable from the driver: %s%s" stray.(k)
+           cap_pads.(k)
+           (String.concat ", "
+              (List.rev_map (Shape.cell_name shapes) stray_cells.(k)))
+           (if stray.(k) > 4 then ", ..." else ""))
+    end
   done;
   (* dangling: components anchored to nothing — dead metal *)
   for c = 0 to nc - 1 do
-    if comp_pads.(c) = 0 && comp_top_pads.(c) = 0 && comp_drivers.(c) = []
+    if comp_pads.(c) = 0 && comp_top_pads.(c) = 0 && not comp_driver.(c)
     then begin
       let loc =
-        match comp_labels.(c) with
-        | [ l ] -> Some (Shape.label_name l)
-        | _ -> None
+        if comp_mixed.(c) then None
+        else Some (Shape.label_name comp_label.(c))
       in
       emit
         (D.makef ?loc LR.r_dangling
@@ -142,77 +192,102 @@ let classify (ex : Extracted.t) (layout : Ccroute.Layout.t) =
          "top plate fractured into %d components" !top_comps);
   (* Netbuild cross-check, only for geometrically clean nets: the cells
      the drawn geometry connects to the driver must be exactly the cells
-     the RC tree (and hence Elmore/f3dB) models *)
+     the RC tree (and hence Elmore/f3dB) models.  Each net is built once
+     here; its worst-cell Elmore delay outlives the tree for extraction. *)
+  let elmore_fs = Array.make ncaps Float.nan in
+  let cols = shapes.Shape.cols in
+  (* per cell: the capacitor of its pad (-1 for a dummy), and the last
+     capacitor whose tree models it *)
+  let pad_cap c = if pads.(c) < 0 then -1 else label.(pads.(c)) in
+  let in_tree = Array.make n_cells (-1) in
+  let build = Extract.Netbuild.builder layout in
   for k = 0 to ncaps - 1 do
     if
       (not (shorted.(k) || fractured.(k) || floating.(k)))
-      && cap_driver.(k) <> None
+      && cap_driver.(k) >= 0
     then begin
-      let extracted_cells =
-        List.sort Cell.compare (List.map fst cap_pads.(k))
-      in
-      match Extract.Netbuild.build layout ~cap:k with
+      match build ~cap:k with
       | exception e ->
         emit
           (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
              "Netbuild failed on a geometrically clean net: %s"
              (Printexc.to_string e))
       | nb ->
-        let tree_cells =
-          List.sort Cell.compare
-            (List.map fst nb.Extract.Netbuild.cell_nodes)
-        in
-        if not (List.equal Cell.equal extracted_cells tree_cells) then begin
-          let diff a b =
-            List.filter (fun c -> not (List.exists (Cell.equal c) b)) a
+        elmore_fs.(k) <- Extract.Netbuild.worst_elmore_fs nb;
+        let tree_cells = nb.Extract.Netbuild.cells in
+        let tree_only = ref 0 in
+        Array.iter
+          (fun (c : Ccgrid.Cell.t) ->
+             let id = (c.Ccgrid.Cell.row * cols) + c.Ccgrid.Cell.col in
+             in_tree.(id) <- k;
+             if pad_cap id <> k then incr tree_only)
+          tree_cells;
+        let n_tree = Array.length tree_cells in
+        (* the tree's cells are distinct, so with no tree-only cell and
+           as many cells as pads the two sets are equal *)
+        if !tree_only > 0 || n_tree <> cap_pads.(k) then begin
+          let drawn_only = ref 0 and first_drawn = ref (-1)
+          and first_tree = ref (-1) in
+          for id = 0 to n_cells - 1 do
+            let l = pad_cap id in
+            if l = k && in_tree.(id) <> k then begin
+              incr drawn_only;
+              if !first_drawn < 0 then first_drawn := id
+            end
+            else if in_tree.(id) = k && l <> k && !first_tree < 0 then
+              first_tree := id
+          done;
+          let first what id =
+            if id < 0 then ""
+            else Printf.sprintf "; %s %s" what (Shape.cell_name shapes id)
           in
-          let drawn_only = diff extracted_cells tree_cells in
-          let tree_only = diff tree_cells extracted_cells in
           emit
             (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
                "extracted driver component reaches %d cells but the RC tree \
                 models %d (%d drawn-only, %d tree-only%s%s)"
-               (List.length extracted_cells)
-               (List.length tree_cells)
-               (List.length drawn_only)
-               (List.length tree_only)
-               (match drawn_only with
-                | c :: _ -> "; drawn-only " ^ cell_name c
-                | [] -> "")
-               (match tree_only with
-                | c :: _ -> "; tree-only " ^ cell_name c
-                | [] -> ""))
+               cap_pads.(k) n_tree !drawn_only !tree_only
+               (first "drawn-only" !first_drawn)
+               (first "tree-only" !first_tree))
         end
     end
   done;
-  D.sort !diags
+  (D.sort !diags, elmore_fs)
 
 let run layout =
-  let shapes =
+  let flat =
     Telemetry.Span.with_ ~name:"lvs.flatten" (fun () -> Shape.of_layout layout)
   in
-  let ex =
-    Telemetry.Span.with_ ~name:"lvs.extract" (fun () -> Extracted.extract shapes)
-  in
-  let diagnostics =
-    Telemetry.Span.with_ ~name:"lvs.compare" (fun () -> classify ex layout)
+  let diagnostics, stats, elmore_fs =
+    match flat with
+    | Error off_grid ->
+      ( off_grid,
+        { shapes = 0; contacts = 0; components = 0 },
+        Array.make (Array.length layout.Ccroute.Layout.nets) Float.nan )
+    | Ok shapes ->
+      let ex =
+        Telemetry.Span.with_ ~name:"lvs.extract" (fun () ->
+            Extracted.extract shapes)
+      in
+      let diagnostics, elmore_fs =
+        Telemetry.Span.with_ ~name:"lvs.compare" (fun () ->
+            classify shapes ex layout)
+      in
+      ( diagnostics,
+        { shapes = Shape.count shapes;
+          contacts = ex.Extracted.n_contacts;
+          components = ex.Extracted.n_components },
+        elmore_fs )
   in
   if Telemetry.Metrics.enabled () then begin
-    Telemetry.Metrics.set "lvs/shapes" (float_of_int (Array.length shapes));
-    Telemetry.Metrics.set "lvs/contacts"
-      (float_of_int ex.Extracted.n_contacts);
-    Telemetry.Metrics.set "lvs/components"
-      (float_of_int ex.Extracted.n_components);
+    Telemetry.Metrics.set "lvs/shapes" (float_of_int stats.shapes);
+    Telemetry.Metrics.set "lvs/contacts" (float_of_int stats.contacts);
+    Telemetry.Metrics.set "lvs/components" (float_of_int stats.components);
     List.iter
       (fun (d : D.t) ->
          Telemetry.Metrics.incr ~label:d.D.rule.Verify.Rule.id
            "lvs/defects_total")
       diagnostics
   end;
-  { diagnostics;
-    stats =
-      { shapes = Array.length shapes;
-        contacts = ex.Extracted.n_contacts;
-        components = ex.Extracted.n_components } }
+  { diagnostics; stats; elmore_fs }
 
 let check layout = (run layout).diagnostics

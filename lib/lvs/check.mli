@@ -1,12 +1,14 @@
 (** Layout-vs-schematic certification.
 
-    {!run} flattens a routed layout ({!Shape.of_layout}), extracts its
-    connectivity ({!Extracted.extract}) and compares the result against
-    the intended netlist — one net per capacitor spanning exactly its
-    placed cells plus one driver terminal, and one shared top plate —
-    classifying every disagreement under the [lvs/*] rule family of
-    {!Verify.Lvs_rules}:
+    {!run} flattens a routed layout onto the integer grid
+    ({!Shape.of_layout}), extracts its connectivity ({!Extracted.extract})
+    and compares the result against the intended netlist — one net per
+    capacitor spanning exactly its placed cells plus one driver terminal,
+    and one shared top plate — classifying every disagreement under the
+    [lvs/*] rule family of {!Verify.Lvs_rules}:
 
+    - [lvs/off-grid]: a drawn coordinate is off the 0.5 nm grid; the
+      layout is not extracted;
     - [lvs/short]: one component claims two nets;
     - [lvs/open]: a net is missing its driver terminal or its anchored
       shapes (cell plates, driver) span several components;
@@ -17,6 +19,13 @@
       drawn geometry reaches differ from the {!Extract.Netbuild} RC-tree
       cell set — the Elmore/f3dB numbers would describe a different
       circuit than the one drawn.
+
+    The comparison keeps its tallies in arrays indexed by component,
+    capacitor and cell; lists appear only on the paths that report a
+    defect.  The cross-check builds each clean net's RC tree once and
+    keeps only what the flow reads afterwards: the worst-cell Elmore
+    delay, which {!Extract.Parasitics.with_elmore} takes instead of
+    building the tree again.
 
     Diagnostics feed the ordinary {!Verify.Engine} gate ([gate],
     [assert_clean]), the [ccgen lvs] CLI and the flow's [lvs] stage. *)
@@ -29,11 +38,17 @@ type stats = {
 
 type result = {
   diagnostics : Verify.Diagnostic.t list;  (** sorted, possibly empty *)
-  stats : stats;
+  stats : stats;      (** all zero when the layout is off the grid *)
+  elmore_fs : float array;
+      (** per capacitor, the worst-cell Elmore delay (fs) of the RC tree
+          the cross-check built; [nan] for a net it did not build *)
 }
 
-(** [classify ex layout] is the comparison pass alone (no telemetry). *)
-val classify : Extracted.t -> Ccroute.Layout.t -> Verify.Diagnostic.t list
+(** [classify shapes ex layout] is the comparison pass alone (no
+    telemetry): the sorted diagnostics and {!result.elmore_fs}. *)
+val classify :
+  Shape.t -> Extracted.t -> Ccroute.Layout.t ->
+  Verify.Diagnostic.t list * float array
 
 (** [run layout] is the full instrumented pass (spans [lvs.flatten],
     [lvs.extract], [lvs.compare]; metrics [lvs/shapes], [lvs/contacts],

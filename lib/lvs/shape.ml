@@ -1,96 +1,222 @@
 open Ccgrid
+module L = Ccroute.Layout
+module D = Verify.Diagnostic
 
 type kind =
-  | Pad of Cell.t
-  | Top_pad of Cell.t
-  | Wire of Ccroute.Layout.wire_kind
+  | Pad
+  | Top_pad
+  | Branch
+  | Stub
+  | Trunk
+  | Bridge
+  | Top_wire
   | Via
 
-type label =
-  | Cap of int
-  | Top
+let units_per_um = 2000
+let unit_nm = 1000. /. float_of_int units_per_um
+let tolerance_um = 1e-6
+let top = -1
 
-type t = {
-  id : int;
-  kind : kind;
-  label : label;
-  layers : Tech.Layer.name list;
-  x : Geom.Interval.t;
-  y : Geom.Interval.t;
-  driver : bool;
+type layer = {
+  ids : int array;
+  boxes : Geom.Sweepline.boxes;
 }
 
-let label_name = function
-  | Cap k -> Printf.sprintf "C_%d" k
-  | Top -> "TOP"
+type t = {
+  cols : int;
+  kind : kind array;
+  label : int array;
+  pads : int array;
+  drivers : int array;
+  layers : layer array;
+}
 
-let compare_label a b =
-  match a, b with
-  | Cap i, Cap j -> Int.compare i j
-  | Cap _, Top -> -1
-  | Top, Cap _ -> 1
-  | Top, Top -> 0
+let count t = Array.length t.kind
+
+let layer_index = function
+  | Tech.Layer.M1 -> 0
+  | Tech.Layer.M2 -> 1
+  | Tech.Layer.M3 -> 2
+
+let layer t name = t.layers.(layer_index name)
+
+let label_name l = if l = top then "TOP" else Printf.sprintf "C_%d" l
 
 let kind_name = function
-  | Pad _ -> "pad"
-  | Top_pad _ -> "top-pad"
-  | Wire Ccroute.Layout.Branch -> "branch"
-  | Wire Ccroute.Layout.Stub -> "stub"
-  | Wire Ccroute.Layout.Trunk -> "trunk"
-  | Wire Ccroute.Layout.Bridge -> "bridge"
-  | Wire Ccroute.Layout.Top -> "top-wire"
+  | Pad -> "pad"
+  | Top_pad -> "top-pad"
+  | Branch -> "branch"
+  | Stub -> "stub"
+  | Trunk -> "trunk"
+  | Bridge -> "bridge"
+  | Top_wire -> "top-wire"
   | Via -> "via"
 
-let point x y = (Geom.Interval.make x x, Geom.Interval.make y y)
+let cell_name t id = Printf.sprintf "(%d,%d)" (id / t.cols) (id mod t.cols)
 
-(* A via at the driver row (y = 0) is the net's input terminal. *)
-let driver_eps = 1e-9
+let wire_kind = function
+  | L.Branch -> Branch
+  | L.Stub -> Stub
+  | L.Trunk -> Trunk
+  | L.Bridge -> Bridge
+  | L.Top -> Top_wire
 
-let of_layout (l : Ccroute.Layout.t) =
-  let shapes = ref [] in
-  let n = ref 0 in
-  let emit kind label layers x y driver =
-    shapes := { id = !n; kind; label; layers; x; y; driver } :: !shapes;
-    incr n
+(* [snap v] is [v] in grid units, or [off_grid] when [v] is not within the
+   tolerance of a grid point (NaN and infinities included).  Snapped
+   coordinates stay within ±2^40 units (550 m), so the sentinel is never
+   a coordinate and no key built from them can overflow. *)
+let off_grid = min_int
+let max_units = float_of_int (1 lsl 40)
+let tolerance_units = tolerance_um *. float_of_int units_per_um
+
+let snap v =
+  let u = v *. float_of_int units_per_um in
+  let r = Float.round u in
+  if Float.abs (u -. r) <= tolerance_units && Float.abs r <= max_units then
+    Float.to_int r
+  else off_grid
+
+(* One layer's boxes, filled in shape-id order. *)
+type fill = {
+  f_ids : int array;
+  f_x0 : int array;
+  f_y0 : int array;
+  f_x1 : int array;
+  f_y1 : int array;
+  mutable f_n : int;
+}
+
+let fill n =
+  { f_ids = Array.make n 0; f_x0 = Array.make n 0; f_y0 = Array.make n 0;
+    f_x1 = Array.make n 0; f_y1 = Array.make n 0; f_n = 0 }
+
+let add f id x0 y0 x1 y1 =
+  let i = f.f_n in
+  f.f_ids.(i) <- id;
+  f.f_x0.(i) <- x0;
+  f.f_y0.(i) <- y0;
+  f.f_x1.(i) <- x1;
+  f.f_y1.(i) <- y1;
+  f.f_n <- i + 1
+
+(* A fill stops short of its size only when off-grid shapes were left
+   out, and then no layer is read. *)
+let layer_of f =
+  { ids = f.f_ids;
+    boxes =
+      { Geom.Sweepline.x0 = f.f_x0; y0 = f.f_y0; x1 = f.f_x1; y1 = f.f_y1 } }
+
+let max_reported = 8
+
+let layers_name l1 l2 =
+  let name = function 0 -> "M1" | 1 -> "M2" | _ -> "M3" in
+  if l2 < 0 then name l1 else name l1 ^ "+" ^ name l2
+
+let of_layout (l : L.t) =
+  let p = l.L.placement in
+  let rows = p.Placement.rows and cols = p.Placement.cols in
+  let n_cells = rows * cols in
+  let n_pads = ref 0 in
+  Array.iter
+    (Array.iter (fun k -> if k <> Placement.dummy then incr n_pads))
+    p.Placement.assign;
+  let n_pads = !n_pads in
+  (* shapes per layer: pads on M1, top pads on M2, each wire on its
+     layer, each via on M1 and M3 *)
+  let per_layer = [| n_pads; n_cells; 0 |] in
+  let n_wires = ref 0 in
+  let count_wire (w : L.wire) =
+    incr n_wires;
+    let j = layer_index w.L.w_layer in
+    per_layer.(j) <- per_layer.(j) + 1
   in
-  let p = l.Ccroute.Layout.placement in
-  let col_x = l.Ccroute.Layout.col_x and row_y = l.Ccroute.Layout.row_y in
+  List.iter count_wire l.L.wires;
+  List.iter count_wire l.L.top_wires;
+  let n_vias = List.length l.L.vias in
+  per_layer.(0) <- per_layer.(0) + n_vias;
+  per_layer.(2) <- per_layer.(2) + n_vias;
+  let n = n_pads + n_cells + !n_wires + n_vias in
+  let kind = Array.make n Pad and label = Array.make n top in
+  let pads = Array.make n_cells (-1) in
+  let fills = Array.map fill per_layer in
+  let off = ref [] and n_off = ref 0 in
+  let next = ref 0 in
+  (* shape [k] labelled [lab] on layer [l1] (and [l2] unless negative),
+     spanning (ax, ay)-(bx, by) um, snapped to (sax, say)-(sbx, sby) *)
+  let emit k lab l1 l2 ax ay bx by sax say sbx sby =
+    let id = !next in
+    incr next;
+    kind.(id) <- k;
+    label.(id) <- lab;
+    if sax = off_grid || say = off_grid || sbx = off_grid || sby = off_grid
+    then begin
+      incr n_off;
+      if !n_off <= max_reported then
+        off :=
+          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_off_grid
+            "shape %d (%s on %s) at x [%.6f, %.6f] y [%.6f, %.6f] um is off \
+             the %g nm grid"
+            id (kind_name k) (layers_name l1 l2) (Float.min ax bx)
+            (Float.max ax bx) (Float.min ay by) (Float.max ay by) unit_nm
+          :: !off
+    end
+    else begin
+      let x0 = Int.min sax sbx and x1 = Int.max sax sbx in
+      let y0 = Int.min say sby and y1 = Int.max say sby in
+      add fills.(l1) id x0 y0 x1 y1;
+      if l2 >= 0 then add fills.(l2) id x0 y0 x1 y1
+    end;
+    id
+  in
   (* cell plates: bottom pads carry the owning capacitor's net on M1;
      top pads (every cell, dummies included — the physical top plate is
      part of the unit capacitor) carry the shared TOP net on M2 *)
-  for row = 0 to p.Placement.rows - 1 do
-    for col = 0 to p.Placement.cols - 1 do
-      let cell = Cell.make ~row ~col in
-      let x, y = point col_x.(col) row_y.(row) in
-      (match Placement.cap_at p cell with
-       | Some k -> emit (Pad cell) (Cap k) [ Tech.Layer.M1 ] x y false
-       | None -> ());
-      emit (Top_pad cell) Top [ Tech.Layer.M2 ] x y false
+  let col_x = l.L.col_x and row_y = l.L.row_y in
+  let sx = Array.map snap col_x and sy = Array.map snap row_y in
+  for row = 0 to rows - 1 do
+    let y = row_y.(row) and s_y = sy.(row) in
+    for col = 0 to cols - 1 do
+      let x = col_x.(col) and s_x = sx.(col) in
+      let k = p.Placement.assign.(row).(col) in
+      if k <> Placement.dummy then
+        pads.((row * cols) + col) <- emit Pad k 0 (-1) x y x y s_x s_y s_x s_y;
+      ignore (emit Top_pad top 1 (-1) x y x y s_x s_y s_x s_y)
     done
   done;
-  let wire (w : Ccroute.Layout.wire) =
-    let label = if w.Ccroute.Layout.w_cap < 0 then Top else Cap w.Ccroute.Layout.w_cap in
-    emit (Wire w.Ccroute.Layout.w_kind) label [ w.Ccroute.Layout.w_layer ]
-      (Geom.Interval.make w.Ccroute.Layout.w_ax w.Ccroute.Layout.w_bx)
-      (Geom.Interval.make w.Ccroute.Layout.w_ay w.Ccroute.Layout.w_by)
-      false
+  let wire (w : L.wire) =
+    let lab = if w.L.w_cap < 0 then top else w.L.w_cap in
+    ignore
+      (emit (wire_kind w.L.w_kind) lab (layer_index w.L.w_layer) (-1)
+         w.L.w_ax w.L.w_ay w.L.w_bx w.L.w_by (snap w.L.w_ax) (snap w.L.w_ay)
+         (snap w.L.w_bx) (snap w.L.w_by))
   in
-  List.iter wire l.Ccroute.Layout.wires;
-  List.iter wire l.Ccroute.Layout.top_wires;
+  List.iter wire l.L.wires;
+  List.iter wire l.L.top_wires;
+  (* a via at the driver row (y = 0) is the net's input terminal *)
+  let drivers = ref [] in
   List.iter
-    (fun (v : Ccroute.Layout.via) ->
-       let x, y = point v.Ccroute.Layout.v_x v.Ccroute.Layout.v_y in
-       emit Via (Cap v.Ccroute.Layout.v_cap)
-         [ Tech.Layer.M1; Tech.Layer.M3 ] x y
-         (v.Ccroute.Layout.v_y <= driver_eps))
-    l.Ccroute.Layout.vias;
-  let arr = Array.make !n (List.hd !shapes) in
-  List.iter (fun s -> arr.(s.id) <- s) !shapes;
-  arr
-
-let pp ppf s =
-  Format.fprintf ppf "%s %s on %s at %a x %a" (label_name s.label)
-    (kind_name s.kind)
-    (String.concat "+"
-       (List.map (Format.asprintf "%a" Tech.Layer.pp_name) s.layers))
-    Geom.Interval.pp s.x Geom.Interval.pp s.y
+    (fun (v : L.via) ->
+       let s_x = snap v.L.v_x and s_y = snap v.L.v_y in
+       let id =
+         emit Via v.L.v_cap 0 2 v.L.v_x v.L.v_y v.L.v_x v.L.v_y s_x s_y s_x
+           s_y
+       in
+       if s_y <> off_grid && s_y <= 0 then drivers := id :: !drivers)
+    l.L.vias;
+  if !n_off > 0 then
+    Error
+      (D.sort
+         (if !n_off > max_reported then
+            D.makef Verify.Lvs_rules.r_off_grid
+              "%d more shapes off the %g nm grid" (!n_off - max_reported)
+              unit_nm
+            :: !off
+          else !off))
+  else
+    Ok
+      { cols;
+        kind;
+        label;
+        pads;
+        drivers = Array.of_list (List.rev !drivers);
+        layers = Array.map layer_of fills }

@@ -3,37 +3,76 @@
     LVS must judge the geometry actually drawn, so the flattener reads
     only the layout's rendered artefacts — placed cell plates, wire
     segments, vias — and never the router's plan or per-net metadata
-    (those are the {e intent} the extraction is checked against). *)
+    (those are the {e intent} the extraction is checked against).
 
-open Ccgrid
+    The shape set is flat: one array per attribute, indexed by shape id,
+    and per metal layer the integer boxes of the shapes drawn on it.
+    Every coordinate is snapped once to the {!unit_nm} grid.  The router
+    only halves tech lengths, so a tech given in whole nanometres lands on
+    this grid, and both built-in techs land on whole nanometres.  A
+    coordinate more than {!tolerance_um} from a grid point is never
+    snapped: the shape is reported under [lvs/off-grid] instead. *)
 
+(** What a shape is.  Constant constructors, so a [kind array] holds no
+    pointers. *)
 type kind =
-  | Pad of Cell.t          (** bottom plate of a placed (non-dummy) cell *)
-  | Top_pad of Cell.t      (** top plate; every cell has one *)
-  | Wire of Ccroute.Layout.wire_kind
-  | Via                    (** logical via joining M1 and M3 *)
+  | Pad        (** bottom plate of a placed (non-dummy) cell, on M1 *)
+  | Top_pad    (** top plate of every cell, dummies included, on M2 *)
+  | Branch
+  | Stub
+  | Trunk
+  | Bridge
+  | Top_wire
+  | Via        (** logical via joining M1 and M3 *)
 
-(** The net a shape claims to belong to: one capacitor's bottom-plate
-    net, or the shared top plate. *)
-type label =
-  | Cap of int
-  | Top
+(** Grid units per micrometre: one unit is half a nanometre. *)
+val units_per_um : int
 
-type t = {
-  id : int;                        (** dense index into the flattened set *)
-  kind : kind;
-  label : label;
-  layers : Tech.Layer.name list;   (** layers the shape occupies (vias: 2) *)
-  x : Geom.Interval.t;
-  y : Geom.Interval.t;             (** extents, um; points are degenerate *)
-  driver : bool;                   (** via at the driver row (y = 0) *)
+(** The grid pitch in nanometres, [0.5]. *)
+val unit_nm : float
+
+(** How far (um) a coordinate may lie from its grid point and still snap
+    to it: [1e-6] um, far below the grid pitch and far above the rounding
+    of summed float coordinates. *)
+val tolerance_um : float
+
+(** The label of the shared top plate; a capacitor net's label is its
+    capacitor id. *)
+val top : int
+
+(** The shapes drawn on one metal layer: [ids.(i)] is the shape id of box
+    [i]. *)
+type layer = {
+  ids : int array;
+  boxes : Geom.Sweepline.boxes;
 }
 
-val label_name : label -> string
-val compare_label : label -> label -> int
+type t = {
+  cols : int;            (** placement columns, to name cells *)
+  kind : kind array;
+  label : int array;     (** capacitor id, or {!top} *)
+  pads : int array;      (** per cell [row * cols + col], the shape id of
+                             its pad, or -1 for a dummy *)
+  drivers : int array;   (** ids of the vias at the driver row (y = 0) *)
+  layers : layer array;  (** M1, M2, M3 *)
+}
+
+(** [of_layout l] flattens [l] into shapes with ids [0 .. n-1]: per cell
+    in row-major order its pad (unless a dummy) and top pad, then the
+    bottom-plate wires, the top-plate wires and the vias, each in layout
+    order.  [Error] lists an [lvs/off-grid] diagnostic for each of the
+    first 8 shapes with a coordinate off the grid (and one more counting
+    the rest). *)
+val of_layout : Ccroute.Layout.t -> (t, Verify.Diagnostic.t list) result
+
+(** Number of shapes. *)
+val count : t -> int
+
+(** [layer t name] is the shapes drawn on [name]. *)
+val layer : t -> Tech.Layer.name -> layer
+
+val label_name : int -> string
 val kind_name : kind -> string
 
-(** [of_layout l] flattens [l] into shapes with ids [0 .. n-1]. *)
-val of_layout : Ccroute.Layout.t -> t array
-
-val pp : Format.formatter -> t -> unit
+(** [cell_name t id] renders cell [id] as ["(row,col)"]. *)
+val cell_name : t -> int -> string

@@ -23,7 +23,7 @@ val to_json : t -> Telemetry.Json.t
 val of_json : Telemetry.Json.t -> t
 
 (** The release this tree is: the newest [## x.y.z] heading of
-    CHANGELOG.md, e.g. ["1.14.0"].  Bumped by hand with each CHANGELOG
+    CHANGELOG.md, e.g. ["1.15.0"].  Bumped by hand with each CHANGELOG
     entry; a test checks the two agree. *)
 val changelog : string
 

@@ -35,12 +35,17 @@ let with_enabled b f =
   Fun.protect ~finally:(fun () -> Atomic.set enabled_flag saved) f
 
 (* allocated = everything that went through the minor heap plus direct
-   major allocations, counting promotions once.  quick_stat's own
-   minor_words only refreshes at GC events in OCaml 5, so a short span
-   that triggers no collection would read 0 — [Gc.minor_words ()] reads
-   the live allocation pointer instead and is exact. *)
-let allocated_of (st : Gc.stat) =
-  Gc.minor_words () +. st.Gc.major_words -. st.Gc.promoted_words
+   major allocations, counting promotions once.  In OCaml 5 quick_stat's
+   word counters only refresh at GC events, so a direct major allocation
+   (an array of more than 256 words) would be booked to whichever span
+   saw the next collection.  [Gc.counters] reads this domain's major and
+   promoted words live, and [Gc.minor_words] its live minor allocation
+   pointer (the minor words of [Gc.counters] also wait for a
+   collection), so each span is charged what it allocated.  Returns
+   (allocated, promoted) words. *)
+let counters () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted, promoted)
 
 (* --- the foreign ledger --- *)
 
@@ -91,6 +96,7 @@ let start () =
   if not (Atomic.get enabled_flag) then None
   else begin
     let st = Gc.quick_stat () in
+    let allocated_w, promoted_w = counters () in
     let led = Domain.DLS.get ledger_key in
     let own = led.owner = (Domain.self () :> int) in
     let l_alloc, l_prom, l_min, l_maj =
@@ -102,8 +108,8 @@ let start () =
     Some
       { s_ledger = led;
         s_own = own;
-        s_allocated_w = allocated_of st;
-        s_promoted_w = st.Gc.promoted_words;
+        s_allocated_w = allocated_w;
+        s_promoted_w = promoted_w;
         s_minors = st.Gc.minor_collections;
         s_majors = st.Gc.major_collections;
         s_compactions = st.Gc.compactions;
@@ -116,6 +122,7 @@ let start () =
 
 let finish s =
   let st = Gc.quick_stat () in
+  let allocated_w, promoted_w = counters () in
   let f_alloc, f_prom, f_min, f_maj, f_top =
     if s.s_own then
       locked s.s_ledger.lock (fun () ->
@@ -126,8 +133,8 @@ let finish s =
             s.s_ledger.l_top_heap_w ))
     else (0., 0., 0, 0, 0)
   in
-  { allocated_words = allocated_of st -. s.s_allocated_w +. f_alloc;
-    promoted_words = st.Gc.promoted_words -. s.s_promoted_w +. f_prom;
+  { allocated_words = allocated_w -. s.s_allocated_w +. f_alloc;
+    promoted_words = promoted_w -. s.s_promoted_w +. f_prom;
     minor_collections = st.Gc.minor_collections - s.s_minors + f_min;
     major_collections = st.Gc.major_collections - s.s_majors + f_maj;
     compactions = st.Gc.compactions - s.s_compactions;
@@ -156,19 +163,17 @@ let with_ctx led f =
     let saved = Domain.DLS.get ledger_key in
     Domain.DLS.set ledger_key led;
     let st0 = Gc.quick_stat () in
-    (* [allocated_of] reads the live minor-heap pointer at call time, so
-       it must be taken NOW — evaluated in the finally it would cancel
-       against the end sample and erase the whole minor contribution *)
-    let a0 = allocated_of st0 in
+    (* [counters] reads the live counters at call time, so the start
+       sample must be taken NOW — evaluated in the finally it would
+       cancel against the end sample and erase the task's allocation *)
+    let a0, p0 = counters () in
     Fun.protect
       ~finally:(fun () ->
         let st1 = Gc.quick_stat () in
+        let a1, p1 = counters () in
         locked led.lock (fun () ->
-            led.l_allocated_w <-
-              led.l_allocated_w +. (allocated_of st1 -. a0);
-            led.l_promoted_w <-
-              led.l_promoted_w
-              +. (st1.Gc.promoted_words -. st0.Gc.promoted_words);
+            led.l_allocated_w <- led.l_allocated_w +. (a1 -. a0);
+            led.l_promoted_w <- led.l_promoted_w +. (p1 -. p0);
             led.l_minors <-
               led.l_minors
               + (st1.Gc.minor_collections - st0.Gc.minor_collections);

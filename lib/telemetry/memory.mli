@@ -1,11 +1,17 @@
-(** Memory/GC observability: [Gc.quick_stat] deltas around spans.
+(** Memory/GC observability: live allocation counters and
+    [Gc.quick_stat] deltas around spans.
 
     Sampling is off by default and costs one [Atomic.get] per span when
     off — the same pay-nothing-when-inactive discipline as
     {!Span.with_}.  When {!set_enabled} turns it on, every completed
     span carries a {!delta}: words allocated while the span ran
     (minor + major − promoted, so promotions count once), collection
-    counts, and major-heap sizes before/after/at-peak.
+    counts, and major-heap sizes before/after/at-peak.  Allocated and
+    promoted words are read live for the calling domain ([Gc.counters]
+    for major and promoted words, [Gc.minor_words] for minor ones), so a
+    direct major allocation (an array of more than 256 words) is charged
+    to the span that made it, not to the span that sees the next
+    collection.
 
     {b Domains.}  OCaml 5 allocation counters are per-domain, so each
     domain owns a mutex-guarded {e foreign ledger}.  {!Context} captures

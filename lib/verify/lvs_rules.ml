@@ -30,6 +30,11 @@ let r_netbuild_mismatch =
     "The cells reached by a capacitor's extracted driver component must be \
      exactly the cell_nodes of its Netbuild RC tree."
 
+let r_off_grid =
+  lvs "off-grid"
+    "Every drawn coordinate must lie on the 0.5 nm grid LVS compares on (to \
+     within 1e-6 um); an off-grid shape is reported, never snapped."
+
 let rules =
   [ r_short; r_open; r_floating_cell; r_dangling; r_top_open;
-    r_netbuild_mismatch ]
+    r_netbuild_mismatch; r_off_grid ]

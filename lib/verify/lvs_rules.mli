@@ -23,5 +23,8 @@ val r_top_open : Rule.t
 (** ["lvs/netbuild-mismatch"] *)
 val r_netbuild_mismatch : Rule.t
 
+(** ["lvs/off-grid"] *)
+val r_off_grid : Rule.t
+
 (** Every rule this module owns. *)
 val rules : Rule.t list

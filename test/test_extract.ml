@@ -17,7 +17,7 @@ let test_net_reaches_every_cell () =
     Alcotest.(check int)
       (Printf.sprintf "C_%d cells in tree" cap)
       spiral6.Ccroute.Layout.placement.Ccgrid.Placement.counts.(cap)
-      (List.length net.Extract.Netbuild.cell_nodes);
+      (Array.length net.Extract.Netbuild.cell_nodes);
     (* reachability: Elmore does not raise, i.e. the net is a tree that
        spans every node *)
     let d = Rcnet.Elmore.delays net.Extract.Netbuild.tree ~root:net.Extract.Netbuild.root in

@@ -15,8 +15,67 @@ let spiral6 = layout_of Ccplace.Style.Spiral 6
 
 let fired diags = Verify.Diagnostic.rule_ids diags
 
+let triples diags =
+  List.sort compare
+    (List.map
+       (fun (d : Verify.Diagnostic.t) ->
+          ( d.Verify.Diagnostic.rule.Verify.Rule.id,
+            Option.value ~default:"-" d.Verify.Diagnostic.loc,
+            d.Verify.Diagnostic.detail ))
+       diags)
+
+(* Every diagnostic of each mutation and triage case as sorted (rule id,
+   loc, detail) triples, recorded before the comparison pass moved onto
+   arrays: counts, cell lists and wording are pinned, not only the rule
+   ids. *)
+let pinned_diagnostics =
+  [ ("drop attach via",
+     [ ("lvs/floating-cell", "C_0",
+        "1 of 1 unit cells unreachable from the driver: (4,4)");
+       ("lvs/open", "C_0",
+        "net fractured into 2 disconnected pieces (1 cell plates)") ]);
+    ("delete bridge segment",
+     [ ("lvs/floating-cell", "C_2",
+        "1 of 2 unit cells unreachable from the driver: (3,4)");
+       ("lvs/open", "C_2",
+        "net fractured into 2 disconnected pieces (2 cell plates)") ]);
+    ("nudge trunk onto neighbouring track",
+     [ ("lvs/floating-cell", "C_5",
+        "16 of 16 unit cells unreachable from the driver: (1,1), (1,2), \
+         (1,3), (1,6), ...");
+       ("lvs/open", "C_5",
+        "net fractured into 3 disconnected pieces (16 cell plates)");
+       ("lvs/short", "C_5",
+        "extracted component of 68 shapes joins nets C_5, C_6") ]);
+    ("merge two tracks",
+     [ ("lvs/short", "C_0",
+        "extracted component of 17 shapes joins nets C_0, C_2") ]);
+    ("inject stray via",
+     [ ("lvs/dangling", "C_3",
+        "dead metal: component of 1 shapes touches no cell plate and no \
+         driver terminal") ]);
+    ("drop a group from the plan",
+     [ ("lvs/netbuild-mismatch", "C_3",
+        "extracted driver component reaches 4 cells but the RC tree models \
+         3 (1 drawn-only, 0 tree-only; drawn-only (2,3))") ]);
+    ("unrouted net",
+     [ ("lvs/open", "C_2",
+        "net fractured into 2 disconnected pieces (2 cell plates)");
+       ("lvs/open", "C_2",
+        "no driver terminal: no via of the net reaches the driver row (y = \
+         0)") ]);
+    ("rejected diagnostics",
+     [ ("lvs/open", "C_2",
+        "capacitor has no routed net: no trunk reaches the driver row, so \
+         no RC tree can be built") ]) ]
+
 let check_fired what expected diags =
-  Alcotest.(check (list string)) what expected (fired diags)
+  Alcotest.(check (list string)) what expected (fired diags);
+  match List.assoc_opt what pinned_diagnostics with
+  | Some pinned ->
+    Alcotest.(check (list (triple string string string)))
+      (what ^ ": every diagnostic") pinned (triples diags)
+  | None -> Alcotest.failf "%s: no pinned diagnostics" what
 
 let sweep_styles bits =
   Ccplace.Style.Spiral :: Ccplace.Style.Chessboard
@@ -27,164 +86,155 @@ let near a b = Float.abs (a -. b) < 1e-9
 
 (* --- Geom.Sweepline --- *)
 
-let seg = Geom.Sweepline.segment
+(* boxes from (ax, ay, bx, by) endpoint pairs, in either order *)
+let boxes_of segs =
+  let a = Array.of_list segs in
+  let pick f = Array.map f a in
+  { Geom.Sweepline.x0 = pick (fun (ax, _, bx, _) -> Int.min ax bx);
+    y0 = pick (fun (_, ay, _, by) -> Int.min ay by);
+    x1 = pick (fun (ax, _, bx, _) -> Int.max ax bx);
+    y1 = pick (fun (_, ay, _, by) -> Int.max ay by) }
 
-(* every contact the sweep reports, as sorted (low id, high id) pairs *)
-let contacts ?eps shapes =
+(* every contact the sweep reports, as sorted (low, high) index pairs *)
+let contacts b =
   let pairs = ref [] in
-  Geom.Sweepline.contacts ?eps (Array.of_list shapes) (fun a b ->
-      pairs := (min a b, max a b) :: !pairs);
+  Geom.Sweepline.contacts b (fun i j -> pairs := (min i j, max i j) :: !pairs);
   List.sort compare !pairs
 
 let test_sweepline_basic () =
   (* crossing, T-junction, endpoint touch, collinear overlap, disjoint *)
-  let shapes =
-    [ seg ~id:0 ~ax:0. ~ay:1. ~bx:4. ~by:1.;     (* H *)
-      seg ~id:1 ~ax:2. ~ay:0. ~bx:2. ~by:3.;     (* V crossing 0 *)
-      seg ~id:2 ~ax:4. ~ay:1. ~bx:4. ~by:5.;     (* V touching 0's endpoint *)
-      seg ~id:3 ~ax:3. ~ay:1. ~bx:6. ~by:1.;     (* H collinear-overlapping 0 *)
-      seg ~id:4 ~ax:0. ~ay:4. ~bx:1. ~by:4. ]    (* disjoint H *)
+  let segs =
+    [ (0, 1, 4, 1);     (* 0: H *)
+      (2, 0, 2, 3);     (* 1: V crossing 0 *)
+      (4, 1, 4, 5);     (* 2: V touching 0's endpoint *)
+      (3, 1, 6, 1);     (* 3: H collinear-overlapping 0 *)
+      (0, 4, 1, 4) ]    (* 4: disjoint H *)
   in
   Alcotest.(check (list (pair int int)))
     "contact pairs"
     [ (0, 1); (0, 2); (0, 3); (2, 3) ]
-    (contacts shapes)
+    (contacts (boxes_of segs))
 
 let test_sweepline_points () =
-  let shapes =
-    [ seg ~id:0 ~ax:0. ~ay:0. ~bx:5. ~by:0.;     (* H *)
-      seg ~id:1 ~ax:3. ~ay:0. ~bx:3. ~by:0.;     (* point on 0 *)
-      seg ~id:2 ~ax:3. ~ay:1. ~bx:3. ~by:1.;     (* point off 0 *)
-      seg ~id:3 ~ax:3. ~ay:(-2.) ~bx:3. ~by:1. ] (* V through 0, hits 2 *)
+  let segs =
+    [ (0, 0, 5, 0);     (* 0: H *)
+      (3, 0, 3, 0);     (* 1: point on 0 *)
+      (3, 1, 3, 1);     (* 2: point off 0 *)
+      (3, -2, 3, 1) ]   (* 3: V through 0, hits 2 *)
   in
   Alcotest.(check (list (pair int int)))
     "point contacts"
     [ (0, 1); (0, 3); (1, 3); (2, 3) ]
-    (contacts shapes)
+    (contacts (boxes_of segs))
 
 let test_sweepline_rejects_rect () =
   Alcotest.check_raises "extended in both axes"
     (Invalid_argument
-       "Sweepline.contacts: shape 7 is not axis-aligned [0.0000, 1.0000] x \
-        [0.0000, 1.0000]")
+       "Sweepline.contacts: box 7 is extended in both axes [0, 1] x [0, 1]")
     (fun () ->
-       ignore (contacts [ seg ~id:7 ~ax:0. ~ay:0. ~bx:1. ~by:1. ]))
+       ignore
+         (contacts
+            (boxes_of (List.init 7 (fun i -> (i, 5, i, 5)) @ [ (0, 0, 1, 1) ]))))
 
-(* Random shape soups against the quadratic all-pairs oracle.  Fixed
-   coordinates (y of a horizontal, x of a vertical, both of a point) lie
-   on a half-pitch grid, where collinear groups are exact (see
-   Sweepline.contacts); the start of a shape drawn from an earlier one
-   sits on that shape's end or eps/2 or 2·eps past or before it, so gaps
-   that must touch and gaps that must miss both occur.  Shapes are fresh
-   (horizontal, vertical, or a zero-length segment, i.e. a point), copies
-   of an earlier shape (coincident points, stacked wires), collinear
-   continuations of one, or T-junctions on one's end. *)
-let oracle_eps = 1e-6
-
+(* Random shape soups against the quadratic all-pairs oracle, on the
+   integer grid.  Fixed coordinates (y of a horizontal, x of a vertical,
+   both of a point) lie on an even lattice of [pitch] units; the start of
+   a shape drawn from an earlier one sits on that shape's end or one unit
+   past or before it, so gaps that must touch and gaps that must miss
+   both occur.  Shapes are fresh (horizontal, vertical, or a zero-length
+   segment, i.e. a point), copies of an earlier shape (coincident points,
+   stacked wires), collinear continuations of one, or T-junctions on
+   one's end.  A pitch of 6,000,002 units spreads keys over about 2^27
+   units, past one radix digit. *)
 type spec =
-  | Fresh of int * int * int * int  (* orientation, x, y, length (grid) *)
+  | Fresh of int * int * int * int  (* orientation, x, y, length (lattice) *)
   | Copy of int
   | Continue of int * int * int     (* earlier shape, gap, length *)
   | Tee of int * int * int
 
-let gaps = [| 0.; oracle_eps /. 2.; -.oracle_eps /. 2.; 2. *. oracle_eps;
-              -2. *. oracle_eps |]
+let gaps = [| 0; 1; -1 |]
 
 let gen_specs =
   let open QCheck.Gen in
   let grid = int_range 0 24 and len = int_range 1 8 in
   let earlier = int_range 0 1000 and gap = int_range 0 (Array.length gaps - 1) in
-  list_size (int_range 1 160)
-    (frequency
-       [ (10, map (fun (o, x, y, l) -> Fresh (o, x, y, l))
-              (quad (int_range 0 2) grid grid len));
-         (3, map (fun i -> Copy i) earlier);
-         (3, map (fun (i, g, l) -> Continue (i, g, l)) (triple earlier gap len));
-         (4, map (fun (i, g, l) -> Tee (i, g, l)) (triple earlier gap len)) ])
+  pair (oneofl [ 2; 6_000_002 ])
+    (list_size (int_range 1 160)
+       (frequency
+          [ (10, map (fun (o, x, y, l) -> Fresh (o, x, y, l))
+                 (quad (int_range 0 2) grid grid len));
+            (3, map (fun i -> Copy i) earlier);
+            (3, map (fun (i, g, l) -> Continue (i, g, l)) (triple earlier gap len));
+            (4, map (fun (i, g, l) -> Tee (i, g, l)) (triple earlier gap len)) ]))
 
-let half k = 0.5 *. float_of_int k
-
-let shapes_of_specs specs =
-  let out = Array.make (List.length specs) (seg ~id:0 ~ax:0. ~ay:0. ~bx:0. ~by:0.) in
+let segs_of_specs (pitch, specs) =
+  let out = Array.make (List.length specs) (0, 0, 0, 0) in
   List.iteri
     (fun id spec ->
        let base i = out.(i mod Int.max id 1) in
-       let lo (i : Geom.Interval.t) = i.Geom.Interval.lo
-       and hi (i : Geom.Interval.t) = i.Geom.Interval.hi in
-       let horizontal (b : Geom.Sweepline.seg) =
-         Geom.Interval.length b.Geom.Sweepline.sx > oracle_eps
-       in
+       let at k = pitch * k in
        out.(id) <-
          (match spec with
-          | Fresh (0, x, y, l) ->
-            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half (x + l)) ~by:(half y)
-          | Fresh (1, x, y, l) ->
-            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half x) ~by:(half (y + l))
-          | Fresh (_, x, y, _) ->
-            seg ~id ~ax:(half x) ~ay:(half y) ~bx:(half x) ~by:(half y)
-          | Copy i ->
-            let b = base i in
-            Geom.Sweepline.box ~id b.sx b.sy
+          | Fresh (0, x, y, l) -> (at x, at y, at (x + l), at y)
+          | Fresh (1, x, y, l) -> (at x, at y, at x, at (y + l))
+          | Fresh (_, x, y, _) -> (at x, at y, at x, at y)
+          | Copy i -> base i
           | Continue (i, g, l) ->
             (* along the earlier shape, from its high end (points extend
                horizontally) *)
-            let b = base i in
-            if horizontal b || Geom.Interval.length b.sy <= oracle_eps then
-              seg ~id ~ax:(hi b.sx +. gaps.(g)) ~ay:(lo b.sy)
-                ~bx:(hi b.sx +. half l) ~by:(lo b.sy)
+            let ax, ay, bx, by = base i in
+            if ay = by then
+              let hi = Int.max ax bx in
+              (hi + gaps.(g), ay, hi + at l, ay)
             else
-              seg ~id ~ax:(lo b.sx) ~ay:(hi b.sy +. gaps.(g)) ~bx:(lo b.sx)
-                ~by:(hi b.sy +. half l)
+              let hi = Int.max ay by in
+              (ax, hi + gaps.(g), ax, hi + at l)
           | Tee (i, g, l) ->
             (* across the earlier shape's high end, starting at its line *)
-            let b = base i in
-            if horizontal b then
-              seg ~id ~ax:(hi b.sx) ~ay:(lo b.sy +. gaps.(g)) ~bx:(hi b.sx)
-                ~by:(lo b.sy +. half l)
+            let ax, ay, bx, by = base i in
+            if ax <> bx then
+              let hi = Int.max ax bx in
+              (hi, ay + gaps.(g), hi, ay + at l)
             else
-              seg ~id ~ax:(lo b.sx +. gaps.(g)) ~ay:(hi b.sy)
-                ~bx:(lo b.sx +. half l) ~by:(hi b.sy)))
+              let hi = Int.max ay by in
+              (ax + gaps.(g), hi, ax + at l, hi)))
     specs;
   Array.to_list out
 
-let shapes_arb =
-  let print shapes =
+let segs_arb =
+  let print segs =
     String.concat "\n"
-      (List.map
-         (fun (s : Geom.Sweepline.seg) ->
-            Format.asprintf "%d: %a x %a" s.Geom.Sweepline.sid Geom.Interval.pp
-              s.Geom.Sweepline.sx Geom.Interval.pp s.Geom.Sweepline.sy)
-         shapes)
+      (List.mapi
+         (fun i (ax, ay, bx, by) -> Printf.sprintf "%d: (%d, %d)-(%d, %d)" i ax ay bx by)
+         segs)
   in
-  QCheck.make ~print (QCheck.Gen.map shapes_of_specs gen_specs)
+  QCheck.make ~print (QCheck.Gen.map segs_of_specs gen_specs)
 
 (* The sweep reports exactly the oracle's pairs, each once (no table
-   removes duplicates), at the drawn tolerance and at [eps = 0], where a
-   gap of 0 puts insert, query and removal events at one x. *)
-let agrees_with_oracle ~eps shapes =
-  let touches (a : Geom.Sweepline.seg) (b : Geom.Sweepline.seg) =
-    Geom.Interval.overlaps ~eps a.Geom.Sweepline.sx b.Geom.Sweepline.sx
-    && Geom.Interval.overlaps ~eps a.Geom.Sweepline.sy b.Geom.Sweepline.sy
+   removes duplicates); with integer coordinates, contact is exact. *)
+let agrees_with_oracle segs =
+  let b = boxes_of segs in
+  let n = Array.length b.Geom.Sweepline.x0 in
+  let touches i j =
+    b.x0.(i) <= b.x1.(j) && b.x0.(j) <= b.x1.(i)
+    && b.y0.(i) <= b.y1.(j) && b.y0.(j) <= b.y1.(i)
   in
   let oracle = ref [] in
-  List.iteri
-    (fun i a ->
-       List.iteri
-         (fun j b -> if i < j && touches a b then oracle := (i, j) :: !oracle)
-         shapes)
-    shapes;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if touches i j then oracle := (i, j) :: !oracle
+    done
+  done;
   let calls = ref 0 and pairs = ref [] in
-  Geom.Sweepline.contacts ~eps (Array.of_list shapes) (fun a b ->
+  Geom.Sweepline.contacts b (fun i j ->
       incr calls;
-      pairs := (min a b, max a b) :: !pairs);
+      pairs := (min i j, max i j) :: !pairs);
   !calls = List.length !oracle
   && List.sort compare !pairs = List.sort compare !oracle
 
 let prop_sweepline_matches_all_pairs =
-  QCheck.Test.make ~name:"matches all-pairs oracle" ~count:300 shapes_arb
-    (fun shapes ->
-       agrees_with_oracle ~eps:oracle_eps shapes
-       && agrees_with_oracle ~eps:0. shapes)
+  QCheck.Test.make ~name:"matches all-pairs oracle" ~count:300 segs_arb
+    agrees_with_oracle
 
 (* --- clean layouts certify clean --- *)
 
@@ -257,15 +307,19 @@ let test_stats_sane () =
 
 (* --- pinned outputs of the signoff designs --- *)
 
-(* The sorted contact pairs the sweep reports on one metal layer. *)
-let layer_contacts (shapes : Lvs.Shape.t array) layer =
-  contacts
-    (List.filter_map
-       (fun (s : Lvs.Shape.t) ->
-          if List.exists (Tech.Layer.equal_name layer) s.Lvs.Shape.layers then
-            Some (Geom.Sweepline.box ~id:s.Lvs.Shape.id s.Lvs.Shape.x s.Lvs.Shape.y)
-          else None)
-       (Array.to_list shapes))
+(* The sorted contact pairs the sweep reports on one metal layer, as
+   shape ids. *)
+let layer_contacts (shapes : Lvs.Shape.t) layer =
+  let l = Lvs.Shape.layer shapes layer in
+  let ids = l.Lvs.Shape.ids in
+  List.map (fun (i, j) -> (min ids.(i) ids.(j), max ids.(i) ids.(j)))
+    (contacts l.Lvs.Shape.boxes)
+  |> List.sort compare
+
+let flat l =
+  match Lvs.Shape.of_layout l with
+  | Ok shapes -> shapes
+  | Error diags -> Alcotest.failf "off the grid:\n%s" (Verify.Report.text diags)
 
 let pairs_digest pairs =
   Digest.to_hex
@@ -337,7 +391,7 @@ let test_signoff_pins () =
                   style bits
               in
               let s = (Lvs.Check.run l).Lvs.Check.stats in
-              let shapes = Lvs.Shape.of_layout l in
+              let shapes = flat l in
               ( Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
                 (s.Lvs.Check.shapes, s.Lvs.Check.contacts, s.Lvs.Check.components),
                 List.map
@@ -574,6 +628,75 @@ let test_netbuild_unrouted_rejected () =
     Alcotest.(check string) "artifact name" "RC extraction of C_2" what;
     check_fired "rejected diagnostics" [ "lvs/open" ] diagnostics
 
+(* --- the integer grid --- *)
+
+let quarter_unit = 0.25 /. float_of_int Lvs.Shape.units_per_um
+
+let test_off_grid_via () =
+  (* one via a quarter unit off the grid: reported by shape, not snapped
+     and not extracted *)
+  let l = spiral6 in
+  let shapes = (Lvs.Check.run l).Lvs.Check.stats.Lvs.Check.shapes in
+  let i = 3 in
+  let v = List.nth l.L.vias i in
+  let vias =
+    List.mapi
+      (fun j (w : L.via) ->
+         if j = i then { w with L.v_x = w.L.v_x +. quarter_unit } else w)
+      l.L.vias
+  in
+  let r = Lvs.Check.run { l with L.vias } in
+  let id = shapes - List.length l.L.vias + i in
+  Alcotest.(check (list (triple string string string)))
+    "one off-grid diagnostic naming the via"
+    [ ( "lvs/off-grid",
+        Printf.sprintf "C_%d" v.L.v_cap,
+        Printf.sprintf
+          "shape %d (via on M1+M3) at x [%.6f, %.6f] y [%.6f, %.6f] um is off \
+           the 0.5 nm grid"
+          id (v.L.v_x +. quarter_unit) (v.L.v_x +. quarter_unit) v.L.v_y
+          v.L.v_y ) ]
+    (triples r.Lvs.Check.diagnostics);
+  Alcotest.(check bool) "not extracted" true
+    (r.Lvs.Check.stats = { Lvs.Check.shapes = 0; contacts = 0; components = 0 })
+
+let test_off_grid_tech () =
+  (* a 64.3 nm pitch puts track centres on tenths of a nanometre *)
+  let tech = { Tech.Process.finfet_12nm with Tech.Process.wire_pitch = 0.0643 } in
+  match Ccdac.Flow.run ~tech ~bits:6 Ccplace.Style.Spiral with
+  | _ -> Alcotest.fail "expected Verify.Engine.Rejected"
+  | exception Verify.Engine.Rejected { diagnostics; _ } ->
+    Alcotest.(check (list string)) "rejected off the grid" [ "lvs/off-grid" ]
+      (fired diagnostics)
+
+let test_noise_snaps () =
+  (* 1e-12 um of noise on every wire and via coordinate snaps back onto
+     the grid: still clean, same shapes, contacts and components *)
+  List.iter
+    (fun (what, l) ->
+       let noise k = if k land 1 = 0 then 1e-12 else -1e-12 in
+       let wire i (w : L.wire) =
+         { w with
+           L.w_ax = w.L.w_ax +. noise i; w_ay = w.L.w_ay -. noise i;
+           w_bx = w.L.w_bx -. noise (i + 1); w_by = w.L.w_by +. noise i }
+       in
+       let noisy =
+         { l with
+           L.wires = List.mapi wire l.L.wires;
+           top_wires = List.mapi wire l.L.top_wires;
+           vias =
+             List.mapi
+               (fun i (v : L.via) ->
+                  { v with L.v_x = v.L.v_x +. noise i; v_y = v.L.v_y -. noise i })
+               l.L.vias }
+       in
+       let clean = Lvs.Check.run l and r = Lvs.Check.run noisy in
+       Alcotest.(check (list string)) (what ^ " clean") [] (fired r.Lvs.Check.diagnostics);
+       Alcotest.(check bool) (what ^ " stats unchanged") true
+         (r.Lvs.Check.stats = clean.Lvs.Check.stats))
+    [ ("spiral 6-bit", spiral6);
+      ("chessboard 8-bit", layout_of Ccplace.Style.Chessboard 8) ]
+
 (* --- satellite regressions in ccroute --- *)
 
 let test_mst_disconnected_message () =
@@ -646,7 +769,7 @@ let test_lvs_rules_registered () =
   Alcotest.(check (list string))
     "catalogued"
     [ "lvs/dangling"; "lvs/floating-cell"; "lvs/netbuild-mismatch";
-      "lvs/open"; "lvs/short"; "lvs/top-open" ]
+      "lvs/off-grid"; "lvs/open"; "lvs/short"; "lvs/top-open" ]
     (List.map (fun (r : Verify.Rule.t) -> r.Verify.Rule.id) lvs_rules);
   Alcotest.(check bool) "dangling is a warning" true
     (Verify.Lvs_rules.r_dangling.Verify.Rule.severity = Verify.Rule.Warning)
@@ -677,6 +800,10 @@ let () =
         [ test_case "unrouted net is lvs/open" `Quick test_unrouted_is_open;
           test_case "Netbuild rejects with diagnostics" `Quick
             test_netbuild_unrouted_rejected ] );
+      ( "grid",
+        [ test_case "off-grid via" `Quick test_off_grid_via;
+          test_case "sub-nanometre tech rejected" `Quick test_off_grid_tech;
+          test_case "1e-12 um noise snaps" `Quick test_noise_snaps ] );
       ( "ccroute satellites",
         [ test_case "Mst.prim disconnected message" `Quick
             test_mst_disconnected_message;

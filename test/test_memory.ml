@@ -126,6 +126,39 @@ let test_parallel_attribution () =
     (Printf.sprintf "sibling span stays clean (got %.3f)" quiet)
     true (quiet < 1.)
 
+(* Direct major allocations land in the span that makes them.  50
+   arrays of 300 ints (15,000 words of payload) are too large for the
+   minor heap; a following span that only runs Gc.minor allocates next to
+   nothing.  With quick_stat's major and promoted words, which are
+   process-wide and refresh only at GC events, the first span read 240
+   words and the second about 15,000. *)
+let test_major_alloc_attribution () =
+  T.Memory.with_enabled true @@ fun () ->
+  let keep = ref [] in
+  let (), spans =
+    T.Span.collect (fun () ->
+        T.Span.with_ ~name:"major" (fun () ->
+            for _ = 1 to 50 do
+              keep := Array.make 300 0 :: !keep
+            done);
+        T.Span.with_ ~name:"gc" (fun () -> Gc.minor ()))
+  in
+  ignore (Sys.opaque_identity !keep);
+  let words name =
+    match
+      (List.find (fun s -> String.equal s.T.Span.name name) spans).T.Span.mem
+    with
+    | Some d -> d.T.Memory.allocated_words
+    | None -> Alcotest.fail (name ^ ": no delta")
+  in
+  let major = words "major" and gc = words "gc" in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocating span reads its 15,000 words (got %.0f)" major)
+    true (major >= 15_000. && major < 16_000.);
+  Alcotest.(check bool)
+    (Printf.sprintf "collecting span reads next to nothing (got %.0f)" gc)
+    true (gc < 1_000.)
+
 (* Summary plumbing: a recorded flow summary exposes per-stage deltas
    that add up (within rounding slack) to the root total. *)
 let test_summary_memory () =
@@ -157,8 +190,9 @@ let () =
         [ Alcotest.test_case "disabled is free" `Quick test_disabled_is_free;
           Alcotest.test_case "alloc delta sanity" `Quick
             test_alloc_delta_sanity;
-          Alcotest.test_case "inactive overhead" `Quick test_inactive_overhead
-        ] );
+          Alcotest.test_case "inactive overhead" `Quick test_inactive_overhead;
+          Alcotest.test_case "major allocation attribution" `Quick
+            test_major_alloc_attribution ] );
       ( "determinism",
         [ Alcotest.test_case "flow bitwise invariant" `Quick
             test_flow_bitwise_invariant ] );

@@ -111,18 +111,14 @@ let test_layout_net_settling_tracks_elmore () =
       Rcnet.Elmore.delays net.Extract.Netbuild.tree
         ~root:net.Extract.Netbuild.root
     in
-    match net.Extract.Netbuild.cell_nodes with
+    match Array.to_list net.Extract.Netbuild.cell_nodes with
     | [] -> Alcotest.fail "net has no cells"
     | first :: rest ->
-      let best = ref first in
-      List.iter
-        (fun (c, n) ->
-           let _, bn = !best in
-           if d.((n : Rcnet.Rctree.node :> int))
-              > d.((bn : Rcnet.Rctree.node :> int))
-           then best := (c, n))
-        rest;
-      snd !best
+      List.fold_left
+        (fun best (n : Rcnet.Rctree.node) ->
+           if d.((n :> int)) > d.((best : Rcnet.Rctree.node :> int)) then n
+           else best)
+        first rest
   in
   let bits = 6 in
   let tolerance = 1. /. float_of_int (4 * (1 lsl bits)) in
