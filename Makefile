@@ -71,15 +71,13 @@ qor: build
 	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --from-ledger --ledger qor_ledger.jsonl --werror
 	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --from-ledger --ledger qor_ledger.jsonl --json > qor_verdicts.json
 
+# Run every example in examples/dune (CI runs this target too).
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/dac_tradeoff.exe
 	dune exec examples/parallel_wires.exe
 	dune exec examples/layout_gallery.exe
-	dune exec examples/sar_adc.exe
 	dune exec examples/segmented_dac.exe
-	dune exec examples/yield_sizing.exe
-	dune exec examples/refine_frontier.exe
 
 clean:
 	dune clean

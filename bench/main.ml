@@ -562,30 +562,7 @@ let ablation () =
          trunk.Ccdac.Flow.f3db_mhz
          (spiral.Ccdac.Flow.f3db_mhz /. Ccroute.Chain.f3db_mhz chain ~bits))
     [ 6; 8; 10 ];
-  (* 7. mirror-pair swap refinement: the continuous tradeoff dial *)
-  Printf.printf "\nswap-refined spiral (8-bit): budget -> f3dB MHz / DNL LSB\n";
-  let spiral8 = Ccplace.Spiral.place ~bits:8 in
-  List.iter
-    (fun budget ->
-       let placement =
-         if budget = 0 then spiral8
-         else fst (Ccplace.Refine.refine tech ~max_passes:50 ~max_swaps:budget spiral8)
-       in
-       let layout =
-         Ccroute.Layout.route tech
-           ~p_of_cap:(Ccroute.Layout.msb_parallel ~bits:8 ~p:2) placement
-       in
-       let par = Extract.Parasitics.extract layout in
-       let nl =
-         Dacmodel.Nonlinearity.analyze tech
-           ~top_parasitic:par.Extract.Parasitics.total_top_cap placement
-       in
-       Printf.printf "  %4d swaps: %8.1f MHz  %.3f LSB\n" budget
-         (Dacmodel.Speed.f3db_mhz ~bits:8
-            ~tau_fs:par.Extract.Parasitics.critical_elmore_fs)
-         nl.Dacmodel.Nonlinearity.max_abs_dnl)
-    [ 0; 20; 100; 1000 ];
-  (* 8. curvature: CC symmetry cancels linear gradients, not bowls *)
+  (* 7. curvature: CC symmetry cancels linear gradients, not bowls *)
   Printf.printf
     "\nquadratic (bowl) profile, mismatch off: systematic |INL| in LSB\n";
   let no_random = { tech with Tech.Process.mismatch_coeff = 0. } in
@@ -603,7 +580,7 @@ let ablation () =
        Printf.printf "  %-5s linear %.2e | bowl %.4f\n"
          (Ccplace.Style.label style) linear curved)
     [ Ccplace.Style.Spiral; Ccplace.Style.Chessboard ];
-  (* 9. Elmore vs backward-Euler transient on the spiral MSB net *)
+  (* 8. Elmore vs backward-Euler transient on the spiral MSB net *)
   Printf.printf "\nElmore vs transient settling (6-bit spiral MSB):\n";
   let p6 = Ccplace.Spiral.place ~bits:6 in
   let layout6 = Ccroute.Layout.route tech p6 in

@@ -169,20 +169,12 @@ let place_cmd =
 
 (* --- run --- *)
 
-let refine_arg =
-  let doc =
-    "Apply the mirror-pair swap refinement with this swap budget before \
-     routing (0 = off)."
-  in
-  Arg.(value & opt int 0 & info [ "r"; "refine" ] ~docv:"SWAPS" ~doc)
-
 let load_arg =
   let doc = "Analyse a saved placement file instead of placing." in
   Arg.(value & opt (some string) None & info [ "load" ] ~docv:"FILE" ~doc)
 
 let run_cmd =
-  let run bits style granularity tech refine_swaps verbose load trace
-      metrics_fmt jobs =
+  let run bits style granularity tech verbose load trace metrics_fmt jobs =
     setup_logs verbose;
     apply_jobs jobs;
     check_bits bits;
@@ -197,19 +189,7 @@ let run_cmd =
             exit 1
           | Ok placement -> Ccdac.Flow.run_placement ~tech placement
         end
-      | None ->
-        if refine_swaps <= 0 then Ccdac.Flow.run ~tech ~bits style
-        else begin
-          let placement = Ccplace.Style.place ~bits style in
-          let refined, stats =
-            Ccplace.Refine.refine tech ~max_passes:50 ~max_swaps:refine_swaps
-              placement
-          in
-          Printf.printf "refinement: %d swaps, energy %.1f -> %.1f\n\n"
-            stats.Ccplace.Refine.swaps stats.Ccplace.Refine.initial_energy
-            stats.Ccplace.Refine.final_energy;
-          Ccdac.Flow.run_placement ~tech ~style refined
-        end
+      | None -> Ccdac.Flow.run ~tech ~bits style
     in
     print_string (Ccdac.Report.summary r);
     print_metrics metrics_fmt
@@ -217,8 +197,8 @@ let run_cmd =
   in
   let doc = "Run the full flow (place, route, extract, analyse) and report." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ refine_arg
-          $ verbose_arg $ load_arg $ trace_arg $ metrics_arg $ jobs_arg)
+    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ verbose_arg
+          $ load_arg $ trace_arg $ metrics_arg $ jobs_arg)
 
 (* --- compare --- *)
 
@@ -324,45 +304,6 @@ let mc_cmd =
   Cmd.v (Cmd.info "mc" ~doc)
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ trials_arg
           $ jobs_arg)
-
-(* --- spectrum --- *)
-
-let spectrum_cmd =
-  let seed_arg =
-    let doc = "Mismatch sample seed (negative = nominal, no random sample)." in
-    Arg.(value & opt int (-1) & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run bits style granularity tech seed =
-    check_bits bits;
-    let style = resolve_style ~bits ~granularity style in
-    let p = Ccplace.Style.place ~bits style in
-    let sample =
-      if seed < 0 then None
-      else begin
-        let cov =
-          Capmodel.Covariance.build tech
-            (Ccgrid.Placement.positions_by_cap tech p)
-        in
-        Some (Capmodel.Gauss.draw (Capmodel.Gauss.sampler ~seed cov))
-      end
-    in
-    let s = Dacmodel.Spectrum.analyze tech ?sample p in
-    Printf.printf
-      "%s %d-bit%s\n\
-      \  SNDR : %.1f dB (ideal bound %.1f dB)\n\
-      \  SFDR : %.1f dB\n\
-      \  THD  : %.1f dB\n\
-      \  ENOB : %.2f bits\n"
-      (Ccplace.Style.name style) bits
-      (if seed < 0 then " (nominal)" else Printf.sprintf " (sample seed %d)" seed)
-      s.Dacmodel.Spectrum.sndr_db
-      (Dacmodel.Spectrum.ideal_sndr_db ~bits)
-      s.Dacmodel.Spectrum.sfdr_db s.Dacmodel.Spectrum.thd_db
-      s.Dacmodel.Spectrum.enob
-  in
-  let doc = "Spectral characterisation: SNDR/SFDR/THD of a reconstructed sine." in
-  Cmd.v (Cmd.info "spectrum" ~doc)
-    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ seed_arg)
 
 (* --- verify --- *)
 
@@ -1189,9 +1130,8 @@ let main =
   in
   Cmd.group (Cmd.info "ccgen" ~version:Qor.Provenance.changelog ~doc)
     [ place_cmd; run_cmd; compare_cmd; tables_cmd; sweep_cmd; profile_cmd;
-      scale_cmd; svg_cmd; mc_cmd; verify_cmd; lint_cmd; lvs_cmd; spectrum_cmd;
-      record_cmd; diff_cmd; history_cmd; explain_cmd; devlint_cmd;
-      version_cmd ]
+      scale_cmd; svg_cmd; mc_cmd; verify_cmd; lint_cmd; lvs_cmd; record_cmd;
+      diff_cmd; history_cmd; explain_cmd; devlint_cmd; version_cmd ]
 
 (* The verification and LVS gates raise [Verify.Engine.Rejected] on a
    defective layout; turn that into a report and a nonzero exit instead of

@@ -67,20 +67,3 @@ let ifft ~re ~im =
     re.(i) <- re.(i) *. inv;
     im.(i) <- -.im.(i) *. inv
   done
-
-let magnitude ~re ~im k = Float.hypot re.(k) im.(k)
-
-let power_spectrum ~re ~im =
-  let n = check re im in
-  let half = n / 2 in
-  Array.init (half + 1)
-    (fun k ->
-       let m = magnitude ~re ~im k /. float_of_int n in
-       let p = m *. m in
-       if k = 0 || k = half then p else 2. *. p)
-
-let hann n =
-  if n < 1 then invalid_arg "Fft.hann: n must be >= 1";
-  Array.init n (fun i ->
-      0.5
-      *. (1. -. cos (2. *. Float.pi *. float_of_int i /. float_of_int n)))

@@ -1,8 +1,3 @@
-type sampler = {
-  factor : float array array;   (* lower-triangular Cholesky factor *)
-  state : Random.State.t;
-}
-
 let cholesky m =
   let n = Array.length m in
   if Array.exists (fun row -> Array.length row <> n) m then
@@ -58,8 +53,3 @@ let draw_from factor state =
          acc := !acc +. (factor.(i).(k) *. z.(k))
        done;
        !acc)
-
-let sampler ?(seed = 0x5eed) cov =
-  { factor = factorize cov; state = Random.State.make [| seed |] }
-
-let draw s = draw_from s.factor s.state

@@ -7,31 +7,18 @@
     with exactly the covariance matrix of Eq. 6, so a sample needs only a
     Cholesky factor of an [(N+1) x (N+1)] matrix. *)
 
-type sampler
-
-(** [sampler ?seed cov] factorises the covariance of a built
-    {!Covariance.t}.  A tiny diagonal jitter is added if the matrix is
-    semidefinite to numerical precision.  [seed] defaults to a fixed value
-    so runs are reproducible. *)
-val sampler : ?seed:int -> Covariance.t -> sampler
-
-(** [draw s] is one joint sample of the capacitor shifts, fF. *)
-val draw : sampler -> float array
-
-(** {2 Split factorisation} — for callers that draw from many
-    independent [Random.State] substreams against one covariance (the
-    parallel Monte-Carlo engine): factorise once, draw per stream. *)
-
-(** A lower-triangular Cholesky factor of a covariance. *)
+(** A lower-triangular Cholesky factor of a covariance.  Factorise once,
+    then draw from as many independent [Random.State] substreams as
+    needed (the parallel Monte-Carlo engine draws one per trial). *)
 type factor
 
-(** [factorize cov] is the factor {!sampler} would embed (same jitter
-    discipline). *)
+(** [factorize cov] factorises the covariance of a built
+    {!Covariance.t}.  A tiny diagonal jitter is added if the matrix is
+    semidefinite to numerical precision. *)
 val factorize : Covariance.t -> factor
 
-(** [draw_from factor state] is one joint sample using [state]'s
-    variates.  [draw s] is exactly [draw_from] on the sampler's embedded
-    factor and stream. *)
+(** [draw_from factor state] is one joint sample of the capacitor
+    shifts, fF, using [state]'s variates. *)
 val draw_from : factor -> Random.State.t -> float array
 
 (** [cholesky m] is the lower-triangular factor [l] with [l l^T = m].

@@ -160,8 +160,7 @@ let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
        in
        analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout)
 
-let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
-    ?(verify = true) ?sign_mode ?theta ?(style = Ccplace.Style.Spiral)
+let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
     placement =
   let bits = placement.Ccgrid.Placement.bits in
   let expected =
@@ -172,9 +171,8 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
     invalid_arg
       "Flow.run_placement: placement is not binary-weighted (the INL/DNL \
        and transfer models assume binary ratios)";
-  let parallel =
-    Option.value parallel ~default:(default_parallel ~bits style)
-  in
+  let style = Ccplace.Style.Spiral in
+  let parallel = default_parallel ~bits style in
   recorded
     ~attrs:
       [ ( "style",
@@ -191,4 +189,4 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?parallel
            placement.Ccgrid.Placement.style_name bits
        in
        let elmore_fs = gates ~verify ~what layout in
-       analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout)
+       analyze_layout ~tech ~style ~elmore_fs layout)

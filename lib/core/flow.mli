@@ -68,26 +68,18 @@ val run :
 (** [default_parallel ~bits style] is the policy described above. *)
 val default_parallel : bits:int -> Ccplace.Style.t -> int -> int
 
-(** [run_placement ?tech ?parallel ?verify ?sign_mode ?theta ?style
-    placement] routes and analyses a {e prebuilt} binary-weighted
-    placement — e.g. one produced by {!Ccplace.Refine.refine} or
-    hand-constructed.  [style] only labels the result (default Spiral,
-    whose parallel policy is also the default).  Raises
-    [Invalid_argument] when the placement's counts are not
-    binary-weighted: the DAC transfer model assumes binary ratios (use
-    the extraction layer directly for general ratios).  [verify] gates on
-    the linter exactly as in {!run} — hand-constructed placements that
-    break the common-centroid contract raise {!Verify.Engine.Rejected}
-    unless [~verify:false]. *)
+(** [run_placement ?tech ?verify placement] routes and analyses a
+    {e prebuilt} binary-weighted placement — e.g. one loaded from a file
+    or hand-constructed.  The result is labelled Spiral and routed with
+    the Spiral parallel-wire policy; the analysis uses the [Paper] sign
+    mode and the tech's gradient angle.  Raises [Invalid_argument] when
+    the placement's counts are not binary-weighted: the DAC transfer
+    model assumes binary ratios (use the extraction layer directly for
+    general ratios).  [verify] gates on the linter exactly as in {!run} —
+    hand-constructed placements that break the common-centroid contract
+    raise {!Verify.Engine.Rejected} unless [~verify:false]. *)
 val run_placement :
-  ?tech:Tech.Process.t ->
-  ?parallel:(int -> int) ->
-  ?verify:bool ->
-  ?sign_mode:Dacmodel.Nonlinearity.sign_mode ->
-  ?theta:float ->
-  ?style:Ccplace.Style.t ->
-  Ccgrid.Placement.t ->
-  result
+  ?tech:Tech.Process.t -> ?verify:bool -> Ccgrid.Placement.t -> result
 
 (** [place_route ?tech ?parallel ?verify ~bits style] runs only placement
     and routing, returning the layout and the wall-clock seconds — the

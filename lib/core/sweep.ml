@@ -58,28 +58,6 @@ let row ?tech ?sign_mode ?jobs ~bits () =
   | Some best -> firsts @ [ best ]
   | None -> invalid_arg "Sweep.row: empty BC family"
 
-let frontier ?(tech = Tech.Process.finfet_12nm) ?(style = Ccplace.Style.Spiral)
-    ?jobs ~bits budgets =
-  Telemetry.Span.with_ ~name:"sweep.frontier"
-    ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
-  @@ fun () ->
-  List.iter
-    (fun budget ->
-       if budget < 0 then invalid_arg "Sweep.frontier: negative budget")
-    budgets;
-  let placement = Ccplace.Style.place ~bits style in
-  Par.Pool.map_list_exn ?jobs
-    (fun budget ->
-       let refined =
-         if budget = 0 then placement
-         else
-           fst
-             (Ccplace.Refine.refine tech ~max_passes:50 ~max_swaps:budget
-                placement)
-       in
-       (budget, Flow.run_placement ~tech ~style refined))
-    budgets
-
 let parallel_sweep ?tech ?jobs ~bits ~style ks =
   Telemetry.Span.with_ ~name:"sweep.parallel"
     ~attrs:[ ("bits", Telemetry.Span.Int bits) ]

@@ -36,12 +36,3 @@ val parallel_sweep :
   ?tech:Tech.Process.t ->
   ?jobs:int -> bits:int -> style:Ccplace.Style.t -> int list ->
   (int * float) list
-
-(** [frontier ?tech ?style ?jobs ~bits budgets] applies the mirror-pair
-    swap refinement ({!Ccplace.Refine}) at each swap budget
-    (0 = unrefined) and analyses the result, tracing the continuous
-    dispersion/interconnect tradeoff between the paper's discrete
-    styles.  Returns [(budget, result)] in input order. *)
-val frontier :
-  ?tech:Tech.Process.t -> ?style:Ccplace.Style.t -> ?jobs:int ->
-  bits:int -> int list -> (int * Flow.result) list

@@ -18,12 +18,6 @@ let definitions =
     m ~id:"place/cells" ~kind:Metric.Gauge ~stage:"place" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Grid size (rows x cols) of the placement just built.";
-    m ~id:"place/refine_passes_total" ~kind:Metric.Counter ~stage:"place"
-      ~unit_:"1" ~cardinality:"1"
-      ~doc:"Full sweeps executed by the mirror-pair swap refinement.";
-    m ~id:"place/refine_swaps_total" ~kind:Metric.Counter ~stage:"place"
-      ~unit_:"1" ~cardinality:"1"
-      ~doc:"Swaps accepted by the mirror-pair swap refinement.";
     (* route *)
     m ~id:"route/groups" ~kind:Metric.Gauge ~stage:"route" ~unit_:"1"
       ~cardinality:"1"

@@ -1,4 +1,5 @@
-(* Tests for the variation models of Sec. II-C. *)
+(* Tests for the variation models of Sec. II-C and the FFT under the
+   lattice covariance kernel. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let tech = Tech.Process.finfet_12nm
@@ -241,6 +242,71 @@ let test_covariance_kernel_choice () =
     (Option.is_none (Capmodel.Lattice.of_positions tech off));
   Alcotest.(check bool) "off-lattice: pair sum" true (built_from (pairwise_sums off) off)
 
+(* --- fft (the lattice kernel's transform) --- *)
+
+let check_fft = Alcotest.(check (float 1e-6))
+
+let test_fft_impulse () =
+  (* FFT of an impulse is flat *)
+  let re = Array.make 8 0. and im = Array.make 8 0. in
+  re.(0) <- 1.;
+  Capmodel.Fft.fft ~re ~im;
+  for k = 0 to 7 do
+    check_fft "flat re" 1. re.(k);
+    check_fft "flat im" 0. im.(k)
+  done
+
+let test_fft_single_tone () =
+  (* cos(2 pi 3 t): energy only in bins 3 and n-3 *)
+  let n = 64 in
+  let re =
+    Array.init n (fun i ->
+        cos (2. *. Float.pi *. 3. *. float_of_int i /. float_of_int n))
+  in
+  let im = Array.make n 0. in
+  Capmodel.Fft.fft ~re ~im;
+  for k = 0 to n - 1 do
+    let m = Float.hypot re.(k) im.(k) in
+    if k = 3 || k = n - 3 then check_fft "tone bin" (float_of_int n /. 2.) m
+    else if m > 1e-6 then Alcotest.failf "leakage at bin %d: %g" k m
+  done
+
+let test_fft_roundtrip () =
+  let n = 32 in
+  let original = Array.init n (fun i -> sin (0.3 *. float_of_int i) +. 0.1) in
+  let re = Array.copy original and im = Array.make n 0. in
+  Capmodel.Fft.fft ~re ~im;
+  Capmodel.Fft.ifft ~re ~im;
+  for i = 0 to n - 1 do
+    if Float.abs (re.(i) -. original.(i)) > 1e-9 then
+      Alcotest.failf "roundtrip mismatch at %d" i
+  done
+
+let test_fft_parseval () =
+  (* sum |x|^2 = (1/n) sum |X|^2 *)
+  let n = 128 in
+  let re = Array.init n (fun i -> Float.rem (float_of_int (i * 37)) 11. -. 5.) in
+  let time_energy = Array.fold_left (fun a x -> a +. (x *. x)) 0. re in
+  let im = Array.make n 0. in
+  Capmodel.Fft.fft ~re ~im;
+  let freq_energy = ref 0. in
+  for k = 0 to n - 1 do
+    let m = Float.hypot re.(k) im.(k) in
+    freq_energy := !freq_energy +. (m *. m)
+  done;
+  Alcotest.(check bool) "parseval" true
+    (Float.abs (time_energy -. (!freq_energy /. float_of_int n))
+     /. time_energy
+     < 1e-9)
+
+let test_fft_rejects_bad_length () =
+  Alcotest.(check bool) "non power of two" true
+    (try Capmodel.Fft.fft ~re:(Array.make 6 0.) ~im:(Array.make 6 0.); false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "mismatch" true
+    (try Capmodel.Fft.fft ~re:(Array.make 8 0.) ~im:(Array.make 4 0.); false
+     with Invalid_argument _ -> true)
+
 (* --- properties --- *)
 
 let coord = QCheck.Gen.float_range (-30.) 30.
@@ -317,6 +383,27 @@ let prop_lattice_matches_pairwise =
        check_kernels_agree "random lattice" positions;
        true)
 
+let prop_fft_linearity =
+  QCheck.Test.make ~name:"fft is linear" ~count:30
+    QCheck.(pair (float_range (-3.) 3.) (float_range (-3.) 3.))
+    (fun (a, b) ->
+       let n = 16 in
+       let x = Array.init n (fun i -> sin (0.7 *. float_of_int i)) in
+       let y = Array.init n (fun i -> cos (1.3 *. float_of_int i)) in
+       let tx = Array.copy x and txi = Array.make n 0. in
+       let ty = Array.copy y and tyi = Array.make n 0. in
+       Capmodel.Fft.fft ~re:tx ~im:txi;
+       Capmodel.Fft.fft ~re:ty ~im:tyi;
+       let z = Array.init n (fun i -> (a *. x.(i)) +. (b *. y.(i))) in
+       let tz = Array.copy z and tzi = Array.make n 0. in
+       Capmodel.Fft.fft ~re:tz ~im:tzi;
+       let ok = ref true in
+       for k = 0 to n - 1 do
+         if Float.abs (tz.(k) -. ((a *. tx.(k)) +. (b *. ty.(k)))) > 1e-6 then
+           ok := false
+       done;
+       !ok)
+
 let () =
   Alcotest.run "capmodel"
     [ ( "gradient",
@@ -346,9 +433,16 @@ let () =
             test_lattice_matches_pairwise;
           Alcotest.test_case "general weights" `Quick test_lattice_general_weights;
           Alcotest.test_case "kernel choice" `Quick test_covariance_kernel_choice ] );
+      ( "fft",
+        [ Alcotest.test_case "impulse" `Quick test_fft_impulse;
+          Alcotest.test_case "single tone" `Quick test_fft_single_tone;
+          Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
+          Alcotest.test_case "parseval" `Quick test_fft_parseval;
+          Alcotest.test_case "bad length" `Quick test_fft_rejects_bad_length ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_correlation_in_range;
             prop_subset_sigma_nonneg;
             prop_weighted_sigma_nonneg;
-            prop_lattice_matches_pairwise ] ) ]
+            prop_lattice_matches_pairwise;
+            prop_fft_linearity ] ) ]

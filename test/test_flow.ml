@@ -60,12 +60,33 @@ let test_elapsed_excludes_verify_gate () =
     (r.Ccdac.Flow.elapsed_place_route_s
      <= t.Telemetry.Summary.total_s -. stage "verify" +. 1e-9)
 
-let test_run_placement_refined () =
-  let placement = Ccplace.Spiral.place ~bits:6 in
-  let refined, _ =
-    Ccplace.Refine.refine Tech.Process.finfet_12nm ~max_swaps:10 placement
+(* A hand-refined 6-bit spiral that no style builds: its first C_6 cell
+   and first C_5 cell trade places, and so do their mirror cells, which
+   keeps the counts and the common-centroid symmetry. *)
+let refined_spiral6 () =
+  let p = Ccplace.Spiral.place ~bits:6 in
+  let rows = p.Ccgrid.Placement.rows and cols = p.Ccgrid.Placement.cols in
+  let assign = Array.map Array.copy p.Ccgrid.Placement.assign in
+  let swap (a : Ccgrid.Cell.t) (b : Ccgrid.Cell.t) =
+    let t = assign.(a.row).(a.col) in
+    assign.(a.row).(a.col) <- assign.(b.row).(b.col);
+    assign.(b.row).(b.col) <- t
   in
-  let r = Ccdac.Flow.run_placement refined in
+  let c6 = List.hd (Ccgrid.Placement.cells_of p 6)
+  and c5 = List.hd (Ccgrid.Placement.cells_of p 5) in
+  swap c6 c5;
+  swap (Ccgrid.Cell.mirror ~rows ~cols c6) (Ccgrid.Cell.mirror ~rows ~cols c5);
+  Ccgrid.Placement.create ~bits:6 ~rows ~cols
+    ~unit_multiplier:p.Ccgrid.Placement.unit_multiplier
+    ~counts:p.Ccgrid.Placement.counts ~assign ~style_name:"spiral+swapped"
+
+let test_run_placement_refined () =
+  let placement = refined_spiral6 () in
+  Alcotest.(check bool) "not the spiral" true
+    (placement.Ccgrid.Placement.assign
+     <> (Ccplace.Spiral.place ~bits:6).Ccgrid.Placement.assign);
+  (* the verify and LVS gates are on: a rejection would raise *)
+  let r = Ccdac.Flow.run_placement placement in
   Alcotest.(check int) "bits" 6 r.Ccdac.Flow.bits;
   Alcotest.(check bool) "analysed" true (r.Ccdac.Flow.f3db_mhz > 0.)
 

@@ -65,13 +65,16 @@ let cov8 =
     (Capmodel.Covariance.build tech
        (Ccgrid.Placement.positions_by_cap tech spiral8))
 
+let factor8 = lazy (Capmodel.Gauss.factorize (Lazy.force cov8))
+
 let test_sampler_dimensions () =
-  let s = Capmodel.Gauss.sampler (Lazy.force cov8) in
-  Alcotest.(check int) "9 capacitors" 9 (Array.length (Capmodel.Gauss.draw s))
+  let state = Random.State.make [| 0x5eed |] in
+  Alcotest.(check int) "9 capacitors" 9
+    (Array.length (Capmodel.Gauss.draw_from (Lazy.force factor8) state))
 
 let test_sampler_reproducible () =
   let draw_first seed =
-    Capmodel.Gauss.draw (Capmodel.Gauss.sampler ~seed (Lazy.force cov8))
+    Capmodel.Gauss.draw_from (Lazy.force factor8) (Random.State.make [| seed |])
   in
   Alcotest.(check bool) "same seed, same draw" true
     (draw_first 7 = draw_first 7);
@@ -80,16 +83,16 @@ let test_sampler_reproducible () =
 
 let test_sampler_variance_matches_model () =
   (* the MSB sample variance must approach sigma_N^2 from Eq. 6 *)
-  let cov = Lazy.force cov8 in
-  let s = Capmodel.Gauss.sampler cov in
+  let factor = Lazy.force factor8 in
+  let state = Random.State.make [| 0x5eed |] in
   let n = 4000 in
   let sum2 = ref 0. in
   for _ = 1 to n do
-    let x = (Capmodel.Gauss.draw s).(8) in
+    let x = (Capmodel.Gauss.draw_from factor state).(8) in
     sum2 := !sum2 +. (x *. x)
   done;
   let sample_var = !sum2 /. float_of_int n in
-  let model_var = Capmodel.Covariance.variance cov 8 in
+  let model_var = Capmodel.Covariance.variance (Lazy.force cov8) 8 in
   Alcotest.(check bool)
     (Printf.sprintf "sample %.4f vs model %.4f" sample_var model_var)
     true

@@ -163,6 +163,84 @@ let test_sweep_row_respects_tech () =
          r.Ccdac.Flow.tech.Tech.Process.name)
     rows
 
+(* --- documentation catalogues --- *)
+
+(* The rows of every markdown table in [path] whose header row is
+   [header], as trimmed cells with any backticks around a cell dropped. *)
+let doc_table_rows path ~header =
+  let cells line =
+    let line = String.trim line in
+    let n = String.length line in
+    if n < 2 || line.[0] <> '|' || line.[n - 1] <> '|' then None
+    else
+      Some
+        (List.map
+           (fun c ->
+              let c = String.trim c in
+              let m = String.length c in
+              if m >= 2 && c.[0] = '`' && c.[m - 1] = '`' then
+                String.sub c 1 (m - 2)
+              else c)
+           (String.split_on_char '|' (String.sub line 1 (n - 2))))
+  in
+  let rec scan acc = function
+    | [] -> List.rev acc
+    | line :: rest when cells line = Some header ->
+      (* skip the separator row, then read rows up to the table's end *)
+      table acc (List.tl rest)
+    | _ :: rest -> scan acc rest
+  and table acc = function
+    | line :: rest -> (
+        match cells line with
+        | Some row -> table (row :: acc) rest
+        | None -> scan acc rest)
+    | [] -> List.rev acc
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n' |> scan []
+
+(* docs/TELEMETRY.md's metric table and docs/VERIFY.md's rule tables
+   copy their registries by hand; a kind cell reads e.g. "histogram (...)". *)
+let test_doc_catalogues_match_registries () =
+  let sorted l = List.sort compare l in
+  let documented_metrics =
+    doc_table_rows "../docs/TELEMETRY.md"
+      ~header:[ "id"; "kind"; "stage"; "unit"; "cardinality"; "contract" ]
+    |> List.map (function
+      | id :: kind :: stage :: _ ->
+        (id, List.hd (String.split_on_char ' ' kind), stage)
+      | _ -> Alcotest.fail "short TELEMETRY.md metric row")
+    |> sorted
+  in
+  let registered_metrics =
+    List.map
+      (fun (m : Telemetry.Metric.t) ->
+         ( m.Telemetry.Metric.id,
+           Telemetry.Metric.kind_name m.Telemetry.Metric.kind,
+           m.Telemetry.Metric.stage ))
+      Telemetry.Registry.all
+    |> sorted
+  in
+  Alcotest.(check (list (triple string string string)))
+    "TELEMETRY.md metric (id, kind, stage)" registered_metrics
+    documented_metrics;
+  let documented_rules =
+    doc_table_rows "../docs/VERIFY.md" ~header:[ "id"; "severity"; "contract" ]
+    |> List.map (function
+      | id :: severity :: _ -> (id, severity)
+      | _ -> Alcotest.fail "short VERIFY.md rule row")
+    |> sorted
+  in
+  let registered_rules =
+    List.map
+      (fun (r : Verify.Rule.t) ->
+         (r.Verify.Rule.id, Verify.Rule.severity_name r.Verify.Rule.severity))
+      Verify.Registry.all
+    |> sorted
+  in
+  Alcotest.(check (list (pair string string)))
+    "VERIFY.md rule (id, severity)" registered_rules documented_rules
+
 let () =
   Alcotest.run "misc"
     [ ( "printers",
@@ -191,4 +269,7 @@ let () =
         [ Alcotest.test_case "cell center" `Quick test_layout_cell_center_matches_arrays;
           Alcotest.test_case "wire length" `Quick test_wire_length_axis_aligned;
           Alcotest.test_case "theta insensitivity" `Quick test_flow_theta_changes_little_for_cc;
-          Alcotest.test_case "sweep tech" `Quick test_sweep_row_respects_tech ] ) ]
+          Alcotest.test_case "sweep tech" `Quick test_sweep_row_respects_tech ] );
+      ( "docs",
+        [ Alcotest.test_case "catalogues match registries" `Quick
+            test_doc_catalogues_match_registries ] ) ]

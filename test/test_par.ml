@@ -1,7 +1,7 @@
 (* Tests for the parallel execution subsystem: the domain pool's
    ordering / fault-isolation / reentrancy contract, the counter-based
    RNG substreams, and the bitwise-determinism guarantee of every ?jobs
-   entry point (Monte-Carlo, sweeps, sizing). *)
+   entry point (Monte-Carlo, sweeps). *)
 
 let tech = Tech.Process.finfet_12nm
 
@@ -248,35 +248,6 @@ let test_sweep_row_determinism () =
          (row jobs = reference))
     [ 2; 4 ]
 
-(* --- Optimize: speculative walk preserves serial semantics --- *)
-
-let test_optimize_speculation () =
-  let shape (best, trace) =
-    ( Option.map (fun c -> c.Ccdac.Optimize.unit_cap_ff) best,
-      List.map
-        (fun c -> (c.Ccdac.Optimize.unit_cap_ff, c.Ccdac.Optimize.mc))
-        trace )
-  in
-  let candidates = [ 5.; 1.; 3. ] in
-  let walk ?bound ?target_yield jobs =
-    shape
-      (Ccdac.Optimize.minimum_unit_cap ~tech ?bound ?target_yield ~jobs
-         ~trials:50 ~bits:4 ~style:Ccplace.Style.Spiral candidates)
-  in
-  (* everything passes: the trace must stop at the first candidate even
-     though jobs=4 speculated past it *)
-  let first_passes = walk ~target_yield:0. 4 in
-  Alcotest.(check bool) "speculation discarded" true
-    (first_passes = walk ~target_yield:0. 1);
-  Alcotest.(check int) "trace truncated at winner" 1
-    (List.length (snd first_passes));
-  (* nothing passes: full trace, same in both modes *)
-  let exhausted jobs = walk ~bound:1e-12 ~target_yield:1.0 jobs in
-  let serial = exhausted 1 in
-  Alcotest.(check bool) "no winner" true (fst serial = None);
-  Alcotest.(check int) "full trace" 3 (List.length (snd serial));
-  Alcotest.(check bool) "exhausted walk identical" true (serial = exhausted 2)
-
 let () =
   Alcotest.run "par"
     [ ( "jobs",
@@ -300,9 +271,7 @@ let () =
         [ Alcotest.test_case "monte-carlo bitwise" `Quick
             test_mc_bitwise_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_mc_seed_sensitivity;
-          Alcotest.test_case "sweep row" `Quick test_sweep_row_determinism;
-          Alcotest.test_case "optimize speculation" `Quick
-            test_optimize_speculation ] );
+          Alcotest.test_case "sweep row" `Quick test_sweep_row_determinism ] );
       ( "percentile",
         [ Alcotest.test_case "ceiling nearest-rank" `Quick
             test_percentile_ceiling_rank ] ) ]

@@ -203,17 +203,6 @@ let test_pipeline_determinism_through_serialisation () =
       direct.Extract.Parasitics.total_wirelength
       reloaded.Extract.Parasitics.total_wirelength
 
-let test_frontier_api () =
-  let points = Ccdac.Sweep.frontier ~bits:6 [ 0; 10 ] in
-  match points with
-  | [ (0, base); (10, refined) ] ->
-    Alcotest.(check bool) "refined DNL no worse" true
-      (refined.Ccdac.Flow.max_dnl <= base.Ccdac.Flow.max_dnl +. 1e-9);
-    Alcotest.(check bool) "styled name" true
-      (refined.Ccdac.Flow.placement.Ccgrid.Placement.style_name
-       = "spiral+refined")
-  | _ -> Alcotest.fail "unexpected frontier shape"
-
 let () =
   Alcotest.run "regression"
     [ ( "pins",
@@ -225,5 +214,4 @@ let () =
           Alcotest.test_case "golden routing digests" `Slow test_golden_digests ] );
       ( "pipeline",
         [ Alcotest.test_case "serialise determinism" `Quick
-            test_pipeline_determinism_through_serialisation;
-          Alcotest.test_case "frontier API" `Quick test_frontier_api ] ) ]
+            test_pipeline_determinism_through_serialisation ] ) ]
