@@ -59,8 +59,8 @@ memprofile: build
 # per-stage growth exponents; scaling.json is what CI uploads as an
 # artifact.
 scale: build
-	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 50 --jobs 4
-	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 50 --jobs 4 --json > scaling.json
+	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 5000 --jobs 4
+	dune exec bin/ccgen.exe -- scale --bits 6,8,10 --trials 5000 --jobs 4 --json > scaling.json
 
 # QoR regression sentinel (docs/QOR.md): record the default matrix to
 # the ledger, then diff the ledger's latest records against the

@@ -342,7 +342,9 @@ let scaling () =
   let t =
     Fun.protect ~finally:Par.Jobs.clear_default @@ fun () ->
     Par.Sched.with_enabled true @@ fun () ->
-    Ccdac.Scaling.run ~tech ~trials:60 ~seed:1 ~jobs scaling_bits
+    (* enough trials that the mc stage reaches the pool *)
+    Ccdac.Scaling.run ~tech ~trials:Dacmodel.Montecarlo.min_parallel_trials
+      ~seed:1 ~jobs scaling_bits
   in
   Format.printf "%a@." Ccdac.Scaling.pp t;
   let sched = Ccdac.Scaling.sched_totals t in

@@ -29,10 +29,12 @@ let verbose_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel sections (Monte-Carlo trials, sweep \
-     rows, sizing candidates); 0 = one per core.  Overrides the \
-     $(b,CCDAC_JOBS) environment variable; default 1 (serial).  Results \
-     are bitwise-identical at every value (docs/PARALLEL.md)."
+    Printf.sprintf
+      "Worker domains for the parallel sections (Monte-Carlo runs of %d \
+       trials or more, sweep rows); 0 = one per core.  Overrides the \
+       $(b,CCDAC_JOBS) environment variable; default 1 (serial).  Results \
+       are bitwise-identical at every value (docs/PARALLEL.md)."
+      Dacmodel.Montecarlo.min_parallel_trials
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
@@ -109,6 +111,12 @@ let tech_arg =
 let check_bits bits =
   if bits < 2 || bits > Ccgrid.Weights.max_bits then begin
     Printf.eprintf "ccgen: bits must be in [2, %d]\n" Ccgrid.Weights.max_bits;
+    exit 2
+  end
+
+let check_trials trials =
+  if trials < 1 then begin
+    Printf.eprintf "ccgen: --trials must be >= 1\n";
     exit 2
   end
 
@@ -279,6 +287,7 @@ let mc_cmd =
   let run bits style granularity tech trials jobs =
     apply_jobs jobs;
     check_bits bits;
+    check_trials trials;
     let style = resolve_style ~bits ~granularity style in
     let r = Ccdac.Flow.run ~tech ~bits style in
     let mc =
@@ -786,10 +795,7 @@ let scale_cmd =
     setup_logs verbose;
     apply_jobs jobs;
     List.iter check_bits bits_list;
-    if trials < 1 then begin
-      Printf.eprintf "ccgen: --trials must be >= 1\n";
-      exit 2
-    end;
+    check_trials trials;
     let style_of_bits bits = resolve_style ~bits ~granularity style in
     let t =
       Par.Sched.with_enabled true @@ fun () ->

@@ -12,7 +12,8 @@ type t = {
    bitwise-identical statistics (the substream determinism contract), so
    the comparison is pure scheduling. *)
 let mc_speedup ?(tech = Tech.Process.finfet_12nm) ?(bits = 8)
-    ?(style = Ccplace.Style.Spiral) ?(trials = 400) ?jobs () =
+    ?(style = Ccplace.Style.Spiral)
+    ?(trials = 2 * Dacmodel.Montecarlo.min_parallel_trials) ?jobs () =
   let jobs = Par.Jobs.resolve jobs in
   let placement = Ccplace.Style.place ~bits style in
   let time f =

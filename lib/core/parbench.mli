@@ -15,9 +15,11 @@ type t = {
 }
 
 (** [mc_speedup ?tech ?bits ?style ?trials ?jobs ()] times the probe.
-    [jobs] defaults to {!Par.Jobs.default}; at [jobs = 1] the speedup is
-    ~1 by construction.  Raises [Invalid_argument] if the parallel run's
-    statistics diverge from the serial run's. *)
+    [trials] defaults to twice {!Dacmodel.Montecarlo.min_parallel_trials},
+    so the parallel leg runs on the pool; below that threshold both legs
+    are serial.  [jobs] defaults to {!Par.Jobs.default}; at [jobs = 1]
+    the speedup is ~1 by construction.  Raises [Invalid_argument] if the
+    parallel run's statistics diverge from the serial run's. *)
 val mc_speedup :
   ?tech:Tech.Process.t -> ?bits:int -> ?style:Ccplace.Style.t ->
   ?trials:int -> ?jobs:int -> unit -> t

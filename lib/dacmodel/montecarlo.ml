@@ -9,34 +9,42 @@ type t = {
   yield : float;
 }
 
-(* Worst |INL| / |DNL| of one sampled realisation of the capacitor shifts. *)
-let evaluate ~bits ~m ~cu ~top_parasitic ~sys shifts =
-  let vref = 1.0 in
-  let codes = Transfer.num_codes ~bits in
-  let c_t = float_of_int codes *. m *. cu in
-  let delta_k = Array.mapi (fun k s -> s +. sys.(k)) shifts in
-  let delta_t =
-    Array.fold_left ( +. ) 0. delta_k +. top_parasitic
-  in
-  let lsb = Transfer.lsb ~bits ~vref in
-  let worst_inl = ref 0. and worst_dnl = ref 0. in
-  let v_prev = ref 0. in
-  for code = 1 to codes - 1 do
-    let delta_on = ref 0. in
-    for k = 1 to bits do
-      if Transfer.bit ~code k then delta_on := !delta_on +. delta_k.(k)
-    done;
-    let c_on = float_of_int code *. m *. cu in
-    let v =
-      Transfer.perturbed ~vref ~c_on ~delta_on:!delta_on ~c_t ~delta_t
-    in
-    let inl = (v -. Transfer.ideal ~bits ~code ~vref) /. lsb in
-    let dnl = (v -. !v_prev -. lsb) /. lsb in
-    v_prev := v;
-    worst_inl := Float.max !worst_inl (Float.abs inl);
-    worst_dnl := Float.max !worst_dnl (Float.abs dnl)
+(* Worst |INL| / |DNL| of one sampled realisation of the capacitor
+   shifts, without walking the codes.  With d_k = shift_k + sys_k and
+   dT = sum_{k=0..N} d_k + C_top, Eq. 9 gives
+
+     INL(code) = sum over the set bits k of e_k,
+     e_k = (2^N d_k - 2^(k-1) dT) / (C_T + dT)   [LSB],
+
+   so the INL is linear in the code bits: its largest magnitude is the
+   sum of the positive e_k or of the negative ones, whichever is larger.
+   A step from code i-1 to i switches bit t+1 on and bits 1..t off (t
+   the trailing zeros of i), so DNL takes the N values
+   e_(t+1) - sum_{k<=t} e_k. *)
+let evaluate ~bits ~c_t ~top_parasitic ~sys shifts =
+  let sum = ref 0. in
+  for k = 0 to bits do
+    sum := !sum +. (shifts.(k) +. sys.(k))
   done;
-  (!worst_inl, !worst_dnl)
+  let delta_t = !sum +. top_parasitic in
+  let denom = c_t +. delta_t in
+  if denom <= 0. then invalid_arg "Montecarlo: non-positive C_T";
+  let full = float_of_int (Transfer.num_codes ~bits) in
+  let pos = ref 0. and neg = ref 0. and below = ref 0. and dnl = ref 0. in
+  for k = 1 to bits do
+    let d = shifts.(k) +. sys.(k) in
+    let e = ((full *. d) -. Float.ldexp delta_t (k - 1)) /. denom in
+    if e > 0. then pos := !pos +. e else neg := !neg +. e;
+    dnl := Float.max !dnl (Float.abs (e -. !below));
+    below := !below +. e
+  done;
+  (Float.max !pos (-. !neg), !dnl)
+
+(* Below this many trials the domain pool does not pay: a trial is a few
+   microseconds, most of it the substream seeding.  On two cores, two
+   domains ran 0.90-1.11x serial speed at 2000-3000 trials and
+   1.10-1.16x at 5000 (docs/PARALLEL.md). *)
+let min_parallel_trials = 5_000
 
 (* Each trial draws from its own counter-based substream keyed by
    (seed, trial index) — Par.Rng — so trial [i] is a pure function of
@@ -47,8 +55,11 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     ~trials placement =
   if trials < 1 then invalid_arg "Montecarlo: trials must be >= 1";
   let bits = placement.Ccgrid.Placement.bits in
-  let m = float_of_int placement.Ccgrid.Placement.unit_multiplier in
-  let cu = tech.Tech.Process.unit_cap in
+  let c_t =
+    float_of_int (Transfer.num_codes ~bits)
+    *. float_of_int placement.Ccgrid.Placement.unit_multiplier
+    *. tech.Tech.Process.unit_cap
+  in
   let positions = Ccgrid.Placement.positions_by_cap tech placement in
   let sys =
     Array.map (fun ps -> Capmodel.Gradient.systematic_shift tech ?theta ps)
@@ -60,11 +71,12 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     | None -> Capmodel.Covariance.build tech positions
   in
   let factor = Capmodel.Gauss.factorize cov in
+  let jobs = if trials < min_parallel_trials then Some 1 else jobs in
   Par.Pool.map_list_exn ?jobs
     (fun trial ->
        let state = Par.Rng.state ~seed ~index:trial in
        let shifts = Capmodel.Gauss.draw_from factor state in
-       evaluate ~bits ~m ~cu ~top_parasitic ~sys shifts)
+       evaluate ~bits ~c_t ~top_parasitic ~sys shifts)
     (List.init trials Fun.id)
 
 (* Ceiling nearest-rank: the q-quantile of n sorted samples is the
@@ -93,21 +105,19 @@ let run tech ?seed ?theta ?cov ?top_parasitic ?(bound = 0.5) ?jobs ~trials
   let mean a =
     Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
   in
-  let sorted a =
-    let b = Array.copy a in
-    Array.sort Float.compare b;
-    b
-  in
-  let inls_sorted = sorted inls and dnls_sorted = sorted dnls in
+  let mean_inl = mean inls and mean_dnl = mean dnls in
+  let max_inl = Array.fold_left Float.max 0. inls
+  and max_dnl = Array.fold_left Float.max 0. dnls in
   let passes =
-    List.length
-      (List.filter (fun (i, d) -> i <= bound && d <= bound) curves)
+    List.fold_left
+      (fun n (i, d) -> if i <= bound && d <= bound then n + 1 else n)
+      0 curves
   in
-  { trials;
-    mean_inl = mean inls;
-    mean_dnl = mean dnls;
-    p95_inl = percentile inls_sorted 0.95;
-    p95_dnl = percentile dnls_sorted 0.95;
-    max_inl = Array.fold_left Float.max 0. inls;
-    max_dnl = Array.fold_left Float.max 0. dnls;
+  (* sorted in place, once the order-dependent sums are taken *)
+  Array.sort Float.compare inls;
+  Array.sort Float.compare dnls;
+  { trials; mean_inl; mean_dnl;
+    p95_inl = percentile inls 0.95;
+    p95_dnl = percentile dnls 0.95;
+    max_inl; max_dnl;
     yield = float_of_int passes /. float_of_int trials }

@@ -6,8 +6,9 @@
 
     Each trial draws one jointly-Gaussian realisation of the capacitor
     shifts from the exact Eq. 6 covariance (plus the deterministic
-    systematic shifts), evaluates the full DAC transfer curve and records
-    the worst |INL| and |DNL|. *)
+    systematic shifts) and records the worst |INL| and |DNL| over all
+    codes.  Those follow in closed form from the N per-bit INL
+    contributions ({!evaluate}), so no trial walks the 2^N codes. *)
 
 type t = {
   trials : int;
@@ -26,12 +27,15 @@ type t = {
     [cov] is {!Nonlinearity.covariance}[ tech placement] (a flow's
     [Ccdac.Flow.result] carries it), built here when absent.
     [jobs] (default {!Par.Jobs.default}) parallelises the trials over a
-    domain pool; each trial draws from a counter-based substream keyed
-    by [(seed, trial)], so the statistics are {e bitwise identical} at
-    every [jobs] value (docs/PARALLEL.md).
+    domain pool once there are at least {!min_parallel_trials} of them;
+    fewer run serially at any [jobs].  Each trial draws from a
+    counter-based substream keyed by [(seed, trial)], so the statistics
+    are {e bitwise identical} at every [jobs] value (docs/PARALLEL.md).
     Cost: one covariance build unless [cov] is given, one Cholesky
-    factorisation, plus [trials * 2^N * N] flops.
-    Raises [Invalid_argument] when [trials < 1]. *)
+    factorisation, plus [O(N^2)] flops per trial (the correlated draw;
+    {!evaluate} is [O(N)]).
+    Raises [Invalid_argument] when [trials < 1], and when a draw makes
+    the total capacitance non-positive. *)
 val run :
   Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
   ?top_parasitic:float -> ?bound:float -> ?jobs:int -> trials:int ->
@@ -45,6 +49,25 @@ val trial_curves :
   Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
   ?top_parasitic:float -> ?jobs:int -> trials:int -> Ccgrid.Placement.t ->
   (float * float) list
+
+(** Trial count from which {!trial_curves} and {!run} use the domain
+    pool.  Below it the pool costs about what it saves (docs/PARALLEL.md
+    has the measurement). *)
+val min_parallel_trials : int
+
+(** [evaluate ~bits ~c_t ~top_parasitic ~sys shifts] is one trial's
+    (max |INL|, max |DNL|) in LSB, for random shifts [shifts] and
+    systematic shifts [sys] (fF, indexed by capacitor [0..N]) of an
+    array with nominal total capacitance [c_t] (fF).  With
+    [d_k = shifts.(k) +. sys.(k)] and [dT = sum d + top_parasitic],
+    bit [k] adds [e_k = (2^N d_k - 2^(k-1) dT) / (c_t + dT)] LSB to the
+    INL of every code that sets it; max |INL| is the larger magnitude of
+    the positive and the negative [e_k] sums, and max |DNL| is the
+    largest [|e_(t+1) - sum_(k<=t) e_k|].  [O(N)].  Raises
+    [Invalid_argument] when [c_t + dT <= 0].  Exposed for tests. *)
+val evaluate :
+  bits:int -> c_t:float -> top_parasitic:float -> sys:float array ->
+  float array -> float * float
 
 (** [percentile sorted q] is the ceiling nearest-rank [q]-quantile of an
     ascending-sorted array: the [ceil (q n)]-th smallest sample (clamped

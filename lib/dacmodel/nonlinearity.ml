@@ -12,8 +12,47 @@ type t = {
 
 let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
 
-(* Output voltages for one global sign assignment of the +-3 sigma points. *)
-let voltages tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
+(* Per-code sums over the switched-on capacitors C_1..C_N (C_0 is always
+   grounded), built by a subset recurrence rather than a scan of each
+   code's bits.  For a code c with top bit h (capacitor C_h) and
+   c' = c - 2^(h-1):
+
+     var(c)    = var(c') + K_hh + 2 r_h(c'),   r_h(c') = sum_{j in c'} K_hj
+     sys_on(c) = sys_on(c') + sys_h
+
+   where K is the Eq. 6 covariance; r_h obeys the same recurrence over
+   the codes below 2^(h-1), so the table costs O(2^N) additions.
+   [sigma_on.(c)] is the sigma of C_ON(c)'s random shift (Eq. 13).  One
+   table serves every sign combination and the attribution. *)
+type on_sums = {
+  sigma_on : float array;
+  sys_on : float array;
+}
+
+let on_sums ~bits ~sys ~cov =
+  let codes = Transfer.num_codes ~bits in
+  let var = Array.make codes 0. and sys_on = Array.make codes 0. in
+  let r = Array.make (codes / 2) 0. in
+  for h = 1 to bits do
+    let top = 1 lsl (h - 1) in
+    for g = 1 to h - 1 do
+      let low = 1 lsl (g - 1) in
+      let k_hg = Capmodel.Covariance.covariance cov h g in
+      for c = 0 to low - 1 do
+        r.(low + c) <- r.(c) +. k_hg
+      done
+    done;
+    let k_hh = Capmodel.Covariance.covariance cov h h in
+    for c = 0 to top - 1 do
+      var.(top + c) <- var.(c) +. k_hh +. (2. *. r.(c));
+      sys_on.(top + c) <- sys_on.(c) +. sys.(h)
+    done
+  done;
+  (* numerical noise can push a tiny variance below zero *)
+  { sigma_on = Array.map (fun v -> sqrt (Float.max 0. v)) var; sys_on }
+
+(* INL per code for one global sign assignment of the +-3 sigma points. *)
+let inl_codes tech (placement : Ccgrid.Placement.t) ~sys ~sums ~sigma_t
     ~top_parasitic ~s_on ~s_t =
   let bits = placement.Ccgrid.Placement.bits in
   let vref = 1.0 in
@@ -23,31 +62,18 @@ let voltages tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   let c_t = float_of_int codes *. m *. cu in
   let sys_total = Array.fold_left ( +. ) 0. sys in
   let delta_t = sys_total +. (s_t *. 3. *. sigma_t) +. top_parasitic in
+  let lsb = Transfer.lsb ~bits ~vref in
   Array.init codes
     (fun code ->
        if code = 0 then 0.
        else begin
-         let on_caps = ref [] and sys_on = ref 0. in
-         for k = 1 to bits do
-           if Transfer.bit ~code k then begin
-             on_caps := k :: !on_caps;
-             sys_on := !sys_on +. sys.(k)
-           end
-         done;
-         let sigma_on = Capmodel.Covariance.sigma_of_subset cov !on_caps in
          let c_on = float_of_int code *. m *. cu in
-         let delta_on = !sys_on +. (s_on *. 3. *. sigma_on) in
-         Transfer.perturbed ~vref ~c_on ~delta_on ~c_t ~delta_t
+         let delta_on =
+           sums.sys_on.(code) +. (s_on *. 3. *. sums.sigma_on.(code))
+         in
+         let v = Transfer.perturbed ~vref ~c_on ~delta_on ~c_t ~delta_t in
+         (v -. Transfer.ideal ~bits ~code ~vref) /. lsb
        end)
-
-let inl_of_voltages ~bits v =
-  let vref = 1.0 in
-  let lsb = Transfer.lsb ~bits ~vref in
-  let codes = Transfer.num_codes ~bits in
-  Array.init codes
-    (fun code ->
-       if code = 0 then 0.
-       else (v.(code) -. Transfer.ideal ~bits ~code ~vref) /. lsb)
 
 (* DNL from the differential step: V(i) - V(i-1) =
    V_REF (m C_u + dC_diff) / (C_T + dC_T), with dC_diff the weighted sum
@@ -89,12 +115,17 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
     in
     (step -. lsb) /. lsb
   in
-  let by_zeros = Array.init bits (fun t -> dnl_at (1 lsl t)) in
-  let rec trailing_zeros code =
-    if code land 1 = 1 then 0 else 1 + trailing_zeros (code lsr 1)
-  in
-  Array.init codes (fun code ->
-      if code = 0 then 0. else by_zeros.(trailing_zeros code))
+  (* the codes with t trailing zeros are the odd multiples of 2^t *)
+  let dnl = Array.make codes 0. in
+  for t = 0 to bits - 1 do
+    let step_t = dnl_at (1 lsl t) in
+    let code = ref (1 lsl t) in
+    while !code < codes do
+      dnl.(!code) <- step_t;
+      code := !code + (2 lsl t)
+    done
+  done;
+  dnl
 
 let covariance tech placement =
   Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)
@@ -127,9 +158,9 @@ let analyze tech ?theta ?profile ?cov ?(sign_mode = Paper) ?(top_parasitic = 0.)
   @@ fun () ->
   Telemetry.Metrics.set "analyse/codes" (float_of_int (Transfer.num_codes ~bits));
   let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
+  let sums = on_sums ~bits ~sys ~cov in
   let run_inl ~s_on ~s_t =
-    inl_of_voltages ~bits
-      (voltages tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_on ~s_t)
+    inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic ~s_on ~s_t
   in
   let run_dnl ~s_diff ~s_t =
     dnl_codes tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_diff ~s_t
@@ -191,10 +222,10 @@ let attribute tech ?theta ?profile ?cov ?(top_parasitic = 0.) placement =
   let c_t = float_of_int codes *. m *. cu in
   let lsb = Transfer.lsb ~bits ~vref in
   let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
+  let sums = on_sums ~bits ~sys ~cov in
   let inl =
-    inl_of_voltages ~bits
-      (voltages tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_on:1.
-         ~s_t:1.)
+    inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic ~s_on:1.
+      ~s_t:1.
   in
   let code =
     let best = ref 0 in
@@ -205,7 +236,7 @@ let attribute tech ?theta ?profile ?cov ?(top_parasitic = 0.) placement =
   in
   let on k = k >= 1 && Transfer.bit ~code k in
   let on_caps = List.filter on (List.init (bits + 1) Fun.id) in
-  let sigma_on = Capmodel.Covariance.sigma_of_subset cov on_caps in
+  let sigma_on = sums.sigma_on.(code) in
   let sys_total = Array.fold_left ( +. ) 0. sys in
   let delta_t = sys_total +. (3. *. sigma_t) +. top_parasitic in
   let c_on = float_of_int code *. m *. cu in

@@ -34,8 +34,10 @@ val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
     [cov] is [covariance tech placement], built here when absent;
     [sign_mode] defaults to [Paper].  Cost: one covariance build
     ([O(N G log G)] for [G] unit cells, {!Capmodel.Lattice}) unless [cov]
-    is given, plus [O(2^N * N^2)] for the INL codes and [O(N^3 + 2^N)]
-    for the DNL (a step depends only on how many bits toggle, so the [N]
+    is given, plus [O(2^N + N^2)] for the INL codes (each code's on-set
+    variance and systematic shift follow from a code with one bit fewer,
+    and every sign combination shares them) and [O(N^3 + 2^N)] for the
+    DNL (a step depends only on how many bits toggle, so the [N]
     distinct steps are evaluated once). *)
 val analyze :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->

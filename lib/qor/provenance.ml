@@ -95,7 +95,7 @@ let of_json j =
     host = str "host" "";
     git_commit = Option.bind (Json.member "git_commit" j) Json.to_str }
 
-let changelog = "1.16.0"
+let changelog = "1.17.0"
 
 let server () =
   let p = capture () in

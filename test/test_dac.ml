@@ -266,6 +266,140 @@ let test_dnl_steps_match_per_code () =
           [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ] ) ]
   done
 
+(* INL against the per-code loop it replaced, which lists each code's
+   switched-on capacitors and sums their covariance block
+   ([Covariance.sigma_of_subset]) code by code.  The recurrence sums in a
+   different order, and the loop carries about 2^N ulp of cancellation
+   error, so the bar is absolute: 1e-10 LSB. *)
+let inl_bar = 1e-10
+
+let reference_inl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
+    ~s_on ~s_t =
+  let bits = p.bits and vref = 1.0 in
+  let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
+  let codes = Dacmodel.Transfer.num_codes ~bits in
+  let c_t = float_of_int codes *. m *. cu in
+  let delta_t =
+    Array.fold_left ( +. ) 0. sys +. (s_t *. 3. *. sigma_t) +. top_parasitic
+  in
+  let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
+  Array.init codes (fun code ->
+      if code = 0 then 0.
+      else begin
+        let on_caps = ref [] and sys_on = ref 0. in
+        for k = 1 to bits do
+          if Dacmodel.Transfer.bit ~code k then begin
+            on_caps := k :: !on_caps;
+            sys_on := !sys_on +. sys.(k)
+          end
+        done;
+        let sigma_on = Capmodel.Covariance.sigma_of_subset cov !on_caps in
+        let c_on = float_of_int code *. m *. cu in
+        let delta_on = !sys_on +. (s_on *. 3. *. sigma_on) in
+        let v = Dacmodel.Transfer.perturbed ~vref ~c_on ~delta_on ~c_t ~delta_t in
+        (v -. Dacmodel.Transfer.ideal ~bits ~code ~vref) /. lsb
+      end)
+
+(* The attribution at the worst code, as computed before the recurrence:
+   (code, inl, per-capacitor (systematic, random) shares, parasitic). *)
+let reference_attribution (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
+    ~top_parasitic =
+  let bits = p.bits and vref = 1.0 in
+  let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
+  let c_t = float_of_int (Dacmodel.Transfer.num_codes ~bits) *. m *. cu in
+  let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
+  let inl = reference_inl p ~sys ~cov ~sigma_t ~top_parasitic ~s_on:1. ~s_t:1. in
+  let code = ref 0 in
+  Array.iteri (fun i x -> if Float.abs x > Float.abs inl.(!code) then code := i) inl;
+  let code = !code in
+  let on k = k >= 1 && Dacmodel.Transfer.bit ~code k in
+  let all_caps = List.init (bits + 1) Fun.id in
+  let on_caps = List.filter on all_caps in
+  let sigma_on = Capmodel.Covariance.sigma_of_subset cov on_caps in
+  let delta_t =
+    Array.fold_left ( +. ) 0. sys +. (3. *. sigma_t) +. top_parasitic
+  in
+  let c_on = float_of_int code *. m *. cu in
+  let k_norm = vref /. (c_t *. (c_t +. delta_t) *. lsb) in
+  let row_sum subset k =
+    List.fold_left (fun acc j -> acc +. Capmodel.Covariance.covariance cov k j) 0. subset
+  in
+  let share k =
+    let rho_on = if on k && sigma_on > 0. then row_sum on_caps k /. sigma_on else 0. in
+    let rho_t = if sigma_t > 0. then row_sum all_caps k /. sigma_t else 0. in
+    ( k_norm *. ((if on k then sys.(k) *. c_t else 0.) -. (c_on *. sys.(k))),
+      k_norm *. ((c_t *. 3. *. rho_on) -. (c_on *. 3. *. rho_t)) )
+  in
+  (code, inl.(code), List.map share all_caps, -.k_norm *. c_on *. top_parasitic)
+
+let test_inl_matches_per_code () =
+  let module N = Dacmodel.Nonlinearity in
+  let worst = ref 0. in
+  let close what a b =
+    let d = Float.abs (a -. b) in
+    worst := Float.max !worst d;
+    if not (d <= inl_bar) then
+      Alcotest.failf "%s: %.17g vs per-code loop %.17g (|d| = %.3g LSB)" what a b d
+  in
+  let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a in
+  let multiplier_two = ref false in
+  for bits = 2 to 14 do
+    List.iter
+      (fun style ->
+         let p = Ccplace.Style.place ~bits style in
+         if p.Ccgrid.Placement.unit_multiplier = 2 then multiplier_two := true;
+         let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
+         let cov = Dacmodel.Nonlinearity.covariance tech p in
+         let sys =
+           Array.map (Capmodel.Gradient.systematic_shift tech)
+             (Ccgrid.Placement.positions_by_cap tech p)
+         in
+         let sigma_t =
+           Capmodel.Covariance.sigma_of_subset cov (List.init (bits + 1) Fun.id)
+         in
+         let top_parasitic = 0.7 in
+         let refs =
+           List.map
+             (fun (s_on, s_t) ->
+                reference_inl p ~sys ~cov ~sigma_t ~top_parasitic ~s_on ~s_t)
+             [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ]
+         in
+         let paper = List.hd refs in
+         List.iter
+           (fun sign_mode ->
+              let a = N.analyze tech ~cov ~sign_mode ~top_parasitic p in
+              Array.iteri
+                (fun code x -> close (Printf.sprintf "%s inl(%d)" what code) x paper.(code))
+                a.N.inl;
+              let expected =
+                match sign_mode with
+                | N.Paper -> max_abs paper
+                | N.Worst_case ->
+                  List.fold_left (fun acc r -> Float.max acc (max_abs r)) 0. refs
+              in
+              close (what ^ " max |inl|") a.N.max_abs_inl expected)
+           [ N.Paper; N.Worst_case ];
+         let code, inl, shares, parasitic =
+           reference_attribution p ~sys ~cov ~sigma_t ~top_parasitic
+         in
+         let at = N.attribute tech ~cov ~top_parasitic p in
+         Alcotest.(check int) (what ^ " worst code") code at.N.code;
+         close (what ^ " attributed inl") at.N.inl_lsb inl;
+         close (what ^ " parasitic share") at.N.parasitic_lsb parasitic;
+         List.iter2
+           (fun (systematic, random) (s : N.inl_share) ->
+              let cap = Printf.sprintf "%s C_%d" what s.N.cap in
+              close (cap ^ " systematic") s.N.systematic_lsb systematic;
+              close (cap ^ " random") s.N.random_lsb random;
+              close (cap ^ " total") s.N.total_lsb (systematic +. random))
+           shares at.N.shares)
+      Ccplace.Style.[ Spiral; Chessboard; Rowwise; block_default ~bits ]
+  done;
+  Alcotest.(check bool) "an odd-N chessboard with unit multiplier 2" true
+    !multiplier_two;
+  Alcotest.(check bool)
+    (Printf.sprintf "worst disagreement %.3g LSB" !worst) true (!worst <= inl_bar)
+
 let () =
   Alcotest.run "dacmodel"
     [ ( "transfer",
@@ -287,7 +421,9 @@ let () =
           Alcotest.test_case "dispersion helps" `Quick test_dispersion_reduces_nonlinearity;
           Alcotest.test_case "theta override" `Quick test_theta_override;
           Alcotest.test_case "dnl steps = per-code loop" `Slow
-            test_dnl_steps_match_per_code ] );
+            test_dnl_steps_match_per_code;
+          Alcotest.test_case "inl = per-code loop" `Slow
+            test_inl_matches_per_code ] );
       ( "speed",
         [ Alcotest.test_case "settling" `Quick test_settling_formula;
           Alcotest.test_case "f3dB" `Quick test_f3db_formula;

@@ -148,6 +148,132 @@ let test_mc_consistent_with_3sigma () =
     (analytic.Dacmodel.Nonlinearity.max_abs_dnl
      < 3. *. mc.Dacmodel.Montecarlo.p95_dnl +. 1e-6)
 
+(* --- closed-form trial vs the per-code loop it replaced --- *)
+
+(* The loop walks every code through Eq. 9 and takes the worst |INL| and
+   |DNL|.  It carries about 2^N ulp of cancellation error, so the bar is
+   absolute: 1e-10 LSB. *)
+let reference_evaluate ~bits ~c_t ~top_parasitic ~sys shifts =
+  let vref = 1.0 in
+  let codes = Dacmodel.Transfer.num_codes ~bits in
+  let m_cu = c_t /. float_of_int codes in
+  let delta_k = Array.mapi (fun k s -> s +. sys.(k)) shifts in
+  let delta_t = Array.fold_left ( +. ) 0. delta_k +. top_parasitic in
+  let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
+  let worst_inl = ref 0. and worst_dnl = ref 0. and v_prev = ref 0. in
+  for code = 1 to codes - 1 do
+    let delta_on = ref 0. in
+    for k = 1 to bits do
+      if Dacmodel.Transfer.bit ~code k then delta_on := !delta_on +. delta_k.(k)
+    done;
+    let c_on = float_of_int code *. m_cu in
+    let v =
+      Dacmodel.Transfer.perturbed ~vref ~c_on ~delta_on:!delta_on ~c_t ~delta_t
+    in
+    let inl = (v -. Dacmodel.Transfer.ideal ~bits ~code ~vref) /. lsb in
+    let dnl = (v -. !v_prev -. lsb) /. lsb in
+    v_prev := v;
+    worst_inl := Float.max !worst_inl (Float.abs inl);
+    worst_dnl := Float.max !worst_dnl (Float.abs dnl)
+  done;
+  (!worst_inl, !worst_dnl)
+
+let trial_bar = 1e-10
+
+let check_trial what ~bits ~c_t ~top_parasitic ~sys shifts =
+  let inl, dnl = Dacmodel.Montecarlo.evaluate ~bits ~c_t ~top_parasitic ~sys shifts in
+  let ref_inl, ref_dnl = reference_evaluate ~bits ~c_t ~top_parasitic ~sys shifts in
+  let close field a b =
+    if not (Float.abs (a -. b) <= trial_bar) then
+      Alcotest.failf "%s %s: %.17g vs per-code loop %.17g" what field a b
+  in
+  close "max |inl|" inl ref_inl;
+  close "max |dnl|" dnl ref_dnl;
+  (inl, dnl)
+
+(* e_k of the closed form, for asserting that a vector is adversarial *)
+let contributions ~bits ~c_t ~top_parasitic ~sys shifts =
+  let delta k = shifts.(k) +. sys.(k) in
+  let delta_t =
+    Array.fold_left ( +. ) 0. (Array.mapi (fun k _ -> delta k) shifts) +. top_parasitic
+  in
+  List.init bits (fun i ->
+      let k = i + 1 in
+      ((2. ** float_of_int bits) *. delta k -. ((2. ** float_of_int i) *. delta_t))
+      /. (c_t +. delta_t))
+
+let test_closed_form_drawn () =
+  for bits = 2 to 14 do
+    List.iter
+      (fun style ->
+         let p = Ccplace.Style.place ~bits style in
+         let c_t =
+           float_of_int (1 lsl bits)
+           *. float_of_int p.Ccgrid.Placement.unit_multiplier
+           *. tech.Tech.Process.unit_cap
+         in
+         let sys =
+           Array.map (Capmodel.Gradient.systematic_shift tech)
+             (Ccgrid.Placement.positions_by_cap tech p)
+         in
+         let factor =
+           Capmodel.Gauss.factorize (Dacmodel.Nonlinearity.covariance tech p)
+         in
+         List.iter
+           (fun (index, top_parasitic) ->
+              let shifts =
+                Capmodel.Gauss.draw_from factor (Par.Rng.state ~seed:bits ~index)
+              in
+              ignore
+                (check_trial
+                   (Printf.sprintf "%s %d-bit trial %d" (Ccplace.Style.name style)
+                      bits index)
+                   ~bits ~c_t ~top_parasitic ~sys shifts))
+           [ (0, 0.); (1, 0.); (2, 0.7); (3, 0.05 *. c_t) ])
+      Ccplace.Style.[ Spiral; Chessboard; Rowwise; block_default ~bits ]
+  done
+
+let test_closed_form_adversarial () =
+  let st = Random.State.make [| 0xadd |] in
+  List.iter
+    (fun bits ->
+       let c_t = float_of_int (1 lsl bits) *. 0.5 in
+       let sys = Array.init (bits + 1) (fun _ -> 0.) in
+       let small () = 1e-3 +. Random.State.float st 1e-2 in
+       let what name = Printf.sprintf "%d-bit %s" bits name in
+       let all_of_sign name positive ~top_parasitic shifts =
+         let es = contributions ~bits ~c_t ~top_parasitic ~sys shifts in
+         Alcotest.(check bool) (what name ^ ": every e_k of one sign") true
+           (List.for_all (fun e -> if positive then e > 0. else e < 0.) es);
+         let inl, _ = check_trial (what name) ~bits ~c_t ~top_parasitic ~sys shifts in
+         (* one-signed contributions: the full-scale code is the worst *)
+         let total = Float.abs (List.fold_left ( +. ) 0. es) in
+         if not (Float.abs (inl -. total) <= trial_bar) then
+           Alcotest.failf "%s: max |inl| %.17g, full-scale sum %.17g" (what name) inl total
+       in
+       (* C_0 cancels the others: dT = 0, every e_k = 2^N d_k / C_T > 0 *)
+       let up = Array.init (bits + 1) (fun k -> if k = 0 then 0. else small ()) in
+       up.(0) <- -.Array.fold_left ( +. ) 0. up;
+       all_of_sign "all positive" true ~top_parasitic:0. up;
+       (* only C_0 moves: every e_k = -2^(k-1) dT / (C_T + dT) < 0 *)
+       let c0 = Array.init (bits + 1) (fun k -> if k = 0 then small () else 0.) in
+       all_of_sign "all negative" false ~top_parasitic:0. c0;
+       (* a top-plate parasitic larger than the array: gain error dominates *)
+       let noise = Array.init (bits + 1) (fun _ -> small () -. 6e-3) in
+       all_of_sign "large top parasitic" false ~top_parasitic:(1.5 *. c_t) noise;
+       (* mixed signs, several LSB per bit *)
+       let mixed = Array.init (bits + 1) (fun _ -> Random.State.float st 4. -. 2.) in
+       ignore (check_trial (what "mixed") ~bits ~c_t ~top_parasitic:0.3 ~sys mixed);
+       (* a draw that empties the array is rejected, as by the loop *)
+       let empty = Array.init (bits + 1) (fun k -> if k = 0 then -.c_t else 0.) in
+       let rejects f =
+         try ignore (f ~bits ~c_t ~top_parasitic:0. ~sys empty); false
+         with Invalid_argument _ -> true
+       in
+       Alcotest.(check bool) (what "non-positive C_T rejected") true
+         (rejects Dacmodel.Montecarlo.evaluate && rejects reference_evaluate))
+    [ 2; 3; 5; 8; 10; 12; 14 ]
+
 let test_trial_curves_length () =
   let curves = Dacmodel.Montecarlo.trial_curves tech ~trials:17 spiral8 in
   Alcotest.(check int) "17 trials" 17 (List.length curves)
@@ -184,5 +310,10 @@ let () =
           Alcotest.test_case "dispersion ordering" `Slow test_mc_dispersion_ordering;
           Alcotest.test_case "vs 3-sigma" `Slow test_mc_consistent_with_3sigma;
           Alcotest.test_case "trial curves" `Quick test_trial_curves_length ] );
+      ( "closed form",
+        [ Alcotest.test_case "drawn trials = per-code loop" `Slow
+            test_closed_form_drawn;
+          Alcotest.test_case "adversarial = per-code loop" `Quick
+            test_closed_form_adversarial ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_yield_monotone_in_bound ] ) ]

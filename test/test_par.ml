@@ -207,6 +207,32 @@ let test_mc_bitwise_determinism () =
   in
   Alcotest.(check bool) "trial curves identical" true (curves 1 = curves 4)
 
+(* Below [min_parallel_trials] the trials run serially at any [jobs]: no
+   scheduler batch is recorded.  From it on they reach the pool.  The
+   statistics are bitwise identical at jobs 1/2/4 on both sides. *)
+let test_mc_serial_threshold () =
+  let threshold = Dacmodel.Montecarlo.min_parallel_trials in
+  List.iter
+    (fun (trials, pooled) ->
+       let run jobs =
+         Par.Sched.with_enabled true (fun () ->
+             Par.Sched.collect (fun () ->
+                 Dacmodel.Montecarlo.run tech ~seed:11 ~jobs ~trials spiral6))
+       in
+       let reference, serial_batches = run 1 in
+       Alcotest.(check int) (Printf.sprintf "%d trials, jobs=1: no batch" trials) 0
+         (List.length serial_batches);
+       List.iter
+         (fun jobs ->
+            let stats, batches = run jobs in
+            let what = Printf.sprintf "%d trials, jobs=%d" trials jobs in
+            Alcotest.(check bool) (what ^ ": identical to serial") true
+              (stats = reference);
+            Alcotest.(check bool) (what ^ ": pool batch iff at the threshold") pooled
+              (batches <> []))
+         [ 2; 4 ])
+    [ (threshold - 1, false); (threshold, true) ]
+
 let test_mc_seed_sensitivity () =
   let run seed = Dacmodel.Montecarlo.run tech ~seed ~jobs:2 ~trials:100 spiral6 in
   Alcotest.(check bool) "different seeds differ" true (run 1 <> run 2)
@@ -270,6 +296,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "monte-carlo bitwise" `Quick
             test_mc_bitwise_determinism;
+          Alcotest.test_case "monte-carlo serial threshold" `Quick
+            test_mc_serial_threshold;
           Alcotest.test_case "seed sensitivity" `Quick test_mc_seed_sensitivity;
           Alcotest.test_case "sweep row" `Quick test_sweep_row_determinism ] );
       ( "percentile",

@@ -223,9 +223,11 @@ let test_fit_loglog () =
 (* --- a small ladder end to end --- *)
 
 let test_scaling_run_shape () =
+  (* enough trials that the Monte-Carlo stage reaches the pool *)
+  let trials = Dacmodel.Montecarlo.min_parallel_trials in
   let t =
     Par.Sched.with_enabled true (fun () ->
-        Ccdac.Scaling.run ~trials:3 ~seed:1 ~jobs:2 [ 4; 5; 6 ])
+        Ccdac.Scaling.run ~trials ~seed:1 ~jobs:2 [ 4; 5; 6 ])
   in
   Alcotest.(check int) "three rungs" 3 (List.length t.Ccdac.Scaling.points);
   let cells =
