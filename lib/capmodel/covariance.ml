@@ -1,5 +1,6 @@
 type t = {
   matrix : float array array;  (* Cov(j, k), fF^2; symmetric *)
+  points : int;                (* Lattice.transform_points, 0 for the pair sum *)
 }
 
 let pairwise_sums tech positions =
@@ -21,15 +22,17 @@ let build tech positions =
     let s = Tech.Process.sigma_u tech in
     s *. s
   in
-  let sums =
+  let sums, points =
     match Lattice.of_positions tech positions with
-    | Some lattice when Lattice.cheaper_than_pairwise lattice ->
-      Lattice.correlation_sums tech lattice
-    | Some _ | None -> pairwise_sums tech positions
+    | Some lattice ->
+      (Lattice.correlation_sums tech lattice, Lattice.transform_points lattice)
+    | None -> (pairwise_sums tech positions, 0)
   in
-  { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums }
+  { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums; points }
 
 let size t = Array.length t.matrix
+
+let transform_points t = t.points
 
 let check_index t k =
   if k < 0 || k >= size t then invalid_arg "Covariance: capacitor index out of range"

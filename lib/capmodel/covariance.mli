@@ -11,16 +11,20 @@ type t
 (** [build tech positions] precomputes the covariance matrix for
     capacitors whose unit-cell centre positions are given per capacitor
     index.  When every position lies on [tech]'s half-pitch lattice
-    (always true for {!Ccgrid.Placement.positions_by_cap}) and the array
-    is large enough to pay for the transforms (about 8 bits and up), the
-    cell-pair sums come from the 2-D FFT kernel {!Lattice}:
-    [O(N G log G)] for [N] capacitors and [G] unit cells, equal to the
-    pair sum up to float rounding but not bitwise.  Otherwise every pair
-    of cells is enumerated: [O(G^2)]. *)
+    (always true for {!Ccgrid.Placement.positions_by_cap}), the cell-pair
+    sums come from the 2-D FFT kernel {!Lattice}: [O(N G log G)] for [N]
+    capacitors and [G] unit cells, equal to the pair sum up to float
+    rounding but not bitwise.  Otherwise every pair of cells is
+    enumerated: [O(G^2)]. *)
 val build : Tech.Process.t -> Geom.Point.t array array -> t
 
 (** Number of capacitors. *)
 val size : t -> int
+
+(** [transform_points t] is the build's work count:
+    {!Lattice.transform_points} of the lattice it used, or [0] when it
+    enumerated cell pairs. *)
+val transform_points : t -> int
 
 (** [variance t k] is [sigma_k^2] in fF^2.  [Cov(k, k) = variance t k]. *)
 val variance : t -> int -> float

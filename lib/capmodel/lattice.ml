@@ -54,54 +54,10 @@ let index unit a ~horizontal p = (snap unit (coord ~horizontal p) - a.lo) / a.st
 
 let rec pow2_at_least ?(p = 1) n = if p >= n then p else pow2_at_least ~p:(2 * p) n
 
-(* A complex l1 x l2 grid held as rows, with a scratch column.  Rows of up
-   to 256 floats are minor-heap blocks, so a build's planes die young
-   instead of landing in the major heap. *)
-type plane = {
-  re : float array array;
-  im : float array array;
-  col_re : float array;
-  col_im : float array;
-}
-
-let plane l1 l2 =
-  { re = Array.init l1 (fun _ -> Array.make l2 0.);
-    im = Array.init l1 (fun _ -> Array.make l2 0.);
-    col_re = Array.make l1 0.;
-    col_im = Array.make l1 0. }
-
-let transform ~inverse ~re ~im =
-  if inverse then Fft.ifft ~re ~im else Fft.fft ~re ~im
-
-let rows_pass p ~inverse ~live =
-  for r = 0 to live - 1 do
-    transform ~inverse ~re:p.re.(r) ~im:p.im.(r)
-  done
-
-let cols_pass p ~inverse =
-  let re = p.col_re and im = p.col_im in
-  for c = 0 to Array.length p.re.(0) - 1 do
-    for r = 0 to Array.length re - 1 do
-      re.(r) <- p.re.(r).(c);
-      im.(r) <- p.im.(r).(c)
-    done;
-    transform ~inverse ~re ~im;
-    for r = 0 to Array.length re - 1 do
-      p.re.(r).(c) <- re.(r);
-      p.im.(r).(c) <- im.(r)
-    done
-  done
-
-(* Forward: only the first [live] rows hold data, so the other row
-   transforms are transforms of zero.  Inverse: only the first [live]
-   rows are read back, so the other row transforms are skipped. *)
-let forward p ~live =
-  rows_pass p ~inverse:false ~live;
-  cols_pass p ~inverse:false
-
-let inverse p ~live =
-  cols_pass p ~inverse:true;
-  rows_pass p ~inverse:true ~live
+(* A transform grid above this many points (two planes of 32 MB) is left
+   to the pair sum, so a sparse input spread over a huge lattice cannot
+   exhaust memory.  A 16-bit array needs 2^18. *)
+let max_points = 1 lsl 22
 
 type t = {
   rows : axis;
@@ -121,41 +77,69 @@ let of_positions tech positions =
     with
     | exception Exit -> None
     | rows, cols ->
-      let l2 = pow2_at_least ((2 * cols.lines) - 1) in
-      let cells =
-        Array.map
-          (Array.map (fun p ->
-               (index unit_y rows ~horizontal:false p * l2)
-               + index unit_x cols ~horizontal:true p))
-          positions
-      in
-      Some { rows; cols; cells; l1 = pow2_at_least ((2 * rows.lines) - 1); l2 }
+      let l1 = pow2_at_least ((2 * rows.lines) - 1)
+      and l2 = pow2_at_least ((2 * cols.lines) - 1) in
+      if l1 * l2 > max_points then None
+      else
+        let cells =
+          Array.map
+            (Array.map (fun p ->
+                 (index unit_y rows ~horizontal:false p * l2)
+                 + index unit_x cols ~horizontal:true p))
+            positions
+        in
+        Some { rows; cols; cells; l1; l2 }
 
-(* Cost model, calibrated on a 2-core x86-64 VM: a transform point costs
-   about 5.5 ns per butterfly level and a cell pair about 31 ns (one exp).
-   The transforms are the kernel's plus two per pair of capacitors. *)
-let cheaper_than_pairwise t =
-  let g = Array.fold_left (fun acc c -> acc + Array.length c) 0 t.cells in
-  let points = t.l1 * t.l2 in
-  let levels = Int.max 1 (Float.to_int (Float.log2 (float_of_int points))) in
-  let transforms = 1 + (2 * ((Array.length t.cells + 1) / 2)) in
-  55 * transforms * points * levels < 310 * (g * (g - 1) / 2)
+(* one transform of R, then a forward and an inverse per pair of
+   capacitors *)
+let transform_points t = (1 + (2 * ((Array.length t.cells + 1) / 2))) * t.l1 * t.l2
 
+(* The 2-D transforms run over rows: each live row by a 1-D transform
+   ([across], length l2), then every column at once by butterflies over
+   whole rows ([down], length l1).  Spectra stay in bit-reversed order.
+   A capacitor's cells fill the first half of both axes, so its forward
+   pass prunes the zero halves and its inverse computes only the live
+   ones. *)
 let correlation_sums (tech : Tech.Process.t) { rows; cols; l1; l2; cells } =
+  let down = Fft.plan l1 and across = Fft.plan l2 in
+  (* two l1 x l2 planes held as rows, reused by every pair.  Rows of up
+     to 256 floats are minor-heap blocks, so a build's planes die young
+     instead of landing in the major heap. *)
+  let re = Array.init l1 (fun _ -> Array.make l2 0.) in
+  let im = Array.init l1 (fun _ -> Array.make l2 0.) in
   (* the correlation at every displacement, wrapped onto the grid; its
      transform is real.  Mismatch.correlation's expression, written out so
      the loop does not box a float per displacement. *)
   let lc = tech.Tech.Process.corr_length and log_rho = Float.log tech.Tech.Process.rho_u in
-  let p = plane l1 l2 in
   for dr = 1 - rows.lines to rows.lines - 1 do
     for dc = 1 - cols.lines to cols.lines - 1 do
       let d = Float.hypot (float_of_int dc *. cols.step) (float_of_int dr *. rows.step) in
-      p.re.((dr + l1) mod l1).((dc + l2) mod l2) <- Float.exp (d /. lc *. log_rho)
+      re.((dr + l1) mod l1).((dc + l2) mod l2) <- Float.exp (d /. lc *. log_rho)
     done
   done;
-  forward p ~live:l1;
-  (* R is even in both axes, so its transform is too: keep one quadrant *)
-  let quadrant = Array.init ((l1 / 2) + 1) (fun r -> Array.sub p.re.(r) 0 ((l2 / 2) + 1)) in
+  for r = 0 to l1 - 1 do
+    Fft.forward across ~re:re.(r) ~im:im.(r)
+  done;
+  Fft.forward_columns down ~re ~im;
+  (* R is even in both axes, so its transform is too: keep one quadrant,
+     by frequency, with the inverse's 1/(l1 l2) folded in.  [fold] maps a
+     bit-reversed spectrum index to its quadrant index. *)
+  let scale = 1. /. float_of_int (l1 * l2) in
+  let quadrant = Array.make_matrix ((l1 / 2) + 1) ((l2 / 2) + 1) 0. in
+  Array.iteri
+    (fun f1 q ->
+       let row = re.(Fft.reversed down f1) in
+       for f2 = 0 to Array.length q - 1 do
+         q.(f2) <- scale *. row.(Fft.reversed across f2)
+       done)
+    quadrant;
+  let fold plan =
+    let l = Fft.size plan in
+    Array.init l (fun i ->
+        let f = Fft.reversed plan i in
+        Int.min f (l - f))
+  in
+  let fold1 = fold down and fold2 = fold across in
   let n = Array.length cells in
   let sums = Array.make_matrix n n 0. in
   let fill part k =
@@ -163,32 +147,43 @@ let correlation_sums (tech : Tech.Process.t) { rows; cols; l1; l2; cells } =
       (fun i -> part.(i / l2).(i mod l2) <- part.(i / l2).(i mod l2) +. 1.)
       cells.(k)
   in
+  let live = rows.lines and half1 = Int.max 1 (l1 / 2) and half2 = Int.max 1 (l2 / 2) in
   for pair = 0 to (n - 1) / 2 do
     let a = 2 * pair and b = (2 * pair) + 1 in
-    Array.iter (fun row -> Array.fill row 0 l2 0.) p.re;
-    Array.iter (fun row -> Array.fill row 0 l2 0.) p.im;
-    fill p.re a;
-    if b < n then fill p.im b;
-    forward p ~live:rows.lines;
+    (* zero what the pruned forward stages read: the first half of each
+       live row, and the rest of the first half of the rows *)
+    for r = 0 to half1 - 1 do
+      let width = if r < live then half2 else l2 in
+      Array.fill re.(r) 0 width 0.;
+      Array.fill im.(r) 0 width 0.
+    done;
+    fill re a;
+    if b < n then fill im b;
+    for r = 0 to live - 1 do
+      Fft.forward ~half:true across ~re:re.(r) ~im:im.(r)
+    done;
+    Fft.forward_columns ~half:true down ~re ~im;
     for r = 0 to l1 - 1 do
-      let re = p.re.(r) and im = p.im.(r) in
-      let s = quadrant.(Int.min r (l1 - r)) in
+      let s = quadrant.(fold1.(r)) and xr = re.(r) and xi = im.(r) in
       for c = 0 to l2 - 1 do
-        let s = s.(Int.min c (l2 - c)) in
-        re.(c) <- re.(c) *. s;
-        im.(c) <- im.(c) *. s
+        let s = s.(fold2.(c)) in
+        xr.(c) <- xr.(c) *. s;
+        xi.(c) <- xi.(c) *. s
       done
     done;
-    inverse p ~live:rows.lines;
-    (* p.re is now R * 1_a and p.im is R * 1_b: sum both over every
+    Fft.inverse_columns ~half:true down ~re ~im;
+    for r = 0 to live - 1 do
+      Fft.inverse ~half:true across ~re:re.(r) ~im:im.(r)
+    done;
+    (* re is now R * 1_a and im is R * 1_b: sum both over every
        capacitor's cells *)
     Array.iteri
       (fun j js ->
          Array.iter
            (fun i ->
               let r = i / l2 and c = i mod l2 in
-              sums.(j).(a) <- sums.(j).(a) +. p.re.(r).(c);
-              if b < n then sums.(j).(b) <- sums.(j).(b) +. p.im.(r).(c))
+              sums.(j).(a) <- sums.(j).(a) +. re.(r).(c);
+              if b < n then sums.(j).(b) <- sums.(j).(b) +. im.(r).(c))
            js)
       cells
   done;

@@ -15,14 +15,16 @@ type t
 (** [of_positions tech positions] is the lattice of the per-capacitor
     cell centres [positions], or [None] when some position is not
     exactly a point of [tech]'s half-pitch lattice (as
-    {!Ccgrid.Placement.position} produces) or there are no positions. *)
+    {!Ccgrid.Placement.position} produces), there are no positions, or
+    the transform grid would exceed 2^22 points (a 16-bit array needs
+    2^18). *)
 val of_positions : Tech.Process.t -> Geom.Point.t array array -> t option
 
-(** [cheaper_than_pairwise t] is the cost model's verdict that the
-    transforms cost less than enumerating every cell pair.  False only
-    for small arrays (about 7 bits and below), where both take well under
-    a millisecond. *)
-val cheaper_than_pairwise : t -> bool
+(** [transform_points t] is the kernel's work count: the number of 2-D
+    transforms {!correlation_sums} runs (one for the correlation, then a
+    forward and an inverse per pair of capacitors) times the points of
+    the transform grid. *)
+val transform_points : t -> int
 
 (** [correlation_sums tech t] is [s] with
     [s.(j).(k) = sum_{a in j} sum_{b in k} rho_ab], self pairs included

@@ -68,7 +68,7 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
   let cov =
     match cov with
     | Some cov -> cov
-    | None -> Capmodel.Covariance.build tech positions
+    | None -> Nonlinearity.covariance tech placement
   in
   let factor = Capmodel.Gauss.factorize cov in
   let jobs = if trials < min_parallel_trials then Some 1 else jobs in

@@ -128,7 +128,15 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   dnl
 
 let covariance tech placement =
-  Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)
+  Telemetry.Span.with_ ~name:"analyse.covariance"
+    ~attrs:[ ("bits", Telemetry.Span.Int placement.Ccgrid.Placement.bits) ]
+  @@ fun () ->
+  let cov =
+    Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)
+  in
+  Telemetry.Metrics.set "analyse/covariance_points"
+    (float_of_int (Capmodel.Covariance.transform_points cov));
+  cov
 
 (* Systematic shifts, covariance matrix, and total-capacitance sigma of a
    placement — the model inputs shared by [analyze] and [attribute]. *)
@@ -144,7 +152,7 @@ let model_inputs tech ?theta ?profile ?cov (placement : Ccgrid.Placement.t) =
   let cov =
     match cov with
     | Some cov -> cov
-    | None -> Capmodel.Covariance.build tech positions
+    | None -> covariance tech placement
   in
   let all_caps = List.init (bits + 1) (fun k -> k) in
   let sigma_t = Capmodel.Covariance.sigma_of_subset cov all_caps in

@@ -23,8 +23,10 @@ type t = {
 
 (** [covariance tech placement] is the Eq. 6 covariance of the
     placement's capacitors ({!Capmodel.Covariance.build} on
-    {!Ccgrid.Placement.positions_by_cap}).  {!analyze}, {!attribute} and
-    {!Montecarlo.run} take it as [?cov], so a flow builds it once. *)
+    {!Ccgrid.Placement.positions_by_cap}), built inside an
+    [analyse.covariance] span that sets the [analyse/covariance_points]
+    gauge.  {!analyze}, {!attribute} and {!Montecarlo.run} take it as
+    [?cov], so a flow builds it once; without it they build it here. *)
 val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
 
 (** [analyze tech ?theta ?profile ?cov ?sign_mode ?top_parasitic placement]:

@@ -88,6 +88,11 @@ let definitions =
     m ~id:"analyse/codes" ~kind:Metric.Gauge ~stage:"analyse" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"DAC codes evaluated by the last nonlinearity analysis (2^N).";
+    m ~id:"analyse/covariance_points" ~kind:Metric.Gauge ~stage:"analyse"
+      ~unit_:"1" ~cardinality:"1"
+      ~doc:"Work of the last covariance build: 2-D transforms times \
+            transform-grid points of the lattice kernel, 0 when it \
+            enumerated cell pairs.";
     m ~id:"analyse/mc_trials_total" ~kind:Metric.Counter ~stage:"analyse"
       ~unit_:"1" ~cardinality:"1"
       ~doc:"Monte-Carlo mismatch trials evaluated.";

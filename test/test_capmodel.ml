@@ -161,13 +161,14 @@ let test_covariance_bad_index () =
 (* --- lattice kernel vs the pair-sum oracle ---
 
    The FFT kernel is exact up to float rounding, not bitwise equal to the
-   pair enumeration: every entry must agree to a relative 1e-10 (observed:
-   below 2e-13 up to 10 bits, 1.4e-12 at 12). *)
+   pair enumeration: every entry must agree to a relative 1e-10 (observed
+   over every style: 4.1e-16 up to 4 bits, 1.7e-13 up to 10, 1.4e-12 at
+   12). *)
 
 let oracle_tol = 1e-10
 
 (* s.(j).(k) by enumerating every pair of cells, in Covariance's order
-   (lower index first) so the small-array path matches it bitwise *)
+   (lower index first) so the off-lattice path matches it bitwise *)
 let pairwise_sums positions =
   Array.mapi
     (fun j ps ->
@@ -198,6 +199,7 @@ let check_kernels_agree what positions =
     done
   done
 
+(* every style's placements at 2-10 bits: transform lengths 4 to 64 *)
 let test_lattice_matches_pairwise () =
   for bits = 2 to 10 do
     List.iter
@@ -218,9 +220,41 @@ let test_lattice_general_weights () =
        check_kernels_agree "general" (Ccgrid.Placement.positions_by_cap tech p))
     [ [| 1; 1; 2; 4; 8; 16; 16; 16 |]; [| 3; 5; 7; 11 |] ]
 
+(* cells at half-pitch lattice offsets (u, v): u rows down, v columns across *)
+let lattice_positions caps =
+  let hx = Tech.Process.cell_pitch_x tech /. 2.
+  and hy = Tech.Process.cell_pitch_y tech /. 2. in
+  Array.of_list
+    (List.map
+       (fun cells ->
+          Array.of_list
+            (List.map
+               (fun (u, v) -> point ~x:(float_of_int v *. hx) ~y:(float_of_int u *. hy))
+               cells))
+       caps)
+
+let test_lattice_degenerate_axes () =
+  (* axes of 1 and 2 lines (transform lengths 1 and 4), 3 lines (a zero
+     padding row inside the first half), strides above 1, and odd
+     capacitor counts (an empty imaginary half) *)
+  let line k f = List.init k f in
+  List.iter
+    (fun (what, caps) -> check_kernels_agree what (lattice_positions caps))
+    [ ("one cell", [ [ (0, 0) ] ]);
+      ("one repeated cell", [ [ (5, -3); (5, -3) ]; [ (5, -3) ] ]);
+      ("1-line row", [ line 5 (fun i -> (0, i)); line 3 (fun i -> (0, i + 5)) ]);
+      ("1-line column", [ line 4 (fun i -> (i, 7)); [ (9, 7) ]; [ (4, 7) ] ]);
+      ("2-line axes", [ [ (0, 0); (1, 1) ]; [ (0, 1) ]; [ (1, 0) ] ]);
+      ("2 x 9", [ line 9 (fun i -> (i mod 2, i)); line 5 (fun i -> (1 - (i mod 2), 2 * i)) ]);
+      ("3 lines", [ [ (0, 0); (2, 2) ]; [ (1, 1) ]; [ (0, 2); (2, 0) ]; [ (1, 0) ]; [ (2, 1) ] ]);
+      ("stride 2 x 3", [ line 6 (fun i -> (2 * (i / 3), 3 * (i mod 3))); [ (4, 9); (-2, 0) ] ]);
+      ("stride 3, 1 line", [ line 5 (fun i -> (-6, 3 * i)); [ (-6, 30) ]; [ (-6, -3) ] ]);
+      ("stride 4, 2 lines", [ [ (0, 0); (4, 0) ]; [ (0, 4); (4, 4) ]; [ (4, 8) ] ]) ]
+
 let test_covariance_kernel_choice () =
-  (* build uses the lattice kernel once it pays (10 bits) and the pair
-     sum on small arrays (4 bits) and off the lattice *)
+  (* build uses the lattice kernel for every input on the lattice, down
+     to the smallest array, and the pair sum off the lattice or over the
+     transform-grid cap *)
   let sigma2_u = Tech.Process.sigma_u tech *. Tech.Process.sigma_u tech in
   let built_from sums positions =
     let cov = Capmodel.Covariance.build tech positions in
@@ -235,77 +269,230 @@ let test_covariance_kernel_choice () =
   in
   Alcotest.(check bool) "10-bit: lattice" true
     (built_from (lattice_sums (spiral 10)) (spiral 10));
-  Alcotest.(check bool) "4-bit: pair sum" true
-    (built_from (pairwise_sums (spiral 4)) (spiral 4));
+  Alcotest.(check bool) "4-bit: lattice" true
+    (built_from (lattice_sums (spiral 4)) (spiral 4));
+  Alcotest.(check bool) "2-bit: lattice" true
+    (built_from (lattice_sums (spiral 2)) (spiral 2));
+  Alcotest.(check bool) "lattice work counted" true
+    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 4)) > 0);
   let off = [| [| point ~x:0.1234 ~y:0. |]; [| point ~x:0. ~y:0. |] |] in
   Alcotest.(check bool) "off-lattice input is not a lattice" true
     (Option.is_none (Capmodel.Lattice.of_positions tech off));
-  Alcotest.(check bool) "off-lattice: pair sum" true (built_from (pairwise_sums off) off)
+  Alcotest.(check bool) "off-lattice: pair sum" true (built_from (pairwise_sums off) off);
+  Alcotest.(check int) "pair sum counts no transform points" 0
+    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech off));
+  (* unit stride over 2^12 half-pitches on both axes: an 8192 x 8192 grid *)
+  let wide = lattice_positions [ [ (0, 0); (1, 1) ]; [ (4096, 4096) ] ] in
+  Alcotest.(check bool) "over the grid cap: pair sum" true
+    (Option.is_none (Capmodel.Lattice.of_positions tech wide)
+     && built_from (pairwise_sums wide) wide)
 
-(* --- fft (the lattice kernel's transform) --- *)
+(* --- fft (the lattice kernel's transform) ---
+
+   Every power of two from 1 to 1024 against an O(n^2) DFT: the forward
+   transform read through the bit reversal, the inverse fed a spectrum in
+   that order, their round trip, the pruned halves, and the column pass
+   against per-column 1-D transforms. *)
 
 let check_fft = Alcotest.(check (float 1e-6))
 
+let fft_lengths = List.init 11 (fun k -> 1 lsl k)
+
+(* X(f) = sum_k x(k) e^(sign 2 pi i f k / n), in natural order *)
+let naive_dft ~sign re im =
+  let n = Array.length re in
+  let c = Array.init n (fun m -> cos (2. *. Float.pi *. float_of_int m /. float_of_int n)) in
+  let s = Array.init n (fun m -> sign *. sin (2. *. Float.pi *. float_of_int m /. float_of_int n)) in
+  let xr = Array.make n 0. and xi = Array.make n 0. in
+  for f = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let m = f * k mod n in
+      xr.(f) <- xr.(f) +. (re.(k) *. c.(m)) -. (im.(k) *. s.(m));
+      xi.(f) <- xi.(f) +. (re.(k) *. s.(m)) +. (im.(k) *. c.(m))
+    done
+  done;
+  (xr, xi)
+
+(* the inputs the natural-order tests used, at every length *)
+let fft_inputs n =
+  let t i = float_of_int i and fn = float_of_int n in
+  [ ("impulse", Array.init n (fun i -> if i = 0 then 1. else 0.), Array.make n 0.);
+    ("tone", Array.init n (fun i -> cos (2. *. Float.pi *. 3. *. t i /. fn)), Array.make n 0.);
+    ("sine", Array.init n (fun i -> sin (0.3 *. t i) +. 0.1), Array.make n 0.);
+    ( "complex",
+      Array.init n (fun i -> Float.rem (t (i * 37)) 11. -. 5.),
+      Array.init n (fun i -> cos (1.3 *. t i) -. (0.01 *. t i)) ) ]
+
+let fft_tol re im = 1e-12 *. (1. +. Array.fold_left (fun a x -> a +. Float.abs x) 0. re
+                                    +. Array.fold_left (fun a x -> a +. Float.abs x) 0. im)
+
+let check_close what tol (er, ei) (ar, ai) =
+  Array.iteri
+    (fun i e ->
+       if Float.abs (e -. ar.(i)) > tol || Float.abs (ei.(i) -. ai.(i)) > tol then
+         Alcotest.failf "%s: entry %d is (%g, %g), expected (%g, %g)" what i ar.(i) ai.(i) e
+           ei.(i))
+    er
+
+let forward ?half re im =
+  let re = Array.copy re and im = Array.copy im in
+  Capmodel.Fft.forward ?half (Capmodel.Fft.plan (Array.length re)) ~re ~im;
+  (re, im)
+
+let inverse ?half re im =
+  let re = Array.copy re and im = Array.copy im in
+  Capmodel.Fft.inverse ?half (Capmodel.Fft.plan (Array.length re)) ~re ~im;
+  (re, im)
+
+(* natural order from bit-reversed, and back *)
+let unscramble (re, im) =
+  let p = Capmodel.Fft.plan (Array.length re) in
+  let at a = Array.init (Array.length a) (fun f -> a.(Capmodel.Fft.reversed p f)) in
+  (at re, at im)
+
+let scramble = unscramble (* bit reversal is an involution *)
+
+let test_fft_forward_naive () =
+  List.iter
+    (fun n ->
+       List.iter
+         (fun (what, re, im) ->
+            check_close (Printf.sprintf "%s n=%d" what n) (fft_tol re im)
+              (naive_dft ~sign:(-1.) re im)
+              (unscramble (forward re im)))
+         (fft_inputs n))
+    fft_lengths
+
+let test_fft_inverse_naive () =
+  List.iter
+    (fun n ->
+       List.iter
+         (fun (what, re, im) ->
+            (* the inputs taken as a spectrum, fed in bit-reversed order *)
+            let sr, si = scramble (re, im) in
+            check_close (Printf.sprintf "%s n=%d" what n) (fft_tol re im)
+              (naive_dft ~sign:1. re im) (inverse sr si))
+         (fft_inputs n))
+    fft_lengths
+
+let test_fft_pruned_halves () =
+  (* forward ~half reads only the first half; inverse ~half computes it *)
+  List.iter
+    (fun n ->
+       let h = Int.max 1 (n / 2) in
+       List.iter
+         (fun (what, re, im) ->
+            let what = Printf.sprintf "%s n=%d" what n in
+            let zr = Array.mapi (fun i x -> if i < h then x else 0.) re
+            and zi = Array.mapi (fun i x -> if i < h then x else 0.) im in
+            let gr = Array.mapi (fun i x -> if i < h then x else 1e3 +. float_of_int i) re
+            and gi = Array.mapi (fun i x -> if i < h then x else -7. -. float_of_int i) im in
+            check_close (what ^ " forward") 0. (forward zr zi) (forward ~half:true gr gi);
+            let fr, fi = inverse re im and pr, pi = inverse ~half:true re im in
+            check_close (what ^ " inverse") 0. (Array.sub fr 0 h, Array.sub fi 0 h)
+              (Array.sub pr 0 h, Array.sub pi 0 h))
+         (fft_inputs n))
+    fft_lengths
+
+let test_fft_columns () =
+  (* the column pass over whole rows is bitwise the per-column transform *)
+  List.iter
+    (fun (n, width) ->
+       let p = Capmodel.Fft.plan n and h = Int.max 1 (n / 2) in
+       let cell r c = sin (float_of_int ((r * 31) + (c * 7))) in
+       let re = Array.init n (fun r -> Array.init width (fun c -> cell r c)) in
+       let im = Array.init n (fun r -> Array.init width (fun c -> cell c r)) in
+       let column m c = Array.init n (fun r -> m.(r).(c)) in
+       List.iter
+         (fun (what, live, rows, one) ->
+            let rr = Array.map Array.copy re and ri = Array.map Array.copy im in
+            rows ~re:rr ~im:ri;
+            for c = 0 to width - 1 do
+              let cr = column re c and ci = column im c in
+              one ~re:cr ~im:ci;
+              check_close
+                (Printf.sprintf "%s n=%d column %d" what n c) 0.
+                (Array.sub cr 0 live, Array.sub ci 0 live)
+                (Array.sub (column rr c) 0 live, Array.sub (column ri c) 0 live)
+            done)
+         [ ("forward", n, Capmodel.Fft.forward_columns p, Capmodel.Fft.forward p);
+           ("inverse", n, Capmodel.Fft.inverse_columns p, Capmodel.Fft.inverse p);
+           ( "half forward", n, Capmodel.Fft.forward_columns ~half:true p,
+             Capmodel.Fft.forward ~half:true p );
+           ( "half inverse", h, Capmodel.Fft.inverse_columns ~half:true p,
+             Capmodel.Fft.inverse ~half:true p ) ])
+    [ (1, 3); (2, 1); (4, 5); (8, 2); (16, 3); (32, 1); (64, 4); (128, 2); (512, 3) ]
+
 let test_fft_impulse () =
-  (* FFT of an impulse is flat *)
-  let re = Array.make 8 0. and im = Array.make 8 0. in
-  re.(0) <- 1.;
-  Capmodel.Fft.fft ~re ~im;
-  for k = 0 to 7 do
-    check_fft "flat re" 1. re.(k);
-    check_fft "flat im" 0. im.(k)
-  done
+  (* the DFT of an impulse is flat, in any order *)
+  List.iter
+    (fun n ->
+       let re = Array.init n (fun i -> if i = 0 then 1. else 0.) in
+       let fr, fi = forward re (Array.make n 0.) in
+       check_close (Printf.sprintf "impulse n=%d" n) 1e-15
+         (Array.make n 1., Array.make n 0.) (fr, fi))
+    fft_lengths
 
 let test_fft_single_tone () =
   (* cos(2 pi 3 t): energy only in bins 3 and n-3 *)
-  let n = 64 in
-  let re =
-    Array.init n (fun i ->
-        cos (2. *. Float.pi *. 3. *. float_of_int i /. float_of_int n))
-  in
-  let im = Array.make n 0. in
-  Capmodel.Fft.fft ~re ~im;
-  for k = 0 to n - 1 do
-    let m = Float.hypot re.(k) im.(k) in
-    if k = 3 || k = n - 3 then check_fft "tone bin" (float_of_int n /. 2.) m
-    else if m > 1e-6 then Alcotest.failf "leakage at bin %d: %g" k m
-  done
+  List.iter
+    (fun n ->
+       let re =
+         Array.init n (fun i -> cos (2. *. Float.pi *. 3. *. float_of_int i /. float_of_int n))
+       in
+       let fr, fi = unscramble (forward re (Array.make n 0.)) in
+       for k = 0 to n - 1 do
+         let m = Float.hypot fr.(k) fi.(k) in
+         if k = 3 || k = n - 3 then check_fft "tone bin" (float_of_int n /. 2.) m
+         else if m > 1e-9 then Alcotest.failf "n=%d: leakage at bin %d: %g" n k m
+       done)
+    (List.filter (fun n -> n >= 8) fft_lengths)
 
 let test_fft_roundtrip () =
-  let n = 32 in
-  let original = Array.init n (fun i -> sin (0.3 *. float_of_int i) +. 0.1) in
-  let re = Array.copy original and im = Array.make n 0. in
-  Capmodel.Fft.fft ~re ~im;
-  Capmodel.Fft.ifft ~re ~im;
-  for i = 0 to n - 1 do
-    if Float.abs (re.(i) -. original.(i)) > 1e-9 then
-      Alcotest.failf "roundtrip mismatch at %d" i
-  done
+  (* inverse (forward x) = n x *)
+  List.iter
+    (fun n ->
+       List.iter
+         (fun (what, re, im) ->
+            let fr, fi = forward re im in
+            let scale = Array.map (fun x -> float_of_int n *. x) in
+            check_close (Printf.sprintf "%s n=%d" what n) (fft_tol re im *. float_of_int n)
+              (scale re, scale im) (inverse fr fi))
+         (fft_inputs n))
+    fft_lengths
 
 let test_fft_parseval () =
-  (* sum |x|^2 = (1/n) sum |X|^2 *)
-  let n = 128 in
-  let re = Array.init n (fun i -> Float.rem (float_of_int (i * 37)) 11. -. 5.) in
-  let time_energy = Array.fold_left (fun a x -> a +. (x *. x)) 0. re in
-  let im = Array.make n 0. in
-  Capmodel.Fft.fft ~re ~im;
-  let freq_energy = ref 0. in
-  for k = 0 to n - 1 do
-    let m = Float.hypot re.(k) im.(k) in
-    freq_energy := !freq_energy +. (m *. m)
-  done;
-  Alcotest.(check bool) "parseval" true
-    (Float.abs (time_energy -. (!freq_energy /. float_of_int n))
-     /. time_energy
-     < 1e-9)
+  (* sum |x|^2 = (1/n) sum |X|^2, in any order *)
+  List.iter
+    (fun n ->
+       List.iter
+         (fun (what, re, im) ->
+            let energy re im =
+              let e = ref 0. in
+              Array.iteri (fun i x -> e := !e +. (x *. x) +. (im.(i) *. im.(i))) re;
+              !e
+            in
+            let fr, fi = forward re im in
+            let time = energy re im and freq = energy fr fi /. float_of_int n in
+            if Float.abs (time -. freq) > 1e-12 *. time then
+              Alcotest.failf "%s n=%d: parseval %g vs %g" what n time freq)
+         (fft_inputs n))
+    fft_lengths
 
 let test_fft_rejects_bad_length () =
-  Alcotest.(check bool) "non power of two" true
-    (try Capmodel.Fft.fft ~re:(Array.make 6 0.) ~im:(Array.make 6 0.); false
-     with Invalid_argument _ -> true);
+  let rejects f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "non power of two" true (rejects (fun () -> ignore (Capmodel.Fft.plan 6)));
+  Alcotest.(check bool) "zero" true (rejects (fun () -> ignore (Capmodel.Fft.plan 0)));
+  let p = Capmodel.Fft.plan 8 in
   Alcotest.(check bool) "mismatch" true
-    (try Capmodel.Fft.fft ~re:(Array.make 8 0.) ~im:(Array.make 4 0.); false
-     with Invalid_argument _ -> true)
+    (rejects (fun () -> Capmodel.Fft.forward p ~re:(Array.make 8 0.) ~im:(Array.make 4 0.)));
+  Alcotest.(check bool) "wrong length for the plan" true
+    (rejects (fun () -> Capmodel.Fft.inverse p ~re:(Array.make 16 0.) ~im:(Array.make 16 0.)));
+  Alcotest.(check bool) "ragged rows" true
+    (rejects (fun () ->
+         Capmodel.Fft.forward_columns p
+           ~re:(Array.init 8 (fun r -> Array.make (if r = 5 then 2 else 3) 0.))
+           ~im:(Array.init 8 (fun _ -> Array.make 3 0.))))
 
 (* --- properties --- *)
 
@@ -360,27 +547,28 @@ let prop_weighted_sigma_nonneg =
 let prop_lattice_matches_pairwise =
   (* random cell sets on the half-pitch lattice: any shape, stride,
      offset or repeated cell *)
-  let hx = Tech.Process.cell_pitch_x tech /. 2.
-  and hy = Tech.Process.cell_pitch_y tech /. 2. in
   let open QCheck.Gen in
   let cell = pair (int_range (-12) 12) (int_range (-12) 12) in
   let capacitor = list_size (int_range 1 12) cell in
   let gen = pair (pair (int_range 1 3) (int_range 1 3)) (list_size (int_range 1 5) capacitor) in
   QCheck.Test.make ~name:"lattice kernel = pair sum" ~count:200 (QCheck.make gen)
     (fun ((sx, sy), caps) ->
-       let positions =
-         Array.of_list
-           (List.map
-              (fun cells ->
-                 Array.of_list
-                   (List.map
-                      (fun (u, v) ->
-                         point ~x:(float_of_int (sx * v) *. hx)
-                           ~y:(float_of_int (sy * u) *. hy))
-                      cells))
-              caps)
-       in
-       check_kernels_agree "random lattice" positions;
+       let caps = List.map (List.map (fun (u, v) -> (sy * u, sx * v))) caps in
+       check_kernels_agree "random lattice" (lattice_positions caps);
+       true)
+
+let prop_wide_lattice_matches_pairwise =
+  (* few cells spread up to +-127 half-pitches: transform lengths up to
+     512, both parities of log2, as 12-16-bit arrays use *)
+  let open QCheck.Gen in
+  let gen =
+    pair (int_range 0 127) (int_range 0 127) >>= fun (eu, ev) ->
+    let cell = pair (int_range (-eu) eu) (int_range (-ev) ev) in
+    list_size (int_range 1 5) (list_size (int_range 1 8) cell)
+  in
+  QCheck.Test.make ~name:"wide sparse lattice = pair sum" ~count:40 (QCheck.make gen)
+    (fun caps ->
+       check_kernels_agree "wide lattice" (lattice_positions caps);
        true)
 
 let prop_fft_linearity =
@@ -388,15 +576,11 @@ let prop_fft_linearity =
     QCheck.(pair (float_range (-3.) 3.) (float_range (-3.) 3.))
     (fun (a, b) ->
        let n = 16 in
+       let zero = Array.make n 0. in
        let x = Array.init n (fun i -> sin (0.7 *. float_of_int i)) in
        let y = Array.init n (fun i -> cos (1.3 *. float_of_int i)) in
-       let tx = Array.copy x and txi = Array.make n 0. in
-       let ty = Array.copy y and tyi = Array.make n 0. in
-       Capmodel.Fft.fft ~re:tx ~im:txi;
-       Capmodel.Fft.fft ~re:ty ~im:tyi;
-       let z = Array.init n (fun i -> (a *. x.(i)) +. (b *. y.(i))) in
-       let tz = Array.copy z and tzi = Array.make n 0. in
-       Capmodel.Fft.fft ~re:tz ~im:tzi;
+       let tx, _ = forward x zero and ty, _ = forward y zero in
+       let tz, _ = forward (Array.init n (fun i -> (a *. x.(i)) +. (b *. y.(i)))) zero in
        let ok = ref true in
        for k = 0 to n - 1 do
          if Float.abs (tz.(k) -. ((a *. tx.(k)) +. (b *. ty.(k)))) > 1e-6 then
@@ -432,9 +616,14 @@ let () =
         [ Alcotest.test_case "matches pair sum, 2-10 bits" `Quick
             test_lattice_matches_pairwise;
           Alcotest.test_case "general weights" `Quick test_lattice_general_weights;
+          Alcotest.test_case "degenerate axes" `Quick test_lattice_degenerate_axes;
           Alcotest.test_case "kernel choice" `Quick test_covariance_kernel_choice ] );
       ( "fft",
-        [ Alcotest.test_case "impulse" `Quick test_fft_impulse;
+        [ Alcotest.test_case "forward = naive DFT, 1-1024" `Quick test_fft_forward_naive;
+          Alcotest.test_case "inverse = naive DFT, 1-1024" `Quick test_fft_inverse_naive;
+          Alcotest.test_case "pruned halves" `Quick test_fft_pruned_halves;
+          Alcotest.test_case "columns = per-column transforms" `Quick test_fft_columns;
+          Alcotest.test_case "impulse" `Quick test_fft_impulse;
           Alcotest.test_case "single tone" `Quick test_fft_single_tone;
           Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
           Alcotest.test_case "parseval" `Quick test_fft_parseval;
@@ -445,4 +634,5 @@ let () =
             prop_subset_sigma_nonneg;
             prop_weighted_sigma_nonneg;
             prop_lattice_matches_pairwise;
+            prop_wide_lattice_matches_pairwise;
             prop_fft_linearity ] ) ]
