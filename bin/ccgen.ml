@@ -267,7 +267,9 @@ let svg_cmd =
       Ccroute.Layout.route tech
         ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) p
     in
-    Ccroute.Check.assert_clean layout;
+    Verify.Engine.assert_clean
+      ~what:(Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+      (Verify.Engine.check_layout layout);
     Ccroute.Svg.write layout ~path;
     Printf.printf "wrote %s (%.0f x %.0f um, %d wires)\n" path
       layout.Ccroute.Layout.width layout.Ccroute.Layout.height
@@ -313,34 +315,6 @@ let mc_cmd =
   Cmd.v (Cmd.info "mc" ~doc)
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ trials_arg
           $ jobs_arg)
-
-(* --- verify --- *)
-
-let verify_cmd =
-  let run bits style granularity tech =
-    check_bits bits;
-    let style = resolve_style ~bits ~granularity style in
-    let p = Ccplace.Style.place ~bits style in
-    let layout =
-      Ccroute.Layout.route tech
-        ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) p
-    in
-    match Ccroute.Check.run layout with
-    | [] ->
-      Printf.printf "%s %d-bit: layout clean (%d wires, %d vias checked)\n"
-        (Ccplace.Style.name style) bits
-        (List.length layout.Ccroute.Layout.wires)
-        (List.length layout.Ccroute.Layout.vias)
-    | violations ->
-      List.iter
-        (fun v ->
-           Printf.printf "%s\n" (Format.asprintf "%a" Ccroute.Check.pp_violation v))
-        violations;
-      exit 1
-  in
-  let doc = "Route a placement and run the post-route verification checks." in
-  Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg)
 
 (* --- lint --- *)
 
@@ -1136,7 +1110,7 @@ let main =
   in
   Cmd.group (Cmd.info "ccgen" ~version:Qor.Provenance.changelog ~doc)
     [ place_cmd; run_cmd; compare_cmd; tables_cmd; sweep_cmd; profile_cmd;
-      scale_cmd; svg_cmd; mc_cmd; verify_cmd; lint_cmd; lvs_cmd; record_cmd;
+      scale_cmd; svg_cmd; mc_cmd; lint_cmd; lvs_cmd; record_cmd;
       diff_cmd; history_cmd; explain_cmd; devlint_cmd; version_cmd ]
 
 (* The verification and LVS gates raise [Verify.Engine.Rejected] on a

@@ -20,7 +20,7 @@ let describe name p =
    | Error m -> failwith m);
   print_string (Ccgrid.Render.ascii p);
   let layout = Ccroute.Layout.route tech p in
-  Ccroute.Check.assert_clean layout;
+  Verify.Engine.assert_clean ~what:name (Verify.Engine.check_layout layout);
   let par = Extract.Parasitics.extract layout in
   let worst_therm_err =
     (* matching between thermometer segments is what guarantees

@@ -31,9 +31,6 @@ let definitions =
       ~doc:"Wire segments emitted (branches, stubs, trunks, bridges).";
     m ~id:"route/vias" ~kind:Metric.Gauge ~stage:"route" ~unit_:"1"
       ~cardinality:"1" ~doc:"Via junctions emitted.";
-    m ~id:"route/check_violations_total" ~kind:Metric.Counter ~stage:"route"
-      ~unit_:"1" ~cardinality:"per check rule"
-      ~doc:"Post-route structural check violations, by rule id.";
     (* verify *)
     m ~id:"verify/checks_total" ~kind:Metric.Counter ~stage:"verify"
       ~unit_:"1" ~cardinality:"per artifact (tech, style, placement, layout)"

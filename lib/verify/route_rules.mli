@@ -1,6 +1,9 @@
-(** Routing rules: the {!Ccroute.Check} post-route invariants absorbed
-    into the registry, plus layout-level extensions (positive extent,
-    routed top plate, valid parallel-wire plan). *)
+(** Routing rules: the post-route invariants of a routed layout
+    (everything inside the outline, trunks inside their channels, distinct
+    tracks not colliding, every capacitor's net present and covering its
+    cells, bundle widths matching the parallel-wire plan, reserved layer
+    directions), plus layout-level extensions (positive extent, routed
+    top plate, valid parallel-wire plan). *)
 
 (** ["route/wire-in-outline"] *)
 val r_wire_in_outline : Rule.t
@@ -35,15 +38,10 @@ val r_top_plate : Rule.t
 (** ["route/parallel-positive"] *)
 val r_parallel_positive : Rule.t
 
-(** ["route/check"] — fallback for a
-    {!Ccroute.Check} rule id the registry does not know yet *)
-val r_unknown : Rule.t
-
 (** Every rule this module owns. *)
 val rules : Rule.t list
 
-(** [of_violation v] maps a {!Ccroute.Check.violation} into the registry. *)
-val of_violation : Ccroute.Check.violation -> Diagnostic.t
-
-(** [check layout] runs {!Ccroute.Check.run} plus the extensions. *)
+(** [check layout] runs every routing rule.  The post-route invariants
+    come first, sorted by rule id then detail (inside a [route.check]
+    span); the extensions follow in emission order. *)
 val check : Ccroute.Layout.t -> Diagnostic.t list

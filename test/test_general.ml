@@ -71,11 +71,11 @@ let test_general_routes_and_extracts () =
      through the whole flow *)
   let p = Ccplace.General.clustered ~counts:segmented in
   let layout = Ccroute.Layout.route tech p in
-  (match Ccroute.Check.run layout with
+  (match Verify.Engine.check_layout layout with
    | [] -> ()
-   | v :: _ ->
+   | d :: _ ->
      Alcotest.failf "layout violation: %s"
-       (Format.asprintf "%a" Ccroute.Check.pp_violation v));
+       (Format.asprintf "%a" Verify.Diagnostic.pp d));
   let par = Extract.Parasitics.extract layout in
   Alcotest.(check bool) "extraction sane" true
     (par.Extract.Parasitics.critical_elmore_fs > 0.

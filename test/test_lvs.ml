@@ -740,28 +740,6 @@ let test_trunk_channels_consistent () =
          l.L.nets)
     (sweep_styles 8)
 
-let test_check_order_and_tally () =
-  let v rule detail = { Ccroute.Check.rule; detail } in
-  let vs = [ v "b" "2"; v "a" "z"; v "b" "1"; v "a" "a" ] in
-  let sorted = List.sort Ccroute.Check.compare_violation vs in
-  Alcotest.(check (list (pair string string)))
-    "sorted by rule then detail"
-    [ ("a", "a"); ("a", "z"); ("b", "1"); ("b", "2") ]
-    (List.map
-       (fun (x : Ccroute.Check.violation) ->
-          (x.Ccroute.Check.rule, x.Ccroute.Check.detail))
-       sorted);
-  Alcotest.(check (list (pair string int)))
-    "tally in rule order"
-    [ ("a", 2); ("b", 2) ]
-    (Ccroute.Check.by_rule sorted);
-  Alcotest.(check (list (pair string int))) "empty tally" []
-    (Ccroute.Check.by_rule []);
-  Alcotest.(check int) "equal violations compare 0" 0
-    (Ccroute.Check.compare_violation (v "a" "x") (v "a" "x"));
-  Alcotest.(check bool) "rule dominates detail" true
-    (Ccroute.Check.compare_violation (v "a" "z") (v "b" "a") < 0)
-
 (* --- lvs/* registry entries --- *)
 
 let test_lvs_rules_registered () =
@@ -808,9 +786,7 @@ let () =
         [ test_case "Mst.prim disconnected message" `Quick
             test_mst_disconnected_message;
           test_case "trunk channels consistent" `Quick
-            test_trunk_channels_consistent;
-          test_case "Check order and tally" `Quick
-            test_check_order_and_tally ] );
+            test_trunk_channels_consistent ] );
       ( "registry",
         [ test_case "lvs rules catalogued" `Quick test_lvs_rules_registered ] )
     ]

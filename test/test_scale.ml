@@ -17,7 +17,8 @@ let test_12_bit_place_route () =
     Ccdac.Flow.place_route ~bits:12 Ccplace.Style.Spiral
   in
   Alcotest.(check bool) "under 30 s" true (elapsed < 30.);
-  Alcotest.(check int) "clean" 0 (List.length (Ccroute.Check.run layout));
+  Alcotest.(check int) "clean" 0
+    (List.length (Verify.Engine.check_layout layout));
   let par = Extract.Parasitics.extract layout in
   Alcotest.(check bool) "extraction sane" true
     (par.Extract.Parasitics.critical_elmore_fs > 0.)
@@ -55,7 +56,8 @@ let test_deep_general_ratio () =
    | Ok () -> ()
    | Error m -> Alcotest.fail m);
   let layout = Ccroute.Layout.route tech p in
-  Alcotest.(check int) "clean" 0 (List.length (Ccroute.Check.run layout))
+  Alcotest.(check int) "clean" 0
+    (List.length (Verify.Engine.check_layout layout))
 
 let () =
   Alcotest.run "scale"
