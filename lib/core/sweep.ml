@@ -15,19 +15,6 @@ let best_of_family candidates =
   | Some r -> Some r
   | None -> pick candidates
 
-let best_block ?tech ?sign_mode ?jobs ~bits () =
-  Telemetry.Span.with_ ~name:"sweep.best_block"
-    ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
-  @@ fun () ->
-  let candidates =
-    Par.Pool.map_list_exn ?jobs
-      (fun style -> Flow.run ?tech ?sign_mode ~bits style)
-      (Ccplace.Style.block_family ~bits)
-  in
-  match best_of_family candidates with
-  | Some r -> r
-  | None -> invalid_arg "Sweep.best_block: empty BC family"
-
 let paper_methods =
   [ Ccplace.Style.Rowwise; Ccplace.Style.Chessboard; Ccplace.Style.Spiral ]
 

@@ -8,22 +8,16 @@
     in the same order as the serial code and are byte-identical at any
     worker count (docs/PARALLEL.md). *)
 
-(** [best_block ?tech ?sign_mode ?jobs ~bits ()] runs the BC family
-    (Fig. 4 granularities at the default core) and returns the result
-    with the highest 3 dB frequency among those with |INL| and |DNL|
-    within 0.5 LSB (all results, if none qualify). *)
-val best_block :
-  ?tech:Tech.Process.t ->
-  ?sign_mode:Dacmodel.Nonlinearity.sign_mode ->
-  ?jobs:int -> bits:int -> unit -> Flow.result
-
 (** [paper_methods] in table column order: [1] proxy, [7], S, BC-best. *)
 val paper_methods : Ccplace.Style.t list
 
 (** [row ?tech ?sign_mode ?jobs ~bits ()] runs all four methods for one
-    bit count; the BC entry is the best of its family.  The three paper
-    methods and the whole family run as one parallel batch.  Note the
-    Rowwise baseline substitutes [1] (DESIGN.md). *)
+    bit count.  The BC entry is the best of its family (Fig. 4
+    granularities at the default core): the result with the highest 3 dB
+    frequency among those with |INL| and |DNL| within 0.5 LSB (all
+    results, if none qualify).  The three paper methods and the whole
+    family run as one parallel batch.  Note the Rowwise baseline
+    substitutes [1] (DESIGN.md). *)
 val row :
   ?tech:Tech.Process.t ->
   ?sign_mode:Dacmodel.Nonlinearity.sign_mode ->
