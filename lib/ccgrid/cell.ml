@@ -34,30 +34,50 @@ let neighbors ~rows ~cols c =
   in
   List.filter (in_bounds ~rows ~cols) candidates
 
-(* Sorting key: ring first, then angle from the positive-u axis walking
-   counter-clockwise.  atan2 is stable enough here because (u, v) are exact
-   small integers. *)
-let spiral_key ~rows ~cols c =
-  let u, v = centered ~rows ~cols c in
-  let angle = Float.atan2 (float_of_int v) (float_of_int u) in
-  let angle = if angle < 0. then angle +. (2. *. Float.pi) else angle in
-  (ring ~rows ~cols c, angle)
-
-(* Each cell's key is computed once; a stable sort of the row-major cell
-   indices then keeps row-major order among equal keys. *)
+(* Centre-outwards, counter-clockwise from +u: each Chebyshev ring
+   [max |u| |v| = r] of the doubled centred coordinates is walked side by
+   side in steps of 2, so the order is generated, not sorted.  On ring [r]
+   the sides, in angle order, are: u = r with 0 <= v < r ascending;
+   v = r with u descending from r to above -r; u = -r with v descending
+   from r to above -r; v = -r with u ascending from -r to below r;
+   u = r with v ascending from -r to below 0.  Each corner belongs to
+   the side it starts.  Two cells of one ring never share an angle, so
+   this is the order of the stable sort by (ring, angle). *)
 let spiral_order ~rows ~cols =
-  let cells =
-    Array.init (rows * cols) (fun i -> { row = i / cols; col = i mod cols })
+  let umax = rows - 1 and vmax = cols - 1 in
+  let pu = umax land 1 and pv = vmax land 1 in
+  (* the nearest coordinate of parity [p] at or below / above [x] *)
+  let down x p = if (x - p) land 1 = 0 then x else x - 1 in
+  let up x p = if (x - p) land 1 = 0 then x else x + 1 in
+  let acc = ref [] in
+  let emit u v =
+    acc := { row = (u + umax) / 2; col = (v + vmax) / 2 } :: !acc
   in
-  let keys = Array.map (spiral_key ~rows ~cols) cells in
-  let order = Array.init (Array.length cells) Fun.id in
-  Array.stable_sort
-    (fun a b ->
-       let ring_a, angle_a = keys.(a) and ring_b, angle_b = keys.(b) in
-       match Int.compare ring_a ring_b with
-       | 0 -> Float.compare angle_a angle_b
-       | c -> c)
-    order;
-  Array.fold_right (fun i acc -> cells.(i) :: acc) order []
+  (* [x], [x + step], ... up to [last] (down to it when [step] < 0);
+     nothing when [x] is already past it *)
+  let walk x last step f =
+    if (last - x) * step >= 0 then
+      for k = 0 to (last - x) / step do
+        f (x + (k * step))
+      done
+  in
+  if pu = 0 && pv = 0 then emit 0 0;
+  for r = 1 to Int.max umax vmax do
+    let u_side = r <= umax && r land 1 = pu in
+    let v_side = r <= vmax && r land 1 = pv in
+    if u_side then walk (up 0 pv) (Int.min (r - 1) vmax) 2 (emit r);
+    if v_side then
+      walk (down (Int.min r umax) pu) (Int.max (1 - r) (-umax)) (-2)
+        (fun u -> emit u r);
+    if u_side then
+      walk (down (Int.min r vmax) pv) (Int.max (1 - r) (-vmax)) (-2)
+        (emit (-r));
+    if v_side then
+      walk (up (Int.max (-r) (-umax)) pu) (Int.min (r - 1) umax) 2
+        (fun u -> emit u (-r));
+    if u_side then
+      walk (up (Int.max (-r) (-vmax)) pv) (Int.min (-1) vmax) 2 (emit r)
+  done;
+  List.rev !acc
 
 let pp ppf c = Format.fprintf ppf "(%d, %d)" c.row c.col

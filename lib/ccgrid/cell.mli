@@ -37,13 +37,15 @@ val neighbors : rows:int -> cols:int -> t -> t list
 (** [in_bounds ~rows ~cols c]. *)
 val in_bounds : rows:int -> cols:int -> t -> bool
 
-(** [spiral_order ~rows ~cols] lists every cell of the array sorted
+(** [spiral_order ~rows ~cols] lists every cell of the array
     centre-outwards: by ring, then by angle walking counter-clockwise from
     the positive-u (upward) direction.  Deterministic; used by the spiral
-    placement (Sec. IV-A) and by block-chessboard corridor construction.
-    Cost: each cell's key (one [atan2]) is computed once, then the cell
-    indices are stably sorted on the stored keys: O(n log n) for
-    [n = rows·cols]. *)
+    placement (Sec. IV-A), by block-chessboard corridor construction and
+    by the clustered arbitrary-ratio placement.
+    Cost: each ring is walked side by side in steps of 2, so the order is
+    generated in one pass, with no [atan2] and no sort: O(n) for
+    [n = rows·cols].  It is the order of a stable sort on the key
+    (ring, angle), the angle being [atan2 v u] shifted into 0..2π. *)
 val spiral_order : rows:int -> cols:int -> t list
 
 val pp : Format.formatter -> t -> unit

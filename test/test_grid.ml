@@ -115,6 +115,72 @@ let test_spiral_order_ring_monotone () =
   in
   Alcotest.(check bool) "rings non-decreasing" true (non_decreasing rings)
 
+(* The (ring, atan2 angle) stable sort the ring walk replaced, kept as
+   its oracle. *)
+let reference_spiral_order ~rows ~cols =
+  let cells =
+    Array.init (rows * cols) (fun i ->
+        Ccgrid.Cell.make ~row:(i / cols) ~col:(i mod cols))
+  in
+  let key c =
+    let u, v = Ccgrid.Cell.centered ~rows ~cols c in
+    let angle = Float.atan2 (float_of_int v) (float_of_int u) in
+    let angle = if angle < 0. then angle +. (2. *. Float.pi) else angle in
+    (Ccgrid.Cell.ring ~rows ~cols c, angle)
+  in
+  let keys = Array.map key cells in
+  let order = Array.init (Array.length cells) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+       let ring_a, angle_a = keys.(a) and ring_b, angle_b = keys.(b) in
+       match Int.compare ring_a ring_b with
+       | 0 -> Float.compare angle_a angle_b
+       | c -> c)
+    order;
+  Array.to_list (Array.map (fun i -> cells.(i)) order)
+
+(* Grids the placements build: Sec. IV-A1 sizing of 2^N units at unit
+   multipliers 1 and 2, and the arbitrary-ratio grids of Ccplace.General
+   (odd dimensions forced by a centre single). *)
+let placement_grids () =
+  let sizing =
+    List.concat_map
+      (fun m ->
+         List.init 16 (fun i ->
+             let s = Ccgrid.Sizing.compute ~total_units:(m lsl (i + 1)) in
+             (s.Ccgrid.Sizing.rows, s.Ccgrid.Sizing.cols)))
+      [ 1; 2 ]
+  in
+  let general =
+    List.concat_map
+      (fun counts ->
+         List.map
+           (fun (p : Ccgrid.Placement.t) ->
+              (p.Ccgrid.Placement.rows, p.Ccgrid.Placement.cols))
+           [ Ccplace.General.clustered ~counts;
+             Ccplace.General.interleaved ~counts ])
+      [ [| 1; 1; 2; 4; 8 |]; [| 1; 2; 3; 5; 7 |]; [| 1; 1; 2; 3; 5; 8; 13 |];
+        [| 1; 1; 2; 4; 16; 16; 16 |]; [| 3; 5 |]; [| 1; 1; 1 |];
+        [| 2; 3; 6; 11; 21; 40 |]; [| 1; 1; 2; 4; 8; 16; 32; 64; 128 |] ]
+  in
+  sizing @ general
+
+let test_spiral_order_matches_sort () =
+  let grids =
+    List.concat
+      (List.init 70 (fun r -> List.init 70 (fun c -> (r + 1, c + 1))))
+    @ placement_grids ()
+  in
+  List.iter
+    (fun (rows, cols) ->
+       if
+         not
+           (List.equal Ccgrid.Cell.equal
+              (Ccgrid.Cell.spiral_order ~rows ~cols)
+              (reference_spiral_order ~rows ~cols))
+       then Alcotest.failf "spiral order differs from the sort on %dx%d" rows cols)
+    grids
+
 (* --- placement --- *)
 
 let spiral6 = Ccplace.Spiral.place ~bits:6
@@ -365,7 +431,8 @@ let () =
           Alcotest.test_case "adjacent" `Quick test_cell_adjacent;
           Alcotest.test_case "corner neighbors" `Quick test_cell_neighbors_at_corner;
           Alcotest.test_case "spiral permutation" `Quick test_spiral_order_permutation;
-          Alcotest.test_case "spiral ring monotone" `Quick test_spiral_order_ring_monotone ] );
+          Alcotest.test_case "spiral ring monotone" `Quick test_spiral_order_ring_monotone;
+          Alcotest.test_case "spiral walk = atan2 sort" `Slow test_spiral_order_matches_sort ] );
       ( "placement",
         [ Alcotest.test_case "validate" `Quick test_placement_validate_ok;
           Alcotest.test_case "counts" `Quick test_placement_counts;
