@@ -2,36 +2,97 @@ open Ccgrid
 
 let style_name = "chessboard"
 
-(* Hierarchical parity rank.  Level 1 splits the grid by chessboard colour
-   (i+j mod 2); the same-colour cells form a lattice that is re-indexed to
-   an [rows x cols/2] grid and split again, recursively.  A capacitor that
-   receives a contiguous rank bucket is therefore maximally interspersed at
-   its own scale.  A single-column grid is transposed to keep halving. *)
-let rec frac ~rows ~cols i j =
-  if rows <= 1 && cols <= 1 then 0.
-  else if cols = 1 then frac ~rows:1 ~cols:rows j i
+(* The recursion halves the columns (rounding up at worst) down to one,
+   then transposes and halves the rows: the deepest cell, (0, 0), takes
+   ceil(log2 cols) + ceil(log2 rows) levels. *)
+let depth ~rows ~cols =
+  let rec halvings n = if n <= 1 then 0 else 1 + halvings ((n + 1) / 2) in
+  halvings rows + halvings cols
+
+(* Hierarchical parity rank, in units of [half * 2] at this level.
+   Level 1 splits the grid by chessboard colour (i+j mod 2), the second
+   colour adding [half]; the same-colour cells form a lattice that is
+   re-indexed to an [rows x cols/2] grid and split again, recursively.
+   A capacitor that receives a contiguous rank bucket is therefore
+   maximally interspersed at its own scale.  A single-column grid is
+   transposed to keep halving. *)
+let rec key_bits ~rows ~cols i j half =
+  if rows <= 1 && cols <= 1 then 0
+  else if cols = 1 then key_bits ~rows:1 ~cols:rows j i half
   else begin
     let p = (i + j) land 1 in
     let jp = (i + p) land 1 in
     let v = (j - jp) / 2 in
     let cols' = (cols - jp + 1) / 2 in
-    (if p = 0 then 0. else 0.5) +. (0.5 *. frac ~rows ~cols:cols' i v)
+    (if p = 0 then 0 else half) + key_bits ~rows ~cols:cols' i v (half / 2)
   end
 
-let rank ~rows ~cols (c : Cell.t) = frac ~rows ~cols c.Cell.row c.Cell.col
+let rank_key ~rows ~cols (c : Cell.t) =
+  key_bits ~rows ~cols c.Cell.row c.Cell.col ((1 lsl depth ~rows ~cols) / 2)
 
-(* Each cell's rank is computed once; ties keep row-major order. *)
+let rank ~rows ~cols c =
+  Float.ldexp (float_of_int (rank_key ~rows ~cols c)) (-depth ~rows ~cols)
+
+(* One LSD radix pass per byte of [keys], each a stable counting sort;
+   returns the sorted array, which is [keys] or [tmp]. *)
+let radix_sort keys tmp ~bits =
+  let n = Array.length keys in
+  let count = Array.make 256 0 in
+  let src = ref keys and dst = ref tmp in
+  let shift = ref 0 in
+  while !shift < bits do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill count 0 256 0;
+    for i = 0 to n - 1 do
+      let b = (s.(i) lsr sh) land 255 in
+      count.(b) <- count.(b) + 1
+    done;
+    let total = ref 0 in
+    for b = 0 to 255 do
+      let c = count.(b) in
+      count.(b) <- !total;
+      total := !total + c
+    done;
+    for i = 0 to n - 1 do
+      let k = s.(i) in
+      let b = (k lsr sh) land 255 in
+      d.(count.(b)) <- k;
+      count.(b) <- count.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  !src
+
+(* One key per cell: the rank key above the cell's row-major index, so
+   ties on rank go row-major whatever the input order. *)
 let sort_by_rank ~rows ~cols cells =
-  let cells = Array.of_list cells in
-  let ranks = Array.map (rank ~rows ~cols) cells in
-  let order = Array.init (Array.length cells) Fun.id in
-  Array.stable_sort
-    (fun a b ->
-       match Float.compare ranks.(a) ranks.(b) with
-       | 0 -> Cell.compare cells.(a) cells.(b)
-       | c -> c)
-    order;
-  Array.fold_right (fun i acc -> cells.(i) :: acc) order []
+  let depth = depth ~rows ~cols in
+  let index_bits =
+    let rec width b = if 1 lsl b >= rows * cols then b else width (b + 1) in
+    width 0
+  in
+  let keys = Array.make (List.length cells) 0 in
+  List.iteri
+    (fun n (c : Cell.t) ->
+       let row = c.Cell.row and col = c.Cell.col in
+       if row < 0 || row >= rows || col < 0 || col >= cols then
+         invalid_arg "Chessboard.sort_by_rank: cell outside the grid";
+       let key = key_bits ~rows ~cols row col ((1 lsl depth) / 2) in
+       keys.(n) <- (key lsl index_bits) lor ((row * cols) + col))
+    cells;
+  let sorted =
+    radix_sort keys (Array.make (Array.length keys) 0)
+      ~bits:(depth + index_bits)
+  in
+  let mask = (1 lsl index_bits) - 1 in
+  let cells = ref [] in
+  for j = Array.length sorted - 1 downto 0 do
+    let i = sorted.(j) land mask in
+    cells := { Cell.row = i / cols; col = i mod cols } :: !cells
+  done;
+  !cells
 
 let sorted_cells ~rows ~cols =
   let cells = ref [] in

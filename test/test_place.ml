@@ -153,6 +153,128 @@ let test_chessboard_rank_range () =
     done
   done
 
+(* The float rank recursion and the stable sort on it that the integer
+   key and the radix sort replaced, kept as their oracle: rank, then
+   row-major position. *)
+let rec reference_frac ~rows ~cols i j =
+  if rows <= 1 && cols <= 1 then 0.
+  else if cols = 1 then reference_frac ~rows:1 ~cols:rows j i
+  else begin
+    let p = (i + j) land 1 in
+    let jp = (i + p) land 1 in
+    let v = (j - jp) / 2 in
+    let cols' = (cols - jp + 1) / 2 in
+    (if p = 0 then 0. else 0.5) +. (0.5 *. reference_frac ~rows ~cols:cols' i v)
+  end
+
+let reference_rank ~rows ~cols (c : Ccgrid.Cell.t) =
+  reference_frac ~rows ~cols c.Ccgrid.Cell.row c.Ccgrid.Cell.col
+
+(* [reference_sort_by_rank ~ranks ~rows ~cols cells] with [ranks.(i)]
+   the rank of the i-th of [cells] (recomputed when absent) *)
+let reference_sort_by_rank ?ranks ~rows ~cols cells =
+  let cells = Array.of_list cells in
+  let ranks =
+    match ranks with
+    | Some r -> r
+    | None -> Array.map (reference_rank ~rows ~cols) cells
+  in
+  let order = Array.init (Array.length cells) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+       match Float.compare ranks.(a) ranks.(b) with
+       | 0 -> Ccgrid.Cell.compare cells.(a) cells.(b)
+       | c -> c)
+    order;
+  Array.to_list (Array.map (fun i -> cells.(i)) order)
+
+let grid_cells ~rows ~cols =
+  List.init (rows * cols) (fun i ->
+      Ccgrid.Cell.make ~row:(i / cols) ~col:(i mod cols))
+
+(* Every grid 1..70 x 1..70 and the grids the placements build (Sizing
+   of 2^N units at multipliers 1 and 2, Ccplace.General's).  On each:
+   the integer key is the float rank * 2^D exactly (D = ceil(log2 rows)
+   + ceil(log2 cols)), [rank] is the float recursion's value, and the
+   radix sort of the row-major cells is the float-rank stable sort. *)
+let test_chessboard_rank_oracle () =
+  let sizing =
+    List.concat_map
+      (fun m ->
+         List.init 16 (fun i ->
+             let s = Ccgrid.Sizing.compute ~total_units:(m lsl (i + 1)) in
+             (s.Ccgrid.Sizing.rows, s.Ccgrid.Sizing.cols)))
+      [ 1; 2 ]
+  in
+  let general =
+    List.concat_map
+      (fun counts ->
+         List.map
+           (fun (p : Ccgrid.Placement.t) ->
+              (p.Ccgrid.Placement.rows, p.Ccgrid.Placement.cols))
+           [ Ccplace.General.clustered ~counts;
+             Ccplace.General.interleaved ~counts ])
+      [ [| 1; 1; 2; 4; 8 |]; [| 1; 2; 3; 5; 7 |]; [| 1; 1; 2; 3; 5; 8; 13 |];
+        [| 1; 1; 2; 4; 16; 16; 16 |]; [| 3; 5 |]; [| 1; 1; 1 |];
+        [| 2; 3; 6; 11; 21; 40 |]; [| 1; 1; 2; 4; 8; 16; 32; 64; 128 |] ]
+  in
+  let rec clog2 n = if n <= 1 then 0 else 1 + clog2 ((n + 1) / 2) in
+  List.iter
+    (fun (rows, cols) ->
+       let d = clog2 rows + clog2 cols in
+       let cells = grid_cells ~rows ~cols in
+       let ranks = Array.of_list (List.map (reference_rank ~rows ~cols) cells) in
+       List.iteri
+         (fun i c ->
+            let key = Ccplace.Chessboard.rank_key ~rows ~cols c in
+            let scaled = Float.ldexp ranks.(i) d in
+            if not (Float.is_integer scaled && Float.to_int scaled = key) then
+              Alcotest.failf "%dx%d cell %a: key %d, rank * 2^%d = %h" rows
+                cols Ccgrid.Cell.pp c key d scaled;
+            let rank = Ccplace.Chessboard.rank ~rows ~cols c in
+            if not (Float.equal rank ranks.(i)) then
+              Alcotest.failf "%dx%d cell %a: rank %h, recursion %h" rows cols
+                Ccgrid.Cell.pp c rank ranks.(i))
+         cells;
+       if
+         not
+           (List.equal Ccgrid.Cell.equal
+              (Ccplace.Chessboard.sort_by_rank ~rows ~cols cells)
+              (reference_sort_by_rank ~ranks ~rows ~cols cells))
+       then Alcotest.failf "rank order differs from the sort on %dx%d" rows cols)
+    (List.concat
+       (List.init 70 (fun r -> List.init 70 (fun c -> (r + 1, c + 1))))
+     @ sizing @ general)
+
+(* ties break row-major whatever the input order: shuffled grids and
+   shuffled subsets (the block-chessboard core is one) *)
+let test_chessboard_sort_shuffled () =
+  let rng = Random.State.make [| 2024 |] in
+  let shuffle l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  List.iter
+    (fun (rows, cols) ->
+       let cells = grid_cells ~rows ~cols in
+       let subset = List.filter (fun _ -> Random.State.bool rng) cells in
+       List.iter
+         (fun cells ->
+            if
+              not
+                (List.equal Ccgrid.Cell.equal
+                   (Ccplace.Chessboard.sort_by_rank ~rows ~cols (shuffle cells))
+                   (reference_sort_by_rank ~rows ~cols cells))
+            then Alcotest.failf "shuffled %dx%d sorts differently" rows cols)
+         [ cells; subset ])
+    [ (8, 8); (16, 16); (23, 23); (7, 12); (1, 9); (9, 1); (32, 32); (46, 45) ]
+
 (* --- block chessboard --- *)
 
 let test_block_core_is_centered () =
@@ -280,7 +402,11 @@ let () =
           Alcotest.test_case "odd doubles" `Quick test_chessboard_odd_bits_doubles;
           Alcotest.test_case "even not doubled" `Quick test_chessboard_even_bits_not_doubled;
           Alcotest.test_case "rank halves" `Quick test_chessboard_rank_halves;
-          Alcotest.test_case "rank range" `Quick test_chessboard_rank_range ] );
+          Alcotest.test_case "rank range" `Quick test_chessboard_rank_range;
+          Alcotest.test_case "rank key and radix sort = float rank sort" `Slow
+            test_chessboard_rank_oracle;
+          Alcotest.test_case "shuffled ties row-major" `Quick
+            test_chessboard_sort_shuffled ] );
       ( "block chessboard",
         [ Alcotest.test_case "core centred" `Quick test_block_core_is_centered;
           Alcotest.test_case "corridor MSB only" `Quick test_block_corridor_msb_only;
