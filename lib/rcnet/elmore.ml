@@ -1,49 +1,15 @@
-(* Orient the tree away from the root with a BFS, then accumulate subtree
+(* Hang the tree from the root (Rctree.orient), then accumulate subtree
    capacitances bottom-up and delays top-down. *)
 
-type oriented = {
-  parent : int array;          (* -1 for root *)
-  parent_r : float array;      (* resistance of edge to parent *)
-  parent_edge : int array;     (* insertion index of the edge to parent *)
-  order : int array;           (* BFS order, root first *)
-}
-
-let orient tree ~root =
-  let n = Rctree.num_nodes tree in
-  let adj = Array.make n [] in
-  List.iteri
-    (fun i (a, b, r) ->
-       let a = (a : Rctree.node :> int) and b = (b : Rctree.node :> int) in
-       adj.(a) <- (b, r, i) :: adj.(a);
-       adj.(b) <- (a, r, i) :: adj.(b))
-    (Rctree.edges tree);
-  if Rctree.num_edges tree <> n - 1 then
-    invalid_arg "Elmore: edge count <> nodes - 1 (not a tree)";
-  let root = (root : Rctree.node :> int) in
-  let parent = Array.make n (-2) in
-  let parent_r = Array.make n 0. in
-  let parent_edge = Array.make n (-1) in
-  let order = Array.make n root in
-  let q = Queue.create () in
-  parent.(root) <- -1;
-  Queue.add root q;
-  let idx = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order.(!idx) <- u;
-    incr idx;
-    List.iter
-      (fun (v, r, i) ->
-         if parent.(v) = -2 then begin
-           parent.(v) <- u;
-           parent_r.(v) <- r;
-           parent_edge.(v) <- i;
-           Queue.add v q
-         end)
-      adj.(u)
+(* Subtree capacitances in a fresh array, summed in reverse BFS order. *)
+let subtree_caps tree (o : Rctree.orientation) =
+  let subtree = Rctree.node_caps tree in
+  let parent = o.Rctree.parent and order = o.Rctree.order in
+  for i = Array.length order - 1 downto 1 do
+    let u = order.(i) in
+    subtree.(parent.(u)) <- subtree.(parent.(u)) +. subtree.(u)
   done;
-  if !idx <> n then invalid_arg "Elmore: graph is disconnected";
-  { parent; parent_r; parent_edge; order }
+  subtree
 
 let delays tree ~root =
   let n = Rctree.num_nodes tree in
@@ -53,19 +19,18 @@ let delays tree ~root =
     Telemetry.Metrics.observe "rcnet/edges"
       (float_of_int (Rctree.num_edges tree))
   end;
-  let { parent; parent_r; order; _ } = orient tree ~root in
-  let subtree = Array.init n (fun i -> Rctree.node_cap tree (Rctree.node_of_int tree i)) in
-  (* bottom-up: reverse BFS order *)
-  for i = n - 1 downto 1 do
-    let u = order.(i) in
-    if parent.(u) >= 0 then subtree.(parent.(u)) <- subtree.(parent.(u)) +. subtree.(u)
-  done;
-  let delay = Array.make n 0. in
+  let o = Rctree.orient tree ~root in
+  let parent = o.Rctree.parent and parent_r = o.Rctree.parent_r in
+  let order = o.Rctree.order in
+  (* the subtree capacitances become the delays in place: in BFS order a
+     node's parent slot already holds the parent's delay *)
+  let d = subtree_caps tree o in
+  d.(order.(0)) <- 0.;
   for i = 1 to n - 1 do
     let u = order.(i) in
-    delay.(u) <- delay.(parent.(u)) +. (parent_r.(u) *. subtree.(u))
+    d.(u) <- d.(parent.(u)) +. (parent_r.(u) *. d.(u))
   done;
-  delay
+  d
 
 let delay_to tree ~root n = (delays tree ~root).((n : Rctree.node :> int))
 
@@ -79,7 +44,7 @@ let max_delay tree ~root ~over =
       0. nodes
 
 let path_resistance tree ~root n =
-  let { parent; parent_r; _ } = orient tree ~root in
+  let { Rctree.parent; parent_r; _ } = Rctree.orient tree ~root in
   let rec walk u acc =
     if parent.(u) < 0 then acc else walk parent.(u) (acc +. parent_r.(u))
   in
@@ -95,16 +60,9 @@ type contribution = {
 }
 
 let breakdown tree ~root n =
-  let num = Rctree.num_nodes tree in
-  let { parent; parent_r; parent_edge; order } = orient tree ~root in
-  let subtree =
-    Array.init num (fun i -> Rctree.node_cap tree (Rctree.node_of_int tree i))
-  in
-  for i = num - 1 downto 1 do
-    let u = order.(i) in
-    if parent.(u) >= 0 then
-      subtree.(parent.(u)) <- subtree.(parent.(u)) +. subtree.(u)
-  done;
+  let o = Rctree.orient tree ~root in
+  let { Rctree.parent; parent_r; parent_edge; _ } = o in
+  let subtree = subtree_caps tree o in
   (* the root->n path, root-first; each edge contributes R_e * C_subtree(e) *)
   let rec walk u acc =
     if parent.(u) < 0 then acc

@@ -3,7 +3,13 @@
     The Elmore delay from the root to node [n] is
     [sum over edges e on the root->n path of R_e * C_downstream(e)], the
     first moment of the impulse response — the standard interconnect delay
-    estimate [16]. *)
+    estimate [16].
+
+    Every query hangs the tree from [root] with {!Rctree.orient} (flat
+    arrays, no lists), then sums subtree capacitances bottom-up in
+    reverse breadth-first order.  {!delays} turns that array into the
+    delays in place, top-down in breadth-first order.  O(nodes) per
+    query. *)
 
 (** [delays tree ~root] computes the Elmore delay (femtoseconds: ohm x fF)
     from [root] to every node, indexed by node.  Raises [Invalid_argument]
@@ -25,7 +31,8 @@ val path_resistance : Rctree.t -> root:Rctree.node -> Rctree.node -> float
 (** One edge's share of an Elmore delay: the path edge's resistance times
     the capacitance of the subtree hanging below it. *)
 type contribution = {
-  edge : int;                (** index into {!Rctree.edges} insertion order *)
+  edge : int;                (** the edge's insertion index, as {!Rctree.edge}
+                                 takes it *)
   upstream : Rctree.node;    (** endpoint closer to the root *)
   downstream : Rctree.node;
   r : float;                 (** ohm *)

@@ -5,7 +5,8 @@
     Node voltages follow [C dv/dt = -G v + b]; we integrate with backward
     Euler, which is unconditionally stable and solvable in O(nodes) per
     step on a tree (one up-sweep eliminating leaves, one down-sweep
-    back-substituting).
+    back-substituting), along the breadth-first order of
+    {!Rctree.orient}, the orientation {!Elmore} uses.
 
     Units: ohm, fF, femtoseconds — consistent with {!Rctree}. *)
 
