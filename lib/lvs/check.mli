@@ -9,6 +9,8 @@
 
     - [lvs/off-grid]: a drawn coordinate is off the 0.5 nm grid; the
       layout is not extracted;
+    - [lvs/unknown-net]: a shape names a capacitor the layout has no net
+      for (or a via names the top plate); the layout is not extracted;
     - [lvs/short]: one component claims two nets;
     - [lvs/open]: a net is missing its driver terminal or its anchored
       shapes (cell plates, driver) span several components;

@@ -140,6 +140,8 @@ let of_layout (l : L.t) =
   let pads = Array.make n_cells (-1) in
   let fills = Array.map fill per_layer in
   let off = ref [] and n_off = ref 0 in
+  let unknown = ref [] and n_unknown = ref 0 in
+  let n_nets = Array.length l.L.nets in
   let next = ref 0 in
   (* shape [k] labelled [lab] on layer [l1] (and [l2] unless negative),
      spanning (ax, ay)-(bx, by) um, snapped to (sax, say)-(sbx, sby) *)
@@ -148,6 +150,18 @@ let of_layout (l : L.t) =
     incr next;
     kind.(id) <- k;
     label.(id) <- lab;
+    (* a via is a net's terminal: only wires and top pads carry TOP *)
+    if (lab = top && k = Via) || (lab <> top && (lab < 0 || lab >= n_nets))
+    then begin
+      incr n_unknown;
+      if !n_unknown <= max_reported then
+        unknown :=
+          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_unknown_net
+            "shape %d (%s on %s) names C_%d, but the layout's nets are \
+             C_0..C_%d"
+            id (kind_name k) (layers_name l1 l2) lab (n_nets - 1)
+          :: !unknown
+    end;
     if sax = off_grid || say = off_grid || sbx = off_grid || sby = off_grid
     then begin
       incr n_off;
@@ -203,15 +217,20 @@ let of_layout (l : L.t) =
        in
        if s_y <> off_grid && s_y <= 0 then drivers := id :: !drivers)
     l.L.vias;
-  if !n_off > 0 then
+  if !n_off > 0 || !n_unknown > 0 then
     Error
       (D.sort
-         (if !n_off > max_reported then
-            D.makef Verify.Lvs_rules.r_off_grid
-              "%d more shapes off the %g nm grid" (!n_off - max_reported)
-              unit_nm
-            :: !off
-          else !off))
+         ((if !n_off > max_reported then
+             [ D.makef Verify.Lvs_rules.r_off_grid
+                 "%d more shapes off the %g nm grid" (!n_off - max_reported)
+                 unit_nm ]
+           else [])
+          @ (if !n_unknown > max_reported then
+               [ D.makef Verify.Lvs_rules.r_unknown_net
+                   "%d more shapes name no net of the layout"
+                   (!n_unknown - max_reported) ]
+             else [])
+          @ !off @ !unknown))
   else
     Ok
       { cols;

@@ -61,8 +61,10 @@ type t = {
     in row-major order its pad (unless a dummy) and top pad, then the
     bottom-plate wires, the top-plate wires and the vias, each in layout
     order.  [Error] lists an [lvs/off-grid] diagnostic for each of the
-    first 8 shapes with a coordinate off the grid (and one more counting
-    the rest). *)
+    first 8 shapes with a coordinate off the grid, and an
+    [lvs/unknown-net] diagnostic for each of the first 8 shapes naming
+    no net of the layout (a capacitor id outside its nets, or a via on
+    the top plate), each family with one more counting the rest. *)
 val of_layout : Ccroute.Layout.t -> (t, Verify.Diagnostic.t list) result
 
 (** Number of shapes. *)

@@ -35,6 +35,12 @@ let r_off_grid =
     "Every drawn coordinate must lie on the 0.5 nm grid LVS compares on (to \
      within 1e-6 um); an off-grid shape is reported, never snapped."
 
+let r_unknown_net =
+  lvs "unknown-net"
+    "Every drawn shape must belong to one of the layout's capacitor nets \
+     or (wires only) to the shared top plate; a shape naming any other \
+     capacitor is reported and the layout is not extracted."
+
 let rules =
   [ r_short; r_open; r_floating_cell; r_dangling; r_top_open;
-    r_netbuild_mismatch; r_off_grid ]
+    r_netbuild_mismatch; r_off_grid; r_unknown_net ]

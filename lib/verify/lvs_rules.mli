@@ -26,5 +26,8 @@ val r_netbuild_mismatch : Rule.t
 (** ["lvs/off-grid"] *)
 val r_off_grid : Rule.t
 
+(** ["lvs/unknown-net"] *)
+val r_unknown_net : Rule.t
+
 (** Every rule this module owns. *)
 val rules : Rule.t list

@@ -119,14 +119,26 @@ let check_trunks_in_channels (layout : Layout.t) out =
          net.Layout.cn_trunks)
     layout.Layout.nets
 
+(* [unplanned out what k n] reports capacitor id [k] of a [what] that
+   names no capacitor of an [n]-entry parallel-wire plan *)
+let unplanned out what k n =
+  emit out r_parallel_consistency
+    "C_%d %s names no capacitor of the plan (C_0..C_%d)" k what (n - 1)
+
 (* two trunks in one channel must not collide: centre distance at least
-   half the sum of their bundle widths *)
+   half the sum of their bundle widths.  A trunk whose capacitor has no
+   plan entry is reported here; it and a trunk whose count is below 1
+   (route/parallel-positive) have no width, so their pairs are skipped. *)
 let check_track_separation (layout : Layout.t) out =
+  let p_of_cap = layout.Layout.p_of_cap in
+  let n = Array.length p_of_cap in
   let trunks_by_channel = Hashtbl.create 16 in
   Array.iter
     (fun (net : Layout.capnet) ->
        List.iter
          (fun (tk : Layout.trunk) ->
+            let k = tk.Layout.tk_cap in
+            if k < 0 || k >= n then unplanned out "trunk" k n;
             let prev =
               Option.value ~default:[]
                 (Hashtbl.find_opt trunks_by_channel tk.Layout.tk_channel)
@@ -134,6 +146,12 @@ let check_track_separation (layout : Layout.t) out =
             Hashtbl.replace trunks_by_channel tk.Layout.tk_channel (tk :: prev))
          net.Layout.cn_trunks)
     layout.Layout.nets;
+  let width tk =
+    let k = tk.Layout.tk_cap in
+    if k < 0 || k >= n || p_of_cap.(k) < 1 then None
+    else
+      Some (Tech.Parallel.bundle_width layout.Layout.tech ~p:p_of_cap.(k))
+  in
   Hashtbl.iter
     (fun channel trunks ->
        let sorted =
@@ -141,16 +159,15 @@ let check_track_separation (layout : Layout.t) out =
        in
        let rec walk = function
          | a :: (b :: _ as rest) ->
-           let width tk =
-             Tech.Parallel.bundle_width layout.Layout.tech
-               ~p:layout.Layout.p_of_cap.(tk.Layout.tk_cap)
-           in
-           let min_gap = (width a +. width b) /. 2. in
-           if b.Layout.tk_x -. a.Layout.tk_x < min_gap -. 1e-9 then
-             emit out r_track_separation
-               "channel %d: trunks of C_%d and C_%d %.3f um apart, need %.3f"
-               channel a.Layout.tk_cap b.Layout.tk_cap
-               (b.Layout.tk_x -. a.Layout.tk_x) min_gap;
+           (match (width a, width b) with
+            | Some wa, Some wb ->
+              let min_gap = (wa +. wb) /. 2. in
+              let gap = b.Layout.tk_x -. a.Layout.tk_x in
+              if gap < min_gap -. 1e-9 then
+                emit out r_track_separation
+                  "channel %d: trunks of C_%d and C_%d %.3f um apart, need %.3f"
+                  channel a.Layout.tk_cap b.Layout.tk_cap gap min_gap
+            | _ -> ());
            walk rest
          | [ _ ] | [] -> ()
        in
@@ -175,22 +192,27 @@ let check_net_coverage (layout : Layout.t) out =
            placement.Placement.counts.(cap))
     layout.Layout.nets
 
-(* bundle widths recorded on wires and vias must match the plan *)
+(* bundle widths recorded on wires and vias must match the plan, and
+   each must name a capacitor of it (a wire's negative id is the top
+   plate's) *)
 let check_parallel_consistency (layout : Layout.t) out =
+  let p_of_cap = layout.Layout.p_of_cap in
+  let n = Array.length p_of_cap in
   List.iter
     (fun (w : Layout.wire) ->
-       if w.Layout.w_cap >= 0
-          && w.Layout.w_p <> layout.Layout.p_of_cap.(w.Layout.w_cap)
-       then
-         emit out r_parallel_consistency "C_%d wire has p=%d, plan says %d"
-           w.Layout.w_cap w.Layout.w_p
-           layout.Layout.p_of_cap.(w.Layout.w_cap))
+       let k = w.Layout.w_cap in
+       if k >= n then unplanned out "wire" k n
+       else if k >= 0 && w.Layout.w_p <> p_of_cap.(k) then
+         emit out r_parallel_consistency "C_%d wire has p=%d, plan says %d" k
+           w.Layout.w_p p_of_cap.(k))
     layout.Layout.wires;
   List.iter
     (fun (v : Layout.via) ->
-       if v.Layout.v_p <> layout.Layout.p_of_cap.(v.Layout.v_cap) then
-         emit out r_parallel_consistency "C_%d via has p=%d, plan says %d"
-           v.Layout.v_cap v.Layout.v_p layout.Layout.p_of_cap.(v.Layout.v_cap))
+       let k = v.Layout.v_cap in
+       if k < 0 || k >= n then unplanned out "via" k n
+       else if v.Layout.v_p <> p_of_cap.(k) then
+         emit out r_parallel_consistency "C_%d via has p=%d, plan says %d" k
+           v.Layout.v_p p_of_cap.(k))
     layout.Layout.vias
 
 (* trunk wires must be vertical on a vertical layer; bridges horizontal *)

@@ -628,6 +628,66 @@ let test_netbuild_unrouted_rejected () =
     Alcotest.(check string) "artifact name" "RC extraction of C_2" what;
     check_fired "rejected diagnostics" [ "lvs/open" ] diagnostics
 
+(* --- corrupted layouts: reported under a rule id, never raised --- *)
+
+let run_lvs what l =
+  match Lvs.Check.run l with
+  | r -> r
+  | exception e ->
+    Alcotest.failf "%s: Lvs.Check.run raised %s" what (Printexc.to_string e)
+
+let no_stats = { Lvs.Check.shapes = 0; contacts = 0; components = 0 }
+
+let test_unknown_net_via () =
+  (* a driver-row via naming C_7 of a 6-bit array (nets C_0..C_6) *)
+  let shapes = (Lvs.Check.run spiral6).Lvs.Check.stats.Lvs.Check.shapes in
+  let k = Array.length spiral6.L.nets in
+  let via = { L.v_cap = k; v_x = 0.; v_y = 0.; v_p = 1 } in
+  let r = run_lvs "via" { spiral6 with L.vias = spiral6.L.vias @ [ via ] } in
+  Alcotest.(check (list (triple string string string)))
+    "one unknown-net diagnostic naming the via"
+    [ ( "lvs/unknown-net",
+        "C_7",
+        Printf.sprintf
+          "shape %d (via on M1+M3) names C_7, but the layout's nets are \
+           C_0..C_6"
+          shapes ) ]
+    (triples r.Lvs.Check.diagnostics);
+  Alcotest.(check bool) "not extracted" true (r.Lvs.Check.stats = no_stats)
+
+let test_unknown_net_wire () =
+  let k = Array.length spiral6.L.nets in
+  let wires =
+    match spiral6.L.wires with
+    | w :: rest -> { w with L.w_cap = k } :: rest
+    | [] -> Alcotest.fail "spiral6 has no wires"
+  in
+  let r = run_lvs "wire" { spiral6 with L.wires } in
+  Alcotest.(check (list (pair string string)))
+    "one unknown-net diagnostic on C_7"
+    [ ("lvs/unknown-net", "C_7") ]
+    (List.map (fun (id, loc, _) -> (id, loc)) (triples r.Lvs.Check.diagnostics));
+  Alcotest.(check bool) "not extracted" true (r.Lvs.Check.stats = no_stats)
+
+let test_top_plate_via () =
+  (* vias are net terminals: one on the top plate names no net either *)
+  let via = { L.v_cap = -1; v_x = 0.; v_y = 0.; v_p = 1 } in
+  let r = run_lvs "top via" { spiral6 with L.vias = via :: spiral6.L.vias } in
+  Alcotest.(check (list string)) "rules" [ "lvs/unknown-net" ]
+    (fired r.Lvs.Check.diagnostics)
+
+let test_zero_parallel_lvs () =
+  (* C_8 with a parallel-wire count of 0: its RC tree cannot be built,
+     which the cross-check reports *)
+  let l = layout_of Ccplace.Style.Chessboard 8 in
+  let p_of_cap = Array.copy l.L.p_of_cap in
+  p_of_cap.(8) <- 0;
+  let r = run_lvs "p = 0" { l with L.p_of_cap } in
+  Alcotest.(check (list (pair string string)))
+    "netbuild cannot model C_8"
+    [ ("lvs/netbuild-mismatch", "C_8") ]
+    (List.map (fun (id, loc, _) -> (id, loc)) (triples r.Lvs.Check.diagnostics))
+
 (* --- the integer grid --- *)
 
 let quarter_unit = 0.25 /. float_of_int Lvs.Shape.units_per_um
@@ -747,7 +807,8 @@ let test_lvs_rules_registered () =
   Alcotest.(check (list string))
     "catalogued"
     [ "lvs/dangling"; "lvs/floating-cell"; "lvs/netbuild-mismatch";
-      "lvs/off-grid"; "lvs/open"; "lvs/short"; "lvs/top-open" ]
+      "lvs/off-grid"; "lvs/open"; "lvs/short"; "lvs/top-open";
+      "lvs/unknown-net" ]
     (List.map (fun (r : Verify.Rule.t) -> r.Verify.Rule.id) lvs_rules);
   Alcotest.(check bool) "dangling is a warning" true
     (Verify.Lvs_rules.r_dangling.Verify.Rule.severity = Verify.Rule.Warning)
@@ -777,7 +838,11 @@ let () =
       ( "triage",
         [ test_case "unrouted net is lvs/open" `Quick test_unrouted_is_open;
           test_case "Netbuild rejects with diagnostics" `Quick
-            test_netbuild_unrouted_rejected ] );
+            test_netbuild_unrouted_rejected;
+          test_case "via naming no net" `Quick test_unknown_net_via;
+          test_case "wire naming no net" `Quick test_unknown_net_wire;
+          test_case "via on the top plate" `Quick test_top_plate_via;
+          test_case "zero parallel count" `Quick test_zero_parallel_lvs ] );
       ( "grid",
         [ test_case "off-grid via" `Quick test_off_grid_via;
           test_case "sub-nanometre tech rejected" `Quick test_off_grid_tech;

@@ -256,6 +256,71 @@ let with_net (l : Ccroute.Layout.t) k f =
   nets.(k) <- f nets.(k);
   { l with Ccroute.Layout.nets }
 
+(* Corrupted layouts on which the route checks used to raise
+   (Invalid_argument from an index or from Tech.Parallel.bundle_width):
+   each is now reported under a rule id, and no exception escapes. *)
+let layout_diagnostics what l =
+  match Verify.Engine.check_layout l with
+  | diags -> List.map rule_and_detail diags
+  | exception e ->
+    Alcotest.failf "%s: check_layout raised %s" what (Printexc.to_string e)
+
+let test_bad_layout_unplanned_via () =
+  let k = Array.length spiral6.Ccroute.Layout.p_of_cap in
+  let via = { Ccroute.Layout.v_cap = k; v_x = 0.; v_y = 0.; v_p = 1 } in
+  Alcotest.(check (list (pair string string)))
+    "driver-row via of C_7"
+    [ ("route/parallel-consistency",
+       "C_7 via names no capacitor of the plan (C_0..C_6)") ]
+    (layout_diagnostics "via"
+       { spiral6 with
+         Ccroute.Layout.vias = spiral6.Ccroute.Layout.vias @ [ via ] })
+
+let test_bad_layout_unplanned_wire () =
+  let k = Array.length spiral6.Ccroute.Layout.p_of_cap in
+  let wires =
+    match spiral6.Ccroute.Layout.wires with
+    | w :: rest -> { w with Ccroute.Layout.w_cap = k } :: rest
+    | [] -> Alcotest.fail "spiral6 has no wires"
+  in
+  Alcotest.(check (list (pair string string)))
+    "first wire on C_7"
+    [ ("route/parallel-consistency",
+       "C_7 wire names no capacitor of the plan (C_0..C_6)") ]
+    (layout_diagnostics "wire" { spiral6 with Ccroute.Layout.wires })
+
+let test_bad_layout_unplanned_trunk () =
+  let k = Array.length spiral6.Ccroute.Layout.p_of_cap in
+  let corrupted =
+    with_net spiral6 6 (fun n ->
+        match n.Ccroute.Layout.cn_trunks with
+        | tk :: rest ->
+          { n with
+            Ccroute.Layout.cn_trunks = { tk with Ccroute.Layout.tk_cap = k } :: rest }
+        | [] -> Alcotest.fail "C_6 has no trunk")
+  in
+  Alcotest.(check (list (pair string string)))
+    "C_6 trunk relabelled C_7"
+    [ ("route/parallel-consistency",
+       "C_7 trunk names no capacitor of the plan (C_0..C_6)") ]
+    (layout_diagnostics "trunk" corrupted)
+
+let test_bad_layout_zero_parallel_shared_channel () =
+  (* C_8's trunk shares a channel: its width is skipped, the count is
+     reported *)
+  let l = layout_of Ccplace.Style.Chessboard 8 in
+  let p_of_cap = Array.copy l.Ccroute.Layout.p_of_cap in
+  p_of_cap.(8) <- 0;
+  let diags =
+    layout_diagnostics "p = 0" { l with Ccroute.Layout.p_of_cap }
+  in
+  Alcotest.(check (list string))
+    "rules"
+    [ "route/parallel-consistency"; "route/parallel-positive" ]
+    (List.sort_uniq String.compare (List.map fst diags));
+  Alcotest.(check bool) "no track-separation diagnostic" true
+    (not (List.mem_assoc "route/track-separation" diags))
+
 (* One corrupted 6-bit spiral per route rule that no other case fires:
    the rules it fires, its diagnostic count and the details it must
    carry, byte for byte. *)
@@ -562,6 +627,11 @@ let () =
         [ Alcotest.test_case "parallel via" `Quick test_bad_layout_parallel;
           Alcotest.test_case "outline" `Quick test_bad_layout_outline;
           Alcotest.test_case "parallel plan" `Quick test_bad_layout_parallel_plan;
+          Alcotest.test_case "unplanned via" `Quick test_bad_layout_unplanned_via;
+          Alcotest.test_case "unplanned wire" `Quick test_bad_layout_unplanned_wire;
+          Alcotest.test_case "unplanned trunk" `Quick test_bad_layout_unplanned_trunk;
+          Alcotest.test_case "zero parallel, shared channel" `Quick
+            test_bad_layout_zero_parallel_shared_channel;
           Alcotest.test_case "top plate" `Quick test_bad_layout_top_plate;
           Alcotest.test_case "each route rule" `Quick test_bad_layout_each_rule ] );
       ( "flow gate",
