@@ -73,108 +73,120 @@ let run_edges cells =
   in
   pair cells
 
-(* The connected components of every capacitor, as (cap, cells in
-   row-major order, BFS tree edges in visit order), ordered by (cap,
-   seed).  Cells are indexed row-major; a counting sort lists each
-   capacitor's cells in row-major order, and a BFS starts at each one not
-   yet labelled, trying neighbours in [Cell.neighbors] order through a
-   queue array.  Each cell gets one [Cell.t] when first reached, shared
-   by its group's cells and tree edges. *)
+(* The groups of every connected component, ordered by (cap, seed) and
+   numbered from 0.  Cells are indexed row-major; a counting sort lists
+   each capacitor's cells in row-major order, and a BFS starts at each
+   one not yet labelled, trying neighbours in [Cell.neighbors] order
+   through a queue array and taking the group's bounds as it goes.
+   While a BFS runs, [label] holds each reached cell's parent's queue
+   position; one backward pass over the queue then lists the tree edges
+   in visit order and relabels the cells with the group id.  Each cell
+   gets one [Cell.t] when first reached, shared by its group's cells and
+   tree edges; a last row-major pass lists each group's cells. *)
 let components (p : Placement.t) =
   let rows = p.Placement.rows and cols = p.Placement.cols in
+  let assign = p.Placement.assign in
   let caps = p.Placement.bits + 1 and n = rows * cols in
-  let id i = p.Placement.assign.(i / cols).(i mod cols) in
   let start = Array.make (caps + 1) 0 in
-  for i = 0 to n - 1 do
-    let k = id i in
-    if k >= 0 && k < caps then start.(k + 1) <- start.(k + 1) + 1
-  done;
+  Array.iter
+    (Array.iter (fun k -> if k >= 0 && k < caps then start.(k + 1) <- start.(k + 1) + 1))
+    assign;
   for k = 1 to caps do
     start.(k) <- start.(k) + start.(k - 1)
   done;
   let by_cap = Array.make start.(caps) 0 in
-  for i = 0 to n - 1 do
-    let k = id i in
-    if k >= 0 && k < caps then begin
-      by_cap.(start.(k)) <- i;
-      start.(k) <- start.(k) + 1
-    end
+  for row = 0 to rows - 1 do
+    let line = assign.(row) in
+    for col = 0 to cols - 1 do
+      let k = line.(col) in
+      if k >= 0 && k < caps then begin
+        by_cap.(start.(k)) <- (row * cols) + col;
+        start.(k) <- start.(k) + 1
+      end
+    done
   done;
   let label = Array.make n (-1) in
   let cell = Array.make n (Cell.make ~row:(-1) ~col:(-1)) in
   let queue = Array.make n 0 in
-  let reach i comp =
-    label.(i) <- comp;
-    cell.(i) <- Cell.make ~row:(i / cols) ~col:(i mod cols)
+  let tail = ref 0 in
+  (* reach cell [j] at (row, col) from the cell at queue position [h] *)
+  let visit ~cap ~h j row col =
+    if label.(j) < 0 && assign.(row).(col) = cap then begin
+      label.(j) <- h;
+      cell.(j) <- Cell.make ~row ~col;
+      queue.(!tail) <- j;
+      incr tail
+    end
   in
-  let comps = ref [] and count = ref 0 in
-  Array.iter
-    (fun seed ->
-       if label.(seed) < 0 then begin
-         let cap = id seed and comp = !count in
-         let edges = ref [] and tail = ref 1 in
-         reach seed comp;
-         queue.(0) <- seed;
-         let head = ref 0 in
-         while !head < !tail do
-           let i = queue.(!head) in
-           incr head;
-           let visit j =
-             if label.(j) < 0 && id j = cap then begin
-               reach j comp;
-               edges := (cell.(i), cell.(j)) :: !edges;
-               queue.(!tail) <- j;
-               incr tail
-             end
-           in
-           let row = i / cols and col = i mod cols in
-           if row > 0 then visit (i - cols);
-           if row < rows - 1 then visit (i + cols);
-           if col > 0 then visit (i - 1);
-           if col < cols - 1 then visit (i + 1)
-         done;
-         comps := (cap, List.rev !edges) :: !comps;
-         incr count
-       end)
-    by_cap;
+  let groups = ref [] and count = ref 0 in
+  for s = 0 to Array.length by_cap - 1 do
+    let seed = by_cap.(s) in
+    if label.(seed) < 0 then begin
+      let row = seed / cols and col = seed mod cols in
+      let cap = assign.(row).(col) and id = !count in
+      let row_lo = ref row and row_hi = ref row in
+      let col_lo = ref col and col_hi = ref col in
+      label.(seed) <- 0;
+      cell.(seed) <- Cell.make ~row ~col;
+      queue.(0) <- seed;
+      tail := 1;
+      let head = ref 0 in
+      while !head < !tail do
+        let h = !head in
+        let i = queue.(h) in
+        incr head;
+        let row = i / cols in
+        let col = i - (row * cols) in
+        if row < !row_lo then row_lo := row;
+        if row > !row_hi then row_hi := row;
+        if col < !col_lo then col_lo := col;
+        if col > !col_hi then col_hi := col;
+        if row > 0 then visit ~cap ~h (i - cols) (row - 1) col;
+        if row < rows - 1 then visit ~cap ~h (i + cols) (row + 1) col;
+        if col > 0 then visit ~cap ~h (i - 1) row (col - 1);
+        if col < cols - 1 then visit ~cap ~h (i + 1) row (col + 1)
+      done;
+      let edges = ref [] in
+      for k = !tail - 1 downto 1 do
+        let j = queue.(k) in
+        edges := (cell.(queue.(label.(j))), cell.(j)) :: !edges;
+        label.(j) <- id
+      done;
+      label.(seed) <- id;
+      groups :=
+        { cap; id; cells = []; tree_edges = !edges; col_lo = !col_lo;
+          col_hi = !col_hi; row_lo = !row_lo; row_hi = !row_hi }
+        :: !groups;
+      incr count
+    end
+  done;
   let members = Array.make !count [] in
   for i = n - 1 downto 0 do
-    let comp = label.(i) in
-    if comp >= 0 then members.(comp) <- cell.(i) :: members.(comp)
+    let id = label.(i) in
+    if id >= 0 then members.(id) <- cell.(i) :: members.(id)
   done;
-  List.mapi
-    (fun comp (cap, edges) -> (cap, members.(comp), edges))
-    (List.rev !comps)
+  List.fold_left
+    (fun acc g -> { g with cells = members.(g.id) } :: acc)
+    [] !groups
 
 let of_placement ?(mode = Connected) (p : Placement.t) =
-  let next_id = ref 0 and groups = ref [] in
-  let emit cap cells tree_edges =
-    groups := make_group ~cap ~id:!next_id cells tree_edges :: !groups;
-    incr next_id
-  in
-  List.iter
-    (fun (cap, cells, tree_edges) ->
-       match mode with
-       | Connected -> emit cap cells tree_edges
-       | Straight_runs ->
-         List.iter (fun run -> emit cap run (run_edges run)) (split_runs cells))
-    (components p);
-  List.rev !groups
+  match mode with
+  | Connected -> components p
+  | Straight_runs ->
+    let next_id = ref 0 and groups = ref [] in
+    List.iter
+      (fun g ->
+         List.iter
+           (fun run ->
+              groups :=
+                make_group ~cap:g.cap ~id:!next_id run (run_edges run) :: !groups;
+              incr next_id)
+           (split_runs g.cells))
+      (components p);
+    List.rev !groups
 
 let of_cap groups k = List.filter (fun g -> g.cap = k) groups
 let size g = List.length g.cells
-
-let bend_cells g =
-  let horizontal = Hashtbl.create 16 and vertical = Hashtbl.create 16 in
-  let record (a : Cell.t) (b : Cell.t) =
-    let table = if a.Cell.row = b.Cell.row then horizontal else vertical in
-    Hashtbl.replace table a ();
-    Hashtbl.replace table b ()
-  in
-  List.iter (fun (a, b) -> record a b) g.tree_edges;
-  List.filter
-    (fun c -> Hashtbl.mem horizontal c && Hashtbl.mem vertical c)
-    g.cells
 
 let col_span_overlap a b = a.col_lo <= b.col_hi && b.col_lo <= a.col_hi
 
@@ -185,13 +197,15 @@ let col_span_overlap a b = a.col_lo <= b.col_hi && b.col_lo <= a.col_hi
    farther), so for each cell of [a] the search visits the rows of [b]
    within the best distance so far and binary-searches [b]'s row-major
    cells for the bracket. *)
-let closest_cells a b =
+let closest_cells_in a bs =
   let dist (x : Cell.t) (y : Cell.t) =
     abs (x.Cell.row - y.Cell.row) + abs (x.Cell.col - y.Cell.col)
   in
-  match (a.cells, b.cells) with
-  | [], _ | _, [] -> invalid_arg "Group.closest_cells: empty group"
-  | a0 :: _, b0 :: _ ->
+  match a.cells with
+  | [] -> invalid_arg "Group.closest_cells: empty group"
+  | _ when Array.length bs = 0 -> invalid_arg "Group.closest_cells: empty group"
+  | a0 :: _ ->
+    let b0 = bs.(0) in
     let best_a = ref a0 and best_b = ref b0 in
     let best_d = ref (dist a0 b0) and best_s = ref (a0.Cell.row + b0.Cell.row) in
     let consider (ca : Cell.t) (cb : Cell.t) =
@@ -210,7 +224,6 @@ let closest_cells a b =
         best_s := s
       end
     in
-    let bs = Array.of_list b.cells in
     let n = Array.length bs in
     (* index of the first cell of [b] at or after (row, col) *)
     let lower_bound row col =
@@ -235,6 +248,8 @@ let closest_cells a b =
          done)
       a.cells;
     (!best_a, !best_b)
+
+let closest_cells a b = closest_cells_in a (Array.of_list b.cells)
 
 let pp ppf g =
   Format.fprintf ppf "group %d of C_%d: %d cells, cols [%d,%d], rows [%d,%d]"

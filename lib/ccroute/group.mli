@@ -37,20 +37,20 @@ type mode =
     [tree_edges].
 
     Cost: O(rows·cols) for [Connected] — a counting sort of the cells by
-    capacitor, one BFS per component over a grid-indexed visited array and
-    queue, and one row-major pass that lists each group's cells. *)
+    capacitor, one BFS per component over a grid-indexed label array and
+    queue that also takes the group's bounds, one backward pass over each
+    BFS's queue for its tree edges, and one row-major pass that lists each
+    group's cells.  Per cell it allocates the shared {!Cell.t}, its tree
+    edge and two list cells. *)
 val of_placement : ?mode:mode -> Placement.t -> t list
 
 (** [of_cap groups k] filters the groups of capacitor [k], preserving
-    order. *)
+    order.  O(|groups|) per call; the router buckets groups by capacitor
+    once instead. *)
 val of_cap : t list -> int -> t list
 
 (** [size g] is the number of cells. *)
 val size : t -> int
-
-(** [bend_cells g] are the cells whose incident tree edges include both a
-    horizontal and a vertical edge — each costs one (logical) via. *)
-val bend_cells : t -> Cell.t list
 
 (** [col_span_overlap a b] per Algorithm 1 line 14: true when the column
     spans intersect, i.e. the groups can share a vertical channel. *)
@@ -58,8 +58,15 @@ val col_span_overlap : t -> t -> bool
 
 (** [closest_cells a b] is the pair [(u_a, u_b)] minimising the Manhattan
     cell distance; ties prefer the pair closest to the bottom of the array,
-    then row-major order (Algorithm 1 lines 15–16).  Cost: O(|a|·|b|)
-    integer comparisons, no allocation per pair. *)
+    then row-major order (Algorithm 1 lines 15–16).  Cost: for each cell
+    of [a], a binary search of [b]'s row-major cells in each row of [b]
+    within the best distance found so far — O(|a|·(d + 1)·log |b|) for a
+    best distance [d] — plus one array of [b]'s cells. *)
 val closest_cells : t -> t -> Cell.t * Cell.t
+
+(** [closest_cells_in a bs] is [closest_cells a b] for [bs] the cells of
+    [b] as a row-major array, so a caller pairing [b] with several groups
+    builds the array once. *)
+val closest_cells_in : t -> Cell.t array -> Cell.t * Cell.t
 
 val pp : Format.formatter -> t -> unit

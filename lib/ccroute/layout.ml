@@ -121,15 +121,26 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
   let col_x = Array.make cols 0. in
   let pitch_x = Tech.Process.cell_pitch_x tech in
   let pitch_y = Tech.Process.cell_pitch_y tech in
-  (* bridge region: one track per capacitor that needs a bridge *)
-  let trunk_channels = Array.make (bits + 1) [] in
+  (* the routes of each capacitor per channel, in reverse plan order, and
+     the number of channels each capacitor uses *)
+  let routes_at = Array.init (bits + 1) (fun _ -> Array.make (cols + 1) []) in
+  let trunk_count = Array.make (bits + 1) 0 in
   List.iter
     (fun (r : Plan.route) ->
-       let cap = r.Plan.group.Group.cap in
-       if not (List.mem r.Plan.channel trunk_channels.(cap)) then
-         trunk_channels.(cap) <- r.Plan.channel :: trunk_channels.(cap))
+       let cap = r.Plan.group.Group.cap and ch = r.Plan.channel in
+       let at = routes_at.(cap) in
+       if at.(ch) = [] then trunk_count.(cap) <- trunk_count.(cap) + 1;
+       at.(ch) <- r :: at.(ch))
     plan.Plan.routes;
-  let needs_bridge = Array.map (fun chs -> List.length chs >= 2) trunk_channels in
+  (* the groups of each capacitor, in group order *)
+  let groups_of = Array.make (bits + 1) [] in
+  let all_groups = Array.of_list groups in
+  for i = Array.length all_groups - 1 downto 0 do
+    let g = all_groups.(i) in
+    groups_of.(g.Group.cap) <- g :: groups_of.(g.Group.cap)
+  done;
+  (* bridge region: one track per capacitor that needs a bridge *)
+  let needs_bridge = Array.map (fun n -> n >= 2) trunk_count in
   let bridge_y = Array.make (bits + 1) 0. in
   let bridge_height =
     let cursor = ref 0. in
@@ -170,8 +181,7 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
   let emit_via v = vias := v :: !vias in
   let build_net cap =
     let p = p_arr.(cap) in
-    let routes = Plan.routes_of_cap plan cap in
-    let cap_groups = Group.of_cap groups cap in
+    let cap_groups = groups_of.(cap) in
     (* branch connections inside each group: abutting MOM fingers on the
        device layers — they carry plate resistance but are not routing
        metal, so they are rendered as Branch wires and excluded from the
@@ -189,58 +199,42 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
                   w_p = p })
            g.Group.tree_edges)
       cap_groups;
-    (* trunks, one per channel used by this capacitor *)
-    let by_channel = Hashtbl.create 4 in
-    List.iter
-      (fun (r : Plan.route) ->
-         let prev = Option.value ~default:[] (Hashtbl.find_opt by_channel r.Plan.channel) in
-         Hashtbl.replace by_channel r.Plan.channel (r :: prev))
-      routes;
-    let channels = List.sort_uniq Int.compare (List.map (fun r -> r.Plan.channel) routes) in
-    let primary_channel =
-      match channels with
-      | [] -> -1
-      | ch :: _ -> ch
-    in
+    (* trunks, one per channel used by this capacitor, in channel order;
+       the first is the primary *)
     let has_bridge = needs_bridge.(cap) in
-    let trunks =
-      List.map
-        (fun ch ->
-           let rs = Hashtbl.find by_channel ch in
-           let track =
-             match rs with
-             | r :: _ -> r.Plan.track
-             | [] ->
-               invalid_arg
-                 (Printf.sprintf
-                    "Ccroute.Layout.build: capacitor C%d lists channel %d \
-                     but the plan has no route for it there"
-                    cap ch)
-           in
-           let x = track_x.(ch).(track) in
-           let attaches =
-             List.map
-               (fun (r : Plan.route) ->
-                  { ap_group = r.Plan.group.Group.id;
-                    ap_cell = r.Plan.attach;
-                    ap_x = x;
-                    ap_y = row_y.(r.Plan.attach.Cell.row) })
-               rs
-           in
-           let y_high =
-             List.fold_left (fun acc a -> Float.max acc a.ap_y) 0. attaches
-           in
-           let primary = ch = primary_channel in
-           let y_low =
-             if primary then 0.
-             else if has_bridge then bridge_y.(cap)
-             else 0.
-           in
-           { tk_cap = cap; tk_channel = ch; tk_track = track; tk_x = x;
-             tk_y_low = y_low; tk_y_high = y_high; tk_attaches = attaches;
-             tk_primary = primary })
-        channels
+    let trunk ch ~track (rs : Plan.route list) ~primary =
+      let x = track_x.(ch).(track) in
+      let attaches =
+        List.map
+          (fun (r : Plan.route) ->
+             { ap_group = r.Plan.group.Group.id;
+               ap_cell = r.Plan.attach;
+               ap_x = x;
+               ap_y = row_y.(r.Plan.attach.Cell.row) })
+          rs
+      in
+      let y_high =
+        List.fold_left (fun acc a -> Float.max acc a.ap_y) 0. attaches
+      in
+      let y_low =
+        if primary then 0.
+        else if has_bridge then bridge_y.(cap)
+        else 0.
+      in
+      { tk_cap = cap; tk_channel = ch; tk_track = track; tk_x = x;
+        tk_y_low = y_low; tk_y_high = y_high; tk_attaches = attaches;
+        tk_primary = primary }
     in
+    let at = routes_at.(cap) in
+    let trunks = ref [] in
+    for ch = 0 to cols do
+      match at.(ch) with
+      | [] -> ()
+      | r :: _ as rs ->
+        trunks :=
+          trunk ch ~track:r.Plan.track rs ~primary:(!trunks = []) :: !trunks
+    done;
+    let trunks = List.rev !trunks in
     (* wire + via emission for trunks and attaches *)
     List.iter
       (fun tk ->
@@ -261,9 +255,11 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
     let bridge =
       if has_bridge then begin
         let y = bridge_y.(cap) in
-        let xs = List.map (fun tk -> tk.tk_x) trunks in
-        let x_lo = List.fold_left Float.min Float.infinity xs in
-        let x_hi = List.fold_left Float.max Float.neg_infinity xs in
+        let x_lo =
+          List.fold_left (fun acc tk -> Float.min acc tk.tk_x) Float.infinity trunks
+        and x_hi =
+          List.fold_left (fun acc tk -> Float.max acc tk.tk_x) Float.neg_infinity trunks
+        in
         emit_wire
           { w_cap = cap; w_kind = Bridge; w_layer = Tech.Layer.M1;
             w_ax = x_lo; w_ay = y; w_bx = x_hi; w_by = y; w_p = p };
@@ -277,9 +273,9 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
       else None
     in
     let driver_x =
-      match List.find_opt (fun tk -> tk.tk_primary) trunks with
-      | Some tk -> tk.tk_x
-      | None -> 0.
+      match trunks with
+      | tk :: _ -> tk.tk_x
+      | [] -> 0.
     in
     (* input connection via at the driver row *)
     if trunks <> [] then

@@ -96,8 +96,13 @@ type t = {
 (** [route tech ?p_of_cap placement] runs group formation, Algorithm 1 and
     wire creation.  [p_of_cap] maps capacitor id to its parallel-wire
     count (>= 1); default: 1 wire everywhere.  Raises [Invalid_argument]
-    on a placement with zero-cell capacitors or [p_of_cap] returning
-    < 1. *)
+    on [p_of_cap] returning < 1.  A capacitor with no cells gets a net
+    with no trunks, which [route/net-routed] reports.
+
+    Cost: {!Group.of_placement} and {!Plan.make}, then one pass that
+    buckets the routes per capacitor and channel and the groups per
+    capacitor, and per net a walk over the channels plus its own groups,
+    routes and wires — O(rows·cols + caps·cols) besides Step 1. *)
 val route : Tech.Process.t -> ?p_of_cap:(int -> int) -> Placement.t -> t
 
 (** [msb_parallel ~bits ~p] is the policy used for the paper's tables:

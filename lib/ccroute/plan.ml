@@ -31,58 +31,338 @@ let attach_toward_channel (g : Group.t) ~channel =
   | first :: rest ->
     List.fold_left (fun best c -> if closer c best then c else best) first rest
 
-(* Step 1: channel selection for the groups of one capacitor, in group
-   order.  The partners of group [j] are the groups not yet routed whose
-   column spans meet its own (Algorithm 1 line 14).  [by_col] lists, per
-   column, the groups spanning it in ascending order, so partners come
-   from [j]'s own columns instead of a test of every pair; they are
-   visited in ascending group order, as Algorithm 1 scans them. *)
-let select_channels ~cols groups_of_i =
-  let n = Array.length groups_of_i in
-  let by_col = Array.make cols [] in
-  for k = n - 1 downto 0 do
-    let q = groups_of_i.(k) in
-    for col = q.Group.col_lo to q.Group.col_hi do
-      by_col.(col) <- k :: by_col.(col)
+(* The stub-planarity repair and Step 2 on one connection per group:
+   connection [c] joins [group.(c)] to the trunk of its capacitor in
+   channel [channel.(c)] through a stub at [attach.(c)].  [channel] and
+   [attach] are updated in place by the repair.
+
+   Stub planarity.  Each connection straps its group to the trunk with an
+   M1 stub at its attach cell's row; when capacitor A straps from the
+   left column of a channel at the same row where capacitor B straps
+   from the right, A's track must lie left of B's or the stubs overlap on
+   M1 — a short.  These precedence constraints can form a cycle (A left
+   of B at one row, B left of A at another), which no track order
+   satisfies; cycles are broken by re-attaching one of the offending
+   groups at a different channel-adjacent cell — the group joins the
+   same trunk either way, only its stub row moves.
+
+   Each channel indexes its capacitors by slot, in the order their first
+   connection appears, and derives the precedence once into an n×n slot
+   table from the connections of each row: slot a precedes slot b when a
+   straps from the left at a row where b straps from the right. *)
+let assign (placement : Placement.t) (group : Group.t array) channel attach =
+  let rows = placement.Placement.rows and cols = placement.Placement.cols in
+  let m = Array.length group in
+  let caps =
+    Array.fold_left
+      (fun acc (g : Group.t) ->
+         if g.Group.cap < 0 then
+           invalid_arg "Plan.of_channels: negative capacitor id";
+         Int.max acc (g.Group.cap + 1))
+      0 group
+  in
+  Array.iter
+    (fun ch ->
+       if ch < 0 || ch > cols then invalid_arg "Plan.of_channels: channel out of range")
+    channel;
+  let cap c = group.(c).Group.cap in
+  (* the connections of each channel in ascending order: a stable
+     counting sort, [conns.(pos.(ch)) .. conns.(pos.(ch + 1) - 1)] *)
+  let pos = Array.make (cols + 3) 0 and conns = Array.make m 0 in
+  let bucket () =
+    Array.fill pos 0 (cols + 3) 0;
+    Array.iter (fun ch -> pos.(ch + 2) <- pos.(ch + 2) + 1) channel;
+    for ch = 2 to cols + 2 do
+      pos.(ch) <- pos.(ch) + pos.(ch - 1)
+    done;
+    for c = 0 to m - 1 do
+      let ch = channel.(c) in
+      conns.(pos.(ch + 1)) <- c;
+      pos.(ch + 1) <- pos.(ch + 1) + 1
     done
+  in
+  bucket ();
+  (* per-channel work arrays, stamped by [epoch]: a capacitor's slot, each
+     slot's capacitor and strap sides (1 left, 2 right), the precedence
+     table, and per row the list of the channel's connections there *)
+  let epoch = ref 0 in
+  let slot_epoch = Array.make caps (-1) and slot_of = Array.make caps 0 in
+  let slot_cap = Array.make caps 0 and side = Array.make caps 0 in
+  let before = Bytes.make (caps * caps) '\000' in
+  let row_epoch = Array.make rows (-1) and row_first = Array.make rows (-1) in
+  let next = Array.make m (-1) in
+  let analyse ch =
+    incr epoch;
+    let n = ref 0 in
+    for e = pos.(ch) to pos.(ch + 1) - 1 do
+      let c = conns.(e) in
+      let k = cap c in
+      if slot_epoch.(k) <> !epoch then begin
+        slot_epoch.(k) <- !epoch;
+        slot_of.(k) <- !n;
+        slot_cap.(!n) <- k;
+        side.(!n) <- 0;
+        incr n
+      end;
+      let s = slot_of.(k) and (a : Cell.t) = attach.(c) in
+      (* channel ch sits left of column ch: an attach cell in column ch
+         reaches the channel from the right *)
+      side.(s) <- side.(s) lor (if a.Cell.col >= ch then 2 else 1);
+      let r = a.Cell.row in
+      if row_epoch.(r) <> !epoch then begin
+        row_epoch.(r) <- !epoch;
+        row_first.(r) <- -1
+      end;
+      next.(c) <- row_first.(r);
+      row_first.(r) <- c
+    done;
+    let n = !n in
+    Bytes.fill before 0 (n * n) '\000';
+    for e = pos.(ch) to pos.(ch + 1) - 1 do
+      let c = conns.(e) in
+      let (a : Cell.t) = attach.(c) in
+      if a.Cell.col < ch then begin
+        let sa = slot_of.(cap c) in
+        let d = ref row_first.(a.Cell.row) in
+        while !d >= 0 do
+          let b = !d in
+          let sb = slot_of.(cap b) in
+          if attach.(b).Cell.col >= ch && sb <> sa then
+            Bytes.set before ((sa * n) + sb) '\001';
+          d := next.(b)
+        done
+      end
+    done;
+    n
+  in
+  (* Step 2: one track per (channel, capacitor); a capacitor's groups in
+     the same channel share the track (they are one electrical net).
+     Lines 42-45 assign each connection the closest available track: a
+     capacitor attaching from the column right of the channel takes the
+     rightmost unused track, one attaching from the left takes the
+     leftmost — minimising its stub length.  Tracks are assigned in a
+     topological order of the precedence (Kahn's algorithm on the slot
+     table), with the closest-track rule choosing among the ready slots:
+     left-only capacitors take the leftmost tracks in discovery order,
+     right-only ones the rightmost (the first discovered ends up
+     rightmost).  Class c and rank r <= n are packed as the key
+     c (n + 1) + r, so int order is (class, rank) order.  The precedence
+     is cyclic exactly when some pick finds no ready slot; the pick then
+     falls back to the least key and lets the LVS gate report the
+     residual overlap.  [settle ch] assigns the channel's tracks and
+     answers whether its precedence is acyclic. *)
+  let tracks_per_channel = Array.make (cols + 1) 0 in
+  let track_caps = Array.make (cols + 1) [||] in
+  let track = Array.make m 0 in
+  let indeg = Array.make caps 0 and key = Array.make caps 0 in
+  let slot_track = Array.make caps (-1) in
+  let settle ch =
+    let n = analyse ch in
+    for b = 0 to n - 1 do
+      indeg.(b) <- 0;
+      for a = 0 to n - 1 do
+        if Bytes.get before ((a * n) + b) <> '\000' then indeg.(b) <- indeg.(b) + 1
+      done;
+      slot_track.(b) <- -1;
+      key.(b) <-
+        (match side.(b) with
+         | 1 -> b
+         | 3 -> (n + 1) + b
+         | _ -> (2 * (n + 1)) + (n - b))
+    done;
+    (* the free slot with the least key, among the ready ones if [ready] *)
+    let pick ~ready =
+      let best = ref (-1) in
+      for i = 0 to n - 1 do
+        if slot_track.(i) < 0 && ((not ready) || indeg.(i) = 0) then
+          if !best = -1 || key.(i) < key.(!best) then best := i
+      done;
+      !best
+    in
+    let caps_in_order = Array.make n (-1) in
+    let acyclic = ref true in
+    for t = 0 to n - 1 do
+      let i =
+        match pick ~ready:true with
+        | -1 ->
+          acyclic := false;
+          pick ~ready:false
+        | i -> i
+      in
+      slot_track.(i) <- t;
+      for j = 0 to n - 1 do
+        if slot_track.(j) < 0 && Bytes.get before ((i * n) + j) <> '\000' then
+          indeg.(j) <- indeg.(j) - 1
+      done;
+      caps_in_order.(t) <- slot_cap.(i)
+    done;
+    tracks_per_channel.(ch) <- n;
+    track_caps.(ch) <- caps_in_order;
+    for e = pos.(ch) to pos.(ch + 1) - 1 do
+      let c = conns.(e) in
+      track.(c) <- slot_track.(slot_of.(cap c))
+    done;
+    !acyclic
+  in
+  (* greedy single-move repair: try re-attaching each connection of the
+     channel, in descending order, at another cell of its group adjacent
+     to the channel, nearest row first *)
+  let reattach ch =
+    for e = pos.(ch + 1) - 1 downto pos.(ch) do
+      if not (settle ch) then begin
+        let c = conns.(e) in
+        let (original : Cell.t) = attach.(c) in
+        let candidates =
+          List.filter
+            (fun (x : Cell.t) ->
+               (x.Cell.col = ch - 1 || x.Cell.col = ch)
+               && x.Cell.row <> original.Cell.row)
+            group.(c).Group.cells
+          |> List.sort (fun (a : Cell.t) (b : Cell.t) ->
+              match
+                Int.compare
+                  (abs (a.Cell.row - original.Cell.row))
+                  (abs (b.Cell.row - original.Cell.row))
+              with
+              | 0 -> Cell.compare a b
+              | d -> d)
+        in
+        let rec try_cells = function
+          | [] -> attach.(c) <- original
+          | x :: rest ->
+            attach.(c) <- x;
+            if not (settle ch) then try_cells rest
+        in
+        try_cells candidates
+      end
+    done
+  in
+  let stuck = ref [] in
+  for ch = cols downto 0 do
+    if pos.(ch + 1) > pos.(ch) && not (settle ch) then begin
+      reattach ch;
+      if not (settle ch) then stuck := ch :: !stuck
+    end
   done;
-  let visited = Array.make n false in
-  let stamp = Array.make n (-1) in
-  let chosen = ref [] in
-  (* emit (group, channel, attach) *)
-  let emit g channel attach = chosen := (g, channel, attach) :: !chosen in
+  (* A cycle no re-attachment breaks (groups with a single cell on the
+     channel, e.g. rowwise strips) is broken by moving one connection to
+     the channel on the other side of its attach cell: the group gets a
+     trunk of its own there, joined to the net by the bridge.  Stuck
+     channels are taken in ascending order, each one's connections in
+     descending order as they stood when its turn came; a move that
+     leaves either channel cyclic is undone.  A move into a stuck channel
+     whose turn is still to come is always undone, so that order is the
+     one the connections had before any move. *)
+  if !stuck <> [] then begin
+    List.iter
+      (fun ch ->
+         let mine = Array.sub conns pos.(ch) (pos.(ch + 1) - pos.(ch)) in
+         for e = Array.length mine - 1 downto 0 do
+           if not (settle ch) then begin
+             let c = mine.(e) in
+             let col = attach.(c).Cell.col in
+             let other = if col >= ch then col + 1 else col in
+             let move into =
+               channel.(c) <- into;
+               bucket ()
+             in
+             move other;
+             if not (settle ch && settle other) then move ch
+           end
+         done)
+      !stuck;
+    for ch = 0 to cols do
+      ignore (settle ch : bool)
+    done
+  end;
+  let routes = ref [] in
+  for c = m - 1 downto 0 do
+    routes :=
+      { group = group.(c); channel = channel.(c); track = track.(c);
+        attach = attach.(c) }
+      :: !routes
+  done;
+  { routes = !routes; tracks_per_channel; track_caps }
+
+let of_channels (placement : Placement.t) choices =
+  match choices with
+  | [] -> assign placement [||] [||] [||]
+  | (g0, _, a0) :: _ ->
+    let m = List.length choices in
+    let group = Array.make m g0 and channel = Array.make m 0 in
+    let attach = Array.make m a0 in
+    List.iteri
+      (fun c (g, ch, a) ->
+         group.(c) <- g;
+         channel.(c) <- ch;
+         attach.(c) <- a)
+      choices;
+    assign placement group channel attach
+
+(* Step 1: channel selection for the groups of one capacitor, in group
+   order, handing each its connection through [emit].  The partners of
+   group [j] are the groups not yet routed whose column spans meet its
+   own (Algorithm 1 line 14).  A per-column index lists the groups
+   spanning each column in ascending order, so partners come from [j]'s
+   own columns instead of a test of every pair; a stamp keeps each
+   partner once, and they are visited in ascending group order, as
+   Algorithm 1 scans them.  The first partner fixes [c_j]; each partner
+   records on which sides of it the pair could share a channel, and the
+   sharers of the chosen side follow [j] in descending group order. *)
+let select_channels ~cols groups_of_i ~emit =
+  let n = Array.length groups_of_i in
+  (* the groups spanning column [col] are
+     [col_groups.(col_pos.(col)) .. col_groups.(col_pos.(col + 1) - 1)] *)
+  let col_pos = Array.make (cols + 2) 0 in
+  Array.iter
+    (fun (q : Group.t) ->
+       for col = q.Group.col_lo to q.Group.col_hi do
+         col_pos.(col + 2) <- col_pos.(col + 2) + 1
+       done)
+    groups_of_i;
+  for col = 2 to cols + 1 do
+    col_pos.(col) <- col_pos.(col) + col_pos.(col - 1)
+  done;
+  let col_groups = Array.make col_pos.(cols + 1) 0 in
+  Array.iteri
+    (fun k (q : Group.t) ->
+       for col = q.Group.col_lo to q.Group.col_hi do
+         col_groups.(col_pos.(col + 1)) <- k;
+         col_pos.(col + 1) <- col_pos.(col + 1) + 1
+       done)
+    groups_of_i;
+  let visited = Array.make n false and stamp = Array.make n (-1) in
+  let partners = Array.make n 0 and sides = Array.make n 0 in
+  (* each partner's cells as a row-major array, built once *)
+  let cells = Array.make n [||] in
+  let cells_of k =
+    if Array.length cells.(k) = 0 then
+      cells.(k) <- Array.of_list groups_of_i.(k).Group.cells;
+    cells.(k)
+  in
   for j = 0 to n - 1 do
     if not visited.(j) then begin
       let p = groups_of_i.(j) in
       visited.(j) <- true;
-      let partners = ref [] in
+      let np = ref 0 in
       for col = p.Group.col_lo to p.Group.col_hi do
-        List.iter
-          (fun k ->
-             if (not visited.(k)) && stamp.(k) <> j then begin
-               stamp.(k) <- j;
-               partners := k :: !partners
-             end)
-          by_col.(col)
+        for e = col_pos.(col) to col_pos.(col + 1) - 1 do
+          let k = col_groups.(e) in
+          if (not visited.(k)) && stamp.(k) <> j then begin
+            stamp.(k) <- j;
+            partners.(!np) <- k;
+            incr np
+          end
+        done
       done;
-      let c_j = ref (-1) in
-      let u_p = ref None in
-      let left = ref [] and right = ref [] in
-      List.iter
-        (fun k ->
-           let q = groups_of_i.(k) in
-           let up, uq = Group.closest_cells p q in
-           if !c_j = -1 then begin
-             c_j := up.Cell.col;
-             u_p := Some up
-           end;
-           if uq.Cell.col = !c_j - 1 || uq.Cell.col = !c_j then
-             left := (k, q, uq) :: !left;
-           if uq.Cell.col = !c_j || uq.Cell.col = !c_j + 1 then
-             right := (k, q, uq) :: !right)
-        (List.sort Int.compare !partners);
-      match !u_p with
-      | None ->
+      let np = !np in
+      (* one column's index is ascending already *)
+      if np > 1 && p.Group.col_lo < p.Group.col_hi then begin
+        let sorted = Array.sub partners 0 np in
+        Array.sort Int.compare sorted;
+        Array.blit sorted 0 partners 0 np
+      end;
+      if np = 0 then begin
         (* solo group: attach at the cell closest to the bottom, trunk in
            the channel on its left *)
         let attach =
@@ -94,278 +374,74 @@ let select_channels ~cols groups_of_i =
               first rest
         in
         emit p attach.Cell.col attach
-      | Some up ->
+      end
+      else begin
+        let up, uq0 = Group.closest_cells_in p (cells_of partners.(0)) in
+        let c_j = up.Cell.col in
+        let left = ref 0 and right = ref 0 in
+        for e = 0 to np - 1 do
+          let (uq : Cell.t) =
+            if e = 0 then uq0
+            else snd (Group.closest_cells_in p (cells_of partners.(e)))
+          in
+          let l = uq.Cell.col = c_j - 1 || uq.Cell.col = c_j
+          and r = uq.Cell.col = c_j || uq.Cell.col = c_j + 1 in
+          if l then incr left;
+          if r then incr right;
+          sides.(e) <- (if l then 1 else 0) lor (if r then 2 else 0)
+        done;
         (* Algorithm 1 line 29: strictly more sharing on the left wins,
            ties route right *)
-        let side_left = List.length !left > List.length !right in
-        let channel = if side_left then !c_j else !c_j + 1 in
-        let sharing = if side_left then !left else !right in
+        let side_left = !left > !right in
+        let channel = if side_left then c_j else c_j + 1 in
+        let flag = if side_left then 1 else 2 in
         emit p channel up;
-        List.iter
-          (fun (k, q, _uq) ->
-             visited.(k) <- true;
-             emit q channel (attach_toward_channel q ~channel))
-          sharing
+        for e = np - 1 downto 0 do
+          if sides.(e) land flag <> 0 then begin
+            let q = groups_of_i.(partners.(e)) in
+            visited.(partners.(e)) <- true;
+            emit q channel (attach_toward_channel q ~channel)
+          end
+        done
+      end
     end
-  done;
-  List.rev !chosen
-
-let of_channels (placement : Placement.t) choices =
-  let cols = placement.Placement.cols in
-  (* Stub planarity repair.  Each connection straps its group to the
-     trunk with an M1 stub at its attach cell's row; when capacitor A
-     straps from the left column of a channel at the same row where
-     capacitor B straps from the right, A's track must lie left of B's
-     or the stubs overlap on M1 — a short.  These precedence constraints
-     can form a cycle (A left of B at one row, B left of A at another),
-     which no track order satisfies; break cycles by re-attaching one of
-     the offending groups at a different channel-adjacent cell — the
-     group joins the same trunk either way, only its stub row moves. *)
-  let choices =
-    Array.of_list
-      (List.map
-         (fun ((g : Group.t), channel, attach) ->
-            (g.Group.cap, g, ref channel, ref attach))
-         choices)
-  in
-  let cyclic channel idxs =
-    (* caps with their left- and right-strap rows under the current
-       attaches *)
-    let strap = Hashtbl.create 8 in
-    List.iter
-      (fun i ->
-         let cap, _, _, attach = choices.(i) in
-         let lefts, rights =
-           Option.value ~default:([], []) (Hashtbl.find_opt strap cap)
-         in
-         let row = (!attach).Cell.row in
-         Hashtbl.replace strap cap
-           (if (!attach).Cell.col >= channel then (lefts, row :: rights)
-            else (row :: lefts, rights)))
-      idxs;
-    let caps = Hashtbl.fold (fun cap _ acc -> cap :: acc) strap [] in
-    let before a b =
-      a <> b
-      &&
-      let lefts, _ = Hashtbl.find strap a
-      and _, rights = Hashtbl.find strap b in
-      List.exists (fun r -> List.exists (Int.equal r) rights) lefts
-    in
-    (* Kahn: the constraint graph is cyclic iff some cap never drains *)
-    let remaining = ref caps in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let ready, blocked =
-        List.partition
-          (fun b -> not (List.exists (fun a -> before a b) !remaining))
-          !remaining
-      in
-      if ready <> [] then progress := true;
-      remaining := blocked
-    done;
-    !remaining <> []
-  in
-  let by_channel_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (_, _, channel, _) ->
-       Hashtbl.replace by_channel_idx !channel
-         (i :: Option.value ~default:[] (Hashtbl.find_opt by_channel_idx !channel)))
-    choices;
-  let stuck = ref [] in
-  Hashtbl.iter
-    (fun channel idxs ->
-       if cyclic channel idxs then begin
-         (* greedy single-move repair: try re-attaching each connection at
-            another cell adjacent to the channel, nearest row first *)
-         List.iter
-           (fun i ->
-              if cyclic channel idxs then begin
-                let _, g, _, attach = choices.(i) in
-                let original = !attach in
-                let candidates =
-                  List.filter
-                    (fun (c : Cell.t) ->
-                       (c.Cell.col = channel - 1 || c.Cell.col = channel)
-                       && c.Cell.row <> original.Cell.row)
-                    g.Group.cells
-                  |> List.sort
-                       (fun (a : Cell.t) (b : Cell.t) ->
-                          match
-                            Int.compare
-                              (abs (a.Cell.row - original.Cell.row))
-                              (abs (b.Cell.row - original.Cell.row))
-                          with
-                          | 0 -> Cell.compare a b
-                          | c -> c)
-                in
-                let rec try_cells = function
-                  | [] -> attach := original
-                  | c :: rest ->
-                    attach := c;
-                    if cyclic channel idxs then try_cells rest
-                in
-                try_cells candidates
-              end)
-           idxs;
-         if cyclic channel idxs then stuck := channel :: !stuck
-       end)
-    by_channel_idx;
-  (* A cycle no re-attachment breaks (groups with a single cell on the
-     channel, e.g. rowwise strips) is broken by moving one connection to
-     the channel on the other side of its attach cell: the group gets a
-     trunk of its own there, joined to the net by the bridge. *)
-  let idxs channel =
-    Option.value ~default:[] (Hashtbl.find_opt by_channel_idx channel)
-  in
-  let move i ~from ~into =
-    let _, _, ch, _ = choices.(i) in
-    ch := into;
-    Hashtbl.replace by_channel_idx from (List.filter (fun j -> j <> i) (idxs from));
-    Hashtbl.replace by_channel_idx into (i :: idxs into)
-  in
-  List.iter
-    (fun channel ->
-       List.iter
-         (fun i ->
-            if cyclic channel (idxs channel) then begin
-              let _, _, _, attach = choices.(i) in
-              let col = (!attach).Cell.col in
-              let other = if col >= channel then col + 1 else col in
-              move i ~from:channel ~into:other;
-              if cyclic channel (idxs channel) || cyclic other (idxs other) then
-                move i ~from:other ~into:channel
-            end)
-         (idxs channel))
-    (List.sort Int.compare !stuck);
-  let per_cap_choices =
-    Array.to_list choices
-    |> List.map (fun (cap, g, channel, attach) -> (cap, g, !channel, !attach))
-  in
-  (* Step 2: one track per (channel, capacitor); a capacitor's groups in
-     the same channel share the track (they are one electrical net).
-     Lines 42-45 assign each connection the closest available track: a
-     capacitor attaching from the column right of the channel takes the
-     rightmost unused track, one attaching from the left takes the
-     leftmost — minimising its stub length.
-
-     Track order must also respect stub planarity.  Every strap is an M1
-     stub at its attach cell's row y, from the cell pad to the track;
-     when capacitor A straps from the left column at the same row where
-     capacitor B straps from the right, A's track must lie left of B's
-     or the two stubs overlap on M1 — a short (a capacitor strapping
-     from both sides at different rows can impose several such
-     constraints, which the closest-track rule alone can violate).  So
-     tracks are assigned in a topological order of these precedence
-     constraints, with the closest-track rule as the tie-break:
-     left-only capacitors take the leftmost tracks in discovery order,
-     right-only ones the rightmost. *)
-  let tracks_per_channel = Array.make (cols + 1) 0 in
-  (* (channel, cap) -> (left-strap rows, right-strap rows) *)
-  let strap_rows = Hashtbl.create 64 in
-  let channel_caps = Array.make (cols + 1) [] in
-  List.iter
-    (fun (cap, _g, channel, (attach : Cell.t)) ->
-       let lefts, rights =
-         match Hashtbl.find_opt strap_rows (channel, cap) with
-         | Some lr -> lr
-         | None ->
-           let lr = (ref [], ref []) in
-           Hashtbl.add strap_rows (channel, cap) lr;
-           channel_caps.(channel) <- cap :: channel_caps.(channel);
-           tracks_per_channel.(channel) <- tracks_per_channel.(channel) + 1;
-           lr
-       in
-       (* channel ch sits left of column ch: an attach cell in column ch
-          reaches the channel from the right *)
-       if attach.Cell.col >= channel then
-         rights := attach.Cell.row :: !rights
-       else lefts := attach.Cell.row :: !lefts)
-    per_cap_choices;
-  let track_table = Hashtbl.create 64 in
-  let track_caps =
-    Array.mapi (fun ch n -> (ch, Array.make n (-1))) tracks_per_channel
-    |> Array.map snd
-  in
-  Array.iteri
-    (fun channel caps_rev ->
-       let caps = Array.of_list (List.rev caps_rev) in
-       let n = Array.length caps in
-       let rows side =
-         Array.map (fun cap -> !(side (Hashtbl.find strap_rows (channel, cap)))) caps
-       in
-       let lefts = rows fst and rights = rows snd in
-       (* [before.(i).(j)]: [i] must take a track left of [j]'s *)
-       let before =
-         Array.init n (fun i ->
-             Array.init n (fun j ->
-                 i <> j
-                 && List.exists
-                      (fun r -> List.exists (Int.equal r) rights.(j))
-                      lefts.(i)))
-       in
-       let indeg = Array.make n 0 in
-       for i = 0 to n - 1 do
-         for j = 0 to n - 1 do
-           if before.(i).(j) then indeg.(j) <- indeg.(j) + 1
-         done
-       done;
-       (* closest-track tie-break: left-only strappers first (lowest
-          tracks) in discovery order, right-only last in reverse
-          discovery order (the first discovered ends up rightmost).
-          Class c and rank r <= n are packed as c (n + 1) + r, so int
-          order is (class, rank) order. *)
-       let key =
-         Array.init n (fun i ->
-             match (lefts.(i), rights.(i)) with
-             | _ :: _, [] -> i
-             | _ :: _, _ :: _ -> (n + 1) + i
-             | [], _ -> (2 * (n + 1)) + (n - i))
-       in
-       let assigned = Array.make n false in
-       for track = 0 to n - 1 do
-         let pick ~ready =
-           let best = ref (-1) in
-           for i = 0 to n - 1 do
-             if (not assigned.(i)) && ((not ready) || indeg.(i) = 0) then
-               if !best = -1 || key.(i) < key.(!best) then best := i
-           done;
-           !best
-         in
-         (* a precedence cycle (A left of B and B left of A) cannot be
-            satisfied by track order alone; fall back to the tie-break
-            and let the LVS gate report the residual overlap *)
-         let i = match pick ~ready:true with -1 -> pick ~ready:false | i -> i in
-         assigned.(i) <- true;
-         for j = 0 to n - 1 do
-           if (not assigned.(j)) && before.(i).(j) then
-             indeg.(j) <- indeg.(j) - 1
-         done;
-         Hashtbl.add track_table (channel, caps.(i)) track;
-         track_caps.(channel).(track) <- caps.(i)
-       done)
-    channel_caps;
-  let routes =
-    List.map
-      (fun (cap, group, channel, attach) ->
-         { group; channel; track = Hashtbl.find track_table (channel, cap); attach })
-      per_cap_choices
-  in
-  { routes; tracks_per_channel; track_caps }
+  done
 
 let make (placement : Placement.t) groups =
-  let caps = placement.Placement.bits + 1 in
-  let per_cap = Array.make caps [] in
+  let caps = placement.Placement.bits + 1 and cols = placement.Placement.cols in
+  (* the groups of each capacitor, in order *)
+  let count = Array.make caps 0 in
   List.iter
     (fun (g : Group.t) ->
-       if g.Group.cap >= 0 && g.Group.cap < caps then
-         per_cap.(g.Group.cap) <- g :: per_cap.(g.Group.cap))
-    (List.rev groups);
-  of_channels placement
-    (List.concat_map
-       (fun gs ->
-          select_channels ~cols:placement.Placement.cols (Array.of_list gs))
-       (Array.to_list per_cap))
+       let k = g.Group.cap in
+       if k >= 0 && k < caps then count.(k) <- count.(k) + 1)
+    groups;
+  let m = Array.fold_left ( + ) 0 count in
+  if m = 0 then assign placement [||] [||] [||]
+  else begin
+    let g0 = List.hd groups in
+    let per_cap = Array.map (fun n -> Array.make n g0) count in
+    Array.fill count 0 caps 0;
+    List.iter
+      (fun (g : Group.t) ->
+         let k = g.Group.cap in
+         if k >= 0 && k < caps then begin
+           per_cap.(k).(count.(k)) <- g;
+           count.(k) <- count.(k) + 1
+         end)
+      groups;
+    let group = Array.make m g0 and channel = Array.make m 0 in
+    let attach = Array.make m (Cell.make ~row:0 ~col:0) in
+    let out = ref 0 in
+    let emit g ch a =
+      group.(!out) <- g;
+      channel.(!out) <- ch;
+      attach.(!out) <- a;
+      incr out
+    in
+    Array.iter (fun gs -> select_channels ~cols gs ~emit) per_cap;
+    assign placement group channel attach
+  end
 
 let routes_of_cap t k =
   List.filter (fun r -> r.group.Group.cap = k) t.routes

@@ -33,21 +33,33 @@ type t = {
     routing").  It is [of_channels placement] applied to Step 1's choices
     for each capacitor in id order.
 
-    Cost of Step 1 for a capacitor with [n] groups: a per-column index of
-    the groups spanning each column (O(Σ spans)), then for each group a
-    walk over the index entries of its own columns, a sort of its partners
-    and {!Group.closest_cells} with each partner — no test of every pair of
-    groups. *)
+    Cost of Step 1 for a capacitor with [n] groups: a counting-sorted
+    per-column index of the groups spanning each column (O(cols + Σ
+    spans)), then for each group a walk over the index entries of its own
+    columns into a stamped partner buffer, a sort of the partners when the
+    group spans several columns, and {!Group.closest_cells_in} with each
+    partner, whose cell array is built once — no test of every pair of
+    groups.  Then {!of_channels}. *)
 val make : Placement.t -> Group.t list -> t
 
 (** [of_channels placement choices] runs the stub-planarity repair and
     Step 2 (track assignment) on Step 1's choices: one
     [(group, channel, attach cell)] per group, capacitors in ascending id
     order.  Exposed so tests can feed it an independent channel
-    selection. *)
+    selection.  Raises [Invalid_argument] on a channel outside
+    [0 .. cols] or a negative capacitor id.
+
+    Cost: a stable counting sort of the connections by channel, then per
+    channel with [k] connections and [n] capacitors O(k + n²): the
+    capacitors indexed by slot, the precedence table from the
+    connections linked per row, and the track pick over the table, which
+    is also the cycle check.  A cyclic channel repeats that for each
+    re-attachment tried; each move tried also re-buckets the
+    connections. *)
 val of_channels : Placement.t -> (Group.t * int * Cell.t) list -> t
 
-(** [routes_of_cap t k] filters routes of capacitor [k]. *)
+(** [routes_of_cap t k] filters routes of capacitor [k].  O(|routes|)
+    per call; the router buckets routes by capacitor once instead. *)
 val routes_of_cap : t -> int -> route list
 
 (** [total_tracks t] over all channels. *)

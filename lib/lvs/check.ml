@@ -201,11 +201,21 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
   let pad_cap c = if pads.(c) < 0 then -1 else label.(pads.(c)) in
   let in_tree = Array.make n_cells (-1) in
   let build = Extract.Netbuild.builder layout in
+  let p_of_cap = layout.Ccroute.Layout.p_of_cap in
   for k = 0 to ncaps - 1 do
-    if
+    let clean =
       (not (shorted.(k) || fractured.(k) || floating.(k)))
       && cap_driver.(k) >= 0
-    then begin
+    in
+    (* a net without a parallel-wire count of at least 1 has no RC tree
+       to compare: the plan is at fault, not Netbuild *)
+    if clean && (k >= Array.length p_of_cap || p_of_cap.(k) < 1) then
+      emit
+        (D.makef ~loc:(cap_loc k) Verify.Route_rules.r_parallel_positive
+           "%s; the RC tree cross-check is skipped"
+           (if k >= Array.length p_of_cap then "no parallel-wire count"
+            else Printf.sprintf "parallel-wire count %d is below 1" p_of_cap.(k)))
+    else if clean then begin
       match build ~cap:k with
       | exception e ->
         emit

@@ -677,15 +677,21 @@ let test_top_plate_via () =
     (fired r.Lvs.Check.diagnostics)
 
 let test_zero_parallel_lvs () =
-  (* C_8 with a parallel-wire count of 0: its RC tree cannot be built,
-     which the cross-check reports *)
+  (* C_8 with a parallel-wire count of 0, then with none at all: its RC
+     tree cannot be built, and the cross-check names the plan's rule
+     instead of blaming Netbuild *)
   let l = layout_of Ccplace.Style.Chessboard 8 in
   let p_of_cap = Array.copy l.L.p_of_cap in
   p_of_cap.(8) <- 0;
   let r = run_lvs "p = 0" { l with L.p_of_cap } in
   Alcotest.(check (list (pair string string)))
-    "netbuild cannot model C_8"
-    [ ("lvs/netbuild-mismatch", "C_8") ]
+    "C_8 has no valid parallel-wire count"
+    [ ("route/parallel-positive", "C_8") ]
+    (List.map (fun (id, loc, _) -> (id, loc)) (triples r.Lvs.Check.diagnostics));
+  let r = run_lvs "no p" { l with L.p_of_cap = Array.sub l.L.p_of_cap 0 8 } in
+  Alcotest.(check (list (pair string string)))
+    "C_8 has no parallel-wire count"
+    [ ("route/parallel-positive", "C_8") ]
     (List.map (fun (id, loc, _) -> (id, loc)) (triples r.Lvs.Check.diagnostics))
 
 (* --- the integer grid --- *)

@@ -170,7 +170,39 @@ let golden_digests =
     ("spiral 12-bit", "300f2d7387cd2fd8372d119432e0830c");
     ("block-chess(core=10,g=2) 12-bit", "3ec213159777f390b7ee713dc74ffa3f") ]
 
-let test_golden_digests () =
+(* The designs where the stub-planarity repair of [Plan.of_channels]
+   changes the plan, besides block-chess(core=6,g=4) at 8 bits above:
+   block-chess(core=11,g=2) at 13 bits re-attaches one connection,
+   block-chess(core=13,g=2) at 15 bits re-attaches two, and rowwise at
+   15 bits is the one shipped design whose cycle only a move to the
+   other channel breaks.  Then the four Table III styles at 14 and 16
+   bits, the widest layouts the router meets. *)
+let repair_designs =
+  Ccplace.Style.
+    [ (13, Block_chess { core_bits = 11; granularity = 2 });
+      (15, Rowwise);
+      (15, Block_chess { core_bits = 13; granularity = 2 }) ]
+  @ List.concat_map
+    (fun bits ->
+       List.map
+         (fun style -> (bits, style))
+         Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
+    [ 14; 16 ]
+
+let repair_digests =
+  [ ("block-chess(core=11,g=2) 13-bit", "fa8b351f953531c476e20bb8414871d1");
+    ("rowwise 15-bit", "ae518993ee777087dd77114a41a18978");
+    ("block-chess(core=13,g=2) 15-bit", "15e386b658fd66e1ee6350b1c3b0bc1e");
+    ("rowwise 14-bit", "cdd8cc73eb64679b0bbe9137bd7c2a3c");
+    ("chessboard 14-bit", "516468d1475a1f788190b97851cb05de");
+    ("spiral 14-bit", "0e91101156fbccff070afc7052bcdab1");
+    ("block-chess(core=12,g=2) 14-bit", "e5f4e85ec3228d8c7c33ed203b15eea1");
+    ("rowwise 16-bit", "c6478d1141a6558636b8005a9c5969e4");
+    ("chessboard 16-bit", "0da767fda9ec427883b068e8e4a9ea3e");
+    ("spiral 16-bit", "285c0bbace76523ccce836a3fed1e8ff");
+    ("block-chess(core=14,g=2) 16-bit", "ae1e480fe545a0bea5b22a34094ed1f3") ]
+
+let check_digests designs expected () =
   let actual =
     List.map
       (fun (bits, style) ->
@@ -181,10 +213,10 @@ let test_golden_digests () =
          in
          (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
           layout_digest l))
-      golden_designs
+      designs
   in
   Alcotest.(check (list (pair string string)))
-    "placement, groups, plan, wires and vias" golden_digests actual
+    "placement, groups, plan, wires and vias" expected actual
 
 let test_pipeline_determinism_through_serialisation () =
   (* save -> load -> route must reproduce the exact parasitics *)
@@ -211,7 +243,10 @@ let () =
           Alcotest.test_case "spiral vias" `Quick test_spiral6_via_budget;
           Alcotest.test_case "chessboard tracks" `Quick test_chessboard8_track_usage;
           Alcotest.test_case "fingerprints" `Quick test_placement_fingerprints;
-          Alcotest.test_case "golden routing digests" `Slow test_golden_digests ] );
+          Alcotest.test_case "golden routing digests" `Slow
+            (check_digests golden_designs golden_digests);
+          Alcotest.test_case "repair and wide routing digests" `Slow
+            (check_digests repair_designs repair_digests) ] );
       ( "pipeline",
         [ Alcotest.test_case "serialise determinism" `Quick
             test_pipeline_determinism_through_serialisation ] ) ]

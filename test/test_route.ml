@@ -506,8 +506,268 @@ let reference_select (groups : Ccroute.Group.t array) =
   done;
   List.rev !chosen
 
+(* Reference stub-planarity repair and Step 2: the library's
+   implementation before its flat-array rewrite, with Hashtbls keyed by
+   channel and by (channel, capacitor), Kahn's algorithm over lists and
+   precedence tests by List.exists over strap rows.  [paths] counts the
+   channels found cyclic, the re-attachments that broke a cycle and the
+   stuck-channel moves that stayed, so a test can tell that its inputs
+   reach the repair. *)
+type paths = {
+  mutable cyclic : int;
+  mutable reattached : int;
+  mutable moved : int;
+}
+
+let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choices =
+  let cols = placement.Ccgrid.Placement.cols in
+  (* Stub planarity repair.  Each connection straps its group to the
+     trunk with an M1 stub at its attach cell's row; when capacitor A
+     straps from the left column of a channel at the same row where
+     capacitor B straps from the right, A's track must lie left of B's
+     or the stubs overlap on M1 — a short.  These precedence constraints
+     can form a cycle (A left of B at one row, B left of A at another),
+     which no track order satisfies; break cycles by re-attaching one of
+     the offending groups at a different channel-adjacent cell — the
+     group joins the same trunk either way, only its stub row moves. *)
+  let choices =
+    Array.of_list
+      (List.map
+         (fun ((g : Ccroute.Group.t), channel, attach) ->
+            (g.Ccroute.Group.cap, g, ref channel, ref attach))
+         choices)
+  in
+  let cyclic channel idxs =
+    (* caps with their left- and right-strap rows under the current
+       attaches *)
+    let strap = Hashtbl.create 8 in
+    List.iter
+      (fun i ->
+         let cap, _, _, attach = choices.(i) in
+         let lefts, rights =
+           Option.value ~default:([], []) (Hashtbl.find_opt strap cap)
+         in
+         let row = (!attach).Ccgrid.Cell.row in
+         Hashtbl.replace strap cap
+           (if (!attach).Ccgrid.Cell.col >= channel then (lefts, row :: rights)
+            else (row :: lefts, rights)))
+      idxs;
+    let caps = Hashtbl.fold (fun cap _ acc -> cap :: acc) strap [] in
+    let before a b =
+      a <> b
+      &&
+      let lefts, _ = Hashtbl.find strap a
+      and _, rights = Hashtbl.find strap b in
+      List.exists (fun r -> List.exists (Int.equal r) rights) lefts
+    in
+    (* Kahn: the constraint graph is cyclic iff some cap never drains *)
+    let remaining = ref caps in
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      let ready, blocked =
+        List.partition
+          (fun b -> not (List.exists (fun a -> before a b) !remaining))
+          !remaining
+      in
+      if ready <> [] then progress := true;
+      remaining := blocked
+    done;
+    !remaining <> []
+  in
+  let by_channel_idx = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (_, _, channel, _) ->
+       Hashtbl.replace by_channel_idx !channel
+         (i :: Option.value ~default:[] (Hashtbl.find_opt by_channel_idx !channel)))
+    choices;
+  let stuck = ref [] in
+  Hashtbl.iter
+    (fun channel idxs ->
+       if cyclic channel idxs then begin
+         paths.cyclic <- paths.cyclic + 1;
+         (* greedy single-move repair: try re-attaching each connection at
+            another cell adjacent to the channel, nearest row first *)
+         List.iter
+           (fun i ->
+              if cyclic channel idxs then begin
+                let _, g, _, attach = choices.(i) in
+                let original = !attach in
+                let candidates =
+                  List.filter
+                    (fun (c : Ccgrid.Cell.t) ->
+                       (c.Ccgrid.Cell.col = channel - 1 || c.Ccgrid.Cell.col = channel)
+                       && c.Ccgrid.Cell.row <> original.Ccgrid.Cell.row)
+                    g.Ccroute.Group.cells
+                  |> List.sort
+                       (fun (a : Ccgrid.Cell.t) (b : Ccgrid.Cell.t) ->
+                          match
+                            Int.compare
+                              (abs (a.Ccgrid.Cell.row - original.Ccgrid.Cell.row))
+                              (abs (b.Ccgrid.Cell.row - original.Ccgrid.Cell.row))
+                          with
+                          | 0 -> Ccgrid.Cell.compare a b
+                          | c -> c)
+                in
+                let rec try_cells = function
+                  | [] -> attach := original
+                  | c :: rest ->
+                    attach := c;
+                    if cyclic channel idxs then try_cells rest
+                    else paths.reattached <- paths.reattached + 1
+                in
+                try_cells candidates
+              end)
+           idxs;
+         if cyclic channel idxs then stuck := channel :: !stuck
+       end)
+    by_channel_idx;
+  (* A cycle no re-attachment breaks (groups with a single cell on the
+     channel, e.g. rowwise strips) is broken by moving one connection to
+     the channel on the other side of its attach cell: the group gets a
+     trunk of its own there, joined to the net by the bridge. *)
+  let idxs channel =
+    Option.value ~default:[] (Hashtbl.find_opt by_channel_idx channel)
+  in
+  let move i ~from ~into =
+    let _, _, ch, _ = choices.(i) in
+    ch := into;
+    Hashtbl.replace by_channel_idx from (List.filter (fun j -> j <> i) (idxs from));
+    Hashtbl.replace by_channel_idx into (i :: idxs into)
+  in
+  List.iter
+    (fun channel ->
+       List.iter
+         (fun i ->
+            if cyclic channel (idxs channel) then begin
+              let _, _, _, attach = choices.(i) in
+              let col = (!attach).Ccgrid.Cell.col in
+              let other = if col >= channel then col + 1 else col in
+              move i ~from:channel ~into:other;
+              if cyclic channel (idxs channel) || cyclic other (idxs other) then
+                move i ~from:other ~into:channel
+              else paths.moved <- paths.moved + 1
+            end)
+         (idxs channel))
+    (List.sort Int.compare !stuck);
+  let per_cap_choices =
+    Array.to_list choices
+    |> List.map (fun (cap, g, channel, attach) -> (cap, g, !channel, !attach))
+  in
+  (* Step 2: one track per (channel, capacitor); a capacitor's groups in
+     the same channel share the track (they are one electrical net).
+     Lines 42-45 assign each connection the closest available track: a
+     capacitor attaching from the column right of the channel takes the
+     rightmost unused track, one attaching from the left takes the
+     leftmost — minimising its stub length.
+
+     Track order must also respect stub planarity.  Every strap is an M1
+     stub at its attach cell's row y, from the cell pad to the track;
+     when capacitor A straps from the left column at the same row where
+     capacitor B straps from the right, A's track must lie left of B's
+     or the two stubs overlap on M1 — a short (a capacitor strapping
+     from both sides at different rows can impose several such
+     constraints, which the closest-track rule alone can violate).  So
+     tracks are assigned in a topological order of these precedence
+     constraints, with the closest-track rule as the tie-break:
+     left-only capacitors take the leftmost tracks in discovery order,
+     right-only ones the rightmost. *)
+  let tracks_per_channel = Array.make (cols + 1) 0 in
+  (* (channel, cap) -> (left-strap rows, right-strap rows) *)
+  let strap_rows = Hashtbl.create 64 in
+  let channel_caps = Array.make (cols + 1) [] in
+  List.iter
+    (fun (cap, _g, channel, (attach : Ccgrid.Cell.t)) ->
+       let lefts, rights =
+         match Hashtbl.find_opt strap_rows (channel, cap) with
+         | Some lr -> lr
+         | None ->
+           let lr = (ref [], ref []) in
+           Hashtbl.add strap_rows (channel, cap) lr;
+           channel_caps.(channel) <- cap :: channel_caps.(channel);
+           tracks_per_channel.(channel) <- tracks_per_channel.(channel) + 1;
+           lr
+       in
+       (* channel ch sits left of column ch: an attach cell in column ch
+          reaches the channel from the right *)
+       if attach.Ccgrid.Cell.col >= channel then
+         rights := attach.Ccgrid.Cell.row :: !rights
+       else lefts := attach.Ccgrid.Cell.row :: !lefts)
+    per_cap_choices;
+  let track_table = Hashtbl.create 64 in
+  let track_caps =
+    Array.mapi (fun ch n -> (ch, Array.make n (-1))) tracks_per_channel
+    |> Array.map snd
+  in
+  Array.iteri
+    (fun channel caps_rev ->
+       let caps = Array.of_list (List.rev caps_rev) in
+       let n = Array.length caps in
+       let rows side =
+         Array.map (fun cap -> !(side (Hashtbl.find strap_rows (channel, cap)))) caps
+       in
+       let lefts = rows fst and rights = rows snd in
+       (* [before.(i).(j)]: [i] must take a track left of [j]'s *)
+       let before =
+         Array.init n (fun i ->
+             Array.init n (fun j ->
+                 i <> j
+                 && List.exists
+                      (fun r -> List.exists (Int.equal r) rights.(j))
+                      lefts.(i)))
+       in
+       let indeg = Array.make n 0 in
+       for i = 0 to n - 1 do
+         for j = 0 to n - 1 do
+           if before.(i).(j) then indeg.(j) <- indeg.(j) + 1
+         done
+       done;
+       (* closest-track tie-break: left-only strappers first (lowest
+          tracks) in discovery order, right-only last in reverse
+          discovery order (the first discovered ends up rightmost).
+          Class c and rank r <= n are packed as c (n + 1) + r, so int
+          order is (class, rank) order. *)
+       let key =
+         Array.init n (fun i ->
+             match (lefts.(i), rights.(i)) with
+             | _ :: _, [] -> i
+             | _ :: _, _ :: _ -> (n + 1) + i
+             | [], _ -> (2 * (n + 1)) + (n - i))
+       in
+       let assigned = Array.make n false in
+       for track = 0 to n - 1 do
+         let pick ~ready =
+           let best = ref (-1) in
+           for i = 0 to n - 1 do
+             if (not assigned.(i)) && ((not ready) || indeg.(i) = 0) then
+               if !best = -1 || key.(i) < key.(!best) then best := i
+           done;
+           !best
+         in
+         (* a precedence cycle (A left of B and B left of A) cannot be
+            satisfied by track order alone; fall back to the tie-break
+            and let the LVS gate report the residual overlap *)
+         let i = match pick ~ready:true with -1 -> pick ~ready:false | i -> i in
+         assigned.(i) <- true;
+         for j = 0 to n - 1 do
+           if (not assigned.(j)) && before.(i).(j) then
+             indeg.(j) <- indeg.(j) - 1
+         done;
+         Hashtbl.add track_table (channel, caps.(i)) track;
+         track_caps.(channel).(track) <- caps.(i)
+       done)
+    channel_caps;
+  let routes =
+    List.map
+      (fun (cap, group, channel, attach) ->
+         { Ccroute.Plan.group; channel;
+           track = Hashtbl.find track_table (channel, cap); attach })
+      per_cap_choices
+  in
+  { Ccroute.Plan.routes; tracks_per_channel; track_caps }
+
 let reference_plan (p : Ccgrid.Placement.t) groups =
-  Ccroute.Plan.of_channels p
+  reference_of_channels { cyclic = 0; reattached = 0; moved = 0 } p
     (List.concat_map
        (fun cap ->
           reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
@@ -564,6 +824,125 @@ let prop_matches_reference mode name =
       if Ccroute.Plan.make p groups <> reference_plan p reference then
         QCheck.Test.fail_report "plans differ";
       true)
+
+let same_plan (a : Ccroute.Plan.t) (b : Ccroute.Plan.t) =
+  List.compare_lengths a.routes b.routes = 0
+  && List.for_all2
+    (fun (x : Ccroute.Plan.route) (y : Ccroute.Plan.route) ->
+       x.group == y.group && x.channel = y.channel && x.track = y.track
+       && Ccgrid.Cell.equal x.attach y.attach)
+    a.routes b.routes
+  && a.tracks_per_channel = b.tracks_per_channel
+  && a.track_caps = b.track_caps
+
+(* Step-1 choices drawn at random: each group attaches at a random member
+   cell, to the channel on that cell's left or right. *)
+let random_choices st groups =
+  List.map
+    (fun (g : Ccroute.Group.t) ->
+       let cells = Array.of_list g.cells in
+       let (c : Ccgrid.Cell.t) = cells.(Random.State.int st (Array.length cells)) in
+       (g, (if Random.State.bool st then c.col else c.col + 1), c))
+    groups
+
+(* Plan inputs built by hand from single-cell groups: (cap, row, col,
+   channel) connects the cell at (row, col) to [channel], in the order
+   listed; every other cell is a dummy. *)
+let hand_built ~rows ~cols connections =
+  let assign = Array.make_matrix rows cols (-1) in
+  List.iter (fun (cap, row, col, _) -> assign.(row).(col) <- cap) connections;
+  let bits = List.fold_left (fun acc (cap, _, _, _) -> Int.max acc cap) 0 connections in
+  let p = placement_of_assignment (bits, assign) in
+  let groups = Ccroute.Group.of_placement p in
+  ( p,
+    List.map
+      (fun (_, row, col, channel) ->
+         let at = Ccgrid.Cell.make ~row ~col in
+         let g =
+           List.find
+             (fun (g : Ccroute.Group.t) -> List.exists (Ccgrid.Cell.equal at) g.cells)
+             groups
+         in
+         (g, channel, at))
+      connections )
+
+(* Capacitors 0-3 are X, Y, Z, W on a 7 x 4 grid.  Two stuck channels,
+   each broken by a move into channel 2 where the two moves together
+   would form a cycle, so the channel taken first keeps its move:
+   channel 1 has X before Y at row 0 and Y before X at row 2, channel 3
+   has X before W at row 4 and W before X at row 6, and channel 2 has Z
+   strapping from the right at row 2 and from the left at row 4. *)
+let two_stuck_channels () =
+  hand_built ~rows:7 ~cols:4
+    [ (0, 0, 0, 1); (1, 0, 1, 1); (1, 2, 0, 1); (0, 2, 1, 1);
+      (2, 2, 2, 2); (2, 4, 1, 2);
+      (3, 4, 3, 3); (0, 6, 3, 3); (3, 6, 2, 3); (0, 4, 2, 3) ]
+
+(* One stuck channel, 2, with X before Y at row 0 and Y before X at row
+   2.  Its first two moves close a cycle in channel 3 (X before Z at row
+   2, Z before X at row 4) and in channel 1 (W before Y at row 2, Y
+   before W at row 6) and are undone; the third, into channel 3, stays.
+   Channel 1's tracks must come out as if the undone move never
+   happened. *)
+let undone_moves () =
+  hand_built ~rows:7 ~cols:4
+    [ (3, 2, 0, 1); (1, 6, 0, 1); (3, 6, 1, 1);
+      (0, 0, 1, 2); (1, 0, 2, 2); (1, 2, 1, 2); (0, 2, 2, 2);
+      (2, 2, 3, 3); (2, 4, 2, 3); (0, 4, 3, 3) ]
+
+(* The stub repair and Step 2 against the reference on the same choices,
+   over random grids and random choices, the block-chess designs whose
+   Step-1 choices the repair changes, two stuck channels whose moves
+   compete, moves that are undone, and a 68-capacitor thermometer bank (capacitor ids past a
+   machine word's bit count).  Every repair path must be reached: a
+   cyclic channel, a re-attachment that breaks a cycle and a move to the
+   other channel that stays. *)
+let test_of_channels_matches_reference () =
+  let paths = { cyclic = 0; reattached = 0; moved = 0 } in
+  let check what p choices =
+    if not (same_plan (Ccroute.Plan.of_channels p choices)
+              (reference_of_channels paths p choices))
+    then Alcotest.failf "%s: plans differ" what
+  in
+  let p, choices = two_stuck_channels () in
+  check "two stuck channels" p choices;
+  let p, choices = undone_moves () in
+  check "undone moves" p choices;
+  let rand = Random.State.make [| 22 |] in
+  for i = 1 to 3000 do
+    let p = placement_of_assignment (QCheck.Gen.generate1 ~rand gen_assignment) in
+    let groups = Ccroute.Group.of_placement p in
+    check (Printf.sprintf "random grid %d" i) p (random_choices rand groups)
+  done;
+  List.iter
+    (fun (bits, style) ->
+       let p = Ccplace.Style.place ~bits style in
+       let groups = Ccroute.Group.of_placement p in
+       check (Ccplace.Style.name style) p
+         (List.concat_map
+            (fun cap ->
+               reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
+            (List.init (bits + 1) Fun.id)))
+    Ccplace.Style.
+      [ (8, Block_chess { core_bits = 6; granularity = 4 });
+        (13, Block_chess { core_bits = 11; granularity = 2 }) ];
+  let thermometer =
+    Ccplace.General.clustered
+      ~counts:(Array.append [| 1; 1; 2; 4; 8 |] (Array.make 63 16))
+  in
+  let groups = Ccroute.Group.of_placement thermometer in
+  check "thermometer, Step 1" thermometer
+    (List.concat_map
+       (fun cap ->
+          reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
+       (List.init (thermometer.bits + 1) Fun.id));
+  check "thermometer, random choices" thermometer
+    (random_choices rand groups);
+  Alcotest.(check bool)
+    (Printf.sprintf "repair paths reached (%d cyclic, %d re-attached, %d moved)"
+       paths.cyclic paths.reattached paths.moved)
+    true
+    (paths.cyclic > 0 && paths.reattached > 0 && paths.moved > 0)
 
 (* Two disjoint random cell sets on a grid of up to 12 x 12, each cell in
    [a] or [b] with probability [density]/8: closest_cells must pick the
@@ -638,7 +1017,9 @@ let () =
           Alcotest.test_case "closest cells" `Quick test_closest_cells;
           Alcotest.test_case "span overlap" `Quick test_col_span_overlap;
           Alcotest.test_case "cells shared with edges" `Quick
-            test_cells_shared_with_edges ] );
+            test_cells_shared_with_edges;
+          Alcotest.test_case "stub repair and Step 2 = reference" `Quick
+            test_of_channels_matches_reference ] );
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest
           [ prop_closest_matches_reference;
