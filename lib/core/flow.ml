@@ -48,24 +48,20 @@ let verify_layout ~what (layout : Ccroute.Layout.t) =
    intended netlist.  Runs after the rule linter (and, like it, outside
    the Table III place+route clock); a defect raises
    [Verify.Engine.Rejected] through the same reporting path.  Its
-   cross-check builds every net's RC tree; the worst-cell Elmore delays
-   it returns are all the extraction stage needs of those trees. *)
+   cross-check reads each net's RC model topology and builds no RC
+   tree. *)
 let lvs_layout ~what layout =
-  let r = Lvs.Check.run layout in
-  Verify.Engine.assert_clean ~what r.Lvs.Check.diagnostics;
-  r.Lvs.Check.elmore_fs
+  Verify.Engine.assert_clean ~what (Lvs.Check.run layout).Lvs.Check.diagnostics
 
-(* The verify and LVS gates of one layout, when [verify]: [Some] of the
-   LVS Elmore delays, [None] when the gates are off. *)
+(* The verify and LVS gates of one layout, when [verify]. *)
 let gates ~verify ~what layout =
   if verify then begin
     stage "verify" (fun () -> verify_layout ~what layout);
-    Some (stage "lvs" (fun () -> lvs_layout ~what layout))
+    stage "lvs" (fun () -> lvs_layout ~what layout)
   end
-  else None
 
-(* place + route + gates; also the LVS Elmore delays, for [run] *)
-let place_route_gated ~tech ?parallel ~verify ~bits style =
+let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
+    ~bits style =
   let parallel =
     Option.value parallel ~default:(default_parallel ~bits style)
   in
@@ -79,33 +75,23 @@ let place_route_gated ~tech ?parallel ~verify ~bits style =
      runs, so linting never skews place+route timings. *)
   let t1 = Telemetry.Clock.now_ns () in
   let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-  let elmore_fs = gates ~verify ~what layout in
+  gates ~verify ~what layout;
   let elapsed = Telemetry.Clock.to_s (Int64.sub t1 t0) in
   Log.debug (fun m ->
       m "%s %d-bit: place+route %.3f ms (%d groups, %d tracks)"
         (Ccplace.Style.name style) bits (1e3 *. elapsed)
         (List.length layout.Ccroute.Layout.groups)
         (Ccroute.Plan.total_tracks layout.Ccroute.Layout.plan));
-  (layout, elapsed, elmore_fs)
-
-let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
-    ~bits style =
-  let layout, elapsed, _ =
-    place_route_gated ~tech ?parallel ~verify ~bits style
-  in
   (layout, elapsed)
 
 (* analysis shared by [run] and [run_placement]; [recorded] fills the
-   telemetry and the Table III runtime.  [elmore_fs] is [Some] when the
-   LVS gate already built the nets. *)
-let analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout =
+   telemetry and the Table III runtime.  Extraction builds each net's RC
+   tree once; nothing else in the flow builds one. *)
+let analyze_layout ~tech ?sign_mode ?theta ~style layout =
   let placement = layout.Ccroute.Layout.placement in
   let bits = placement.Ccgrid.Placement.bits in
   let parasitics =
-    stage "extract" (fun () ->
-        match elmore_fs with
-        | Some elmore_fs -> Extract.Parasitics.with_elmore layout ~elmore_fs
-        | None -> Extract.Parasitics.extract layout)
+    stage "extract" (fun () -> Extract.Parasitics.extract layout)
   in
   let covariance, nonlinearity =
     stage "analyse" (fun () ->
@@ -155,10 +141,8 @@ let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let layout, _, elmore_fs =
-         place_route_gated ~tech ?parallel ~verify ~bits style
-       in
-       analyze_layout ~tech ?sign_mode ?theta ~style ~elmore_fs layout)
+       let layout, _ = place_route ~tech ?parallel ~verify ~bits style in
+       analyze_layout ~tech ?sign_mode ?theta ~style layout)
 
 let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
     placement =
@@ -188,5 +172,5 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
          Printf.sprintf "%s %d-bit (prebuilt placement)"
            placement.Ccgrid.Placement.style_name bits
        in
-       let elmore_fs = gates ~verify ~what layout in
-       analyze_layout ~tech ~style ~elmore_fs layout)
+       gates ~verify ~what layout;
+       analyze_layout ~tech ~style layout)

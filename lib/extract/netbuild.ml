@@ -16,22 +16,36 @@ type part = {
    from the edge's [i1] and [i2]. *)
 type edge =
   | Trunk_seg   (* trunk [i1], from its event height [i2 - 1] to [i2] *)
-  | Strap       (* trunk [i1] to cell [i2] *)
+  | Strap       (* trunk [i1] to the cell of the net's attach point [i2] *)
   | Driver_via  (* to trunk [i1] *)
   | Bridge_via  (* to trunk [i1] *)
   | Bridge_seg  (* from trunk [i1]'s x to trunk [i2]'s *)
   | Abutment    (* cells [i1] <-> [i2] *)
 
+(* Pass 1's numbering of one net's nodes.  The root is node 0.  Trunk
+   [t]'s event heights — its low end and every attach row, ascending,
+   without repeats — are [heights.(h0.(t)) .. heights.(h0.(t + 1) - 1)].
+   The net's cells are [cell_of.(0 .. n_cells - 1)], in node order. *)
+type numbering = {
+  trunks : Layout.trunk array;
+  heights : float array;
+  h0 : int array;
+  cell_of : Cell.t array;
+  n_cells : int;
+  n_nodes : int;
+}
+
 (* The accepted tree edges in Rctree insertion order: what each is, and
    the resistance [rw] of its wire or plate part (a strap adds a via of
-   [rvia] to it; a via edge is [rvia] alone). *)
+   [rvia] to it; a via edge is [rvia] alone).  The net's attach points
+   are numbered trunk by trunk, in list order. *)
 type provenance = {
   kind : edge array;
   i1 : int array;
   i2 : int array;
   rw : float array;
-  trunks : Layout.trunk array;
-  heights : float array array;
+  nodes : numbering;
+  attaches : Layout.attach_point array;
   cols : int;
   rvia : float;
 }
@@ -44,39 +58,57 @@ type t = {
   provenance : provenance;
 }
 
+type topology = {
+  modelled : Cell.t array;
+  pieces : int;
+}
+
 let part_kind_name = function
   | Via -> "via"
   | Wire -> "wire"
   | Plate -> "plate"
 
-(* [index_of ys y] is the position of [y] in the sorted array [ys]. *)
-let index_of ys y =
-  let a = ref 0 and z = ref (Array.length ys) in
+(* Trunk [tk]'s event heights, written from [hs.(at)] on: sorted by
+   insertion (a trunk has a handful of events) with the float compare
+   applied directly, then repeats dropped in place.  Returns how many
+   remain. *)
+let events hs at (tk : Layout.trunk) =
+  hs.(at) <- tk.Layout.tk_y_low;
+  let rec fill i = function
+    | [] -> i
+    | (a : Layout.attach_point) :: rest ->
+      hs.(i) <- a.Layout.ap_y;
+      fill (i + 1) rest
+  in
+  let stop = fill (at + 1) tk.Layout.tk_attaches in
+  for i = at + 1 to stop - 1 do
+    let y = hs.(i) in
+    let j = ref i in
+    while !j > at && Float.compare hs.(!j - 1) y > 0 do
+      hs.(!j) <- hs.(!j - 1);
+      decr j
+    done;
+    hs.(!j) <- y
+  done;
+  let k = ref (at + 1) in
+  for i = at + 1 to stop - 1 do
+    if not (Float.equal hs.(i) hs.(!k - 1)) then begin
+      hs.(!k) <- hs.(i);
+      incr k
+    end
+  done;
+  !k - at
+
+(* [event_index hs lo hi y] is the position of [y] among the sorted
+   heights [hs.(lo .. hi - 1)], counted from [lo]. *)
+let event_index hs lo hi y =
+  let a = ref lo and z = ref hi in
   while !a < !z do
     let m = (!a + !z) / 2 in
-    if ys.(m) < y then a := m + 1 else z := m
+    if hs.(m) < y then a := m + 1 else z := m
   done;
-  if !a < Array.length ys && Float.equal ys.(!a) y then !a
+  if !a < hi && Float.equal hs.(!a) y then !a - lo
   else invalid_arg "Netbuild.build: attach height is not a trunk event"
-
-(* A trunk's event heights: its low end and every attach row, sorted,
-   without repeats. *)
-let events (tk : Layout.trunk) =
-  let ys =
-    Array.of_list
-      (tk.Layout.tk_y_low
-       :: List.map (fun a -> a.Layout.ap_y) tk.Layout.tk_attaches)
-  in
-  Array.sort Float.compare ys;
-  let k = ref 0 in
-  Array.iteri
-    (fun i y ->
-       if i = 0 || not (Float.equal y ys.(!k - 1)) then begin
-         ys.(!k) <- y;
-         incr k
-       end)
-    ys;
-  Array.sub ys 0 !k
 
 let unrouted cap =
   (* an unrouted capacitor is an open, not a programming error: report it
@@ -91,30 +123,57 @@ let unrouted cap =
             "capacitor has no routed net: no trunk reaches the driver row, \
              so no RC tree can be built" ] }
 
-(* One net, in two passes.  The first creates every node in the order
-   the tree numbers them: the root, each trunk's event nodes and then
-   its strapped cells, the bridge taps in x order, and the cells the
-   abutments reach (an abutment's child before its parent).  The second
-   walks the candidate edges stage by stage — the driver via and bridge,
-   trunk chains, straps, abutments — and a union-find keeps the
-   first-added edge joining two pieces and drops the rest: the physical
-   net is a mesh (a group strapped to its trunk at several cells plus its
-   internal abutments has loops), and Elmore on the spanning tree is a
-   conservative estimate of it.  [node_of_cell] maps cell ids to this
-   net's cell nodes (-1 elsewhere) and is reset before returning. *)
-let build_net (layout : Layout.t) node_of_cell ~cap =
-  let tech = layout.Layout.tech in
+let routed_net layout cap =
   let net = Layout.net layout cap in
   if net.Layout.cn_trunks = [] then raise (unrouted cap);
-  let p = layout.Layout.p_of_cap.(cap) in
-  let m1 = Tech.Process.layer tech Tech.Layer.M1 in
-  let m3 = Tech.Process.layer tech Tech.Layer.M3 in
-  let rvia = Tech.Parallel.via_resistance tech ~p in
+  net
+
+(* Scratch shared by the nets of one layout: [node_of_cell] maps cell
+   ids to the current net's cell nodes (-1 elsewhere, reset after every
+   net) and [parent] is the union-find's, grown to the largest net. *)
+type lookup = {
+  node_of_cell : int array;
+  mutable parent : int array;
+}
+
+let lookup (layout : Layout.t) =
+  let p = layout.Layout.placement in
+  { node_of_cell = Array.make (p.Placement.rows * p.Placement.cols) (-1);
+    parent = [||] }
+
+(* One net, in two passes: the one place its nodes are numbered and its
+   candidate edges listed.  The first pass numbers every node in the
+   order the tree creates them: the root, each trunk's event nodes and
+   then its strapped cells, the bridge taps in x order, and the cells
+   the abutments reach (an abutment's child before its parent).  [start]
+   receives that numbering while [lk.node_of_cell] still maps each of
+   the net's cells to its node.  The second pass walks the candidate
+   edges stage by stage — the driver via and bridge, trunk chains,
+   straps, abutments — and a union-find keeps the first-added edge
+   joining two pieces and drops the rest: the physical net is a mesh (a
+   group strapped to its trunk at several cells plus its internal
+   abutments has loops), and Elmore on the spanning tree is a
+   conservative estimate of it.  Each kept edge goes to
+   [edge acc a b kind i1 i2], [acc] being what [start] returned, which
+   is the result. *)
+let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   let cols = layout.Layout.placement.Placement.cols in
-  let col_x = layout.Layout.col_x and row_y = layout.Layout.row_y in
+  let node_of_cell = lk.node_of_cell in
   let trunks = Array.of_list net.Layout.cn_trunks in
-  let heights = Array.map events trunks in
-  (* --- unit-capacitor cell nodes, created on first use; a valid net
+  let nt = Array.length trunks in
+  let heights =
+    Array.make
+      (List.fold_left
+         (fun acc (tk : Layout.trunk) ->
+            acc + 1 + List.length tk.Layout.tk_attaches)
+         0 net.Layout.cn_trunks)
+      0.
+  in
+  let h0 = Array.make (nt + 1) 0 in
+  for t = 0 to nt - 1 do
+    h0.(t + 1) <- h0.(t) + events heights h0.(t) trunks.(t)
+  done;
+  (* --- unit-capacitor cell nodes, numbered on first use; a valid net
      has exactly its groups' cells --- *)
   let size =
     List.fold_left
@@ -122,34 +181,20 @@ let build_net (layout : Layout.t) node_of_cell ~cap =
       0 net.Layout.cn_groups
     |> Int.max 1
   in
-  (* pass 1 below creates the root, the trunks' event nodes, the cells
-     and, with a bridge, one tap per trunk *)
-  let tree = Rcnet.Rctree.create () in
-  Rcnet.Rctree.reserve_nodes tree
-    (1
-     + Array.fold_left (fun acc ys -> acc + Array.length ys) 0 heights
-     + size
-     + if net.Layout.cn_bridge_y = None then 0 else Array.length trunks);
-  let node c = Rcnet.Rctree.add_node tree ~cap:c () in
-  let root = node 0. in
   let cells = ref (Array.make size (Cell.make ~row:0 ~col:0)) in
-  let cell_nodes = ref (Array.make size root) in
-  let n_cells = ref 0 in
+  let n_cells = ref 0 and n_nodes = ref 1 in
   let cell_id (c : Cell.t) = (c.Cell.row * cols) + c.Cell.col in
   let cell_node c =
     let id = cell_id c in
     let n = node_of_cell.(id) in
-    if n >= 0 then Rcnet.Rctree.node_of_int tree n
+    if n >= 0 then n
     else begin
-      let n = node tech.Tech.Process.unit_cap in
-      node_of_cell.(id) <- (n :> int);
+      let n = !n_nodes in
+      n_nodes := n + 1;
+      node_of_cell.(id) <- n;
       let k = !n_cells in
-      if k = Array.length !cells then begin
-        cells := Array.append !cells !cells;
-        cell_nodes := Array.append !cell_nodes !cell_nodes
-      end;
+      if k = Array.length !cells then cells := Array.append !cells !cells;
       !cells.(k) <- c;
-      !cell_nodes.(k) <- n;
       n_cells := k + 1;
       n
     end
@@ -159,41 +204,39 @@ let build_net (layout : Layout.t) node_of_cell ~cap =
         node_of_cell.(cell_id !cells.(k)) <- -1
       done)
   @@ fun () ->
-  (* --- pass 1: nodes.  Trunk [t]'s node at height [heights.(t).(i)] is
+  (* --- pass 1: nodes.  Trunk [t]'s node at its [i]-th event height is
      [first.(t) + i]. --- *)
-  let first = Array.make (Array.length trunks) 0 in
-  Array.iteri
-    (fun t (tk : Layout.trunk) ->
-       first.(t) <- (node 0. :> int);
-       for _ = 2 to Array.length heights.(t) do
-         ignore (node 0.)
-       done;
-       List.iter
-         (fun (a : Layout.attach_point) -> ignore (cell_node a.Layout.ap_cell))
-         tk.Layout.tk_attaches)
-    trunks;
+  let first = Array.make nt 0 in
+  for t = 0 to nt - 1 do
+    first.(t) <- !n_nodes;
+    n_nodes := !n_nodes + h0.(t + 1) - h0.(t);
+    List.iter
+      (fun (a : Layout.attach_point) -> ignore (cell_node a.Layout.ap_cell))
+      trunks.(t).Layout.tk_attaches
+  done;
   let primary =
     let rec find t =
-      if t = Array.length trunks then
-        invalid_arg "Netbuild.build: net has no primary trunk"
+      if t = nt then invalid_arg "Netbuild.build: net has no primary trunk"
       else if trunks.(t).Layout.tk_primary then t
       else find (t + 1)
     in
     find 0
   in
-  (* a bridge tap per trunk in x order (the primary included) *)
+  (* a bridge tap per trunk in x order (the primary included): trunk
+     [by_x.(i)]'s tap is node [tap0 + i] *)
   let by_x =
     match net.Layout.cn_bridge_y with
     | None -> [||]
     | Some _ ->
-      let by_x = Array.init (Array.length trunks) Fun.id in
+      let by_x = Array.init nt Fun.id in
       Array.stable_sort
         (fun a b ->
            Float.compare trunks.(a).Layout.tk_x trunks.(b).Layout.tk_x)
         by_x;
       by_x
   in
-  let taps = Array.map (fun _ -> node 0.) by_x in
+  let tap0 = !n_nodes in
+  n_nodes := tap0 + Array.length by_x;
   List.iter
     (fun (g : Group.t) ->
        List.iter
@@ -202,9 +245,16 @@ let build_net (layout : Layout.t) node_of_cell ~cap =
             ignore (cell_node a))
          g.Group.tree_edges)
     net.Layout.cn_groups;
+  let n_nodes = !n_nodes in
+  let acc =
+    start { trunks; heights; h0; cell_of = !cells; n_cells = !n_cells; n_nodes }
+  in
   (* --- pass 2: the spanning tree --- *)
-  let n_nodes = Rcnet.Rctree.num_nodes tree in
-  let parent = Array.init n_nodes Fun.id in
+  if Array.length lk.parent < n_nodes then lk.parent <- Array.make n_nodes 0;
+  let parent = lk.parent in
+  for i = 0 to n_nodes - 1 do
+    parent.(i) <- i
+  done;
   let rec find i =
     if parent.(i) = i then i
     else begin
@@ -212,102 +262,177 @@ let build_net (layout : Layout.t) node_of_cell ~cap =
       parent.(i)
     end
   in
-  let n_edges = Int.max 0 (n_nodes - 1) in
-  Rcnet.Rctree.reserve_edges tree n_edges;
-  let kind = Array.make n_edges Trunk_seg and i1 = Array.make n_edges 0 in
-  let i2 = Array.make n_edges 0 and rw = Array.make n_edges 0. in
-  let n_acc = ref 0 in
-  let edge (a : Rcnet.Rctree.node) (b : Rcnet.Rctree.node) ~r ~c k x y w =
-    let ra = find (a :> int) and rb = find (b :> int) in
+  let join a b k x y =
+    let ra = find a and rb = find b in
     if ra <> rb then begin
       parent.(ra) <- rb;
-      Rcnet.Rctree.wire_edge tree a b ~r ~c;
-      let e = !n_acc in
-      kind.(e) <- k;
-      i1.(e) <- x;
-      i2.(e) <- y;
-      rw.(e) <- w;
-      n_acc := e + 1
+      edge acc a b k x y
     end
   in
   let trunk_node t y =
-    Rcnet.Rctree.node_of_int tree (first.(t) + index_of heights.(t) y)
+    first.(t) + event_index heights h0.(t) h0.(t + 1) y
   in
   let bottom t = trunk_node t trunks.(t).Layout.tk_y_low in
   (* driver input via to the primary trunk's bottom node; the bridge: a
      junction via from each tap to its trunk, then segments along x *)
-  edge root (bottom primary) ~r:rvia ~c:0. Driver_via primary 0 0.;
-  Array.iteri
-    (fun i t -> edge taps.(i) (bottom t) ~r:rvia ~c:0. Bridge_via t 0 0.)
-    by_x;
+  join 0 (bottom primary) Driver_via primary 0;
+  Array.iteri (fun i t -> join (tap0 + i) (bottom t) Bridge_via t 0) by_x;
   for i = 1 to Array.length by_x - 1 do
-    let a = by_x.(i - 1) and b = by_x.(i) in
-    let len = Float.abs (trunks.(b).Layout.tk_x -. trunks.(a).Layout.tk_x) in
-    let r = Tech.Parallel.wire_resistance m1 ~length:len ~p in
-    edge taps.(i - 1) taps.(i) ~r
-      ~c:(Tech.Parallel.wire_capacitance m1 ~length:len ~p)
-      Bridge_seg a b r
+    join (tap0 + i - 1) (tap0 + i) Bridge_seg by_x.(i - 1) by_x.(i)
   done;
   (* trunks: a chain of nodes at event heights *)
-  Array.iteri
-    (fun t ys ->
-       for i = 1 to Array.length ys - 1 do
-         let len = ys.(i) -. ys.(i - 1) in
-         let r = Tech.Parallel.wire_resistance m3 ~length:len ~p in
-         edge
-           (Rcnet.Rctree.node_of_int tree (first.(t) + i - 1))
-           (Rcnet.Rctree.node_of_int tree (first.(t) + i))
-           ~r ~c:(Tech.Parallel.wire_capacitance m3 ~length:len ~p)
-           Trunk_seg t i r
-       done)
-    heights;
+  for t = 0 to nt - 1 do
+    for i = 1 to h0.(t + 1) - h0.(t) - 1 do
+      join (first.(t) + i - 1) (first.(t) + i) Trunk_seg t i
+    done
+  done;
   (* attach straps: via + stub wire to each strapped cell *)
-  Array.iteri
-    (fun t (tk : Layout.trunk) ->
-       List.iter
-         (fun (a : Layout.attach_point) ->
-            let cell = a.Layout.ap_cell in
-            let stub_len =
-              Float.abs (col_x.(cell.Cell.col) -. a.Layout.ap_x)
-            in
-            let r_wire = Tech.Parallel.wire_resistance m1 ~length:stub_len ~p in
-            edge (trunk_node t a.Layout.ap_y) (cell_node cell)
-              ~r:(rvia +. r_wire)
-              ~c:(Tech.Parallel.wire_capacitance m1 ~length:stub_len ~p)
-              Strap t (cell_id cell) r_wire)
-         tk.Layout.tk_attaches)
-    trunks;
-  (* branch (abutment) connections inside each group: resistance of the
-     merged fingers, no routing capacitance; they fill in whatever the
-     straps did not already connect *)
+  let j = ref 0 in
+  for t = 0 to nt - 1 do
+    List.iter
+      (fun (a : Layout.attach_point) ->
+         join (trunk_node t a.Layout.ap_y) (cell_node a.Layout.ap_cell) Strap
+           t !j;
+         incr j)
+      trunks.(t).Layout.tk_attaches
+  done;
+  (* branch (abutment) connections inside each group: they fill in
+     whatever the straps did not already connect *)
   List.iter
     (fun (g : Group.t) ->
        List.iter
          (fun ((a : Cell.t), (b : Cell.t)) ->
-            let len =
-              Float.abs (col_x.(a.Cell.col) -. col_x.(b.Cell.col))
-              +. Float.abs (row_y.(a.Cell.row) -. row_y.(b.Cell.row))
-            in
-            let r = tech.Tech.Process.plate_resistance *. len in
-            edge (cell_node a) (cell_node b) ~r ~c:0. Abutment (cell_id a)
-              (cell_id b) r)
+            join (cell_node a) (cell_node b) Abutment (cell_id a) (cell_id b))
          g.Group.tree_edges)
     net.Layout.cn_groups;
-  let n = !n_cells in
-  { tree;
-    root;
-    cells = (if n = Array.length !cells then !cells else Array.sub !cells 0 n);
-    cell_nodes =
-      (if n = Array.length !cell_nodes then !cell_nodes
-       else Array.sub !cell_nodes 0 n);
-    provenance = { kind; i1; i2; rw; trunks; heights; cols; rvia } }
+  acc
 
-let builder (layout : Layout.t) =
-  let p = layout.Layout.placement in
-  let node_of_cell = Array.make (p.Placement.rows * p.Placement.cols) (-1) in
-  fun ~cap -> build_net layout node_of_cell ~cap
+let prefix a n = if n = Array.length a then a else Array.sub a 0 n
+
+let topology_net layout lk ~cap =
+  let accepted = ref 0 in
+  let nb =
+    enumerate layout lk (routed_net layout cap) ~start:Fun.id
+      ~edge:(fun _ _ _ _ _ _ -> incr accepted)
+  in
+  { modelled = prefix nb.cell_of nb.n_cells; pieces = nb.n_nodes - !accepted }
+
+(* An RC tree under construction: the tree, its cell nodes and its
+   edges' provenance. *)
+type building = {
+  rc : Rcnet.Rctree.t;
+  rc_cells : Rcnet.Rctree.node array;
+  pv : provenance;
+}
+
+(* The RC annotation of [enumerate]: a unit capacitor at each cell node,
+   and per kept edge its resistance and its wire capacitance, half at
+   each end. *)
+let build_net (layout : Layout.t) lk ~cap =
+  let net = routed_net layout cap in
+  let tech = layout.Layout.tech in
+  let p = layout.Layout.p_of_cap.(cap) in
+  let m1 = Tech.Process.layer tech Tech.Layer.M1 in
+  let m3 = Tech.Process.layer tech Tech.Layer.M3 in
+  let rvia = Tech.Parallel.via_resistance tech ~p in
+  let cols = layout.Layout.placement.Placement.cols in
+  let col_x = layout.Layout.col_x and row_y = layout.Layout.row_y in
+  let attaches =
+    Array.of_list
+      (List.concat_map
+         (fun (tk : Layout.trunk) -> tk.Layout.tk_attaches)
+         net.Layout.cn_trunks)
+  in
+  let start nb =
+    let rc = Rcnet.Rctree.create () in
+    Rcnet.Rctree.reserve_nodes rc nb.n_nodes;
+    for _ = 1 to nb.n_nodes do
+      ignore (Rcnet.Rctree.add_node rc ())
+    done;
+    (* each cell's unit capacitor lands before any wire capacitance,
+       so its node sums exactly as if created with it *)
+    let cell_nodes =
+      Array.init nb.n_cells (fun k ->
+          let c = nb.cell_of.(k) in
+          let n =
+            Rcnet.Rctree.node_of_int rc
+              lk.node_of_cell.((c.Cell.row * cols) + c.Cell.col)
+          in
+          Rcnet.Rctree.add_cap rc n tech.Tech.Process.unit_cap;
+          n)
+    in
+    let n_edges = Int.max 0 (nb.n_nodes - 1) in
+    Rcnet.Rctree.reserve_edges rc n_edges;
+    { rc; rc_cells = cell_nodes;
+      pv =
+        { kind = Array.make n_edges Trunk_seg; i1 = Array.make n_edges 0;
+          i2 = Array.make n_edges 0; rw = Array.make n_edges 0.; nodes = nb;
+          attaches; cols; rvia } }
+  in
+  (* a wire edge of [len] um on [layer]; its resistance *)
+  let wire rc a b layer len =
+    let r = Tech.Parallel.wire_resistance layer ~length:len ~p in
+    Rcnet.Rctree.wire_edge rc a b ~r
+      ~c:(Tech.Parallel.wire_capacitance layer ~length:len ~p);
+    r
+  in
+  let edge st a b k x y =
+    let rc = st.rc in
+    let e = Rcnet.Rctree.num_edges rc in
+    let a = Rcnet.Rctree.node_of_int rc a
+    and b = Rcnet.Rctree.node_of_int rc b in
+    let rw =
+      match k with
+      | Driver_via | Bridge_via ->
+        Rcnet.Rctree.wire_edge rc a b ~r:rvia ~c:0.;
+        0.
+      | Bridge_seg ->
+        let trunks = st.pv.nodes.trunks in
+        wire rc a b m1
+          (Float.abs (trunks.(y).Layout.tk_x -. trunks.(x).Layout.tk_x))
+      | Trunk_seg ->
+        let hs = st.pv.nodes.heights and at = st.pv.nodes.h0.(x) + y in
+        wire rc a b m3 (hs.(at) -. hs.(at - 1))
+      | Strap ->
+        let ap = attaches.(y) in
+        let stub_len =
+          Float.abs (col_x.(ap.Layout.ap_cell.Cell.col) -. ap.Layout.ap_x)
+        in
+        let r_wire = Tech.Parallel.wire_resistance m1 ~length:stub_len ~p in
+        Rcnet.Rctree.wire_edge rc a b ~r:(rvia +. r_wire)
+          ~c:(Tech.Parallel.wire_capacitance m1 ~length:stub_len ~p);
+        r_wire
+      | Abutment ->
+        let len =
+          Float.abs (col_x.(x mod cols) -. col_x.(y mod cols))
+          +. Float.abs (row_y.(x / cols) -. row_y.(y / cols))
+        in
+        let r = tech.Tech.Process.plate_resistance *. len in
+        Rcnet.Rctree.wire_edge rc a b ~r ~c:0.;
+        r
+    in
+    st.pv.kind.(e) <- k;
+    st.pv.i1.(e) <- x;
+    st.pv.i2.(e) <- y;
+    st.pv.rw.(e) <- rw
+  in
+  let st = enumerate layout lk net ~start ~edge in
+  let nb = st.pv.nodes in
+  { tree = st.rc;
+    root = Rcnet.Rctree.node_of_int st.rc 0;
+    cells = prefix nb.cell_of nb.n_cells;
+    cell_nodes = st.rc_cells;
+    provenance = st.pv }
+
+let builder layout =
+  let lk = lookup layout in
+  fun ~cap -> build_net layout lk ~cap
 
 let build layout ~cap = builder layout ~cap
+
+let topology layout =
+  let lk = lookup layout in
+  fun ~cap -> topology_net layout lk ~cap
 
 let worst_elmore_fs t =
   let d = Rcnet.Elmore.delays t.tree ~root:t.root in
@@ -328,21 +453,26 @@ type contribution = {
   nb_delay_fs : float;
 }
 
+let cell_name (c : Cell.t) = Printf.sprintf "(%d,%d)" c.Cell.row c.Cell.col
+
 let cell_label cols id = Printf.sprintf "(%d,%d)" (id / cols) (id mod cols)
 
 let edge_label pv e =
   let x = pv.i1.(e) and y = pv.i2.(e) in
-  let channel t = pv.trunks.(t).Layout.tk_channel in
+  let trunks = pv.nodes.trunks in
+  let channel t = trunks.(t).Layout.tk_channel in
   match pv.kind.(e) with
   | Trunk_seg ->
-    Printf.sprintf "trunk M3 ch%d y%.2f->%.2f" (channel x)
-      pv.heights.(x).(y - 1) pv.heights.(x).(y)
-  | Strap -> Printf.sprintf "strap ch%d->cell%s" (channel x) (cell_label pv.cols y)
+    let hs = pv.nodes.heights and at = pv.nodes.h0.(x) + y in
+    Printf.sprintf "trunk M3 ch%d y%.2f->%.2f" (channel x) hs.(at - 1) hs.(at)
+  | Strap ->
+    Printf.sprintf "strap ch%d->cell%s" (channel x)
+      (cell_name pv.attaches.(y).Layout.ap_cell)
   | Driver_via -> Printf.sprintf "driver via->trunk ch%d" (channel x)
   | Bridge_via -> Printf.sprintf "bridge via->trunk ch%d" (channel x)
   | Bridge_seg ->
-    Printf.sprintf "bridge M1 x%.2f->%.2f" pv.trunks.(x).Layout.tk_x
-      pv.trunks.(y).Layout.tk_x
+    Printf.sprintf "bridge M1 x%.2f->%.2f" trunks.(x).Layout.tk_x
+      trunks.(y).Layout.tk_x
   | Abutment ->
     Printf.sprintf "plate %s<->%s" (cell_label pv.cols x) (cell_label pv.cols y)
 

@@ -7,12 +7,15 @@
     every cell.  Parallel-wire bundles are collapsed into equivalent
     edges (R/p wires, R/p^2 vias, C*p).
 
-    A net is built on arrays, in two passes: the first creates the nodes,
-    the second walks the candidate edges stage by stage and keeps a
-    spanning tree.  Cell nodes are looked up in a grid-indexed array and
-    trunk nodes by their index in the trunk's sorted event heights; each
-    accepted edge's provenance is a few array slots.  Building formats
-    no strings and allocates no per-edge record.
+    A net is enumerated on arrays, in two passes: the first numbers the
+    nodes, the second walks the candidate edges stage by stage through a
+    union-find that keeps a spanning tree.  Cell nodes are looked up in a
+    grid-indexed array and trunk nodes by their index in the trunk's
+    sorted event heights.  That enumeration is the net's {!topology};
+    {!build} runs the same one and annotates it: node and wire
+    capacitances, edge resistances, and each accepted edge's provenance
+    in a few array slots.  Building formats no strings and allocates no
+    per-edge record.
 
     Every accepted tree edge carries {e provenance}: the physical parts
     (via stacks, wire segments, plate abutments) whose resistances sum to
@@ -42,13 +45,33 @@ type t = {
 
 (** [build layout ~cap].  Raises {!Verify.Engine.Rejected} ([lvs/open])
     for a capacitor with no routed net, and [Invalid_argument] for a
-    capacitor id out of range. *)
+    capacitor id out of range or a parallel-wire count below 1.  A net
+    whose {!topology} falls into several pieces builds into a forest,
+    which {!Rcnet.Rctree.orient} (and so every delay) rejects. *)
 val build : Ccroute.Layout.t -> cap:int -> t
 
 (** [builder layout] is [build layout] for building several nets of one
-    layout: the grid-sized cell lookup is allocated once and shared by
-    every net it builds, so use one builder in one domain at a time. *)
+    layout: the grid-sized cell lookup and the union-find array are
+    allocated once and shared by every net it builds, so use one builder
+    in one domain at a time. *)
 val builder : Ccroute.Layout.t -> cap:int -> t
+
+(** An RC model's shape without its values. *)
+type topology = {
+  modelled : Cell.t array;  (** the unit cells the model has, as
+                                {!t.cells} lists them *)
+  pieces : int;             (** connected pieces the spanning-tree walk
+                                leaves: 1 when the model is a tree *)
+}
+
+(** [topology layout ~cap] is the node numbering and union-find walk of
+    {!build} without a resistance, a capacitance or an {!Rcnet.Rctree}:
+    the cells are exactly [(build layout ~cap).cells], and [pieces > 1]
+    exactly when orienting that tree raises.  It raises what {!build}
+    raises, except on a parallel-wire count, which it never reads.
+    Partially applied to a layout it shares its scratch across nets, as
+    {!builder} does. *)
+val topology : Ccroute.Layout.t -> cap:int -> topology
 
 (** [worst_elmore_fs net] is the maximum Elmore delay from the driver to
     any unit-capacitor cell, femtoseconds. *)

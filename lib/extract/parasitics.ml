@@ -28,37 +28,66 @@ let total_resistance m = m.bm_via_resistance +. m.bm_wire_resistance
 
 let layer_of layout name = Tech.Process.layer layout.Layout.tech name
 
-let bit_metrics layout ~elmore_fs cap =
+(* [bucket n cap_of items] groups the [items] naming capacitors
+   [0 .. n-1] by capacitor with a counting sort, which keeps list order
+   inside each bucket: capacitor [k]'s are
+   [out.(start.(k)) .. out.(start.(k + 1) - 1)]. *)
+let bucket n cap_of items =
+  let start = Array.make (n + 1) 0 in
+  List.iter
+    (fun x ->
+       let k = cap_of x in
+       if k >= 0 && k < n then start.(k + 1) <- start.(k + 1) + 1)
+    items;
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let out =
+    match items with
+    | [] -> [||]
+    | x :: _ -> Array.make start.(n) x
+  in
+  let next = Array.sub start 0 n in
+  List.iter
+    (fun x ->
+       let k = cap_of x in
+       if k >= 0 && k < n then begin
+         out.(next.(k)) <- x;
+         next.(k) <- next.(k) + 1
+       end)
+    items;
+  (start, out)
+
+(* Branch wires are abutting MOM fingers (device layers), not routing
+   metal: they are excluded from the wirelength, capacitance and
+   resistance accounting, matching the paper's S metrics (Sec. V). *)
+let routing_cap (w : Layout.wire) =
+  if w.Layout.w_kind = Layout.Branch then -1 else w.Layout.w_cap
+
+let bit_metrics layout ~elmore_fs ~wires ~vias cap =
   let tech = layout.Layout.tech in
-  (* Branch wires are abutting MOM fingers (device layers), not routing
-     metal: they are excluded from the wirelength, capacitance and
-     resistance accounting, matching the paper's S metrics (Sec. V). *)
-  let wires =
-    List.filter
-      (fun w -> w.Layout.w_cap = cap && w.Layout.w_kind <> Layout.Branch)
-      layout.Layout.wires
-  in
-  let vias = List.filter (fun v -> v.Layout.v_cap = cap) layout.Layout.vias in
-  let via_cuts =
-    List.fold_left (fun acc v -> acc + Tech.Parallel.via_count ~p:v.Layout.v_p) 0 vias
-  in
-  let via_resistance =
-    List.fold_left
-      (fun acc v -> acc +. Tech.Parallel.via_resistance tech ~p:v.Layout.v_p)
-      0. vias
-  in
-  let wirelength =
-    List.fold_left (fun acc w -> acc +. Layout.wire_length w) 0. wires
-  in
-  let wire_resistance, wire_cap =
-    List.fold_left
-      (fun (r, c) w ->
-         let layer = layer_of layout w.Layout.w_layer in
-         let len = Layout.wire_length w in
-         ( r +. Tech.Parallel.wire_resistance layer ~length:len ~p:w.Layout.w_p,
-           c +. Tech.Parallel.wire_capacitance layer ~length:len ~p:w.Layout.w_p ))
-      (0., 0.) wires
-  in
+  let ws, wire_of = wires and vs, via_of = vias in
+  let via_cuts = ref 0 and via_resistance = ref 0. in
+  for i = vs.(cap) to vs.(cap + 1) - 1 do
+    let p = via_of.(i).Layout.v_p in
+    via_cuts := !via_cuts + Tech.Parallel.via_count ~p;
+    via_resistance := !via_resistance +. Tech.Parallel.via_resistance tech ~p
+  done;
+  let wirelength = ref 0. in
+  let wire_resistance = ref 0. and wire_cap = ref 0. in
+  for i = ws.(cap) to ws.(cap + 1) - 1 do
+    let w = wire_of.(i) in
+    let layer = layer_of layout w.Layout.w_layer in
+    let len = Layout.wire_length w in
+    wirelength := !wirelength +. len;
+    wire_resistance :=
+      !wire_resistance
+      +. Tech.Parallel.wire_resistance layer ~length:len ~p:w.Layout.w_p;
+    wire_cap :=
+      !wire_cap
+      +. Tech.Parallel.wire_capacitance layer ~length:len ~p:w.Layout.w_p
+  done;
+  let via_cuts = !via_cuts and wirelength = !wirelength in
   (* bends: orthogonal same-net junctions — each stub landing on its
      trunk, plus each trunk landing on the bridge.  The driver via is a
      layer change at the array edge, not a direction change. *)
@@ -71,7 +100,6 @@ let bit_metrics layout ~elmore_fs cap =
        | Some _ -> List.length net.Layout.cn_trunks
        | None -> 0)
   in
-  let elmore_fs = elmore_fs cap in
   if Telemetry.Metrics.enabled () then begin
     let label = Printf.sprintf "C%d" cap in
     Telemetry.Metrics.incr "extract/nets_total";
@@ -83,33 +111,36 @@ let bit_metrics layout ~elmore_fs cap =
     bm_via_cuts = via_cuts;
     bm_bends = bends;
     bm_wirelength = wirelength;
-    bm_via_resistance = via_resistance;
-    bm_wire_resistance = wire_resistance;
-    bm_wire_cap = wire_cap;
+    bm_via_resistance = !via_resistance;
+    bm_wire_resistance = !wire_resistance;
+    bm_wire_cap = !wire_cap;
     bm_elmore_fs = elmore_fs }
 
 (* sum C^BB: coupling between adjacent trunk tracks in the same channel,
-   proportional to the overlap of their vertical extents (Sec. II-B). *)
+   proportional to the overlap of their vertical extents (Sec. II-B).
+   [slot.(channel).(track)] is the trunk on that track, the last one
+   listed where several claim it. *)
 let coupling_cap layout =
   let m3 = layer_of layout Tech.Layer.M3 in
-  let trunks_by_slot = Hashtbl.create 32 in
+  let track_caps = layout.Layout.plan.Plan.track_caps in
+  let slot =
+    Array.map (fun tracks -> Array.make (Array.length tracks) None) track_caps
+  in
   Array.iter
     (fun (net : Layout.capnet) ->
        List.iter
          (fun (tk : Layout.trunk) ->
-            Hashtbl.replace trunks_by_slot
-              (tk.Layout.tk_channel, tk.Layout.tk_track) tk)
+            let ch = tk.Layout.tk_channel and t = tk.Layout.tk_track in
+            if ch >= 0 && ch < Array.length slot && t >= 0
+               && t < Array.length slot.(ch)
+            then slot.(ch).(t) <- Some tk)
          net.Layout.cn_trunks)
     layout.Layout.nets;
   let total = ref 0. in
-  Array.iteri
-    (fun channel tracks ->
-       let n = Array.length tracks in
-       for t = 0 to n - 2 do
-         match
-           ( Hashtbl.find_opt trunks_by_slot (channel, t),
-             Hashtbl.find_opt trunks_by_slot (channel, t + 1) )
-         with
+  Array.iter
+    (fun tracks ->
+       for t = 0 to Array.length tracks - 2 do
+         match (tracks.(t), tracks.(t + 1)) with
          | Some a, Some b when a.Layout.tk_cap <> b.Layout.tk_cap ->
            let ia = Geom.Interval.make a.Layout.tk_y_low a.Layout.tk_y_high in
            let ib = Geom.Interval.make b.Layout.tk_y_low b.Layout.tk_y_high in
@@ -117,12 +148,16 @@ let coupling_cap layout =
            total := !total +. (m3.Tech.Layer.coupling *. overlap)
          | Some _, Some _ | Some _, None | None, Some _ | None, None -> ()
        done)
-    layout.Layout.plan.Plan.track_caps;
+    slot;
   !total
 
-(* [elmore_fs cap] is capacitor [cap]'s worst-cell Elmore delay. *)
-let of_elmore layout elmore_fs =
+let extract layout =
   let bits = layout.Layout.placement.Ccgrid.Placement.bits in
+  let wires = bucket (bits + 1) routing_cap layout.Layout.wires in
+  let vias =
+    bucket (bits + 1) (fun (v : Layout.via) -> v.Layout.v_cap) layout.Layout.vias
+  in
+  let build = Netbuild.builder layout in
   (* One capacitor at a time: a net extracts in about half a millisecond
      at 12 bits, and a pool batch cost more to schedule than it saved
      (docs/PARALLEL.md). *)
@@ -130,7 +165,9 @@ let of_elmore layout elmore_fs =
     Array.init (bits + 1) (fun cap ->
         Telemetry.Span.with_ ~name:"extract.bit"
           ~attrs:[ ("cap", Telemetry.Span.Int cap) ]
-          (fun () -> bit_metrics layout ~elmore_fs cap))
+          (fun () ->
+             bit_metrics layout ~wires ~vias cap
+               ~elmore_fs:(Netbuild.worst_elmore_fs (build ~cap))))
   in
   let total_wire_cap =
     Array.fold_left (fun acc m -> acc +. m.bm_wire_cap) 0. per_bit
@@ -161,9 +198,3 @@ let of_elmore layout elmore_fs =
     critical_bit;
     critical_elmore_fs;
     area = layout.Layout.width *. layout.Layout.height }
-
-let extract layout =
-  let build = Netbuild.builder layout in
-  of_elmore layout (fun cap -> Netbuild.worst_elmore_fs (build ~cap))
-
-let with_elmore layout ~elmore_fs = of_elmore layout (Array.get elmore_fs)

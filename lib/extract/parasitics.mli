@@ -37,16 +37,12 @@ type t = {
 }
 
 (** [extract layout] computes every metric, building each capacitor's
-    RC tree ({!Netbuild.build}) for its Elmore delay.  Cost is dominated
-    by those builds and the per-bit Elmore analyses. *)
+    RC tree ({!Netbuild.build}) once for its Elmore delay.  The wires and
+    vias are bucketed by capacitor once, in layout order, and the
+    adjacent-track coupling reads per-channel track arrays, so besides
+    those builds and the per-bit Elmore analyses, which dominate, the
+    cost is linear in the layout. *)
 val extract : Ccroute.Layout.t -> t
-
-(** [with_elmore layout ~elmore_fs] is {!extract} for a layout whose
-    nets were already built: [elmore_fs.(k)] is capacitor [k]'s
-    worst-cell Elmore delay ({!Netbuild.worst_elmore_fs}), as the LVS
-    cross-check reads it from the one build of each net.  No tree is
-    built. *)
-val with_elmore : Ccroute.Layout.t -> elmore_fs:float array -> t
 
 (** [total_resistance m] of a bit: [R_V + R_wire], ohm. *)
 val total_resistance : bit_metrics -> float

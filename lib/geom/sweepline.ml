@@ -5,39 +5,68 @@ type boxes = {
   y1 : int array;
 }
 
-(* --- stable LSD radix sort of index arrays --- *)
-
-(* Scratch shared by every sort of one [contacts] call, at least as long
-   as the longest index array sorted: the keys aligned with the array
-   being sorted, a second key and index array to scatter into, and the
-   counts of one digit's buckets. *)
-type scratch = {
-  keys : int array;
-  keys' : int array;
-  idx' : int array;
-  digit : int;
-  count : int array;
+(* The open set of a collinear scan: a growable buffer of box indices,
+   compacted in place as boxes fall behind the scan front. *)
+type buf = {
+  mutable items : int array;
+  mutable len : int;
 }
 
-(* [scratch n range] serves sorts of up to [n] indices by keys spanning
-   at most [range].  The digit is as narrow as the passes that range
-   needs at 11 bits a pass allow: a layout under 2^16 units wide sorts in
-   two 8-bit passes, with a bucket array small enough for the minor
-   heap. *)
-let scratch n range =
+(* Everything one [contacts] call works in, kept between calls and grown
+   to the largest box set served so far.  Only the first slots of each
+   array that the current call needs are meaningful. *)
+type scratch = {
+  (* radix sorts: the keys aligned with the array being sorted, a second
+     key and index array to scatter into, one digit's bucket counts and
+     this call's digit width *)
+  mutable keys : int array;
+  mutable keys' : int array;
+  mutable idx' : int array;
+  mutable count : int array;
+  mutable digit : int;
+  (* collinear passes: horizontals then points, verticals then points,
+     and the open buffer *)
+  mutable hp : int array;
+  mutable vp : int array;
+  opn : buf;
+  (* crossing pass: horizontals by y, their extents by rank, the insert
+     and remove streams, and the active-rank bitset *)
+  mutable by_y : int array;
+  mutable hx0 : int array;
+  mutable hx1 : int array;
+  mutable hy : int array;
+  mutable ins : int array;
+  mutable rem : int array;
+  mutable active : int array;
+}
+
+let scratch () =
+  { keys = [||]; keys' = [||]; idx' = [||]; count = [||]; digit = 1;
+    hp = [||]; vp = [||]; opn = { items = Array.make 16 0; len = 0 };
+    by_y = [||]; hx0 = [||]; hx1 = [||]; hy = [||]; ins = [||]; rem = [||];
+    active = [||] }
+
+(* [a] if it holds [n] slots, else a fresh array that does *)
+let room a n = if Array.length a >= n then a else Array.make n 0
+
+(* --- stable LSD radix sort of index arrays --- *)
+
+(* [set_digit sc range] prepares sorts by keys spanning at most [range].
+   The digit is as narrow as the passes that range needs at 11 bits a
+   pass allow: a layout under 2^16 units wide sorts in two 8-bit passes,
+   with a bucket array small enough for the minor heap. *)
+let set_digit sc range =
   let rec bits r = if r = 0 then 0 else 1 + bits (r lsr 1) in
   let b = bits range in
   let passes = Int.max 1 ((b + 10) / 11) in
-  let digit = Int.max 1 ((b + passes - 1) / passes) in
-  { keys = Array.make n 0; keys' = Array.make n 0; idx' = Array.make n 0;
-    digit; count = Array.make (1 lsl digit) 0 }
+  sc.digit <- Int.max 1 ((b + passes - 1) / passes);
+  sc.count <- room sc.count (1 lsl sc.digit)
 
-(* [sort_by sc idx key] reorders [idx] stably by [key.(i)] of each index
-   [i]: the keys are gathered once, offset by their minimum, and
-   scattered with their indices one digit at a time, low digit first,
-   for as many digits as the key range spans. *)
-let sort_by sc idx key =
-  let n = Array.length idx in
+(* [sort_by sc idx n key] reorders [idx.(0 .. n-1)] stably by [key.(i)]
+   of each index [i]: the keys are gathered once, offset by their
+   minimum, and scattered with their indices one digit at a time, low
+   digit first, for as many digits as the key range spans. *)
+let sort_by sc idx n key =
   let lo = ref max_int and hi = ref min_int in
   for p = 0 to n - 1 do
     let v = key.(idx.(p)) in
@@ -50,7 +79,7 @@ let sort_by sc idx key =
   let dst_k = ref sc.keys' and dst_i = ref sc.idx' in
   let shift = ref 0 in
   let count = sc.count in
-  let buckets = Array.length count in
+  let buckets = 1 lsl sc.digit in
   while n > 1 && range lsr !shift > 0 do
     let sk = !src_k and si = !src_i and dk = !dst_k and di = !dst_i in
     let sh = !shift in
@@ -82,13 +111,6 @@ let sort_by sc idx key =
   done;
   if !src_i != idx then Array.blit !src_i 0 idx 0 n
 
-(* The open set of a collinear scan: a growable buffer of box indices,
-   compacted in place as boxes fall behind the scan front. *)
-type buf = {
-  mutable items : int array;
-  mutable len : int;
-}
-
 let push b x =
   if b.len = Array.length b.items then begin
     let items = Array.make (2 * b.len) 0 in
@@ -98,17 +120,17 @@ let push b x =
   b.items.(b.len) <- x;
   b.len <- b.len + 1
 
-(* Collinear pass over the box indices [idx]: [fixed] is the shared
-   coordinate (y of a horizontal box, x of a vertical one), [lo]/[hi] the
-   extent scanned.  Sorted by (fixed, lo), [idx] splits into runs of one
-   fixed coordinate.  Each box of a run meets the open buffer: [emit o s]
-   for every open [o] still reaching it, and every open box that does not
-   leaves the buffer.  The buffer only holds boxes overlapping the scan
-   front, so a scan is O(g + k) after the sort. *)
-let collinear sc ~fixed ~lo ~hi idx opn ~emit =
-  sort_by sc idx lo;
-  sort_by sc idx fixed;
-  let len = Array.length idx in
+(* Collinear pass over the box indices [idx.(0 .. len-1)]: [fixed] is the
+   shared coordinate (y of a horizontal box, x of a vertical one),
+   [lo]/[hi] the extent scanned.  Sorted by (fixed, lo), [idx] splits
+   into runs of one fixed coordinate.  Each box of a run meets the open
+   buffer: [emit o s] for every open [o] still reaching it, and every
+   open box that does not leaves the buffer.  The buffer only holds boxes
+   overlapping the scan front, so a scan is O(g + k) after the sort. *)
+let collinear sc ~fixed ~lo ~hi idx len ~emit =
+  sort_by sc idx len lo;
+  sort_by sc idx len fixed;
+  let opn = sc.opn in
   let start = ref 0 in
   while !start < len do
     let f = fixed.(idx.(!start)) in
@@ -145,68 +167,78 @@ let ctz32 w =
   if !w land 0x1 = 0 then incr n;
   !n
 
-(* Crossing pass: the horizontal boxes [by_y], ranked by y, are active
-   over [x0, x1]; each vertical box (the non-points of [vp], already in x
-   order) reports the active ranks whose y lies in its extent.  Inserts,
-   queries and removals are three sorted streams merged by x — inserts
-   before queries before removals at equal x, so touching endpoints count
-   as contact.  Active ranks are bits of 32-bit words: a query
-   binary-searches its band and skips 32 inactive ranks per word read. *)
-let crossing sc b by_y vp emit =
-  let nh = Array.length by_y in
-  let hx0 = Array.make nh 0 and hx1 = Array.make nh 0 and hy = Array.make nh 0 in
+(* Crossing pass: the [nh] horizontal boxes of [sc.by_y], ranked by y,
+   are active over [x0, x1]; each vertical box (the non-points of
+   [sc.vp.(0 .. nvp-1)], already in x order) reports the active ranks
+   whose y lies in its extent.  Inserts, queries and removals are three
+   sorted streams merged by x — inserts before queries before removals at
+   equal x, so touching endpoints count as contact.  Active ranks are
+   bits of 32-bit words: a query binary-searches its band and skips 32
+   inactive ranks per word read. *)
+let crossing sc b nh nvp emit =
+  let by_y = sc.by_y and vp = sc.vp in
+  sc.hx0 <- room sc.hx0 nh;
+  sc.hx1 <- room sc.hx1 nh;
+  sc.hy <- room sc.hy nh;
+  sc.ins <- room sc.ins nh;
+  sc.rem <- room sc.rem nh;
+  let words = (nh + 31) / 32 in
+  sc.active <- room sc.active words;
+  let hx0 = sc.hx0 and hx1 = sc.hx1 and hy = sc.hy in
+  let ins = sc.ins and rem = sc.rem and active = sc.active in
   for r = 0 to nh - 1 do
     let s = by_y.(r) in
     hx0.(r) <- b.x0.(s);
     hx1.(r) <- b.x1.(s);
-    hy.(r) <- b.y0.(s)
+    hy.(r) <- b.y0.(s);
+    ins.(r) <- r;
+    rem.(r) <- r
   done;
-  let ins = Array.init nh Fun.id and rem = Array.init nh Fun.id in
-  sort_by sc ins hx0;
-  sort_by sc rem hx1;
-  let active = Array.make ((nh + 31) / 32) 0 in
+  sort_by sc ins nh hx0;
+  sort_by sc rem nh hx1;
+  Array.fill active 0 words 0;
   let ni = ref 0 and nr = ref 0 in
-  Array.iter
-    (fun v ->
-       let ylo = b.y0.(v) and yhi = b.y1.(v) in
-       if yhi > ylo then begin
-         let x = b.x0.(v) in
-         while !ni < nh && hx0.(ins.(!ni)) <= x do
-           let r = ins.(!ni) in
-           active.(r lsr 5) <- active.(r lsr 5) lor (1 lsl (r land 31));
-           incr ni
-         done;
-         while !nr < nh && hx1.(rem.(!nr)) < x do
-           let r = rem.(!nr) in
-           active.(r lsr 5) <- active.(r lsr 5) land lnot (1 lsl (r land 31));
-           incr nr
-         done;
-         (* first rank with y >= ylo *)
-         let a = ref 0 and z = ref nh in
-         while !a < !z do
-           let m = (!a + !z) / 2 in
-           if hy.(m) < ylo then a := m + 1 else z := m
-         done;
-         let r = ref !a in
-         while !r < nh do
-           let w = active.(!r lsr 5) lsr (!r land 31) in
-           if w = 0 then begin
-             let next = (!r lor 31) + 1 in
-             r := if next < nh && hy.(next) <= yhi then next else nh
-           end
-           else begin
-             let r' = !r + ctz32 w in
-             if hy.(r') <= yhi then begin
-               emit by_y.(r') v;
-               r := r' + 1
-             end
-             else r := nh
-           end
-         done
-       end)
-    vp
+  for q = 0 to nvp - 1 do
+    let v = vp.(q) in
+    let ylo = b.y0.(v) and yhi = b.y1.(v) in
+    if yhi > ylo then begin
+      let x = b.x0.(v) in
+      while !ni < nh && hx0.(ins.(!ni)) <= x do
+        let r = ins.(!ni) in
+        active.(r lsr 5) <- active.(r lsr 5) lor (1 lsl (r land 31));
+        incr ni
+      done;
+      while !nr < nh && hx1.(rem.(!nr)) < x do
+        let r = rem.(!nr) in
+        active.(r lsr 5) <- active.(r lsr 5) land lnot (1 lsl (r land 31));
+        incr nr
+      done;
+      (* first rank with y >= ylo *)
+      let a = ref 0 and z = ref nh in
+      while !a < !z do
+        let m = (!a + !z) / 2 in
+        if hy.(m) < ylo then a := m + 1 else z := m
+      done;
+      let r = ref !a in
+      while !r < nh do
+        let w = active.(!r lsr 5) lsr (!r land 31) in
+        if w = 0 then begin
+          let next = (!r lor 31) + 1 in
+          r := if next < nh && hy.(next) <= yhi then next else nh
+        end
+        else begin
+          let r' = !r + ctz32 w in
+          if hy.(r') <= yhi then begin
+            emit by_y.(r') v;
+            r := r' + 1
+          end
+          else r := nh
+        end
+      done
+    end
+  done
 
-let contacts b f =
+let contacts sc b f =
   let n = Array.length b.x0 in
   let nh = ref 0 and nv = ref 0 in
   for i = 0 to n - 1 do
@@ -230,8 +262,15 @@ let contacts b f =
     hi := Int.max (Array.fold_left Int.max min_int b.x1)
         (Array.fold_left Int.max min_int b.y1)
   end;
+  set_digit sc (!hi - !lo);
+  let longest = np + Int.max nh nv in
+  sc.keys <- room sc.keys longest;
+  sc.keys' <- room sc.keys' longest;
+  sc.idx' <- room sc.idx' longest;
   (* horizontals then points; verticals then points *)
-  let hp = Array.make (nh + np) 0 and vp = Array.make (nv + np) 0 in
+  sc.hp <- room sc.hp (nh + np);
+  sc.vp <- room sc.vp (nv + np);
+  let hp = sc.hp and vp = sc.vp in
   let ih = ref 0 and iv = ref 0 and ip = ref 0 in
   for i = 0 to n - 1 do
     if b.x1.(i) > b.x0.(i) then begin
@@ -248,25 +287,24 @@ let contacts b f =
       incr ip
     end
   done;
-  let sc = scratch (np + Int.max nh nv) (!hi - !lo) in
-  let opn = { items = Array.make 16 0; len = 0 } in
-  collinear sc ~fixed:b.y0 ~lo:b.x0 ~hi:b.x1 hp opn ~emit:f;
+  collinear sc ~fixed:b.y0 ~lo:b.x0 ~hi:b.x1 hp (nh + np) ~emit:f;
   (* points ride in both collinear passes.  Two points touch only where
      they coincide, and the horizontal pass reports every such pair: the
      later of the two is scanned at the earlier's x, before anything
      starting past it could close the earlier.  So the vertical pass
      skips point pairs. *)
   let is_point i = b.x0.(i) = b.x1.(i) && b.y0.(i) = b.y1.(i) in
-  collinear sc ~fixed:b.x0 ~lo:b.y0 ~hi:b.y1 vp opn ~emit:(fun o s ->
+  collinear sc ~fixed:b.x0 ~lo:b.y0 ~hi:b.y1 vp (nv + np) ~emit:(fun o s ->
       if not (is_point o && is_point s) then f o s);
   (* horizontals by y: the horizontal pass's order without its points *)
-  let by_y = Array.make nh 0 in
+  sc.by_y <- room sc.by_y nh;
+  let by_y = sc.by_y in
   let k = ref 0 in
-  Array.iter
-    (fun i ->
-       if not (is_point i) then begin
-         by_y.(!k) <- i;
-         incr k
-       end)
-    hp;
-  crossing sc b by_y vp f
+  for p = 0 to nh + np - 1 do
+    let i = hp.(p) in
+    if not (is_point i) then begin
+      by_y.(!k) <- i;
+      incr k
+    end
+  done;
+  crossing sc b nh (nv + np) f

@@ -26,7 +26,8 @@
     horizontal boxes in the y band of vertical box v, the cost is
     O(n·d + k + Σ_v b_v / 32), d being the digit passes.  Scratch is a few
     machine words per box (index and key arrays, the open buffer, the
-    bitset), and no pair table: each pair is handed to the caller once. *)
+    bitset), held in a {!scratch} the caller passes so that several calls
+    share it, and no pair table: each pair is handed to the caller once. *)
 
 (** Closed boxes on the integer grid, one per index [i]: box [i] spans
     [x0.(i) .. x1.(i)] × [y0.(i) .. y1.(i)].  The four arrays have one
@@ -38,11 +39,22 @@ type boxes = {
   y1 : int array;
 }
 
-(** [contacts b f] calls [f i j] exactly once for every unordered pair of
+(** The working arrays of {!contacts}: the radix sorts' key, index and
+    bucket arrays, the collinear passes' index arrays and open buffer,
+    and the crossing pass's rank arrays and bitset.  A call replaces any
+    array too small for its box set and never shrinks one, so a scratch
+    swept over several box sets ends at the size of the largest.  Use one
+    scratch in one domain at a time. *)
+type scratch
+
+(** [scratch ()] is an empty scratch; the first {!contacts} call sizes it. *)
+val scratch : unit -> scratch
+
+(** [contacts sc b f] calls [f i j] exactly once for every unordered pair of
     distinct indices whose closed boxes intersect in both axes (for boxes
     degenerate in at least one axis, bounding-box contact is geometric
     contact).  Pairs arrive in no specified order.
 
     @raise Invalid_argument on a box extended in both axes — layout shapes
     are reserved-direction segments, points, or vias. *)
-val contacts : boxes -> (int -> int -> unit) -> unit
+val contacts : scratch -> boxes -> (int -> int -> unit) -> unit

@@ -10,7 +10,6 @@ type stats = {
 type result = {
   diagnostics : D.t list;
   stats : stats;
-  elmore_fs : float array;
 }
 
 let cap_loc k = Printf.sprintf "C_%d" k
@@ -192,15 +191,15 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
          "top plate fractured into %d components" !top_comps);
   (* Netbuild cross-check, only for geometrically clean nets: the cells
      the drawn geometry connects to the driver must be exactly the cells
-     the RC tree (and hence Elmore/f3dB) models.  Each net is built once
-     here; its worst-cell Elmore delay outlives the tree for extraction. *)
-  let elmore_fs = Array.make ncaps Float.nan in
+     the RC model (and hence Elmore/f3dB) has, and the model must be one
+     tree.  Both are facts of the model's topology, so no RC tree is
+     built here. *)
   let cols = shapes.Shape.cols in
   (* per cell: the capacitor of its pad (-1 for a dummy), and the last
      capacitor whose tree models it *)
   let pad_cap c = if pads.(c) < 0 then -1 else label.(pads.(c)) in
   let in_tree = Array.make n_cells (-1) in
-  let build = Extract.Netbuild.builder layout in
+  let topology = Extract.Netbuild.topology layout in
   let p_of_cap = layout.Ccroute.Layout.p_of_cap in
   for k = 0 to ncaps - 1 do
     let clean =
@@ -216,15 +215,14 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
            (if k >= Array.length p_of_cap then "no parallel-wire count"
             else Printf.sprintf "parallel-wire count %d is below 1" p_of_cap.(k)))
     else if clean then begin
-      match build ~cap:k with
+      match topology ~cap:k with
       | exception e ->
         emit
           (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
              "Netbuild failed on a geometrically clean net: %s"
              (Printexc.to_string e))
-      | nb ->
-        elmore_fs.(k) <- Extract.Netbuild.worst_elmore_fs nb;
-        let tree_cells = nb.Extract.Netbuild.cells in
+      | tp ->
+        let tree_cells = tp.Extract.Netbuild.modelled in
         let tree_only = ref 0 in
         Array.iter
           (fun (c : Ccgrid.Cell.t) ->
@@ -258,35 +256,40 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
                cap_pads.(k) n_tree !drawn_only !tree_only
                (first "drawn-only" !first_drawn)
                (first "tree-only" !first_tree))
-        end
+        end;
+        (* the drawn net is one component, so a model in pieces has lost
+           an edge the geometry has *)
+        let pieces = tp.Extract.Netbuild.pieces in
+        if pieces > 1 then
+          emit
+            (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+               "the RC model falls into %d disconnected pieces, so no tree \
+                joins its cells to the driver"
+               pieces)
     end
   done;
-  (D.sort !diags, elmore_fs)
+  D.sort !diags
 
 let run layout =
   let flat =
     Telemetry.Span.with_ ~name:"lvs.flatten" (fun () -> Shape.of_layout layout)
   in
-  let diagnostics, stats, elmore_fs =
+  let diagnostics, stats =
     match flat with
-    | Error off_grid ->
-      ( off_grid,
-        { shapes = 0; contacts = 0; components = 0 },
-        Array.make (Array.length layout.Ccroute.Layout.nets) Float.nan )
+    | Error off_grid -> (off_grid, { shapes = 0; contacts = 0; components = 0 })
     | Ok shapes ->
       let ex =
         Telemetry.Span.with_ ~name:"lvs.extract" (fun () ->
             Extracted.extract shapes)
       in
-      let diagnostics, elmore_fs =
+      let diagnostics =
         Telemetry.Span.with_ ~name:"lvs.compare" (fun () ->
             classify shapes ex layout)
       in
       ( diagnostics,
         { shapes = Shape.count shapes;
           contacts = ex.Extracted.n_contacts;
-          components = ex.Extracted.n_components },
-        elmore_fs )
+          components = ex.Extracted.n_components } )
   in
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.set "lvs/shapes" (float_of_int stats.shapes);
@@ -298,6 +301,6 @@ let run layout =
            "lvs/defects_total")
       diagnostics
   end;
-  { diagnostics; stats; elmore_fs }
+  { diagnostics; stats }
 
 let check layout = (run layout).diagnostics

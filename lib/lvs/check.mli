@@ -18,16 +18,16 @@
     - [lvs/dangling] (warning): metal anchored to no plate or terminal;
     - [lvs/top-open]: the shared top plate spans several components;
     - [lvs/netbuild-mismatch]: on a geometrically clean net, the cells the
-      drawn geometry reaches differ from the {!Extract.Netbuild} RC-tree
-      cell set — the Elmore/f3dB numbers would describe a different
-      circuit than the one drawn.
+      drawn geometry reaches differ from the cells of the
+      {!Extract.Netbuild} RC model, or that model falls into several
+      pieces — the Elmore/f3dB numbers would describe a different circuit
+      than the one drawn, or none at all.
 
     The comparison keeps its tallies in arrays indexed by component,
     capacitor and cell; lists appear only on the paths that report a
-    defect.  The cross-check builds each clean net's RC tree once and
-    keeps only what the flow reads afterwards: the worst-cell Elmore
-    delay, which {!Extract.Parasitics.with_elmore} takes instead of
-    building the tree again.
+    defect.  The cross-check reads each clean net's
+    {!Extract.Netbuild.topology} — the model's cells and piece count —
+    and builds no RC tree: the flow's extraction stage builds those.
 
     Diagnostics feed the ordinary {!Verify.Engine} gate ([gate],
     [assert_clean]), the [ccgen lvs] CLI and the flow's [lvs] stage. *)
@@ -41,16 +41,12 @@ type stats = {
 type result = {
   diagnostics : Verify.Diagnostic.t list;  (** sorted, possibly empty *)
   stats : stats;      (** all zero when the layout is off the grid *)
-  elmore_fs : float array;
-      (** per capacitor, the worst-cell Elmore delay (fs) of the RC tree
-          the cross-check built; [nan] for a net it did not build *)
 }
 
 (** [classify shapes ex layout] is the comparison pass alone (no
-    telemetry): the sorted diagnostics and {!result.elmore_fs}. *)
+    telemetry): the sorted diagnostics. *)
 val classify :
-  Shape.t -> Extracted.t -> Ccroute.Layout.t ->
-  Verify.Diagnostic.t list * float array
+  Shape.t -> Extracted.t -> Ccroute.Layout.t -> Verify.Diagnostic.t list
 
 (** [run layout] is the full instrumented pass (spans [lvs.flatten],
     [lvs.extract], [lvs.compare]; metrics [lvs/shapes], [lvs/contacts],

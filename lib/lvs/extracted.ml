@@ -7,7 +7,10 @@ type t = {
 (* Union-find with path halving and union by size. *)
 let extract (shapes : Shape.t) =
   let n = Shape.count shapes in
-  let parent = Array.init n Fun.id in
+  let parent = Array.make n 0 in
+  for i = 0 to n - 1 do
+    parent.(i) <- i
+  done;
   let size = Array.make n 1 in
   let rec find i =
     let p = parent.(i) in
@@ -27,13 +30,14 @@ let extract (shapes : Shape.t) =
       if size.(ra) >= size.(rb) then link rb ra else link ra rb
   in
   let contacts = ref 0 in
-  (* one sweep per layer; box indices map back to shape ids, and a via
-     carries the same shape id into both its layers, which is what closes
-     connectivity across the stack *)
+  (* one sweep per layer, all in one scratch; box indices map back to
+     shape ids, and a via carries the same shape id into both its layers,
+     which is what closes connectivity across the stack *)
+  let sc = Geom.Sweepline.scratch () in
   Array.iter
     (fun (layer : Shape.layer) ->
        let ids = layer.Shape.ids in
-       Geom.Sweepline.contacts layer.Shape.boxes (fun a b ->
+       Geom.Sweepline.contacts sc layer.Shape.boxes (fun a b ->
            incr contacts;
            union ids.(a) ids.(b)))
     shapes.Shape.layers;

@@ -1,10 +1,11 @@
 (** Whole-layout connectivity extraction.
 
-    One {!Geom.Sweepline} pass per metal layer reports every same-layer
-    contact pair once, and each pair goes straight into a union-find as
-    it arrives; the union-find closes connectivity across layers through
-    vias (a via's single shape id has a box on both M1 and M3, so its
-    same-layer contacts merge the two layers' components).  A layer of n
+    One {!Geom.Sweepline} pass per metal layer, all three in one sweep
+    scratch, reports every same-layer contact pair once, and each pair
+    goes straight into a union-find as it arrives; the union-find closes
+    connectivity across layers through vias (a via's single shape id has
+    a box on both M1 and M3, so its same-layer contacts merge the two
+    layers' components).  A layer of n
     shapes and k contacts costs the sweep's O(n·d + k + B/32), d being its
     radix digit passes and B the horizontal shapes summed over the y bands
     of its vertical ones, plus a near-constant amortised union-find step

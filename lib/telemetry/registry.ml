@@ -66,17 +66,18 @@ let definitions =
     m ~id:"extract/nets_total" ~kind:Metric.Counter ~stage:"extract"
       ~unit_:"1" ~cardinality:"1"
       ~doc:"Per-capacitor nets extracted.";
-    (* rcnet: a flow's Elmore solves run in the lvs stage, whose
-       Netbuild cross-check builds each net once (in extract when the
-       gates are off); the transient solver is not part of the flow *)
-    m ~id:"rcnet/elmore_solves_total" ~kind:Metric.Counter ~stage:"lvs"
+    (* rcnet: a flow's Elmore solves run in the extract stage, which
+       builds each net's RC tree once (the lvs stage's Netbuild
+       cross-check reads topology only); the transient solver is not part
+       of the flow *)
+    m ~id:"rcnet/elmore_solves_total" ~kind:Metric.Counter ~stage:"extract"
       ~unit_:"1" ~cardinality:"1"
       ~doc:"Elmore delay solves (one tree orientation + two sweeps each).";
-    m ~id:"rcnet/nodes" ~kind:Metric.(Histogram size_buckets) ~stage:"lvs"
-      ~unit_:"1" ~cardinality:"1"
+    m ~id:"rcnet/nodes" ~kind:Metric.(Histogram size_buckets)
+      ~stage:"extract" ~unit_:"1" ~cardinality:"1"
       ~doc:"RC tree node count per Elmore solve.";
-    m ~id:"rcnet/edges" ~kind:Metric.(Histogram size_buckets) ~stage:"lvs"
-      ~unit_:"1" ~cardinality:"1"
+    m ~id:"rcnet/edges" ~kind:Metric.(Histogram size_buckets)
+      ~stage:"extract" ~unit_:"1" ~cardinality:"1"
       ~doc:"RC tree edge count per Elmore solve.";
     m ~id:"rcnet/transient_steps_total" ~kind:Metric.Counter ~stage:"extract"
       ~unit_:"1" ~cardinality:"1"

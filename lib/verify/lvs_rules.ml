@@ -28,7 +28,8 @@ let r_top_open =
 let r_netbuild_mismatch =
   lvs "netbuild-mismatch"
     "The cells reached by a capacitor's extracted driver component must be \
-     exactly the cell_nodes of its Netbuild RC tree."
+     exactly the cells of its Netbuild RC model, and that model must be one \
+     tree."
 
 let r_off_grid =
   lvs "off-grid"

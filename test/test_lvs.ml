@@ -58,6 +58,10 @@ let pinned_diagnostics =
      [ ("lvs/netbuild-mismatch", "C_3",
         "extracted driver component reaches 4 cells but the RC tree models \
          3 (1 drawn-only, 0 tree-only; drawn-only (2,3))") ]);
+    ("drop a group's only strap",
+     [ ("lvs/netbuild-mismatch", "C_3",
+        "the RC model falls into 2 disconnected pieces, so no tree joins \
+         its cells to the driver") ]);
     ("unrouted net",
      [ ("lvs/open", "C_2",
         "net fractured into 2 disconnected pieces (2 cell plates)");
@@ -98,7 +102,8 @@ let boxes_of segs =
 (* every contact the sweep reports, as sorted (low, high) index pairs *)
 let contacts b =
   let pairs = ref [] in
-  Geom.Sweepline.contacts b (fun i j -> pairs := (min i j, max i j) :: !pairs);
+  Geom.Sweepline.contacts (Geom.Sweepline.scratch ()) b (fun i j ->
+      pairs := (min i j, max i j) :: !pairs);
   List.sort compare !pairs
 
 let test_sweepline_basic () =
@@ -211,7 +216,11 @@ let segs_arb =
   QCheck.make ~print (QCheck.Gen.map segs_of_specs gen_specs)
 
 (* The sweep reports exactly the oracle's pairs, each once (no table
-   removes duplicates); with integer coordinates, contact is exact. *)
+   removes duplicates); with integer coordinates, contact is exact.  Every
+   case sweeps in one scratch, left over from the cases before it, as
+   LVS's layers share one. *)
+let shared_scratch = Geom.Sweepline.scratch ()
+
 let agrees_with_oracle segs =
   let b = boxes_of segs in
   let n = Array.length b.Geom.Sweepline.x0 in
@@ -226,7 +235,7 @@ let agrees_with_oracle segs =
     done
   done;
   let calls = ref 0 and pairs = ref [] in
-  Geom.Sweepline.contacts b (fun i j ->
+  Geom.Sweepline.contacts shared_scratch b (fun i j ->
       incr calls;
       pairs := (min i j, max i j) :: !pairs);
   !calls = List.length !oracle
@@ -563,13 +572,11 @@ let test_mut_dangling_via () =
   check_fired "inject stray via" [ "lvs/dangling" ]
     (Lvs.Check.check { l with L.vias = v :: l.L.vias })
 
-let test_mut_netbuild_mismatch () =
-  (* geometry untouched, plan corrupted: the RC tree silently models
-     fewer cells than the drawn net connects *)
-  let l = spiral6 in
-  (* drop a group that owns >= 2 cells: its attach cell survives in the
-     tree through the stub strap, so only a multi-cell group leaves a
-     detectable hole in cell_nodes *)
+(* Geometry untouched, plan corrupted: the RC tree silently models
+   fewer cells than the drawn net connects.  Drops a group that owns >= 2
+   cells: its attach cell survives in the tree through the stub strap, so
+   only a multi-cell group leaves a detectable hole in cell_nodes. *)
+let drop_group l =
   let k, victim =
     let found = ref None in
     Array.iter
@@ -596,9 +603,49 @@ let test_mut_netbuild_mismatch () =
         List.filter
           (fun (g : Ccroute.Group.t) -> g.Ccroute.Group.id <> victim)
           net.L.cn_groups };
+  { l with L.nets }
+
+let test_mut_netbuild_mismatch () =
   check_fired "drop a group from the plan"
     [ "lvs/netbuild-mismatch" ]
-    (Lvs.Check.check { l with L.nets })
+    (Lvs.Check.check (drop_group spiral6))
+
+(* Geometry untouched, plan corrupted: C_3's group 4 straps to its trunk
+   at exactly one cell, and that strap leaves the net's trunk metadata.
+   The group's abutments still reach every cell, so the RC model has the
+   drawn cells but falls into two pieces. *)
+let drop_only_strap l =
+  let k = 3 and group = 4 in
+  let net = L.net l k in
+  let straps =
+    List.concat_map
+      (fun (tk : L.trunk) ->
+         List.filter
+           (fun (a : L.attach_point) -> a.L.ap_group = group)
+           tk.L.tk_attaches)
+      net.L.cn_trunks
+  in
+  Alcotest.(check int) "C_3 group 4 has one strap" 1 (List.length straps);
+  let nets = Array.copy l.L.nets in
+  nets.(k) <-
+    { net with
+      L.cn_trunks =
+        List.map
+          (fun (tk : L.trunk) ->
+             { tk with
+               L.tk_attaches =
+                 List.filter
+                   (fun (a : L.attach_point) -> a.L.ap_group <> group)
+                   tk.L.tk_attaches })
+          net.L.cn_trunks };
+  { l with L.nets }
+
+let test_mut_dropped_strap () =
+  let l = drop_only_strap spiral6 in
+  Alcotest.(check int) "the verify gate passes it" 0
+    (List.length (Verify.Engine.check_artifacts l));
+  check_fired "drop a group's only strap" [ "lvs/netbuild-mismatch" ]
+    (Lvs.Check.check l)
 
 (* --- unrouted capacitors: triage instead of crash --- *)
 
@@ -693,6 +740,302 @@ let test_zero_parallel_lvs () =
     "C_8 has no parallel-wire count"
     [ ("route/parallel-positive", "C_8") ]
     (List.map (fun (id, loc, _) -> (id, loc)) (triples r.Lvs.Check.diagnostics))
+
+(* --- Netbuild's topology pass against its RC tree --- *)
+
+(* Netbuild.build as it stood before the topology pass was split out of
+   it, the reference for both: nodes created in numbering order with
+   their capacitances (a cell's unit capacitor at creation), then the
+   candidate edges stage by stage through a union-find, each kept edge
+   adding its resistance and half its wire capacitance to each end.
+   Written over lists and a Hashtbl; returns the tree, its root and the
+   modelled cells with their nodes, in node order. *)
+let reference_build (l : L.t) ~cap =
+  let tech = l.L.tech in
+  let net = L.net l cap in
+  if net.L.cn_trunks = [] then
+    raise
+      (Verify.Engine.Rejected
+         { what = Printf.sprintf "RC extraction of C_%d" cap;
+           diagnostics =
+             [ Verify.Diagnostic.makef
+                 ~loc:(Printf.sprintf "C_%d" cap)
+                 Verify.Lvs_rules.r_open
+                 "capacitor has no routed net: no trunk reaches the driver \
+                  row, so no RC tree can be built" ] });
+  let p = l.L.p_of_cap.(cap) in
+  let m1 = Tech.Process.layer tech Tech.Layer.M1 in
+  let m3 = Tech.Process.layer tech Tech.Layer.M3 in
+  let rvia = Tech.Parallel.via_resistance tech ~p in
+  let wire layer len =
+    ( Tech.Parallel.wire_resistance layer ~length:len ~p,
+      Tech.Parallel.wire_capacitance layer ~length:len ~p )
+  in
+  let trunks = Array.of_list net.L.cn_trunks in
+  let heights =
+    Array.map
+      (fun (tk : L.trunk) ->
+         Array.of_list
+           (List.sort_uniq Float.compare
+              (tk.L.tk_y_low
+               :: List.map (fun (a : L.attach_point) -> a.L.ap_y)
+                 tk.L.tk_attaches)))
+      trunks
+  in
+  let tree = Rcnet.Rctree.create () in
+  let node c = (Rcnet.Rctree.add_node tree ~cap:c () :> int) in
+  let root = node 0. in
+  let numbered = Hashtbl.create 64 and cells = ref [] in
+  let cell_node (c : Ccgrid.Cell.t) =
+    match Hashtbl.find_opt numbered (c.row, c.col) with
+    | Some n -> n
+    | None ->
+      let n = node tech.Tech.Process.unit_cap in
+      Hashtbl.add numbered (c.row, c.col) n;
+      cells := (c, n) :: !cells;
+      n
+  in
+  let first = Array.make (Array.length trunks) 0 in
+  Array.iteri
+    (fun t (tk : L.trunk) ->
+       first.(t) <- node 0.;
+       for _ = 2 to Array.length heights.(t) do
+         ignore (node 0.)
+       done;
+       List.iter
+         (fun (a : L.attach_point) -> ignore (cell_node a.L.ap_cell))
+         tk.L.tk_attaches)
+    trunks;
+  let primary =
+    match
+      List.filter
+        (fun t -> trunks.(t).L.tk_primary)
+        (List.init (Array.length trunks) Fun.id)
+    with
+    | t :: _ -> t
+    | [] -> invalid_arg "Netbuild.build: net has no primary trunk"
+  in
+  let taps =
+    if net.L.cn_bridge_y = None then []
+    else
+      List.map
+        (fun t -> (t, node 0.))
+        (List.stable_sort
+           (fun a b -> Float.compare trunks.(a).L.tk_x trunks.(b).L.tk_x)
+           (List.init (Array.length trunks) Fun.id))
+  in
+  List.iter
+    (fun (g : Ccroute.Group.t) ->
+       List.iter
+         (fun (a, b) ->
+            ignore (cell_node b);
+            ignore (cell_node a))
+         g.Ccroute.Group.tree_edges)
+    net.L.cn_groups;
+  let parent = Array.init (Rcnet.Rctree.num_nodes tree) Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let edge a b (r, c) =
+    let ra = find a and rb = find b in
+    if ra <> rb then begin
+      parent.(ra) <- rb;
+      Rcnet.Rctree.wire_edge tree
+        (Rcnet.Rctree.node_of_int tree a)
+        (Rcnet.Rctree.node_of_int tree b)
+        ~r ~c
+    end
+  in
+  let trunk_node t y =
+    let ys = heights.(t) in
+    let rec at i =
+      if i = Array.length ys then
+        invalid_arg "Netbuild.build: attach height is not a trunk event"
+      else if Float.equal ys.(i) y then first.(t) + i
+      else at (i + 1)
+    in
+    at 0
+  in
+  let bottom t = trunk_node t trunks.(t).L.tk_y_low in
+  edge root (bottom primary) (rvia, 0.);
+  List.iter (fun (t, tap) -> edge tap (bottom t) (rvia, 0.)) taps;
+  let rec bridge = function
+    | (a, ta) :: ((b, tb) :: _ as rest) ->
+      edge ta tb
+        (wire m1 (Float.abs (trunks.(b).L.tk_x -. trunks.(a).L.tk_x)));
+      bridge rest
+    | [ _ ] | [] -> ()
+  in
+  bridge taps;
+  Array.iteri
+    (fun t ys ->
+       for i = 1 to Array.length ys - 1 do
+         edge (first.(t) + i - 1) (first.(t) + i) (wire m3 (ys.(i) -. ys.(i - 1)))
+       done)
+    heights;
+  Array.iteri
+    (fun t (tk : L.trunk) ->
+       List.iter
+         (fun (a : L.attach_point) ->
+            let cell = a.L.ap_cell in
+            let r, c =
+              wire m1 (Float.abs (l.L.col_x.(cell.Ccgrid.Cell.col) -. a.L.ap_x))
+            in
+            edge (trunk_node t a.L.ap_y) (cell_node cell) (rvia +. r, c))
+         tk.L.tk_attaches)
+    trunks;
+  List.iter
+    (fun (g : Ccroute.Group.t) ->
+       List.iter
+         (fun ((a : Ccgrid.Cell.t), (b : Ccgrid.Cell.t)) ->
+            let len =
+              Float.abs (l.L.col_x.(a.col) -. l.L.col_x.(b.col))
+              +. Float.abs (l.L.row_y.(a.row) -. l.L.row_y.(b.row))
+            in
+            edge (cell_node a) (cell_node b)
+              (tech.Tech.Process.plate_resistance *. len, 0.))
+         g.Ccroute.Group.tree_edges)
+    net.L.cn_groups;
+  (tree, Rcnet.Rctree.node_of_int tree root, List.rev !cells)
+
+(* A call's value, or the exception it raised, rendered *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Verify.Engine.Rejected { what; diagnostics } ->
+    Error
+      (Printf.sprintf "Rejected (%s): %s" what
+         (String.concat "; "
+            (List.map (fun (r, l, d) -> String.concat " " [ r; l; d ])
+               (triples diagnostics))))
+  | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+
+let outcome_name = function
+  | Ok _ -> "a value"
+  | Error e -> e
+
+(* bitwise: every node capacitance, then every edge's ends and
+   resistance in insertion order *)
+let tree_digest t =
+  let b = Buffer.create 1024 in
+  Array.iter (fun c -> Printf.bprintf b "%h " c) (Rcnet.Rctree.node_caps t);
+  for e = 0 to Rcnet.Rctree.num_edges t - 1 do
+    let a, c, r = Rcnet.Rctree.edge t e in
+    Printf.bprintf b "(%d %d %h)" (a :> int) (c :> int) r
+  done;
+  Buffer.contents b
+
+let cell_names cells =
+  List.map
+    (fun (c : Ccgrid.Cell.t) -> Printf.sprintf "(%d,%d)" c.row c.col)
+    cells
+
+(* Every net of [l] through the reference, the topology pass and the
+   build: the same exception, or the same cells in the same order, a
+   piece count of nodes minus kept edges — above 1 exactly when
+   orienting the tree raises — and a bitwise-equal tree.  Returns how
+   many nets fell into pieces and how many raised. *)
+let check_topology what l =
+  let topology = Extract.Netbuild.topology l in
+  let build = Extract.Netbuild.builder l in
+  let split = ref 0 and raised = ref 0 in
+  for cap = 0 to Array.length l.L.nets - 1 do
+    let where = Printf.sprintf "%s C_%d" what cap in
+    match
+      ( outcome (fun () -> reference_build l ~cap),
+        outcome (fun () -> topology ~cap),
+        outcome (fun () -> build ~cap) )
+    with
+    | Error e, Error e', Error e'' ->
+      incr raised;
+      Alcotest.(check string) (where ^ ": topology raises alike") e e';
+      Alcotest.(check string) (where ^ ": build raises alike") e e''
+    | Ok (tree, root, cells), Ok tp, Ok nb ->
+      let names = cell_names (List.map fst cells) in
+      Alcotest.(check (list string)) (where ^ ": topology cells") names
+        (cell_names (Array.to_list tp.Extract.Netbuild.modelled));
+      Alcotest.(check (list string)) (where ^ ": build cells") names
+        (cell_names (Array.to_list nb.Extract.Netbuild.cells));
+      let pieces = tp.Extract.Netbuild.pieces in
+      Alcotest.(check int) (where ^ ": pieces = nodes - kept edges")
+        (Rcnet.Rctree.num_nodes tree - Rcnet.Rctree.num_edges tree)
+        pieces;
+      let orient_raises =
+        match Rcnet.Rctree.orient tree ~root with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) (where ^ ": in pieces exactly when orient raises")
+        orient_raises (pieces > 1);
+      if pieces > 1 then incr split;
+      Alcotest.(check string) (where ^ ": the same RC tree") (tree_digest tree)
+        (tree_digest nb.Extract.Netbuild.tree);
+      Alcotest.(check (list int)) (where ^ ": the same cell nodes")
+        (List.map snd cells)
+        (List.map
+           (fun (n : Rcnet.Rctree.node) -> (n :> int))
+           (Array.to_list nb.Extract.Netbuild.cell_nodes))
+    | r, t, b ->
+      Alcotest.failf "%s: the reference gives %s, the topology pass %s and \
+                      the build %s" where (outcome_name r) (outcome_name t)
+        (outcome_name b)
+  done;
+  (!split, !raised)
+
+(* test_regression's golden designs: every style and block-chess
+   granularity at 6-10 bits and the four Table III styles at 12 *)
+let golden_designs =
+  List.concat_map
+    (fun bits ->
+       List.map
+         (fun style -> (bits, style))
+         (Ccplace.Style.[ Rowwise; Chessboard; Spiral ]
+          @ Ccplace.Style.block_family ~bits))
+    [ 6; 7; 8; 9; 10 ]
+  @ List.map
+    (fun style -> (12, style))
+    Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits:12 ]
+
+let test_topology_golden () =
+  Alcotest.(check int) "39 designs" 39 (List.length golden_designs);
+  List.iter
+    (fun (bits, style) ->
+       let l =
+         layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) style
+           bits
+       in
+       Alcotest.(check (pair int int)) "every net one piece, none raises"
+         (0, 0)
+         (check_topology
+            (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+            l))
+    golden_designs
+
+(* Every trunk lists its first attach point twice: repeated event
+   heights, and a second strap the spanning tree drops. *)
+let repeat_straps l =
+  { l with
+    L.nets =
+      Array.map
+        (fun (n : L.capnet) ->
+           { n with
+             L.cn_trunks =
+               List.map
+                 (fun (tk : L.trunk) ->
+                    match tk.L.tk_attaches with
+                    | a :: _ -> { tk with L.tk_attaches = a :: tk.L.tk_attaches }
+                    | [] -> tk)
+                 n.L.cn_trunks })
+        l.L.nets }
+
+let test_topology_mutated () =
+  Alcotest.(check (pair int int)) "dropped group: one piece, no raise" (0, 0)
+    (check_topology "dropped group" (drop_group spiral6));
+  Alcotest.(check (pair int int)) "repeated straps: one piece, no raise"
+    (0, 0)
+    (check_topology "repeated straps" (repeat_straps spiral6));
+  Alcotest.(check (pair int int)) "dropped strap: C_3 in pieces" (1, 0)
+    (check_topology "dropped strap" (drop_only_strap spiral6));
+  Alcotest.(check (pair int int)) "unrouted net: C_2 raises" (0, 1)
+    (check_topology "unrouted net" (unrouted_layout 2 spiral6))
 
 (* --- the integer grid --- *)
 
@@ -840,7 +1183,8 @@ let () =
           test_case "nudge trunk" `Quick test_mut_nudge_trunk;
           test_case "merge tracks" `Quick test_mut_merge_tracks;
           test_case "dangling via" `Quick test_mut_dangling_via;
-          test_case "netbuild mismatch" `Quick test_mut_netbuild_mismatch ] );
+          test_case "netbuild mismatch" `Quick test_mut_netbuild_mismatch;
+          test_case "dropped strap" `Quick test_mut_dropped_strap ] );
       ( "triage",
         [ test_case "unrouted net is lvs/open" `Quick test_unrouted_is_open;
           test_case "Netbuild rejects with diagnostics" `Quick
@@ -849,6 +1193,9 @@ let () =
           test_case "wire naming no net" `Quick test_unknown_net_wire;
           test_case "via on the top plate" `Quick test_top_plate_via;
           test_case "zero parallel count" `Quick test_zero_parallel_lvs ] );
+      ( "netbuild topology",
+        [ test_case "golden designs" `Slow test_topology_golden;
+          test_case "mutated layouts" `Quick test_topology_mutated ] );
       ( "grid",
         [ test_case "off-grid via" `Quick test_off_grid_via;
           test_case "sub-nanometre tech rejected" `Quick test_off_grid_tech;

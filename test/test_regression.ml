@@ -202,7 +202,68 @@ let repair_digests =
     ("spiral 16-bit", "285c0bbace76523ccce836a3fed1e8ff");
     ("block-chess(core=14,g=2) 16-bit", "ae1e480fe545a0bea5b22a34094ed1f3") ]
 
-let check_digests designs expected () =
+(* One MD5 over everything extraction reports for a design, floats
+   printed exactly with %h: per capacitor the via cuts, bends,
+   wirelength, via and wire resistance, wire capacitance and Elmore
+   delay, then the array totals, the critical bit and the area. *)
+let extraction_digest (l : Ccroute.Layout.t) =
+  let p = Extract.Parasitics.extract l in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (m : Extract.Parasitics.bit_metrics) ->
+       Printf.bprintf b "C_%d %d %d %h %h %h %h %h\n" m.bm_cap m.bm_via_cuts
+         m.bm_bends m.bm_wirelength m.bm_via_resistance m.bm_wire_resistance
+         m.bm_wire_cap m.bm_elmore_fs)
+    p.per_bit;
+  Printf.bprintf b "%h %h %h %d %d %h %d %h %h" p.total_top_cap
+    p.total_wire_cap p.total_coupling_cap p.total_via_cuts p.total_bends
+    p.total_wirelength p.critical_bit p.critical_elmore_fs p.area;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded before extraction bucketed its wires and vias per capacitor
+   and built its own RC trees: every sum kept its order. *)
+let extraction_digests =
+  [ ("rowwise 6-bit", "f8f1690738f0232f2ede12b309b25671");
+    ("chessboard 6-bit", "4ee4dc6cebe7fba8a15f0fd69c4ee75c");
+    ("spiral 6-bit", "c8ad43cd0c0b7939cf4b718eb638c96f");
+    ("block-chess(core=4,g=1) 6-bit", "5d25cd6d8b80f47666c0015eff4838dd");
+    ("block-chess(core=4,g=2) 6-bit", "8fa247f0b5cd88704a77a054f16d55ad");
+    ("block-chess(core=4,g=4) 6-bit", "d8c9a4cde13e4d582e723af24f2063ed");
+    ("block-chess(core=4,g=8) 6-bit", "6ff5e4d8eb74eecdae51dcfa79b9c5b9");
+    ("rowwise 7-bit", "5387b7fc5ba8ab42896af98f132e1e16");
+    ("chessboard 7-bit", "3e1fbb3814a9cc2d61fa5eaf561db4c0");
+    ("spiral 7-bit", "adcea48352811532622141f8d87c3748");
+    ("block-chess(core=5,g=1) 7-bit", "9f640da15cbc9e4112e8f01c111f4ccf");
+    ("block-chess(core=5,g=2) 7-bit", "7f7c61dc8dfbd1e57bb2c3df32423876");
+    ("block-chess(core=5,g=4) 7-bit", "9ed0ad6a7e69349a22d66d946a7e8fc3");
+    ("block-chess(core=5,g=8) 7-bit", "dfc1d765b6f0dacbb7da01c77e709e15");
+    ("rowwise 8-bit", "4d2f85f081dd1c068b689cbd7dbe4380");
+    ("chessboard 8-bit", "951214a93a609910c78bdd90a372594b");
+    ("spiral 8-bit", "98188372d61a8c20a8016dcde34ca973");
+    ("block-chess(core=6,g=1) 8-bit", "53646dfe3e94dd35b02e8b10fdf6e747");
+    ("block-chess(core=6,g=2) 8-bit", "798583397d15cfdcdbdb2f477da7aaf9");
+    ("block-chess(core=6,g=4) 8-bit", "e399e00c7a2a0f2ce2e355234f246de7");
+    ("block-chess(core=6,g=8) 8-bit", "044a98c76d746870ccebd1501d31412a");
+    ("rowwise 9-bit", "f7d963d02958325016b34f0a5be3dd91");
+    ("chessboard 9-bit", "7009edf59904493e64d4d6d00df8c60a");
+    ("spiral 9-bit", "f8a5160767ad4f6516576306634722d6");
+    ("block-chess(core=7,g=1) 9-bit", "7ea80313b9c3b7f90732ccc4c6ee8c41");
+    ("block-chess(core=7,g=2) 9-bit", "fab8b16b40f5b98456bc6a278d00c7d1");
+    ("block-chess(core=7,g=4) 9-bit", "91d8400b75357723a5472ce113310e4f");
+    ("block-chess(core=7,g=8) 9-bit", "6817731eae511288b1df3dc42603aa17");
+    ("rowwise 10-bit", "a0d3c7ca3c899d4dcc248954b4f56f71");
+    ("chessboard 10-bit", "41530f50f1e6bcfd5572dab5de00c4a1");
+    ("spiral 10-bit", "fc4ab99717d2e5ce14e0f396c7bb0a25");
+    ("block-chess(core=8,g=1) 10-bit", "494fca36f1585ee640d5c9fd640ce993");
+    ("block-chess(core=8,g=2) 10-bit", "aa38b13aad468a63a883abafbfcc9526");
+    ("block-chess(core=8,g=4) 10-bit", "c526f8ac7d257937c89a7382f31bbb9e");
+    ("block-chess(core=8,g=8) 10-bit", "d1968e71507432b67fccbe7a8ef560a0");
+    ("rowwise 12-bit", "d0b4d9de2c61ca8624e2aa1bdcced6f2");
+    ("chessboard 12-bit", "a8b351fadd8b1f3374c99302c825637f");
+    ("spiral 12-bit", "249feb6646f1a39954eb2962ce2e8652");
+    ("block-chess(core=10,g=2) 12-bit", "eb746dfb56d1e45f4252aaf995c5a6c9") ]
+
+let check_digests what digest designs expected () =
   let actual =
     List.map
       (fun (bits, style) ->
@@ -212,11 +273,12 @@ let check_digests designs expected () =
              (Ccplace.Style.place ~bits style)
          in
          (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
-          layout_digest l))
+          digest l))
       designs
   in
-  Alcotest.(check (list (pair string string)))
-    "placement, groups, plan, wires and vias" expected actual
+  Alcotest.(check (list (pair string string))) what expected actual
+
+let routing = "placement, groups, plan, wires and vias"
 
 let test_pipeline_determinism_through_serialisation () =
   (* save -> load -> route must reproduce the exact parasitics *)
@@ -244,9 +306,14 @@ let () =
           Alcotest.test_case "chessboard tracks" `Quick test_chessboard8_track_usage;
           Alcotest.test_case "fingerprints" `Quick test_placement_fingerprints;
           Alcotest.test_case "golden routing digests" `Slow
-            (check_digests golden_designs golden_digests);
+            (check_digests routing layout_digest golden_designs
+               golden_digests);
           Alcotest.test_case "repair and wide routing digests" `Slow
-            (check_digests repair_designs repair_digests) ] );
+            (check_digests routing layout_digest repair_designs
+               repair_digests);
+          Alcotest.test_case "golden extraction digests" `Slow
+            (check_digests "per-capacitor and array metrics, exactly"
+               extraction_digest golden_designs extraction_digests) ] );
       ( "pipeline",
         [ Alcotest.test_case "serialise determinism" `Quick
             test_pipeline_determinism_through_serialisation ] ) ]

@@ -348,10 +348,23 @@ let test_flow_metrics_recorded () =
        Alcotest.(check bool) (label ^ " via_cuts present") true
          (Option.is_some (T.Metrics.gauge ~label m "extract/via_cuts")))
     [ 0; 1; 6 ];
-  Alcotest.(check bool) "elmore solves counted" true
-    (T.Metrics.counter m "rcnet/elmore_solves_total" > 0);
+  (* one RC tree per net, built and solved in extract only *)
+  Alcotest.(check int) "one Elmore solve per net" 7
+    (T.Metrics.counter m "rcnet/elmore_solves_total");
   Alcotest.(check bool) "verify rules audited" true
     (T.Metrics.counter ~label:"layout" m "verify/checks_total" > 0)
+
+let test_signoff_gate_builds_no_tree () =
+  (* the verify and LVS gates of place_route read each net's RC model
+     topology; no tree is built, so none is solved *)
+  let _, m =
+    T.Metrics.collect (fun () ->
+        Ccdac.Flow.place_route ~verify:true ~bits:6 Ccplace.Style.Spiral)
+  in
+  Alcotest.(check bool) "the LVS gate ran" true
+    (T.Metrics.gauge m "lvs/shapes" <> None);
+  Alcotest.(check int) "no Elmore solve" 0
+    (T.Metrics.counter m "rcnet/elmore_solves_total")
 
 let test_summary_empty_placeholder () =
   Alcotest.(check (list string)) "no stages" []
@@ -399,5 +412,7 @@ let () =
             test_flow_no_verify_stage_when_disabled;
           Alcotest.test_case "metrics recorded" `Quick
             test_flow_metrics_recorded;
+          Alcotest.test_case "signoff gate builds no RC tree" `Quick
+            test_signoff_gate_builds_no_tree;
           Alcotest.test_case "empty placeholder" `Quick
             test_summary_empty_placeholder ] ) ]
