@@ -356,7 +356,6 @@ let scaling () =
         Qor.Record.with_scaling
           ~stage_exponent:(Ccdac.Scaling.exponents t)
           ~sched_utilization:sched.Par.Sched.mean_utilization
-          ~sched_queue_depth_max:sched.Par.Sched.max_queue_depth
           ~sched_caller_blocked_s:sched.Par.Sched.caller_blocked_s
           (Qor.Record.of_result ~jobs top.Ccdac.Scaling.p_result)
       in

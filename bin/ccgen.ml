@@ -42,6 +42,9 @@ let jobs_arg =
    point resolves against, so one flag reaches all parallel sections. *)
 let apply_jobs = function
   | None -> ()
+  | Some n when n < 0 ->
+    Printf.eprintf "ccgen: --jobs must be >= 0\n";
+    exit 2
   | Some n -> Par.Jobs.set_default n
 
 let style_conv =
@@ -626,10 +629,10 @@ let profile_cmd =
     end;
     List.iter check_bits bits_list;
     (* Scheduler recording is on for the whole profile: when --jobs sends
-       work through Par.Pool, the run picks up sched/* metrics, the
-       per-worker sched.chunk tracks in the --trace file, and the
-       scheduler section below.  Serial profiles record no batches and
-       the section stays silent. *)
+       work through Par.Pool, the run picks up the per-worker sched.chunk
+       tracks in the --trace file and the scheduler section below.
+       Flow.run has no pool, so today no batch is recorded and the
+       section stays silent. *)
     let (medians, dump), sched_batches =
       Par.Sched.with_enabled true @@ fun () ->
       Par.Sched.collect @@ fun () ->
@@ -774,7 +777,7 @@ let scale_cmd =
     let t =
       Par.Sched.with_enabled true @@ fun () ->
       with_trace trace @@ fun () ->
-      Ccdac.Scaling.run ~tech ~style_of_bits ~trials ~seed ?jobs bits_list
+      Ccdac.Scaling.run ~tech ~style_of_bits ~trials ~seed bits_list
     in
     if json then
       print_endline (Telemetry.Json.to_string (Ccdac.Scaling.to_json t))

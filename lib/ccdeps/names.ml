@@ -136,7 +136,6 @@ let is_mutator name = mutator_target_index name <> None
 
 (* (entry point, index of the task function among positional args). *)
 let pool_entries =
-  [ ("Par.Pool.map", 1); ("Par.Pool.map_exn", 1);
-    ("Par.Pool.map_list", 0); ("Par.Pool.map_list_exn", 0) ]
+  [ ("Par.Pool.map_list", 0); ("Par.Pool.map_list_exn", 0) ]
 
 let pool_fn_index name = List.assoc_opt name pool_entries

@@ -146,7 +146,7 @@ let exponents t =
 let sched_totals t =
   (* fold the per-point summaries into one ladder-wide summary; the
      per-batch lists are gone by now, so combine the summary fields
-     directly (weighted mean for utilization, max for depth/imbalance) *)
+     directly (weighted mean for utilization, max for imbalance) *)
   let open Par.Sched in
   List.fold_left
     (fun acc p ->
@@ -164,7 +164,6 @@ let sched_totals t =
          wall_s = acc.wall_s +. s.wall_s;
          busy_s = busy;
          caller_blocked_s = acc.caller_blocked_s +. s.caller_blocked_s;
-         max_queue_depth = max acc.max_queue_depth s.max_queue_depth;
          mean_utilization =
            (if capacity > 0. then Float.min 1. (busy /. capacity)
             else Float.nan);

@@ -64,7 +64,7 @@ val exponents : t -> (string * float) list
 
 (** [sched_totals t] folds the per-rung scheduler summaries into one
     ladder-wide summary (sums; capacity-weighted mean utilization; max
-    queue depth and imbalance).  All-NaN when recording was off. *)
+    imbalance).  All-NaN when recording was off. *)
 val sched_totals : t -> Par.Sched.summary
 
 val to_json : t -> Telemetry.Json.t

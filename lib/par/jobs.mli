@@ -7,10 +7,11 @@
     + the [CCDAC_JOBS] environment variable;
     + [1] — serial, the deterministic baseline.
 
-    [0] always means "auto": {!Domain.recommended_domain_count}.  Every
-    parallel entry point in the tree is bitwise-deterministic in its
-    results whatever this resolves to (docs/PARALLEL.md), so the knob
-    only trades wall time. *)
+    For {!set_default} and [CCDAC_JOBS], [0] means "auto":
+    {!Domain.recommended_domain_count}.  An explicit [~jobs:0] (or any
+    [~jobs] below 1) resolves to [1].  Every parallel entry point in the
+    tree is bitwise-deterministic in its results whatever this resolves
+    to (docs/PARALLEL.md), so the knob only trades wall time. *)
 
 (** ["CCDAC_JOBS"]. *)
 val env_var : string

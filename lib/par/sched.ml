@@ -1,37 +1,37 @@
-(* Scheduler telemetry for Par.Pool: per-chunk timestamps, queue-depth
-   samples and batch-level stall/imbalance summaries.
+(* Scheduler telemetry for Par.Pool: per-chunk timestamps and
+   batch-level stall/imbalance summaries.
 
    Follows the Telemetry.Memory discipline: a process-wide Atomic
-   enablement flag that every [Pool.map] reads exactly once, so the
-   instrumentation costs one atomic read when off and is a pure observer
-   when on — chunk results are untouched either way.
+   enablement flag that every parallel [Pool.map_list] call reads
+   exactly once, so the instrumentation costs one atomic read when off
+   and is a pure observer when on — chunk results are untouched either
+   way.
 
    Collectors are process-global (one mutex) rather than domain-local:
-   a batch record is built by the domain that submitted it, and nested
-   batches submitted from inside worker-run chunks must still reach the
+   a batch record is built by the domain that made the call, and nested
+   batches made from inside worker-run chunks must still reach the
    collector the outermost caller opened. *)
 
 type chunk = {
   c_batch : int;         (* id of the batch this chunk belongs to *)
   c_index : int;         (* position within the batch, 0-based *)
   c_items : int;         (* tasks the chunk covers *)
-  c_enqueued_ns : int64; (* batch submission time (all chunks share it) *)
-  c_started_ns : int64;  (* dequeue: an executor picked the chunk up *)
+  c_enqueued_ns : int64; (* batch start time (all chunks share it) *)
+  c_started_ns : int64;  (* an executor claimed the chunk *)
   c_finished_ns : int64; (* last task of the chunk completed *)
   c_domain : int;        (* id of the domain that executed it *)
-  c_by_caller : bool;    (* executed by the submitting domain's drain loop *)
-  c_queue_depth : int;   (* chunks still queued right after this dequeue *)
+  c_by_caller : bool;    (* executed by the calling domain *)
 }
 
 type batch = {
   b_id : int;
-  b_jobs : int;             (* pool size (requested concurrency) *)
-  b_workers : int;          (* worker domains alive when it ran *)
+  b_jobs : int;             (* requested concurrency *)
+  b_workers : int;          (* domains spawned for it *)
   b_items : int;
   b_chunks : chunk list;    (* in chunk order *)
-  b_wall_s : float;         (* submission to last completion *)
+  b_wall_s : float;         (* call start to the last join *)
   b_caller_blocked_s : float;
-                            (* caller asleep on the barrier, queue empty *)
+                            (* caller joining, no chunk left to claim *)
 }
 
 (* --- enablement (Atomic: read by every domain, written by the CLI) --- *)
@@ -39,7 +39,6 @@ type batch = {
 let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 
 let with_enabled b f =
   let saved = Atomic.get enabled_flag in
@@ -96,38 +95,7 @@ let collect f =
   let r = Fun.protect ~finally:remove f in
   (r, List.rev !acc)
 
-(* --- metric emission --- *)
-
-let note_metrics b =
-  if Telemetry.Metrics.enabled () then begin
-    Telemetry.Metrics.incr "sched/batches_total";
-    let caller, worker =
-      List.fold_left
-        (fun (c, w) ch -> if ch.c_by_caller then (c + 1, w) else (c, w + 1))
-        (0, 0) b.b_chunks
-    in
-    if caller > 0 then
-      Telemetry.Metrics.incr ~n:caller ~label:"caller" "sched/chunks_total";
-    if worker > 0 then
-      Telemetry.Metrics.incr ~n:worker ~label:"worker" "sched/chunks_total";
-    List.iter
-      (fun c ->
-         Telemetry.Metrics.observe "sched/queue_depth"
-           (float_of_int c.c_queue_depth);
-         Telemetry.Metrics.observe "sched/chunk_exec_us"
-           (1e6 *. chunk_exec_s c);
-         Telemetry.Metrics.observe "sched/chunk_wait_us"
-           (1e6 *. chunk_wait_s c))
-      b.b_chunks;
-    Telemetry.Metrics.incr
-      ~n:(int_of_float (1e6 *. b.b_caller_blocked_s))
-      "sched/caller_blocked_us_total";
-    Telemetry.Metrics.set "sched/imbalance" (imbalance b);
-    Telemetry.Metrics.set "sched/utilization" (utilization b)
-  end
-
 let record_batch b =
-  note_metrics b;
   locked (fun () -> List.iter (fun acc -> acc := b :: !acc) !collectors)
 
 (* --- aggregation over a collected run --- *)
@@ -135,12 +103,11 @@ let record_batch b =
 type summary = {
   batches : int;
   chunks : int;
-  caller_chunks : int;       (* drained by their submitting domain *)
+  caller_chunks : int;       (* run by the calling domain *)
   items : int;
   wall_s : float;            (* sum of batch walls *)
   busy_s : float;            (* sum of chunk execution times *)
   caller_blocked_s : float;
-  max_queue_depth : int;
   mean_utilization : float;  (* busy over sum (jobs x wall); wall-weighted *)
   worst_imbalance : float;
 }
@@ -148,7 +115,7 @@ type summary = {
 let summarize batches =
   let z =
     { batches = 0; chunks = 0; caller_chunks = 0; items = 0; wall_s = 0.;
-      busy_s = 0.; caller_blocked_s = 0.; max_queue_depth = 0;
+      busy_s = 0.; caller_blocked_s = 0.;
       mean_utilization = Float.nan; worst_imbalance = Float.nan }
   in
   match batches with
@@ -166,10 +133,6 @@ let summarize batches =
              wall_s = s.wall_s +. b.b_wall_s;
              busy_s = s.busy_s +. busy_s b;
              caller_blocked_s = s.caller_blocked_s +. b.b_caller_blocked_s;
-             max_queue_depth =
-               List.fold_left
-                 (fun m c -> Int.max m c.c_queue_depth)
-                 s.max_queue_depth b.b_chunks;
              mean_utilization = s.mean_utilization;
              worst_imbalance = s.worst_imbalance })
         z batches
@@ -194,7 +157,6 @@ let summary_to_json s =
       ("wall_s", Telemetry.Json.Num s.wall_s);
       ("busy_s", Telemetry.Json.Num s.busy_s);
       ("caller_blocked_s", Telemetry.Json.Num s.caller_blocked_s);
-      ("max_queue_depth", Telemetry.Json.Num (float_of_int s.max_queue_depth));
       ("utilization", Telemetry.Json.Num s.mean_utilization);
       ("imbalance", Telemetry.Json.Num s.worst_imbalance) ]
 
@@ -203,9 +165,8 @@ let pp_summary ppf s =
     Format.fprintf ppf "no parallel batches recorded@."
   else
     Format.fprintf ppf
-      "%d batch(es), %d chunk(s) (%d caller-drained), %d item(s)@,\
+      "%d batch(es), %d chunk(s) (%d by the caller), %d item(s)@,\
        busy %.3f s of %.3f s wall  utilization %.0f%%  imbalance %.2fx@,\
-       caller blocked %.3f s  max queue depth %d@."
+       caller blocked %.3f s@."
       s.batches s.chunks s.caller_chunks s.items s.busy_s s.wall_s
       (100. *. s.mean_utilization) s.worst_imbalance s.caller_blocked_s
-      s.max_queue_depth

@@ -1,45 +1,43 @@
-(** Scheduler telemetry for {!Pool}: per-chunk
-    enqueue→dequeue→completion timestamps, queue-depth samples, and
-    batch-level stall/imbalance summaries (docs/PARALLEL.md).
+(** Scheduler telemetry for {!Pool}: per-chunk start→claim→completion
+    timestamps and batch-level stall/imbalance summaries
+    (docs/PARALLEL.md).
 
-    Off by default.  {!Pool.map} reads {!enabled} exactly once per
-    batch (one atomic read — the {!Telemetry.Memory} discipline), and
-    the instrumentation is a pure observer: batch results are bitwise
+    Off by default.  A parallel {!Pool.map_list} call reads {!enabled}
+    exactly once (one atomic read — the {!Telemetry.Memory} discipline),
+    and the instrumentation is a pure observer: results are bitwise
     identical with it on or off at any worker count.
 
-    When on, every instrumented batch is delivered to all open
-    {!collect} scopes and, when a {!Telemetry.Metrics} scope is active
-    in the submitting domain, recorded against the [sched/*] registry
-    ids.  Each chunk also runs inside a ["sched.chunk"] span, so a
-    Chrome trace shows per-worker chunk slices ({!Telemetry.Sink}). *)
+    When on, every parallel call is delivered as a batch to all open
+    {!collect} scopes.  Each chunk also runs inside a ["sched.chunk"]
+    span, so a Chrome trace shows per-worker chunk slices
+    ({!Telemetry.Sink}). *)
 
 (** One executed work chunk. *)
 type chunk = {
   c_batch : int;         (** id of the batch this chunk belongs to *)
   c_index : int;         (** position within the batch, 0-based *)
   c_items : int;         (** tasks the chunk covers *)
-  c_enqueued_ns : int64; (** batch submission time (shared by the batch) *)
-  c_started_ns : int64;  (** dequeue: an executor picked the chunk up *)
+  c_enqueued_ns : int64; (** batch start time (shared by the batch) *)
+  c_started_ns : int64;  (** an executor claimed the chunk *)
   c_finished_ns : int64; (** last task of the chunk completed *)
   c_domain : int;        (** id of the domain that executed it *)
-  c_by_caller : bool;    (** executed by the submitting domain itself *)
-  c_queue_depth : int;   (** chunks still queued right after this dequeue *)
+  c_by_caller : bool;    (** executed by the calling domain itself *)
 }
 
-(** One instrumented {!Pool.map} batch. *)
+(** One instrumented parallel {!Pool.map_list} call. *)
 type batch = {
   b_id : int;
-  b_jobs : int;             (** pool size (requested concurrency) *)
-  b_workers : int;          (** worker domains alive when it ran *)
+  b_jobs : int;             (** requested concurrency *)
+  b_workers : int;          (** domains spawned for the call *)
   b_items : int;
   b_chunks : chunk list;    (** in chunk order *)
-  b_wall_s : float;         (** submission to last completion *)
+  b_wall_s : float;         (** call start, spawns included, to the last
+                                join *)
   b_caller_blocked_s : float;
-      (** caller asleep on the batch barrier with an empty queue *)
+      (** caller joining the spawned domains, no chunk left to claim *)
 }
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
 
 (** [with_enabled b f] runs [f] with recording set to [b], restored
     afterwards. *)
@@ -70,12 +68,11 @@ val utilization : batch -> float
 type summary = {
   batches : int;
   chunks : int;
-  caller_chunks : int;       (** drained by their submitting domain *)
+  caller_chunks : int;       (** run by the calling domain *)
   items : int;
   wall_s : float;            (** sum of batch walls *)
   busy_s : float;            (** sum of chunk execution times *)
   caller_blocked_s : float;
-  max_queue_depth : int;
   mean_utilization : float;  (** busy over total capacity; [nan] when
                                  no batches ran *)
   worst_imbalance : float;   (** [nan] when no batches ran *)
@@ -85,9 +82,9 @@ val summarize : batch list -> summary
 val summary_to_json : summary -> Telemetry.Json.t
 val pp_summary : Format.formatter -> summary -> unit
 
-(** {2 Pool-facing} — called by {!Pool.map}; not for general use. *)
+(** {2 Pool-facing} — called by {!Pool.map_list}; not for general use. *)
 
 val next_batch_id : unit -> int
 
-(** Deliver a completed batch to collectors and the [sched/*] metrics. *)
+(** Deliver a completed batch to every open {!collect} scope. *)
 val record_batch : batch -> unit

@@ -3,6 +3,7 @@ module Json = Telemetry.Json
 type t = {
   timestamp_s : float;
   host : string;
+  cores : int;
   git_commit : string option;
 }
 
@@ -71,12 +72,14 @@ let git_commit () =
 let capture () =
   { timestamp_s = Unix.gettimeofday ();
     host = (try Unix.gethostname () with Unix.Unix_error _ -> "unknown");
+    cores = Domain.recommended_domain_count ();
     git_commit = git_commit () }
 
 let to_json t =
   Json.Obj
     [ ("timestamp_s", Json.Num t.timestamp_s);
       ("host", Json.Str t.host);
+      ("cores", Json.Num (float_of_int t.cores));
       ( "git_commit",
         match t.git_commit with None -> Json.Null | Some s -> Json.Str s ) ]
 
@@ -93,9 +96,12 @@ let of_json j =
   in
   { timestamp_s = num "timestamp_s" 0.;
     host = str "host" "";
+    cores =
+      (let c = num "cores" 0. in
+       if Float.is_finite c then int_of_float c else 0);
     git_commit = Option.bind (Json.member "git_commit" j) Json.to_str }
 
-let changelog = "1.22.0"
+let changelog = "1.23.0"
 
 let server () =
   let p = capture () in

@@ -9,17 +9,22 @@
 type t = {
   timestamp_s : float;        (** Unix time the record was captured *)
   host : string;
+  cores : int;                (** [Domain.recommended_domain_count ()]
+                                  on the capturing machine, against
+                                  which a record's [jobs] and
+                                  [par_speedup] read; [0] when unknown *)
   git_commit : string option; (** full hex sha, when inside a checkout *)
 }
 
-(** [capture ()] stamps the current time, hostname, and (best-effort) the
-    git commit of the working directory or any of its ancestors. *)
+(** [capture ()] stamps the current time, hostname, core count and
+    (best-effort) the git commit of the working directory or any of its
+    ancestors. *)
 val capture : unit -> t
 
 val to_json : t -> Telemetry.Json.t
 
-(** Total: missing fields decay to [0.] / [""] / [None], never an error —
-    provenance must not make an old ledger unreadable. *)
+(** Total: missing fields decay to [0.] / [""] / [0] / [None], never an
+    error — provenance must not make an old ledger unreadable. *)
 val of_json : Telemetry.Json.t -> t
 
 (** The release this tree is: the newest [## x.y.z] heading of

@@ -29,7 +29,6 @@ type t = {
   lvs_rules : string list;
   stage_exponent : (string * float) list;
   sched_utilization : float;
-  sched_queue_depth_max : int;
   sched_caller_blocked_s : float;
   provenance : Provenance.t;
 }
@@ -125,7 +124,6 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
       Verify.Diagnostic.rule_ids (Lvs.Check.check r.Ccdac.Flow.layout);
     stage_exponent = [];
     sched_utilization = Float.nan;
-    sched_queue_depth_max = 0;
     sched_caller_blocked_s = Float.nan;
     provenance = Provenance.capture () }
 
@@ -135,12 +133,8 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
    rows without a scaling run stay unsampled for the qor/scaling_* and
    qor/sched_* policies. *)
 let with_scaling ?(stage_exponent = []) ?(sched_utilization = Float.nan)
-    ?(sched_queue_depth_max = 0) ?(sched_caller_blocked_s = Float.nan) t =
-  { t with
-    stage_exponent;
-    sched_utilization;
-    sched_queue_depth_max;
-    sched_caller_blocked_s }
+    ?(sched_caller_blocked_s = Float.nan) t =
+  { t with stage_exponent; sched_utilization; sched_caller_blocked_s }
 
 let to_json t =
   Json.Obj
@@ -175,8 +169,6 @@ let to_json t =
       ( "stage_exponent",
         Json.Obj (List.map (fun (n, s) -> (n, Json.Num s)) t.stage_exponent) );
       ("sched_utilization", Json.Num t.sched_utilization);
-      ( "sched_queue_depth_max",
-        Json.Num (float_of_int t.sched_queue_depth_max) );
       ("sched_caller_blocked_s", Json.Num t.sched_caller_blocked_s);
       ("provenance", Provenance.to_json t.provenance) ]
 
@@ -242,7 +234,6 @@ let of_json j =
         lvs_rules = List.sort_uniq String.compare (strs "lvs_rules");
         stage_exponent = stage_table "stage_exponent";
         sched_utilization = num "sched_utilization" Float.nan;
-        sched_queue_depth_max = int "sched_queue_depth_max" 0;
         sched_caller_blocked_s = num "sched_caller_blocked_s" Float.nan;
         provenance =
           (match Json.member "provenance" j with

@@ -48,10 +48,9 @@ type t = {
                                    a plain flow record *)
   sched_utilization : float;   (** {!Par.Sched} pool busy fraction over
                                    the run ([nan] when not recorded) *)
-  sched_queue_depth_max : int; (** deepest observed chunk backlog (0 when
-                                   not recorded) *)
   sched_caller_blocked_s : float;
-                               (** caller time asleep on batch barriers
+                               (** caller time spent joining spawned
+                                   domains with no chunk left to claim
                                    ([nan] when not recorded) *)
   provenance : Provenance.t;
 }
@@ -76,14 +75,13 @@ val tech_hash : Tech.Process.t -> string
 val of_result :
   ?repeat:int -> ?jobs:int -> ?par_speedup:float -> Ccdac.Flow.result -> t
 
-(** [with_scaling ?stage_exponent ?sched_utilization ?sched_queue_depth_max
+(** [with_scaling ?stage_exponent ?sched_utilization
     ?sched_caller_blocked_s t] decorates a record with the scaling-probe
     and scheduler figures ({!Ccdac.Scaling}, {!Par.Sched.summary});
     omitted arguments keep the neutral "not sampled" defaults. *)
 val with_scaling :
   ?stage_exponent:(string * float) list ->
   ?sched_utilization:float ->
-  ?sched_queue_depth_max:int ->
   ?sched_caller_blocked_s:float ->
   t ->
   t

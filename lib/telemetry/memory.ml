@@ -27,7 +27,6 @@ type delta = {
 let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
 
 let with_enabled b f =
   let saved = Atomic.get enabled_flag in

@@ -3,7 +3,7 @@
 
     Sampling is off by default and costs one [Atomic.get] per span when
     off — the same pay-nothing-when-inactive discipline as
-    {!Span.with_}.  When {!set_enabled} turns it on, every completed
+    {!Span.with_}.  When {!with_enabled} turns it on, every completed
     span carries a {!delta}: words allocated while the span ran
     (minor + major − promoted, so promotions count once), collection
     counts, and major-heap sizes before/after/at-peak.  Allocated and
@@ -46,11 +46,9 @@ type delta = {
 (** [enabled ()] — is sampling on?  One atomic read. *)
 val enabled : unit -> bool
 
-(** [set_enabled b] switches sampling for every domain. *)
-val set_enabled : bool -> unit
-
-(** [with_enabled b f] runs [f] with sampling set to [b], restoring the
-    previous state afterwards (also on exceptions). *)
+(** [with_enabled b f] runs [f] with sampling set to [b] for every
+    domain, restoring the previous state afterwards (also on
+    exceptions). *)
 val with_enabled : bool -> (unit -> 'a) -> 'a
 
 (** {2 Sampling protocol} — what {!Span.with_} calls. *)

@@ -5,10 +5,6 @@ let m = Metric.make
 
 let size_buckets = [| 4.; 16.; 64.; 256.; 1024.; 4096. |]
 
-let time_us_buckets = [| 10.; 100.; 1e3; 1e4; 1e5; 1e6 |]
-
-let depth_buckets = [| 1.; 2.; 4.; 8.; 16.; 64. |]
-
 let definitions =
   [ (* flow *)
     m ~id:"flow/runs_total" ~kind:Metric.Counter ~stage:"flow" ~unit_:"1"
@@ -94,38 +90,7 @@ let definitions =
     m ~id:"analyse/mc_trials_total" ~kind:Metric.Counter ~stage:"analyse"
       ~unit_:"1" ~cardinality:"1"
       ~doc:"Monte-Carlo mismatch trials evaluated.";
-    (* sched: Par.Pool runtime telemetry (recorded only while
-       Par.Sched.enabled; docs/PARALLEL.md#scheduler-telemetry) *)
-    m ~id:"sched/batches_total" ~kind:Metric.Counter ~stage:"sched" ~unit_:"1"
-      ~cardinality:"1"
-      ~doc:"Parallel batches executed by Par.Pool while scheduler telemetry \
-            was on.";
-    m ~id:"sched/chunks_total" ~kind:Metric.Counter ~stage:"sched" ~unit_:"1"
-      ~cardinality:"per executor (caller, worker)"
-      ~doc:"Work chunks executed, split by whether the submitting domain \
-            drained them itself or a spawned worker ran them.";
-    m ~id:"sched/queue_depth" ~kind:Metric.(Histogram depth_buckets)
-      ~stage:"sched" ~unit_:"1" ~cardinality:"1"
-      ~doc:"Chunks still queued at each dequeue — the backlog a chunk left \
-            behind when an executor picked it up.";
-    m ~id:"sched/chunk_exec_us" ~kind:Metric.(Histogram time_us_buckets)
-      ~stage:"sched" ~unit_:"us" ~cardinality:"1"
-      ~doc:"Per-chunk execution time (dequeue to completion).";
-    m ~id:"sched/chunk_wait_us" ~kind:Metric.(Histogram time_us_buckets)
-      ~stage:"sched" ~unit_:"us" ~cardinality:"1"
-      ~doc:"Per-chunk queue wait (batch enqueue to dequeue).";
-    m ~id:"sched/caller_blocked_us_total" ~kind:Metric.Counter ~stage:"sched"
-      ~unit_:"us" ~cardinality:"1"
-      ~doc:"Time submitting domains spent asleep on the batch barrier with \
-            an empty queue (pure stall: nothing left to steal).";
-    m ~id:"sched/imbalance" ~kind:Metric.Gauge ~stage:"sched" ~unit_:"1"
-      ~cardinality:"1"
-      ~doc:"Slowest-chunk tail of the last batch: max chunk time over mean \
-            chunk time (1.0 = perfectly balanced).";
-    m ~id:"sched/utilization" ~kind:Metric.Gauge ~stage:"sched" ~unit_:"1"
-      ~cardinality:"1"
-      ~doc:"Busy fraction of the last batch: total chunk execution time \
-            over (jobs x batch wall time).";
+    (* sched *)
     m ~id:"sched/pool-degraded" ~kind:Metric.Counter ~stage:"sched" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Worker domains requested but not spawned (Domain.spawn hit the \

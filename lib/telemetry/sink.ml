@@ -58,37 +58,23 @@ let event_json (c : Span.complete) =
    counter track tid 0 (OCaml 5's major heap is process-wide, so
    per-domain counters would just disagree about one shared number). *)
 let counter_events (c : Span.complete) =
-  let counter name ts v =
-    Json.Obj
-      [ ("name", Json.Str name);
-        ("cat", Json.Str "ccdac");
-        ("ph", Json.Str "C");
-        ("ts", Json.Num (Clock.to_us ts));
-        ("pid", Json.Num 1.);
-        ("tid", Json.Num 0.);
-        ("args", Json.Obj [ (name, Json.Num v) ]) ]
-  in
-  let heap =
-    match c.Span.mem with
-    | None -> []
-    | Some d ->
-      let ev ts heap_w =
-        counter "heap_mb" ts (Memory.words_to_mb (float_of_int heap_w))
-      in
-      [ ev c.Span.start_ns d.Memory.heap_words_before;
-        ev (Int64.add c.Span.start_ns c.Span.duration_ns)
-          d.Memory.heap_words_after ]
-  in
-  (* Scheduler chunks (Par.Sched) carry the backlog they saw at dequeue;
-     rendered as a queue_depth counter so the trace shows the pool's
-     backlog sawtooth alongside the per-worker chunk slices. *)
-  let queue =
-    match List.assoc_opt "queue_depth" c.Span.attrs with
-    | Some (Span.Int d) ->
-      [ counter "queue_depth" c.Span.start_ns (float_of_int d) ]
-    | Some _ | None -> []
-  in
-  heap @ queue
+  match c.Span.mem with
+  | None -> []
+  | Some d ->
+    let ev ts heap_w =
+      let mb = Memory.words_to_mb (float_of_int heap_w) in
+      Json.Obj
+        [ ("name", Json.Str "heap_mb");
+          ("cat", Json.Str "ccdac");
+          ("ph", Json.Str "C");
+          ("ts", Json.Num (Clock.to_us ts));
+          ("pid", Json.Num 1.);
+          ("tid", Json.Num 0.);
+          ("args", Json.Obj [ ("heap_mb", Json.Num mb) ]) ]
+    in
+    [ ev c.Span.start_ns d.Memory.heap_words_before;
+      ev (Int64.add c.Span.start_ns c.Span.duration_ns)
+        d.Memory.heap_words_after ]
 
 (* Metadata ("ph": "M") events so Perfetto labels the process and thread
    rows: the process is the tool; the root span's domain gets the root's

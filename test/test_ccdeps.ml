@@ -234,7 +234,7 @@ let test_manifest_parse () =
     (Ccdeps.Manifest.forbidden m ~src:"ccplace" ~dst:"qor");
   Alcotest.(check bool) "pure" true (Ccdeps.Manifest.is_pure m "geom");
   Alcotest.(check bool) "trust covers submodules" true
-    (Ccdeps.Manifest.is_trusted m "Par.Pool.map");
+    (Ccdeps.Manifest.is_trusted m "Par.Pool.map_list");
   Alcotest.(check bool) "trust is component-wise" false
     (Ccdeps.Manifest.is_trusted m "Parasitic.x")
 

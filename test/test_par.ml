@@ -1,5 +1,5 @@
-(* Tests for the parallel execution subsystem: the domain pool's
-   ordering / fault-isolation / reentrancy contract, the counter-based
+(* Tests for the parallel execution subsystem: the one-shot map's
+   ordering / fault-isolation / nesting contract, the counter-based
    RNG substreams, and the bitwise-determinism guarantee of every ?jobs
    entry point (Monte-Carlo, sweeps). *)
 
@@ -37,7 +37,6 @@ let test_jobs_of_string () =
 (* --- Pool: ordering --- *)
 
 let test_pool_ordering () =
-  Par.Pool.with_ ~jobs:4 @@ fun pool ->
   let xs = List.init 100 Fun.id in
   (* uneven per-task work scrambles completion order; slots must not care *)
   let f i =
@@ -51,9 +50,7 @@ let test_pool_ordering () =
   in
   Alcotest.(check (list int)) "submission order"
     (List.map (fun i -> i * i) xs)
-    (Par.Pool.map_exn pool f xs);
-  Alcotest.(check (list int)) "pool is reusable" [ 0; 1; 4 ]
-    (Par.Pool.map_exn pool (fun i -> i * i) [ 0; 1; 2 ])
+    (Par.Pool.map_list_exn ~jobs:4 f xs)
 
 let test_pool_matches_serial () =
   let xs = List.init 57 (fun i -> i - 5) in
@@ -70,9 +67,8 @@ let test_pool_matches_serial () =
 (* --- Pool: fault isolation --- *)
 
 let test_pool_fault_isolation () =
-  Par.Pool.with_ ~jobs:4 @@ fun pool ->
   let results =
-    Par.Pool.map pool
+    Par.Pool.map_list ~jobs:4
       (fun i -> if i mod 3 = 0 then failwith (string_of_int i) else i)
       (List.init 10 Fun.id)
   in
@@ -88,10 +84,7 @@ let test_pool_fault_isolation () =
          (match e.Par.Pool.exn with
           | Failure msg -> Alcotest.(check string) "exn" (string_of_int i) msg
           | _ -> Alcotest.fail "unexpected exception"))
-    results;
-  (* siblings of a failed task completed, and the pool survived *)
-  Alcotest.(check (list int)) "pool survives failures" [ 2; 4; 6 ]
-    (Par.Pool.map_exn pool (fun i -> 2 * i) [ 1; 2; 3 ])
+    results
 
 let test_pool_map_exn_raises () =
   match
@@ -112,12 +105,11 @@ let[@inline never] deep_raise i =
   if i >= 0 then failwith "sched backtrace probe" else ignore i
 
 let test_pool_backtrace () =
-  (* pool creation enables backtrace recording on caller and workers, so
-     the error slot's backtrace is non-empty whichever domain ran the
-     task *)
-  Par.Pool.with_ ~jobs:3 @@ fun pool ->
+  (* the parallel path enables backtrace recording on the caller and every
+     spawned domain, so the error slot's backtrace is non-empty whichever
+     domain ran the task *)
   let results =
-    Par.Pool.map pool (fun i -> deep_raise i) (List.init 8 Fun.id)
+    Par.Pool.map_list ~jobs:3 (fun i -> deep_raise i) (List.init 8 Fun.id)
   in
   List.iter
     (fun r ->
@@ -128,15 +120,29 @@ let test_pool_backtrace () =
            (String.length (String.trim e.Par.Pool.backtrace) > 0))
     results
 
-(* --- Pool: reentrancy (nested map on one pool must not deadlock) --- *)
+(* Task_failed's registered printer names the task, its exception and,
+   when there is one, the task's own backtrace. *)
+let test_pool_task_failed_printer () =
+  let failed backtrace =
+    Printexc.to_string
+      (Par.Pool.Task_failed
+         { Par.Pool.index = 7; exn = Failure "boom"; backtrace })
+  in
+  Alcotest.(check string) "no backtrace"
+    "Par.Pool.Task_failed(task 7: Failure(\"boom\"))" (failed "");
+  Alcotest.(check string) "with backtrace"
+    "Par.Pool.Task_failed(task 7: Failure(\"boom\"))\nTask backtrace:\n\
+     Raised at Probe.f\n"
+    (failed "Raised at Probe.f\n")
+
+(* --- Pool: a task may itself map in parallel --- *)
 
 let test_pool_nested () =
-  Par.Pool.with_ ~jobs:2 @@ fun pool ->
   let sums =
-    Par.Pool.map_exn pool
+    Par.Pool.map_list_exn ~jobs:2
       (fun i ->
          List.fold_left ( + ) 0
-           (Par.Pool.map_exn pool (fun j -> (10 * i) + j) [ 0; 1; 2 ]))
+           (Par.Pool.map_list_exn ~jobs:2 (fun j -> (10 * i) + j) [ 0; 1; 2 ]))
       [ 1; 2; 3 ]
   in
   Alcotest.(check (list int)) "nested maps" [ 33; 63; 93 ] sums
@@ -286,6 +292,8 @@ let () =
           Alcotest.test_case "map_exn raises first" `Quick
             test_pool_map_exn_raises;
           Alcotest.test_case "task backtraces" `Quick test_pool_backtrace;
+          Alcotest.test_case "task_failed printer" `Quick
+            test_pool_task_failed_printer;
           Alcotest.test_case "nested map" `Quick test_pool_nested;
           Alcotest.test_case "metrics inheritance" `Quick
             test_pool_metrics_inheritance;

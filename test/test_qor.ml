@@ -87,9 +87,10 @@ let test_record_json_roundtrip () =
 
 let record_text r = Telemetry.Json.to_string (Qor.Record.to_json r)
 
-(* [r] as an older schema wrote it for a service-decorated row: its
-   fields plus the five serve_* figures this schema no longer carries *)
-let with_retired_serve_keys r =
+(* [r] as an older schema wrote it: its fields plus the five serve_*
+   figures of a service-decorated row and the scheduler queue depth,
+   which this schema no longer carries *)
+let with_retired_keys r =
   match Qor.Record.to_json r with
   | Telemetry.Json.Obj fields ->
     Telemetry.Json.Obj
@@ -98,7 +99,8 @@ let with_retired_serve_keys r =
            ("serve_throughput_rps", Telemetry.Json.Num 25000.);
            ("serve_p50_ms", Telemetry.Json.Num 1.5);
            ("serve_p95_ms", Telemetry.Json.Num 2.5);
-           ("serve_hit_rate", Telemetry.Json.Num 0.99) ])
+           ("serve_hit_rate", Telemetry.Json.Num 0.99);
+           ("sched_queue_depth_max", Telemetry.Json.Num 5.) ])
   | _ -> Alcotest.fail "a record serialises to an object"
 
 (* A record written by an older (or newer) schema parses: missing
@@ -124,13 +126,14 @@ let test_record_schema_skew () =
   (* the serve_* figures this schema no longer carries: a row that has
      them parses to the same record as one without them *)
   let r = Lazy.force record in
-  (match Qor.Record.of_json (with_retired_serve_keys r) with
+  (match Qor.Record.of_json (with_retired_keys r) with
    | Error e -> Alcotest.failf "row with retired keys rejected: %s" e
    | Ok r' ->
      Alcotest.(check string) "retired keys ignored" (record_text r)
        (record_text r');
      Alcotest.(check bool) "not written back" false
-       (contains (record_text r') "serve_"));
+       (contains (record_text r') "serve_"
+        || contains (record_text r') "queue_depth"));
   match Qor.Record.of_json (Telemetry.Json.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-object record should not parse"
@@ -211,7 +214,7 @@ let test_ledger_serve_row_roundtrip () =
   let r = Lazy.force record in
   Out_channel.with_open_text path (fun oc ->
       output_string oc
-        (Telemetry.Json.to_string (with_retired_serve_keys r) ^ "\n"));
+        (Telemetry.Json.to_string (with_retired_keys r) ^ "\n"));
   let records, complaints = Qor.Ledger.load ~path in
   Alcotest.(check (list string)) "clean parse" [] complaints;
   match records with
@@ -245,6 +248,8 @@ let test_committed_files () =
     (List.length records);
   Alcotest.(check bool) "ledger has rows with retired keys" true
     (List.exists (fun l -> contains l "\"serve_requests\"") lines);
+  Alcotest.(check bool) "ledger has rows with a queue depth" true
+    (List.exists (fun l -> contains l "\"sched_queue_depth_max\"") lines);
   match Qor.Baseline.load ~path:"../BENCH_baseline.json" with
   | Error e -> Alcotest.failf "committed baseline: %s" e
   | Ok records ->
@@ -267,6 +272,25 @@ let test_version_matches_changelog () =
   in
   Alcotest.(check (option string)) "newest CHANGELOG release" heading
     (Some Qor.Provenance.changelog)
+
+(* The core count survives the ledger; a row written before the field
+   existed reads it as 0. *)
+let test_provenance_cores () =
+  let p = Qor.Provenance.capture () in
+  Alcotest.(check int) "captured" (Domain.recommended_domain_count ())
+    p.Qor.Provenance.cores;
+  let back = Qor.Provenance.of_json (Qor.Provenance.to_json p) in
+  Alcotest.(check int) "roundtrip" p.Qor.Provenance.cores
+    back.Qor.Provenance.cores;
+  let old =
+    Telemetry.Json.Obj
+      [ ("timestamp_s", Telemetry.Json.Num 1.7e9);
+        ("host", Telemetry.Json.Str "ci");
+        ("git_commit", Telemetry.Json.Null) ]
+  in
+  let old = Qor.Provenance.of_json old in
+  Alcotest.(check int) "old row reads 0" 0 old.Qor.Provenance.cores;
+  Alcotest.(check string) "old row keeps its host" "ci" old.Qor.Provenance.host
 
 (* --- tolerance policies --- *)
 
@@ -671,8 +695,7 @@ let scaling_record =
     (Qor.Record.with_scaling
        ~stage_exponent:
          [ ("place", 1.1); ("route", 0.9); ("extract", 1.3); ("total", 1.2) ]
-       ~sched_utilization:0.7 ~sched_queue_depth_max:5
-       ~sched_caller_blocked_s:0.01
+       ~sched_utilization:0.7 ~sched_caller_blocked_s:0.01
        (Lazy.force sampled_record))
 
 let test_scaling_record_roundtrip () =
@@ -686,8 +709,6 @@ let test_scaling_record_roundtrip () =
     check_float "extract exponent survives" 1.3
       (List.assoc "extract" r'.Qor.Record.stage_exponent);
     check_float "utilization survives" 0.7 r'.Qor.Record.sched_utilization;
-    Alcotest.(check int) "queue depth survives" 5
-      r'.Qor.Record.sched_queue_depth_max;
     check_float "caller stall survives" 0.01
       r'.Qor.Record.sched_caller_blocked_s
 
@@ -748,7 +769,8 @@ let () =
             test_committed_files ] );
       ( "provenance",
         [ Alcotest.test_case "version matches CHANGELOG" `Quick
-            test_version_matches_changelog ] );
+            test_version_matches_changelog;
+          Alcotest.test_case "core count" `Quick test_provenance_cores ] );
       ( "policy",
         [ Alcotest.test_case "relative thresholds" `Quick
             test_policy_rel_thresholds;

@@ -1,9 +1,9 @@
 (* Tests for scheduler observability (Par.Sched) and the cross-bit-width
    scaling probe (Ccdac.Scaling): recording is off by default and free
-   when off, batch records have the right shape, metrics/spans/traces
-   carry the sched/* surface, results stay bitwise identical with
-   recording on or off, and the log-log exponent fit is pinned on
-   synthetic data. *)
+   when off, batch records have the right shape, nested batches reach
+   the outer collector, spans and traces carry the sched.chunk surface,
+   results stay bitwise identical with recording on or off, and the
+   log-log exponent fit is pinned on synthetic data. *)
 
 module T = Telemetry
 
@@ -63,9 +63,7 @@ let test_batch_shape () =
          Alcotest.(check bool) "exec time >= 0" true
            (Par.Sched.chunk_exec_s c >= 0.);
          Alcotest.(check bool) "wait time >= 0" true
-           (Par.Sched.chunk_wait_s c >= 0.);
-         Alcotest.(check bool) "queue depth >= 0" true
-           (c.Par.Sched.c_queue_depth >= 0))
+           (Par.Sched.chunk_wait_s c >= 0.))
       chunks;
     Alcotest.(check bool) "wall covers the busy chunks" true
       (b.Par.Sched.b_wall_s > 0.);
@@ -80,11 +78,31 @@ let test_batch_shape () =
     Alcotest.(check int) "summary chunks" (List.length chunks)
       s.Par.Sched.chunks;
     Alcotest.(check int) "summary caller split" s.Par.Sched.caller_chunks
-      (List.length (List.filter (fun c -> c.Par.Sched.c_by_caller) chunks));
-    Alcotest.(check int) "summary max depth"
-      (List.fold_left (fun acc c -> max acc c.Par.Sched.c_queue_depth) 0 chunks)
-      s.Par.Sched.max_queue_depth
+      (List.length (List.filter (fun c -> c.Par.Sched.c_by_caller) chunks))
   | bs -> Alcotest.failf "expected exactly one batch, got %d" (List.length bs)
+
+(* --- batches made inside pooled tasks reach the outer collector --- *)
+
+let test_nested_batches () =
+  Par.Sched.with_enabled true @@ fun () ->
+  let sums, batches =
+    Par.Sched.collect (fun () ->
+        Par.Pool.map_list_exn ~jobs:2
+          (fun i ->
+             List.fold_left ( + ) 0
+               (Par.Pool.map_list_exn ~jobs:2 (fun j -> (10 * i) + j)
+                  [ 0; 1; 2 ]))
+          [ 1; 2; 3 ])
+  in
+  Alcotest.(check (list int)) "nested results" [ 33; 63; 93 ] sums;
+  (* one outer batch of 3 items and one inner batch of 3 per task *)
+  Alcotest.(check int) "every batch collected" 4 (List.length batches);
+  Alcotest.(check int) "items over all batches" 12
+    (List.fold_left (fun acc b -> acc + b.Par.Sched.b_items) 0 batches);
+  Alcotest.(check int) "distinct batch ids" 4
+    (List.length
+       (List.sort_uniq Int.compare
+          (List.map (fun b -> b.Par.Sched.b_id) batches)))
 
 (* --- pure observer: bitwise-identical results on vs off --- *)
 
@@ -117,22 +135,7 @@ let test_flow_bitwise_invariant () =
          off on)
     [ 1; 4 ]
 
-(* --- metrics / spans / trace surface --- *)
-
-let test_sched_metrics () =
-  Par.Sched.with_enabled true @@ fun () ->
-  let (), dump =
-    T.Metrics.collect (fun () ->
-        ignore (Par.Pool.map_list_exn ~jobs:4 busy_f (List.init 64 Fun.id)))
-  in
-  Alcotest.(check int) "one batch counted" 1
-    (T.Metrics.counter dump "sched/batches_total");
-  (* chunk executions are split by executor label *)
-  let chunks =
-    T.Metrics.counter ~label:"caller" dump "sched/chunks_total"
-    + T.Metrics.counter ~label:"worker" dump "sched/chunks_total"
-  in
-  Alcotest.(check bool) "chunks counted" true (chunks > 1)
+(* --- spans / trace surface --- *)
 
 let test_sched_spans_and_trace () =
   let path = Filename.temp_file "ccdac_sched" ".json" in
@@ -152,8 +155,6 @@ let test_sched_spans_and_trace () =
   Alcotest.(check bool) "sched.chunk spans collected" true (chunk_spans <> []);
   List.iter
     (fun s ->
-       Alcotest.(check bool) "span carries queue_depth" true
-         (List.mem_assoc "queue_depth" s.T.Span.attrs);
        Alcotest.(check bool) "span carries executor" true
          (List.mem_assoc "executor" s.T.Span.attrs))
     chunk_spans;
@@ -167,28 +168,25 @@ let test_sched_spans_and_trace () =
     go 0
   in
   Alcotest.(check bool) "trace has sched.chunk slices" true
-    (contains "sched.chunk");
-  Alcotest.(check bool) "trace has the queue_depth counter" true
-    (contains "queue_depth")
+    (contains "sched.chunk")
 
 (* --- the pay-nothing-when-off contract, per map call --- *)
 
 let test_inactive_overhead () =
   Alcotest.(check bool) "recording off" false (Par.Sched.enabled ());
-  Par.Pool.with_ ~jobs:4 @@ fun pool ->
   let xs = List.init 64 Fun.id in
-  (* warm up (spawns, queue growth) before measuring *)
-  ignore (Par.Pool.map_exn pool busy_f xs);
+  ignore (Par.Pool.map_list_exn ~jobs:4 busy_f xs);
   let n = 50 in
   let w0 = Gc.minor_words () in
   for _ = 1 to n do
-    ignore (Par.Pool.map_exn pool busy_f xs)
+    ignore (Par.Pool.map_list_exn ~jobs:4 busy_f xs)
   done;
   let per_map = (Gc.minor_words () -. w0) /. float_of_int n in
-  (* A 64-item batch allocates ~item slots + chunk closures + result
-     list regardless of instrumentation; the bound leaves that room but
-     would catch per-chunk timestamp/record allocation on the off path
-     (each Gc/clock record costs hundreds of words x 16 chunks). *)
+  (* A 64-item call allocates ~item slots + result list + the spawned
+     domains' handles regardless of instrumentation; the bound leaves
+     that room but would catch per-chunk timestamp/record allocation on
+     the off path (each Gc/clock record costs hundreds of words x 16
+     chunks). *)
   Alcotest.(check bool)
     (Printf.sprintf "off-path map allocates < 4096 words (got %.0f)" per_map)
     true (per_map < 4096.)
@@ -273,6 +271,7 @@ let () =
         [ Alcotest.test_case "disabled by default" `Quick
             test_disabled_by_default;
           Alcotest.test_case "batch shape" `Quick test_batch_shape;
+          Alcotest.test_case "nested batches" `Quick test_nested_batches;
           Alcotest.test_case "inactive overhead" `Quick test_inactive_overhead
         ] );
       ( "determinism",
@@ -281,8 +280,7 @@ let () =
           Alcotest.test_case "flow bitwise invariant" `Quick
             test_flow_bitwise_invariant ] );
       ( "surface",
-        [ Alcotest.test_case "sched metrics" `Quick test_sched_metrics;
-          Alcotest.test_case "spans and chrome trace" `Quick
+        [ Alcotest.test_case "spans and chrome trace" `Quick
             test_sched_spans_and_trace ] );
       ( "scaling",
         [ Alcotest.test_case "fit_loglog" `Quick test_fit_loglog;
