@@ -620,22 +620,14 @@ let profile_cmd =
         ("memory", memory_json r) ]
   in
   let run bits_list styles granularity tech repeat json mem verbose trace
-      metrics_fmt jobs =
+      metrics_fmt =
     setup_logs verbose;
-    apply_jobs jobs;
     if repeat < 1 then begin
       Printf.eprintf "ccgen: --repeat must be >= 1\n";
       exit 2
     end;
     List.iter check_bits bits_list;
-    (* Scheduler recording is on for the whole profile: when --jobs sends
-       work through Par.Pool, the run picks up the per-worker sched.chunk
-       tracks in the --trace file and the scheduler section below.
-       Flow.run has no pool, so today no batch is recorded and the
-       section stays silent. *)
-    let (medians, dump), sched_batches =
-      Par.Sched.with_enabled true @@ fun () ->
-      Par.Sched.collect @@ fun () ->
+    let medians, dump =
       Telemetry.Memory.with_enabled mem @@ fun () ->
       Telemetry.Metrics.collect @@ fun () ->
       with_trace trace @@ fun () ->
@@ -650,7 +642,6 @@ let profile_cmd =
              styles)
         bits_list
     in
-    let sched = Par.Sched.summarize sched_batches in
     if json then begin
       let open Telemetry.Json in
       print_endline
@@ -660,9 +651,6 @@ let profile_cmd =
                 ("tech", Str tech.Tech.Process.name);
                 ("repeat", Num (float_of_int repeat));
                 ("runs", Arr (List.map json_of_run medians));
-                ( "sched",
-                  if sched.Par.Sched.batches = 0 then Null
-                  else Par.Sched.summary_to_json sched );
                 ("metrics", Telemetry.Metrics.to_json dump) ]))
     end
     else begin
@@ -726,21 +714,19 @@ let profile_cmd =
                (q 0.99))
           dists
       end;
-      if sched.Par.Sched.batches > 0 then
-        Format.printf "scheduler: %a@." Par.Sched.pp_summary sched;
       print_metrics metrics_fmt dump
     end
   in
   let doc =
     "Profile the flow over a (style, bits) matrix: per-stage wall time and \
      layout metrics, with optional GC sampling ($(b,--mem)), Chrome trace \
-     and metrics dump.  With $(b,--jobs) > 1 the report also carries the \
-     Par.Pool scheduler summary (docs/PARALLEL.md)."
+     and metrics dump.  The flow runs serially: it has no parallel \
+     section."
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ bits_list_arg $ styles_arg $ gran_arg $ tech_arg
           $ repeat_arg $ json_arg $ mem_arg $ verbose_arg $ trace_arg
-          $ metrics_arg $ jobs_arg)
+          $ metrics_arg)
 
 (* --- scale: cross-bit-width scaling probe --- *)
 

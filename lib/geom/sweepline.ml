@@ -240,29 +240,29 @@ let crossing sc b nh nvp emit =
 
 let contacts sc b f =
   let n = Array.length b.x0 in
+  (* classify the boxes, and bound the coordinates: every sort key is
+     one *)
   let nh = ref 0 and nv = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
-    let wx = b.x1.(i) > b.x0.(i) and wy = b.y1.(i) > b.y0.(i) in
+    let x0 = b.x0.(i) and y0 = b.y0.(i) and x1 = b.x1.(i) and y1 = b.y1.(i) in
+    let wx = x1 > x0 and wy = y1 > y0 in
     if wx && wy then
       invalid_arg
         (Printf.sprintf
            "Sweepline.contacts: box %d is extended in both axes [%d, %d] x \
             [%d, %d]"
-           i b.x0.(i) b.x1.(i) b.y0.(i) b.y1.(i))
+           i x0 x1 y0 y1)
     else if wx then incr nh
-    else if wy then incr nv
+    else if wy then incr nv;
+    if x0 < !lo then lo := x0;
+    if y0 < !lo then lo := y0;
+    if x1 > !hi then hi := x1;
+    if y1 > !hi then hi := y1
   done;
   let nh = !nh and nv = !nv in
   let np = n - nh - nv in
-  (* every sort key is a coordinate *)
-  let lo = ref 0 and hi = ref 0 in
-  if n > 0 then begin
-    lo := Int.min (Array.fold_left Int.min max_int b.x0)
-        (Array.fold_left Int.min max_int b.y0);
-    hi := Int.max (Array.fold_left Int.max min_int b.x1)
-        (Array.fold_left Int.max min_int b.y1)
-  end;
-  set_digit sc (!hi - !lo);
+  set_digit sc (if n = 0 then 0 else !hi - !lo);
   let longest = np + Int.max nh nv in
   sc.keys <- room sc.keys longest;
   sc.keys' <- room sc.keys' longest;

@@ -1,8 +1,8 @@
 (** Axis-aligned contact detection on an integer grid by plane sweep.
 
-    The LVS extractor reduces same-layer connectivity to one question: which
-    pairs of axis-aligned shapes (wire segments, via landings, plate pads
-    collapsed to points) touch?  Coordinates are integers (grid units), so
+    The LVS extractor reduces same-layer connectivity among routed metal to
+    one question: which pairs of axis-aligned shapes (wire segments, via
+    landings as points) touch?  Coordinates are integers (grid units), so
     contact is exact: two closed boxes touch when their extents intersect
     in both axes, with no tolerance.  A naive all-pairs test is O(n²); this
     module answers it with three passes over arrays of box indices:

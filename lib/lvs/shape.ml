@@ -27,6 +27,9 @@ type t = {
   kind : kind array;
   label : int array;
   pads : int array;
+  top_pads : int array;
+  col_x : int array;
+  row_y : int array;
   drivers : int array;
   layers : layer array;
 }
@@ -99,7 +102,7 @@ let add f id x0 y0 x1 y1 =
   f.f_y1.(i) <- y1;
   f.f_n <- i + 1
 
-(* A fill stops short of its size only when off-grid shapes were left
+(* A fill stops short of its size only when rejected shapes were left
    out, and then no layer is read. *)
 let layer_of f =
   { ids = f.f_ids;
@@ -112,6 +115,29 @@ let layers_name l1 l2 =
   let name = function 0 -> "M1" | 1 -> "M2" | _ -> "M3" in
   if l2 < 0 then name l1 else name l1 ^ "+" ^ name l2
 
+(* how a diagnostic names shape [id] of kind [k] on layers [l1], [l2] *)
+let where id k l1 l2 =
+  Printf.sprintf "shape %d (%s on %s)" id (kind_name k) (layers_name l1 l2)
+
+(* One family of diagnostics: how many shapes it caught, and the
+   diagnostics of the first [max_reported], newest first. *)
+type tally = {
+  mutable caught : int;
+  mutable first : D.t list;
+}
+
+let tally () = { caught = 0; first = [] }
+
+let note t d =
+  t.caught <- t.caught + 1;
+  if t.caught <= max_reported then t.first <- d () :: t.first
+
+(* the diagnostic counting what [t] caught beyond the first few *)
+let rest t rule what =
+  if t.caught > max_reported then
+    [ D.makef rule "%d more %s" (t.caught - max_reported) what ]
+  else []
+
 let of_layout (l : L.t) =
   let p = l.L.placement in
   let rows = p.Placement.rows and cols = p.Placement.cols in
@@ -121,9 +147,10 @@ let of_layout (l : L.t) =
     (Array.iter (fun k -> if k <> Placement.dummy then incr n_pads))
     p.Placement.assign;
   let n_pads = !n_pads in
-  (* shapes per layer: pads on M1, top pads on M2, each wire on its
-     layer, each via on M1 and M3 *)
-  let per_layer = [| n_pads; n_cells; 0 |] in
+  (* boxes per layer: each wire on its layer, each via on M1 and M3.  The
+     cell plates get shape ids but no box: they sit on the lattice below,
+     where extraction looks them up. *)
+  let per_layer = [| 0; 0; 0 |] in
   let n_wires = ref 0 in
   let count_wire (w : L.wire) =
     incr n_wires;
@@ -137,44 +164,52 @@ let of_layout (l : L.t) =
   per_layer.(2) <- per_layer.(2) + n_vias;
   let n = n_pads + n_cells + !n_wires + n_vias in
   let kind = Array.make n Pad and label = Array.make n top in
-  let pads = Array.make n_cells (-1) in
+  let pads = Array.make n_cells (-1) and top_pads = Array.make n_cells 0 in
   let fills = Array.map fill per_layer in
-  let off = ref [] and n_off = ref 0 in
-  let unknown = ref [] and n_unknown = ref 0 in
+  let off = tally () and unknown = tally () and diagonal = tally () in
   let n_nets = Array.length l.L.nets in
   let next = ref 0 in
-  (* shape [k] labelled [lab] on layer [l1] (and [l2] unless negative),
-     spanning (ax, ay)-(bx, by) um, snapped to (sax, say)-(sbx, sby) *)
-  let emit k lab l1 l2 ax ay bx by sax say sbx sby =
+  let fresh k lab =
     let id = !next in
     incr next;
     kind.(id) <- k;
     label.(id) <- lab;
+    id
+  in
+  (* the checks of shape [id] labelled [lab] on layer [l1] (and [l2]
+     unless negative), spanning (ax, ay)-(bx, by) um, snapped to
+     (sax, say)-(sbx, sby): true when it is on the grid and runs along at
+     most one axis, so that it has a box *)
+  let check id k lab l1 l2 ax ay bx by sax say sbx sby =
     (* a via is a net's terminal: only wires and top pads carry TOP *)
     if (lab = top && k = Via) || (lab <> top && (lab < 0 || lab >= n_nets))
-    then begin
-      incr n_unknown;
-      if !n_unknown <= max_reported then
-        unknown :=
+    then
+      note unknown (fun () ->
           D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_unknown_net
-            "shape %d (%s on %s) names C_%d, but the layout's nets are \
-             C_0..C_%d"
-            id (kind_name k) (layers_name l1 l2) lab (n_nets - 1)
-          :: !unknown
-    end;
+            "%s names C_%d, but the layout's nets are C_0..C_%d"
+            (where id k l1 l2) lab (n_nets - 1));
     if sax = off_grid || say = off_grid || sbx = off_grid || sby = off_grid
     then begin
-      incr n_off;
-      if !n_off <= max_reported then
-        off :=
+      note off (fun () ->
           D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_off_grid
-            "shape %d (%s on %s) at x [%.6f, %.6f] y [%.6f, %.6f] um is off \
-             the %g nm grid"
-            id (kind_name k) (layers_name l1 l2) (Float.min ax bx)
-            (Float.max ax bx) (Float.min ay by) (Float.max ay by) unit_nm
-          :: !off
+            "%s at x [%.6f, %.6f] y [%.6f, %.6f] um is off the %g nm grid"
+            (where id k l1 l2) (Float.min ax bx) (Float.max ax bx)
+            (Float.min ay by) (Float.max ay by) unit_nm);
+      false
     end
-    else begin
+    else if sax <> sbx && say <> sby then begin
+      note diagonal (fun () ->
+          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_diagonal
+            "%s from (%.6f, %.6f) to (%.6f, %.6f) um runs along both axes"
+            (where id k l1 l2) ax ay bx by);
+      false
+    end
+    else true
+  in
+  (* a routed shape: a wire, or a via (on M1 and M3) *)
+  let emit k lab l1 l2 ax ay bx by sax say sbx sby =
+    let id = fresh k lab in
+    if check id k lab l1 l2 ax ay bx by sax say sbx sby then begin
       let x0 = Int.min sax sbx and x1 = Int.max sax sbx in
       let y0 = Int.min say sby and y1 = Int.max say sby in
       add fills.(l1) id x0 y0 x1 y1;
@@ -184,17 +219,28 @@ let of_layout (l : L.t) =
   in
   (* cell plates: bottom pads carry the owning capacitor's net on M1;
      top pads (every cell, dummies included — the physical top plate is
-     part of the unit capacitor) carry the shared TOP net on M2 *)
+     part of the unit capacitor) carry the shared TOP net on M2.  A plate
+     with a known net on the grid needs no check; any other goes through
+     the checks for its diagnostics. *)
   let col_x = l.L.col_x and row_y = l.L.row_y in
   let sx = Array.map snap col_x and sy = Array.map snap row_y in
   for row = 0 to rows - 1 do
     let y = row_y.(row) and s_y = sy.(row) in
     for col = 0 to cols - 1 do
       let x = col_x.(col) and s_x = sx.(col) in
+      let on_grid = s_x <> off_grid && s_y <> off_grid in
+      let cell = (row * cols) + col in
       let k = p.Placement.assign.(row).(col) in
-      if k <> Placement.dummy then
-        pads.((row * cols) + col) <- emit Pad k 0 (-1) x y x y s_x s_y s_x s_y;
-      ignore (emit Top_pad top 1 (-1) x y x y s_x s_y s_x s_y)
+      if k <> Placement.dummy then begin
+        let id = fresh Pad k in
+        pads.(cell) <- id;
+        if not (on_grid && k >= 0 && k < n_nets) then
+          ignore (check id Pad k 0 (-1) x y x y s_x s_y s_x s_y)
+      end;
+      let id = fresh Top_pad top in
+      top_pads.(cell) <- id;
+      if not on_grid then
+        ignore (check id Top_pad top 1 (-1) x y x y s_x s_y s_x s_y)
     done
   done;
   let wire (w : L.wire) =
@@ -217,25 +263,24 @@ let of_layout (l : L.t) =
        in
        if s_y <> off_grid && s_y <= 0 then drivers := id :: !drivers)
     l.L.vias;
-  if !n_off > 0 || !n_unknown > 0 then
+  if off.caught > 0 || unknown.caught > 0 || diagonal.caught > 0 then
     Error
       (D.sort
-         ((if !n_off > max_reported then
-             [ D.makef Verify.Lvs_rules.r_off_grid
-                 "%d more shapes off the %g nm grid" (!n_off - max_reported)
-                 unit_nm ]
-           else [])
-          @ (if !n_unknown > max_reported then
-               [ D.makef Verify.Lvs_rules.r_unknown_net
-                   "%d more shapes name no net of the layout"
-                   (!n_unknown - max_reported) ]
-             else [])
-          @ !off @ !unknown))
+         (rest off Verify.Lvs_rules.r_off_grid
+            (Printf.sprintf "shapes off the %g nm grid" unit_nm)
+          @ rest unknown Verify.Lvs_rules.r_unknown_net
+            "shapes name no net of the layout"
+          @ rest diagonal Verify.Lvs_rules.r_diagonal
+            "wires run along both axes"
+          @ off.first @ unknown.first @ diagonal.first))
   else
     Ok
       { cols;
         kind;
         label;
         pads;
+        top_pads;
+        col_x = sx;
+        row_y = sy;
         drivers = Array.of_list (List.rev !drivers);
         layers = Array.map layer_of fills }

@@ -37,11 +37,12 @@ let definitions =
     (* lvs *)
     m ~id:"lvs/shapes" ~kind:Metric.Gauge ~stage:"lvs" ~unit_:"1"
       ~cardinality:"1"
-      ~doc:"Shapes (pads, wires, vias) flattened and swept by the last LVS \
+      ~doc:"Shapes (cell plates, wires, vias) flattened by the last LVS \
             extraction.";
     m ~id:"lvs/contacts" ~kind:Metric.Gauge ~stage:"lvs" ~unit_:"1"
       ~cardinality:"1"
-      ~doc:"Same-layer contact pairs reported by the sweepline.";
+      ~doc:"Same-layer contact pairs found by the sweepline and the plate \
+            lattice.";
     m ~id:"lvs/components" ~kind:Metric.Gauge ~stage:"lvs" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Connected components after closing connectivity through vias.";

@@ -42,6 +42,12 @@ let r_unknown_net =
      or (wires only) to the shared top plate; a shape naming any other \
      capacitor is reported and the layout is not extracted."
 
+let r_diagonal =
+  lvs "diagonal"
+    "Every drawn wire must run along one axis, horizontal or vertical; a \
+     wire extended in both x and y is reported and the layout is not \
+     extracted."
+
 let rules =
   [ r_short; r_open; r_floating_cell; r_dangling; r_top_open;
-    r_netbuild_mismatch; r_off_grid; r_unknown_net ]
+    r_netbuild_mismatch; r_off_grid; r_unknown_net; r_diagonal ]

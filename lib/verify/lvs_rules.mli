@@ -29,5 +29,8 @@ val r_off_grid : Rule.t
 (** ["lvs/unknown-net"] *)
 val r_unknown_net : Rule.t
 
+(** ["lvs/diagonal"] *)
+val r_diagonal : Rule.t
+
 (** Every rule this module owns. *)
 val rules : Rule.t list

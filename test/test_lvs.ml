@@ -316,14 +316,13 @@ let test_stats_sane () =
 
 (* --- pinned outputs of the signoff designs --- *)
 
-(* The sorted contact pairs the sweep reports on one metal layer, as
+(* The sorted contact pairs extraction finds on one metal layer, as
    shape ids. *)
 let layer_contacts (shapes : Lvs.Shape.t) layer =
-  let l = Lvs.Shape.layer shapes layer in
-  let ids = l.Lvs.Shape.ids in
-  List.map (fun (i, j) -> (min ids.(i) ids.(j), max ids.(i) ids.(j)))
-    (contacts l.Lvs.Shape.boxes)
-  |> List.sort compare
+  let pairs = ref [] in
+  Lvs.Extracted.contacts shapes layer (fun a b ->
+      pairs := (min a b, max a b) :: !pairs);
+  List.sort compare !pairs
 
 let flat l =
   match Lvs.Shape.of_layout l with
@@ -723,6 +722,46 @@ let test_top_plate_via () =
   Alcotest.(check (list string)) "rules" [ "lvs/unknown-net" ]
     (fired r.Lvs.Check.diagnostics)
 
+let test_diagonal_wire () =
+  (* one branch's end moved 0.5 um in x and y: verify's direction rule
+     fires, and LVS reports the wire instead of handing the sweep a box
+     extended in both axes *)
+  let shapes = (Lvs.Check.run spiral6).Lvs.Check.stats.Lvs.Check.shapes in
+  let i, w =
+    match
+      List.find_index
+        (fun (w : L.wire) -> w.L.w_kind = L.Branch)
+        spiral6.L.wires
+    with
+    | Some i -> (i, List.nth spiral6.L.wires i)
+    | None -> Alcotest.fail "spiral6 has no branch"
+  in
+  let moved = { w with L.w_bx = w.L.w_bx +. 0.5; w_by = w.L.w_by +. 0.5 } in
+  let l =
+    { spiral6 with
+      L.wires =
+        List.mapi (fun j w' -> if j = i then moved else w') spiral6.L.wires }
+  in
+  Alcotest.(check bool) "verify reports the direction" true
+    (List.mem "route/reserved-direction"
+       (fired (Verify.Engine.check_artifacts l)));
+  (* shape ids: the plates, then the wires in layout order *)
+  let id =
+    shapes - List.length l.L.vias - List.length l.L.top_wires
+    - List.length l.L.wires + i
+  in
+  let r = run_lvs "diagonal branch" l in
+  Alcotest.(check (list (triple string string string)))
+    "one diagonal diagnostic naming the wire"
+    [ ( "lvs/diagonal",
+        Printf.sprintf "C_%d" w.L.w_cap,
+        Printf.sprintf
+          "shape %d (branch on M1) from (%.6f, %.6f) to (%.6f, %.6f) um runs \
+           along both axes"
+          id w.L.w_ax w.L.w_ay moved.L.w_bx moved.L.w_by ) ]
+    (triples r.Lvs.Check.diagnostics);
+  Alcotest.(check bool) "not extracted" true (r.Lvs.Check.stats = no_stats)
+
 let test_zero_parallel_lvs () =
   (* C_8 with a parallel-wire count of 0, then with none at all: its RC
      tree cannot be built, and the cross-check names the plan's rule
@@ -1106,6 +1145,448 @@ let test_noise_snaps () =
     [ ("spiral 6-bit", spiral6);
       ("chessboard 8-bit", layout_of Ccplace.Style.Chessboard 8) ]
 
+(* --- cell plates on their lattice, against plates as sweep points --- *)
+
+(* Shape.of_layout and Extracted.extract as they stood before the cell
+   plates left the sweep, the reference for the lattice path: every pad
+   is a point box on M1 and every top pad one on M2, ahead of the wires
+   and vias in shape-id order, and all of a layer's contacts are the
+   sweep's. *)
+type reference = {
+  r_kind : Lvs.Shape.kind array;
+  r_label : int array;
+  r_pads : int array;
+  r_drivers : int array;
+  r_layers : Lvs.Shape.layer array;  (* M1, M2, M3 *)
+}
+
+let r_off_grid = min_int
+
+let reference_snap v =
+  let units = float_of_int Lvs.Shape.units_per_um in
+  let u = v *. units in
+  let r = Float.round u in
+  if
+    Float.abs (u -. r) <= Lvs.Shape.tolerance_um *. units
+    && Float.abs r <= float_of_int (1 lsl 40)
+  then Float.to_int r
+  else r_off_grid
+
+let reference_flatten (l : L.t) =
+  let module D = Verify.Diagnostic in
+  let module S = Lvs.Shape in
+  let p = l.L.placement in
+  let rows = p.Ccgrid.Placement.rows and cols = p.Ccgrid.Placement.cols in
+  let layer_index = function
+    | Tech.Layer.M1 -> 0
+    | Tech.Layer.M2 -> 1
+    | Tech.Layer.M3 -> 2
+  in
+  let layers_name l1 l2 =
+    let name = function 0 -> "M1" | 1 -> "M2" | _ -> "M3" in
+    if l2 < 0 then name l1 else name l1 ^ "+" ^ name l2
+  in
+  let boxes = Array.init 3 (fun _ -> ref []) in
+  let kind = ref [] and label = ref [] in
+  let pads = Array.make (rows * cols) (-1) in
+  let off = ref [] and n_off = ref 0 in
+  let unknown = ref [] and n_unknown = ref 0 in
+  let n_nets = Array.length l.L.nets in
+  let next = ref 0 in
+  let emit k lab l1 l2 ax ay bx by sax say sbx sby =
+    let id = !next in
+    incr next;
+    kind := k :: !kind;
+    label := lab :: !label;
+    if
+      (lab = S.top && k = S.Via)
+      || (lab <> S.top && (lab < 0 || lab >= n_nets))
+    then begin
+      incr n_unknown;
+      if !n_unknown <= 8 then
+        unknown :=
+          D.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_unknown_net
+            "shape %d (%s on %s) names C_%d, but the layout's nets are \
+             C_0..C_%d"
+            id (S.kind_name k) (layers_name l1 l2) lab (n_nets - 1)
+          :: !unknown
+    end;
+    if sax = r_off_grid || say = r_off_grid || sbx = r_off_grid
+       || sby = r_off_grid
+    then begin
+      incr n_off;
+      if !n_off <= 8 then
+        off :=
+          D.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_off_grid
+            "shape %d (%s on %s) at x [%.6f, %.6f] y [%.6f, %.6f] um is off \
+             the %g nm grid"
+            id (S.kind_name k) (layers_name l1 l2) (Float.min ax bx)
+            (Float.max ax bx) (Float.min ay by) (Float.max ay by) S.unit_nm
+          :: !off
+    end
+    else begin
+      let box =
+        (id, Int.min sax sbx, Int.min say sby, Int.max sax sbx, Int.max say sby)
+      in
+      boxes.(l1) := box :: !(boxes.(l1));
+      if l2 >= 0 then boxes.(l2) := box :: !(boxes.(l2))
+    end;
+    id
+  in
+  let sx = Array.map reference_snap l.L.col_x in
+  let sy = Array.map reference_snap l.L.row_y in
+  for row = 0 to rows - 1 do
+    let y = l.L.row_y.(row) in
+    for col = 0 to cols - 1 do
+      let x = l.L.col_x.(col) in
+      let k = p.Ccgrid.Placement.assign.(row).(col) in
+      if k <> Ccgrid.Placement.dummy then
+        pads.((row * cols) + col) <-
+          emit S.Pad k 0 (-1) x y x y sx.(col) sy.(row) sx.(col) sy.(row);
+      ignore
+        (emit S.Top_pad S.top 1 (-1) x y x y sx.(col) sy.(row) sx.(col)
+           sy.(row))
+    done
+  done;
+  let wire (w : L.wire) =
+    let lab = if w.L.w_cap < 0 then S.top else w.L.w_cap in
+    let kind =
+      match w.L.w_kind with
+      | L.Branch -> S.Branch
+      | L.Stub -> S.Stub
+      | L.Trunk -> S.Trunk
+      | L.Bridge -> S.Bridge
+      | L.Top -> S.Top_wire
+    in
+    ignore
+      (emit kind lab (layer_index w.L.w_layer) (-1) w.L.w_ax w.L.w_ay w.L.w_bx
+         w.L.w_by (reference_snap w.L.w_ax) (reference_snap w.L.w_ay)
+         (reference_snap w.L.w_bx) (reference_snap w.L.w_by))
+  in
+  List.iter wire l.L.wires;
+  List.iter wire l.L.top_wires;
+  let drivers = ref [] in
+  List.iter
+    (fun (v : L.via) ->
+       let s_x = reference_snap v.L.v_x and s_y = reference_snap v.L.v_y in
+       let id =
+         emit S.Via v.L.v_cap 0 2 v.L.v_x v.L.v_y v.L.v_x v.L.v_y s_x s_y s_x
+           s_y
+       in
+       if s_y <> r_off_grid && s_y <= 0 then drivers := id :: !drivers)
+    l.L.vias;
+  if !n_off > 0 || !n_unknown > 0 then
+    Error
+      (D.sort
+         ((if !n_off > 8 then
+             [ D.makef Verify.Lvs_rules.r_off_grid
+                 "%d more shapes off the %g nm grid" (!n_off - 8) S.unit_nm ]
+           else [])
+          @ (if !n_unknown > 8 then
+               [ D.makef Verify.Lvs_rules.r_unknown_net
+                   "%d more shapes name no net of the layout"
+                   (!n_unknown - 8) ]
+             else [])
+          @ !off @ !unknown))
+  else
+    let layer boxes =
+      let a = Array.of_list (List.rev !boxes) in
+      let pick f = Array.map f a in
+      { S.ids = pick (fun (id, _, _, _, _) -> id);
+        boxes =
+          { Geom.Sweepline.x0 = pick (fun (_, x0, _, _, _) -> x0);
+            y0 = pick (fun (_, _, y0, _, _) -> y0);
+            x1 = pick (fun (_, _, _, x1, _) -> x1);
+            y1 = pick (fun (_, _, _, _, y1) -> y1) } }
+    in
+    Ok
+      { r_kind = Array.of_list (List.rev !kind);
+        r_label = Array.of_list (List.rev !label);
+        r_pads = pads;
+        r_drivers = Array.of_list (List.rev !drivers);
+        r_layers = Array.map layer boxes }
+
+(* one reference layer's contacts, all from the sweep, as sorted shape-id
+   pairs *)
+let reference_contacts r j =
+  let l = r.r_layers.(j) in
+  let ids = l.Lvs.Shape.ids in
+  List.sort compare
+    (List.map
+       (fun (a, b) -> (min ids.(a) ids.(b), max ids.(a) ids.(b)))
+       (contacts l.Lvs.Shape.boxes))
+
+(* the reference's union-find over the three sweeps *)
+let reference_extract r =
+  let n = Array.length r.r_kind in
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      parent.(i) <- parent.(p);
+      find parent.(i)
+    end
+  in
+  let contacts = ref 0 in
+  Array.iter
+    (fun (l : Lvs.Shape.layer) ->
+       let ids = l.Lvs.Shape.ids in
+       Geom.Sweepline.contacts (Geom.Sweepline.scratch ()) l.Lvs.Shape.boxes
+         (fun a b ->
+            incr contacts;
+            let ra = find ids.(a) and rb = find ids.(b) in
+            if ra <> rb then parent.(Int.max ra rb) <- Int.min ra rb))
+    r.r_layers;
+  (* the lowest shape id of each component is its root *)
+  let comp = Array.make n (-1) and next = ref 0 in
+  let comp_of =
+    Array.init n (fun i ->
+        let root = find i in
+        if comp.(root) < 0 then begin
+          comp.(root) <- !next;
+          incr next
+        end;
+        comp.(root))
+  in
+  { Lvs.Extracted.comp_of; n_components = !next; n_contacts = !contacts }
+
+(* [l] through both paths: the same diagnostics when flattening fails;
+   otherwise the same kinds, labels, pads and drivers, the same contact
+   pairs on every layer, the same components and stats.  True when both
+   extracted it. *)
+let check_lattice what l =
+  match (Lvs.Shape.of_layout l, reference_flatten l) with
+  | Error d, Error d' ->
+    Alcotest.(check (list (triple string string string)))
+      (what ^ ": diagnostics") (triples d') (triples d);
+    false
+  | Ok shapes, Ok r ->
+    let ints = Alcotest.(array int) in
+    Alcotest.(check bool) (what ^ ": kinds") true
+      (shapes.Lvs.Shape.kind = r.r_kind);
+    Alcotest.check ints (what ^ ": labels") r.r_label shapes.Lvs.Shape.label;
+    Alcotest.check ints (what ^ ": pads") r.r_pads shapes.Lvs.Shape.pads;
+    Alcotest.check ints (what ^ ": drivers") r.r_drivers
+      shapes.Lvs.Shape.drivers;
+    List.iteri
+      (fun j layer ->
+         Alcotest.(check (list (pair int int)))
+           (Format.asprintf "%s: %a contacts" what Tech.Layer.pp_name layer)
+           (reference_contacts r j) (layer_contacts shapes layer))
+      Tech.Layer.[ M1; M2; M3 ];
+    let ex = Lvs.Extracted.extract shapes and ex' = reference_extract r in
+    Alcotest.check ints (what ^ ": components") ex'.Lvs.Extracted.comp_of
+      ex.Lvs.Extracted.comp_of;
+    let stats (e : Lvs.Extracted.t) =
+      (Array.length r.r_kind, e.Lvs.Extracted.n_contacts,
+       e.Lvs.Extracted.n_components)
+    in
+    let s = (run_lvs what l).Lvs.Check.stats in
+    Alcotest.(check (triple int int int)) (what ^ ": stats") (stats ex')
+      (s.Lvs.Check.shapes, s.Lvs.Check.contacts, s.Lvs.Check.components);
+    true
+  | Ok _, Error d ->
+    Alcotest.failf "%s: only the reference rejects it:\n%s" what
+      (Verify.Report.text d)
+  | Error d, Ok _ ->
+    Alcotest.failf "%s: only the lattice path rejects it:\n%s" what
+      (Verify.Report.text d)
+
+let test_lattice_golden () =
+  let dummies = ref 0 in
+  List.iter
+    (fun (bits, style) ->
+       let l =
+         layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) style
+           bits
+       in
+       Array.iter
+         (Array.iter (fun k -> if k = Ccgrid.Placement.dummy then incr dummies))
+         l.L.placement.Ccgrid.Placement.assign;
+       Alcotest.(check bool) "extracted" true
+         (check_lattice
+            (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+            l))
+    golden_designs;
+  Alcotest.(check bool) "dummy cells among them" true (!dummies > 0)
+
+(* Hand-corrupted lattices, plate contacts and plates with diagnostics. *)
+let corrupted_lattices l =
+  let cols = Array.length l.L.col_x and rows = Array.length l.L.row_y in
+  (* [l] with copies of its column x's and row y's edited *)
+  let lattice fx fy =
+    let col_x = Array.copy l.L.col_x and row_y = Array.copy l.L.row_y in
+    fx col_x;
+    fy row_y;
+    { l with L.col_x; row_y }
+  in
+  let keep (_ : float array) = () in
+  let x = l.L.col_x and y = l.L.row_y in
+  let assign = Array.map Array.copy l.L.placement.Ccgrid.Placement.assign in
+  assign.(0).(0) <- Array.length l.L.nets;
+  [ ("duplicate column", lattice (fun x -> x.(2) <- x.(1)) keep);
+    ("duplicate row", lattice keep (fun y -> y.(3) <- y.(2)));
+    ( "duplicate column and rows",
+      lattice
+        (fun x -> x.(4) <- x.(5))
+        (fun y ->
+           y.(1) <- y.(0);
+           y.(2) <- y.(0)) );
+    ( "swapped rows",
+      lattice keep (fun y ->
+          let t = y.(1) in
+          y.(1) <- y.(rows - 2);
+          y.(rows - 2) <- t) );
+    ( "columns shifted 0.5 nm",
+      lattice (fun x -> Array.iteri (fun i v -> x.(i) <- v +. 0.0005) x) keep );
+    ( "M1 wire spanning a row of pads",
+      { l with
+        L.wires =
+          { L.w_cap = 0; w_kind = L.Branch; w_layer = Tech.Layer.M1;
+            w_ax = x.(0); w_ay = y.(2); w_bx = x.(cols - 1); w_by = y.(2);
+            w_p = 1 }
+          :: l.L.wires } );
+    ( "via on a pad",
+      { l with
+        L.vias = { L.v_cap = 0; v_x = x.(2); v_y = y.(1); v_p = 1 } :: l.L.vias
+      } );
+    ( "extra top wire",
+      { l with
+        L.top_wires =
+          { L.w_cap = -2; w_kind = L.Top; w_layer = Tech.Layer.M2;
+            w_ax = x.(1); w_ay = y.(0); w_bx = x.(1); w_by = y.(rows - 1);
+            w_p = 1 }
+          :: l.L.top_wires } );
+    ( "column a quarter unit off the grid",
+      lattice (fun x -> x.(3) <- x.(3) +. quarter_unit) keep );
+    ( "pad naming no net",
+      { l with
+        L.placement = { l.L.placement with Ccgrid.Placement.assign } } ) ]
+
+let test_lattice_corrupted () =
+  List.iter
+    (fun (design, l) ->
+       Alcotest.(check (list (pair string bool)))
+         (design ^ ": extracted, all but the last two")
+         [ ("duplicate column", true); ("duplicate row", true);
+           ("duplicate column and rows", true); ("swapped rows", true);
+           ("columns shifted 0.5 nm", true);
+           ("M1 wire spanning a row of pads", true); ("via on a pad", true);
+           ("extra top wire", true);
+           ("column a quarter unit off the grid", false);
+           ("pad naming no net", false) ]
+         (List.map
+            (fun (what, l') -> (what, check_lattice (design ^ ", " ^ what) l'))
+            (corrupted_lattices l)))
+    [ ("spiral 6-bit", spiral6);
+      ("chessboard 7-bit", layout_of Ccplace.Style.Chessboard 7) ]
+
+(* Random lattices (columns and rows drawn from a few values, so unsorted
+   and repeating), random plates (some cells empty) and random wires and
+   points on or near the lattice: every contact the layer iterator
+   reports, as a multiset, is a brute-force contact — two boxes touching,
+   a plate inside a box, or two plates on one point — and every one is
+   reported. *)
+let gen_lattice_case =
+  let open QCheck.Gen in
+  let coord = int_range 0 12 in
+  let* cols = int_range 1 6 and* rows = int_range 1 6 in
+  let* col_x = array_size (return cols) coord
+  and* row_y = array_size (return rows) coord
+  and* plates =
+    array_size (return (rows * cols)) (frequencyl [ (3, true); (1, false) ])
+  and* segs =
+    list_size (int_range 0 12)
+      (let* o = int_range 0 2
+       and* x = int_range (-1) 13
+       and* y = int_range (-1) 13
+       and* len = int_range 1 8 in
+       return
+         (match o with
+          | 0 -> (x, y, x + len, y)
+          | 1 -> (x, y, x, y + len)
+          | _ -> (x, y, x, y)))
+  in
+  return (cols, col_x, row_y, plates, segs)
+
+let lattice_case_arb =
+  let print (cols, col_x, row_y, plates, segs) =
+    let ints a =
+      String.concat " " (Array.to_list (Array.map string_of_int a))
+    in
+    Printf.sprintf "cols %d, x [%s], y [%s], plates [%s], boxes %s" cols
+      (ints col_x) (ints row_y)
+      (String.concat ""
+         (Array.to_list
+            (Array.map (fun b -> if b then "1" else "0") plates)))
+      (String.concat "; "
+         (List.map
+            (fun (ax, ay, bx, by) ->
+               Printf.sprintf "(%d,%d)-(%d,%d)" ax ay bx by)
+            segs))
+  in
+  QCheck.make ~print gen_lattice_case
+
+let lattice_matches_brute_force (cols, col_x, row_y, has_plate, segs) =
+  (* shape ids: the plates per cell, then the boxes *)
+  let next = ref 0 in
+  let plates =
+    Array.map
+      (fun b ->
+         if b then begin
+           incr next;
+           !next - 1
+         end
+         else -1)
+      has_plate
+  in
+  let n_plates = !next in
+  let b = boxes_of segs in
+  let n_boxes = Array.length b.Geom.Sweepline.x0 in
+  let ids = Array.init n_boxes (fun i -> n_plates + i) in
+  let empty = { Lvs.Shape.ids = [||]; boxes = boxes_of [] } in
+  let shapes =
+    { Lvs.Shape.cols;
+      kind = Array.make (n_plates + n_boxes) Lvs.Shape.Pad;
+      label = Array.make (n_plates + n_boxes) 0;
+      pads = plates;
+      top_pads = Array.make (Array.length plates) (-1);
+      col_x; row_y;
+      drivers = [||];
+      layers = [| { Lvs.Shape.ids; boxes = b }; empty; empty |] }
+  in
+  let found = ref [] in
+  Lvs.Extracted.contacts shapes Tech.Layer.M1 (fun p q ->
+      found := (min p q, max p q) :: !found);
+  (* brute force: each shape as a closed box *)
+  let box id =
+    if id < n_plates then begin
+      let cell = ref 0 in
+      Array.iteri (fun c p -> if p = id then cell := c) plates;
+      let x = col_x.(!cell mod cols) and y = row_y.(!cell / cols) in
+      (x, y, x, y)
+    end
+    else
+      let i = id - n_plates in
+      (b.x0.(i), b.y0.(i), b.x1.(i), b.y1.(i))
+  in
+  let expected = ref [] in
+  let n = n_plates + n_boxes in
+  for p = 0 to n - 1 do
+    let px0, py0, px1, py1 = box p in
+    for q = p + 1 to n - 1 do
+      let qx0, qy0, qx1, qy1 = box q in
+      if px0 <= qx1 && qx0 <= px1 && py0 <= qy1 && qy0 <= py1 then
+        expected := (p, q) :: !expected
+    done
+  done;
+  List.sort compare !found = List.sort compare !expected
+
+let prop_lattice_matches_brute_force =
+  QCheck.Test.make ~name:"lattice contacts = brute force" ~count:500
+    lattice_case_arb lattice_matches_brute_force
+
 (* --- satellite regressions in ccroute --- *)
 
 let test_mst_disconnected_message () =
@@ -1155,9 +1636,9 @@ let test_lvs_rules_registered () =
   let lvs_rules = Verify.Registry.by_category Verify.Rule.Lvs in
   Alcotest.(check (list string))
     "catalogued"
-    [ "lvs/dangling"; "lvs/floating-cell"; "lvs/netbuild-mismatch";
-      "lvs/off-grid"; "lvs/open"; "lvs/short"; "lvs/top-open";
-      "lvs/unknown-net" ]
+    [ "lvs/dangling"; "lvs/diagonal"; "lvs/floating-cell";
+      "lvs/netbuild-mismatch"; "lvs/off-grid"; "lvs/open"; "lvs/short";
+      "lvs/top-open"; "lvs/unknown-net" ]
     (List.map (fun (r : Verify.Rule.t) -> r.Verify.Rule.id) lvs_rules);
   Alcotest.(check bool) "dangling is a warning" true
     (Verify.Lvs_rules.r_dangling.Verify.Rule.severity = Verify.Rule.Warning)
@@ -1192,6 +1673,7 @@ let () =
           test_case "via naming no net" `Quick test_unknown_net_via;
           test_case "wire naming no net" `Quick test_unknown_net_wire;
           test_case "via on the top plate" `Quick test_top_plate_via;
+          test_case "wire along both axes" `Quick test_diagonal_wire;
           test_case "zero parallel count" `Quick test_zero_parallel_lvs ] );
       ( "netbuild topology",
         [ test_case "golden designs" `Slow test_topology_golden;
@@ -1200,6 +1682,12 @@ let () =
         [ test_case "off-grid via" `Quick test_off_grid_via;
           test_case "sub-nanometre tech rejected" `Quick test_off_grid_tech;
           test_case "1e-12 um noise snaps" `Quick test_noise_snaps ] );
+      ( "plate lattice",
+        [ test_case "golden designs = plates as sweep points" `Slow
+            test_lattice_golden;
+          test_case "corrupted layouts = plates as sweep points" `Quick
+            test_lattice_corrupted;
+          QCheck_alcotest.to_alcotest prop_lattice_matches_brute_force ] );
       ( "ccroute satellites",
         [ test_case "Mst.prim disconnected message" `Quick
             test_mst_disconnected_message;
