@@ -35,11 +35,10 @@ lvs: build
 	dune exec bin/ccgen.exe -- lvs --all --werror
 	dune exec bin/ccgen.exe -- lvs --all --json > lvs.json
 
-# The bench suite, then a parallel QoR recording: the ledger rows gain
-# the measured jobs=4 Monte-Carlo speedup (docs/PARALLEL.md).
+# The bench suite: the paper's tables and figures, the Bechamel
+# microbenchmarks and BENCH_flow.json (docs/BENCH.md).
 bench:
 	dune exec bench/main.exe
-	dune exec bin/ccgen.exe -- record --jobs 4 --ledger qor_ledger.jsonl
 
 # Per-stage time/metric breakdown of the flow (docs/TELEMETRY.md);
 # profile.json is what CI uploads as an artifact.

@@ -5,7 +5,7 @@
      dune exec bench/main.exe              all tables, figures, benchmarks
      dune exec bench/main.exe -- table1    one artefact
        (table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b ablation bench
-        benchflow baseline memscale scaling csv)
+        benchflow baseline csv)
 
    The file-writing artefacts (benchflow, baseline) take --out FILE to
    redirect their output; exactly one of them must be requested when
@@ -174,40 +174,12 @@ let bench_flow_memory () =
         ( "major_collections",
           Num (float_of_int d.Telemetry.Memory.major_collections) ) ]
 
-(* Measured Monte-Carlo speedup at the job count this run resolves to
-   (CCDAC_JOBS).  One probe per document — the value is a property of the
-   machine and the pool, not of a (style, bits) cell.  At one job there
-   is no parallel leg to time, so both are null. *)
-let bench_par_speedup () =
-  let open Telemetry.Json in
-  let jobs = Par.Jobs.resolve None in
-  if jobs <= 1 then (Null, Null)
-  else begin
-    let p = Ccdac.Parbench.mc_speedup ~tech ~jobs () in
-    ( Num p.Ccdac.Parbench.speedup,
-      Obj
-        [ ("jobs", Num (float_of_int p.Ccdac.Parbench.jobs));
-          ("trials", Num (float_of_int p.Ccdac.Parbench.trials));
-          ("serial_s", Num p.Ccdac.Parbench.serial_s);
-          ("parallel_s", Num p.Ccdac.Parbench.parallel_s);
-          ("speedup", Num p.Ccdac.Parbench.speedup) ] )
-  end
-
 let benchflow () =
   let path = out_path "BENCH_flow.json" in
   banner path;
-  let par_speedup, parallel = bench_par_speedup () in
   let runs =
     List.concat_map
-      (fun bits ->
-         List.map
-           (fun style ->
-              match bench_flow_run bits style with
-              | Telemetry.Json.Obj fields ->
-                Telemetry.Json.Obj
-                  (fields @ [ ("par_speedup", par_speedup) ])
-              | other -> other)
-           (bench_flow_styles bits))
+      (fun bits -> List.map (bench_flow_run bits) (bench_flow_styles bits))
       table_bits
   in
   let doc =
@@ -216,7 +188,6 @@ let benchflow () =
       [ ("version", Num 1.);
         ("tech", Str tech.Tech.Process.name);
         ("repeat", Num 5.);
-        ("parallel", parallel);
         ("runs", Arr runs);
         ("null_sink_overhead", bench_flow_overhead ());
         ("memory", bench_flow_memory ()) ]
@@ -258,116 +229,6 @@ let baseline () =
   (try Qor.Baseline.save ~path records
    with Sys_error e -> write_failed path e);
   Printf.printf "wrote %s (%d records)\n" path (List.length records)
-
-(* --- memscale: the ROADMAP item-2 scaling probe.  Run the full flow at
-   10 and 12 bits (1k vs 4k unit cells — a 4x cell-count step) with GC
-   sampling on, append both QoR records to the ledger, and report which
-   stages' allocation grows faster than the cell count (docs/TELEMETRY.md
-   documents the findings: those stages are the refactor targets). *)
-
-let memscale_bits = (10, 12)
-
-let memscale () =
-  let path = out_path "qor_ledger.jsonl" in
-  let lo, hi = memscale_bits in
-  banner (Printf.sprintf "memscale: spiral flow at %d vs %d bits" lo hi);
-  let probe bits =
-    Telemetry.Memory.with_enabled true (fun () ->
-        Qor.Record.of_result (Ccdac.Flow.run ~tech ~bits Ccplace.Style.Spiral))
-  in
-  let r_lo = probe lo and r_hi = probe hi in
-  (try
-     Qor.Ledger.append ~path r_lo;
-     Qor.Ledger.append ~path r_hi
-   with Sys_error e -> write_failed path e);
-  (* cell count grows 2^(hi-lo): the super-linearity threshold *)
-  let cells_ratio = float_of_int (1 lsl (hi - lo)) in
-  Printf.printf "%-10s %12s %12s %8s %12s %12s %8s\n" "stage"
-    (Printf.sprintf "b%d MB" lo)
-    (Printf.sprintf "b%d MB" hi)
-    "xMB"
-    (Printf.sprintf "b%d ms" lo)
-    (Printf.sprintf "b%d ms" hi)
-    "xT";
-  List.iter
-    (fun (stage, mb_lo) ->
-       let mb_hi =
-         Option.value ~default:Float.nan
-           (List.assoc_opt stage r_hi.Qor.Record.stage_alloc_mb)
-       in
-       let s_lo =
-         Option.value ~default:Float.nan
-           (List.assoc_opt stage r_lo.Qor.Record.stage_s)
-       in
-       let s_hi =
-         Option.value ~default:Float.nan
-           (List.assoc_opt stage r_hi.Qor.Record.stage_s)
-       in
-       let ratio = mb_hi /. Float.max mb_lo 1e-9 in
-       Printf.printf "%-10s %12.2f %12.2f %7.1fx %12.2f %12.2f %7.1fx%s\n"
-         stage mb_lo mb_hi ratio (1e3 *. s_lo) (1e3 *. s_hi)
-         (s_hi /. Float.max s_lo 1e-9)
-         (if ratio > cells_ratio then "  <- super-linear" else ""))
-    r_lo.Qor.Record.stage_alloc_mb;
-  Printf.printf
-    "total: %.2f -> %.2f MB (%.1fx for a %.0fx cell count); peak heap %.2f \
-     -> %.2f MB; majors %d -> %d\n"
-    r_lo.Qor.Record.alloc_mb_total r_hi.Qor.Record.alloc_mb_total
-    (r_hi.Qor.Record.alloc_mb_total
-     /. Float.max r_lo.Qor.Record.alloc_mb_total 1e-9)
-    cells_ratio r_lo.Qor.Record.peak_heap_mb r_hi.Qor.Record.peak_heap_mb
-    r_lo.Qor.Record.major_collections r_hi.Qor.Record.major_collections;
-  Printf.printf "appended %s and %s to %s\n" r_lo.Qor.Record.label
-    r_hi.Qor.Record.label path
-
-(* --- scaling: the cross-bit-width growth-exponent probe (Ccdac.Scaling;
-   docs/BENCH.md).  Three rungs of the full flow + Monte-Carlo with
-   scheduler recording on, fitted per-stage log-log exponents, and one
-   QoR ledger row carrying the exponents and the pool figures.  The row
-   gets a "scaling"-prefixed label so it never shadows the plain flow
-   records in latest-by-label comparisons. *)
-
-let scaling_bits = [ 8; 10; 12; 14; 16 ]
-
-let scaling () =
-  let path = out_path "qor_ledger.jsonl" in
-  banner
-    (Printf.sprintf "scaling: spiral flow ladder at %s bits"
-       (String.concat "/" (List.map string_of_int scaling_bits)));
-  let jobs = max 2 (Par.Jobs.default ()) in
-  (* the flow stages read the ambient jobs default; restore the
-     environment-driven resolution afterwards so later artefacts keep
-     their usual (serial unless CCDAC_JOBS says otherwise) timings *)
-  Par.Jobs.set_default jobs;
-  let t =
-    Fun.protect ~finally:Par.Jobs.clear_default @@ fun () ->
-    Par.Sched.with_enabled true @@ fun () ->
-    (* enough trials that the mc stage reaches the pool *)
-    Ccdac.Scaling.run ~tech ~trials:Dacmodel.Montecarlo.min_parallel_trials
-      ~seed:1 ~jobs scaling_bits
-  in
-  Format.printf "%a@." Ccdac.Scaling.pp t;
-  let sched = Ccdac.Scaling.sched_totals t in
-  let record =
-    match List.rev t.Ccdac.Scaling.points with
-    | [] -> assert false (* run rejects an empty ladder *)
-    | top :: _ ->
-      let r =
-        Qor.Record.with_scaling
-          ~stage_exponent:(Ccdac.Scaling.exponents t)
-          ~sched_utilization:sched.Par.Sched.mean_utilization
-          ~sched_caller_blocked_s:sched.Par.Sched.caller_blocked_s
-          (Qor.Record.of_result ~jobs top.Ccdac.Scaling.p_result)
-      in
-      { r with Qor.Record.label = "scaling " ^ r.Qor.Record.label }
-  in
-  (try Qor.Ledger.append ~path record
-   with Sys_error e -> write_failed path e);
-  Printf.printf "appended %s (%d fitted stages, %d rungs) to %s\n"
-    record.Qor.Record.label
-    (List.length record.Qor.Record.stage_exponent)
-    (List.length t.Ccdac.Scaling.points)
-    path
 
 let bench () =
   banner "Bechamel: constructive P&R kernels (ns/run)";
@@ -618,9 +479,9 @@ let artefacts =
     ("fig2", fig2); ("fig3", fig3); ("fig4", fig4); ("fig5", fig5);
     ("fig6a", fig6a); ("fig6b", fig6b); ("ablation", ablation);
     ("bench", bench); ("benchflow", benchflow); ("baseline", baseline);
-    ("memscale", memscale); ("scaling", scaling); ("csv", csv) ]
+    ("csv", csv) ]
 
-let out_writers = [ "benchflow"; "baseline"; "memscale"; "scaling" ]
+let out_writers = [ "benchflow"; "baseline" ]
 
 let () =
   let rec parse names = function

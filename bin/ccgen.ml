@@ -15,6 +15,10 @@
      ccgen explain -b 8 -s spiral          per-element delay/INL attribution
      ccgen devlint --werror                source-level static analysis (cclint)
      ccgen version                         release + git/host provenance
+
+   Only the subcommands whose work reaches Par.Pool take --jobs: compare,
+   tables, mc, scale and sweep.  The flow itself (run, profile, record,
+   diff, explain) has no parallel section.
 *)
 
 open Cmdliner
@@ -185,9 +189,8 @@ let load_arg =
   Arg.(value & opt (some string) None & info [ "load" ] ~docv:"FILE" ~doc)
 
 let run_cmd =
-  let run bits style granularity tech verbose load trace metrics_fmt jobs =
+  let run bits style granularity tech verbose load trace metrics_fmt =
     setup_logs verbose;
-    apply_jobs jobs;
     check_bits bits;
     let style = resolve_style ~bits ~granularity style in
     let r =
@@ -209,7 +212,7 @@ let run_cmd =
   let doc = "Run the full flow (place, route, extract, analyse) and report." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ verbose_arg
-          $ load_arg $ trace_arg $ metrics_arg $ jobs_arg)
+          $ load_arg $ trace_arg $ metrics_arg)
 
 (* --- compare --- *)
 
@@ -805,14 +808,13 @@ let qor_median_run ~tech ~bits ~repeat style =
   in
   List.nth sorted (List.length sorted / 2)
 
-let qor_matrix ?(jobs = 1) ?(par_speedup = Float.nan) ~tech ~granularity
-    ~repeat bits_list styles =
+let qor_matrix ~tech ~granularity ~repeat bits_list styles =
   List.concat_map
     (fun bits ->
        List.map
          (fun s ->
             let style = resolve_style ~bits ~granularity s in
-            Qor.Record.of_result ~repeat ~jobs ~par_speedup
+            Qor.Record.of_result ~repeat
               (qor_median_run ~tech ~bits ~repeat style))
          styles)
     bits_list
@@ -842,30 +844,18 @@ let qor_mem_arg =
   Arg.(value & flag & info [ "mem" ] ~doc)
 
 let record_cmd =
-  let run bits_list styles granularity tech repeat ledger json mem verbose jobs
-      =
+  let run bits_list styles granularity tech repeat ledger json mem verbose =
     setup_logs verbose;
-    apply_jobs jobs;
     if repeat < 1 then begin
       Printf.eprintf "ccgen: --repeat must be >= 1\n";
       exit 2
     end;
     List.iter check_bits bits_list;
-    (* measure the parallel speedup once per invocation (serial runs
-       record nan) and stamp it on every record of the batch *)
-    let jobs_n = Par.Jobs.resolve None in
-    let par_speedup =
-      if jobs_n <= 1 then Float.nan
-      else (Ccdac.Parbench.mc_speedup ~tech ~jobs:jobs_n ()).Ccdac.Parbench.speedup
-    in
     let records, _ =
       Telemetry.Memory.with_enabled mem @@ fun () ->
       Telemetry.Metrics.collect @@ fun () ->
       Telemetry.Span.with_ ~name:"qor.record" @@ fun () ->
-      let records =
-        qor_matrix ~jobs:jobs_n ~par_speedup ~tech ~granularity ~repeat
-          bits_list styles
-      in
+      let records = qor_matrix ~tech ~granularity ~repeat bits_list styles in
       (try List.iter (fun r -> Qor.Ledger.append ~path:ledger r) records
        with Sys_error e ->
          Printf.eprintf "ccgen: cannot append to ledger: %s\n" e;
@@ -896,7 +886,7 @@ let record_cmd =
   Cmd.v (Cmd.info "record" ~doc)
     Term.(const run $ qor_bits_list_arg $ qor_styles_arg $ gran_arg $ tech_arg
           $ qor_repeat_arg $ ledger_arg $ qor_json_arg $ qor_mem_arg
-          $ verbose_arg $ jobs_arg)
+          $ verbose_arg)
 
 let baseline_arg =
   let doc = "Baseline document to diff against (BENCH_baseline.json)." in

@@ -2,9 +2,7 @@
    stage) over a ladder of resolutions, collect per-stage wall/alloc
    series and the scheduler summary, and fit per-stage log-log power-law
    growth exponents against the unit-cell count.  An exponent near 1 is
-   linear in cells, near 2 quadratic — the refactor-target signal the
-   memscale ratio tables (bench memscale) could only approximate with a
-   single two-point ratio. *)
+   linear in cells, near 2 quadratic. *)
 
 type point = {
   p_bits : int;
@@ -24,6 +22,7 @@ type fit = {
 type t = {
   points : point list;       (* ladder order *)
   fits : fit list;           (* stage order of the first point *)
+  sched : Par.Sched.summary; (* every batch of the ladder *)
 }
 
 (* Least-squares slope of log y against log x.  Times are floored at a
@@ -66,7 +65,7 @@ let cells (placement : Ccgrid.Placement.t) =
    scheduler recording on.  Memory sampling is forced on (the alloc
    series is half the point); scheduler recording is only observed here —
    the caller decides whether it is enabled (ccgen scale turns it on). *)
-let probe ~tech ~style_of_bits ~trials ~seed ?jobs bits =
+let probe ~tech ~style_of_bits ~trials ~seed bits =
   let style = style_of_bits bits in
   let (r, mc_s, mc_mb), batches =
     Par.Sched.collect (fun () ->
@@ -75,7 +74,7 @@ let probe ~tech ~style_of_bits ~trials ~seed ?jobs bits =
             let s = Telemetry.Memory.start () in
             let t0 = Telemetry.Clock.now_ns () in
             let (_ : Dacmodel.Montecarlo.t) =
-              Dacmodel.Montecarlo.run tech ~seed ?jobs ~trials
+              Dacmodel.Montecarlo.run tech ~seed ~trials
                 ~cov:r.Flow.covariance r.Flow.placement
             in
             let mc_s = Telemetry.Clock.since_s t0 in
@@ -133,45 +132,14 @@ let default_style_of_bits _ = Ccplace.Style.Spiral
 
 let run ?(tech = Tech.Process.finfet_12nm)
     ?(style_of_bits = default_style_of_bits) ?(trials = 100) ?(seed = 1)
-    ?jobs bits_list =
+    bits_list =
   if bits_list = [] then invalid_arg "Scaling.run: empty bit-width ladder";
-  let points =
-    List.map (probe ~tech ~style_of_bits ~trials ~seed ?jobs) bits_list
+  (* each rung collects its own batches too: scopes nest *)
+  let points, batches =
+    Par.Sched.collect (fun () ->
+        List.map (probe ~tech ~style_of_bits ~trials ~seed) bits_list)
   in
-  { points; fits = fits_of_points points }
-
-let exponents t =
-  List.map (fun f -> (f.f_stage, f.f_exponent)) t.fits
-
-let sched_totals t =
-  (* fold the per-point summaries into one ladder-wide summary; the
-     per-batch lists are gone by now, so combine the summary fields
-     directly (weighted mean for utilization, max for imbalance) *)
-  let open Par.Sched in
-  List.fold_left
-    (fun acc p ->
-       let s = p.p_sched in
-       let cap a = a.busy_s /. Float.max a.mean_utilization 1e-9 in
-       let capacity =
-         (if Float.is_nan acc.mean_utilization then 0. else cap acc)
-         +. (if Float.is_nan s.mean_utilization then 0. else cap s)
-       in
-       let busy = acc.busy_s +. s.busy_s in
-       { batches = acc.batches + s.batches;
-         chunks = acc.chunks + s.chunks;
-         caller_chunks = acc.caller_chunks + s.caller_chunks;
-         items = acc.items + s.items;
-         wall_s = acc.wall_s +. s.wall_s;
-         busy_s = busy;
-         caller_blocked_s = acc.caller_blocked_s +. s.caller_blocked_s;
-         mean_utilization =
-           (if capacity > 0. then Float.min 1. (busy /. capacity)
-            else Float.nan);
-         worst_imbalance =
-           (if Float.is_nan s.worst_imbalance then acc.worst_imbalance
-            else if Float.is_nan acc.worst_imbalance then s.worst_imbalance
-            else Float.max acc.worst_imbalance s.worst_imbalance) })
-    (Par.Sched.summarize []) t.points
+  { points; fits = fits_of_points points; sched = Par.Sched.summarize batches }
 
 let point_to_json p =
   let table kvs =
@@ -198,7 +166,7 @@ let to_json t =
     [ ("version", Telemetry.Json.Num 1.);
       ("points", Telemetry.Json.Arr (List.map point_to_json t.points));
       ("fits", Telemetry.Json.Arr (List.map fit_to_json t.fits));
-      ("sched", Par.Sched.summary_to_json (sched_totals t)) ]
+      ("sched", Par.Sched.summary_to_json t.sched) ]
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
@@ -223,4 +191,4 @@ let pp ppf t =
   List.iter
     (fun p -> Format.fprintf ppf " %11d" p.p_cells)
     t.points;
-  Format.fprintf ppf "@,sched: %a@]" Par.Sched.pp_summary (sched_totals t)
+  Format.fprintf ppf "@,sched: %a@]" Par.Sched.pp_summary t.sched

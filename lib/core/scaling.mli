@@ -3,12 +3,11 @@
     power-law growth exponents against the unit-cell count.
 
     An exponent near 1 means a stage scales linearly in cells, near 2
-    quadratically; [ccgen scale] and [bench scaling] render the report
-    (docs/BENCH.md), and the bench artefact lands the exponents in the
-    QoR ledger (docs/QOR.md).  Each rung runs with {!Telemetry.Memory}
-    sampling forced on (the allocation series is half the point) and
-    inside a {!Par.Sched.collect} scope, so when scheduler recording is
-    enabled the report also carries pool utilization figures. *)
+    quadratically; [ccgen scale] renders the report (docs/BENCH.md).
+    Each rung runs with {!Telemetry.Memory} sampling forced on (the
+    allocation series is half the point) and inside a
+    {!Par.Sched.collect} scope, so when scheduler recording is enabled
+    the report also carries pool utilization figures. *)
 
 (** One rung of the ladder. *)
 type point = {
@@ -31,6 +30,9 @@ type fit = {
 type t = {
   points : point list;  (** in ladder order *)
   fits : fit list;      (** in stage order *)
+  sched : Par.Sched.summary;
+      (** scheduler activity of the whole ladder: every batch of every
+          rung, summarized once *)
 }
 
 (** [fit_loglog pairs] is [Some (slope, r2)] for the least-squares line
@@ -41,31 +43,21 @@ type t = {
     regression convention is pinned by tests. *)
 val fit_loglog : (float * float) list -> (float * float) option
 
-(** [run ?tech ?style_of_bits ?trials ?seed ?jobs bits_list] probes each
-    bit width in order and fits every stage present at the first rung.
+(** [run ?tech ?style_of_bits ?trials ?seed bits_list] probes each bit
+    width in order and fits every stage present at the first rung.
     [style_of_bits] (default: spiral everywhere) lets the caller keep
     style parameters consistent across the ladder (e.g. block-chess core
     sizing).  [trials] (default 100) and [seed] (default 1) drive the
-    Monte-Carlo stage; [jobs] is passed to it while the flow stages use
-    the ambient {!Par.Jobs} default.  Raises [Invalid_argument] on an
-    empty ladder. *)
+    Monte-Carlo stage; every stage takes its worker count from the
+    {!Par.Jobs} default.  Raises [Invalid_argument] on an empty
+    ladder. *)
 val run :
   ?tech:Tech.Process.t ->
   ?style_of_bits:(int -> Ccplace.Style.t) ->
   ?trials:int ->
   ?seed:int ->
-  ?jobs:int ->
   int list ->
   t
-
-(** [exponents t] — the fitted [(stage, exponent)] table, for the QoR
-    record. *)
-val exponents : t -> (string * float) list
-
-(** [sched_totals t] folds the per-rung scheduler summaries into one
-    ladder-wide summary (sums; capacity-weighted mean utilization; max
-    imbalance).  All-NaN when recording was off. *)
-val sched_totals : t -> Par.Sched.summary
 
 val to_json : t -> Telemetry.Json.t
 

@@ -271,12 +271,19 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
   D.sort !diags
 
 let run layout =
+  (* flatten and the Netbuild cross-check read the lattice by placement
+     column and row: a lattice of the wrong length is reported, not
+     extracted *)
   let flat =
-    Telemetry.Span.with_ ~name:"lvs.flatten" (fun () -> Shape.of_layout layout)
+    match Verify.Route_rules.check_lattice layout with
+    | [] ->
+      Telemetry.Span.with_ ~name:"lvs.flatten" (fun () ->
+          Shape.of_layout layout)
+    | wrong -> Error wrong
   in
   let diagnostics, stats =
     match flat with
-    | Error off_grid -> (off_grid, { shapes = 0; contacts = 0; components = 0 })
+    | Error rejected -> (rejected, { shapes = 0; contacts = 0; components = 0 })
     | Ok shapes ->
       let ex =
         Telemetry.Span.with_ ~name:"lvs.extract" (fun () ->

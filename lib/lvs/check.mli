@@ -11,6 +11,8 @@
       layout is not extracted;
     - [lvs/unknown-net]: a shape names a capacitor the layout has no net
       for (or a via names the top plate); the layout is not extracted;
+    - [lvs/diagonal]: an on-grid wire runs along both axes; the layout
+      is not extracted;
     - [lvs/short]: one component claims two nets;
     - [lvs/open]: a net is missing its driver terminal or its anchored
       shapes (cell plates, driver) span several components;
@@ -22,6 +24,12 @@
       {!Extract.Netbuild} RC model, or that model falls into several
       pieces — the Elmore/f3dB numbers would describe a different circuit
       than the one drawn, or none at all.
+
+    Two {!Verify.Route_rules} rules are reported here as well:
+    [route/lattice] when the cell lattice does not hold one centre per
+    placement column and row (the layout is not extracted), and
+    [route/parallel-positive] when a clean net has no parallel-wire count
+    of at least 1 (its cross-check is skipped).
 
     The comparison keeps its tallies in arrays indexed by component,
     capacitor and cell; lists appear only on the paths that report a
@@ -40,7 +48,7 @@ type stats = {
 
 type result = {
   diagnostics : Verify.Diagnostic.t list;  (** sorted, possibly empty *)
-  stats : stats;      (** all zero when the layout is off the grid *)
+  stats : stats;      (** all zero when the layout is not extracted *)
 }
 
 (** [classify shapes ex layout] is the comparison pass alone (no

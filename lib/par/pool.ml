@@ -84,8 +84,7 @@ let pooled_map ~jobs f xs =
     let hi = min n (lo + chunk_size) in
     if sched_on then begin
       let started_ns = Telemetry.Clock.now_ns () in
-      let dom = (Domain.self () :> int) in
-      let by_caller = dom = caller in
+      let by_caller = (Domain.self () :> int) = caller in
       let executor = if by_caller then "caller" else "worker" in
       Telemetry.Context.with_ ctx (fun () ->
           Telemetry.Span.with_ ~name:"sched.chunk"
@@ -100,10 +99,8 @@ let pooled_map ~jobs f xs =
           { Sched.c_batch = batch_id;
             c_index = ci;
             c_items = hi - lo;
-            c_enqueued_ns = start_ns;
             c_started_ns = started_ns;
             c_finished_ns = Telemetry.Clock.now_ns ();
-            c_domain = dom;
             c_by_caller = by_caller }
     end
     else Telemetry.Context.with_ ctx (run_chunk lo hi)

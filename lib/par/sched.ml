@@ -16,10 +16,8 @@ type chunk = {
   c_batch : int;         (* id of the batch this chunk belongs to *)
   c_index : int;         (* position within the batch, 0-based *)
   c_items : int;         (* tasks the chunk covers *)
-  c_enqueued_ns : int64; (* batch start time (all chunks share it) *)
   c_started_ns : int64;  (* an executor claimed the chunk *)
   c_finished_ns : int64; (* last task of the chunk completed *)
-  c_domain : int;        (* id of the domain that executed it *)
   c_by_caller : bool;    (* executed by the calling domain *)
 }
 
@@ -54,10 +52,6 @@ let next_batch_id () = Atomic.fetch_and_add batch_seq 1
 let chunk_exec_s c =
   Telemetry.Clock.to_s (Int64.sub c.c_finished_ns c.c_started_ns)
 
-let chunk_wait_s c =
-  Telemetry.Clock.to_s
-    (Int64.max 0L (Int64.sub c.c_started_ns c.c_enqueued_ns))
-
 let busy_s b = List.fold_left (fun acc c -> acc +. chunk_exec_s c) 0. b.b_chunks
 
 let imbalance b =
@@ -68,10 +62,6 @@ let imbalance b =
     let total = busy_s b in
     let worst = List.fold_left (fun m c -> Float.max m (chunk_exec_s c)) 0. chunks in
     if total <= 0. then 1. else worst /. (total /. n)
-
-let utilization b =
-  if b.b_wall_s <= 0. then 1.
-  else Float.min 1. (busy_s b /. (float_of_int (max 1 b.b_jobs) *. b.b_wall_s))
 
 (* --- collectors (process-global, mutex-guarded) --- *)
 

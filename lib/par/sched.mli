@@ -1,4 +1,4 @@
-(** Scheduler telemetry for {!Pool}: per-chunk start→claim→completion
+(** Scheduler telemetry for {!Pool}: per-chunk claim→completion
     timestamps and batch-level stall/imbalance summaries
     (docs/PARALLEL.md).
 
@@ -17,10 +17,8 @@ type chunk = {
   c_batch : int;         (** id of the batch this chunk belongs to *)
   c_index : int;         (** position within the batch, 0-based *)
   c_items : int;         (** tasks the chunk covers *)
-  c_enqueued_ns : int64; (** batch start time (shared by the batch) *)
   c_started_ns : int64;  (** an executor claimed the chunk *)
   c_finished_ns : int64; (** last task of the chunk completed *)
-  c_domain : int;        (** id of the domain that executed it *)
   c_by_caller : bool;    (** executed by the calling domain itself *)
 }
 
@@ -51,7 +49,6 @@ val collect : (unit -> 'a) -> 'a * batch list
 (** {2 Derived figures} *)
 
 val chunk_exec_s : chunk -> float
-val chunk_wait_s : chunk -> float
 
 (** Total chunk execution time of the batch, over all executors. *)
 val busy_s : batch -> float
@@ -59,9 +56,6 @@ val busy_s : batch -> float
 (** Slowest-chunk tail: max over mean chunk execution time ([1.0] =
     perfectly balanced; [1.0] for empty or zero-time batches). *)
 val imbalance : batch -> float
-
-(** Busy fraction: {!busy_s} over [jobs] x wall, clamped to [0, 1]. *)
-val utilization : batch -> float
 
 (** {2 Aggregation} *)
 

@@ -45,25 +45,6 @@ let observe (p : Policy.t) (r : Record.t) =
   | "qor/major_collections" ->
     if Float.is_nan r.Record.alloc_mb_total then None
     else Some (Policy.Scalar (float_of_int r.Record.major_collections))
-  (* Likewise, the scaling/scheduler metrics are sampled only by records
-     the scaling probe decorated (Record.with_scaling); plain flow rows
-     observe None so the comparison skips them. *)
-  | "qor/scaling_exponent" ->
-    let finite =
-      List.filter (fun (_, e) -> Float.is_finite e) r.Record.stage_exponent
-    in
-    (match finite with
-     | [] -> None
-     | (_, e0) :: rest ->
-       Some
-         (Policy.Scalar
-            (List.fold_left (fun acc (_, e) -> Float.max acc e) e0 rest)))
-  | "qor/sched_utilization" ->
-    if Float.is_nan r.Record.sched_utilization then None
-    else Some (Policy.Scalar r.Record.sched_utilization)
-  | "qor/sched_caller_blocked_s" ->
-    if Float.is_nan r.Record.sched_caller_blocked_s then None
-    else Some (Policy.Scalar r.Record.sched_caller_blocked_s)
   | "qor/verify_rules" -> Some (Policy.Set r.Record.verify_rules)
   | "qor/lvs_rules" -> Some (Policy.Set r.Record.lvs_rules)
   | "qor/tech_hash" -> Some (Policy.Set [ r.Record.tech_hash ])

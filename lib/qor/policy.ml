@@ -201,31 +201,6 @@ let catalogue =
       kind = Abs { tol = 8. };
       sense = Lower_better;
       severity = Verify.Rule.Warning };
-    (* Scaling/scheduler metrics exist only in records decorated by the
-       scaling probe (bench scaling / ccgen scale).  Growth exponents
-       are stable properties of the algorithms, so they get an absolute
-       tolerance (a drift of +0.35 in the worst exponent means a stage
-       changed complexity class, not just speed); pool utilization and
-       caller stall are machine- and load-dependent, so they are
-       generous relative Warnings like the other wall-clock metrics. *)
-    { id = "qor/scaling_exponent";
-      metric = "worst growth exponent";
-      unit_ = "1";
-      kind = Abs { tol = 0.35 };
-      sense = Lower_better;
-      severity = Verify.Rule.Warning };
-    { id = "qor/sched_utilization";
-      metric = "pool utilization";
-      unit_ = "1";
-      kind = Rel { tol = 0.5; floor = 0.05; repeat_aware = false };
-      sense = Higher_better;
-      severity = Verify.Rule.Warning };
-    { id = "qor/sched_caller_blocked_s";
-      metric = "caller barrier stall";
-      unit_ = "s";
-      kind = Rel { tol = 1.0; floor = 0.05; repeat_aware = true };
-      sense = Lower_better;
-      severity = Verify.Rule.Warning };
     { id = "qor/verify_rules";
       metric = "verify rule ids";
       unit_ = "1";

@@ -10,9 +10,8 @@ type t = {
   timestamp_s : float;        (** Unix time the record was captured *)
   host : string;
   cores : int;                (** [Domain.recommended_domain_count ()]
-                                  on the capturing machine, against
-                                  which a record's [jobs] and
-                                  [par_speedup] read; [0] when unknown *)
+                                  on the capturing machine; [0] when
+                                  unknown *)
   git_commit : string option; (** full hex sha, when inside a checkout *)
 }
 

@@ -8,8 +8,6 @@ type t = {
   tech_name : string;
   tech_hash : string;
   repeat : int;
-  jobs : int;
-  par_speedup : float;
   stage_s : (string * float) list;
   place_route_s : float;
   stage_alloc_mb : (string * float) list;
@@ -27,9 +25,6 @@ type t = {
   area_um2 : float;
   verify_rules : string list;
   lvs_rules : string list;
-  stage_exponent : (string * float) list;
-  sched_utilization : float;
-  sched_caller_blocked_s : float;
   provenance : Provenance.t;
 }
 
@@ -77,8 +72,7 @@ let tech_hash (tech : Tech.Process.t) =
     (Buffer.contents b);
   Printf.sprintf "%016Lx" !h
 
-let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
-    (r : Ccdac.Flow.result) =
+let of_result ?(repeat = 1) (r : Ccdac.Flow.result) =
   let style = Ccplace.Style.name r.Ccdac.Flow.style in
   let p = r.Ccdac.Flow.parasitics in
   { schema_version;
@@ -88,8 +82,6 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
     tech_name = r.Ccdac.Flow.tech.Tech.Process.name;
     tech_hash = tech_hash r.Ccdac.Flow.tech;
     repeat;
-    jobs;
-    par_speedup;
     stage_s = r.Ccdac.Flow.telemetry.Telemetry.Summary.stages;
     place_route_s = r.Ccdac.Flow.elapsed_place_route_s;
     stage_alloc_mb =
@@ -122,19 +114,7 @@ let of_result ?(repeat = 1) ?(jobs = 1) ?(par_speedup = Float.nan)
         (Verify.Engine.check_artifacts r.Ccdac.Flow.layout);
     lvs_rules =
       Verify.Diagnostic.rule_ids (Lvs.Check.check r.Ccdac.Flow.layout);
-    stage_exponent = [];
-    sched_utilization = Float.nan;
-    sched_caller_blocked_s = Float.nan;
     provenance = Provenance.capture () }
-
-(* Scaling-probe decoration (bench scaling / ccgen scale): the fitted
-   per-stage growth exponents and the ladder's scheduler figures.  A
-   plain flow record leaves these at their neutral defaults, so ledger
-   rows without a scaling run stay unsampled for the qor/scaling_* and
-   qor/sched_* policies. *)
-let with_scaling ?(stage_exponent = []) ?(sched_utilization = Float.nan)
-    ?(sched_caller_blocked_s = Float.nan) t =
-  { t with stage_exponent; sched_utilization; sched_caller_blocked_s }
 
 let to_json t =
   Json.Obj
@@ -145,8 +125,6 @@ let to_json t =
       ("tech_name", Json.Str t.tech_name);
       ("tech_hash", Json.Str t.tech_hash);
       ("repeat", Json.Num (float_of_int t.repeat));
-      ("jobs", Json.Num (float_of_int t.jobs));
-      ("par_speedup", Json.Num t.par_speedup);
       ( "stage_s",
         Json.Obj (List.map (fun (n, s) -> (n, Json.Num s)) t.stage_s) );
       ("place_route_s", Json.Num t.place_route_s);
@@ -166,10 +144,6 @@ let to_json t =
       ("area_um2", Json.Num t.area_um2);
       ("verify_rules", Json.Arr (List.map (fun r -> Json.Str r) t.verify_rules));
       ("lvs_rules", Json.Arr (List.map (fun r -> Json.Str r) t.lvs_rules));
-      ( "stage_exponent",
-        Json.Obj (List.map (fun (n, s) -> (n, Json.Num s)) t.stage_exponent) );
-      ("sched_utilization", Json.Num t.sched_utilization);
-      ("sched_caller_blocked_s", Json.Num t.sched_caller_blocked_s);
       ("provenance", Provenance.to_json t.provenance) ]
 
 let of_json j =
@@ -213,8 +187,6 @@ let of_json j =
         tech_name = str "tech_name" "";
         tech_hash = str "tech_hash" "";
         repeat = max 1 (int "repeat" 1);
-        jobs = max 1 (int "jobs" 1);
-        par_speedup = num "par_speedup" Float.nan;
         stage_s;
         place_route_s = num "place_route_s" Float.nan;
         stage_alloc_mb = stage_table "stage_alloc_mb";
@@ -232,9 +204,6 @@ let of_json j =
         area_um2 = num "area_um2" Float.nan;
         verify_rules = List.sort_uniq String.compare (strs "verify_rules");
         lvs_rules = List.sort_uniq String.compare (strs "lvs_rules");
-        stage_exponent = stage_table "stage_exponent";
-        sched_utilization = num "sched_utilization" Float.nan;
-        sched_caller_blocked_s = num "sched_caller_blocked_s" Float.nan;
         provenance =
           (match Json.member "provenance" j with
            | Some p -> Provenance.of_json p

@@ -4,7 +4,10 @@
     The schema evolves by {e addition}: {!of_json} fills fields a record
     written by older code lacks with neutral defaults ([nan] for scalars,
     [0] for counts, [[]] for rule sets) and ignores fields it does not
-    know, so new code reads old ledgers and vice versa.  A record whose
+    know, so new code reads old ledgers and vice versa.  Retired fields
+    go the same way: rows that still carry [jobs], [par_speedup],
+    [stage_exponent], [sched_*] or [serve_*] keys load, and the keys are
+    not written back.  A record whose
     [schema_version] is {e newer} than {!schema_version} still parses —
     the skew is the caller's to surface ({!Compare} downgrades such
     comparisons to warnings). *)
@@ -17,9 +20,6 @@ type t = {
   tech_name : string;
   tech_hash : string;          (** {!tech_hash} of the process used *)
   repeat : int;                (** runs the timings are a median of *)
-  jobs : int;                  (** worker count the run was recorded at *)
-  par_speedup : float;         (** measured {!Ccdac.Parbench} speedup at
-                                   [jobs] ([nan] when not measured) *)
   stage_s : (string * float) list;  (** per-stage seconds, execution order *)
   place_route_s : float;       (** Table III runtime (place + route) *)
   stage_alloc_mb : (string * float) list;
@@ -42,16 +42,6 @@ type t = {
   area_um2 : float;
   verify_rules : string list;  (** sorted rule ids fired by the linter *)
   lvs_rules : string list;     (** sorted rule ids fired by LVS *)
-  stage_exponent : (string * float) list;
-                               (** fitted per-stage growth exponents from
-                                   a {!Ccdac.Scaling} ladder — empty for
-                                   a plain flow record *)
-  sched_utilization : float;   (** {!Par.Sched} pool busy fraction over
-                                   the run ([nan] when not recorded) *)
-  sched_caller_blocked_s : float;
-                               (** caller time spent joining spawned
-                                   domains with no chunk left to claim
-                                   ([nan] when not recorded) *)
   provenance : Provenance.t;
 }
 
@@ -66,25 +56,11 @@ val label : style:string -> bits:int -> string
     hashes were measured under the same technology. *)
 val tech_hash : Tech.Process.t -> string
 
-(** [of_result ?repeat ?jobs ?par_speedup r] captures a record from a
-    flow result, re-runs the registry linter and LVS to collect the fired
-    rule-id sets, and stamps provenance.  [repeat] (default 1) documents
-    how many runs the timings were medianed over; [jobs] (default 1) the
-    worker count; [par_speedup] (default [nan]) a measured
-    {!Ccdac.Parbench} speedup — none of them rerun anything. *)
-val of_result :
-  ?repeat:int -> ?jobs:int -> ?par_speedup:float -> Ccdac.Flow.result -> t
-
-(** [with_scaling ?stage_exponent ?sched_utilization
-    ?sched_caller_blocked_s t] decorates a record with the scaling-probe
-    and scheduler figures ({!Ccdac.Scaling}, {!Par.Sched.summary});
-    omitted arguments keep the neutral "not sampled" defaults. *)
-val with_scaling :
-  ?stage_exponent:(string * float) list ->
-  ?sched_utilization:float ->
-  ?sched_caller_blocked_s:float ->
-  t ->
-  t
+(** [of_result ?repeat r] captures a record from a flow result, re-runs
+    the registry linter and LVS to collect the fired rule-id sets, and
+    stamps provenance.  [repeat] (default 1) documents how many runs the
+    timings were medianed over; it reruns nothing. *)
+val of_result : ?repeat:int -> Ccdac.Flow.result -> t
 
 val to_json : t -> Telemetry.Json.t
 

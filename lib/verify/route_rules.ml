@@ -53,10 +53,16 @@ let r_parallel_positive =
   route "parallel-positive"
     "Every capacitor's parallel-wire count must be at least 1."
 
+let r_lattice =
+  route "lattice"
+    "The cell lattice must hold one column centre per placement column and \
+     one row centre per placement row."
+
 let rules =
   [ r_wire_in_outline; r_via_in_outline; r_trunk_in_channel;
     r_track_separation; r_net_routed; r_net_coverage; r_parallel_consistency;
-    r_reserved_direction; r_extent; r_top_plate; r_parallel_positive ]
+    r_reserved_direction; r_extent; r_top_plate; r_parallel_positive;
+    r_lattice ]
 
 (* [emit out ?loc rule fmt ...] formats one diagnostic onto [out].  It is
    top-level so that each call instantiates its own format type: an
@@ -248,6 +254,18 @@ let check_wire_directions (layout : Layout.t) out =
 
 (* --- layout-level extensions, in emission order --- *)
 
+let check_lattice (layout : Layout.t) =
+  let out = ref [] in
+  let p = layout.Layout.placement in
+  let length what centres n unit =
+    if Array.length centres <> n then
+      emit out r_lattice "%s holds %d centres for %d placement %s" what
+        (Array.length centres) n unit
+  in
+  length "col_x" layout.Layout.col_x p.Placement.cols "columns";
+  length "row_y" layout.Layout.row_y p.Placement.rows "rows";
+  List.rev !out
+
 let check_extensions (layout : Layout.t) =
   let out = ref [] in
   if not (layout.Layout.width > 0. && layout.Layout.height > 0.) then
@@ -270,7 +288,7 @@ let check_extensions (layout : Layout.t) =
          emit out r_parallel_positive ~loc:(Printf.sprintf "C_%d" k)
            "parallel-wire count %d is below 1" p)
     layout.Layout.p_of_cap;
-  List.rev !out
+  List.rev !out @ check_lattice layout
 
 let check layout =
   let checked =

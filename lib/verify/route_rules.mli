@@ -3,7 +3,8 @@
     tracks not colliding, every capacitor's net present and covering its
     cells, bundle widths matching the parallel-wire plan, reserved layer
     directions), plus layout-level extensions (positive extent, routed
-    top plate, valid parallel-wire plan). *)
+    top plate, valid parallel-wire plan, one lattice centre per placement
+    column and row). *)
 
 (** ["route/wire-in-outline"] *)
 val r_wire_in_outline : Rule.t
@@ -38,6 +39,9 @@ val r_top_plate : Rule.t
 (** ["route/parallel-positive"] *)
 val r_parallel_positive : Rule.t
 
+(** ["route/lattice"] *)
+val r_lattice : Rule.t
+
 (** Every rule this module owns. *)
 val rules : Rule.t list
 
@@ -45,3 +49,8 @@ val rules : Rule.t list
     come first, sorted by rule id then detail (inside a [route.check]
     span); the extensions follow in emission order. *)
 val check : Ccroute.Layout.t -> Diagnostic.t list
+
+(** [check_lattice layout] is the [route/lattice] part of {!check}
+    alone: LVS runs it before flattening, which reads the lattice by
+    placement column and row. *)
+val check_lattice : Ccroute.Layout.t -> Diagnostic.t list

@@ -762,6 +762,33 @@ let test_diagonal_wire () =
     (triples r.Lvs.Check.diagnostics);
   Alcotest.(check bool) "not extracted" true (r.Lvs.Check.stats = no_stats)
 
+let test_lattice_length () =
+  (* flatten reads the lattice by placement column and row: a short one
+     made it raise an index error, a long one lets a lookup find a
+     column the placement does not have.  LVS reports the verify rule
+     and does not extract. *)
+  List.iter
+    (fun (what, l, detail) ->
+       let r = run_lvs what l in
+       Alcotest.(check (list (triple string string string)))
+         what
+         [ ("route/lattice", "-", detail) ]
+         (triples r.Lvs.Check.diagnostics);
+       Alcotest.(check bool) (what ^ ": not extracted") true
+         (r.Lvs.Check.stats = no_stats))
+    [ ( "col_x short",
+        { spiral6 with L.col_x = Array.sub spiral6.L.col_x 0 7 },
+        "col_x holds 7 centres for 8 placement columns" );
+      ( "col_x long",
+        { spiral6 with L.col_x = Array.append spiral6.L.col_x [| 20. |] },
+        "col_x holds 9 centres for 8 placement columns" );
+      ( "row_y short",
+        { spiral6 with L.row_y = Array.sub spiral6.L.row_y 0 7 },
+        "row_y holds 7 centres for 8 placement rows" );
+      ( "row_y long",
+        { spiral6 with L.row_y = Array.append spiral6.L.row_y [| 20. |] },
+        "row_y holds 9 centres for 8 placement rows" ) ]
+
 let test_zero_parallel_lvs () =
   (* C_8 with a parallel-wire count of 0, then with none at all: its RC
      tree cannot be built, and the cross-check names the plan's rule
@@ -1674,6 +1701,7 @@ let () =
           test_case "wire naming no net" `Quick test_unknown_net_wire;
           test_case "via on the top plate" `Quick test_top_plate_via;
           test_case "wire along both axes" `Quick test_diagonal_wire;
+          test_case "lattice short or long" `Quick test_lattice_length;
           test_case "zero parallel count" `Quick test_zero_parallel_lvs ] );
       ( "netbuild topology",
         [ test_case "golden designs" `Slow test_topology_golden;

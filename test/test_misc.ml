@@ -199,8 +199,9 @@ let doc_table_rows path ~header =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n' |> scan []
 
-(* docs/TELEMETRY.md's metric table and docs/VERIFY.md's rule tables
-   copy their registries by hand; a kind cell reads e.g. "histogram (...)". *)
+(* docs/TELEMETRY.md's metric table, docs/VERIFY.md's rule tables and
+   docs/QOR.md's policy table copy their registries by hand; a kind cell
+   reads e.g. "histogram (...)". *)
 let test_doc_catalogues_match_registries () =
   let sorted l = List.sort compare l in
   let documented_metrics =
@@ -239,7 +240,25 @@ let test_doc_catalogues_match_registries () =
     |> sorted
   in
   Alcotest.(check (list (pair string string)))
-    "VERIFY.md rule (id, severity)" registered_rules documented_rules
+    "VERIFY.md rule (id, severity)" registered_rules documented_rules;
+  let documented_policies =
+    doc_table_rows "../docs/QOR.md"
+      ~header:[ "verdict id"; "kind"; "tolerance"; "sense"; "severity" ]
+    |> List.map (function
+      | [ id; _; _; _; severity ] -> (id, severity)
+      | _ -> Alcotest.fail "short QOR.md policy row")
+    |> sorted
+  in
+  let catalogued_policies =
+    List.map
+      (fun (p : Qor.Policy.t) ->
+         (p.Qor.Policy.id, Verify.Rule.severity_name p.Qor.Policy.severity))
+      Qor.Policy.catalogue
+    |> sorted
+  in
+  Alcotest.(check (list (pair string string)))
+    "QOR.md policy (verdict id, severity)" catalogued_policies
+    documented_policies
 
 let () =
   Alcotest.run "misc"

@@ -87,21 +87,37 @@ let test_record_json_roundtrip () =
 
 let record_text r = Telemetry.Json.to_string (Qor.Record.to_json r)
 
-(* [r] as an older schema wrote it: its fields plus the five serve_*
-   figures of a service-decorated row and the scheduler queue depth,
-   which this schema no longer carries *)
+(* The keys older schemas wrote and this one no longer carries: the five
+   serve_* figures of a service-decorated row, the scheduler queue depth,
+   the worker count and Monte-Carlo speedup probe, and the scaling-probe
+   decoration. *)
+let retired_keys =
+  [ ("serve_requests", Telemetry.Json.Num 10_000.);
+    ("serve_throughput_rps", Telemetry.Json.Num 25000.);
+    ("serve_p50_ms", Telemetry.Json.Num 1.5);
+    ("serve_p95_ms", Telemetry.Json.Num 2.5);
+    ("serve_hit_rate", Telemetry.Json.Num 0.99);
+    ("sched_queue_depth_max", Telemetry.Json.Num 5.);
+    ("jobs", Telemetry.Json.Num 4.);
+    ("par_speedup", Telemetry.Json.Num 0.3995);
+    ( "stage_exponent",
+      Telemetry.Json.Obj
+        [ ("place", Telemetry.Json.Num 1.1); ("total", Telemetry.Json.Num 1.2) ]
+    );
+    ("sched_utilization", Telemetry.Json.Num 0.7);
+    ("sched_caller_blocked_s", Telemetry.Json.Num 0.01) ]
+
+(* [r] as an older schema wrote it: its fields plus every retired key *)
 let with_retired_keys r =
   match Qor.Record.to_json r with
-  | Telemetry.Json.Obj fields ->
-    Telemetry.Json.Obj
-      (fields
-       @ [ ("serve_requests", Telemetry.Json.Num 10_000.);
-           ("serve_throughput_rps", Telemetry.Json.Num 25000.);
-           ("serve_p50_ms", Telemetry.Json.Num 1.5);
-           ("serve_p95_ms", Telemetry.Json.Num 2.5);
-           ("serve_hit_rate", Telemetry.Json.Num 0.99);
-           ("sched_queue_depth_max", Telemetry.Json.Num 5.) ])
+  | Telemetry.Json.Obj fields -> Telemetry.Json.Obj (fields @ retired_keys)
   | _ -> Alcotest.fail "a record serialises to an object"
+
+(* [line] names at least one retired key *)
+let has_retired_key line =
+  List.exists
+    (fun (k, _) -> contains line (Printf.sprintf "%S:" k))
+    retired_keys
 
 (* A record written by an older (or newer) schema parses: missing
    scalars decay to NaN, counts to 0, sets to [] — never an exception. *)
@@ -123,8 +139,8 @@ let test_record_schema_skew () =
      Alcotest.(check int) "missing count is 0" 0 r.Qor.Record.via_cuts;
      Alcotest.(check (list string)) "missing set is []" []
        r.Qor.Record.verify_rules);
-  (* the serve_* figures this schema no longer carries: a row that has
-     them parses to the same record as one without them *)
+  (* the keys this schema no longer carries: a row that has them parses
+     to the same record as one without them *)
   let r = Lazy.force record in
   (match Qor.Record.of_json (with_retired_keys r) with
    | Error e -> Alcotest.failf "row with retired keys rejected: %s" e
@@ -132,8 +148,7 @@ let test_record_schema_skew () =
      Alcotest.(check string) "retired keys ignored" (record_text r)
        (record_text r');
      Alcotest.(check bool) "not written back" false
-       (contains (record_text r') "serve_"
-        || contains (record_text r') "queue_depth"));
+       (has_retired_key (record_text r')));
   match Qor.Record.of_json (Telemetry.Json.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-object record should not parse"
@@ -206,9 +221,10 @@ let test_ledger_concurrent_appends () =
   Alcotest.(check int) "every append landed" (writers * per_writer)
     (List.length records)
 
-(* A service-decorated row from an older schema survives the ledger: it
-   loads without complaint to the record it decorated, and appending
-   that record back writes the same row minus the retired keys. *)
+(* A row an older schema decorated (service figures, speedup probe,
+   scaling probe) survives the ledger: it loads without complaint to the
+   record it decorated, and appending that record back writes the same
+   row minus the retired keys. *)
 let test_ledger_serve_row_roundtrip () =
   let path = temp_path ".jsonl" in
   let r = Lazy.force record in
@@ -230,12 +246,12 @@ let test_ledger_serve_row_roundtrip () =
     let lines = In_channel.with_open_text path In_channel.input_lines in
     Alcotest.(check (list bool)) "retired keys not written back"
       [ true; false ]
-      (List.map (fun l -> contains l "serve_") lines)
+      (List.map has_retired_key lines)
   | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
 
 (* The committed QoR files load as they stand, rows written by older
-   schemas (retired serve_* keys included) among them: one record per
-   ledger line, one per baseline entry, no complaint. *)
+   schemas (retired keys included) among them: one record per ledger
+   line, one per baseline entry, no complaint. *)
 let test_committed_files () =
   let ledger = "../qor_ledger.jsonl" in
   let lines =
@@ -250,6 +266,10 @@ let test_committed_files () =
     (List.exists (fun l -> contains l "\"serve_requests\"") lines);
   Alcotest.(check bool) "ledger has rows with a queue depth" true
     (List.exists (fun l -> contains l "\"sched_queue_depth_max\"") lines);
+  Alcotest.(check bool) "ledger has rows with a speedup probe" true
+    (List.exists (fun l -> contains l "\"par_speedup\"") lines);
+  Alcotest.(check bool) "ledger has rows with growth exponents" true
+    (List.exists (fun l -> contains l "\"stage_exponent\"") lines);
   match Qor.Baseline.load ~path:"../BENCH_baseline.json" with
   | Error e -> Alcotest.failf "committed baseline: %s" e
   | Ok records ->
@@ -688,67 +708,6 @@ let test_diff_seeded_alloc_regression () =
     Alcotest.check verdict "regressed" Qor.Policy.Regressed
       (List.hd fs).Qor.Compare.verdict
 
-(* --- scaling/scheduler fields (Ccdac.Scaling / Par.Sched) --- *)
-
-let scaling_record =
-  lazy
-    (Qor.Record.with_scaling
-       ~stage_exponent:
-         [ ("place", 1.1); ("route", 0.9); ("extract", 1.3); ("total", 1.2) ]
-       ~sched_utilization:0.7 ~sched_caller_blocked_s:0.01
-       (Lazy.force sampled_record))
-
-let test_scaling_record_roundtrip () =
-  let r = Lazy.force scaling_record in
-  match Qor.Record.of_json (Qor.Record.to_json r) with
-  | Error e -> Alcotest.failf "roundtrip failed: %s" e
-  | Ok r' ->
-    Alcotest.(check int) "exponent table survives"
-      (List.length r.Qor.Record.stage_exponent)
-      (List.length r'.Qor.Record.stage_exponent);
-    check_float "extract exponent survives" 1.3
-      (List.assoc "extract" r'.Qor.Record.stage_exponent);
-    check_float "utilization survives" 0.7 r'.Qor.Record.sched_utilization;
-    check_float "caller stall survives" 0.01
-      r'.Qor.Record.sched_caller_blocked_s
-
-(* a pre-scaling record (no exponents, NaN sched figures) diffs cleanly
-   against a decorated one: the scaling policies observe None and skip *)
-let test_scaling_compat_with_unsampled () =
-  let decorated = Lazy.force scaling_record in
-  let plain = Lazy.force sampled_record in
-  let check_clean ~baseline ~current =
-    let cmp = Qor.Compare.diff ~baseline:[ baseline ] ~current:[ current ] in
-    match Qor.Compare.gate ~werror:true cmp with
-    | Ok () -> ()
-    | Error fs ->
-      Alcotest.failf "mixed scaling diff failed the gate: %s"
-        (String.concat ", " (finding_ids fs))
-  in
-  check_clean ~baseline:plain ~current:decorated;
-  check_clean ~baseline:decorated ~current:plain
-
-(* the complexity-class sentinel: the WORST fitted exponent drifting past
-   the absolute tolerance is a Warning pinned to qor/scaling_exponent *)
-let test_diff_seeded_exponent_regression () =
-  let base = Lazy.force scaling_record in
-  let worse =
-    { base with
-      Qor.Record.stage_exponent =
-        [ ("place", 1.1); ("route", 0.9); ("extract", 1.9); ("total", 1.2) ] }
-  in
-  let cmp = Qor.Compare.diff ~baseline:[ base ] ~current:[ worse ] in
-  (match Qor.Compare.gate cmp with
-   | Ok () -> ()
-   | Error _ -> Alcotest.fail "exponent drift must not fail a default gate");
-  match Qor.Compare.gate ~werror:true cmp with
-  | Ok () -> Alcotest.fail "a +0.6 worst exponent must fail under --werror"
-  | Error fs ->
-    Alcotest.(check (list string)) "pinned verdict id"
-      [ "qor/scaling_exponent" ] (finding_ids fs);
-    Alcotest.check verdict "regressed" Qor.Policy.Regressed
-      (List.hd fs).Qor.Compare.verdict
-
 let () =
   Alcotest.run "qor"
     [ ( "record",
@@ -796,13 +755,6 @@ let () =
             test_memory_compat_with_unsampled;
           Alcotest.test_case "seeded alloc regression" `Quick
             test_diff_seeded_alloc_regression ] );
-      ( "scaling",
-        [ Alcotest.test_case "decorated record roundtrip" `Quick
-            test_scaling_record_roundtrip;
-          Alcotest.test_case "undecorated compat" `Quick
-            test_scaling_compat_with_unsampled;
-          Alcotest.test_case "seeded exponent regression" `Quick
-            test_diff_seeded_exponent_regression ] );
       ( "explain",
         [ Alcotest.test_case "delay sums" `Quick test_explain_delay_sums;
           Alcotest.test_case "inl sums" `Quick test_explain_inl_sums;

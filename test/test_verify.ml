@@ -362,6 +362,22 @@ let test_bad_layout_each_rule () =
             :: l.wires },
         1,
         [ ("route/reserved-direction", "C_3 bridge wire violates direction") ] );
+      ( "col_x short",
+        { l with col_x = Array.sub l.col_x 0 7 },
+        1,
+        [ ("route/lattice", "col_x holds 7 centres for 8 placement columns") ] );
+      ( "col_x long",
+        { l with col_x = Array.append l.col_x [| 20. |] },
+        1,
+        [ ("route/lattice", "col_x holds 9 centres for 8 placement columns") ] );
+      ( "row_y short",
+        { l with row_y = Array.sub l.row_y 0 7 },
+        1,
+        [ ("route/lattice", "row_y holds 7 centres for 8 placement rows") ] );
+      ( "row_y long",
+        { l with row_y = Array.append l.row_y [| 20. |] },
+        1,
+        [ ("route/lattice", "row_y holds 9 centres for 8 placement rows") ] );
       ( "zero width",
         { l with width = 0. },
         115,
