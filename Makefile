@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint devlint ccdeps lvs bench profile memprofile scale qor doc clean examples
+.PHONY: all build test lint devlint lvs bench profile memprofile scale qor doc clean examples
 
 all: build
 
@@ -14,20 +14,14 @@ lint: build
 	dune runtest
 	dune exec bin/ccgen.exe -- lint --all
 
-# Source-level static analysis of the repo's own OCaml (docs/SRCLINT.md);
-# the typed whole-program pass joins in automatically because `build`
-# leaves .cmt files around.  cclint.json is what CI uploads.
+# Source-level static analysis of the repo's own OCaml (docs/SRCLINT.md):
+# the syntactic rules plus the typed whole-program pass (call-graph
+# effect taint, domain-escape races, architecture layering), which reads
+# the .cmt files `build` leaves and fails on any missing or stale one.
+# cclint.json is what CI uploads.
 devlint: build
 	dune exec bin/cclint.exe -- --werror
 	dune exec bin/cclint.exe -- --json > cclint.json
-
-# Just the typed whole-program families (call-graph effect taint,
-# domain-escape races, architecture layering — docs/SRCLINT.md); fails
-# if the .cmt files are missing rather than silently degrading.
-# ccdeps.json is what CI uploads as an artifact.
-ccdeps: build
-	dune exec bin/cclint.exe -- --typed --werror
-	dune exec bin/cclint.exe -- --typed --json --rules int,arch,meta > ccdeps.json
 
 # Sweepline connectivity certification of every shipped configuration
 # (docs/VERIFY.md); lvs.json is what CI uploads as an artifact.

@@ -13,7 +13,6 @@
      ccgen diff    --baseline FILE         regression sentinel vs baseline
      ccgen history --ledger FILE           QoR trend from the ledger
      ccgen explain -b 8 -s spiral          per-element delay/INL attribution
-     ccgen devlint --werror                source-level static analysis (cclint)
      ccgen version                         release + git/host provenance
 
    Only the subcommands whose work reaches Par.Pool take --jobs: compare,
@@ -1077,11 +1076,6 @@ let version_cmd =
   let doc = "Print the release version with git/host provenance." in
   Cmd.v (Cmd.info "version" ~doc) Term.(const run $ const ())
 
-(* --- devlint: source-level static analysis (shared with bin/cclint) --- *)
-
-let devlint_cmd =
-  Cmd.v (Cmd.info "devlint" ~doc:Devlint_cli.doc) Devlint_cli.term
-
 let main =
   let doc =
     "constructive common-centroid placement and routing for binary-weighted \
@@ -1090,7 +1084,7 @@ let main =
   Cmd.group (Cmd.info "ccgen" ~version:Qor.Provenance.changelog ~doc)
     [ place_cmd; run_cmd; compare_cmd; tables_cmd; sweep_cmd; profile_cmd;
       scale_cmd; svg_cmd; mc_cmd; lint_cmd; lvs_cmd; record_cmd;
-      diff_cmd; history_cmd; explain_cmd; devlint_cmd; version_cmd ]
+      diff_cmd; history_cmd; explain_cmd; version_cmd ]
 
 (* The verification and LVS gates raise [Verify.Engine.Rejected] on a
    defective layout; turn that into a report and a nonzero exit instead of

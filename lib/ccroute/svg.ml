@@ -14,7 +14,10 @@ let layer_color = function
   | Tech.Layer.M2 -> "#2ca02c"
   | Tech.Layer.M3 -> "#1f77b4"
 
-let render ?(scale = 24.) ?(show_top = true) (layout : Layout.t) =
+(* pixels per micrometre *)
+let scale = 24.
+
+let render ?(show_top = true) (layout : Layout.t) =
   let buf = Buffer.create (1 lsl 16) in
   let w = layout.Layout.width *. scale in
   let h = layout.Layout.height *. scale in
@@ -88,9 +91,9 @@ let render ?(scale = 24.) ?(show_top = true) (layout : Layout.t) =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let write ?scale ?show_top layout ~path =
+let write ?show_top layout ~path =
   let oc = open_out path in
-  (try output_string oc (render ?scale ?show_top layout)
+  (try output_string oc (render ?show_top layout)
    with e ->
      close_out oc;
      raise e);

@@ -7,10 +7,10 @@
     overlay.  The output is self-contained SVG 1.1 with no external
     dependencies. *)
 
-(** [render ?scale ?show_top layout] is the SVG document text.
-    [scale] is pixels per micrometre (default 24); [show_top] includes
-    the top-plate routing overlay (default true). *)
-val render : ?scale:float -> ?show_top:bool -> Layout.t -> string
+(** [render ?show_top layout] is the SVG document text at 24 pixels per
+    micrometre; [show_top] includes the top-plate routing overlay
+    (default true). *)
+val render : ?show_top:bool -> Layout.t -> string
 
-(** [write ?scale ?show_top layout ~path] renders into a file. *)
-val write : ?scale:float -> ?show_top:bool -> Layout.t -> path:string -> unit
+(** [write ?show_top layout ~path] renders into a file. *)
+val write : ?show_top:bool -> Layout.t -> path:string -> unit

@@ -87,7 +87,7 @@ let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
 (* analysis shared by [run] and [run_placement]; [recorded] fills the
    telemetry and the Table III runtime.  Extraction builds each net's RC
    tree once; nothing else in the flow builds one. *)
-let analyze_layout ~tech ?sign_mode ?theta ~style layout =
+let analyze_layout ~tech ?theta ~style layout =
   let placement = layout.Ccroute.Layout.placement in
   let bits = placement.Ccgrid.Placement.bits in
   let parasitics =
@@ -97,7 +97,7 @@ let analyze_layout ~tech ?sign_mode ?theta ~style layout =
     stage "analyse" (fun () ->
         let cov = Dacmodel.Nonlinearity.covariance tech placement in
         ( cov,
-          Dacmodel.Nonlinearity.analyze tech ?theta ~cov ?sign_mode
+          Dacmodel.Nonlinearity.analyze tech ?theta ~cov
             ~top_parasitic:parasitics.Extract.Parasitics.total_top_cap
             placement ))
   in
@@ -133,8 +133,8 @@ let recorded ~attrs f =
     telemetry;
     elapsed_place_route_s = Telemetry.Summary.place_route_seconds telemetry }
 
-let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
-    ?sign_mode ?theta ~bits style =
+let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true) ?theta
+    ~bits style =
   recorded
     ~attrs:
       [ ("style", Telemetry.Span.Str (Ccplace.Style.name style));
@@ -142,7 +142,7 @@ let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
        let layout, _ = place_route ~tech ?parallel ~verify ~bits style in
-       analyze_layout ~tech ?sign_mode ?theta ~style layout)
+       analyze_layout ~tech ?theta ~style layout)
 
 let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
     placement =

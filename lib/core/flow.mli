@@ -39,14 +39,13 @@ type result = {
     as a stable name now that per-stage timings live in [r.telemetry]. *)
 val elapsed_place_route_s : result -> float
 
-(** [run ?tech ?parallel ?verify ?sign_mode ?theta ~bits style].
+(** [run ?tech ?parallel ?verify ?theta ~bits style].
 
     [parallel] is the per-capacitor parallel-wire count; by default the
     paper's policy: the paper's own styles (spiral and block chessboard)
     route their three MSB capacitors with 2 parallel wires, while the
     prior-work baselines ([1] proxy and [7]) use single wires, matching
     Sec. V ("Both S and BC use our parallel routing method").
-    [sign_mode] defaults to [Paper].
 
     [verify] (default [true]) gates the flow on the {!Verify} registry
     linter: the tech description, the placement and the routed layout are
@@ -59,7 +58,6 @@ val run :
   ?tech:Tech.Process.t ->
   ?parallel:(int -> int) ->
   ?verify:bool ->
-  ?sign_mode:Dacmodel.Nonlinearity.sign_mode ->
   ?theta:float ->
   bits:int ->
   Ccplace.Style.t ->
@@ -71,8 +69,8 @@ val default_parallel : bits:int -> Ccplace.Style.t -> int -> int
 (** [run_placement ?tech ?verify placement] routes and analyses a
     {e prebuilt} binary-weighted placement — e.g. one loaded from a file
     or hand-constructed.  The result is labelled Spiral and routed with
-    the Spiral parallel-wire policy; the analysis uses the [Paper] sign
-    mode and the tech's gradient angle.  Raises [Invalid_argument] when
+    the Spiral parallel-wire policy; the analysis uses the tech's
+    gradient angle.  Raises [Invalid_argument] when
     the placement's counts are not binary-weighted: the DAC transfer
     model assumes binary ratios (use the extraction layer directly for
     general ratios).  [verify] gates on the linter exactly as in {!run} —

@@ -27,7 +27,7 @@ let split_at n xs =
   in
   go n [] xs
 
-let row ?tech ?sign_mode ?jobs ~bits () =
+let row ?tech ?jobs ~bits () =
   Telemetry.Span.with_ ~name:"sweep.row"
     ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
   @@ fun () ->
@@ -37,7 +37,7 @@ let row ?tech ?sign_mode ?jobs ~bits () =
   let styles = paper_methods @ Ccplace.Style.block_family ~bits in
   let results =
     Par.Pool.map_list_exn ?jobs
-      (fun style -> Flow.run ?tech ?sign_mode ~bits style)
+      (fun style -> Flow.run ?tech ~bits style)
       styles
   in
   let firsts, family = split_at (List.length paper_methods) results in

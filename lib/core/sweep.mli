@@ -11,7 +11,7 @@
 (** [paper_methods] in table column order: [1] proxy, [7], S, BC-best. *)
 val paper_methods : Ccplace.Style.t list
 
-(** [row ?tech ?sign_mode ?jobs ~bits ()] runs all four methods for one
+(** [row ?tech ?jobs ~bits ()] runs all four methods for one
     bit count.  The BC entry is the best of its family (Fig. 4
     granularities at the default core): the result with the highest 3 dB
     frequency among those with |INL| and |DNL| within 0.5 LSB (all
@@ -19,9 +19,7 @@ val paper_methods : Ccplace.Style.t list
     family run as one parallel batch.  Note the Rowwise baseline
     substitutes [1] (DESIGN.md). *)
 val row :
-  ?tech:Tech.Process.t ->
-  ?sign_mode:Dacmodel.Nonlinearity.sign_mode ->
-  ?jobs:int -> bits:int -> unit -> Flow.result list
+  ?tech:Tech.Process.t -> ?jobs:int -> bits:int -> unit -> Flow.result list
 
 (** [parallel_sweep ?tech ?jobs ~bits ~style ks] reruns [style] with the
     MSB parallel-wire count set to each [k] and returns

@@ -1,7 +1,3 @@
-type sign_mode =
-  | Paper
-  | Worst_case
-
 type t = {
   inl : float array;
   dnl : float array;
@@ -23,7 +19,7 @@ let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
    where K is the Eq. 6 covariance; r_h obeys the same recurrence over
    the codes below 2^(h-1), so the table costs O(2^N) additions.
    [sigma_on.(c)] is the sigma of C_ON(c)'s random shift (Eq. 13).  One
-   table serves every sign combination and the attribution. *)
+   table serves the INL and the attribution. *)
 type on_sums = {
   sigma_on : float array;
   sys_on : float array;
@@ -51,9 +47,10 @@ let on_sums ~bits ~sys ~cov =
   (* numerical noise can push a tiny variance below zero *)
   { sigma_on = Array.map (fun v -> sqrt (Float.max 0. v)) var; sys_on }
 
-(* INL per code for one global sign assignment of the +-3 sigma points. *)
+(* INL per code, with +3 sigma added to both C_ON and C_T as the paper's
+   equation after (14) states. *)
 let inl_codes tech (placement : Ccgrid.Placement.t) ~sys ~sums ~sigma_t
-    ~top_parasitic ~s_on ~s_t =
+    ~top_parasitic =
   let bits = placement.Ccgrid.Placement.bits in
   let vref = 1.0 in
   let m = float_of_int placement.Ccgrid.Placement.unit_multiplier in
@@ -61,16 +58,14 @@ let inl_codes tech (placement : Ccgrid.Placement.t) ~sys ~sums ~sigma_t
   let codes = Transfer.num_codes ~bits in
   let c_t = float_of_int codes *. m *. cu in
   let sys_total = Array.fold_left ( +. ) 0. sys in
-  let delta_t = sys_total +. (s_t *. 3. *. sigma_t) +. top_parasitic in
+  let delta_t = sys_total +. (3. *. sigma_t) +. top_parasitic in
   let lsb = Transfer.lsb ~bits ~vref in
   Array.init codes
     (fun code ->
        if code = 0 then 0.
        else begin
          let c_on = float_of_int code *. m *. cu in
-         let delta_on =
-           sums.sys_on.(code) +. (s_on *. 3. *. sums.sigma_on.(code))
-         in
+         let delta_on = sums.sys_on.(code) +. (3. *. sums.sigma_on.(code)) in
          let v = Transfer.perturbed ~vref ~c_on ~delta_on ~c_t ~delta_t in
          (v -. Transfer.ideal ~bits ~code ~vref) /. lsb
        end)
@@ -87,7 +82,7 @@ let inl_codes tech (placement : Ccgrid.Placement.t) ~sys ~sums ~sigma_t
    it switch off.  So the step depends on t alone; it is evaluated once,
    at code 2^t, for each of the N values of t. *)
 let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
-    ~top_parasitic ~s_diff ~s_t =
+    ~top_parasitic =
   let bits = placement.Ccgrid.Placement.bits in
   let vref = 1.0 in
   let m = float_of_int placement.Ccgrid.Placement.unit_multiplier in
@@ -95,7 +90,7 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   let codes = Transfer.num_codes ~bits in
   let c_t = float_of_int codes *. m *. cu in
   let sys_total = Array.fold_left ( +. ) 0. sys in
-  let delta_t = sys_total +. (s_t *. 3. *. sigma_t) +. top_parasitic in
+  let delta_t = sys_total +. (3. *. sigma_t) +. top_parasitic in
   let lsb = Transfer.lsb ~bits ~vref in
   let dnl_at code =
     let weights = ref [] and sys_diff = ref 0. in
@@ -110,7 +105,7 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
     let sigma_diff = Capmodel.Covariance.sigma_weighted cov !weights in
     let step =
       vref
-      *. ((m *. cu) +. !sys_diff +. (s_diff *. 3. *. sigma_diff))
+      *. ((m *. cu) +. !sys_diff +. (3. *. sigma_diff))
       /. (c_t +. delta_t)
     in
     (step -. lsb) /. lsb
@@ -158,8 +153,7 @@ let model_inputs tech ?theta ?profile ?cov (placement : Ccgrid.Placement.t) =
   let sigma_t = Capmodel.Covariance.sigma_of_subset cov all_caps in
   (sys, cov, sigma_t)
 
-let analyze tech ?theta ?profile ?cov ?(sign_mode = Paper) ?(top_parasitic = 0.)
-    placement =
+let analyze tech ?theta ?profile ?cov ?(top_parasitic = 0.) placement =
   let bits = placement.Ccgrid.Placement.bits in
   Telemetry.Span.with_ ~name:"analyse.nonlinearity"
     ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
@@ -167,34 +161,14 @@ let analyze tech ?theta ?profile ?cov ?(sign_mode = Paper) ?(top_parasitic = 0.)
   Telemetry.Metrics.set "analyse/codes" (float_of_int (Transfer.num_codes ~bits));
   let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
   let sums = on_sums ~bits ~sys ~cov in
-  let run_inl ~s_on ~s_t =
-    inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic ~s_on ~s_t
-  in
-  let run_dnl ~s_diff ~s_t =
-    dnl_codes tech placement ~sys ~cov ~sigma_t ~top_parasitic ~s_diff ~s_t
-  in
-  match sign_mode with
-  | Paper ->
-    let inl = run_inl ~s_on:1. ~s_t:1. in
-    let dnl = run_dnl ~s_diff:1. ~s_t:1. in
-    { inl; dnl; max_abs_inl = max_abs inl; max_abs_dnl = max_abs dnl; sigma_t }
-  | Worst_case ->
-    let combos = [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ] in
-    let inls = List.map (fun (s_on, s_t) -> run_inl ~s_on ~s_t) combos in
-    let dnls = List.map (fun (s_diff, s_t) -> run_dnl ~s_diff ~s_t) combos in
-    let worst arrays = List.fold_left (fun acc a -> Float.max acc (max_abs a)) 0. arrays in
-    let inl, dnl =
-      match inls, dnls with
-      | i :: _, d :: _ -> (i, d)
-      | [], _ | _, [] ->
-        failwith "Nonlinearity: worst-case combo list is empty"
-    in
-    { inl; dnl; max_abs_inl = worst inls; max_abs_dnl = worst dnls; sigma_t }
+  let inl = inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic in
+  let dnl = dnl_codes tech placement ~sys ~cov ~sigma_t ~top_parasitic in
+  { inl; dnl; max_abs_inl = max_abs inl; max_abs_dnl = max_abs dnl; sigma_t }
 
 (* --- per-capacitor INL attribution (ccgen explain) ---
 
    At the worst code, with d_on = sys_on + 3 sigma_on and
-   d_t = sys_total + 3 sigma_t + C_top (Paper signs),
+   d_t = sys_total + 3 sigma_t + C_top,
 
      INL * LSB = V_REF (d_on C_T - C_ON d_t) / (C_T (C_T + d_t))
 
@@ -231,10 +205,7 @@ let attribute tech ?theta ?profile ?cov ?(top_parasitic = 0.) placement =
   let lsb = Transfer.lsb ~bits ~vref in
   let sys, cov, sigma_t = model_inputs tech ?theta ?profile ?cov placement in
   let sums = on_sums ~bits ~sys ~cov in
-  let inl =
-    inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic ~s_on:1.
-      ~s_t:1.
-  in
+  let inl = inl_codes tech placement ~sys ~sums ~sigma_t ~top_parasitic in
   let code =
     let best = ref 0 in
     Array.iteri

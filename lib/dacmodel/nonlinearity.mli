@@ -5,13 +5,9 @@
     and the 3-sigma point of the correlated random variation (Eq. 13–14)
     perturb [C_ON] and [C_T]; the top-plate parasitic [C^TS] loads the
     summing node and adds to [C_T] (gain error).  [C^TB] terms vanish
-    under the non-overlapped routing of Sec. IV-B1. *)
-
-type sign_mode =
-  | Paper       (** add +3 sigma to both numerator and denominator, as the
-                    paper's Eq. after (14) states *)
-  | Worst_case  (** maximise |INL|/|DNL| over the four +-3 sigma sign
-                    combinations *)
+    under the non-overlapped routing of Sec. IV-B1.  The 3-sigma point is
+    added to both numerator and denominator, as the paper's equation
+    after (14) states. *)
 
 type t = {
   inl : float array;       (** per code, LSB; length [2^N] *)
@@ -29,22 +25,21 @@ type t = {
     [?cov], so a flow builds it once; without it they build it here. *)
 val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
 
-(** [analyze tech ?theta ?profile ?cov ?sign_mode ?top_parasitic placement]:
+(** [analyze tech ?theta ?profile ?cov ?top_parasitic placement]:
     [top_parasitic] is the extracted [sum C^TS] in fF (default 0);
     [theta] overrides the gradient angle; [profile] replaces the linear
     gradient with an arbitrary {!Capmodel.Profile} (curvature studies);
-    [cov] is [covariance tech placement], built here when absent;
-    [sign_mode] defaults to [Paper].  Cost: one covariance build
-    ([O(N G log G)] for [G] unit cells, {!Capmodel.Lattice}) unless [cov]
-    is given, plus [O(2^N + N^2)] for the INL codes (each code's on-set
-    variance and systematic shift follow from a code with one bit fewer,
-    and every sign combination shares them) and [O(N^3 + 2^N)] for the
+    [cov] is [covariance tech placement], built here when absent.  Cost:
+    one covariance build ([O(N G log G)] for [G] unit cells,
+    {!Capmodel.Lattice}) unless [cov] is given, plus [O(2^N + N^2)] for
+    the INL codes (each code's on-set variance and systematic shift
+    follow from a code with one bit fewer) and [O(N^3 + 2^N)] for the
     DNL (a step depends only on how many bits toggle, so the [N]
     distinct steps are evaluated once). *)
 val analyze :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->
-  ?cov:Capmodel.Covariance.t -> ?sign_mode:sign_mode -> ?top_parasitic:float ->
-  Ccgrid.Placement.t -> t
+  ?cov:Capmodel.Covariance.t -> ?top_parasitic:float -> Ccgrid.Placement.t ->
+  t
 
 (** One capacitor's share of the worst-code INL. *)
 type inl_share = {
@@ -58,7 +53,7 @@ type inl_share = {
 (** Per-capacitor decomposition of the INL at the worst code. *)
 type attribution = {
   code : int;               (** argmax of [|inl|] over all codes *)
-  inl_lsb : float;          (** [inl.(code)] under [Paper] signs *)
+  inl_lsb : float;          (** [inl.(code)] *)
   shares : inl_share list;  (** one per capacitor, index order *)
   parasitic_lsb : float;    (** top-plate parasitic pseudo-share *)
 }
@@ -69,9 +64,9 @@ type attribution = {
     sums (each capacitor gets the sigma mass in proportion to its
     covariance with the rest of the subset), and the top-plate parasitic
     keeps its own pseudo-share.  The [total_lsb] fields plus
-    [parasitic_lsb] sum to [inl_lsb] exactly (up to float association).
-    Uses [Paper] signs, matching the [inl] array {!analyze} reports in
-    every sign mode.  Same cost as {!analyze}'s INL pass. *)
+    [parasitic_lsb] sum to [inl_lsb] exactly (up to float association),
+    which matches the [inl] array {!analyze} reports.  Same cost as
+    {!analyze}'s INL pass. *)
 val attribute :
   Tech.Process.t -> ?theta:float -> ?profile:Capmodel.Profile.t ->
   ?cov:Capmodel.Covariance.t -> ?top_parasitic:float -> Ccgrid.Placement.t ->

@@ -97,15 +97,16 @@ type summary = {
   items : int;
   wall_s : float;            (* sum of batch walls *)
   busy_s : float;            (* sum of chunk execution times *)
+  capacity_s : float;        (* sum of jobs x wall *)
   caller_blocked_s : float;
-  mean_utilization : float;  (* busy over sum (jobs x wall); wall-weighted *)
+  mean_utilization : float;  (* busy over capacity; wall-weighted *)
   worst_imbalance : float;
 }
 
 let summarize batches =
   let z =
     { batches = 0; chunks = 0; caller_chunks = 0; items = 0; wall_s = 0.;
-      busy_s = 0.; caller_blocked_s = 0.;
+      busy_s = 0.; capacity_s = 0.; caller_blocked_s = 0.;
       mean_utilization = Float.nan; worst_imbalance = Float.nan }
   in
   match batches with
@@ -122,19 +123,17 @@ let summarize batches =
              items = s.items + b.b_items;
              wall_s = s.wall_s +. b.b_wall_s;
              busy_s = s.busy_s +. busy_s b;
+             capacity_s =
+               s.capacity_s +. (float_of_int (max 1 b.b_jobs) *. b.b_wall_s);
              caller_blocked_s = s.caller_blocked_s +. b.b_caller_blocked_s;
              mean_utilization = s.mean_utilization;
              worst_imbalance = s.worst_imbalance })
         z batches
     in
-    let capacity =
-      List.fold_left
-        (fun acc b -> acc +. (float_of_int (max 1 b.b_jobs) *. b.b_wall_s))
-        0. batches
-    in
     { s with
       mean_utilization =
-        (if capacity <= 0. then 1. else Float.min 1. (s.busy_s /. capacity));
+        (if s.capacity_s <= 0. then 1.
+         else Float.min 1. (s.busy_s /. s.capacity_s));
       worst_imbalance =
         List.fold_left (fun m b -> Float.max m (imbalance b)) 1. batches }
 
@@ -156,7 +155,9 @@ let pp_summary ppf s =
   else
     Format.fprintf ppf
       "%d batch(es), %d chunk(s) (%d by the caller), %d item(s)@,\
-       busy %.3f s of %.3f s wall  utilization %.0f%%  imbalance %.2fx@,\
+       wall %.3f s  busy %.3f s of %.3f s capacity (jobs x wall)  \
+       utilization %.0f%%  imbalance %.2fx@,\
        caller blocked %.3f s@."
-      s.batches s.chunks s.caller_chunks s.items s.busy_s s.wall_s
-      (100. *. s.mean_utilization) s.worst_imbalance s.caller_blocked_s
+      s.batches s.chunks s.caller_chunks s.items s.wall_s s.busy_s
+      s.capacity_s (100. *. s.mean_utilization) s.worst_imbalance
+      s.caller_blocked_s

@@ -66,14 +66,18 @@ type summary = {
   items : int;
   wall_s : float;            (** sum of batch walls *)
   busy_s : float;            (** sum of chunk execution times *)
+  capacity_s : float;        (** sum of jobs x wall over the batches *)
   caller_blocked_s : float;
-  mean_utilization : float;  (** busy over total capacity; [nan] when
+  mean_utilization : float;  (** [busy_s] over [capacity_s]; [nan] when
                                  no batches ran *)
   worst_imbalance : float;   (** [nan] when no batches ran *)
 }
 
 val summarize : batch list -> summary
 val summary_to_json : summary -> Telemetry.Json.t
+
+(** Three lines: counts; wall, busy of capacity and utilization, with
+    the imbalance; caller blocked. *)
 val pp_summary : Format.formatter -> summary -> unit
 
 (** {2 Pool-facing} — called by {!Pool.map_list}; not for general use. *)

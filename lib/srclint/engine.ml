@@ -119,11 +119,11 @@ let apply_allowlist (allowlist : Allowlist.t) diags =
   in
   (List.rev kept @ List.rev !meta, suppressions)
 
-let run ?rules ?(allowlist = Allowlist.empty) ?typed ~root () =
+let run ?rules ?(allowlist = Allowlist.empty) ~root () =
   let files = ml_files ~root in
   let diags =
     List.concat_map (fun path -> check_file ~root path) files
-    @ Option.value typed ~default:[]
+    @ Typed.run ~root
   in
   let selected id =
     match rules with
@@ -133,19 +133,11 @@ let run ?rules ?(allowlist = Allowlist.empty) ?typed ~root () =
   let diags =
     List.filter (fun d -> selected d.Diagnostic.rule.Rule.id) diags
   in
-  (* When the typed pass did not run (no .cmt files around, or
-     --no-typed), its allowlist entries must not read as stale: the
-     violations they excuse were never looked for this run.  A typed run
-     that found nothing ([typed = Some []]) stale-checks them normally. *)
-  let typed_ran = typed <> None in
   let allowlist =
     { allowlist with
       Allowlist.entries =
         List.filter
-          (fun (e : Allowlist.entry) ->
-             selected e.Allowlist.rule_id
-             && (typed_ran
-                 || not (Typed_rules.is_typed_rule_id e.Allowlist.rule_id)))
+          (fun (e : Allowlist.entry) -> selected e.Allowlist.rule_id)
           allowlist.Allowlist.entries }
   in
   let diagnostics, suppressions = apply_allowlist allowlist diags in

@@ -1,6 +1,6 @@
 (** The analysis driver: discover sources, parse, run every registered
-    checker, apply the [--rules] filter and the [.cclint] allowlist, and
-    return one deterministic result. *)
+    checker and the typed whole-program pass, apply the [--rules] filter
+    and the [.cclint] allowlist, and return one deterministic result. *)
 
 (** One allowlist entry's outcome: how many findings it suppressed.
     [matched = 0] means the entry is stale. *)
@@ -45,17 +45,16 @@ val check_file : root:string -> string -> Diagnostic.t list
 val apply_allowlist :
   Allowlist.t -> Diagnostic.t list -> Diagnostic.t list * suppression list
 
-(** [run ?rules ?allowlist ?typed ~root ()] is the whole analysis.
+(** [run ?rules ?allowlist ~root ()] is the whole analysis: every
+    checker over {!ml_files}, then the typed whole-program pass
+    ({!Typed.run}) over the [.cmt] files under [root/_build/default/lib],
+    which must match the sources on disk ([meta/cmt-error] otherwise).
     [rules] filters findings (and allowlist entries) to the selected ids
     — see {!Registry.matches}; default everything.  [allowlist] defaults
-    to {!Allowlist.empty}.  [typed] carries the diagnostics of the typed
-    whole-program pass (lib/ccdeps), which the engine merges before
-    filtering and suppression; [None] means the pass did not run, and
-    then allowlist entries for ["int/"]/["arch/"] rules are exempt from
-    the stale check (their findings were never looked for). *)
+    to {!Allowlist.empty}. *)
 val run :
-  ?rules:string list -> ?allowlist:Allowlist.t ->
-  ?typed:Diagnostic.t list -> root:string -> unit -> result
+  ?rules:string list -> ?allowlist:Allowlist.t -> root:string -> unit ->
+  result
 
 (** [has_findings ?werror diags]: any error, or any warning under
     [~werror:true]. *)

@@ -20,7 +20,7 @@ type category =
   | Hygiene         (** polymorphic compare, stray printing, [Obj] *)
   | Interprocedural
       (** whole-program effect taint and domain-escape findings from the
-          typed ([.cmt]) pass — [lib/ccdeps] *)
+          typed ([.cmt]) pass — {!Typed} *)
   | Architecture
       (** layering-contract findings over the [lib/] sublibrary DAG,
           also from the typed pass *)

@@ -1,9 +1,8 @@
-(* Rule declarations for the typed whole-program pass (lib/ccdeps).
+(* Rule declarations for the typed whole-program pass (Typed).
 
-   Only the *identities* live here, so the registry stays one static
-   list and the allowlist can vet typed suppressions without srclint
-   depending on the analysis that emits them.  The checkers themselves
-   walk .cmt Typedtrees in lib/ccdeps, which depends on this library. *)
+   Only the identities live here, so the registry stays one static list
+   below the analysis modules that emit them (Cmts, Manifest,
+   Analysis). *)
 
 let taint_wall_clock =
   Rule.make ~id:"int/taint-wall-clock" ~category:Rule.Interprocedural
@@ -90,8 +89,11 @@ let undeclared_lib =
 let cmt_error =
   Rule.make ~id:"meta/cmt-error" ~category:Rule.Meta ~severity:Rule.Error
     ~doc:
-      "A .cmt file under _build could not be read, so the typed pass \
-       cannot vouch for that module; rebuild (dune build @check) or \
+      "A .cmt file under _build is missing, stale or unreadable, so the \
+       typed pass cannot vouch for that part of the tree: a lib/ \
+       sublibrary with no .cmt, a module whose implementation .cmt is \
+       absent, unloadable or records another source digest than the file \
+       on disk, or a .cmt whose source is gone.  Run dune build, or \
        investigate the toolchain skew."
 
 let manifest_error =
@@ -106,17 +108,3 @@ let rules =
   [ taint_wall_clock; taint_random; taint_getenv; taint_gc; taint_print;
     domain_escape; layer_violation; forbidden_dep; layer_cycle;
     undeclared_lib; cmt_error; manifest_error ]
-
-let taint_families =
-  [ ("wall-clock", taint_wall_clock); ("random", taint_random);
-    ("getenv", taint_getenv); ("gc", taint_gc); ("print", taint_print) ]
-
-let typed_family_prefixes = [ "int/"; "arch/"; "meta/cmt-error";
-                              "meta/ccdeps-manifest" ]
-
-let is_typed_rule_id id =
-  List.exists
-    (fun p ->
-       String.length id >= String.length p
-       && String.sub id 0 (String.length p) = p)
-    typed_family_prefixes

@@ -1,9 +1,8 @@
 (** Rule identities for the typed whole-program pass.
 
-    [lib/ccdeps] emits diagnostics against these; declaring them here
-    keeps {!Registry.all} a single static list (and lets the allowlist
-    vet ["int/"]/["arch/"] suppressions) without srclint depending on
-    the typed analysis. *)
+    {!Cmts}, {!Manifest} and {!Analysis} emit diagnostics against these;
+    declaring them here keeps {!Registry.all} a single static list below
+    the modules that emit them. *)
 
 (** {2 Effect/determinism taint (["int/taint-*"])} *)
 
@@ -31,11 +30,3 @@ val manifest_error : Rule.t
 
 (** Every rule above, for {!Registry.all}. *)
 val rules : Rule.t list
-
-(** [(kind-name, rule)] pairs for the taint kinds, in reporting order. *)
-val taint_families : (string * Rule.t) list
-
-(** [is_typed_rule_id id]: does [id] belong to the typed pass?  Used to
-    keep allowlist entries for typed rules from reading as stale when
-    the pass is off (no [.cmt] files around). *)
-val is_typed_rule_id : string -> bool

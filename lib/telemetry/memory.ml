@@ -193,15 +193,3 @@ let words_to_mb w = w *. float_of_int bytes_per_word /. 1048576.
 
 let allocated_mb d = words_to_mb d.allocated_words
 let peak_heap_mb d = words_to_mb (float_of_int d.top_heap_words)
-let heap_after_mb d = words_to_mb (float_of_int d.heap_words_after)
-
-let to_json d =
-  Json.Obj
-    [ ("allocated_mb", Json.Num (allocated_mb d));
-      ("promoted_mb", Json.Num (words_to_mb d.promoted_words));
-      ("minor_collections", Json.Num (float_of_int d.minor_collections));
-      ("major_collections", Json.Num (float_of_int d.major_collections));
-      ("compactions", Json.Num (float_of_int d.compactions));
-      ("heap_before_mb", Json.Num (words_to_mb (float_of_int d.heap_words_before)));
-      ("heap_after_mb", Json.Num (heap_after_mb d));
-      ("peak_heap_mb", Json.Num (peak_heap_mb d)) ]

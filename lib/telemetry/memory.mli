@@ -90,8 +90,3 @@ val allocated_mb : delta -> float
 
 (** [peak_heap_mb d] — {!delta.top_heap_words} in MB. *)
 val peak_heap_mb : delta -> float
-
-(** [heap_after_mb d] — {!delta.heap_words_after} in MB. *)
-val heap_after_mb : delta -> float
-
-val to_json : delta -> Json.t

@@ -201,11 +201,6 @@ let counter ?label dump id =
 let gauge ?label dump id =
   match find ?label dump id with Some (Value v) -> Some v | Some _ | None -> None
 
-let labels dump id =
-  List.filter_map
-    (fun p -> if String.equal p.metric.Metric.id id then Some p.label else None)
-    dump
-
 (* Quantile estimate from bucket boundaries: find the bucket holding the
    rank-q observation and interpolate linearly inside it.  The first
    bucket's lower edge is 0; the overflow bucket clamps to the last

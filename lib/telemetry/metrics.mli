@@ -86,9 +86,6 @@ val counter : ?label:string -> dump -> string -> int
 (** [gauge ?label dump id]. *)
 val gauge : ?label:string -> dump -> string -> float option
 
-(** [labels dump id] is the sorted labels recorded against [id]. *)
-val labels : dump -> string -> string option list
-
 (** [quantile value q] estimates the [q]-quantile ([0 <= q <= 1]) of a
     histogram from its bucket boundaries: locate the bucket holding the
     rank-[q] observation and interpolate linearly inside it, taking the

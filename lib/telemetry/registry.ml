@@ -139,6 +139,3 @@ let table =
 let find id = Hashtbl.find_opt table id
 
 let ids = List.map (fun def -> def.Metric.id) all
-
-let by_stage stage =
-  List.filter (fun def -> String.equal def.Metric.stage stage) all

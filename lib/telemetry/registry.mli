@@ -16,6 +16,3 @@ val find : string -> Metric.t option
 
 (** [ids] is [all]'s ids in order. *)
 val ids : string list
-
-(** [by_stage stage] filters {!all}. *)
-val by_stage : string -> Metric.t list

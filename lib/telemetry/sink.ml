@@ -3,29 +3,6 @@ type t = {
   close : unit -> unit;
 }
 
-let null = { on_span = (fun _ -> ()); close = (fun () -> ()) }
-
-let text ?(ppf = Format.err_formatter) () =
-  let on_span (c : Span.complete) =
-    Format.fprintf ppf "%s%-24s %10.3f ms%a%a@."
-      (String.make (2 * c.Span.depth) ' ')
-      c.Span.name
-      (Clock.to_us c.Span.duration_ns /. 1e3)
-      (fun ppf attrs ->
-         List.iter
-           (fun (k, v) -> Format.fprintf ppf "  %s=%a" k Span.pp_value v)
-           attrs)
-      c.Span.attrs
-      (fun ppf mem ->
-         match mem with
-         | None -> ()
-         | Some d ->
-           Format.fprintf ppf "  alloc=%.2fMB majors=%d"
-             (Memory.allocated_mb d) d.Memory.major_collections)
-      c.Span.mem
-  in
-  { on_span; close = (fun () -> Format.pp_print_flush ppf ()) }
-
 let event_json (c : Span.complete) =
   let base =
     [ ("name", Json.Str c.Span.name);

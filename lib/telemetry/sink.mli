@@ -1,24 +1,14 @@
 (** Span sinks: where completed spans go.
 
-    Three are provided, matching the three ways to consume a trace:
-    {!null} (drop everything — combined with the fast path in
-    {!Span.with_} this is the zero-overhead default), {!text} (one
-    indented line per span, for terminal debugging), and {!chrome_trace}
-    (the Chrome [trace_event] JSON format, loadable in [chrome://tracing]
-    and {{:https://ui.perfetto.dev}Perfetto}). *)
+    One is provided: {!chrome_trace} (the Chrome [trace_event] JSON
+    format, loadable in [chrome://tracing] and
+    {{:https://ui.perfetto.dev}Perfetto}).  With no sink installed,
+    the fast path in {!Span.with_} records nothing. *)
 
 type t = {
   on_span : Span.complete -> unit;
   close : unit -> unit;  (** flush and release resources; idempotent *)
 }
-
-(** Drops every span. *)
-val null : t
-
-(** [text ?ppf ()] prints ["<indent>name  dur  attrs"] lines as spans
-    complete (children before parents — completion order).  Default
-    formatter: stderr. *)
-val text : ?ppf:Format.formatter -> unit -> t
 
 (** [chrome_trace ~path] buffers spans and, on [close], writes a Chrome
     [trace_event] JSON object ([{"traceEvents": [...]}], complete

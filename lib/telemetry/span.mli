@@ -50,11 +50,6 @@ val active : unit -> bool
 
 (** {2 Sinks} — streaming consumers of completed spans. *)
 
-type sink_id
-
-val add_sink : (complete -> unit) -> sink_id
-val remove_sink : sink_id -> unit
-
 (** [with_sink k f] installs [k] for the duration of [f]. *)
 val with_sink : (complete -> unit) -> (unit -> 'a) -> 'a
 

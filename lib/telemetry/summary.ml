@@ -73,49 +73,3 @@ let stage_alloc_mb t name =
 let seconds_or_0 t name = Option.value ~default:0. (stage_seconds t name)
 
 let place_route_seconds t = seconds_or_0 t "place" +. seconds_or_0 t "route"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s: %.3f ms total@,"
-    (if t.name = "" then "(empty)" else t.name)
-    (1e3 *. t.total_s);
-  List.iter
-    (fun (stage, s) ->
-       match stage_memory t stage with
-       | None ->
-         Format.fprintf ppf "  %-10s %10.3f ms@," stage (1e3 *. s)
-       | Some d ->
-         Format.fprintf ppf "  %-10s %10.3f ms  %8.2f MB alloc@," stage
-           (1e3 *. s) (Memory.allocated_mb d))
-    t.stages;
-  (match t.mem_total with
-   | None -> ()
-   | Some d ->
-     Format.fprintf ppf "  %-10s %8.2f MB alloc, %.2f MB peak heap, %d major gc@,"
-       "memory" (Memory.allocated_mb d) (Memory.peak_heap_mb d)
-       d.Memory.major_collections);
-  Format.fprintf ppf "@]"
-
-let memory_json t =
-  match t.mem_total with
-  | None -> Json.Null
-  | Some d ->
-    Json.Obj
-      [ ( "stages_alloc_mb",
-          Json.Obj
-            (List.map
-               (fun (k, d) -> (k, Json.Num (Memory.allocated_mb d)))
-               t.mem_stages) );
-        ("alloc_mb_total", Json.Num (Memory.allocated_mb d));
-        ("peak_heap_mb", Json.Num (Memory.peak_heap_mb d));
-        ("major_collections", Json.Num (float_of_int d.Memory.major_collections)) ]
-
-let to_json t =
-  Json.Obj
-    [ ("name", Json.Str t.name);
-      ( "attrs",
-        Json.Obj (List.map (fun (k, v) -> (k, Span.json_value v)) t.attrs) );
-      ("total_s", Json.Num t.total_s);
-      ( "stages_s",
-        Json.Obj (List.map (fun (k, s) -> (k, Json.Num s)) t.stages) );
-      ("memory", memory_json t);
-      ("metrics", Metrics.to_json t.metrics) ]

@@ -55,11 +55,3 @@ val stage_alloc_mb : t -> string -> float option
     stage durations — the Table III measurement.  The verification gate
     and the analysis stages are deliberately excluded. *)
 val place_route_seconds : t -> float
-
-(** [pp ppf t] prints the per-stage breakdown. *)
-val pp : Format.formatter -> t -> unit
-
-(** [to_json t] carries the stage table, the memory object ([null] when
-    sampling was off) and the metric dump (not the raw spans — export
-    those with {!Sink.chrome_trace}). *)
-val to_json : t -> Json.t

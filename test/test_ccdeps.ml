@@ -1,20 +1,21 @@
-(* Tests for the typed whole-program pass (lib/ccdeps): the taint,
-   domain-escape and layering analyses each pinned by a violating and a
-   clean fixture, manifest parsing/validation, trust boundaries, the
-   registry wiring of the int/ and arch/ rule families, and allowlist
-   prune semantics.
+(* Tests for the typed whole-program pass of cclint (Srclint.Typed): the
+   taint, domain-escape and layering analyses each pinned by a violating
+   and a clean fixture, manifest parsing/validation, trust boundaries,
+   the registry wiring of the int/ and arch/ rule families, and the
+   check that every lib/ module has a .cmt built from its current
+   source.
 
    Fixtures are typechecked in-process (Typecheck.summarize), so a local
    [module Par = struct module Pool = ... end] stub yields the exact
    "Par.Pool.map_list_exn" path spellings the real library produces. *)
 
 let manifest_exn src =
-  match Ccdeps.Manifest.parse_string ~file:".ccdeps-test" src with
+  match Srclint.Manifest.parse_string ~file:".ccdeps-test" src with
   | Ok m -> m
   | Error msg -> Alcotest.failf "manifest fixture did not parse: %s" msg
 
 let summarize ~lib ~modname src =
-  Ccdeps.Typecheck.summarize ~lib ~modname
+  Srclint.Typecheck.summarize ~lib ~modname
     ~file:(Printf.sprintf "lib/%s/fix.ml" lib)
     src
 
@@ -26,17 +27,17 @@ let check_ids what expected diags =
 let run_typed ~manifest mods =
   let libs =
     List.sort_uniq String.compare
-      (List.map (fun (m : Ccdeps.Summary.moddef) -> m.Ccdeps.Summary.m_lib)
+      (List.map (fun (m : Srclint.Summary.moddef) -> m.Srclint.Summary.m_lib)
          mods)
   in
   let heads = Hashtbl.create 8 in
   List.iter
-    (fun (m : Ccdeps.Summary.moddef) ->
+    (fun (m : Srclint.Summary.moddef) ->
        Hashtbl.replace heads
-         (Ccdeps.Names.head m.Ccdeps.Summary.m_name)
-         m.Ccdeps.Summary.m_lib)
+         (Srclint.Names.head m.Srclint.Summary.m_name)
+         m.Srclint.Summary.m_lib)
     mods;
-  Ccdeps.Analysis.run ~manifest ~libs ~lib_of_module:(Hashtbl.find_opt heads)
+  Srclint.Analysis.run ~manifest ~libs ~lib_of_module:(Hashtbl.find_opt heads)
     mods
 
 (* --- effect/determinism taint --- *)
@@ -178,10 +179,10 @@ let test_escape_closure_local_state_ok () =
 (* --- architecture layering --- *)
 
 let edge ?(file = "lib/alib/a.ml") ?(line = 3) e_src e_dst =
-  { Ccdeps.Analysis.e_src; e_dst; e_file = file; e_line = line }
+  { Srclint.Analysis.e_src; e_dst; e_file = file; e_line = line }
 
 let layering ~manifest ~libs edges =
-  Ccdeps.Analysis.layering ~manifest ~libs edges
+  Srclint.Analysis.layering ~manifest ~libs edges
 
 let test_layer_violation () =
   let manifest = manifest_exn "layer alib 0\nlayer blib 1" in
@@ -228,30 +229,30 @@ let test_manifest_parse () =
        trust Par : audited\n"
   in
   Alcotest.(check (option int)) "rank" (Some 0)
-    (Ccdeps.Manifest.rank m "geom");
+    (Srclint.Manifest.rank m "geom");
   Alcotest.(check (option string)) "forbid reason"
     (Some "no scoring in kernels")
-    (Ccdeps.Manifest.forbidden m ~src:"ccplace" ~dst:"qor");
-  Alcotest.(check bool) "pure" true (Ccdeps.Manifest.is_pure m "geom");
+    (Srclint.Manifest.forbidden m ~src:"ccplace" ~dst:"qor");
+  Alcotest.(check bool) "pure" true (Srclint.Manifest.is_pure m "geom");
   Alcotest.(check bool) "trust covers submodules" true
-    (Ccdeps.Manifest.is_trusted m "Par.Pool.map_list");
+    (Srclint.Manifest.is_trusted m "Par.Pool.map_list");
   Alcotest.(check bool) "trust is component-wise" false
-    (Ccdeps.Manifest.is_trusted m "Parasitic.x")
+    (Srclint.Manifest.is_trusted m "Parasitic.x")
 
 let test_manifest_malformed () =
-  (match Ccdeps.Manifest.parse_string ~file:"f" "layer geom zero" with
+  (match Srclint.Manifest.parse_string ~file:"f" "layer geom zero" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "non-integer rank must not parse");
-  match Ccdeps.Manifest.parse_string ~file:"f" "bogus x" with
+  match Srclint.Manifest.parse_string ~file:"f" "bogus x" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown directive must not parse"
 
 let test_manifest_validate () =
   let m = manifest_exn "layer nosuch 0\nlayer geom 0\nlayer geom 1" in
   check_ids "unknown lib and duplicate layer" [ "meta/ccdeps-manifest" ]
-    (Ccdeps.Manifest.validate m ~libs:[ "geom" ]);
+    (Srclint.Manifest.validate m ~libs:[ "geom" ]);
   Alcotest.(check int) "one per offence" 2
-    (List.length (Ccdeps.Manifest.validate m ~libs:[ "geom" ]))
+    (List.length (Srclint.Manifest.validate m ~libs:[ "geom" ]))
 
 (* --- registry + engine wiring --- *)
 
@@ -265,14 +266,6 @@ let test_registry_has_typed_rules () =
       "arch/layer-violation"; "arch/forbidden-dep"; "arch/layer-cycle";
       "arch/undeclared-lib"; "meta/cmt-error"; "meta/ccdeps-manifest" ]
 
-let test_typed_rule_id_predicate () =
-  List.iter
-    (fun (id, want) ->
-       Alcotest.(check bool) id want (Srclint.Typed_rules.is_typed_rule_id id))
-    [ ("int/domain-escape", true); ("arch/layer-cycle", true);
-      ("meta/cmt-error", true); ("det/wall-clock", false);
-      ("meta/stale-suppression", false) ]
-
 (* The committed .ccdeps parses and places every current sublibrary.
    Under `dune runtest` the cwd is _build/default/test; under
    `dune exec` it is the workspace root. *)
@@ -281,86 +274,100 @@ let test_committed_manifest () =
     List.find_opt Sys.file_exists [ "../.ccdeps"; ".ccdeps" ]
     |> Option.value ~default:"../.ccdeps"
   in
-  match Ccdeps.Manifest.load path with
+  match Srclint.Manifest.load path with
   | Error msg -> Alcotest.failf "committed .ccdeps: %s" msg
   | Ok m ->
     Alcotest.(check bool) "manifest is non-empty" true
-      (m.Ccdeps.Manifest.layers <> []);
+      (m.Srclint.Manifest.layers <> []);
     List.iter
       (fun lib ->
          Alcotest.(check bool) ("layer for " ^ lib) true
-           (Ccdeps.Manifest.rank m lib <> None))
+           (Srclint.Manifest.rank m lib <> None))
       [ "geom"; "tech"; "capmodel"; "ccgrid"; "ccplace"; "ccroute";
         "rcnet"; "extract"; "dacmodel"; "verify"; "lvs"; "core"; "qor";
-        "telemetry"; "par"; "srclint"; "ccdeps" ]
+        "telemetry"; "par"; "srclint" ]
 
-(* When the typed pass does not run, its allowlist entries are exempt
-   from the stale check; a typed run that found nothing stale-checks
-   them normally. *)
-let test_typed_allowlist_exemption () =
-  let dir = Filename.temp_file "ccdeps-typed" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Sys.mkdir (Filename.concat dir "lib") 0o755;
-  let src_path = Filename.concat dir "lib/k.ml" in
-  Out_channel.with_open_bin src_path (fun oc ->
-      Out_channel.output_string oc "let id x = x\n");
-  let allowlist =
-    match
-      Srclint.Allowlist.parse_string ~file:".cclint"
-        "int/domain-escape lib/k.ml : raced before the rework landed\n"
-    with
-    | Ok a -> a
-    | Error msg -> Alcotest.fail msg
-  in
-  let off = Srclint.Engine.run ~allowlist ~root:dir () in
-  Alcotest.(check (list string)) "pass off: typed entry not stale" []
-    (Srclint.Diagnostic.rule_ids off.Srclint.Engine.diagnostics);
-  let on = Srclint.Engine.run ~allowlist ~typed:[] ~root:dir () in
-  Alcotest.(check (list string)) "pass ran clean: typed entry is stale"
-    [ "meta/stale-suppression" ]
-    (Srclint.Diagnostic.rule_ids on.Srclint.Engine.diagnostics);
-  Sys.remove src_path;
-  Sys.rmdir (Filename.concat dir "lib");
-  Sys.rmdir dir
+(* --- cmt freshness --- *)
 
-(* --- cclint --prune (shared CLI helper) --- *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
-let test_prune () =
-  let dir = Filename.temp_file "ccdeps-prune" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let path = Filename.concat dir ".cclint" in
-  let contents =
-    "# keep this comment\n\
-     det/wall-clock lib/live.ml : still real\n\
-     det/getenv lib/gone.ml : fixed long ago\n"
-  in
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let write ~root path contents =
+  let path = Filename.concat root path in
+  mkdir_p (Filename.dirname path);
   Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc contents);
-  let allowlist =
-    match Srclint.Allowlist.load path with
-    | Ok a -> a
-    | Error msg -> Alcotest.failf "load: %s" msg
+      Out_channel.output_string oc contents)
+
+(* The implementation .cmt dune leaves for lib/fix/<name>.ml, compiled
+   from [root] as dune compiles from _build/default: the compiler
+   records the repo-relative source path and the digest of the file. *)
+let save_cmt ~root name =
+  let src = Printf.sprintf "lib/fix/%s.ml" name in
+  let cmt =
+    Printf.sprintf "_build/default/lib/fix/.fix.objs/byte/fix__%s.cmt"
+      (String.capitalize_ascii name)
   in
-  let live, stale =
-    match allowlist.Srclint.Allowlist.entries with
-    | [ a; b ] -> (a, b)
-    | _ -> Alcotest.fail "expected two entries"
+  mkdir_p (Filename.concat root (Filename.dirname cmt));
+  let cwd = Sys.getcwd () in
+  Sys.chdir root;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  let str =
+    Srclint.Typecheck.structure ~file:src
+      (In_channel.with_open_bin src In_channel.input_all)
   in
-  let result =
-    { Srclint.Engine.files_scanned = 1;
-      diagnostics = [];
-      suppressions =
-        [ { Srclint.Engine.entry = live; matched = 1 };
-          { Srclint.Engine.entry = stale; matched = 0 } ] }
-  in
-  Devlint_cli.prune ~root:dir ~allowlist_path:".cclint" result;
-  let after = In_channel.with_open_bin path In_channel.input_all in
-  Alcotest.(check string) "stale entry dropped, comment and live kept"
-    "# keep this comment\ndet/wall-clock lib/live.ml : still real\n" after;
-  Sys.remove path;
-  Sys.rmdir dir
+  Clflags.binary_annotations := true;
+  Cmt_format.save_cmt cmt
+    ("Fix__" ^ String.capitalize_ascii name)
+    (Cmt_format.Implementation str) (Some src) (Compmisc.initial_env ())
+    None None
+
+let cmt_findings ~root =
+  (Srclint.Engine.run ~root ()).Srclint.Engine.diagnostics
+  |> List.map (fun (d : Srclint.Diagnostic.t) ->
+      let open Srclint.Diagnostic in
+      (d.rule.Srclint.Rule.id, d.file, d.detail))
+
+let test_cmt_freshness () =
+  let root = Filename.temp_file "ccdeps-cmts" "" in
+  Sys.remove root;
+  Sys.mkdir root 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  write ~root ".ccdeps" "layer fix 0\n";
+  write ~root "lib/fix/dune" "(library (name fix))\n";
+  List.iter
+    (fun name ->
+       write ~root ("lib/fix/" ^ name ^ ".ml") "let x = 1\n";
+       save_cmt ~root name)
+    [ "a"; "b"; "c" ];
+  Alcotest.(check (list (triple string string string)))
+    "every module built from its source: clean" [] (cmt_findings ~root);
+  write ~root "lib/fix/b.ml" "let x = 2\n";
+  Sys.remove (Filename.concat root "lib/fix/c.ml");
+  write ~root "lib/fix/d.ml" "let x = 4\n";
+  write ~root ".ccdeps" "layer fix 0\nlayer unbuilt 1\n";
+  write ~root "lib/unbuilt/dune" "(library (name unbuilt))\n";
+  write ~root "lib/unbuilt/e.ml" "let x = 5\n";
+  Alcotest.(check (list (triple string string string)))
+    "stale, gone, missing, and one finding for an unbuilt library"
+    [ ( "meta/cmt-error", "lib/fix/b.ml",
+        "stale .cmt: the source changed since it was built; run dune build" );
+      ( "meta/cmt-error", "lib/fix/c.ml",
+        "the .cmt's source is gone; run dune build" );
+      ("meta/cmt-error", "lib/fix/d.ml", "no loadable .cmt; run dune build");
+      ( "meta/cmt-error", "lib/unbuilt",
+        "no implementation .cmt under _build/default/lib/unbuilt; run dune \
+         build" ) ]
+    (cmt_findings ~root)
 
 let () =
   Alcotest.run "ccdeps"
@@ -390,8 +397,4 @@ let () =
           Alcotest.test_case "committed" `Quick test_committed_manifest ] );
       ( "wiring",
         [ Alcotest.test_case "registry" `Quick test_registry_has_typed_rules;
-          Alcotest.test_case "typed-rule-ids" `Quick
-            test_typed_rule_id_predicate;
-          Alcotest.test_case "typed-allowlist-exemption" `Quick
-            test_typed_allowlist_exemption;
-          Alcotest.test_case "prune" `Quick test_prune ] ) ]
+          Alcotest.test_case "cmt-freshness" `Quick test_cmt_freshness ] ) ]

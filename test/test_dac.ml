@@ -101,19 +101,6 @@ let test_top_parasitic_gain_error () =
   Alcotest.(check bool) "negative at full scale" true
     (loaded.Dacmodel.Nonlinearity.inl.(worst_code) < 0.)
 
-let test_worst_case_not_smaller () =
-  let paper = Dacmodel.Nonlinearity.analyze tech spiral8 in
-  let worst =
-    Dacmodel.Nonlinearity.analyze tech
-      ~sign_mode:Dacmodel.Nonlinearity.Worst_case spiral8
-  in
-  Alcotest.(check bool) "worst >= paper INL" true
-    (worst.Dacmodel.Nonlinearity.max_abs_inl
-     >= paper.Dacmodel.Nonlinearity.max_abs_inl -. 1e-12);
-  Alcotest.(check bool) "worst >= paper DNL" true
-    (worst.Dacmodel.Nonlinearity.max_abs_dnl
-     >= paper.Dacmodel.Nonlinearity.max_abs_dnl -. 1e-12)
-
 let test_dispersion_reduces_nonlinearity () =
   (* the paper's core claim about dispersion (Sec. IV-A2) *)
   let chess = Ccplace.Chessboard.place ~bits:8 in
@@ -191,17 +178,16 @@ let prop_inl_zero_for_ideal =
        && a.Dacmodel.Nonlinearity.max_abs_dnl < 1e-9)
 
 (* DNL against the per-code loop it replaced, which finds each code's
-   toggling bits directly: equal bit for bit at 2-16 bits in both sign
-   modes.  A covariance over three off-lattice points per capacitor stands
-   in for the placement's own, so the 16-bit case stays cheap. *)
-let reference_dnl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
-    ~s_diff ~s_t =
+   toggling bits directly: equal bit for bit at 2-16 bits.  A covariance
+   over three off-lattice points per capacitor stands in for the
+   placement's own, so the 16-bit case stays cheap. *)
+let reference_dnl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic =
   let bits = p.bits and vref = 1.0 in
   let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
   let codes = Dacmodel.Transfer.num_codes ~bits in
   let c_t = float_of_int codes *. m *. cu in
   let delta_t =
-    Array.fold_left ( +. ) 0. sys +. (s_t *. 3. *. sigma_t) +. top_parasitic
+    Array.fold_left ( +. ) 0. sys +. (3. *. sigma_t) +. top_parasitic
   in
   let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
   Array.init codes (fun code ->
@@ -220,7 +206,7 @@ let reference_dnl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
         let sigma_diff = Capmodel.Covariance.sigma_weighted cov !weights in
         let step =
           vref
-          *. ((m *. cu) +. !sys_diff +. (s_diff *. 3. *. sigma_diff))
+          *. ((m *. cu) +. !sys_diff +. (3. *. sigma_diff))
           /. (c_t +. delta_t)
         in
         (step -. lsb) /. lsb
@@ -245,25 +231,13 @@ let test_dnl_steps_match_per_code () =
     in
     let sigma_t = Capmodel.Covariance.sigma_of_subset cov (List.init (bits + 1) Fun.id) in
     let top_parasitic = 0.7 in
-    List.iter
-      (fun (sign_mode, combos) ->
-         let a = Dacmodel.Nonlinearity.analyze tech ~cov ~sign_mode ~top_parasitic p in
-         let refs =
-           List.map
-             (fun (s_diff, s_t) ->
-                reference_dnl p ~sys ~cov ~sigma_t ~top_parasitic ~s_diff ~s_t)
-             combos
-         in
-         let what = Printf.sprintf "%d-bit" bits in
-         Alcotest.(check bool) (what ^ " dnl") true
-           (Array.for_all2 bitwise (List.hd refs) a.Dacmodel.Nonlinearity.dnl);
-         Alcotest.(check bool) (what ^ " max |dnl|") true
-           (bitwise
-              (List.fold_left (fun acc r -> Float.max acc (max_abs r)) 0. refs)
-              a.Dacmodel.Nonlinearity.max_abs_dnl))
-      [ (Dacmodel.Nonlinearity.Paper, [ (1., 1.) ]);
-        ( Dacmodel.Nonlinearity.Worst_case,
-          [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ] ) ]
+    let a = Dacmodel.Nonlinearity.analyze tech ~cov ~top_parasitic p in
+    let reference = reference_dnl p ~sys ~cov ~sigma_t ~top_parasitic in
+    let what = Printf.sprintf "%d-bit" bits in
+    Alcotest.(check bool) (what ^ " dnl") true
+      (Array.for_all2 bitwise reference a.Dacmodel.Nonlinearity.dnl);
+    Alcotest.(check bool) (what ^ " max |dnl|") true
+      (bitwise (max_abs reference) a.Dacmodel.Nonlinearity.max_abs_dnl)
   done
 
 (* INL against the per-code loop it replaced, which lists each code's
@@ -273,14 +247,13 @@ let test_dnl_steps_match_per_code () =
    error, so the bar is absolute: 1e-10 LSB. *)
 let inl_bar = 1e-10
 
-let reference_inl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
-    ~s_on ~s_t =
+let reference_inl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic =
   let bits = p.bits and vref = 1.0 in
   let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
   let codes = Dacmodel.Transfer.num_codes ~bits in
   let c_t = float_of_int codes *. m *. cu in
   let delta_t =
-    Array.fold_left ( +. ) 0. sys +. (s_t *. 3. *. sigma_t) +. top_parasitic
+    Array.fold_left ( +. ) 0. sys +. (3. *. sigma_t) +. top_parasitic
   in
   let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
   Array.init codes (fun code ->
@@ -295,7 +268,7 @@ let reference_inl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic
         done;
         let sigma_on = Capmodel.Covariance.sigma_of_subset cov !on_caps in
         let c_on = float_of_int code *. m *. cu in
-        let delta_on = !sys_on +. (s_on *. 3. *. sigma_on) in
+        let delta_on = !sys_on +. (3. *. sigma_on) in
         let v = Dacmodel.Transfer.perturbed ~vref ~c_on ~delta_on ~c_t ~delta_t in
         (v -. Dacmodel.Transfer.ideal ~bits ~code ~vref) /. lsb
       end)
@@ -308,7 +281,7 @@ let reference_attribution (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   let m = float_of_int p.unit_multiplier and cu = tech.Tech.Process.unit_cap in
   let c_t = float_of_int (Dacmodel.Transfer.num_codes ~bits) *. m *. cu in
   let lsb = Dacmodel.Transfer.lsb ~bits ~vref in
-  let inl = reference_inl p ~sys ~cov ~sigma_t ~top_parasitic ~s_on:1. ~s_t:1. in
+  let inl = reference_inl p ~sys ~cov ~sigma_t ~top_parasitic in
   let code = ref 0 in
   Array.iteri (fun i x -> if Float.abs x > Float.abs inl.(!code) then code := i) inl;
   let code = !code in
@@ -358,27 +331,13 @@ let test_inl_matches_per_code () =
            Capmodel.Covariance.sigma_of_subset cov (List.init (bits + 1) Fun.id)
          in
          let top_parasitic = 0.7 in
-         let refs =
-           List.map
-             (fun (s_on, s_t) ->
-                reference_inl p ~sys ~cov ~sigma_t ~top_parasitic ~s_on ~s_t)
-             [ (1., 1.); (1., -1.); (-1., 1.); (-1., -1.) ]
-         in
-         let paper = List.hd refs in
-         List.iter
-           (fun sign_mode ->
-              let a = N.analyze tech ~cov ~sign_mode ~top_parasitic p in
-              Array.iteri
-                (fun code x -> close (Printf.sprintf "%s inl(%d)" what code) x paper.(code))
-                a.N.inl;
-              let expected =
-                match sign_mode with
-                | N.Paper -> max_abs paper
-                | N.Worst_case ->
-                  List.fold_left (fun acc r -> Float.max acc (max_abs r)) 0. refs
-              in
-              close (what ^ " max |inl|") a.N.max_abs_inl expected)
-           [ N.Paper; N.Worst_case ];
+         let reference = reference_inl p ~sys ~cov ~sigma_t ~top_parasitic in
+         let a = N.analyze tech ~cov ~top_parasitic p in
+         Array.iteri
+           (fun code x ->
+              close (Printf.sprintf "%s inl(%d)" what code) x reference.(code))
+           a.N.inl;
+         close (what ^ " max |inl|") a.N.max_abs_inl (max_abs reference);
          let code, inl, shares, parasitic =
            reference_attribution p ~sys ~cov ~sigma_t ~top_parasitic
          in
@@ -417,7 +376,6 @@ let () =
           Alcotest.test_case "max abs" `Quick test_max_abs_consistent;
           Alcotest.test_case "gradient only" `Quick test_gradient_only_small_inl;
           Alcotest.test_case "gain error" `Quick test_top_parasitic_gain_error;
-          Alcotest.test_case "worst case" `Quick test_worst_case_not_smaller;
           Alcotest.test_case "dispersion helps" `Quick test_dispersion_reduces_nonlinearity;
           Alcotest.test_case "theta override" `Quick test_theta_override;
           Alcotest.test_case "dnl steps = per-code loop" `Slow

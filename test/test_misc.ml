@@ -199,9 +199,21 @@ let doc_table_rows path ~header =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n' |> scan []
 
-(* docs/TELEMETRY.md's metric table, docs/VERIFY.md's rule tables and
-   docs/QOR.md's policy table copy their registries by hand; a kind cell
-   reads e.g. "histogram (...)". *)
+(* The [(id, severity)] of every "- **family/name** (severity)" bullet
+   in [path]. *)
+let doc_rule_bullets path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+      Scanf.sscanf_opt line "- **%s@** (%s@)" (fun id sev -> (id, sev)))
+  |> List.filter (fun (id, _) ->
+      String.contains id '/'
+      && String.for_all
+           (fun c -> c = '/' || c = '-' || ('a' <= c && c <= 'z')) id)
+
+(* docs/TELEMETRY.md's metric table, docs/VERIFY.md's rule tables,
+   docs/QOR.md's policy table and docs/SRCLINT.md's rule catalogue copy
+   their registries by hand; a kind cell reads e.g. "histogram (...)". *)
 let test_doc_catalogues_match_registries () =
   let sorted l = List.sort compare l in
   let documented_metrics =
@@ -258,7 +270,30 @@ let test_doc_catalogues_match_registries () =
   in
   Alcotest.(check (list (pair string string)))
     "QOR.md policy (verdict id, severity)" catalogued_policies
-    documented_policies
+    documented_policies;
+  (* SRCLINT.md bullets the syntactic and meta rules and names the typed
+     ones in prose: every bullet must be a registered rule with that
+     severity, and every registered id must appear somewhere. *)
+  let srclint_doc = "../docs/SRCLINT.md" in
+  let registered_srclint =
+    List.map
+      (fun (r : Srclint.Rule.t) ->
+         ( r.Srclint.Rule.id,
+           Srclint.Rule.severity_name r.Srclint.Rule.severity ))
+      Srclint.Registry.all
+  in
+  List.iter
+    (fun (id, severity) ->
+       Alcotest.(check (option string))
+         ("SRCLINT.md bullet " ^ id ^ " (severity)")
+         (List.assoc_opt id registered_srclint) (Some severity))
+    (doc_rule_bullets srclint_doc);
+  let text = In_channel.with_open_text srclint_doc In_channel.input_all in
+  Alcotest.(check (list string)) "SRCLINT.md names every registered rule" []
+    (List.filter
+       (fun id ->
+          not (contains text ("`" ^ id ^ "`") || contains text ("**" ^ id ^ "**")))
+       Srclint.Registry.ids)
 
 let () =
   Alcotest.run "misc"

@@ -77,6 +77,26 @@ let test_batch_shape () =
       (List.length (List.filter (fun c -> c.Par.Sched.c_by_caller) chunks))
   | bs -> Alcotest.failf "expected exactly one batch, got %d" (List.length bs)
 
+(* --- the printed summary: busy over the capacity utilization uses --- *)
+
+let test_summary_line () =
+  let chunk c_index ms c_by_caller =
+    { Par.Sched.c_batch = 0; c_index; c_items = 2; c_started_ns = 0L;
+      c_finished_ns = Int64.mul (Int64.of_int ms) 1_000_000L; c_by_caller }
+  in
+  let b =
+    { Par.Sched.b_id = 0; b_jobs = 2; b_workers = 1; b_items = 4;
+      b_chunks = [ chunk 0 8 true; chunk 1 6 false ]; b_wall_s = 0.010;
+      b_caller_blocked_s = 0.001 }
+  in
+  Alcotest.(check string) "two jobs x 10 ms wall hold 14 ms of chunks"
+    "1 batch(es), 2 chunk(s) (1 by the caller), 4 item(s)\n\
+     wall 0.010 s  busy 0.014 s of 0.020 s capacity (jobs x wall)  \
+     utilization 70%  imbalance 1.14x\n\
+     caller blocked 0.001 s\n"
+    (Format.asprintf "@[<v>%a" Par.Sched.pp_summary
+       (Par.Sched.summarize [ b ]))
+
 (* --- batches made inside pooled tasks reach the outer collector --- *)
 
 let test_nested_batches () =
@@ -285,6 +305,7 @@ let () =
         [ Alcotest.test_case "disabled by default" `Quick
             test_disabled_by_default;
           Alcotest.test_case "batch shape" `Quick test_batch_shape;
+          Alcotest.test_case "summary line" `Quick test_summary_line;
           Alcotest.test_case "nested batches" `Quick test_nested_batches;
           Alcotest.test_case "inactive overhead" `Quick test_inactive_overhead
         ] );
