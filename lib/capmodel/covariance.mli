@@ -12,18 +12,21 @@ type t
     capacitors whose unit-cell centre positions are given per capacitor
     index.  When every position lies on [tech]'s half-pitch lattice
     (always true for {!Ccgrid.Placement.positions_by_cap}), the cell-pair
-    sums come from the 2-D FFT kernel {!Lattice}: [O(N G log G)] for [N]
-    capacitors and [G] unit cells, equal to the pair sum up to float
-    rounding but not bitwise.  Otherwise every pair of cells is
-    enumerated: [O(G^2)]. *)
+    sums come from the lattice kernel {!Lattice}: a capacitor of at most
+    [log2 G] cells, on a transform grid of [G] points, is summed
+    directly over every cell of the array, and the rest go through 2-D
+    FFT convolutions at [O(G log G)] per pair of capacitors.  The result
+    equals the pair sum up to float rounding but not bitwise.  Otherwise
+    every pair of cells is enumerated: [O(G^2)] for [G] unit cells. *)
 val build : Tech.Process.t -> Geom.Point.t array array -> t
 
 (** Number of capacitors. *)
 val size : t -> int
 
 (** [transform_points t] is the build's work count:
-    {!Lattice.transform_points} of the lattice it used, or [0] when it
-    enumerated cell pairs. *)
+    {!Lattice.transform_points} of the lattice it used (2-D transforms
+    run times transform-grid points; [0] when it transformed no
+    capacitor), or [0] when it enumerated cell pairs. *)
 val transform_points : t -> int
 
 (** [variance t k] is [sigma_k^2] in fF^2.  [Cov(k, k) = variance t k]. *)

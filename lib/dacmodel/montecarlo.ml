@@ -79,16 +79,50 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
        evaluate ~bits ~c_t ~top_parasitic ~sys shifts)
     (List.init trials Fun.id)
 
-(* Ceiling nearest-rank: the q-quantile of n sorted samples is the
-   ceil(q n)-th smallest (1-based).  Flooring instead biases small-n
-   upper percentiles low — with 20 trials the p95 would be the 18th
-   sample, not the 19th. *)
-let percentile sorted q =
-  let n = Array.length sorted in
+(* Ceiling nearest-rank: the q-quantile of n samples is the ceil(q n)-th
+   smallest (1-based).  Flooring instead biases small-n upper percentiles
+   low — with 20 trials the p95 would be the 18th sample, not the 19th.
+   The sample is found by selection (Hoare's FIND, median-of-three
+   pivots), so the array is reordered, not sorted: a run needs one rank
+   of each array, not their whole order. *)
+let percentile a q =
+  let n = Array.length a in
   if n = 0 then 0.
   else begin
     let rank = int_of_float (Float.ceil (float_of_int n *. q)) in
-    sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
+    let k = Int.max 0 (Int.min (n - 1) (rank - 1)) in
+    let swap i j =
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Float.compare a.(mid) a.(!lo) < 0 then swap mid !lo;
+      if Float.compare a.(!hi) a.(!lo) < 0 then swap !hi !lo;
+      if Float.compare a.(!hi) a.(mid) < 0 then swap !hi mid;
+      (* a.(lo) <= pivot <= a.(hi) bound both scans *)
+      let pivot = a.(mid) and i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while Float.compare a.(!i) pivot < 0 do incr i done;
+        while Float.compare pivot a.(!j) < 0 do decr j done;
+        if !i <= !j then begin
+          swap !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      (* a.(lo..j) <= pivot <= a.(i..hi), and whatever lies between
+         equals the pivot *)
+      if k <= !j then hi := !j
+      else if k >= !i then lo := !i
+      else begin
+        lo := k;
+        hi := k
+      end
+    done;
+    a.(k)
   end
 
 let run tech ?seed ?theta ?cov ?top_parasitic ?(bound = 0.5) ?jobs ~trials
@@ -113,9 +147,8 @@ let run tech ?seed ?theta ?cov ?top_parasitic ?(bound = 0.5) ?jobs ~trials
       (fun n (i, d) -> if i <= bound && d <= bound then n + 1 else n)
       0 curves
   in
-  (* sorted in place, once the order-dependent sums are taken *)
-  Array.sort Float.compare inls;
-  Array.sort Float.compare dnls;
+  (* the selection reorders the arrays: the order-dependent sums above
+     come first *)
   { trials; mean_inl; mean_dnl;
     p95_inl = percentile inls 0.95;
     p95_dnl = percentile dnls 0.95;

@@ -31,9 +31,12 @@ type t = {
     fewer run serially at any [jobs].  Each trial draws from a
     counter-based substream keyed by [(seed, trial)], so the statistics
     are {e bitwise identical} at every [jobs] value (docs/PARALLEL.md).
-    Cost: one covariance build unless [cov] is given, one Cholesky
-    factorisation, plus [O(N^2)] flops per trial (the correlated draw;
-    {!evaluate} is [O(N)]).
+    Cost: one covariance build unless [cov] is given
+    ({!Capmodel.Covariance.build}; its lattice kernel sums the small
+    capacitors directly and transforms the rest), one Cholesky
+    factorisation, [O(N^2)] flops per trial (the correlated draw;
+    {!evaluate} is [O(N)]), and an expected [O(trials)] selection for
+    each 95th percentile ({!percentile}).
     Raises [Invalid_argument] when [trials < 1], and when a draw makes
     the total capacitance non-positive. *)
 val run :
@@ -69,8 +72,10 @@ val evaluate :
   bits:int -> c_t:float -> top_parasitic:float -> sys:float array ->
   float array -> float * float
 
-(** [percentile sorted q] is the ceiling nearest-rank [q]-quantile of an
-    ascending-sorted array: the [ceil (q n)]-th smallest sample (clamped
-    to the ends; [0.] on empty input).  Exposed so the convention is
-    pinned by tests. *)
+(** [percentile a q] is the ceiling nearest-rank [q]-quantile of [a],
+    which need not be sorted: its [ceil (q n)]-th smallest sample in
+    [Float.compare] order (the rank clamped to the ends; [0.] on empty
+    input).  It selects rather than sorts, in expected [O(n)], and
+    leaves [a] reordered in place.  Exposed so the convention is pinned
+    by tests. *)
 val percentile : float array -> float -> float

@@ -41,6 +41,9 @@ let rule_ids diags =
   List.sort_uniq String.compare (List.map (fun d -> d.rule.Rule.id) diags)
 
 let pp ppf t =
-  Format.fprintf ppf "%s[%s] %s:%d:%d: %s"
-    (Rule.severity_name t.rule.Rule.severity)
-    t.rule.Rule.id t.file t.line t.col t.detail
+  let severity = Rule.severity_name t.rule.Rule.severity in
+  if t.line = 0 then
+    Format.fprintf ppf "%s[%s] %s: %s" severity t.rule.Rule.id t.file t.detail
+  else
+    Format.fprintf ppf "%s[%s] %s:%d:%d: %s" severity t.rule.Rule.id t.file
+      t.line t.col t.detail

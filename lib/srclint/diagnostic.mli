@@ -40,5 +40,7 @@ val errors : t list -> t list
     ids. *)
 val rule_ids : t list -> string list
 
-(** Renders as ["error[det/wall-clock] lib/x.ml:72:18: ..."]. *)
+(** Renders as ["error[det/wall-clock] lib/x.ml:72:18: ..."], and a
+    file-scoped finding (line 0) as
+    ["error[meta/cmt-error] lib/capmodel: ..."]. *)
 val pp : Format.formatter -> t -> unit

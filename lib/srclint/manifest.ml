@@ -22,8 +22,9 @@ type t = {
   trusted : (string * decl_loc) list;
 }
 
-let empty =
-  { file = ".ccdeps"; layers = []; forbids = []; pures = []; trusted = [] }
+let path = ".ccdeps"
+
+let empty = { file = path; layers = []; forbids = []; pures = []; trusted = [] }
 
 let rank t lib =
   List.find_map
@@ -108,10 +109,11 @@ let parse_string ~file contents =
   in
   go 1 { empty with file } lines
 
-let load path =
-  if not (Sys.file_exists path) then Ok { empty with file = path }
+let load ~root =
+  let file = Filename.concat root path in
+  if not (Sys.file_exists file) then Ok empty
   else begin
-    match In_channel.with_open_bin path In_channel.input_all with
+    match In_channel.with_open_bin file In_channel.input_all with
     | contents -> parse_string ~file:path contents
     | exception Sys_error msg -> Error msg
   end

@@ -19,6 +19,10 @@ type t = {
   trusted : (string * decl_loc) list;
 }
 
+(** [".ccdeps"]: where the manifest sits under the repository root, and
+    the file its diagnostics name. *)
+val path : string
+
 val empty : t
 
 (** [rank t lib] is the declared layer rank, if any. *)
@@ -39,9 +43,10 @@ val is_trusted : t -> string -> bool
     unknown directives are a hard error naming the line. *)
 val parse_string : file:string -> string -> (t, string) result
 
-(** [load path]: a missing file is an empty manifest; unreadable or
-    malformed content is an error. *)
-val load : string -> (t, string) result
+(** [load ~root] reads the manifest at {!path} under [root]: a missing
+    file is an empty manifest; unreadable or malformed content is an
+    error. *)
+val load : root:string -> (t, string) result
 
 (** [validate t ~libs] emits [meta/ccdeps-manifest] diagnostics for
     directives naming no known sublibrary and duplicate layer

@@ -3,22 +3,10 @@
    validation, taint, escape and layering.  Engine.run merges the result
    into the syntactic checkers' diagnostics. *)
 
-let manifest_name = ".ccdeps"
-
-let load_manifest ~root =
-  let path = Filename.concat root manifest_name in
-  if not (Sys.file_exists path) then Ok Manifest.empty
-  else begin
-    match In_channel.with_open_bin path In_channel.input_all with
-    | contents -> Manifest.parse_string ~file:manifest_name contents
-    | exception Sys_error msg -> Error msg
-  end
-
 let run ~root =
-  match load_manifest ~root with
+  match Manifest.load ~root with
   | Error msg ->
-    [ Diagnostic.make ~rule:Typed_rules.manifest_error
-        ~file:manifest_name ~line:0 msg ]
+    [ Diagnostic.make ~rule:Typed_rules.manifest_error ~file:Manifest.path msg ]
   | Ok manifest ->
     let u = Cmts.load ~root in
     u.Cmts.errors

@@ -254,7 +254,8 @@ let test_lattice_degenerate_axes () =
 let test_covariance_kernel_choice () =
   (* build uses the lattice kernel for every input on the lattice, down
      to the smallest array, and the pair sum off the lattice or over the
-     transform-grid cap *)
+     transform-grid cap; the kernel transforms only the capacitors it
+     does not sum directly *)
   let sigma2_u = Tech.Process.sigma_u tech *. Tech.Process.sigma_u tech in
   let built_from sums positions =
     let cov = Capmodel.Covariance.build tech positions in
@@ -275,6 +276,13 @@ let test_covariance_kernel_choice () =
     (built_from (lattice_sums (spiral 2)) (spiral 2));
   Alcotest.(check bool) "lattice work counted" true
     (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 4)) > 0);
+  (* capacitors of at most log2 G cells are summed directly: at 12 bits
+     (G = 128 x 128) C_0..C_4 are, so 8 of 13 are transformed, in 4
+     pairs after R's transform; at 2 bits (G = 4 x 4) all 3 are *)
+  Alcotest.(check int) "12-bit: 9 transforms of 128 x 128" 147_456
+    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 12)));
+  Alcotest.(check int) "2-bit: no transform" 0
+    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 2)));
   let off = [| [| point ~x:0.1234 ~y:0. |]; [| point ~x:0. ~y:0. |] |] in
   Alcotest.(check bool) "off-lattice input is not a lattice" true
     (Option.is_none (Capmodel.Lattice.of_positions tech off));

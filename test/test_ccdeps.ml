@@ -270,13 +270,17 @@ let test_registry_has_typed_rules () =
    Under `dune runtest` the cwd is _build/default/test; under
    `dune exec` it is the workspace root. *)
 let test_committed_manifest () =
-  let path =
-    List.find_opt Sys.file_exists [ "../.ccdeps"; ".ccdeps" ]
-    |> Option.value ~default:"../.ccdeps"
+  let root =
+    List.find_opt
+      (fun r -> Sys.file_exists (Filename.concat r Srclint.Manifest.path))
+      [ ".."; "." ]
+    |> Option.value ~default:".."
   in
-  match Srclint.Manifest.load path with
+  match Srclint.Manifest.load ~root with
   | Error msg -> Alcotest.failf "committed .ccdeps: %s" msg
   | Ok m ->
+    Alcotest.(check string) "diagnostics name .ccdeps" ".ccdeps"
+      m.Srclint.Manifest.file;
     Alcotest.(check bool) "manifest is non-empty" true
       (m.Srclint.Manifest.layers <> []);
     List.iter

@@ -278,6 +278,23 @@ let test_trial_curves_length () =
   let curves = Dacmodel.Montecarlo.trial_curves tech ~trials:17 spiral8 in
   Alcotest.(check int) "17 trials" 17 (List.length curves)
 
+(* run's p95 fields are the ceiling nearest-rank samples of the sorted
+   trials, drawn with the same seed and covariance *)
+let test_mc_p95_sorted_reference () =
+  let cov = Dacmodel.Nonlinearity.covariance tech spiral8 in
+  let trials = 1000 and seed = 13 in
+  let mc = Dacmodel.Montecarlo.run tech ~seed ~cov ~trials spiral8 in
+  let curves = Dacmodel.Montecarlo.trial_curves tech ~seed ~cov ~trials spiral8 in
+  let p95 side =
+    let a = Array.of_list (List.map side curves) in
+    Array.sort Float.compare a;
+    a.(int_of_float (Float.ceil (0.95 *. float_of_int trials)) - 1)
+  in
+  Alcotest.(check bool) "p95 INL = sorted rank 950" true
+    (Float.equal mc.Dacmodel.Montecarlo.p95_inl (p95 fst));
+  Alcotest.(check bool) "p95 DNL = sorted rank 950" true
+    (Float.equal mc.Dacmodel.Montecarlo.p95_dnl (p95 snd))
+
 let prop_yield_monotone_in_bound =
   QCheck.Test.make ~name:"looser bound, higher yield" ~count:10
     QCheck.(pair (float_range 0.05 0.3) (float_range 0.35 1.0))
@@ -309,7 +326,8 @@ let () =
           Alcotest.test_case "perfect process" `Quick test_mc_perfect_process_perfect_yield;
           Alcotest.test_case "dispersion ordering" `Slow test_mc_dispersion_ordering;
           Alcotest.test_case "vs 3-sigma" `Slow test_mc_consistent_with_3sigma;
-          Alcotest.test_case "trial curves" `Quick test_trial_curves_length ] );
+          Alcotest.test_case "trial curves" `Quick test_trial_curves_length;
+          Alcotest.test_case "p95 = sorted reference" `Quick test_mc_p95_sorted_reference ] );
       ( "closed form",
         [ Alcotest.test_case "drawn trials = per-code loop" `Slow
             test_closed_form_drawn;

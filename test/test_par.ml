@@ -259,6 +259,28 @@ let test_percentile_ceiling_rank () =
   Alcotest.(check (float 0.)) "median of 4" 2. (Dacmodel.Montecarlo.percentile b 0.5);
   Alcotest.(check (float 0.)) "empty" 0. (Dacmodel.Montecarlo.percentile [||] 0.95)
 
+(* selection against sort-then-index: any order, many duplicates, and
+   the array left a permutation of its input *)
+let prop_percentile_selects_sorted_rank =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 2000 >>= fun n ->
+    int_range 1 n >>= fun distinct ->
+    pair
+      (array_size (return n) (map (fun v -> float_of_int v /. 7.) (int_range (-distinct) distinct)))
+      (oneofl [ 0.; 0.5; 0.95; 1. ])
+  in
+  QCheck.Test.make ~name:"selection = sort-then-index" ~count:300 (QCheck.make gen)
+    (fun (a, q) ->
+       let sorted = Array.copy a in
+       Array.sort Float.compare sorted;
+       let n = Array.length a in
+       let rank = int_of_float (Float.ceil (float_of_int n *. q)) in
+       let expected = sorted.(Int.max 0 (Int.min (n - 1) (rank - 1))) in
+       let got = Dacmodel.Montecarlo.percentile a q in
+       Array.sort Float.compare a;
+       Float.equal got expected && a = sorted)
+
 (* --- Sweep: identical rows at any worker count --- *)
 
 let fingerprint (r : Ccdac.Flow.result) =
@@ -310,4 +332,5 @@ let () =
           Alcotest.test_case "sweep row" `Quick test_sweep_row_determinism ] );
       ( "percentile",
         [ Alcotest.test_case "ceiling nearest-rank" `Quick
-            test_percentile_ceiling_rank ] ) ]
+            test_percentile_ceiling_rank;
+          QCheck_alcotest.to_alcotest prop_percentile_selects_sorted_rank ] ) ]

@@ -369,6 +369,36 @@ let test_json_roundtrip () =
     Alcotest.(check (option string)) "diagnostic rule id"
       (Some "det/wall-clock") rule_of_first
 
+(* a located finding prints line and column; a file-scoped one (line 0)
+   prints its path alone in text and keeps both fields in JSON *)
+let test_text_rendering () =
+  let rule id = Option.get (Srclint.Registry.find id) in
+  let located =
+    Srclint.Diagnostic.make ~rule:(rule "det/wall-clock") ~file:"lib/x.ml" ~line:72
+      ~col:18 "wall clock"
+  and file_scoped =
+    Srclint.Diagnostic.make ~rule:(rule "meta/cmt-error") ~file:"lib/capmodel"
+      "no implementation .cmt"
+  in
+  let render d = Format.asprintf "%a" Srclint.Diagnostic.pp d in
+  Alcotest.(check string) "located" "error[det/wall-clock] lib/x.ml:72:18: wall clock"
+    (render located);
+  Alcotest.(check string) "file-scoped"
+    "error[meta/cmt-error] lib/capmodel: no implementation .cmt" (render file_scoped);
+  let result =
+    { Srclint.Engine.files_scanned = 0; diagnostics = [ file_scoped ]; suppressions = [] }
+  in
+  match Telemetry.Json.parse (Srclint.Report.json result) with
+  | Error msg -> Alcotest.fail ("report is not valid JSON: " ^ msg)
+  | Ok j ->
+    let field name =
+      match Option.bind (Telemetry.Json.member "diagnostics" j) Telemetry.Json.to_list with
+      | Some [ d ] -> Option.bind (Telemetry.Json.member name d) Telemetry.Json.to_float
+      | _ -> None
+    in
+    Alcotest.(check (option (float 0.))) "JSON line" (Some 0.) (field "line");
+    Alcotest.(check (option (float 0.))) "JSON col" (Some 0.) (field "col")
+
 let test_rules_json () =
   match Telemetry.Json.parse (Srclint.Report.json_rules ()) with
   | Error msg -> Alcotest.fail ("rule catalogue is not valid JSON: " ^ msg)
@@ -420,5 +450,6 @@ let () =
             test_committed_allowlist_is_justified ] );
       ( "reports",
         [ Alcotest.test_case "JSON roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "text rendering" `Quick test_text_rendering;
           Alcotest.test_case "rule catalogue JSON" `Quick test_rules_json ] )
     ]
