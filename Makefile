@@ -29,8 +29,8 @@ lvs: build
 	dune exec bin/ccgen.exe -- lvs --all --werror
 	dune exec bin/ccgen.exe -- lvs --all --json > lvs.json
 
-# The bench suite: the paper's tables and figures, the Bechamel
-# microbenchmarks and BENCH_flow.json (docs/BENCH.md).
+# The bench suite: the paper's tables and figures, the ablations,
+# BENCH_flow.json and BENCH_baseline.json (docs/BENCH.md).
 bench:
 	dune exec bench/main.exe
 
@@ -61,8 +61,8 @@ scale: build
 # qor_ledger.jsonl and qor_verdicts.json are what CI uploads.
 qor: build
 	dune exec bin/ccgen.exe -- record --ledger qor_ledger.jsonl
-	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --from-ledger --ledger qor_ledger.jsonl --werror
-	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --from-ledger --ledger qor_ledger.jsonl --json > qor_verdicts.json
+	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --ledger qor_ledger.jsonl --werror
+	dune exec bin/ccgen.exe -- diff --baseline BENCH_baseline.json --ledger qor_ledger.jsonl --json > qor_verdicts.json
 
 # Run every example in examples/dune (CI runs this target too).
 examples:

@@ -4,15 +4,16 @@
 
      dune exec bench/main.exe              all tables, figures, benchmarks
      dune exec bench/main.exe -- table1    one artefact
-       (table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b ablation bench
+       (table1 table2 table3 fig2 fig3 fig4 fig5 fig6a fig6b ablation
         benchflow baseline csv)
 
    The file-writing artefacts (benchflow, baseline) take --out FILE to
    redirect their output; exactly one of them must be requested when
    --out is given.
 
-   Table III is measured twice: once as wall-clock inside the flow (like
-   the paper) and once as a Bechamel microbenchmark per (style, bits). *)
+   Table III is the place+route wall clock inside the flow (like the
+   paper): the median of 5 runs per (style, bits), the same runs
+   BENCH_flow.json records. *)
 
 let tech = Tech.Process.finfet_12nm
 let table_bits = [ 6; 7; 8; 9; 10 ]
@@ -34,58 +35,45 @@ let table2 () =
   banner "Table II";
   print_string (Ccdac.Report.table2 (Lazy.force rows))
 
+(* --- the median-of-5 flow runs: BENCH_flow.json's records and Table
+   III's times --- *)
+
+let bench_flow_styles bits =
+  [ Ccplace.Style.Rowwise; Ccplace.Style.Chessboard; Ccplace.Style.Spiral;
+    Ccplace.Style.block_default ~bits ]
+
+let flow_repeat = 5
+
+let flow_records =
+  lazy
+    (List.concat_map
+       (fun bits ->
+          List.map
+            (fun style ->
+               Qor.Record.of_result ~repeat:flow_repeat
+                 (Ccdac.Flow.median_run ~tech ~repeat:flow_repeat ~bits style))
+            (bench_flow_styles bits))
+       table_bits)
+
 (* --- Table III: wall-clock runtimes --- *)
 
 let table3 () =
   banner "Table III (wall clock)";
-  let runtimes =
-    List.map
-      (fun bits ->
-         (* median of 5 runs to de-noise the very short times *)
-         let median style =
-           let times =
-             List.init 5 (fun _ ->
-                 snd (Ccdac.Flow.place_route ~tech ~bits style))
-           in
-           match List.sort Float.compare times with
-           | _ :: _ :: m :: _ -> m
-           | other -> List.fold_left Float.max 0. other
-         in
-         ( bits,
-           median Ccplace.Style.Spiral,
-           median (Ccplace.Style.block_default ~bits) ))
-      table_bits
+  let place_route_s bits style =
+    let label = Qor.Record.label ~style:(Ccplace.Style.name style) ~bits in
+    (List.find
+       (fun (r : Qor.Record.t) -> r.Qor.Record.label = label)
+       (Lazy.force flow_records))
+      .Qor.Record.place_route_s
   in
-  print_string (Ccdac.Report.table3 runtimes)
-
-(* --- Bechamel microbenchmarks of the constructive P&R kernels --- *)
-
-let bechamel_tests =
-  let place_route style bits () =
-    ignore (Ccdac.Flow.place_route ~tech ~bits style)
-  in
-  let mk style label =
-    List.map
-      (fun bits ->
-         Bechamel.Test.make
-           ~name:(Printf.sprintf "%s/%d-bit" label bits)
-           (Bechamel.Staged.stage (place_route style bits)))
-      table_bits
-  in
-  (* one grouped test per table workload *)
-  [ Bechamel.Test.make_grouped ~name:"tableIII-spiral"
-      (mk Ccplace.Style.Spiral "spiral");
-    Bechamel.Test.make_grouped ~name:"tableIII-bc"
-      (List.map
-         (fun bits ->
-            Bechamel.Test.make
-              ~name:(Printf.sprintf "bc/%d-bit" bits)
-              (Bechamel.Staged.stage
-                 (place_route (Ccplace.Style.block_default ~bits) bits)))
-         table_bits);
-    Bechamel.Test.make_grouped ~name:"tableI-baselines"
-      (mk Ccplace.Style.Chessboard "chessboard"
-       @ mk Ccplace.Style.Rowwise "rowwise") ]
+  print_string
+    (Ccdac.Report.table3
+       (List.map
+          (fun bits ->
+             ( bits,
+               place_route_s bits Ccplace.Style.Spiral,
+               place_route_s bits (Ccplace.Style.block_default ~bits) ))
+          table_bits))
 
 (* --- BENCH_flow.json: machine-readable flow benchmark (docs/BENCH.md) --- *)
 
@@ -96,34 +84,6 @@ let out_path default = Option.value ~default !out_file
 let write_failed path msg =
   Printf.eprintf "bench: cannot write %s: %s\n" path msg;
   exit 1
-
-let median_by f runs =
-  let sorted = List.sort (fun a b -> Float.compare (f a) (f b)) runs in
-  List.nth sorted (List.length sorted / 2)
-
-let bench_flow_styles bits =
-  [ Ccplace.Style.Rowwise; Ccplace.Style.Chessboard; Ccplace.Style.Spiral;
-    Ccplace.Style.block_default ~bits ]
-
-let bench_flow_run bits style =
-  let runs = List.init 5 (fun _ -> Ccdac.Flow.run ~tech ~bits style) in
-  let r = median_by (fun r -> r.Ccdac.Flow.elapsed_place_route_s) runs in
-  let open Telemetry.Json in
-  Obj
-    [ ("style", Str (Ccplace.Style.name style));
-      ("bits", Num (float_of_int bits));
-      ("place_route_s", Num r.Ccdac.Flow.elapsed_place_route_s);
-      ( "lvs_s",
-        Num
-          (Option.value ~default:0.
-             (Telemetry.Summary.stage_seconds r.Ccdac.Flow.telemetry "lvs")) );
-      ("f3db_mhz", Num r.Ccdac.Flow.f3db_mhz);
-      ("max_inl_lsb", Num r.Ccdac.Flow.max_inl);
-      ("max_dnl_lsb", Num r.Ccdac.Flow.max_dnl);
-      ( "via_cuts",
-        Num
-          (float_of_int
-             r.Ccdac.Flow.parasitics.Extract.Parasitics.total_via_cuts) ) ]
 
 (* Null-sink overhead: place+route with telemetry idle (the default fast
    path) vs the same work inside a recording scope.  The ratio must stay
@@ -147,47 +107,26 @@ let bench_flow_overhead () =
       ("recorded_s", Num recorded);
       ("ratio", Num (recorded /. idle)) ]
 
-(* Memory probe for BENCH_flow.json: one 8-bit spiral flow with GC
-   sampling on (docs/TELEMETRY.md).  Single run, not a median —
-   allocation totals are near-deterministic, unlike wall clocks. *)
+(* Memory probe for BENCH_flow.json: the record of one 8-bit spiral flow
+   with GC sampling on (docs/TELEMETRY.md).  Single run, not a median —
+   allocation totals repeat exactly, unlike wall clocks. *)
 let bench_flow_memory () =
-  let bits = 8 in
-  let r =
-    Telemetry.Memory.with_enabled true (fun () ->
-        Ccdac.Flow.run ~tech ~bits Ccplace.Style.Spiral)
-  in
-  let t = r.Ccdac.Flow.telemetry in
-  let open Telemetry.Json in
-  match Telemetry.Summary.total_memory t with
-  | None -> Null
-  | Some d ->
-    Obj
-      [ ("style", Str "spiral");
-        ("bits", Num (float_of_int bits));
-        ( "stages_alloc_mb",
-          Obj
-            (List.map
-               (fun (n, d) -> (n, Num (Telemetry.Memory.allocated_mb d)))
-               (Telemetry.Summary.memory_stages t)) );
-        ("alloc_mb_total", Num (Telemetry.Memory.allocated_mb d));
-        ("peak_heap_mb", Num (Telemetry.Memory.peak_heap_mb d));
-        ( "major_collections",
-          Num (float_of_int d.Telemetry.Memory.major_collections) ) ]
+  Qor.Record.to_json
+    (Qor.Record.of_result
+       (Telemetry.Memory.with_enabled true (fun () ->
+            Ccdac.Flow.run ~tech ~bits:8 Ccplace.Style.Spiral)))
 
 let benchflow () =
   let path = out_path "BENCH_flow.json" in
   banner path;
-  let runs =
-    List.concat_map
-      (fun bits -> List.map (bench_flow_run bits) (bench_flow_styles bits))
-      table_bits
-  in
+  (* the runs first: the overhead probe below times warm place+route *)
+  let runs = List.map Qor.Record.to_json (Lazy.force flow_records) in
   let doc =
     let open Telemetry.Json in
     Obj
-      [ ("version", Num 1.);
+      [ ("version", Num 2.);
         ("tech", Str tech.Tech.Process.name);
-        ("repeat", Num 5.);
+        ("repeat", Num (float_of_int flow_repeat));
         ("runs", Arr runs);
         ("null_sink_overhead", bench_flow_overhead ());
         ("memory", bench_flow_memory ()) ]
@@ -218,51 +157,14 @@ let baseline () =
       (fun bits ->
          List.map
            (fun style ->
-              let runs =
-                List.init repeat (fun _ -> Ccdac.Flow.run ~tech ~bits style)
-              in
               Qor.Record.of_result ~repeat
-                (median_by (fun r -> r.Ccdac.Flow.elapsed_place_route_s) runs))
+                (Ccdac.Flow.median_run ~tech ~repeat ~bits style))
            (bench_flow_styles bits))
       bits_list
   in
   (try Qor.Baseline.save ~path records
    with Sys_error e -> write_failed path e);
   Printf.printf "wrote %s (%d records)\n" path (List.length records)
-
-let bench () =
-  banner "Bechamel: constructive P&R kernels (ns/run)";
-  let ols =
-    Bechamel.Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:200
-      ~quota:(Bechamel.Time.second 0.25) ~kde:None ()
-  in
-  List.iter
-    (fun test ->
-       let raw = Bechamel.Benchmark.all cfg instances test in
-       let results =
-         Bechamel.Analyze.all ols Bechamel.Toolkit.Instance.monotonic_clock raw
-       in
-       let sorted =
-         List.sort compare
-           (Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [])
-       in
-       List.iter
-         (fun (name, ols_result) ->
-            let estimate =
-              match Bechamel.Analyze.OLS.estimates ols_result with
-              | Some (e :: _) -> e
-              | Some [] | None -> Float.nan
-            in
-            Printf.printf "  %-28s %12.0f ns/run  (%6.3f ms)\n" name estimate
-              (estimate /. 1e6))
-         sorted)
-    bechamel_tests;
-  benchflow ()
 
 (* --- figures --- *)
 
@@ -478,7 +380,7 @@ let artefacts =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig2", fig2); ("fig3", fig3); ("fig4", fig4); ("fig5", fig5);
     ("fig6a", fig6a); ("fig6b", fig6b); ("ablation", ablation);
-    ("bench", bench); ("benchflow", benchflow); ("baseline", baseline);
+    ("benchflow", benchflow); ("baseline", baseline);
     ("csv", csv) ]
 
 let out_writers = [ "benchflow"; "baseline" ]

@@ -10,14 +10,14 @@
      ccgen scale   -b 6,8,10,12 -j 4       cross-bit-width scaling probe
      ccgen lvs     --all --werror          sweepline connectivity certification
      ccgen record  -b 6,8                  append QoR records to the ledger
-     ccgen diff    --baseline FILE         regression sentinel vs baseline
+     ccgen diff    --baseline FILE         ledger's latest records vs baseline
      ccgen history --ledger FILE           QoR trend from the ledger
      ccgen explain -b 8 -s spiral          per-element delay/INL attribution
      ccgen version                         release + git/host provenance
 
    Only the subcommands whose work reaches Par.Pool take --jobs: compare,
    tables, mc, scale and sweep.  The flow itself (run, profile, record,
-   diff, explain) has no parallel section.
+   explain) has no parallel section.
 *)
 
 open Cmdliner
@@ -240,14 +240,18 @@ let tables_cmd =
     print_newline ();
     print_string (Ccdac.Report.table2 rows);
     print_newline ();
+    (* Table III: place+route of the median of 5 flow runs, as
+       BENCH_flow.json commits it *)
+    let place_route_s bits style =
+      (Ccdac.Flow.median_run ~tech ~repeat:5 ~bits style)
+        .Ccdac.Flow.elapsed_place_route_s
+    in
     let runtimes =
       List.map
         (fun bits ->
-           let _, s = Ccdac.Flow.place_route ~tech ~bits Ccplace.Style.Spiral in
-           let _, b =
-             Ccdac.Flow.place_route ~tech ~bits (Ccplace.Style.block_default ~bits)
-           in
-           (bits, s, b))
+           ( bits,
+             place_route_s bits Ccplace.Style.Spiral,
+             place_route_s bits (Ccplace.Style.block_default ~bits) ))
         [ 6; 7; 8; 9; 10 ]
     in
     print_string (Ccdac.Report.table3 runtimes);
@@ -540,27 +544,45 @@ let lvs_cmd =
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ json_arg
           $ werror_arg $ all_arg)
 
+(* --- the measured (style, bits) matrix shared by profile and record --- *)
+
+let matrix_bits_arg =
+  let doc = "Comma-separated resolutions to run." in
+  Arg.(value & opt (list int) [ 6; 8 ] & info [ "b"; "bits" ] ~docv:"N,.." ~doc)
+
+let matrix_styles_arg =
+  let doc = "Comma-separated styles (default: all four)." in
+  Arg.(value & opt (list style_conv) [ `Rowwise; `Chessboard; `Spiral; `Block ]
+       & info [ "s"; "styles" ] ~docv:"STYLE,.." ~doc)
+
+let repeat_arg =
+  let doc =
+    "Runs per configuration; the one reported is the run with the median \
+     place+route time."
+  in
+  Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"R" ~doc)
+
+let check_repeat repeat =
+  if repeat < 1 then begin
+    Printf.eprintf "ccgen: --repeat must be >= 1\n";
+    exit 2
+  end
+
+(* One QoR record per (style, bits): the median-of-[repeat] flow run. *)
+let record_matrix ~tech ~granularity ~repeat bits_list styles =
+  List.concat_map
+    (fun bits ->
+       List.map
+         (fun s ->
+            let style = resolve_style ~bits ~granularity s in
+            Qor.Record.of_result ~repeat
+              (Ccdac.Flow.median_run ~tech ~repeat ~bits style))
+         styles)
+    bits_list
+
 (* --- profile --- *)
 
 let profile_cmd =
-  let bits_list_arg =
-    let doc = "Comma-separated resolutions to profile." in
-    Arg.(value & opt (list int) [ 6; 8 ]
-         & info [ "b"; "bits" ] ~docv:"N,.." ~doc)
-  in
-  let styles_arg =
-    let doc = "Comma-separated styles to profile (default: all four)." in
-    Arg.(value
-         & opt (list style_conv) [ `Rowwise; `Chessboard; `Spiral; `Block ]
-         & info [ "s"; "styles" ] ~docv:"STYLE,.." ~doc)
-  in
-  let repeat_arg =
-    let doc =
-      "Runs per configuration; the reported stage times are those of the \
-       run with the median place+route time."
-    in
-    Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"R" ~doc)
-  in
   let json_arg =
     let doc = "Emit the machine-readable profile document (docs/BENCH.md)." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -569,90 +591,33 @@ let profile_cmd =
     let doc =
       "Sample GC statistics around every stage (docs/TELEMETRY.md): per-stage \
        allocated MB, peak heap MB and major collections, in the table and in \
-       the JSON document's per-run memory object."
+       the memory fields of the JSON document's per-run records."
     in
     Arg.(value & flag & info [ "mem" ] ~doc)
   in
-  let stage_names = [ "place"; "route"; "verify"; "lvs"; "extract"; "analyse" ] in
-  let stage_s (r : Ccdac.Flow.result) name =
-    Option.value ~default:0. (Telemetry.Summary.stage_seconds r.telemetry name)
-  in
-  let stage_mb (r : Ccdac.Flow.result) name =
-    Option.value ~default:0. (Telemetry.Summary.stage_alloc_mb r.telemetry name)
-  in
-  let memory_json (r : Ccdac.Flow.result) =
-    let open Telemetry.Json in
-    match Telemetry.Summary.total_memory r.telemetry with
-    | None -> Null
-    | Some d ->
-      Obj
-        [ ( "stages_alloc_mb",
-            Obj (List.map (fun n -> (n, Num (stage_mb r n))) stage_names) );
-          ("alloc_mb_total", Num (Telemetry.Memory.allocated_mb d));
-          ("peak_heap_mb", Num (Telemetry.Memory.peak_heap_mb d));
-          ( "major_collections",
-            Num (float_of_int d.Telemetry.Memory.major_collections) ) ]
-  in
-  let median_run runs =
-    let sorted =
-      List.sort
-        (fun a b ->
-           Float.compare a.Ccdac.Flow.elapsed_place_route_s
-             b.Ccdac.Flow.elapsed_place_route_s)
-        runs
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let json_of_run (r : Ccdac.Flow.result) =
-    let open Telemetry.Json in
-    Obj
-      [ ("style", Str (Ccplace.Style.name r.style));
-        ("bits", Num (float_of_int r.bits));
-        ( "stages_s",
-          Obj (List.map (fun n -> (n, Num (stage_s r n))) stage_names) );
-        ("place_route_s", Num r.elapsed_place_route_s);
-        ("f3db_mhz", Num r.f3db_mhz);
-        ("max_inl_lsb", Num r.max_inl);
-        ("max_dnl_lsb", Num r.max_dnl);
-        ( "via_cuts",
-          Num (float_of_int r.parasitics.Extract.Parasitics.total_via_cuts) );
-        ("bends", Num (float_of_int r.parasitics.Extract.Parasitics.total_bends));
-        ("wirelength_um", Num r.parasitics.Extract.Parasitics.total_wirelength);
-        ("area_um2", Num r.area);
-        ("memory", memory_json r) ]
-  in
+  (* a stage of a record's table; 0 for a stage that did not run *)
+  let stage table name = Option.value ~default:0. (List.assoc_opt name table) in
   let run bits_list styles granularity tech repeat json mem verbose trace
       metrics_fmt =
     setup_logs verbose;
-    if repeat < 1 then begin
-      Printf.eprintf "ccgen: --repeat must be >= 1\n";
-      exit 2
-    end;
+    check_repeat repeat;
     List.iter check_bits bits_list;
-    let medians, dump =
+    let records, dump =
       Telemetry.Memory.with_enabled mem @@ fun () ->
       Telemetry.Metrics.collect @@ fun () ->
       with_trace trace @@ fun () ->
       Telemetry.Span.with_ ~name:"profile" @@ fun () ->
-      List.concat_map
-        (fun bits ->
-           List.map
-             (fun s ->
-                let style = resolve_style ~bits ~granularity s in
-                median_run
-                  (List.init repeat (fun _ -> Ccdac.Flow.run ~tech ~bits style)))
-             styles)
-        bits_list
+      record_matrix ~tech ~granularity ~repeat bits_list styles
     in
     if json then begin
       let open Telemetry.Json in
       print_endline
         (to_string
            (Obj
-              [ ("version", Num 1.);
+              [ ("version", Num 2.);
                 ("tech", Str tech.Tech.Process.name);
                 ("repeat", Num (float_of_int repeat));
-                ("runs", Arr (List.map json_of_run medians));
+                ("runs", Arr (List.map Qor.Record.to_json records));
                 ("metrics", Telemetry.Metrics.to_json dump) ]))
     end
     else begin
@@ -661,15 +626,14 @@ let profile_cmd =
         "place ms" "route ms" "verify ms" "lvs ms" "extract ms" "analyse ms"
         "p+r ms" "vias" "f3dB MHz";
       List.iter
-        (fun (r : Ccdac.Flow.result) ->
-           let ms n = 1e3 *. stage_s r n in
+        (fun (r : Qor.Record.t) ->
+           let ms n = 1e3 *. stage r.stage_s n in
            Printf.printf
              "%-18s %4d  %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f  %8.2f %6d %9.0f\n"
-             (Ccplace.Style.name r.style) r.bits (ms "place") (ms "route")
-             (ms "verify") (ms "lvs") (ms "extract") (ms "analyse")
-             (1e3 *. r.elapsed_place_route_s)
-             r.parasitics.Extract.Parasitics.total_via_cuts r.f3db_mhz)
-        medians;
+             r.style r.bits (ms "place") (ms "route") (ms "verify") (ms "lvs")
+             (ms "extract") (ms "analyse") (1e3 *. r.place_route_s)
+             r.via_cuts r.f3db_mhz)
+        records;
       Printf.printf "(%d run(s) per configuration; median by place+route)\n"
         repeat;
       if mem then begin
@@ -679,20 +643,15 @@ let profile_cmd =
           "place" "route" "verify" "lvs" "extract" "analyse" "total MB"
           "peak MB" "majors";
         List.iter
-          (fun (r : Ccdac.Flow.result) ->
-             match Telemetry.Summary.total_memory r.telemetry with
-             | None -> ()
-             | Some d ->
-               Printf.printf
-                 "%-18s %4d  %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f  %9.2f \
-                  %8.2f %6d\n"
-                 (Ccplace.Style.name r.style) r.bits (stage_mb r "place")
-                 (stage_mb r "route") (stage_mb r "verify") (stage_mb r "lvs")
-                 (stage_mb r "extract") (stage_mb r "analyse")
-                 (Telemetry.Memory.allocated_mb d)
-                 (Telemetry.Memory.peak_heap_mb d)
-                 d.Telemetry.Memory.major_collections)
-          medians
+          (fun (r : Qor.Record.t) ->
+             let mb = stage r.stage_alloc_mb in
+             Printf.printf
+               "%-18s %4d  %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f  %9.2f %8.2f \
+                %6d\n"
+               r.style r.bits (mb "place") (mb "route") (mb "verify")
+               (mb "lvs") (mb "extract") (mb "analyse") r.alloc_mb_total
+               r.peak_heap_mb r.major_collections)
+          records
       end;
       let dists =
         List.filter
@@ -726,7 +685,7 @@ let profile_cmd =
      section."
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ bits_list_arg $ styles_arg $ gran_arg $ tech_arg
+    Term.(const run $ matrix_bits_arg $ matrix_styles_arg $ gran_arg $ tech_arg
           $ repeat_arg $ json_arg $ mem_arg $ verbose_arg $ trace_arg
           $ metrics_arg)
 
@@ -794,46 +753,6 @@ let qor_json_arg =
   let doc = "Emit machine-readable JSON instead of text." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-(* Median-of-repeat flow runs for one configuration, by place+route time —
-   the same discipline ccgen profile uses. *)
-let qor_median_run ~tech ~bits ~repeat style =
-  let runs = List.init repeat (fun _ -> Ccdac.Flow.run ~tech ~bits style) in
-  let sorted =
-    List.sort
-      (fun a b ->
-         Float.compare a.Ccdac.Flow.elapsed_place_route_s
-           b.Ccdac.Flow.elapsed_place_route_s)
-      runs
-  in
-  List.nth sorted (List.length sorted / 2)
-
-let qor_matrix ~tech ~granularity ~repeat bits_list styles =
-  List.concat_map
-    (fun bits ->
-       List.map
-         (fun s ->
-            let style = resolve_style ~bits ~granularity s in
-            Qor.Record.of_result ~repeat
-              (qor_median_run ~tech ~bits ~repeat style))
-         styles)
-    bits_list
-
-let qor_bits_list_arg =
-  let doc = "Comma-separated resolutions to record." in
-  Arg.(value & opt (list int) [ 6; 8 ] & info [ "b"; "bits" ] ~docv:"N,.." ~doc)
-
-let qor_styles_arg =
-  let doc = "Comma-separated styles (default: all four)." in
-  Arg.(value & opt (list style_conv) [ `Rowwise; `Chessboard; `Spiral; `Block ]
-       & info [ "s"; "styles" ] ~docv:"STYLE,.." ~doc)
-
-let qor_repeat_arg =
-  let doc =
-    "Runs per configuration; the recorded run is the one with the median \
-     place+route time."
-  in
-  Arg.(value & opt int 3 & info [ "repeat" ] ~docv:"R" ~doc)
-
 let qor_mem_arg =
   let doc =
     "Sample GC statistics during the runs so the records carry the \
@@ -845,16 +764,13 @@ let qor_mem_arg =
 let record_cmd =
   let run bits_list styles granularity tech repeat ledger json mem verbose =
     setup_logs verbose;
-    if repeat < 1 then begin
-      Printf.eprintf "ccgen: --repeat must be >= 1\n";
-      exit 2
-    end;
+    check_repeat repeat;
     List.iter check_bits bits_list;
     let records, _ =
       Telemetry.Memory.with_enabled mem @@ fun () ->
       Telemetry.Metrics.collect @@ fun () ->
       Telemetry.Span.with_ ~name:"qor.record" @@ fun () ->
-      let records = qor_matrix ~tech ~granularity ~repeat bits_list styles in
+      let records = record_matrix ~tech ~granularity ~repeat bits_list styles in
       (try List.iter (fun r -> Qor.Ledger.append ~path:ledger r) records
        with Sys_error e ->
          Printf.eprintf "ccgen: cannot append to ledger: %s\n" e;
@@ -883,8 +799,8 @@ let record_cmd =
      per configuration to the ledger."
   in
   Cmd.v (Cmd.info "record" ~doc)
-    Term.(const run $ qor_bits_list_arg $ qor_styles_arg $ gran_arg $ tech_arg
-          $ qor_repeat_arg $ ledger_arg $ qor_json_arg $ qor_mem_arg
+    Term.(const run $ matrix_bits_arg $ matrix_styles_arg $ gran_arg $ tech_arg
+          $ repeat_arg $ ledger_arg $ qor_json_arg $ qor_mem_arg
           $ verbose_arg)
 
 let baseline_arg =
@@ -893,21 +809,11 @@ let baseline_arg =
        & info [ "baseline" ] ~docv:"FILE" ~doc)
 
 let diff_cmd =
-  let from_ledger_arg =
-    let doc =
-      "Compare the latest ledger record of each configuration instead of \
-       running the flow afresh."
-    in
-    Arg.(value & flag & info [ "from-ledger" ] ~doc)
-  in
   let werror_arg =
     let doc = "Also fail on warning-severity regressions (times, area)." in
     Arg.(value & flag & info [ "werror" ] ~doc)
   in
-  let run bits_list styles granularity tech repeat ledger from_ledger baseline
-      json mem werror verbose =
-    setup_logs verbose;
-    List.iter check_bits bits_list;
+  let run ledger baseline json werror =
     let baseline_records =
       match Qor.Baseline.load ~path:baseline with
       | Ok rs -> rs
@@ -916,19 +822,13 @@ let diff_cmd =
         exit 2
     in
     let current =
-      if from_ledger then begin
-        match Qor.Ledger.load ~path:ledger with
-        | records, complaints ->
-          List.iter (fun c -> Printf.eprintf "ccgen: %s\n" c) complaints;
-          Qor.Ledger.latest_by_label records
-        | exception Sys_error e ->
-          Printf.eprintf "ccgen: cannot read ledger: %s\n" e;
-          exit 2
-      end
-      else
-        Telemetry.Memory.with_enabled mem @@ fun () ->
-        Telemetry.Span.with_ ~name:"qor.diff" @@ fun () ->
-        qor_matrix ~tech ~granularity ~repeat bits_list styles
+      match Qor.Ledger.load ~path:ledger with
+      | records, complaints ->
+        List.iter (fun c -> Printf.eprintf "ccgen: %s\n" c) complaints;
+        Qor.Ledger.latest_by_label records
+      | exception Sys_error e ->
+        Printf.eprintf "ccgen: cannot read ledger: %s\n" e;
+        exit 2
     in
     let cmp = Qor.Compare.diff ~baseline:baseline_records ~current in
     if json then
@@ -948,14 +848,13 @@ let diff_cmd =
       exit 1
   in
   let doc =
-    "Diff fresh runs (or, with $(b,--from-ledger), the ledger's latest \
-     records) against a committed baseline under the per-metric tolerance \
-     policies; nonzero exit on regression."
+    "Diff the ledger's latest record of each configuration against a \
+     committed baseline under the per-metric tolerance policies; nonzero \
+     exit on regression.  Run $(b,record) first (into a scratch \
+     $(b,--ledger) to leave the committed one untouched)."
   in
   Cmd.v (Cmd.info "diff" ~doc)
-    Term.(const run $ qor_bits_list_arg $ qor_styles_arg $ gran_arg $ tech_arg
-          $ qor_repeat_arg $ ledger_arg $ from_ledger_arg $ baseline_arg
-          $ qor_json_arg $ qor_mem_arg $ werror_arg $ verbose_arg)
+    Term.(const run $ ledger_arg $ baseline_arg $ qor_json_arg $ werror_arg)
 
 let history_cmd =
   let last_arg =

@@ -17,6 +17,8 @@ type result = {
   f3db_mhz : float;
   critical_bit : int;
   area : float;
+  verify_diagnostics : Verify.Diagnostic.t list;
+  lvs_diagnostics : Verify.Diagnostic.t list;
   telemetry : Telemetry.Summary.t;
   elapsed_place_route_s : float;
 }
@@ -37,12 +39,14 @@ let stage name f = Telemetry.Span.with_ ~name f
 
 (* The verification gate: nothing leaves place-and-route for extraction
    unless the registry linter signs off on tech, placement and layout.
-   Rejection raises [Verify.Engine.Rejected] carrying every diagnostic. *)
+   Rejection raises [Verify.Engine.Rejected] carrying every diagnostic;
+   otherwise the diagnostics it passed with are returned. *)
 let verify_layout ~what (layout : Ccroute.Layout.t) =
   let diags = Verify.Engine.check_artifacts layout in
   Log.debug (fun m ->
       m "%s: verification (%d diagnostics)" what (List.length diags));
-  Verify.Engine.assert_clean ~what diags
+  Verify.Engine.assert_clean ~what diags;
+  diags
 
 (* The LVS gate: whole-layout connectivity extraction against the
    intended netlist.  Runs after the rule linter (and, like it, outside
@@ -51,17 +55,21 @@ let verify_layout ~what (layout : Ccroute.Layout.t) =
    cross-check reads each net's RC model topology and builds no RC
    tree. *)
 let lvs_layout ~what layout =
-  Verify.Engine.assert_clean ~what (Lvs.Check.run layout).Lvs.Check.diagnostics
+  let diags = (Lvs.Check.run layout).Lvs.Check.diagnostics in
+  Verify.Engine.assert_clean ~what diags;
+  diags
 
-(* The verify and LVS gates of one layout, when [verify]. *)
+(* The verify and LVS gates of one layout, when [verify]: the diagnostics
+   each passed with. *)
 let gates ~verify ~what layout =
-  if verify then begin
-    stage "verify" (fun () -> verify_layout ~what layout);
-    stage "lvs" (fun () -> lvs_layout ~what layout)
-  end
+  if verify then
+    let v = stage "verify" (fun () -> verify_layout ~what layout) in
+    (v, stage "lvs" (fun () -> lvs_layout ~what layout))
+  else ([], [])
 
-let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
-    ~bits style =
+(* Place, route and gate one design: the layout, the place+route seconds
+   and the gates' diagnostics. *)
+let place_route_gated ~tech ?parallel ~verify ~bits style =
   let parallel =
     Option.value parallel ~default:(default_parallel ~bits style)
   in
@@ -75,19 +83,28 @@ let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
      runs, so linting never skews place+route timings. *)
   let t1 = Telemetry.Clock.now_ns () in
   let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-  gates ~verify ~what layout;
+  let diagnostics = gates ~verify ~what layout in
   let elapsed = Telemetry.Clock.to_s (Int64.sub t1 t0) in
   Log.debug (fun m ->
       m "%s %d-bit: place+route %.3f ms (%d groups, %d tracks)"
         (Ccplace.Style.name style) bits (1e3 *. elapsed)
         (List.length layout.Ccroute.Layout.groups)
         (Ccroute.Plan.total_tracks layout.Ccroute.Layout.plan));
+  (layout, elapsed, diagnostics)
+
+let place_route ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true)
+    ~bits style =
+  let layout, elapsed, _ =
+    place_route_gated ~tech ?parallel ~verify ~bits style
+  in
   (layout, elapsed)
 
-(* analysis shared by [run] and [run_placement]; [recorded] fills the
-   telemetry and the Table III runtime.  Extraction builds each net's RC
-   tree once; nothing else in the flow builds one. *)
-let analyze_layout ~tech ?theta ~style layout =
+(* analysis shared by [run] and [run_placement]; [diagnostics] are the
+   gates' (verify, lvs) findings, and [recorded] fills the telemetry and
+   the Table III runtime.  Extraction builds each net's RC tree once;
+   nothing else in the flow builds one. *)
+let analyze_layout ~tech ?theta ~style
+    ~diagnostics:(verify_diagnostics, lvs_diagnostics) layout =
   let placement = layout.Ccroute.Layout.placement in
   let bits = placement.Ccgrid.Placement.bits in
   let parasitics =
@@ -120,6 +137,8 @@ let analyze_layout ~tech ?theta ~style layout =
     f3db_mhz = Dacmodel.Speed.f3db_mhz ~bits ~tau_fs;
     critical_bit = parasitics.Extract.Parasitics.critical_bit;
     area = parasitics.Extract.Parasitics.area;
+    verify_diagnostics;
+    lvs_diagnostics;
     telemetry = Telemetry.Summary.empty;
     elapsed_place_route_s = 0. }
 
@@ -141,8 +160,18 @@ let run ?(tech = Tech.Process.finfet_12nm) ?parallel ?(verify = true) ?theta
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let layout, _ = place_route ~tech ?parallel ~verify ~bits style in
-       analyze_layout ~tech ?theta ~style layout)
+       let layout, _, diagnostics =
+         place_route_gated ~tech ?parallel ~verify ~bits style
+       in
+       analyze_layout ~tech ?theta ~style ~diagnostics layout)
+
+let median_run ?tech ~repeat ~bits style =
+  if repeat < 1 then invalid_arg "Flow.median_run: repeat must be >= 1";
+  let runs = List.init repeat (fun _ -> run ?tech ~bits style) in
+  let by_place_route a b =
+    Float.compare a.elapsed_place_route_s b.elapsed_place_route_s
+  in
+  List.nth (List.stable_sort by_place_route runs) (repeat / 2)
 
 let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
     placement =
@@ -172,5 +201,5 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
          Printf.sprintf "%s %d-bit (prebuilt placement)"
            placement.Ccgrid.Placement.style_name bits
        in
-       gates ~verify ~what layout;
-       analyze_layout ~tech ~style layout)
+       let diagnostics = gates ~verify ~what layout in
+       analyze_layout ~tech ~style ~diagnostics layout)

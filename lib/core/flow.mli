@@ -25,6 +25,11 @@ type result = {
   f3db_mhz : float;          (** Eq. 16 *)
   critical_bit : int;
   area : float;              (** um^2 *)
+  verify_diagnostics : Verify.Diagnostic.t list;
+      (** what the verify gate passed the layout with: warnings and infos
+          only, since an error raises; [[]] under [~verify:false] *)
+  lvs_diagnostics : Verify.Diagnostic.t list;
+      (** the same for the LVS gate *)
   telemetry : Telemetry.Summary.t;
       (** per-stage spans and metrics for this run (see docs/TELEMETRY.md);
           {!Telemetry.Summary.empty} when the result was built outside
@@ -63,6 +68,16 @@ val run :
   Ccplace.Style.t ->
   result
 
+(** [median_run ?tech ~repeat ~bits style] runs {!run} [repeat] times and
+    returns the run with the median {!elapsed_place_route_s}: index
+    [repeat / 2] of the runs sorted by it (a stable sort, so ties keep
+    run order).  Every repeated measurement of the flow goes through it:
+    [ccgen profile] and [ccgen record], [BENCH_flow.json], the QoR
+    baseline and Table III.  Raises [Invalid_argument] when
+    [repeat < 1]. *)
+val median_run :
+  ?tech:Tech.Process.t -> repeat:int -> bits:int -> Ccplace.Style.t -> result
+
 (** [default_parallel ~bits style] is the policy described above. *)
 val default_parallel : bits:int -> Ccplace.Style.t -> int -> int
 
@@ -80,9 +95,10 @@ val run_placement :
   ?tech:Tech.Process.t -> ?verify:bool -> Ccgrid.Placement.t -> result
 
 (** [place_route ?tech ?parallel ?verify ~bits style] runs only placement
-    and routing, returning the layout and the wall-clock seconds — the
-    Table III measurement without analysis cost.  The verification gate
-    runs {e after} the clock stops, so timings stay comparable. *)
+    and routing, returning the layout and the wall-clock seconds of place
+    + route, without analysis cost.  The verification gate runs {e after}
+    the clock stops, so timings stay comparable.  Table III itself reads
+    {!median_run}'s {!elapsed_place_route_s}. *)
 val place_route :
   ?tech:Tech.Process.t ->
   ?parallel:(int -> int) ->

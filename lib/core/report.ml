@@ -61,11 +61,12 @@ let table3 rows =
       Buffer.add_string buf
         "Table III: runtimes of the proposed CC layout algorithms\n";
       Buffer.add_string buf
-        (Printf.sprintf "%-7s %12s %12s\n" "bits" "Spiral s" "BC s");
+        (Printf.sprintf "%-7s %12s %12s\n" "bits" "Spiral ms" "BC ms");
       List.iter
         (fun (bits, spiral_s, bc_s) ->
            Buffer.add_string buf
-             (Printf.sprintf "%-7d %12.4f %12.4f\n" bits spiral_s bc_s))
+             (Printf.sprintf "%-7d %12.3f %12.3f\n" bits (1e3 *. spiral_s)
+                (1e3 *. bc_s)))
         rows)
 
 let fig6a series =

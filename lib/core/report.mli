@@ -8,7 +8,8 @@ val table1 : (int * Flow.result list) list -> string
 val table2 : (int * Flow.result list) list -> string
 
 (** [table3 rows] formats Table III (place+route runtimes) given
-    [(bits, spiral_seconds, bc_seconds)] triples. *)
+    [(bits, spiral_seconds, bc_seconds)] triples, printed in milliseconds
+    to three decimals (a 9 us run reads [0.009]). *)
 val table3 : (int * float * float) list -> string
 
 (** [fig6a series] formats the parallel-wire improvement factors:

@@ -17,9 +17,3 @@ let overlap_length a b =
   | Some i -> length i
 
 let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-let expand i by = { lo = i.lo -. by; hi = i.hi +. by }
-
-let equal ?(eps = 1e-9) a b =
-  Float.abs (a.lo -. b.lo) <= eps && Float.abs (a.hi -. b.hi) <= eps
-
-let pp ppf { lo; hi } = Format.fprintf ppf "[%.4f, %.4f]" lo hi

@@ -25,10 +25,3 @@ val overlap_length : t -> t -> float
 
 (** [hull a b] is the smallest interval containing both. *)
 val hull : t -> t -> t
-
-(** [expand i by] grows both ends of [i] by [by] (shrinks for negative [by];
-    the result may be improper if [by < -length i / 2]). *)
-val expand : t -> float -> t
-
-val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -109,11 +109,8 @@ let of_result ?(repeat = 1) (r : Ccdac.Flow.result) =
     bends = p.Extract.Parasitics.total_bends;
     wirelength_um = p.Extract.Parasitics.total_wirelength;
     area_um2 = r.Ccdac.Flow.area;
-    verify_rules =
-      Verify.Diagnostic.rule_ids
-        (Verify.Engine.check_artifacts r.Ccdac.Flow.layout);
-    lvs_rules =
-      Verify.Diagnostic.rule_ids (Lvs.Check.check r.Ccdac.Flow.layout);
+    verify_rules = Verify.Diagnostic.rule_ids r.Ccdac.Flow.verify_diagnostics;
+    lvs_rules = Verify.Diagnostic.rule_ids r.Ccdac.Flow.lvs_diagnostics;
     provenance = Provenance.capture () }
 
 let to_json t =

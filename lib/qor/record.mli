@@ -56,10 +56,13 @@ val label : style:string -> bits:int -> string
     hashes were measured under the same technology. *)
 val tech_hash : Tech.Process.t -> string
 
-(** [of_result ?repeat r] captures a record from a flow result, re-runs
-    the registry linter and LVS to collect the fired rule-id sets, and
-    stamps provenance.  [repeat] (default 1) documents how many runs the
-    timings were medianed over; it reruns nothing. *)
+(** [of_result ?repeat r] captures a record from a flow result and stamps
+    provenance.  The fired rule-id sets are those of the diagnostics the
+    flow's verify and LVS gates returned ([r.verify_diagnostics],
+    [r.lvs_diagnostics]); nothing is re-run, so building a record adds
+    no flow work to an enclosing telemetry scope.  [repeat] (default 1)
+    documents how many runs the timings were medianed over
+    ({!Ccdac.Flow.median_run}). *)
 val of_result : ?repeat:int -> Ccdac.Flow.result -> t
 
 val to_json : t -> Telemetry.Json.t

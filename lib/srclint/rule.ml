@@ -38,8 +38,6 @@ let category_name = function
   | Architecture -> "architecture"
   | Meta -> "meta"
 
-let pp_severity ppf s = Format.pp_print_string ppf (severity_name s)
-
 let pp ppf t =
   Format.fprintf ppf "%s[%s] (%s): %s" (severity_name t.severity) t.id
     (category_name t.category) t.doc

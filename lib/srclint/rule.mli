@@ -48,5 +48,4 @@ val severity_name : severity -> string
     ["architecture"] or ["meta"]. *)
 val category_name : category -> string
 
-val pp_severity : Format.formatter -> severity -> unit
 val pp : Format.formatter -> t -> unit

@@ -7,13 +7,6 @@ type t = {
   ast : Parsetree.structure;
 }
 
-let zone_name = function
-  | Lib -> "lib"
-  | Bin -> "bin"
-  | Bench -> "bench"
-  | Test -> "test"
-  | Other -> "other"
-
 let split_path path = String.split_on_char '/' path
 
 let zone_of_path path =

@@ -20,8 +20,6 @@ type t = {
   ast : Parsetree.structure;
 }
 
-val zone_name : zone -> string
-
 (** [zone_of_path "lib/qor/record.ml"] is [Lib]; classification looks at
     the first path component only. *)
 val zone_of_path : string -> zone

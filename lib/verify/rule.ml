@@ -40,6 +40,4 @@ let category_name = function
   | Style -> "style"
   | Lvs -> "lvs"
 
-let pp_severity ppf s = Format.pp_print_string ppf (severity_name s)
-
 let pp ppf t = Format.fprintf ppf "%s[%s]" (severity_name t.severity) t.id

@@ -40,5 +40,4 @@ val severity_name : severity -> string
     or ["lvs"]. *)
 val category_name : category -> string
 
-val pp_severity : Format.formatter -> severity -> unit
 val pp : Format.formatter -> t -> unit

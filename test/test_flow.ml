@@ -34,6 +34,30 @@ let test_place_route_only () =
     (layout.Ccroute.Layout.width > 0.);
   Alcotest.(check bool) "fast" true (elapsed < 10.)
 
+(* The one median-of-repeat driver: a run from the middle of the sorted
+   repeats, with the same outputs as a single run (the flow is
+   deterministic), and no run at all for a repeat below 1. *)
+let test_median_run () =
+  Alcotest.check_raises "repeat 0"
+    (Invalid_argument "Flow.median_run: repeat must be >= 1") (fun () ->
+      ignore (Ccdac.Flow.median_run ~repeat:0 ~bits:6 Ccplace.Style.Spiral));
+  let m = Ccdac.Flow.median_run ~repeat:3 ~bits:6 Ccplace.Style.Spiral in
+  let outputs (r : Ccdac.Flow.result) =
+    ( r.Ccdac.Flow.f3db_mhz,
+      r.Ccdac.Flow.max_inl,
+      r.Ccdac.Flow.max_dnl,
+      r.Ccdac.Flow.tau_fs,
+      r.Ccdac.Flow.area,
+      r.Ccdac.Flow.critical_bit,
+      r.Ccdac.Flow.parasitics.Extract.Parasitics.total_via_cuts )
+  in
+  Alcotest.(check bool) "outputs equal Flow.run's" true
+    (outputs m = outputs run6);
+  Alcotest.(check bool) "same layout" true
+    (m.Ccdac.Flow.layout.Ccroute.Layout.wires
+     = run6.Ccdac.Flow.layout.Ccroute.Layout.wires);
+  Alcotest.(check bool) "timed" true (m.Ccdac.Flow.elapsed_place_route_s > 0.)
+
 let test_custom_tech () =
   let r = Ccdac.Flow.run ~tech:Tech.Process.bulk_legacy ~bits:6 Ccplace.Style.Spiral in
   Alcotest.(check bool) "runs on bulk" true (r.Ccdac.Flow.f3db_mhz > 0.)
@@ -157,9 +181,20 @@ let test_report_table2 () =
   Alcotest.(check bool) "f3dB column" true (contains s "f3dB")
 
 let test_report_table3 () =
-  let s = Ccdac.Report.table3 [ (6, 0.01, 0.02); (7, 0.03, 0.04) ] in
+  let s =
+    Ccdac.Report.table3 [ (6, 0.01, 0.02); (7, 0.03, 0.04); (8, 9e-6, 1.2e-4) ]
+  in
+  let lines = String.split_on_char '\n' s in
+  let row bits spiral bc = Printf.sprintf "%-7d %12s %12s" bits spiral bc in
   Alcotest.(check bool) "header" true (contains s "Table III");
-  Alcotest.(check bool) "rows" true (contains s "0.0100" && contains s "0.0400")
+  Alcotest.(check bool) "milliseconds" true
+    (List.mem (Printf.sprintf "%-7s %12s %12s" "bits" "Spiral ms" "BC ms") lines);
+  Alcotest.(check bool) "rows" true
+    (List.mem (row 6 "10.000" "20.000") lines
+     && List.mem (row 7 "30.000" "40.000") lines);
+  (* a 9 us place+route, the size of a 6-bit spiral, is not rounded away *)
+  Alcotest.(check bool) "9 us row" true
+    (List.mem (row 8 "0.009" "0.120") lines)
 
 let test_report_fig6 () =
   let a = Ccdac.Report.fig6a [ (6, [ (1, 100.); (2, 220.) ]) ] in
@@ -210,6 +245,7 @@ let () =
           Alcotest.test_case "critical bit" `Quick test_flow_critical_bit_in_range;
           Alcotest.test_case "parallel policy" `Quick test_default_parallel_policy;
           Alcotest.test_case "place_route" `Quick test_place_route_only;
+          Alcotest.test_case "median run" `Quick test_median_run;
           Alcotest.test_case "custom tech" `Quick test_custom_tech;
           Alcotest.test_case "verify-gate time excluded" `Quick
             test_elapsed_excludes_verify_gate;

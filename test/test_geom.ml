@@ -105,27 +105,6 @@ let test_interval_hull_contains () =
   Alcotest.(check bool) "contains 2" true (Geom.Interval.contains h 2.);
   check_float "len" 4. (Geom.Interval.length h)
 
-(* --- Rect --- *)
-
-let test_rect_basic () =
-  let r = Geom.Rect.make (point ~x:0. ~y:0.) (point ~x:2. ~y:3.) in
-  check_float "w" 2. (Geom.Rect.width r);
-  check_float "h" 3. (Geom.Rect.height r);
-  check_float "area" 6. (Geom.Rect.area r);
-  let c = Geom.Rect.center r in
-  check_float "cx" 1. c.Geom.Point.x;
-  Alcotest.(check bool) "contains" true (Geom.Rect.contains r (point ~x:1. ~y:1.));
-  Alcotest.(check bool) "not contains" false
-    (Geom.Rect.contains r (point ~x:3. ~y:1.))
-
-let test_rect_bounding () =
-  let r =
-    Geom.Rect.bounding
-      [ point ~x:1. ~y:1.; point ~x:(-1.) ~y:2.; point ~x:0. ~y:(-3.) ]
-  in
-  check_float "w" 2. (Geom.Rect.width r);
-  check_float "h" 5. (Geom.Rect.height r)
-
 (* --- properties --- *)
 
 let float_gen = QCheck.Gen.float_range (-100.) 100.
@@ -212,9 +191,6 @@ let () =
           Alcotest.test_case "disjoint" `Quick test_interval_disjoint;
           Alcotest.test_case "touching" `Quick test_interval_touching;
           Alcotest.test_case "hull" `Quick test_interval_hull_contains ] );
-      ( "rect",
-        [ Alcotest.test_case "basic" `Quick test_rect_basic;
-          Alcotest.test_case "bounding" `Quick test_rect_bounding ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_distance_symmetric;

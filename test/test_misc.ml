@@ -295,6 +295,58 @@ let test_doc_catalogues_match_registries () =
           not (contains text ("`" ^ id ^ "`") || contains text ("**" ^ id ^ "**")))
        Srclint.Registry.ids)
 
+(* docs/TELEMETRY.md's "Memory at 10 and 12 bits" table, re-measured:
+   every per-stage MB cell and both totals of the spiral flow at 10 and
+   12 bits, to the two decimals the table prints.  Allocation repeats
+   exactly from run to run; peak heap and major collections do not, so
+   the table leaves them out.  The flows run inside a metric scope, as
+   under [ccgen profile --mem], whose matrix scope receives a copy of
+   every metric write: without it [extract] reads 0.01 MB less at both
+   sizes. *)
+let test_doc_memory_table () =
+  let doc = "../docs/TELEMETRY.md" in
+  let measured bits =
+    let r, _ =
+      Telemetry.Memory.with_enabled true (fun () ->
+          Telemetry.Metrics.collect (fun () ->
+              Ccdac.Flow.run ~bits Ccplace.Style.Spiral))
+    in
+    r.Ccdac.Flow.telemetry
+  in
+  let b10 = measured 10 and b12 = measured 12 in
+  let mb t stage =
+    match Telemetry.Summary.stage_alloc_mb t stage with
+    | Some v -> Printf.sprintf "%.2f" v
+    | None -> Alcotest.failf "stage %s not sampled" stage
+  in
+  let rows =
+    doc_table_rows doc ~header:[ "stage"; "b10 MB"; "b12 MB"; "×MB" ]
+  in
+  Alcotest.(check (list string)) "TELEMETRY.md memory table stages"
+    [ "place"; "route"; "verify"; "lvs"; "extract"; "analyse" ]
+    (List.map List.hd rows);
+  List.iter
+    (function
+      | [ stage; m10; m12; _ ] ->
+        Alcotest.(check (pair string string))
+          ("TELEMETRY.md memory row " ^ stage) (mb b10 stage, mb b12 stage)
+          (m10, m12)
+      | _ -> Alcotest.fail "short TELEMETRY.md memory row")
+    rows;
+  let total t =
+    match Telemetry.Summary.total_memory t with
+    | Some d -> Printf.sprintf "%.2f" (Telemetry.Memory.allocated_mb d)
+    | None -> Alcotest.fail "flow not sampled"
+  in
+  let documented_totals =
+    In_channel.with_open_text doc In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun line ->
+        Scanf.sscanf_opt line "Total: %s@ → %s@ MB" (fun a b -> (a, b)))
+  in
+  Alcotest.(check (option (pair string string))) "TELEMETRY.md memory totals"
+    (Some (total b10, total b12)) documented_totals
+
 let () =
   Alcotest.run "misc"
     [ ( "printers",
@@ -326,4 +378,5 @@ let () =
           Alcotest.test_case "sweep tech" `Quick test_sweep_row_respects_tech ] );
       ( "docs",
         [ Alcotest.test_case "catalogues match registries" `Quick
-            test_doc_catalogues_match_registries ] ) ]
+            test_doc_catalogues_match_registries;
+          Alcotest.test_case "memory table" `Quick test_doc_memory_table ] ) ]

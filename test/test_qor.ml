@@ -276,6 +276,72 @@ let test_committed_files () =
     (* 4 styles x {6, 8} bits *)
     Alcotest.(check int) "baseline records" 8 (List.length records)
 
+(* BENCH_flow.json's runs are QoR records: the median of 5 flow runs of
+   each of the four methods at 6-10 bits, every stage timed, under the
+   default (FinFET) process. *)
+let test_bench_flow_records () =
+  let doc =
+    match
+      Telemetry.Json.parse
+        (In_channel.with_open_text "../BENCH_flow.json" In_channel.input_all)
+    with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "BENCH_flow.json: %s" e
+  in
+  let runs =
+    match
+      Option.bind (Telemetry.Json.member "runs" doc) Telemetry.Json.to_list
+    with
+    | Some runs -> runs
+    | None -> Alcotest.fail "BENCH_flow.json has no runs array"
+  in
+  let records =
+    List.map
+      (fun j ->
+         match Qor.Record.of_json j with
+         | Ok r -> r
+         | Error e -> Alcotest.failf "BENCH_flow.json run: %s" e)
+      runs
+  in
+  let expected_labels =
+    List.concat_map
+      (fun bits ->
+         List.map
+           (fun style -> Qor.Record.label ~style:(Ccplace.Style.name style) ~bits)
+           [ Ccplace.Style.Rowwise; Ccplace.Style.Chessboard;
+             Ccplace.Style.Spiral; Ccplace.Style.block_default ~bits ])
+      [ 6; 7; 8; 9; 10 ]
+  in
+  Alcotest.(check (list string)) "labels" expected_labels
+    (List.map (fun (r : Qor.Record.t) -> r.Qor.Record.label) records);
+  let finfet = Qor.Record.tech_hash Tech.Process.finfet_12nm in
+  List.iter
+    (fun (r : Qor.Record.t) ->
+       let l = r.Qor.Record.label in
+       Alcotest.(check int) (l ^ " repeat") 5 r.Qor.Record.repeat;
+       Alcotest.(check (list string)) (l ^ " stages")
+         [ "place"; "route"; "verify"; "lvs"; "extract"; "analyse" ]
+         (List.map fst r.Qor.Record.stage_s);
+       Alcotest.(check string) (l ^ " tech hash") finfet r.Qor.Record.tech_hash)
+    records
+
+(* A record's rule sets are the ones the flow's gates returned: nothing
+   is re-run, so a warning the result carries is what the record holds. *)
+let test_record_rules_from_result () =
+  let r = Lazy.force result in
+  Alcotest.(check (list string)) "clean gates" []
+    (Qor.Record.of_result r).Qor.Record.lvs_rules;
+  let warned =
+    { r with
+      Ccdac.Flow.lvs_diagnostics =
+        [ Verify.Diagnostic.make Verify.Lvs_rules.r_dangling "hand-added" ] }
+  in
+  let record = Qor.Record.of_result warned in
+  Alcotest.(check (list string)) "lvs rules" [ "lvs/dangling" ]
+    record.Qor.Record.lvs_rules;
+  Alcotest.(check (list string)) "verify rules" []
+    record.Qor.Record.verify_rules
+
 (* --- release version --- *)
 
 (* The hand-bumped version constant names the newest CHANGELOG.md
@@ -714,7 +780,9 @@ let () =
         [ Alcotest.test_case "fields" `Quick test_record_fields;
           Alcotest.test_case "tech hash" `Quick test_tech_hash_distinguishes;
           Alcotest.test_case "json roundtrip" `Quick test_record_json_roundtrip;
-          Alcotest.test_case "schema skew" `Quick test_record_schema_skew ] );
+          Alcotest.test_case "schema skew" `Quick test_record_schema_skew;
+          Alcotest.test_case "rules from result" `Quick
+            test_record_rules_from_result ] );
       ( "ledger",
         [ Alcotest.test_case "roundtrip + corruption" `Quick
             test_ledger_roundtrip;
@@ -725,7 +793,9 @@ let () =
           Alcotest.test_case "serve row roundtrip" `Quick
             test_ledger_serve_row_roundtrip;
           Alcotest.test_case "committed files load" `Quick
-            test_committed_files ] );
+            test_committed_files;
+          Alcotest.test_case "BENCH_flow.json records" `Quick
+            test_bench_flow_records ] );
       ( "provenance",
         [ Alcotest.test_case "version matches CHANGELOG" `Quick
             test_version_matches_changelog;
