@@ -86,20 +86,35 @@ let write_failed path msg =
   exit 1
 
 (* Null-sink overhead: place+route with telemetry idle (the default fast
-   path) vs the same work inside a recording scope.  The ratio must stay
-   within run-to-run noise — this is the zero-overhead-default evidence. *)
+   path) vs the same work inside a recording scope.  After one untimed
+   run, idle and recorded runs alternate in pairs, the one going first
+   swapping from pair to pair, so warm-up favours neither median.  The
+   ratio must stay within run-to-run noise — this is the
+   zero-overhead-default evidence. *)
 let bench_flow_overhead () =
   let bits = 8 and reps = 5 in
   let elapsed () =
     snd (Ccdac.Flow.place_route ~tech ~bits Ccplace.Style.Spiral)
   in
-  let median l = List.nth (List.sort Float.compare l) (List.length l / 2) in
-  let idle = median (List.init reps (fun _ -> elapsed ())) in
-  let recorded =
-    median
-      (List.init reps (fun _ ->
-           fst (Telemetry.Summary.record ~name:"bench" elapsed)))
+  let recorded () = fst (Telemetry.Summary.record ~name:"bench" elapsed) in
+  ignore (elapsed () : float);
+  let idle = Array.make reps 0. and record = Array.make reps 0. in
+  for i = 0 to reps - 1 do
+    if i mod 2 = 0 then begin
+      idle.(i) <- elapsed ();
+      record.(i) <- recorded ()
+    end
+    else begin
+      record.(i) <- recorded ();
+      idle.(i) <- elapsed ()
+    end
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(reps / 2)
   in
+  let idle = median idle and recorded = median record in
   let open Telemetry.Json in
   Obj
     [ ("bits", Num (float_of_int bits));
@@ -194,7 +209,7 @@ let fig3 () =
        Printf.printf
          "C_%d: %d group(s), %d trunk(s)%s, driver tap at x=%.2f um\n"
          net.Ccroute.Layout.cn_cap
-         (List.length net.Ccroute.Layout.cn_groups)
+         (Array.length net.Ccroute.Layout.cn_groups)
          (List.length net.Ccroute.Layout.cn_trunks)
          (match net.Ccroute.Layout.cn_bridge_y with
           | Some _ -> " + bridge"

@@ -282,7 +282,7 @@ let svg_cmd =
     Ccroute.Svg.write layout ~path;
     Printf.printf "wrote %s (%.0f x %.0f um, %d wires)\n" path
       layout.Ccroute.Layout.width layout.Ccroute.Layout.height
-      (List.length layout.Ccroute.Layout.wires)
+      (Ccroute.Layout.Wires.length layout.Ccroute.Layout.wires)
   in
   let doc = "Route a placement and render it to SVG (cf. the paper's Fig. 5)." in
   Cmd.v (Cmd.info "svg" ~doc)

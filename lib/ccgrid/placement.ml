@@ -96,17 +96,27 @@ let axes tech t =
 
 let valid_cap t id = id >= 0 && id <= t.bits
 
+(* Each capacitor's array is sized by a count first and seeded with the
+   static origin: made from a freshly allocated point, an array longer
+   than 256 words would first force a minor collection. *)
 let positions_by_cap tech t =
   let xs, ys = axes tech t in
-  let points = Array.make (num_caps t) [] in
-  for row = t.rows - 1 downto 0 do
-    for col = t.cols - 1 downto 0 do
+  let count = Array.make (num_caps t) 0 in
+  Array.iter
+    (Array.iter (fun id -> if valid_cap t id then count.(id) <- count.(id) + 1))
+    t.assign;
+  let points = Array.map (fun n -> Array.make n Geom.Point.origin) count in
+  Array.fill count 0 (num_caps t) 0;
+  for row = 0 to t.rows - 1 do
+    for col = 0 to t.cols - 1 do
       let id = t.assign.(row).(col) in
-      if valid_cap t id then
-        points.(id) <- Geom.Point.make ~x:xs.(col) ~y:ys.(row) :: points.(id)
+      if valid_cap t id then begin
+        points.(id).(count.(id)) <- Geom.Point.make ~x:xs.(col) ~y:ys.(row);
+        count.(id) <- count.(id) + 1
+      end
     done
   done;
-  Array.map Array.of_list points
+  points
 
 let position_sums tech t =
   let xs, ys = axes tech t in

@@ -18,6 +18,86 @@ type wire = {
   w_p : int;
 }
 
+module Wires = struct
+  type t = {
+    xy : float array;
+    attr : int array;
+  }
+
+  let length t = Array.length t.attr / 4
+
+  let kind_code = function
+    | Branch -> 0
+    | Stub -> 1
+    | Trunk -> 2
+    | Bridge -> 3
+    | Top -> 4
+
+  let kind_of_code = function
+    | 0 -> Branch
+    | 1 -> Stub
+    | 2 -> Trunk
+    | 3 -> Bridge
+    | _ -> Top
+
+  let layer_code = function
+    | Tech.Layer.M1 -> 0
+    | Tech.Layer.M2 -> 1
+    | Tech.Layer.M3 -> 2
+
+  let layer_of_code = function
+    | 0 -> Tech.Layer.M1
+    | 1 -> Tech.Layer.M2
+    | _ -> Tech.Layer.M3
+
+  let cap t i = t.attr.(4 * i)
+  let kind t i = kind_of_code t.attr.((4 * i) + 1)
+  let layer t i = layer_of_code t.attr.((4 * i) + 2)
+  let p t i = t.attr.((4 * i) + 3)
+
+  let create n = { xy = Array.make (4 * n) 0.; attr = Array.make (4 * n) 0 }
+
+  (* Writes wire [i]'s attributes and returns [4 i], where its endpoints
+     go: the caller stores them straight into [xy], unboxed. *)
+  let set t i ~cap kind layer ~p =
+    let j = 4 * i in
+    t.attr.(j) <- cap;
+    t.attr.(j + 1) <- kind_code kind;
+    t.attr.(j + 2) <- layer_code layer;
+    t.attr.(j + 3) <- p;
+    j
+
+  (* [set] on wires 0, 1, 2, ... in turn *)
+  let filler t =
+    let next = ref 0 in
+    fun ~cap kind layer ~p ->
+      let j = set t !next ~cap kind layer ~p in
+      incr next;
+      j
+
+  let get t i =
+    let j = 4 * i in
+    { w_cap = cap t i; w_kind = kind t i; w_layer = layer t i;
+      w_ax = t.xy.(j); w_ay = t.xy.(j + 1); w_bx = t.xy.(j + 2);
+      w_by = t.xy.(j + 3); w_p = p t i }
+
+  let of_list ws =
+    let t = create (List.length ws) in
+    List.iteri
+      (fun i w ->
+         let j = set t i ~cap:w.w_cap w.w_kind w.w_layer ~p:w.w_p in
+         t.xy.(j) <- w.w_ax;
+         t.xy.(j + 1) <- w.w_ay;
+         t.xy.(j + 2) <- w.w_bx;
+         t.xy.(j + 3) <- w.w_by)
+      ws;
+    t
+
+  let to_list t =
+    let rec from i acc = if i < 0 then acc else from (i - 1) (get t i :: acc) in
+    from (length t - 1) []
+end
+
 type via = {
   v_cap : int;
   v_x : float;
@@ -45,7 +125,7 @@ type trunk = {
 
 type capnet = {
   cn_cap : int;
-  cn_groups : Group.t list;
+  cn_groups : Group.t array;
   cn_trunks : trunk list;
   cn_bridge_y : float option;
   cn_driver_x : float;
@@ -64,9 +144,9 @@ type t = {
   width : float;
   height : float;
   nets : capnet array;
-  wires : wire list;
+  wires : Wires.t;
   vias : via list;
-  top_wires : wire list;
+  top_wires : Wires.t;
   top_length : float;
 }
 
@@ -133,12 +213,19 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
        at.(ch) <- r :: at.(ch))
     plan.Plan.routes;
   (* the groups of each capacitor, in group order *)
-  let groups_of = Array.make (bits + 1) [] in
-  let all_groups = Array.of_list groups in
-  for i = Array.length all_groups - 1 downto 0 do
-    let g = all_groups.(i) in
-    groups_of.(g.Group.cap) <- g :: groups_of.(g.Group.cap)
-  done;
+  let group_count = Array.make (bits + 1) 0 in
+  List.iter
+    (fun (g : Group.t) ->
+       group_count.(g.Group.cap) <- group_count.(g.Group.cap) + 1)
+    groups;
+  let groups_of = Array.map (fun n -> Array.make n Group.none) group_count in
+  Array.fill group_count 0 (bits + 1) 0;
+  List.iter
+    (fun (g : Group.t) ->
+       let k = g.Group.cap in
+       groups_of.(k).(group_count.(k)) <- g;
+       group_count.(k) <- group_count.(k) + 1)
+    groups;
   (* bridge region: one track per capacitor that needs a bridge *)
   let needs_bridge = Array.map (fun n -> n >= 2) trunk_count in
   let bridge_y = Array.make (bits + 1) 0. in
@@ -176,29 +263,7 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
   in
   let height = bridge_height +. (float_of_int rows *. pitch_y) in
   (* --- per-capacitor nets --- *)
-  let wires = ref [] and vias = ref [] in
-  let emit_wire w = wires := w :: !wires in
-  let emit_via v = vias := v :: !vias in
   let build_net cap =
-    let p = p_arr.(cap) in
-    let cap_groups = groups_of.(cap) in
-    (* branch connections inside each group: abutting MOM fingers on the
-       device layers — they carry plate resistance but are not routing
-       metal, so they are rendered as Branch wires and excluded from the
-       wirelength/capacitance/via metrics (Sec. V: "unit capacitors use
-       nearest-neighbor connections using the same metal layer with no
-       vias") *)
-    List.iter
-      (fun (g : Group.t) ->
-         List.iter
-           (fun ((a : Cell.t), (b : Cell.t)) ->
-              emit_wire
-                { w_cap = cap; w_kind = Branch; w_layer = Tech.Layer.M1;
-                  w_ax = col_x.(a.Cell.col); w_ay = row_y.(a.Cell.row);
-                  w_bx = col_x.(b.Cell.col); w_by = row_y.(b.Cell.row);
-                  w_p = p })
-           g.Group.tree_edges)
-      cap_groups;
     (* trunks, one per channel used by this capacitor, in channel order;
        the first is the primary *)
     let has_bridge = needs_bridge.(cap) in
@@ -226,97 +291,157 @@ let route tech ?(p_of_cap = fun _ -> 1) (placement : Placement.t) =
         tk_primary = primary }
     in
     let at = routes_at.(cap) in
+    let first = ref (cols + 1) in
+    for ch = cols downto 0 do
+      if at.(ch) <> [] then first := ch
+    done;
     let trunks = ref [] in
-    for ch = 0 to cols do
+    for ch = cols downto !first do
       match at.(ch) with
       | [] -> ()
       | r :: _ as rs ->
-        trunks :=
-          trunk ch ~track:r.Plan.track rs ~primary:(!trunks = []) :: !trunks
+        trunks := trunk ch ~track:r.Plan.track rs ~primary:(ch = !first) :: !trunks
     done;
-    let trunks = List.rev !trunks in
-    (* wire + via emission for trunks and attaches *)
-    List.iter
-      (fun tk ->
-         emit_wire
-           { w_cap = cap; w_kind = Trunk; w_layer = Tech.Layer.M3;
-             w_ax = tk.tk_x; w_ay = tk.tk_y_low;
-             w_bx = tk.tk_x; w_by = tk.tk_y_high; w_p = p };
-         List.iter
-           (fun a ->
-              emit_wire
-                { w_cap = cap; w_kind = Stub; w_layer = Tech.Layer.M1;
-                  w_ax = col_x.(a.ap_cell.Cell.col); w_ay = a.ap_y;
-                  w_bx = a.ap_x; w_by = a.ap_y; w_p = p };
-              emit_via { v_cap = cap; v_x = a.ap_x; v_y = a.ap_y; v_p = p })
-           tk.tk_attaches)
-      trunks;
-    (* bridge *)
-    let bridge =
-      if has_bridge then begin
-        let y = bridge_y.(cap) in
-        let x_lo =
-          List.fold_left (fun acc tk -> Float.min acc tk.tk_x) Float.infinity trunks
-        and x_hi =
-          List.fold_left (fun acc tk -> Float.max acc tk.tk_x) Float.neg_infinity trunks
-        in
-        emit_wire
-          { w_cap = cap; w_kind = Bridge; w_layer = Tech.Layer.M1;
-            w_ax = x_lo; w_ay = y; w_bx = x_hi; w_by = y; w_p = p };
-        (* one junction via per trunk (secondary trunks land on the bridge;
-           the primary trunk crosses it and taps it) *)
-        List.iter
-          (fun tk -> emit_via { v_cap = cap; v_x = tk.tk_x; v_y = y; v_p = p })
-          trunks;
-        Some y
-      end
-      else None
-    in
-    let driver_x =
-      match trunks with
-      | tk :: _ -> tk.tk_x
-      | [] -> 0.
-    in
-    (* input connection via at the driver row *)
-    if trunks <> [] then
-      emit_via { v_cap = cap; v_x = driver_x; v_y = 0.; v_p = p };
-    { cn_cap = cap; cn_groups = cap_groups; cn_trunks = trunks;
-      cn_bridge_y = bridge; cn_driver_x = driver_x }
+    let trunks = !trunks in
+    { cn_cap = cap; cn_groups = groups_of.(cap); cn_trunks = trunks;
+      cn_bridge_y = (if has_bridge then Some bridge_y.(cap) else None);
+      cn_driver_x =
+        (match trunks with
+         | tk :: _ -> tk.tk_x
+         | [] -> 0.) }
   in
   let nets =
     Telemetry.Span.with_ ~name:"route.nets" (fun () ->
         Array.init (bits + 1) build_net)
   in
-  (* --- top plate: column runs + one horizontal connector (MST) --- *)
-  let top_wires = ref [] in
-  let mid_row = rows / 2 in
-  if rows > 1 then
-    Array.iter
-      (fun x ->
-         top_wires :=
-           { w_cap = -2; w_kind = Top; w_layer = Tech.Layer.M2;
-             w_ax = x; w_ay = row_y.(0); w_bx = x; w_by = row_y.(rows - 1);
-             w_p = 1 }
-           :: !top_wires)
-      col_x;
-  if cols > 1 then
-    top_wires :=
-      { w_cap = -2; w_kind = Top; w_layer = Tech.Layer.M2;
-        w_ax = col_x.(0); w_ay = row_y.(mid_row);
-        w_bx = col_x.(cols - 1); w_by = row_y.(mid_row); w_p = 1 }
-      :: !top_wires;
-  let top_length =
-    List.fold_left (fun acc w -> acc +. wire_length w) 0. !top_wires
+  (* --- bottom-plate wires, net by net: the branch connections inside
+     each group are abutting MOM fingers on the device layers — they
+     carry plate resistance but are not routing metal, so they are
+     rendered as Branch wires and excluded from the
+     wirelength/capacitance/via metrics (Sec. V: "unit capacitors use
+     nearest-neighbor connections using the same metal layer with no
+     vias"); then each trunk with the stubs of its attaches, then the
+     bridge --- *)
+  let wires =
+    Wires.create
+      (Array.fold_left
+         (fun acc net ->
+            Array.fold_left (fun acc g -> acc + Group.edges g) acc net.cn_groups
+            + List.fold_left
+              (fun acc tk -> acc + 1 + List.length tk.tk_attaches)
+              0 net.cn_trunks
+            + if Option.is_some net.cn_bridge_y then 1 else 0)
+         0 nets)
   in
+  let xy = wires.Wires.xy and put = Wires.filler wires in
+  Array.iter
+    (fun net ->
+       let cap = net.cn_cap in
+       let p = p_arr.(cap) in
+       Array.iter
+         (fun (g : Group.t) ->
+            let e = g.Group.tree_edges in
+            for k = 0 to Group.edges g - 1 do
+              let a = e.(2 * k) and b = e.((2 * k) + 1) in
+              let j = put ~cap Branch Tech.Layer.M1 ~p in
+              xy.(j) <- col_x.(a mod cols);
+              xy.(j + 1) <- row_y.(a / cols);
+              xy.(j + 2) <- col_x.(b mod cols);
+              xy.(j + 3) <- row_y.(b / cols)
+            done)
+         net.cn_groups;
+       List.iter
+         (fun tk ->
+            let j = put ~cap Trunk Tech.Layer.M3 ~p in
+            xy.(j) <- tk.tk_x;
+            xy.(j + 1) <- tk.tk_y_low;
+            xy.(j + 2) <- tk.tk_x;
+            xy.(j + 3) <- tk.tk_y_high;
+            List.iter
+              (fun a ->
+                 let j = put ~cap Stub Tech.Layer.M1 ~p in
+                 xy.(j) <- col_x.(a.ap_cell.Cell.col);
+                 xy.(j + 1) <- a.ap_y;
+                 xy.(j + 2) <- a.ap_x;
+                 xy.(j + 3) <- a.ap_y)
+              tk.tk_attaches)
+         net.cn_trunks;
+       match net.cn_bridge_y with
+       | None -> ()
+       | Some y ->
+         let j = put ~cap Bridge Tech.Layer.M1 ~p in
+         xy.(j) <-
+           List.fold_left (fun acc tk -> Float.min acc tk.tk_x) Float.infinity
+             net.cn_trunks;
+         xy.(j + 1) <- y;
+         xy.(j + 2) <-
+           List.fold_left (fun acc tk -> Float.max acc tk.tk_x) Float.neg_infinity
+             net.cn_trunks;
+         xy.(j + 3) <- y)
+    nets;
+  (* --- logical vias, built back to front so the list needs no
+     reversal.  Per net: one at each attach (trunk order), one junction
+     per trunk on the bridge (secondary trunks land on the bridge; the
+     primary trunk crosses it and taps it), and the input connection at
+     the driver row --- *)
+  let vias = ref [] in
+  for cap = bits downto 0 do
+    let net = nets.(cap) and p = p_arr.(cap) in
+    if net.cn_trunks <> [] then
+      vias := { v_cap = cap; v_x = net.cn_driver_x; v_y = 0.; v_p = p } :: !vias;
+    (match net.cn_bridge_y with
+     | None -> ()
+     | Some y ->
+       vias :=
+         List.fold_right
+           (fun tk acc -> { v_cap = cap; v_x = tk.tk_x; v_y = y; v_p = p } :: acc)
+           net.cn_trunks !vias);
+    vias :=
+      List.fold_right
+        (fun tk acc ->
+           List.fold_right
+             (fun a acc -> { v_cap = cap; v_x = a.ap_x; v_y = a.ap_y; v_p = p } :: acc)
+             tk.tk_attaches acc)
+        net.cn_trunks !vias
+  done;
+  (* --- top plate: one horizontal connector (MST), then the column runs
+     from the right --- *)
+  let mid_row = rows / 2 in
+  let top_wires =
+    Wires.create ((if rows > 1 then cols else 0) + if cols > 1 then 1 else 0)
+  in
+  let xy = top_wires.Wires.xy and put = Wires.filler top_wires in
+  let put () = put ~cap:(-2) Top Tech.Layer.M2 ~p:1 in
+  if cols > 1 then begin
+    let j = put () in
+    xy.(j) <- col_x.(0);
+    xy.(j + 1) <- row_y.(mid_row);
+    xy.(j + 2) <- col_x.(cols - 1);
+    xy.(j + 3) <- row_y.(mid_row)
+  end;
+  if rows > 1 then
+    for col = cols - 1 downto 0 do
+      let j = put () in
+      xy.(j) <- col_x.(col);
+      xy.(j + 1) <- row_y.(0);
+      xy.(j + 2) <- col_x.(col);
+      xy.(j + 3) <- row_y.(rows - 1)
+    done;
+  let top_length = ref 0. in
+  for i = 0 to Wires.length top_wires - 1 do
+    let j = 4 * i in
+    top_length :=
+      !top_length
+      +. (Float.abs (xy.(j + 2) -. xy.(j)) +. Float.abs (xy.(j + 3) -. xy.(j + 1)))
+  done;
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.set "route/groups" (float_of_int (List.length groups));
     Telemetry.Metrics.set "route/tracks"
       (float_of_int (Plan.total_tracks plan));
     Telemetry.Metrics.set "route/wires"
-      (float_of_int (List.length !wires + List.length !top_wires));
+      (float_of_int (Wires.length wires + Wires.length top_wires));
     Telemetry.Metrics.set "route/vias" (float_of_int (List.length !vias))
   end;
   { placement; tech; groups; plan; p_of_cap = p_arr; col_x; row_y;
-    channel_width; bridge_height; width; height; nets;
-    wires = List.rev !wires; vias = List.rev !vias;
-    top_wires = !top_wires; top_length }
+    channel_width; bridge_height; width; height; nets; wires; vias = !vias;
+    top_wires; top_length = !top_length }

@@ -30,6 +30,8 @@ type wire_kind =
   | Bridge
   | Top
 
+(** One wire, as {!Wires.get} reads it from a table and {!Wires.of_list}
+    writes it into one. *)
 type wire = {
   w_cap : int;            (** capacitor id; [-2] for top-plate wires *)
   w_kind : wire_kind;
@@ -40,6 +42,38 @@ type wire = {
   w_by : float;           (** axis-aligned endpoints, um *)
   w_p : int;              (** parallel wires in the bundle *)
 }
+
+(** A wire list as one flat table, in emission order: no record, boxed
+    float or list cell per wire.  Wire [i] runs from
+    ([xy.(4i)], [xy.(4i + 1)]) to ([xy.(4i + 2)], [xy.(4i + 3)]) um, and
+    [attr.(4i)] .. [attr.(4i + 3)] hold its capacitor id, kind code,
+    layer code and parallel count; {!cap}, {!kind}, {!layer} and {!p}
+    decode them.  Readers index the arrays: a float returned through a
+    call would be boxed. *)
+module Wires : sig
+  type t = private {
+    xy : float array;
+    attr : int array;
+  }
+
+  (** [length t] is the number of wires. *)
+  val length : t -> int
+
+  val cap : t -> int -> int
+  val kind : t -> int -> wire_kind
+  val layer : t -> int -> Tech.Layer.name
+  val p : t -> int -> int
+
+  (** [get t i] is wire [i] as a record. *)
+  val get : t -> int -> wire
+
+  (** [of_list ws] is the table of [ws], in list order. *)
+  val of_list : wire list -> t
+
+  (** [to_list t] lists the wires in table order: [of_list (to_list t)]
+      equals [t]. *)
+  val to_list : t -> wire list
+end
 
 type via = {
   v_cap : int;
@@ -68,7 +102,7 @@ type trunk = {
 
 type capnet = {
   cn_cap : int;
-  cn_groups : Group.t list;
+  cn_groups : Group.t array;   (** in group order *)
   cn_trunks : trunk list;
   cn_bridge_y : float option;  (** present when the net has >= 2 trunks *)
   cn_driver_x : float;
@@ -87,9 +121,9 @@ type t = {
   width : float;
   height : float;
   nets : capnet array;       (** indexed by capacitor id *)
-  wires : wire list;         (** every bottom-plate wire *)
+  wires : Wires.t;          (** every bottom-plate wire *)
   vias : via list;           (** every bottom-plate logical via *)
-  top_wires : wire list;
+  top_wires : Wires.t;
   top_length : float;        (** total top-plate wirelength, um *)
 }
 
@@ -101,8 +135,10 @@ type t = {
 
     Cost: {!Group.of_placement} and {!Plan.make}, then one pass that
     buckets the routes per capacitor and channel and the groups per
-    capacitor, and per net a walk over the channels plus its own groups,
-    routes and wires — O(rows·cols + caps·cols) besides Step 1. *)
+    capacitor, per net a walk over the channels plus its own groups and
+    routes, and one pass over the nets for the wire table and one,
+    backwards, for the via list — O(rows·cols + caps·cols) besides
+    Step 1. *)
 val route : Tech.Process.t -> ?p_of_cap:(int -> int) -> Placement.t -> t
 
 (** [msb_parallel ~bits ~p] is the policy used for the paper's tables:

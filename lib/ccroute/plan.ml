@@ -17,24 +17,23 @@ type t = {
    cell nearest the channel horizontally, lowest first (toward the
    drivers). *)
 let attach_toward_channel (g : Group.t) ~channel =
-  let distance (c : Cell.t) =
+  let cols = g.Group.cols in
+  let distance c =
     (* channel [ch] separates columns ch-1 and ch *)
-    Int.min (abs (c.Cell.col - channel)) (abs (c.Cell.col - (channel - 1)))
+    let col = c mod cols in
+    Int.min (abs (col - channel)) (abs (col - (channel - 1)))
   in
-  let closer c best =
-    match Int.compare (distance c) (distance best) with
-    | 0 -> Cell.compare c best < 0
-    | d -> d < 0
-  in
-  match g.Group.cells with
-  | [] -> invalid_arg "Plan: empty group"
-  | first :: rest ->
-    List.fold_left (fun best c -> if closer c best then c else best) first rest
+  if Group.size g = 0 then invalid_arg "Plan: empty group";
+  (* row-major ids: the first of the nearest is the lowest *)
+  let best = ref g.Group.cells.(0) in
+  Array.iter (fun c -> if distance c < distance !best then best := c) g.Group.cells;
+  !best
 
 (* The stub-planarity repair and Step 2 on one connection per group:
    connection [c] joins [group.(c)] to the trunk of its capacitor in
-   channel [channel.(c)] through a stub at [attach.(c)].  [channel] and
-   [attach] are updated in place by the repair.
+   channel [channel.(c)] through a stub at the cell
+   ([at_row.(c)], [at_col.(c)]).  [channel], [at_row] and [at_col] are
+   updated in place by the repair.
 
    Stub planarity.  Each connection straps its group to the trunk with an
    M1 stub at its attach cell's row; when capacitor A straps from the
@@ -50,7 +49,8 @@ let attach_toward_channel (g : Group.t) ~channel =
    connection appears, and derives the precedence once into an n×n slot
    table from the connections of each row: slot a precedes slot b when a
    straps from the left at a row where b straps from the right. *)
-let assign (placement : Placement.t) (group : Group.t array) channel attach =
+let assign (placement : Placement.t) (group : Group.t array) channel at_row
+    at_col =
   let rows = placement.Placement.rows and cols = placement.Placement.cols in
   let m = Array.length group in
   let caps =
@@ -104,11 +104,11 @@ let assign (placement : Placement.t) (group : Group.t array) channel attach =
         side.(!n) <- 0;
         incr n
       end;
-      let s = slot_of.(k) and (a : Cell.t) = attach.(c) in
+      let s = slot_of.(k) in
       (* channel ch sits left of column ch: an attach cell in column ch
          reaches the channel from the right *)
-      side.(s) <- side.(s) lor (if a.Cell.col >= ch then 2 else 1);
-      let r = a.Cell.row in
+      side.(s) <- side.(s) lor (if at_col.(c) >= ch then 2 else 1);
+      let r = at_row.(c) in
       if row_epoch.(r) <> !epoch then begin
         row_epoch.(r) <- !epoch;
         row_first.(r) <- -1
@@ -120,14 +120,13 @@ let assign (placement : Placement.t) (group : Group.t array) channel attach =
     Bytes.fill before 0 (n * n) '\000';
     for e = pos.(ch) to pos.(ch + 1) - 1 do
       let c = conns.(e) in
-      let (a : Cell.t) = attach.(c) in
-      if a.Cell.col < ch then begin
+      if at_col.(c) < ch then begin
         let sa = slot_of.(cap c) in
-        let d = ref row_first.(a.Cell.row) in
+        let d = ref row_first.(at_row.(c)) in
         while !d >= 0 do
           let b = !d in
           let sb = slot_of.(cap b) in
-          if attach.(b).Cell.col >= ch && sb <> sa then
+          if at_col.(b) >= ch && sb <> sa then
             Bytes.set before ((sa * n) + sb) '\001';
           d := next.(b)
         done
@@ -211,26 +210,28 @@ let assign (placement : Placement.t) (group : Group.t array) channel attach =
     for e = pos.(ch + 1) - 1 downto pos.(ch) do
       if not (settle ch) then begin
         let c = conns.(e) in
-        let (original : Cell.t) = attach.(c) in
+        let row0 = at_row.(c) and col0 = at_col.(c) in
         let candidates =
-          List.filter
-            (fun (x : Cell.t) ->
-               (x.Cell.col = ch - 1 || x.Cell.col = ch)
-               && x.Cell.row <> original.Cell.row)
-            group.(c).Group.cells
-          |> List.sort (fun (a : Cell.t) (b : Cell.t) ->
+          Array.fold_right
+            (fun x acc ->
+               let col = x mod cols in
+               if (col = ch - 1 || col = ch) && x / cols <> row0 then x :: acc
+               else acc)
+            group.(c).Group.cells []
+          |> List.sort (fun a b ->
               match
-                Int.compare
-                  (abs (a.Cell.row - original.Cell.row))
-                  (abs (b.Cell.row - original.Cell.row))
+                Int.compare (abs ((a / cols) - row0)) (abs ((b / cols) - row0))
               with
-              | 0 -> Cell.compare a b
+              | 0 -> Int.compare a b
               | d -> d)
         in
         let rec try_cells = function
-          | [] -> attach.(c) <- original
+          | [] ->
+            at_row.(c) <- row0;
+            at_col.(c) <- col0
           | x :: rest ->
-            attach.(c) <- x;
+            at_row.(c) <- x / cols;
+            at_col.(c) <- x mod cols;
             if not (settle ch) then try_cells rest
         in
         try_cells candidates
@@ -260,7 +261,7 @@ let assign (placement : Placement.t) (group : Group.t array) channel attach =
          for e = Array.length mine - 1 downto 0 do
            if not (settle ch) then begin
              let c = mine.(e) in
-             let col = attach.(c).Cell.col in
+             let col = at_col.(c) in
              let other = if col >= ch then col + 1 else col in
              let move into =
                channel.(c) <- into;
@@ -279,25 +280,26 @@ let assign (placement : Placement.t) (group : Group.t array) channel attach =
   for c = m - 1 downto 0 do
     routes :=
       { group = group.(c); channel = channel.(c); track = track.(c);
-        attach = attach.(c) }
+        attach = Cell.make ~row:at_row.(c) ~col:at_col.(c) }
       :: !routes
   done;
   { routes = !routes; tracks_per_channel; track_caps }
 
 let of_channels (placement : Placement.t) choices =
   match choices with
-  | [] -> assign placement [||] [||] [||]
-  | (g0, _, a0) :: _ ->
+  | [] -> assign placement [||] [||] [||] [||]
+  | _ :: _ ->
     let m = List.length choices in
-    let group = Array.make m g0 and channel = Array.make m 0 in
-    let attach = Array.make m a0 in
+    let group = Array.make m Group.none and channel = Array.make m 0 in
+    let at_row = Array.make m 0 and at_col = Array.make m 0 in
     List.iteri
-      (fun c (g, ch, a) ->
+      (fun c (g, ch, (a : Cell.t)) ->
          group.(c) <- g;
          channel.(c) <- ch;
-         attach.(c) <- a)
+         at_row.(c) <- a.Cell.row;
+         at_col.(c) <- a.Cell.col)
       choices;
-    assign placement group channel attach
+    assign placement group channel at_row at_col
 
 (* Step 1: channel selection for the groups of one capacitor, in group
    order, handing each its connection through [emit].  The partners of
@@ -333,13 +335,6 @@ let select_channels ~cols groups_of_i ~emit =
     groups_of_i;
   let visited = Array.make n false and stamp = Array.make n (-1) in
   let partners = Array.make n 0 and sides = Array.make n 0 in
-  (* each partner's cells as a row-major array, built once *)
-  let cells = Array.make n [||] in
-  let cells_of k =
-    if Array.length cells.(k) = 0 then
-      cells.(k) <- Array.of_list groups_of_i.(k).Group.cells;
-    cells.(k)
-  in
   for j = 0 to n - 1 do
     if not visited.(j) then begin
       let p = groups_of_i.(j) in
@@ -363,29 +358,24 @@ let select_channels ~cols groups_of_i ~emit =
         Array.blit sorted 0 partners 0 np
       end;
       if np = 0 then begin
-        (* solo group: attach at the cell closest to the bottom, trunk in
-           the channel on its left *)
-        let attach =
-          match p.Group.cells with
-          | [] -> invalid_arg "Plan: empty group"
-          | first :: rest ->
-            List.fold_left
-              (fun best c -> if Cell.compare c best < 0 then c else best)
-              first rest
-        in
-        emit p attach.Cell.col attach
+        (* solo group: attach at the cell closest to the bottom (its
+           first, row-major), trunk in the channel on its left *)
+        if Group.size p = 0 then invalid_arg "Plan: empty group";
+        let attach = p.Group.cells.(0) in
+        emit p (attach mod cols) attach
       end
       else begin
-        let up, uq0 = Group.closest_cells_in p (cells_of partners.(0)) in
-        let c_j = up.Cell.col in
+        let up, uq0 = Group.closest_cells p groups_of_i.(partners.(0)) in
+        let c_j = up mod cols in
         let left = ref 0 and right = ref 0 in
         for e = 0 to np - 1 do
-          let (uq : Cell.t) =
+          let uq =
             if e = 0 then uq0
-            else snd (Group.closest_cells_in p (cells_of partners.(e)))
+            else snd (Group.closest_cells p groups_of_i.(partners.(e)))
           in
-          let l = uq.Cell.col = c_j - 1 || uq.Cell.col = c_j
-          and r = uq.Cell.col = c_j || uq.Cell.col = c_j + 1 in
+          let uq_col = uq mod cols in
+          let l = uq_col = c_j - 1 || uq_col = c_j
+          and r = uq_col = c_j || uq_col = c_j + 1 in
           if l then incr left;
           if r then incr right;
           sides.(e) <- (if l then 1 else 0) lor (if r then 2 else 0)
@@ -417,10 +407,9 @@ let make (placement : Placement.t) groups =
        if k >= 0 && k < caps then count.(k) <- count.(k) + 1)
     groups;
   let m = Array.fold_left ( + ) 0 count in
-  if m = 0 then assign placement [||] [||] [||]
+  if m = 0 then assign placement [||] [||] [||] [||]
   else begin
-    let g0 = List.hd groups in
-    let per_cap = Array.map (fun n -> Array.make n g0) count in
+    let per_cap = Array.map (fun n -> Array.make n Group.none) count in
     Array.fill count 0 caps 0;
     List.iter
       (fun (g : Group.t) ->
@@ -430,17 +419,18 @@ let make (placement : Placement.t) groups =
            count.(k) <- count.(k) + 1
          end)
       groups;
-    let group = Array.make m g0 and channel = Array.make m 0 in
-    let attach = Array.make m (Cell.make ~row:0 ~col:0) in
+    let group = Array.make m Group.none and channel = Array.make m 0 in
+    let at_row = Array.make m 0 and at_col = Array.make m 0 in
     let out = ref 0 in
     let emit g ch a =
       group.(!out) <- g;
       channel.(!out) <- ch;
-      attach.(!out) <- a;
+      at_row.(!out) <- a / cols;
+      at_col.(!out) <- a mod cols;
       incr out
     in
     Array.iter (fun gs -> select_channels ~cols gs ~emit) per_cap;
-    assign placement group channel attach
+    assign placement group channel at_row at_col
   end
 
 let routes_of_cap t k =

@@ -37,8 +37,8 @@ type t = {
     per-column index of the groups spanning each column (O(cols + Σ
     spans)), then for each group a walk over the index entries of its own
     columns into a stamped partner buffer, a sort of the partners when the
-    group spans several columns, and {!Group.closest_cells_in} with each
-    partner, whose cell array is built once — no test of every pair of
+    group spans several columns, and {!Group.closest_cells} with each
+    partner on the two groups' id arrays — no test of every pair of
     groups.  Then {!of_channels}. *)
 val make : Placement.t -> Group.t list -> t
 

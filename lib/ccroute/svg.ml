@@ -53,24 +53,27 @@ let render ?(show_top = true) (layout : Layout.t) =
     done
   done;
   (* bottom-plate wires *)
-  let draw_wire (wire : Layout.wire) ~opacity =
-    let width =
-      match wire.Layout.w_kind with
-      | Layout.Branch -> 1.0
-      | Layout.Stub -> 1.5
-      | Layout.Trunk | Layout.Bridge -> 1.0 +. float_of_int wire.Layout.w_p
-      | Layout.Top -> 1.0
-    in
-    add
-      "<line x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\" stroke=\"%s\" \
-       stroke-width=\"%.1f\" stroke-opacity=\"%.2f\"/>\n"
-      (px wire.Layout.w_ax) (py wire.Layout.w_ay) (px wire.Layout.w_bx)
-      (py wire.Layout.w_by)
-      (layer_color wire.Layout.w_layer)
-      width opacity
+  let draw_wires (ws : Layout.Wires.t) ~opacity =
+    let xy = ws.Layout.Wires.xy in
+    for i = 0 to Layout.Wires.length ws - 1 do
+      let width =
+        match Layout.Wires.kind ws i with
+        | Layout.Branch -> 1.0
+        | Layout.Stub -> 1.5
+        | Layout.Trunk | Layout.Bridge -> 1.0 +. float_of_int (Layout.Wires.p ws i)
+        | Layout.Top -> 1.0
+      in
+      let j = 4 * i in
+      add
+        "<line x1=\"%.2f\" y1=\"%.2f\" x2=\"%.2f\" y2=\"%.2f\" stroke=\"%s\" \
+         stroke-width=\"%.1f\" stroke-opacity=\"%.2f\"/>\n"
+        (px xy.(j)) (py xy.(j + 1)) (px xy.(j + 2)) (py xy.(j + 3))
+        (layer_color (Layout.Wires.layer ws i))
+        width opacity
+    done
   in
-  List.iter (fun w -> draw_wire w ~opacity:0.9) layout.Layout.wires;
-  if show_top then List.iter (fun w -> draw_wire w ~opacity:0.35) layout.Layout.top_wires;
+  draw_wires layout.Layout.wires ~opacity:0.9;
+  if show_top then draw_wires layout.Layout.top_wires ~opacity:0.35;
   (* vias *)
   List.iter
     (fun (v : Layout.via) ->

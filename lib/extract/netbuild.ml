@@ -25,12 +25,13 @@ type edge =
 (* Pass 1's numbering of one net's nodes.  The root is node 0.  Trunk
    [t]'s event heights — its low end and every attach row, ascending,
    without repeats — are [heights.(h0.(t)) .. heights.(h0.(t + 1) - 1)].
-   The net's cells are [cell_of.(0 .. n_cells - 1)], in node order. *)
+   The net's cells are the row-major cell ids
+   [cell_of.(0 .. n_cells - 1)], in node order. *)
 type numbering = {
   trunks : Layout.trunk array;
   heights : float array;
   h0 : int array;
-  cell_of : Cell.t array;
+  cell_of : int array;
   n_cells : int;
   n_nodes : int;
 }
@@ -38,14 +39,15 @@ type numbering = {
 (* The accepted tree edges in Rctree insertion order: what each is, and
    the resistance [rw] of its wire or plate part (a strap adds a via of
    [rvia] to it; a via edge is [rvia] alone).  The net's attach points
-   are numbered trunk by trunk, in list order. *)
+   are numbered trunk by trunk, in list order: attach point [j] is on
+   cell id [attach_cell.(j)]. *)
 type provenance = {
   kind : edge array;
   i1 : int array;
   i2 : int array;
   rw : float array;
   nodes : numbering;
-  attaches : Layout.attach_point array;
+  attach_cell : int array;
   cols : int;
   rvia : float;
 }
@@ -53,13 +55,13 @@ type provenance = {
 type t = {
   tree : Rcnet.Rctree.t;
   root : Rcnet.Rctree.node;
-  cells : Cell.t array;
+  cells : int array;
   cell_nodes : Rcnet.Rctree.node array;
   provenance : provenance;
 }
 
 type topology = {
-  modelled : Cell.t array;
+  modelled : int array;
   pieces : int;
 }
 
@@ -176,16 +178,15 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   (* --- unit-capacitor cell nodes, numbered on first use; a valid net
      has exactly its groups' cells --- *)
   let size =
-    List.fold_left
-      (fun acc (g : Group.t) -> acc + List.length g.Group.cells)
+    Array.fold_left
+      (fun acc (g : Group.t) -> acc + Group.size g)
       0 net.Layout.cn_groups
     |> Int.max 1
   in
-  let cells = ref (Array.make size (Cell.make ~row:0 ~col:0)) in
+  let cells = ref (Array.make size 0) in
   let n_cells = ref 0 and n_nodes = ref 1 in
   let cell_id (c : Cell.t) = (c.Cell.row * cols) + c.Cell.col in
-  let cell_node c =
-    let id = cell_id c in
+  let cell_node id =
     let n = node_of_cell.(id) in
     if n >= 0 then n
     else begin
@@ -194,14 +195,14 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
       node_of_cell.(id) <- n;
       let k = !n_cells in
       if k = Array.length !cells then cells := Array.append !cells !cells;
-      !cells.(k) <- c;
+      !cells.(k) <- id;
       n_cells := k + 1;
       n
     end
   in
   Fun.protect ~finally:(fun () ->
       for k = 0 to !n_cells - 1 do
-        node_of_cell.(cell_id !cells.(k)) <- -1
+        node_of_cell.(!cells.(k)) <- -1
       done)
   @@ fun () ->
   (* --- pass 1: nodes.  Trunk [t]'s node at its [i]-th event height is
@@ -211,7 +212,8 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
     first.(t) <- !n_nodes;
     n_nodes := !n_nodes + h0.(t + 1) - h0.(t);
     List.iter
-      (fun (a : Layout.attach_point) -> ignore (cell_node a.Layout.ap_cell))
+      (fun (a : Layout.attach_point) ->
+         ignore (cell_node (cell_id a.Layout.ap_cell)))
       trunks.(t).Layout.tk_attaches
   done;
   let primary =
@@ -237,13 +239,13 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   in
   let tap0 = !n_nodes in
   n_nodes := tap0 + Array.length by_x;
-  List.iter
+  Array.iter
     (fun (g : Group.t) ->
-       List.iter
-         (fun ((a : Cell.t), (b : Cell.t)) ->
-            ignore (cell_node b);
-            ignore (cell_node a))
-         g.Group.tree_edges)
+       let e = g.Group.tree_edges in
+       for k = 0 to Group.edges g - 1 do
+         ignore (cell_node e.((2 * k) + 1));
+         ignore (cell_node e.(2 * k))
+       done)
     net.Layout.cn_groups;
   let n_nodes = !n_nodes in
   let acc =
@@ -291,19 +293,20 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   for t = 0 to nt - 1 do
     List.iter
       (fun (a : Layout.attach_point) ->
-         join (trunk_node t a.Layout.ap_y) (cell_node a.Layout.ap_cell) Strap
-           t !j;
+         join (trunk_node t a.Layout.ap_y) (cell_node (cell_id a.Layout.ap_cell))
+           Strap t !j;
          incr j)
       trunks.(t).Layout.tk_attaches
   done;
   (* branch (abutment) connections inside each group: they fill in
      whatever the straps did not already connect *)
-  List.iter
+  Array.iter
     (fun (g : Group.t) ->
-       List.iter
-         (fun ((a : Cell.t), (b : Cell.t)) ->
-            join (cell_node a) (cell_node b) Abutment (cell_id a) (cell_id b))
-         g.Group.tree_edges)
+       let e = g.Group.tree_edges in
+       for k = 0 to Group.edges g - 1 do
+         let a = e.(2 * k) and b = e.((2 * k) + 1) in
+         join (cell_node a) (cell_node b) Abutment a b
+       done)
     net.Layout.cn_groups;
   acc
 
@@ -337,12 +340,26 @@ let build_net (layout : Layout.t) lk ~cap =
   let rvia = Tech.Parallel.via_resistance tech ~p in
   let cols = layout.Layout.placement.Placement.cols in
   let col_x = layout.Layout.col_x and row_y = layout.Layout.row_y in
-  let attaches =
-    Array.of_list
-      (List.concat_map
-         (fun (tk : Layout.trunk) -> tk.Layout.tk_attaches)
-         net.Layout.cn_trunks)
+  (* the attach points, numbered trunk by trunk: each one's cell id and
+     the x at which its stub meets the trunk *)
+  let n_attaches =
+    List.fold_left
+      (fun acc (tk : Layout.trunk) -> acc + List.length tk.Layout.tk_attaches)
+      0 net.Layout.cn_trunks
   in
+  let attach_cell = Array.make n_attaches 0
+  and attach_x = Array.make n_attaches 0. in
+  let j = ref 0 in
+  List.iter
+    (fun (tk : Layout.trunk) ->
+       List.iter
+         (fun (a : Layout.attach_point) ->
+            let c = a.Layout.ap_cell in
+            attach_cell.(!j) <- (c.Cell.row * cols) + c.Cell.col;
+            attach_x.(!j) <- a.Layout.ap_x;
+            incr j)
+         tk.Layout.tk_attaches)
+    net.Layout.cn_trunks;
   let start nb =
     let rc = Rcnet.Rctree.create () in
     Rcnet.Rctree.reserve_nodes rc nb.n_nodes;
@@ -353,11 +370,7 @@ let build_net (layout : Layout.t) lk ~cap =
        so its node sums exactly as if created with it *)
     let cell_nodes =
       Array.init nb.n_cells (fun k ->
-          let c = nb.cell_of.(k) in
-          let n =
-            Rcnet.Rctree.node_of_int rc
-              lk.node_of_cell.((c.Cell.row * cols) + c.Cell.col)
-          in
+          let n = Rcnet.Rctree.node_of_int rc lk.node_of_cell.(nb.cell_of.(k)) in
           Rcnet.Rctree.add_cap rc n tech.Tech.Process.unit_cap;
           n)
     in
@@ -367,7 +380,7 @@ let build_net (layout : Layout.t) lk ~cap =
       pv =
         { kind = Array.make n_edges Trunk_seg; i1 = Array.make n_edges 0;
           i2 = Array.make n_edges 0; rw = Array.make n_edges 0.; nodes = nb;
-          attaches; cols; rvia } }
+          attach_cell; cols; rvia } }
   in
   (* a wire edge of [len] um on [layer]; its resistance *)
   let wire rc a b layer len =
@@ -394,9 +407,8 @@ let build_net (layout : Layout.t) lk ~cap =
         let hs = st.pv.nodes.heights and at = st.pv.nodes.h0.(x) + y in
         wire rc a b m3 (hs.(at) -. hs.(at - 1))
       | Strap ->
-        let ap = attaches.(y) in
         let stub_len =
-          Float.abs (col_x.(ap.Layout.ap_cell.Cell.col) -. ap.Layout.ap_x)
+          Float.abs (col_x.(attach_cell.(y) mod cols) -. attach_x.(y))
         in
         let r_wire = Tech.Parallel.wire_resistance m1 ~length:stub_len ~p in
         Rcnet.Rctree.wire_edge rc a b ~r:(rvia +. r_wire)
@@ -453,8 +465,6 @@ type contribution = {
   nb_delay_fs : float;
 }
 
-let cell_name (c : Cell.t) = Printf.sprintf "(%d,%d)" c.Cell.row c.Cell.col
-
 let cell_label cols id = Printf.sprintf "(%d,%d)" (id / cols) (id mod cols)
 
 let edge_label pv e =
@@ -467,7 +477,7 @@ let edge_label pv e =
     Printf.sprintf "trunk M3 ch%d y%.2f->%.2f" (channel x) hs.(at - 1) hs.(at)
   | Strap ->
     Printf.sprintf "strap ch%d->cell%s" (channel x)
-      (cell_name pv.attaches.(y).Layout.ap_cell)
+      (cell_label pv.cols pv.attach_cell.(y))
   | Driver_via -> Printf.sprintf "driver via->trunk ch%d" (channel x)
   | Bridge_via -> Printf.sprintf "bridge via->trunk ch%d" (channel x)
   | Bridge_seg ->
@@ -520,4 +530,5 @@ let attribution t =
   let total =
     List.fold_left (fun acc c -> acc +. c.nb_delay_fs) 0. contributions
   in
-  (t.cells.(!worst), total, contributions)
+  let cols = pv.cols and id = t.cells.(!worst) in
+  (Cell.make ~row:(id / cols) ~col:(id mod cols), total, contributions)

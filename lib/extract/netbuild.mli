@@ -37,7 +37,8 @@ type provenance
 type t = {
   tree : Rcnet.Rctree.t;
   root : Rcnet.Rctree.node;                 (** driver *)
-  cells : Cell.t array;                     (** modelled unit cells *)
+  cells : int array;                        (** modelled unit cells, as
+                                                row-major cell ids *)
   cell_nodes : Rcnet.Rctree.node array;     (** [cell_nodes.(i)] models
                                                 [cells.(i)]; in node order *)
   provenance : provenance;
@@ -58,7 +59,7 @@ val builder : Ccroute.Layout.t -> cap:int -> t
 
 (** An RC model's shape without its values. *)
 type topology = {
-  modelled : Cell.t array;  (** the unit cells the model has, as
+  modelled : int array;     (** the unit cells the model has, as
                                 {!t.cells} lists them *)
   pieces : int;             (** connected pieces the spanning-tree walk
                                 leaves: 1 when the model is a tree *)

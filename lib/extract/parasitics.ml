@@ -28,66 +28,57 @@ let total_resistance m = m.bm_via_resistance +. m.bm_wire_resistance
 
 let layer_of layout name = Tech.Process.layer layout.Layout.tech name
 
-(* [bucket n cap_of items] groups the [items] naming capacitors
-   [0 .. n-1] by capacitor with a counting sort, which keeps list order
-   inside each bucket: capacitor [k]'s are
-   [out.(start.(k)) .. out.(start.(k + 1) - 1)]. *)
-let bucket n cap_of items =
-  let start = Array.make (n + 1) 0 in
-  List.iter
-    (fun x ->
-       let k = cap_of x in
-       if k >= 0 && k < n then start.(k + 1) <- start.(k + 1) + 1)
-    items;
-  for k = 1 to n do
-    start.(k) <- start.(k) + start.(k - 1)
-  done;
-  let out =
-    match items with
-    | [] -> [||]
-    | x :: _ -> Array.make start.(n) x
-  in
-  let next = Array.sub start 0 n in
-  List.iter
-    (fun x ->
-       let k = cap_of x in
-       if k >= 0 && k < n then begin
-         out.(next.(k)) <- x;
-         next.(k) <- next.(k) + 1
-       end)
-    items;
-  (start, out)
-
-(* Branch wires are abutting MOM fingers (device layers), not routing
+(* Per-capacitor sums over the vias and the routing wires of
+   capacitors [0 .. n-1], one pass over each in layout order, so each
+   capacitor's floats add up in the order its own vias and wires come.
+   Branch wires are abutting MOM fingers (device layers), not routing
    metal: they are excluded from the wirelength, capacitance and
    resistance accounting, matching the paper's S metrics (Sec. V). *)
-let routing_cap (w : Layout.wire) =
-  if w.Layout.w_kind = Layout.Branch then -1 else w.Layout.w_cap
+type sums = {
+  via_cuts : int array;
+  via_resistance : float array;
+  wirelength : float array;
+  wire_resistance : float array;
+  wire_cap : float array;
+}
 
-let bit_metrics layout ~elmore_fs ~wires ~vias cap =
+let sums layout n =
   let tech = layout.Layout.tech in
-  let ws, wire_of = wires and vs, via_of = vias in
-  let via_cuts = ref 0 and via_resistance = ref 0. in
-  for i = vs.(cap) to vs.(cap + 1) - 1 do
-    let p = via_of.(i).Layout.v_p in
-    via_cuts := !via_cuts + Tech.Parallel.via_count ~p;
-    via_resistance := !via_resistance +. Tech.Parallel.via_resistance tech ~p
+  let s =
+    { via_cuts = Array.make n 0; via_resistance = Array.make n 0.;
+      wirelength = Array.make n 0.; wire_resistance = Array.make n 0.;
+      wire_cap = Array.make n 0. }
+  in
+  List.iter
+    (fun (v : Layout.via) ->
+       let k = v.Layout.v_cap and p = v.Layout.v_p in
+       if k >= 0 && k < n then begin
+         s.via_cuts.(k) <- s.via_cuts.(k) + Tech.Parallel.via_count ~p;
+         s.via_resistance.(k) <-
+           s.via_resistance.(k) +. Tech.Parallel.via_resistance tech ~p
+       end)
+    layout.Layout.vias;
+  let ws = layout.Layout.wires in
+  let xy = ws.Layout.Wires.xy in
+  for i = 0 to Layout.Wires.length ws - 1 do
+    let k = Layout.Wires.cap ws i in
+    if k >= 0 && k < n && Layout.Wires.kind ws i <> Layout.Branch then begin
+      let layer = layer_of layout (Layout.Wires.layer ws i)
+      and p = Layout.Wires.p ws i and j = 4 * i in
+      let len =
+        Float.abs (xy.(j + 2) -. xy.(j)) +. Float.abs (xy.(j + 3) -. xy.(j + 1))
+      in
+      s.wirelength.(k) <- s.wirelength.(k) +. len;
+      s.wire_resistance.(k) <-
+        s.wire_resistance.(k) +. Tech.Parallel.wire_resistance layer ~length:len ~p;
+      s.wire_cap.(k) <-
+        s.wire_cap.(k) +. Tech.Parallel.wire_capacitance layer ~length:len ~p
+    end
   done;
-  let wirelength = ref 0. in
-  let wire_resistance = ref 0. and wire_cap = ref 0. in
-  for i = ws.(cap) to ws.(cap + 1) - 1 do
-    let w = wire_of.(i) in
-    let layer = layer_of layout w.Layout.w_layer in
-    let len = Layout.wire_length w in
-    wirelength := !wirelength +. len;
-    wire_resistance :=
-      !wire_resistance
-      +. Tech.Parallel.wire_resistance layer ~length:len ~p:w.Layout.w_p;
-    wire_cap :=
-      !wire_cap
-      +. Tech.Parallel.wire_capacitance layer ~length:len ~p:w.Layout.w_p
-  done;
-  let via_cuts = !via_cuts and wirelength = !wirelength in
+  s
+
+let bit_metrics layout ~elmore_fs sums cap =
+  let via_cuts = sums.via_cuts.(cap) and wirelength = sums.wirelength.(cap) in
   (* bends: orthogonal same-net junctions — each stub landing on its
      trunk, plus each trunk landing on the bridge.  The driver via is a
      layer change at the array edge, not a direction change. *)
@@ -111,21 +102,24 @@ let bit_metrics layout ~elmore_fs ~wires ~vias cap =
     bm_via_cuts = via_cuts;
     bm_bends = bends;
     bm_wirelength = wirelength;
-    bm_via_resistance = !via_resistance;
-    bm_wire_resistance = !wire_resistance;
-    bm_wire_cap = !wire_cap;
+    bm_via_resistance = sums.via_resistance.(cap);
+    bm_wire_resistance = sums.wire_resistance.(cap);
+    bm_wire_cap = sums.wire_cap.(cap);
     bm_elmore_fs = elmore_fs }
 
 (* sum C^BB: coupling between adjacent trunk tracks in the same channel,
    proportional to the overlap of their vertical extents (Sec. II-B).
    [slot.(channel).(track)] is the trunk on that track, the last one
-   listed where several claim it. *)
+   listed where several claim it.  [slot] is filled from the static
+   [[||]]: built by [Array.map] from a fresh array, it would force a
+   minor collection beyond 256 channels. *)
 let coupling_cap layout =
   let m3 = layer_of layout Tech.Layer.M3 in
   let track_caps = layout.Layout.plan.Plan.track_caps in
-  let slot =
-    Array.map (fun tracks -> Array.make (Array.length tracks) None) track_caps
-  in
+  let slot = Array.make (Array.length track_caps) [||] in
+  Array.iteri
+    (fun ch tracks -> slot.(ch) <- Array.make (Array.length tracks) None)
+    track_caps;
   Array.iter
     (fun (net : Layout.capnet) ->
        List.iter
@@ -153,10 +147,7 @@ let coupling_cap layout =
 
 let extract layout =
   let bits = layout.Layout.placement.Ccgrid.Placement.bits in
-  let wires = bucket (bits + 1) routing_cap layout.Layout.wires in
-  let vias =
-    bucket (bits + 1) (fun (v : Layout.via) -> v.Layout.v_cap) layout.Layout.vias
-  in
+  let sums = sums layout (bits + 1) in
   let build = Netbuild.builder layout in
   (* One capacitor at a time: a net extracts in about half a millisecond
      at 12 bits, and a pool batch cost more to schedule than it saved
@@ -166,7 +157,7 @@ let extract layout =
         Telemetry.Span.with_ ~name:"extract.bit"
           ~attrs:[ ("cap", Telemetry.Span.Int cap) ]
           (fun () ->
-             bit_metrics layout ~wires ~vias cap
+             bit_metrics layout sums cap
                ~elmore_fs:(Netbuild.worst_elmore_fs (build ~cap))))
   in
   let total_wire_cap =

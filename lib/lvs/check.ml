@@ -194,7 +194,6 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
      the RC model (and hence Elmore/f3dB) has, and the model must be one
      tree.  Both are facts of the model's topology, so no RC tree is
      built here. *)
-  let cols = shapes.Shape.cols in
   (* per cell: the capacitor of its pad (-1 for a dummy), and the last
      capacitor whose tree models it *)
   let pad_cap c = if pads.(c) < 0 then -1 else label.(pads.(c)) in
@@ -225,8 +224,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
         let tree_cells = tp.Extract.Netbuild.modelled in
         let tree_only = ref 0 in
         Array.iter
-          (fun (c : Ccgrid.Cell.t) ->
-             let id = (c.Ccgrid.Cell.row * cols) + c.Ccgrid.Cell.col in
+          (fun id ->
              in_tree.(id) <- k;
              if pad_cap id <> k then incr tree_only)
           tree_cells;

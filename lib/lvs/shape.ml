@@ -72,7 +72,7 @@ let off_grid = min_int
 let max_units = float_of_int (1 lsl 40)
 let tolerance_units = tolerance_um *. float_of_int units_per_um
 
-let snap v =
+let[@inline] snap v =
   let u = v *. float_of_int units_per_um in
   let r = Float.round u in
   if Float.abs (u -. r) <= tolerance_units && Float.abs r <= max_units then
@@ -151,18 +151,19 @@ let of_layout (l : L.t) =
      cell plates get shape ids but no box: they sit on the lattice below,
      where extraction looks them up. *)
   let per_layer = [| 0; 0; 0 |] in
-  let n_wires = ref 0 in
-  let count_wire (w : L.wire) =
-    incr n_wires;
-    let j = layer_index w.L.w_layer in
-    per_layer.(j) <- per_layer.(j) + 1
+  let count_wires (ws : L.Wires.t) =
+    for i = 0 to L.Wires.length ws - 1 do
+      let j = layer_index (L.Wires.layer ws i) in
+      per_layer.(j) <- per_layer.(j) + 1
+    done
   in
-  List.iter count_wire l.L.wires;
-  List.iter count_wire l.L.top_wires;
+  count_wires l.L.wires;
+  count_wires l.L.top_wires;
+  let n_wires = L.Wires.length l.L.wires + L.Wires.length l.L.top_wires in
   let n_vias = List.length l.L.vias in
   per_layer.(0) <- per_layer.(0) + n_vias;
   per_layer.(2) <- per_layer.(2) + n_vias;
-  let n = n_pads + n_cells + !n_wires + n_vias in
+  let n = n_pads + n_cells + n_wires + n_vias in
   let kind = Array.make n Pad and label = Array.make n top in
   let pads = Array.make n_cells (-1) and top_pads = Array.make n_cells 0 in
   let fills = Array.map fill per_layer in
@@ -177,10 +178,12 @@ let of_layout (l : L.t) =
     id
   in
   (* the checks of shape [id] labelled [lab] on layer [l1] (and [l2]
-     unless negative), spanning (ax, ay)-(bx, by) um, snapped to
-     (sax, say)-(sbx, sby): true when it is on the grid and runs along at
-     most one axis, so that it has a box *)
-  let check id k lab l1 l2 ax ay bx by sax say sbx sby =
+     unless negative), spanning (ax, ay)-(bx, by) um =
+     [xy.(j)] .. [xy.(j + 3)], snapped to (sax, say)-(sbx, sby): true when
+     it is on the grid and runs along at most one axis, so that it has a
+     box.  The coordinates stay in their float array, unboxed, until a
+     diagnostic prints them. *)
+  let check id k lab l1 l2 (xy : float array) j sax say sbx sby =
     (* a via is a net's terminal: only wires and top pads carry TOP *)
     if (lab = top && k = Via) || (lab <> top && (lab < 0 || lab >= n_nets))
     then
@@ -191,6 +194,8 @@ let of_layout (l : L.t) =
     if sax = off_grid || say = off_grid || sbx = off_grid || sby = off_grid
     then begin
       note off (fun () ->
+          let ax = xy.(j) and ay = xy.(j + 1) and bx = xy.(j + 2)
+          and by = xy.(j + 3) in
           D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_off_grid
             "%s at x [%.6f, %.6f] y [%.6f, %.6f] um is off the %g nm grid"
             (where id k l1 l2) (Float.min ax bx) (Float.max ax bx)
@@ -201,15 +206,15 @@ let of_layout (l : L.t) =
       note diagonal (fun () ->
           D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_diagonal
             "%s from (%.6f, %.6f) to (%.6f, %.6f) um runs along both axes"
-            (where id k l1 l2) ax ay bx by);
+            (where id k l1 l2) xy.(j) xy.(j + 1) xy.(j + 2) xy.(j + 3));
       false
     end
     else true
   in
   (* a routed shape: a wire, or a via (on M1 and M3) *)
-  let emit k lab l1 l2 ax ay bx by sax say sbx sby =
+  let emit k lab l1 l2 xy j sax say sbx sby =
     let id = fresh k lab in
-    if check id k lab l1 l2 ax ay bx by sax say sbx sby then begin
+    if check id k lab l1 l2 xy j sax say sbx sby then begin
       let x0 = Int.min sax sbx and x1 = Int.max sax sbx in
       let y0 = Int.min say sby and y1 = Int.max say sby in
       add fills.(l1) id x0 y0 x1 y1;
@@ -221,7 +226,15 @@ let of_layout (l : L.t) =
      top pads (every cell, dummies included — the physical top plate is
      part of the unit capacitor) carry the shared TOP net on M2.  A plate
      with a known net on the grid needs no check; any other goes through
-     the checks for its diagnostics. *)
+     the checks for its diagnostics.  A plate's or a via's point goes
+     to the checks through [pt] as (x, y, x, y). *)
+  let pt = Array.make 4 0. in
+  let point x y =
+    pt.(0) <- x;
+    pt.(1) <- y;
+    pt.(2) <- x;
+    pt.(3) <- y
+  in
   let col_x = l.L.col_x and row_y = l.L.row_y in
   let sx = Array.map snap col_x and sy = Array.map snap row_y in
   for row = 0 to rows - 1 do
@@ -234,33 +247,38 @@ let of_layout (l : L.t) =
       if k <> Placement.dummy then begin
         let id = fresh Pad k in
         pads.(cell) <- id;
-        if not (on_grid && k >= 0 && k < n_nets) then
-          ignore (check id Pad k 0 (-1) x y x y s_x s_y s_x s_y)
+        if not (on_grid && k >= 0 && k < n_nets) then begin
+          point x y;
+          ignore (check id Pad k 0 (-1) pt 0 s_x s_y s_x s_y)
+        end
       end;
       let id = fresh Top_pad top in
       top_pads.(cell) <- id;
-      if not on_grid then
-        ignore (check id Top_pad top 1 (-1) x y x y s_x s_y s_x s_y)
+      if not on_grid then begin
+        point x y;
+        ignore (check id Top_pad top 1 (-1) pt 0 s_x s_y s_x s_y)
+      end
     done
   done;
-  let wire (w : L.wire) =
-    let lab = if w.L.w_cap < 0 then top else w.L.w_cap in
-    ignore
-      (emit (wire_kind w.L.w_kind) lab (layer_index w.L.w_layer) (-1)
-         w.L.w_ax w.L.w_ay w.L.w_bx w.L.w_by (snap w.L.w_ax) (snap w.L.w_ay)
-         (snap w.L.w_bx) (snap w.L.w_by))
+  let wires (ws : L.Wires.t) =
+    let xy = ws.L.Wires.xy in
+    for i = 0 to L.Wires.length ws - 1 do
+      let cap = L.Wires.cap ws i and j = 4 * i in
+      ignore
+        (emit (wire_kind (L.Wires.kind ws i)) (if cap < 0 then top else cap)
+           (layer_index (L.Wires.layer ws i)) (-1) xy j (snap xy.(j))
+           (snap xy.(j + 1)) (snap xy.(j + 2)) (snap xy.(j + 3)))
+    done
   in
-  List.iter wire l.L.wires;
-  List.iter wire l.L.top_wires;
+  wires l.L.wires;
+  wires l.L.top_wires;
   (* a via at the driver row (y = 0) is the net's input terminal *)
   let drivers = ref [] in
   List.iter
     (fun (v : L.via) ->
        let s_x = snap v.L.v_x and s_y = snap v.L.v_y in
-       let id =
-         emit Via v.L.v_cap 0 2 v.L.v_x v.L.v_y v.L.v_x v.L.v_y s_x s_y s_x
-           s_y
-       in
+       point v.L.v_x v.L.v_y;
+       let id = emit Via v.L.v_cap 0 2 pt 0 s_x s_y s_x s_y in
        if s_y <> off_grid && s_y <= 0 then drivers := id :: !drivers)
     l.L.vias;
   if off.caught > 0 || unknown.caught > 0 || diagonal.caught > 0 then

@@ -75,21 +75,26 @@ let emit out ?loc rule fmt =
 
 let check_outline (layout : Layout.t) out =
   let eps = 1e-6 in
-  let inside x y =
-    x >= -.eps
-    && x <= layout.Layout.width +. eps
-    && y >= -.eps
-    && y <= layout.Layout.height +. eps
+  let x_hi = layout.Layout.width +. eps and y_hi = layout.Layout.height +. eps in
+  let inside x y = x >= -.eps && x <= x_hi && y >= -.eps && y <= y_hi in
+  (* [inside] written out on the table's floats, which so stay unboxed *)
+  let wires (ws : Layout.Wires.t) =
+    let xy = ws.Layout.Wires.xy in
+    for i = 0 to Layout.Wires.length ws - 1 do
+      let j = 4 * i in
+      let ax = xy.(j) and ay = xy.(j + 1) and bx = xy.(j + 2) and by = xy.(j + 3) in
+      if not
+          (ax >= -.eps && ax <= x_hi && ay >= -.eps && ay <= y_hi
+           && bx >= -.eps && bx <= x_hi && by >= -.eps && by <= y_hi)
+      then
+        emit out r_wire_in_outline
+          "net C_%d wire (%.2f,%.2f)-(%.2f,%.2f) escapes %gx%g"
+          (Layout.Wires.cap ws i) xy.(j) xy.(j + 1) xy.(j + 2) xy.(j + 3)
+          layout.Layout.width layout.Layout.height
+    done
   in
-  List.iter
-    (fun (w : Layout.wire) ->
-       if not (inside w.Layout.w_ax w.Layout.w_ay && inside w.Layout.w_bx w.Layout.w_by)
-       then
-         emit out r_wire_in_outline
-           "net C_%d wire (%.2f,%.2f)-(%.2f,%.2f) escapes %gx%g"
-           w.Layout.w_cap w.Layout.w_ax w.Layout.w_ay w.Layout.w_bx
-           w.Layout.w_by layout.Layout.width layout.Layout.height)
-    (layout.Layout.wires @ layout.Layout.top_wires);
+  wires layout.Layout.wires;
+  wires layout.Layout.top_wires;
   List.iter
     (fun (v : Layout.via) ->
        if not (inside v.Layout.v_x v.Layout.v_y) then
@@ -189,7 +194,7 @@ let check_net_coverage (layout : Layout.t) out =
        if net.Layout.cn_trunks = [] then
          emit out r_net_routed "C_%d has no trunk" cap;
        let covered =
-         List.fold_left
+         Array.fold_left
            (fun acc (g : Group.t) -> acc + Group.size g)
            0 net.Layout.cn_groups
        in
@@ -204,14 +209,14 @@ let check_net_coverage (layout : Layout.t) out =
 let check_parallel_consistency (layout : Layout.t) out =
   let p_of_cap = layout.Layout.p_of_cap in
   let n = Array.length p_of_cap in
-  List.iter
-    (fun (w : Layout.wire) ->
-       let k = w.Layout.w_cap in
-       if k >= n then unplanned out "wire" k n
-       else if k >= 0 && w.Layout.w_p <> p_of_cap.(k) then
-         emit out r_parallel_consistency "C_%d wire has p=%d, plan says %d" k
-           w.Layout.w_p p_of_cap.(k))
-    layout.Layout.wires;
+  let ws = layout.Layout.wires in
+  for i = 0 to Layout.Wires.length ws - 1 do
+    let k = Layout.Wires.cap ws i and p = Layout.Wires.p ws i in
+    if k >= n then unplanned out "wire" k n
+    else if k >= 0 && p <> p_of_cap.(k) then
+      emit out r_parallel_consistency "C_%d wire has p=%d, plan says %d" k p
+        p_of_cap.(k)
+  done;
   List.iter
     (fun (v : Layout.via) ->
        let k = v.Layout.v_cap in
@@ -223,34 +228,36 @@ let check_parallel_consistency (layout : Layout.t) out =
 
 (* trunk wires must be vertical on a vertical layer; bridges horizontal *)
 let check_wire_directions (layout : Layout.t) out =
-  List.iter
-    (fun (w : Layout.wire) ->
-       let layer = Tech.Process.layer layout.Layout.tech w.Layout.w_layer in
-       let vertical = Float.abs (w.Layout.w_ax -. w.Layout.w_bx) < 1e-9 in
-       let horizontal = Float.abs (w.Layout.w_ay -. w.Layout.w_by) < 1e-9 in
-       let zero_length = vertical && horizontal in
-       let matches =
-         zero_length
-         ||
-         match w.Layout.w_kind with
-         | Layout.Trunk ->
-           vertical
-           || Geom.Axis.equal layer.Tech.Layer.direction Geom.Axis.Horizontal
-         | Layout.Bridge | Layout.Stub -> horizontal
-         (* branch = abutting fingers, top plate = via-free jog allowed
-            by the 3-layer MOM stack (Sec. IV-B1) *)
-         | Layout.Branch | Layout.Top -> vertical || horizontal
-       in
-       if not matches then
-         emit out r_reserved_direction "C_%d %s wire violates direction"
-           w.Layout.w_cap
-           (match w.Layout.w_kind with
-            | Layout.Branch -> "branch"
-            | Layout.Stub -> "stub"
-            | Layout.Trunk -> "trunk"
-            | Layout.Bridge -> "bridge"
-            | Layout.Top -> "top"))
-    layout.Layout.wires
+  let ws = layout.Layout.wires in
+  let xy = ws.Layout.Wires.xy in
+  for i = 0 to Layout.Wires.length ws - 1 do
+    let j = 4 * i and kind = Layout.Wires.kind ws i in
+    let layer = Tech.Process.layer layout.Layout.tech (Layout.Wires.layer ws i) in
+    let vertical = Float.abs (xy.(j) -. xy.(j + 2)) < 1e-9 in
+    let horizontal = Float.abs (xy.(j + 1) -. xy.(j + 3)) < 1e-9 in
+    let zero_length = vertical && horizontal in
+    let matches =
+      zero_length
+      ||
+      match kind with
+      | Layout.Trunk ->
+        vertical
+        || Geom.Axis.equal layer.Tech.Layer.direction Geom.Axis.Horizontal
+      | Layout.Bridge | Layout.Stub -> horizontal
+      (* branch = abutting fingers, top plate = via-free jog allowed
+         by the 3-layer MOM stack (Sec. IV-B1) *)
+      | Layout.Branch | Layout.Top -> vertical || horizontal
+    in
+    if not matches then
+      emit out r_reserved_direction "C_%d %s wire violates direction"
+        (Layout.Wires.cap ws i)
+        (match kind with
+         | Layout.Branch -> "branch"
+         | Layout.Stub -> "stub"
+         | Layout.Trunk -> "trunk"
+         | Layout.Bridge -> "bridge"
+         | Layout.Top -> "top")
+  done
 
 (* --- layout-level extensions, in emission order --- *)
 
@@ -276,7 +283,7 @@ let check_extensions (layout : Layout.t) =
     * layout.Layout.placement.Placement.cols
   in
   if cells >= 2 then begin
-    if layout.Layout.top_wires = [] then
+    if Layout.Wires.length layout.Layout.top_wires = 0 then
       emit out r_top_plate "top-plate net has no wires"
     else if not (layout.Layout.top_length > 0.) then
       emit out r_top_plate "top-plate wirelength is %g um"

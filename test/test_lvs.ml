@@ -5,6 +5,12 @@
 
 module L = Ccroute.Layout
 
+(* a group's tree edges as (parent, child) cells, in tree order *)
+let edge_cells (g : Ccroute.Group.t) =
+  List.init (Ccroute.Group.edges g) (fun e ->
+      ( Ccroute.Group.cell g g.Ccroute.Group.tree_edges.(2 * e),
+        Ccroute.Group.cell g g.Ccroute.Group.tree_edges.((2 * e) + 1) ))
+
 let tech = Tech.Process.finfet_12nm
 
 let layout_of ?p_of_cap style bits =
@@ -416,7 +422,13 @@ let test_signoff_pins () =
 (* Every mutation starts from a certified-clean layout and must fire
    exactly the expected lvs/* rule ids — no more, no fewer. *)
 
-let mutate_wires f l = { l with L.wires = f l.L.wires }
+(* [mutate_wires f l] rebuilds [l]'s bottom-plate wire table from [f]
+   applied to its wires in table order. *)
+let mutate_wires f l =
+  { l with L.wires = L.Wires.of_list (f (L.Wires.to_list l.L.wires)) }
+
+let mutate_top_wires f l =
+  { l with L.top_wires = L.Wires.of_list (f (L.Wires.to_list l.L.top_wires)) }
 
 (* an attach point whose group straps to its trunk at exactly one cell,
    so removing that via provably detaches the group *)
@@ -582,9 +594,8 @@ let drop_group l =
       (fun (n : L.capnet) ->
          if !found = None then
            match
-             List.find_opt
-               (fun (g : Ccroute.Group.t) ->
-                  List.length g.Ccroute.Group.cells >= 2)
+             Array.find_opt
+               (fun (g : Ccroute.Group.t) -> Ccroute.Group.size g >= 2)
                n.L.cn_groups
            with
            | Some g -> found := Some (n.L.cn_cap, g.Ccroute.Group.id)
@@ -599,9 +610,10 @@ let drop_group l =
   nets.(k) <-
     { net with
       L.cn_groups =
-        List.filter
-          (fun (g : Ccroute.Group.t) -> g.Ccroute.Group.id <> victim)
-          net.L.cn_groups };
+        Array.of_list
+          (List.filter
+             (fun (g : Ccroute.Group.t) -> g.Ccroute.Group.id <> victim)
+             (Array.to_list net.L.cn_groups)) };
   { l with L.nets }
 
 let test_mut_netbuild_mismatch () =
@@ -703,12 +715,14 @@ let test_unknown_net_via () =
 
 let test_unknown_net_wire () =
   let k = Array.length spiral6.L.nets in
-  let wires =
-    match spiral6.L.wires with
-    | w :: rest -> { w with L.w_cap = k } :: rest
-    | [] -> Alcotest.fail "spiral6 has no wires"
+  let l =
+    mutate_wires
+      (function
+        | w :: rest -> { w with L.w_cap = k } :: rest
+        | [] -> Alcotest.fail "spiral6 has no wires")
+      spiral6
   in
-  let r = run_lvs "wire" { spiral6 with L.wires } in
+  let r = run_lvs "wire" l in
   Alcotest.(check (list (pair string string)))
     "one unknown-net diagnostic on C_7"
     [ ("lvs/unknown-net", "C_7") ]
@@ -727,28 +741,23 @@ let test_diagonal_wire () =
      fires, and LVS reports the wire instead of handing the sweep a box
      extended in both axes *)
   let shapes = (Lvs.Check.run spiral6).Lvs.Check.stats.Lvs.Check.shapes in
+  let wires = L.Wires.to_list spiral6.L.wires in
   let i, w =
-    match
-      List.find_index
-        (fun (w : L.wire) -> w.L.w_kind = L.Branch)
-        spiral6.L.wires
-    with
-    | Some i -> (i, List.nth spiral6.L.wires i)
+    match List.find_index (fun (w : L.wire) -> w.L.w_kind = L.Branch) wires with
+    | Some i -> (i, List.nth wires i)
     | None -> Alcotest.fail "spiral6 has no branch"
   in
   let moved = { w with L.w_bx = w.L.w_bx +. 0.5; w_by = w.L.w_by +. 0.5 } in
   let l =
-    { spiral6 with
-      L.wires =
-        List.mapi (fun j w' -> if j = i then moved else w') spiral6.L.wires }
+    mutate_wires (List.mapi (fun j w' -> if j = i then moved else w')) spiral6
   in
   Alcotest.(check bool) "verify reports the direction" true
     (List.mem "route/reserved-direction"
        (fired (Verify.Engine.check_artifacts l)));
   (* shape ids: the plates, then the wires in layout order *)
   let id =
-    shapes - List.length l.L.vias - List.length l.L.top_wires
-    - List.length l.L.wires + i
+    shapes - List.length l.L.vias - L.Wires.length l.L.top_wires
+    - L.Wires.length l.L.wires + i
   in
   let r = run_lvs "diagonal branch" l in
   Alcotest.(check (list (triple string string string)))
@@ -890,13 +899,13 @@ let reference_build (l : L.t) ~cap =
            (fun a b -> Float.compare trunks.(a).L.tk_x trunks.(b).L.tk_x)
            (List.init (Array.length trunks) Fun.id))
   in
-  List.iter
+  Array.iter
     (fun (g : Ccroute.Group.t) ->
        List.iter
          (fun (a, b) ->
             ignore (cell_node b);
             ignore (cell_node a))
-         g.Ccroute.Group.tree_edges)
+         (edge_cells g))
     net.L.cn_groups;
   let parent = Array.init (Rcnet.Rctree.num_nodes tree) Fun.id in
   let rec find i = if parent.(i) = i then i else find parent.(i) in
@@ -948,7 +957,7 @@ let reference_build (l : L.t) ~cap =
             edge (trunk_node t a.L.ap_y) (cell_node cell) (rvia +. r, c))
          tk.L.tk_attaches)
     trunks;
-  List.iter
+  Array.iter
     (fun (g : Ccroute.Group.t) ->
        List.iter
          (fun ((a : Ccgrid.Cell.t), (b : Ccgrid.Cell.t)) ->
@@ -958,7 +967,7 @@ let reference_build (l : L.t) ~cap =
             in
             edge (cell_node a) (cell_node b)
               (tech.Tech.Process.plate_resistance *. len, 0.))
-         g.Ccroute.Group.tree_edges)
+         (edge_cells g))
     net.L.cn_groups;
   (tree, Rcnet.Rctree.node_of_int tree root, List.rev !cells)
 
@@ -994,6 +1003,13 @@ let cell_names cells =
     (fun (c : Ccgrid.Cell.t) -> Printf.sprintf "(%d,%d)" c.row c.col)
     cells
 
+(* the cells of row-major ids on [l]'s grid, named like [cell_names] *)
+let id_names (l : L.t) ids =
+  let cols = l.L.placement.Ccgrid.Placement.cols in
+  List.map
+    (fun id -> Printf.sprintf "(%d,%d)" (id / cols) (id mod cols))
+    (Array.to_list ids)
+
 (* Every net of [l] through the reference, the topology pass and the
    build: the same exception, or the same cells in the same order, a
    piece count of nodes minus kept edges — above 1 exactly when
@@ -1017,9 +1033,9 @@ let check_topology what l =
     | Ok (tree, root, cells), Ok tp, Ok nb ->
       let names = cell_names (List.map fst cells) in
       Alcotest.(check (list string)) (where ^ ": topology cells") names
-        (cell_names (Array.to_list tp.Extract.Netbuild.modelled));
+        (id_names l tp.Extract.Netbuild.modelled);
       Alcotest.(check (list string)) (where ^ ": build cells") names
-        (cell_names (Array.to_list nb.Extract.Netbuild.cells));
+        (id_names l nb.Extract.Netbuild.cells);
       let pieces = tp.Extract.Netbuild.pieces in
       Alcotest.(check int) (where ^ ": pieces = nodes - kept edges")
         (Rcnet.Rctree.num_nodes tree - Rcnet.Rctree.num_edges tree)
@@ -1156,10 +1172,9 @@ let test_noise_snaps () =
            w_bx = w.L.w_bx -. noise (i + 1); w_by = w.L.w_by +. noise i }
        in
        let noisy =
-         { l with
-           L.wires = List.mapi wire l.L.wires;
-           top_wires = List.mapi wire l.L.top_wires;
-           vias =
+         { (mutate_top_wires (List.mapi wire) (mutate_wires (List.mapi wire) l))
+           with
+           L.vias =
              List.mapi
                (fun i (v : L.via) ->
                   { v with L.v_x = v.L.v_x +. noise i; v_y = v.L.v_y -. noise i })
@@ -1290,8 +1305,8 @@ let reference_flatten (l : L.t) =
          w.L.w_by (reference_snap w.L.w_ax) (reference_snap w.L.w_ay)
          (reference_snap w.L.w_bx) (reference_snap w.L.w_by))
   in
-  List.iter wire l.L.wires;
-  List.iter wire l.L.top_wires;
+  List.iter wire (L.Wires.to_list l.L.wires);
+  List.iter wire (L.Wires.to_list l.L.top_wires);
   let drivers = ref [] in
   List.iter
     (fun (v : L.via) ->
@@ -1468,23 +1483,25 @@ let corrupted_lattices l =
     ( "columns shifted 0.5 nm",
       lattice (fun x -> Array.iteri (fun i v -> x.(i) <- v +. 0.0005) x) keep );
     ( "M1 wire spanning a row of pads",
-      { l with
-        L.wires =
-          { L.w_cap = 0; w_kind = L.Branch; w_layer = Tech.Layer.M1;
-            w_ax = x.(0); w_ay = y.(2); w_bx = x.(cols - 1); w_by = y.(2);
-            w_p = 1 }
-          :: l.L.wires } );
+      mutate_wires
+        (fun ws ->
+           { L.w_cap = 0; w_kind = L.Branch; w_layer = Tech.Layer.M1;
+             w_ax = x.(0); w_ay = y.(2); w_bx = x.(cols - 1); w_by = y.(2);
+             w_p = 1 }
+           :: ws)
+        l );
     ( "via on a pad",
       { l with
         L.vias = { L.v_cap = 0; v_x = x.(2); v_y = y.(1); v_p = 1 } :: l.L.vias
       } );
     ( "extra top wire",
-      { l with
-        L.top_wires =
-          { L.w_cap = -2; w_kind = L.Top; w_layer = Tech.Layer.M2;
-            w_ax = x.(1); w_ay = y.(0); w_bx = x.(1); w_by = y.(rows - 1);
-            w_p = 1 }
-          :: l.L.top_wires } );
+      mutate_top_wires
+        (fun ws ->
+           { L.w_cap = -2; w_kind = L.Top; w_layer = Tech.Layer.M2;
+             w_ax = x.(1); w_ay = y.(0); w_bx = x.(1); w_by = y.(rows - 1);
+             w_p = 1 }
+           :: ws)
+        l );
     ( "column a quarter unit off the grid",
       lattice (fun x -> x.(3) <- x.(3) +. quarter_unit) keep );
     ( "pad naming no net",

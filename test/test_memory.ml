@@ -184,6 +184,42 @@ let test_summary_memory () =
          (T.Summary.stage_memory s stage <> None))
     [ "place"; "route"; "extract"; "analyse" ]
 
+(* In OCaml 5.1, Array.make — and Array.init, Array.map and
+   Array.of_list, which start from it — runs a whole minor collection
+   before it builds an array of more than 256 elements from a block
+   still in the minor heap, and counts it under the runtime counter
+   EV_C_FORCE_MINOR_MAKE_VECT.  Flow.run of the 16 designs the
+   benchmark's signoff_pnr workload routes (four styles at 6, 8, 10 and
+   12 bits) must build no such array. *)
+let test_no_forced_minor () =
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let forced = ref 0 and lost = ref 0 in
+  let callbacks =
+    Runtime_events.Callbacks.create
+      ~runtime_counter:(fun _ _ counter value ->
+          match counter with
+          | Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT -> forced := !forced + value
+          | _ -> ())
+      ~lost_events:(fun _ n -> lost := !lost + n)
+      ()
+  in
+  let poll () = ignore (Runtime_events.read_poll cursor callbacks None : int) in
+  poll ();
+  forced := 0;
+  List.iter
+    (fun bits ->
+       List.iter
+         (fun style ->
+            ignore (Ccdac.Flow.run ~bits style : Ccdac.Flow.result);
+            poll ())
+         Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
+    [ 6; 8; 10; 12 ];
+  Runtime_events.free_cursor cursor;
+  Runtime_events.pause ();
+  Alcotest.(check int) "no runtime events lost" 0 !lost;
+  Alcotest.(check int) "forced minor collections" 0 !forced
+
 let () =
   Alcotest.run "memory"
     [ ( "sampling",
@@ -201,4 +237,7 @@ let () =
             test_parallel_attribution ] );
       ( "summary",
         [ Alcotest.test_case "flow summary memory" `Quick test_summary_memory
-        ] ) ]
+        ] );
+      ( "gc",
+        [ Alcotest.test_case "no forced minor collections" `Quick
+            test_no_forced_minor ] ) ]

@@ -434,9 +434,12 @@ let test_layout_nets_match_reference () =
          let cells = nb.Extract.Netbuild.cell_nodes in
          let worst, _, _ = Extract.Netbuild.attribution nb in
          let worst =
+           let id =
+             (worst.Ccgrid.Cell.row * layout.Ccroute.Layout.placement.Ccgrid.Placement.cols)
+             + worst.Ccgrid.Cell.col
+           in
            let i = ref 0 in
-           Array.iteri (fun j c -> if Ccgrid.Cell.equal c worst then i := j)
-             nb.Extract.Netbuild.cells;
+           Array.iteri (fun j c -> if c = id then i := j) nb.Extract.Netbuild.cells;
            cells.(!i)
          in
          let stride = Int.max 1 (Array.length cells / 16) in

@@ -10,7 +10,7 @@ let spiral6 = lazy (Ccroute.Layout.route tech (Ccplace.Spiral.place ~bits:6))
 let test_spiral6_group_structure () =
   let layout = Lazy.force spiral6 in
   let groups_of k =
-    List.length (Ccroute.Layout.net layout k).Ccroute.Layout.cn_groups
+    Array.length (Ccroute.Layout.net layout k).Ccroute.Layout.cn_groups
   in
   (* C_6 is the periphery: one connected component; C_2 is the innermost
      mirrored pair: two singletons *)
@@ -77,14 +77,11 @@ let layout_digest (l : Ccroute.Layout.t) =
   Buffer.add_string b (Ccgrid.Serial.to_string l.placement);
   List.iter
     (fun (g : Ccroute.Group.t) ->
+       let id i = cell (Ccroute.Group.cell g i) in
        Printf.bprintf b "\ngroup %d C_%d:" g.id g.cap;
-       List.iter cell g.cells;
+       Array.iter id g.cells;
        Buffer.add_string b " edges:";
-       List.iter
-         (fun (p, c) ->
-            cell p;
-            cell c)
-         g.tree_edges)
+       Array.iter id g.tree_edges)
     l.groups;
   List.iter
     (fun (r : Ccroute.Plan.route) ->
@@ -105,12 +102,17 @@ let layout_digest (l : Ccroute.Layout.t) =
       (Format.asprintf "%a" Tech.Layer.pp_name w.w_layer)
       w.w_ax w.w_ay w.w_bx w.w_by w.w_p
   in
-  List.iter wire l.wires;
+  let wires ws =
+    for i = 0 to Ccroute.Layout.Wires.length ws - 1 do
+      wire (Ccroute.Layout.Wires.get ws i)
+    done
+  in
+  wires l.wires;
   List.iter
     (fun (v : Ccroute.Layout.via) ->
        Printf.bprintf b "\nvia C_%d (%h,%h) p%d" v.v_cap v.v_x v.v_y v.v_p)
     l.vias;
-  List.iter wire l.top_wires;
+  wires l.top_wires;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The designs the signoff_pnr and paper_tables benchmark workloads

@@ -5,6 +5,28 @@ let tech = Tech.Process.finfet_12nm
 let spiral6 = Ccplace.Spiral.place ~bits:6
 let chess6 = Ccplace.Chessboard.place ~bits:6
 
+(* a group's cells and tree edges, decoded *)
+let cells_of (g : Ccroute.Group.t) =
+  Array.to_list (Array.map (Ccroute.Group.cell g) g.Ccroute.Group.cells)
+
+let edges_of (g : Ccroute.Group.t) =
+  List.init (Ccroute.Group.edges g) (fun e ->
+      ( Ccroute.Group.cell g g.Ccroute.Group.tree_edges.(2 * e),
+        Ccroute.Group.cell g g.Ccroute.Group.tree_edges.((2 * e) + 1) ))
+
+(* the group of [cells] on a grid of [cols] columns *)
+let group_of_cells ~cols ~cap ~id cells =
+  let ids =
+    List.sort_uniq Int.compare
+      (List.map (fun (c : Ccgrid.Cell.t) -> (c.Ccgrid.Cell.row * cols) + c.Ccgrid.Cell.col) cells)
+  in
+  let fold f z = List.fold_left (fun a (c : Ccgrid.Cell.t) -> f a c) z cells in
+  { Ccroute.Group.cap; id; cols; cells = Array.of_list ids; tree_edges = [||];
+    col_lo = fold (fun a c -> Int.min a c.Ccgrid.Cell.col) max_int;
+    col_hi = fold (fun a c -> Int.max a c.Ccgrid.Cell.col) min_int;
+    row_lo = fold (fun a c -> Int.min a c.Ccgrid.Cell.row) max_int;
+    row_hi = fold (fun a c -> Int.max a c.Ccgrid.Cell.row) min_int }
+
 (* --- groups --- *)
 
 let test_groups_partition_cells () =
@@ -12,11 +34,7 @@ let test_groups_partition_cells () =
     (fun p ->
        let groups = Ccroute.Group.of_placement p in
        for k = 0 to p.Ccgrid.Placement.bits do
-         let group_cells =
-           List.concat_map
-             (fun g -> g.Ccroute.Group.cells)
-             (Ccroute.Group.of_cap groups k)
-         in
+         let group_cells = List.concat_map cells_of (Ccroute.Group.of_cap groups k) in
          Alcotest.(check int)
            (Printf.sprintf "C_%d partitioned" k)
            p.Ccgrid.Placement.counts.(k)
@@ -30,12 +48,12 @@ let test_groups_are_connected () =
     (fun (g : Ccroute.Group.t) ->
        (* tree edges span the group: |E| = |V| - 1 *)
        Alcotest.(check int) "tree edges"
-         (List.length g.Ccroute.Group.cells - 1)
-         (List.length g.Ccroute.Group.tree_edges);
+         (Ccroute.Group.size g - 1)
+         (Ccroute.Group.edges g);
        List.iter
          (fun (a, b) ->
             Alcotest.(check bool) "edges adjacent" true (Ccgrid.Cell.adjacent a b))
-         g.Ccroute.Group.tree_edges)
+         (edges_of g))
     groups
 
 let test_chessboard_groups_are_singletons () =
@@ -58,7 +76,7 @@ let test_group_spans () =
             Alcotest.(check bool) "row in span" true
               (c.Ccgrid.Cell.row >= g.Ccroute.Group.row_lo
                && c.Ccgrid.Cell.row <= g.Ccroute.Group.row_hi))
-         g.Ccroute.Group.cells)
+         (cells_of g))
     groups
 
 let test_straight_runs_are_straight () =
@@ -74,14 +92,7 @@ let test_straight_runs_are_straight () =
     groups
 
 let test_closest_cells () =
-  let mk cap id cells =
-    { Ccroute.Group.cap; id; cells;
-      tree_edges = [];
-      col_lo = List.fold_left (fun a (c : Ccgrid.Cell.t) -> Int.min a c.Ccgrid.Cell.col) max_int cells;
-      col_hi = List.fold_left (fun a (c : Ccgrid.Cell.t) -> Int.max a c.Ccgrid.Cell.col) min_int cells;
-      row_lo = List.fold_left (fun a (c : Ccgrid.Cell.t) -> Int.min a c.Ccgrid.Cell.row) max_int cells;
-      row_hi = List.fold_left (fun a (c : Ccgrid.Cell.t) -> Int.max a c.Ccgrid.Cell.row) min_int cells }
-  in
+  let mk cap id cells = group_of_cells ~cols:10 ~cap ~id cells in
   let a =
     mk 3 0 [ Ccgrid.Cell.make ~row:0 ~col:0; Ccgrid.Cell.make ~row:5 ~col:3 ]
   in
@@ -90,13 +101,13 @@ let test_closest_cells () =
   in
   let ua, ub = Ccroute.Group.closest_cells a b in
   Alcotest.(check bool) "closest pair" true
-    (Ccgrid.Cell.equal ua (Ccgrid.Cell.make ~row:5 ~col:3)
-     && Ccgrid.Cell.equal ub (Ccgrid.Cell.make ~row:5 ~col:4))
+    (Ccgrid.Cell.equal (Ccroute.Group.cell a ua) (Ccgrid.Cell.make ~row:5 ~col:3)
+     && Ccgrid.Cell.equal (Ccroute.Group.cell b ub) (Ccgrid.Cell.make ~row:5 ~col:4))
 
 let test_col_span_overlap () =
   let mk lo hi =
-    { Ccroute.Group.cap = 0; id = 0; cells = []; tree_edges = [];
-      col_lo = lo; col_hi = hi; row_lo = 0; row_hi = 0 }
+    { Ccroute.Group.none with Ccroute.Group.cap = 0; id = 0; col_lo = lo;
+      col_hi = hi; row_lo = 0; row_hi = 0 }
   in
   Alcotest.(check bool) "overlap" true
     (Ccroute.Group.col_span_overlap (mk 0 3) (mk 2 5));
@@ -164,7 +175,7 @@ let test_attach_is_group_member () =
             Alcotest.(check bool) "attach in group" true
               (List.exists
                  (Ccgrid.Cell.equal r.Ccroute.Plan.attach)
-                 r.Ccroute.Plan.group.Ccroute.Group.cells))
+                 (cells_of r.Ccroute.Plan.group)))
          plan.Ccroute.Plan.routes)
     [ spiral6; chess6 ]
 
@@ -241,7 +252,8 @@ let test_layout_wires_axis_aligned () =
        Alcotest.(check bool) "axis aligned" true
          (Float.abs (w.Ccroute.Layout.w_ax -. w.Ccroute.Layout.w_bx) < 1e-9
           || Float.abs (w.Ccroute.Layout.w_ay -. w.Ccroute.Layout.w_by) < 1e-9))
-    (layout6.Ccroute.Layout.wires @ layout6.Ccroute.Layout.top_wires)
+    (Ccroute.Layout.Wires.to_list layout6.Ccroute.Layout.wires
+     @ Ccroute.Layout.Wires.to_list layout6.Ccroute.Layout.top_wires)
 
 let test_layout_parallel_policy () =
   let p_of = Ccroute.Layout.msb_parallel ~bits:8 ~p:4 in
@@ -269,7 +281,7 @@ let test_layout_via_positive_p () =
 let test_layout_top_plate () =
   Alcotest.(check int) "column runs + connector"
     (spiral6.Ccgrid.Placement.cols + 1)
-    (List.length layout6.Ccroute.Layout.top_wires);
+    (Ccroute.Layout.Wires.length layout6.Ccroute.Layout.top_wires);
   Alcotest.(check bool) "positive length" true
     (layout6.Ccroute.Layout.top_length > 0.)
 
@@ -365,14 +377,34 @@ let reference_bfs ~rows ~cols available seed =
   done;
   (!visited, List.rev !edges)
 
+(* A group as the library held it before its cells became id arrays:
+   the cells as a row-major list and the BFS tree as (parent, child)
+   pairs.  The references build groups in this form; [decode] reads the
+   library's into it. *)
+type rgroup = {
+  r_cap : int;
+  r_id : int;
+  r_cells : Ccgrid.Cell.t list;
+  r_edges : (Ccgrid.Cell.t * Ccgrid.Cell.t) list;
+  r_col_lo : int;
+  r_col_hi : int;
+  r_row_lo : int;
+  r_row_hi : int;
+}
+
+let decode (g : Ccroute.Group.t) =
+  { r_cap = g.cap; r_id = g.id; r_cells = cells_of g; r_edges = edges_of g;
+    r_col_lo = g.col_lo; r_col_hi = g.col_hi; r_row_lo = g.row_lo;
+    r_row_hi = g.row_hi }
+
 let reference_group ~cap ~id cells tree_edges =
   let cols = List.map (fun (c : Ccgrid.Cell.t) -> c.col) cells
   and rows = List.map (fun (c : Ccgrid.Cell.t) -> c.row) cells in
-  { Ccroute.Group.cap; id; cells; tree_edges;
-    col_lo = List.fold_left Int.min max_int cols;
-    col_hi = List.fold_left Int.max min_int cols;
-    row_lo = List.fold_left Int.min max_int rows;
-    row_hi = List.fold_left Int.max min_int rows }
+  { r_cap = cap; r_id = id; r_cells = cells; r_edges = tree_edges;
+    r_col_lo = List.fold_left Int.min max_int cols;
+    r_col_hi = List.fold_left Int.max min_int cols;
+    r_row_lo = List.fold_left Int.min max_int rows;
+    r_row_hi = List.fold_left Int.max min_int rows }
 
 (* Maximal straight runs of a component along one orientation, and the
    orientation with fewer runs (columns on a tie). *)
@@ -427,10 +459,99 @@ let reference_groups mode (p : Ccgrid.Placement.t) =
   done;
   List.rev !groups
 
+(* Group.components as it stood before group cells became id arrays, the
+   reference for the ids' decoding: the same counting sort and BFS, with
+   one Cell.t per cell shared by its group's cell list and tree edges. *)
+let parent_components (p : Ccgrid.Placement.t) =
+  let rows = p.rows and cols = p.cols in
+  let assign = p.assign in
+  let caps = p.bits + 1 and n = rows * cols in
+  let start = Array.make (caps + 1) 0 in
+  Array.iter
+    (Array.iter (fun k -> if k >= 0 && k < caps then start.(k + 1) <- start.(k + 1) + 1))
+    assign;
+  for k = 1 to caps do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let by_cap = Array.make start.(caps) 0 in
+  for row = 0 to rows - 1 do
+    let line = assign.(row) in
+    for col = 0 to cols - 1 do
+      let k = line.(col) in
+      if k >= 0 && k < caps then begin
+        by_cap.(start.(k)) <- (row * cols) + col;
+        start.(k) <- start.(k) + 1
+      end
+    done
+  done;
+  let label = Array.make n (-1) in
+  let cell = Array.make n (Ccgrid.Cell.make ~row:(-1) ~col:(-1)) in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
+  let visit ~cap ~h j row col =
+    if label.(j) < 0 && assign.(row).(col) = cap then begin
+      label.(j) <- h;
+      cell.(j) <- Ccgrid.Cell.make ~row ~col;
+      queue.(!tail) <- j;
+      incr tail
+    end
+  in
+  let groups = ref [] and count = ref 0 in
+  for s = 0 to Array.length by_cap - 1 do
+    let seed = by_cap.(s) in
+    if label.(seed) < 0 then begin
+      let row = seed / cols and col = seed mod cols in
+      let cap = assign.(row).(col) and id = !count in
+      let row_lo = ref row and row_hi = ref row in
+      let col_lo = ref col and col_hi = ref col in
+      label.(seed) <- 0;
+      cell.(seed) <- Ccgrid.Cell.make ~row ~col;
+      queue.(0) <- seed;
+      tail := 1;
+      let head = ref 0 in
+      while !head < !tail do
+        let h = !head in
+        let i = queue.(h) in
+        incr head;
+        let row = i / cols in
+        let col = i - (row * cols) in
+        if row < !row_lo then row_lo := row;
+        if row > !row_hi then row_hi := row;
+        if col < !col_lo then col_lo := col;
+        if col > !col_hi then col_hi := col;
+        if row > 0 then visit ~cap ~h (i - cols) (row - 1) col;
+        if row < rows - 1 then visit ~cap ~h (i + cols) (row + 1) col;
+        if col > 0 then visit ~cap ~h (i - 1) row (col - 1);
+        if col < cols - 1 then visit ~cap ~h (i + 1) row (col + 1)
+      done;
+      let edges = ref [] in
+      for k = !tail - 1 downto 1 do
+        let j = queue.(k) in
+        edges := (cell.(queue.(label.(j))), cell.(j)) :: !edges;
+        label.(j) <- id
+      done;
+      label.(seed) <- id;
+      groups :=
+        { r_cap = cap; r_id = id; r_cells = []; r_edges = !edges;
+          r_col_lo = !col_lo; r_col_hi = !col_hi; r_row_lo = !row_lo;
+          r_row_hi = !row_hi }
+        :: !groups;
+      incr count
+    end
+  done;
+  let members = Array.make !count [] in
+  for i = n - 1 downto 0 do
+    let id = label.(i) in
+    if id >= 0 then members.(id) <- cell.(i) :: members.(id)
+  done;
+  List.fold_left
+    (fun acc g -> { g with r_cells = members.(g.r_id) } :: acc)
+    [] !groups
+
 (* Reference Step 1 of Algorithm 1: every pair of one capacitor's groups
    is tested for a column overlap, and the closest cell pair compares
-   6-tuple keys. *)
-let reference_closest (a : Ccroute.Group.t) (b : Ccroute.Group.t) =
+   6-tuple keys over the two cell lists. *)
+let reference_closest (a : Ccgrid.Cell.t list) (b : Ccgrid.Cell.t list) =
   let key (x : Ccgrid.Cell.t) (y : Ccgrid.Cell.t) =
     ( abs (x.row - y.row) + abs (x.col - y.col), x.row + y.row, x.row, x.col,
       y.row, y.col )
@@ -444,8 +565,8 @@ let reference_closest (a : Ccroute.Group.t) (b : Ccroute.Group.t) =
             match !best with
             | Some (_, _, best_key) when best_key <= k -> ()
             | Some _ | None -> best := Some (ca, cb, k))
-         b.cells)
-    a.cells;
+         b)
+    a;
   match !best with
   | Some (ca, cb, _) -> (ca, cb)
   | None -> invalid_arg "reference_closest: empty group"
@@ -454,7 +575,7 @@ let reference_attach (g : Ccroute.Group.t) ~channel =
   let key (c : Ccgrid.Cell.t) =
     (Int.min (abs (c.col - channel)) (abs (c.col - (channel - 1))), c.row, c.col)
   in
-  match g.cells with
+  match cells_of g with
   | [] -> invalid_arg "reference_attach: empty group"
   | first :: rest ->
     List.fold_left (fun best c -> if key c < key best then c else best) first rest
@@ -474,7 +595,7 @@ let reference_select (groups : Ccroute.Group.t array) =
         if (not visited.(k)) && k <> j then begin
           let q = groups.(k) in
           if Ccroute.Group.col_span_overlap p q then begin
-            let up, (uq : Ccgrid.Cell.t) = reference_closest p q in
+            let up, (uq : Ccgrid.Cell.t) = reference_closest (cells_of p) (cells_of q) in
             if !c_j = -1 then begin
               c_j := up.col;
               u_p := Some up
@@ -490,7 +611,7 @@ let reference_select (groups : Ccroute.Group.t array) =
           List.fold_left
             (fun (best : Ccgrid.Cell.t) (c : Ccgrid.Cell.t) ->
                if (c.row, c.col) < (best.row, best.col) then c else best)
-            (List.hd p.cells) p.cells
+            (List.hd (cells_of p)) (cells_of p)
         in
         emit p attach.col attach
       | Some up ->
@@ -598,7 +719,7 @@ let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choic
                     (fun (c : Ccgrid.Cell.t) ->
                        (c.Ccgrid.Cell.col = channel - 1 || c.Ccgrid.Cell.col = channel)
                        && c.Ccgrid.Cell.row <> original.Ccgrid.Cell.row)
-                    g.Ccroute.Group.cells
+                    (cells_of g)
                   |> List.sort
                        (fun (a : Ccgrid.Cell.t) (b : Ccgrid.Cell.t) ->
                           match
@@ -820,8 +941,9 @@ let prop_matches_reference mode name =
       let p = placement_of_assignment a in
       let groups = Ccroute.Group.of_placement ~mode p in
       let reference = reference_groups mode p in
-      if groups <> reference then QCheck.Test.fail_report "groups differ";
-      if Ccroute.Plan.make p groups <> reference_plan p reference then
+      if List.map decode groups <> reference then
+        QCheck.Test.fail_report "groups differ";
+      if Ccroute.Plan.make p groups <> reference_plan p groups then
         QCheck.Test.fail_report "plans differ";
       true)
 
@@ -840,7 +962,7 @@ let same_plan (a : Ccroute.Plan.t) (b : Ccroute.Plan.t) =
 let random_choices st groups =
   List.map
     (fun (g : Ccroute.Group.t) ->
-       let cells = Array.of_list g.cells in
+       let cells = Array.of_list (cells_of g) in
        let (c : Ccgrid.Cell.t) = cells.(Random.State.int st (Array.length cells)) in
        (g, (if Random.State.bool st then c.col else c.col + 1), c))
     groups
@@ -860,7 +982,8 @@ let hand_built ~rows ~cols connections =
          let at = Ccgrid.Cell.make ~row ~col in
          let g =
            List.find
-             (fun (g : Ccroute.Group.t) -> List.exists (Ccgrid.Cell.equal at) g.cells)
+             (fun (g : Ccroute.Group.t) ->
+                List.exists (Ccgrid.Cell.equal at) (cells_of g))
              groups
          in
          (g, channel, at))
@@ -973,20 +1096,110 @@ let prop_closest_matches_reference =
     (fun (a, b) ->
        a = [] || b = []
        ||
-       let ga = reference_group ~cap:0 ~id:0 a [] and gb = reference_group ~cap:0 ~id:1 b [] in
+       let ga = group_of_cells ~cols:12 ~cap:0 ~id:0 a
+       and gb = group_of_cells ~cols:12 ~cap:0 ~id:1 b in
        let ua, ub = Ccroute.Group.closest_cells ga gb
-       and ra, rb = reference_closest ga gb in
-       Ccgrid.Cell.equal ua ra && Ccgrid.Cell.equal ub rb)
+       and ra, rb = reference_closest a b in
+       Ccgrid.Cell.equal (Ccroute.Group.cell ga ua) ra
+       && Ccgrid.Cell.equal (Ccroute.Group.cell gb ub) rb)
 
 let test_cells_shared_with_edges () =
   List.iter
     (fun (g : Ccroute.Group.t) ->
-       List.iter
-         (fun (a, b) ->
+       Array.iter
+         (fun i ->
             Alcotest.(check bool) "edge ends are the group's cells" true
-              (List.memq a g.cells && List.memq b g.cells))
+              (Array.mem i g.cells))
          g.tree_edges)
     (Ccroute.Group.of_placement (Ccplace.Block_chess.place ~bits:8 ()))
+
+(* The id arrays decode to the cells and tree edges the list-based
+   formation built, in the same order: every style at 2-16 bits, every
+   block-chess (core, g) pair at 3-10 bits, and Ccplace.General banks. *)
+let test_ids_decode_to_parent () =
+  let check what p =
+    let got = List.map decode (Ccroute.Group.of_placement p) in
+    if got <> parent_components p then Alcotest.failf "%s: groups differ" what
+  in
+  for bits = 2 to 16 do
+    List.iter
+      (fun style ->
+         check
+           (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+           (Ccplace.Style.place ~bits style))
+      Ccplace.Style.[ Spiral; Chessboard; Rowwise; block_default ~bits ]
+  done;
+  for bits = 3 to 10 do
+    for core_bits = 1 to bits - 1 do
+      List.iter
+        (fun granularity ->
+           check
+             (Printf.sprintf "block-chess(core=%d,g=%d) %d-bit" core_bits
+                granularity bits)
+             (Ccplace.Block_chess.place ~bits ~core_bits ~granularity ()))
+        [ 1; 2; 3; 4; 8 ]
+    done
+  done;
+  List.iter
+    (fun counts ->
+       check "interleaved bank" (Ccplace.General.interleaved ~counts);
+       check "clustered bank" (Ccplace.General.clustered ~counts))
+    [ [| 1; 1; 2; 4; 8 |]; [| 3; 5; 7 |];
+      Array.append [| 1; 1; 2; 4; 8 |] (Array.make 63 16) ]
+
+(* --- the flat wire table --- *)
+
+let all_kinds = Ccroute.Layout.[ Branch; Stub; Trunk; Bridge; Top ]
+let all_layers = Tech.Layer.[ M1; M2; M3 ]
+
+(* [ws] through the table and back: the same wires in the same order,
+   each also read by index, field by field *)
+let round_trips ws =
+  let module W = Ccroute.Layout.Wires in
+  let t = W.of_list ws in
+  W.to_list t = ws
+  && W.length t = List.length ws
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i (w : Ccroute.Layout.wire) ->
+             W.get t i = w && W.cap t i = w.w_cap && W.kind t i = w.w_kind
+             && W.layer t i = w.w_layer && W.p t i = w.w_p)
+          ws)
+
+let test_wire_table_cases () =
+  let wire ~kind ~layer i =
+    { Ccroute.Layout.w_cap = i - 2; w_kind = kind; w_layer = layer;
+      w_ax = float_of_int i; w_ay = -0.5; w_bx = 1e-7 *. float_of_int i;
+      w_by = 123.456; w_p = 1 + (i mod 3) }
+  in
+  Alcotest.(check bool) "empty" true (round_trips []);
+  Alcotest.(check bool) "one wire" true
+    (round_trips [ wire ~kind:Ccroute.Layout.Trunk ~layer:Tech.Layer.M3 0 ]);
+  Alcotest.(check bool) "every kind on every layer" true
+    (round_trips
+       (List.concat_map
+          (fun kind -> List.mapi (fun i layer -> wire ~kind ~layer i) all_layers)
+          all_kinds));
+  Alcotest.(check bool) "a routed layout's wires" true
+    (round_trips (Ccroute.Layout.Wires.to_list layout_chess.Ccroute.Layout.wires)
+     && round_trips
+       (Ccroute.Layout.Wires.to_list layout_chess.Ccroute.Layout.top_wires))
+
+let prop_wire_table_round_trip =
+  let gen_wire =
+    QCheck.Gen.(
+      map3
+        (fun (cap, p) (kind, layer) (ax, ay, bx, by) ->
+           { Ccroute.Layout.w_cap = cap; w_kind = kind; w_layer = layer;
+             w_ax = ax; w_ay = ay; w_bx = bx; w_by = by; w_p = p })
+        (pair (int_range (-2) 20) (int_range 1 4))
+        (pair (oneofl all_kinds) (oneofl all_layers))
+        (quad (float_range (-1e3) 1e3) (float_range (-1e3) 1e3)
+           (float_range (-1e3) 1e3) (float_range (-1e3) 1e3)))
+  in
+  QCheck.Test.make ~name:"wire table round trip" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_wire))
+    round_trips
 
 let prop_route_any_placement =
   QCheck.Test.make ~name:"routing succeeds on random config" ~count:40
@@ -1019,7 +1232,9 @@ let () =
           Alcotest.test_case "cells shared with edges" `Quick
             test_cells_shared_with_edges;
           Alcotest.test_case "stub repair and Step 2 = reference" `Quick
-            test_of_channels_matches_reference ] );
+            test_of_channels_matches_reference;
+          Alcotest.test_case "ids decode to the list formation" `Quick
+            test_ids_decode_to_parent ] );
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest
           [ prop_closest_matches_reference;
@@ -1046,7 +1261,8 @@ let () =
           Alcotest.test_case "via p" `Quick test_layout_via_positive_p;
           Alcotest.test_case "top plate" `Quick test_layout_top_plate;
           Alcotest.test_case "channel widths" `Quick test_layout_channel_widths_match_tracks;
-          Alcotest.test_case "spiral fewer vias" `Quick test_spiral_fewer_vias_than_chessboard ] );
+          Alcotest.test_case "spiral fewer vias" `Quick test_spiral_fewer_vias_than_chessboard;
+          Alcotest.test_case "wire table" `Quick test_wire_table_cases ] );
       ( "mst",
         [ Alcotest.test_case "triangle" `Quick test_mst_triangle;
           Alcotest.test_case "disconnected" `Quick test_mst_rejects_disconnected;
@@ -1054,4 +1270,5 @@ let () =
           Alcotest.test_case "grid closed form" `Quick test_grid_mst_closed_form;
           Alcotest.test_case "top plate is MST" `Quick test_topplate_is_mst ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_route_any_placement ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_route_any_placement; prop_wire_table_round_trip ] ) ]

@@ -16,6 +16,21 @@ let layout_of ?p_of_cap style bits =
 
 let spiral6 = layout_of Ccplace.Style.Spiral 6
 
+(* [mutate_wires f l] rebuilds [l]'s bottom-plate wire table from [f]
+   applied to its wires in table order; [mutate_top_wires] likewise for
+   the top plate. *)
+let mutate_wires f (l : Ccroute.Layout.t) =
+  { l with
+    Ccroute.Layout.wires =
+      Ccroute.Layout.Wires.of_list
+        (f (Ccroute.Layout.Wires.to_list l.Ccroute.Layout.wires)) }
+
+let mutate_top_wires f (l : Ccroute.Layout.t) =
+  { l with
+    Ccroute.Layout.top_wires =
+      Ccroute.Layout.Wires.of_list
+        (f (Ccroute.Layout.Wires.to_list l.Ccroute.Layout.top_wires)) }
+
 (* deep-copy a placement so tests can corrupt it in place *)
 let clone (p : Ccgrid.Placement.t) =
   { p with
@@ -230,10 +245,7 @@ let test_bad_layout_outline () =
       w_layer = Tech.Layer.M1; w_ax = -5.; w_ay = 1.; w_bx = 1.; w_by = 1.;
       w_p = 1 }
   in
-  let corrupted =
-    { spiral6 with
-      Ccroute.Layout.wires = bad_wire :: spiral6.Ccroute.Layout.wires }
-  in
+  let corrupted = mutate_wires (List.cons bad_wire) spiral6 in
   check_fired "escaping wire" [ "route/wire-in-outline" ]
     (Verify.Engine.check_layout corrupted)
 
@@ -246,7 +258,7 @@ let test_bad_layout_parallel_plan () =
     (Verify.Engine.check_layout corrupted)
 
 let test_bad_layout_top_plate () =
-  let corrupted = { spiral6 with Ccroute.Layout.top_wires = [] } in
+  let corrupted = mutate_top_wires (fun _ -> []) spiral6 in
   check_fired "missing top plate" [ "route/top-plate" ]
     (Verify.Engine.check_layout corrupted)
 
@@ -278,16 +290,18 @@ let test_bad_layout_unplanned_via () =
 
 let test_bad_layout_unplanned_wire () =
   let k = Array.length spiral6.Ccroute.Layout.p_of_cap in
-  let wires =
-    match spiral6.Ccroute.Layout.wires with
-    | w :: rest -> { w with Ccroute.Layout.w_cap = k } :: rest
-    | [] -> Alcotest.fail "spiral6 has no wires"
+  let corrupted =
+    mutate_wires
+      (function
+        | w :: rest -> { w with Ccroute.Layout.w_cap = k } :: rest
+        | [] -> Alcotest.fail "spiral6 has no wires")
+      spiral6
   in
   Alcotest.(check (list (pair string string)))
     "first wire on C_7"
     [ ("route/parallel-consistency",
        "C_7 wire names no capacitor of the plan (C_0..C_6)") ]
-    (layout_diagnostics "wire" { spiral6 with Ccroute.Layout.wires })
+    (layout_diagnostics "wire" corrupted)
 
 let test_bad_layout_unplanned_trunk () =
   let k = Array.length spiral6.Ccroute.Layout.p_of_cap in
@@ -351,15 +365,17 @@ let test_bad_layout_each_rule () =
         1,
         [ ("route/net-routed", "C_2 has no trunk") ] );
       ( "group dropped",
-        with_net l 4 (fun n -> { n with cn_groups = List.tl n.cn_groups }),
+        with_net l 4 (fun n ->
+            { n with
+              cn_groups = Array.sub n.cn_groups 1 (Array.length n.cn_groups - 1) }),
         1,
         [ ("route/net-coverage", "C_4 groups cover 4 of 8 cells") ] );
       ( "vertical bridge",
-        { l with
-          wires =
-            { w_cap = 3; w_kind = Bridge; w_layer = Tech.Layer.M1; w_ax = 1.;
-              w_ay = 1.; w_bx = 1.; w_by = 5.; w_p = 1 }
-            :: l.wires },
+        mutate_wires
+          (List.cons
+             { w_cap = 3; w_kind = Bridge; w_layer = Tech.Layer.M1; w_ax = 1.;
+               w_ay = 1.; w_bx = 1.; w_by = 5.; w_p = 1 })
+          l,
         1,
         [ ("route/reserved-direction", "C_3 bridge wire violates direction") ] );
       ( "col_x short",
@@ -518,10 +534,7 @@ let test_detects_escaping_wire () =
       w_layer = Tech.Layer.M1; w_ax = -5.; w_ay = 1.; w_bx = 1.; w_by = 1.;
       w_p = 1 }
   in
-  let corrupted =
-    { spiral6 with
-      Ccroute.Layout.wires = bad_wire :: spiral6.Ccroute.Layout.wires }
-  in
+  let corrupted = mutate_wires (List.cons bad_wire) spiral6 in
   Alcotest.(check bool) "wire-in-outline caught" true
     (List.mem "route/wire-in-outline"
        (fired (Verify.Engine.check_layout corrupted)))
@@ -536,9 +549,11 @@ let test_run_sorted_deterministic () =
       w_p = 1 }
   in
   let corrupted =
-    { spiral6 with
-      Ccroute.Layout.vias = bad_via :: spiral6.Ccroute.Layout.vias;
-      wires = escaping 2 (-7.) :: escaping 3 (-5.) :: spiral6.Ccroute.Layout.wires }
+    { (mutate_wires
+         (fun ws -> escaping 2 (-7.) :: escaping 3 (-5.) :: ws)
+         spiral6)
+      with
+      Ccroute.Layout.vias = bad_via :: spiral6.Ccroute.Layout.vias }
   in
   let diags = Verify.Engine.check_layout corrupted in
   let found = List.map rule_and_detail diags in
