@@ -295,7 +295,7 @@ let ablation () =
   List.iter
     (fun (name, mode) ->
        let groups = Ccroute.Group.of_placement ~mode p in
-       Printf.printf "  %-14s %d groups\n" name (List.length groups))
+       Printf.printf "  %-14s %d groups\n" name (Ccroute.Group.count groups))
     [ ("connected", Ccroute.Group.Connected);
       ("straight-runs", Ccroute.Group.Straight_runs) ];
   (* 4. gradient angle sweep: worst-case systematic INL *)

@@ -30,15 +30,17 @@ let fig3 () =
   let p = Ccplace.Spiral.place ~bits:6 in
   let groups = Ccroute.Group.of_placement p in
   for cap = 2 to 6 do
-    let gs = Ccroute.Group.of_cap groups cap in
+    (* a capacitor's group ids are contiguous *)
+    let lo = groups.Ccroute.Group.cap_first.(cap) in
+    let gs = List.init (groups.Ccroute.Group.cap_first.(cap + 1) - lo) (( + ) lo) in
     Printf.printf "C_%d: %d connected group(s): %s\n" cap (List.length gs)
       (String.concat ", "
          (List.map
-            (fun (g : Ccroute.Group.t) ->
+            (fun g ->
                Printf.sprintf "%d cells cols[%d-%d] rows[%d-%d]"
-                 (Ccroute.Group.size g) g.Ccroute.Group.col_lo
-                 g.Ccroute.Group.col_hi g.Ccroute.Group.row_lo
-                 g.Ccroute.Group.row_hi)
+                 (Ccroute.Group.size groups g) groups.Ccroute.Group.col_lo.(g)
+                 groups.Ccroute.Group.col_hi.(g) (Ccroute.Group.row_lo groups g)
+                 (Ccroute.Group.row_hi groups g))
             gs))
   done;
   print_newline ();

@@ -1,50 +1,37 @@
 open Ccgrid
 
 type t = {
-  cap : int;
-  id : int;
   cols : int;
+  cap : int array;
+  first : int array;
   cells : int array;
   tree_edges : int array;
-  col_lo : int;
-  col_hi : int;
-  row_lo : int;
-  row_hi : int;
+  col_lo : int array;
+  col_hi : int array;
+  cap_first : int array;
 }
 
 type mode =
   | Connected
   | Straight_runs
 
-let none =
-  { cap = -1; id = -1; cols = 1; cells = [||]; tree_edges = [||]; col_lo = 0;
-    col_hi = -1; row_lo = 0; row_hi = -1 }
+let count t = Array.length t.cap
+let size t g = t.first.(g + 1) - t.first.(g)
+let edges t g = size t g - 1
+let edge_first t g = t.first.(g) - g
+let row_lo t g = t.cells.(t.first.(g)) / t.cols
+let row_hi t g = t.cells.(t.first.(g + 1) - 1) / t.cols
+let cell t i = Cell.make ~row:(i / t.cols) ~col:(i mod t.cols)
 
-let size g = Array.length g.cells
-let edges g = Array.length g.tree_edges / 2
-let cell g i = Cell.make ~row:(i / g.cols) ~col:(i mod g.cols)
-
-(* A group of the ids [run.(0 .. n - 1)], ascending, chained in that
-   order. *)
-let of_run ~cap ~id ~cols run n =
-  let cells = Array.sub run 0 n in
-  let tree_edges = Array.make (2 * (n - 1)) 0 in
-  for e = 0 to n - 2 do
-    tree_edges.(2 * e) <- cells.(e);
-    tree_edges.((2 * e) + 1) <- cells.(e + 1)
+(* [cap_first] for groups whose capacitors [cap] ascend, over [caps]
+   capacitors *)
+let cap_offsets ~caps cap =
+  let cap_first = Array.make (caps + 1) 0 in
+  Array.iter (fun k -> cap_first.(k + 1) <- cap_first.(k + 1) + 1) cap;
+  for k = 1 to caps do
+    cap_first.(k) <- cap_first.(k) + cap_first.(k - 1)
   done;
-  let col_lo = ref max_int and col_hi = ref min_int in
-  let row_lo = ref max_int and row_hi = ref min_int in
-  Array.iter
-    (fun i ->
-       let row = i / cols and col = i mod cols in
-       col_lo := Int.min !col_lo col;
-       col_hi := Int.max !col_hi col;
-       row_lo := Int.min !row_lo row;
-       row_hi := Int.max !row_hi row)
-    cells;
-  { cap; id; cols; cells; tree_edges; col_lo = !col_lo; col_hi = !col_hi;
-    row_lo = !row_lo; row_hi = !row_hi }
+  cap_first
 
 (* The maximal straight runs of [ids], listed in (major, minor) order:
    a run goes on while the next cell shares its major coordinate and
@@ -67,13 +54,14 @@ let runs_along ids ~major ~minor each =
   done;
   if !len > 0 then each run !len
 
-(* A component's straight runs along the orientation with fewer of them
+(* Group [g]'s straight runs along the orientation with fewer of them
    (columns on a tie).  Rows: the row-major cells as they are; columns:
    the cells sorted by (col, row).  A run's cells ascend either way. *)
-let split_runs g each =
-  let cols = g.cols in
+let split_runs t g each =
+  let cols = t.cols in
   let row i = i / cols and col i = i mod cols in
-  let by_col = Array.copy g.cells in
+  let cells = Array.sub t.cells t.first.(g) (size t g) in
+  let by_col = Array.copy cells in
   Array.stable_sort
     (fun a b ->
        match Int.compare (col a) (col b) with
@@ -85,19 +73,20 @@ let split_runs g each =
     runs_along ids ~major ~minor (fun _ _ -> incr k);
     !k
   in
-  if count by_col ~major:col ~minor:row <= count g.cells ~major:row ~minor:col
+  if count by_col ~major:col ~minor:row <= count cells ~major:row ~minor:col
   then runs_along by_col ~major:col ~minor:row each
-  else runs_along g.cells ~major:row ~minor:col each
+  else runs_along cells ~major:row ~minor:col each
 
 (* The groups of every connected component, ordered by (cap, seed) and
    numbered from 0.  Cells are indexed row-major; a counting sort lists
    each capacitor's cells in row-major order, and a BFS starts at each
-   one not yet labelled, trying neighbours in [Cell.neighbors] order
-   through a queue array and taking the group's bounds as it goes.
-   While a BFS runs, [label] holds each reached cell's parent's queue
-   position; one backward pass over the queue then writes the tree edges
-   in visit order and relabels the cells with the group id.  A last
-   row-major pass fills each group's cell array. *)
+   one not yet labelled, trying neighbours in [Cell.neighbors] order.
+   All the BFSs share one queue, so group [g]'s cells take queue
+   positions [first.(g) .. first.(g + 1) - 1], and [label] holds each
+   reached cell's parent's queue position (a seed's own).  One forward
+   pass over the queue then finds the seeds, takes each group's bounds,
+   writes the tree edges in visit order and relabels the cells with
+   their group id; a last row-major pass fills each group's cells. *)
 let components (p : Placement.t) =
   let rows = p.Placement.rows and cols = p.Placement.cols in
   let assign = p.Placement.assign in
@@ -109,7 +98,8 @@ let components (p : Placement.t) =
   for k = 1 to caps do
     start.(k) <- start.(k) + start.(k - 1)
   done;
-  let by_cap = Array.make start.(caps) 0 in
+  let total = start.(caps) in
+  let by_cap = Array.make total 0 in
   for row = 0 to rows - 1 do
     let line = assign.(row) in
     for col = 0 to cols - 1 do
@@ -121,7 +111,7 @@ let components (p : Placement.t) =
     done
   done;
   let label = Array.make n (-1) in
-  let queue = Array.make n 0 in
+  let queue = Array.make total 0 in
   let tail = ref 0 in
   (* reach cell [j] at (row, col) from the cell at queue position [h] *)
   let visit ~cap ~h j row col =
@@ -131,76 +121,124 @@ let components (p : Placement.t) =
       incr tail
     end
   in
-  let groups = ref [] and count = ref 0 in
-  for s = 0 to Array.length by_cap - 1 do
+  for s = 0 to total - 1 do
     let seed = by_cap.(s) in
     if label.(seed) < 0 then begin
-      let row = seed / cols and col = seed mod cols in
-      let cap = assign.(row).(col) and id = !count in
-      let row_lo = ref row and row_hi = ref row in
-      let col_lo = ref col and col_hi = ref col in
-      label.(seed) <- 0;
-      queue.(0) <- seed;
-      tail := 1;
-      let head = ref 0 in
+      let cap = assign.(seed / cols).(seed mod cols) in
+      let head = ref !tail in
+      label.(seed) <- !tail;
+      queue.(!tail) <- seed;
+      incr tail;
       while !head < !tail do
         let h = !head in
         let i = queue.(h) in
         incr head;
         let row = i / cols in
         let col = i - (row * cols) in
-        if row < !row_lo then row_lo := row;
-        if row > !row_hi then row_hi := row;
-        if col < !col_lo then col_lo := col;
-        if col > !col_hi then col_hi := col;
         if row > 0 then visit ~cap ~h (i - cols) (row - 1) col;
         if row < rows - 1 then visit ~cap ~h (i + cols) (row + 1) col;
         if col > 0 then visit ~cap ~h (i - 1) row (col - 1);
         if col < cols - 1 then visit ~cap ~h (i + 1) row (col + 1)
-      done;
-      let tree_edges = Array.make (2 * (!tail - 1)) 0 in
-      for k = !tail - 1 downto 1 do
-        let j = queue.(k) in
-        tree_edges.(2 * (k - 1)) <- queue.(label.(j));
-        tree_edges.((2 * k) - 1) <- j;
-        label.(j) <- id
-      done;
-      label.(seed) <- id;
-      groups :=
-        { cap; id; cols; cells = Array.make !tail 0; tree_edges;
-          col_lo = !col_lo; col_hi = !col_hi; row_lo = !row_lo;
-          row_hi = !row_hi }
-        :: !groups;
-      incr count
+      done
     end
   done;
-  let members = Array.make !count [||] and filled = Array.make !count 0 in
-  List.iter (fun g -> members.(g.id) <- g.cells) !groups;
+  (* a seed labels itself with its own position; any other cell with its
+     parent's, which comes earlier *)
+  let count = ref 0 in
+  for q = 0 to total - 1 do
+    if label.(queue.(q)) = q then incr count
+  done;
+  let count = !count in
+  let cap = Array.make count 0 and first = Array.make (count + 1) total in
+  let col_lo = Array.make count 0 and col_hi = Array.make count 0 in
+  let tree_edges = Array.make (2 * (total - count)) 0 in
+  let g = ref (-1) in
+  for q = 0 to total - 1 do
+    let i = queue.(q) in
+    let col = i mod cols in
+    if label.(i) = q then begin
+      incr g;
+      first.(!g) <- q;
+      cap.(!g) <- assign.(i / cols).(col);
+      col_lo.(!g) <- col;
+      col_hi.(!g) <- col
+    end
+    else begin
+      let g = !g in
+      if col < col_lo.(g) then col_lo.(g) <- col;
+      if col > col_hi.(g) then col_hi.(g) <- col;
+      (* group [g]'s edges start at pair [first.(g) - g] *)
+      let e = q - g - 1 in
+      tree_edges.(2 * e) <- queue.(label.(i));
+      tree_edges.((2 * e) + 1) <- i
+    end;
+    label.(i) <- !g
+  done;
+  (* the queue, read out, holds each group's fill cursor *)
+  Array.blit first 0 queue 0 count;
+  let cells = Array.make total 0 in
   for i = 0 to n - 1 do
-    let id = label.(i) in
-    if id >= 0 then begin
-      members.(id).(filled.(id)) <- i;
-      filled.(id) <- filled.(id) + 1
+    let g = label.(i) in
+    if g >= 0 then begin
+      cells.(queue.(g)) <- i;
+      queue.(g) <- queue.(g) + 1
     end
   done;
-  List.rev !groups
+  { cols; cap; first; cells; tree_edges; col_lo; col_hi;
+    cap_first = cap_offsets ~caps cap }
+
+(* Each group of [t] split into its straight runs, in group order, each
+   run chained in ascending order. *)
+let straight_runs t =
+  let runs = ref [] in
+  for g = count t - 1 downto 0 do
+    let mine = ref [] in
+    split_runs t g (fun run n -> mine := (t.cap.(g), Array.sub run 0 n) :: !mine);
+    runs := List.rev_append !mine !runs
+  done;
+  let runs = Array.of_list !runs in
+  let count = Array.length runs and total = Array.length t.cells in
+  let cols = t.cols in
+  let cap = Array.make count 0 and first = Array.make (count + 1) total in
+  let col_lo = Array.make count 0 and col_hi = Array.make count 0 in
+  let cells = Array.make total 0 in
+  let tree_edges = Array.make (2 * (total - count)) 0 in
+  let at = ref 0 in
+  Array.iteri
+    (fun g (k, run) ->
+       let n = Array.length run in
+       cap.(g) <- k;
+       first.(g) <- !at;
+       Array.blit run 0 cells !at n;
+       for e = 0 to n - 2 do
+         let pair = !at - g + e in
+         tree_edges.(2 * pair) <- run.(e);
+         tree_edges.((2 * pair) + 1) <- run.(e + 1)
+       done;
+       col_lo.(g) <- Array.fold_left (fun acc i -> Int.min acc (i mod cols)) max_int run;
+       col_hi.(g) <- Array.fold_left (fun acc i -> Int.max acc (i mod cols)) min_int run;
+       at := !at + n)
+    runs;
+  { cols; cap; first; cells; tree_edges; col_lo; col_hi;
+    cap_first = cap_offsets ~caps:(Array.length t.cap_first - 1) cap }
 
 let of_placement ?(mode = Connected) (p : Placement.t) =
   match mode with
   | Connected -> components p
-  | Straight_runs ->
-    let next_id = ref 0 and groups = ref [] in
-    List.iter
-      (fun g ->
-         split_runs g (fun run n ->
-             groups := of_run ~cap:g.cap ~id:!next_id ~cols:g.cols run n :: !groups;
-             incr next_id))
-      (components p);
-    List.rev !groups
+  | Straight_runs -> straight_runs (components p)
 
-let of_cap groups k = List.filter (fun g -> g.cap = k) groups
+let col_span_overlap t a b =
+  t.col_lo.(a) <= t.col_hi.(b) && t.col_lo.(b) <= t.col_hi.(a)
 
-let col_span_overlap a b = a.col_lo <= b.col_hi && b.col_lo <= a.col_hi
+(* index of the first of the ascending [cells.(lo .. hi - 1)] at or after
+   [key], or [hi] *)
+let lower_bound cells lo hi key =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let m = (!lo + !hi) / 2 in
+    if cells.(m) < key then lo := m + 1 else hi := m
+  done;
+  !lo
 
 (* Tie-break key per Algorithm 1 line 16: distance, then closeness to the
    array bottom, then row-major determinism, compared field by field as
@@ -210,57 +248,54 @@ let col_span_overlap a b = a.col_lo <= b.col_hi && b.col_lo <= a.col_hi
    of [a] the search visits the rows of [b] within the best distance so
    far and binary-searches [b]'s ascending ids for the bracket.  A row's
    ids are [row * cols .. row * cols + cols - 1], so the search divides
-   once per cell of [a] and never per comparison. *)
-let closest_cells a b =
-  let cols = a.cols in
-  let bs = b.cells in
-  let n = Array.length bs in
-  if Array.length a.cells = 0 || n = 0 then
-    invalid_arg "Group.closest_cells: empty group";
-  let a0 = a.cells.(0) and b0 = bs.(0) in
-  let best_a = ref a0 and best_b = ref b0 in
+   once per cell of [a] and never per comparison.  No closure captures
+   the running best, so it stays in registers. *)
+let closest_cells t a b out =
+  let cols = t.cols and cells = t.cells in
+  let a0 = t.first.(a) and a1 = t.first.(a + 1) in
+  let b0 = t.first.(b) and b1 = t.first.(b + 1) in
+  if a0 = a1 || b0 = b1 then invalid_arg "Group.closest_cells: empty group";
+  let ca0 = cells.(a0) and cb0 = cells.(b0) in
+  let best_a = ref ca0 and best_b = ref cb0 in
   let best_d =
-    ref (abs ((a0 / cols) - (b0 / cols)) + abs ((a0 mod cols) - (b0 mod cols)))
-  and best_s = ref ((a0 / cols) + (b0 / cols)) in
-  (* cell [ca] at (ra, col) against cell [cb] of [b] in row [rb] *)
-  let consider ca ra col cb rb =
-    let d = abs (ra - rb) + abs (col - (cb - (rb * cols))) and s = ra + rb in
-    if d < !best_d
-       || d = !best_d
-          && (s < !best_s
-              || s = !best_s && (ca < !best_a || (ca = !best_a && cb < !best_b)))
-    then begin
-      best_a := ca;
-      best_b := cb;
-      best_d := d;
-      best_s := s
-    end
-  in
-  (* index of the first id of [b] at or after [key] *)
-  let lower_bound key =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let m = (!lo + !hi) / 2 in
-      if bs.(m) < key then lo := m + 1 else hi := m
-    done;
-    !lo
-  in
-  let b_first = bs.(0) / cols and b_last = bs.(n - 1) / cols in
-  Array.iter
-    (fun ca ->
-       let ra = ca / cols in
-       let col = ca - (ra * cols) in
-       let row = ref (Int.max b_first (ra - !best_d)) in
-       while !row <= Int.min b_last (ra + !best_d) do
-         let first = !row * cols in
-         let i = lower_bound (first + col) in
-         if i < n && bs.(i) < first + cols then consider ca ra col bs.(i) !row;
-         if i > 0 && bs.(i - 1) >= first then consider ca ra col bs.(i - 1) !row;
-         incr row
-       done)
-    a.cells;
-  (!best_a, !best_b)
+    ref (abs ((ca0 / cols) - (cb0 / cols)) + abs ((ca0 mod cols) - (cb0 mod cols)))
+  and best_s = ref ((ca0 / cols) + (cb0 / cols)) in
+  let b_first = cb0 / cols and b_last = cells.(b1 - 1) / cols in
+  for ia = a0 to a1 - 1 do
+    let ca = cells.(ia) in
+    let ra = ca / cols in
+    let col = ca - (ra * cols) in
+    let row = ref (Int.max b_first (ra - !best_d)) in
+    while !row <= Int.min b_last (ra + !best_d) do
+      let rb = !row in
+      let line = rb * cols in
+      let i = lower_bound cells b0 b1 (line + col) in
+      (* the bracket: the first cell at or after the column, then the
+         last before it, each when in row [rb] *)
+      for k = i downto i - 1 do
+        if k >= b0 && k < b1 && cells.(k) >= line && cells.(k) < line + cols
+        then begin
+          let cb = cells.(k) in
+          let d = abs (ra - rb) + abs (col - (cb - line)) and s = ra + rb in
+          if d < !best_d
+             || d = !best_d
+                && (s < !best_s
+                    || s = !best_s
+                       && (ca < !best_a || (ca = !best_a && cb < !best_b)))
+          then begin
+            best_a := ca;
+            best_b := cb;
+            best_d := d;
+            best_s := s
+          end
+        end
+      done;
+      incr row
+    done
+  done;
+  out.(0) <- !best_a;
+  out.(1) <- !best_b
 
-let pp ppf g =
+let pp t ppf g =
   Format.fprintf ppf "group %d of C_%d: %d cells, cols [%d,%d], rows [%d,%d]"
-    g.id g.cap (size g) g.col_lo g.col_hi g.row_lo g.row_hi
+    g t.cap.(g) (size t g) t.col_lo.(g) t.col_hi.(g) (row_lo t g) (row_hi t g)

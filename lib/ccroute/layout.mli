@@ -82,13 +82,6 @@ type via = {
   v_p : int;              (** bundle width: the junction has [v_p^2] cuts *)
 }
 
-type attach_point = {
-  ap_group : int;         (** group id *)
-  ap_cell : Cell.t;
-  ap_x : float;           (** trunk/track x *)
-  ap_y : float;           (** row y of the attach cell *)
-}
-
 type trunk = {
   tk_cap : int;
   tk_channel : int;
@@ -96,13 +89,16 @@ type trunk = {
   tk_x : float;
   tk_y_low : float;
   tk_y_high : float;
-  tk_attaches : attach_point list;
+  tk_attaches : int array; (** the ids of the groups strapped to this
+                               trunk, each at its plan attach cell: the
+                               stub runs at that cell's row y from its
+                               column x to [tk_x] *)
   tk_primary : bool;      (** reaches the driver row *)
 }
 
 type capnet = {
   cn_cap : int;
-  cn_groups : Group.t array;   (** in group order *)
+  cn_groups : int array;       (** the net's group ids, ascending *)
   cn_trunks : trunk list;
   cn_bridge_y : float option;  (** present when the net has >= 2 trunks *)
   cn_driver_x : float;
@@ -111,7 +107,7 @@ type capnet = {
 type t = {
   placement : Placement.t;
   tech : Tech.Process.t;
-  groups : Group.t list;
+  groups : Group.t;
   plan : Plan.t;
   p_of_cap : int array;      (** parallel-wire count per capacitor *)
   col_x : float array;       (** column centre x, length cols *)
@@ -133,12 +129,11 @@ type t = {
     on [p_of_cap] returning < 1.  A capacitor with no cells gets a net
     with no trunks, which [route/net-routed] reports.
 
-    Cost: {!Group.of_placement} and {!Plan.make}, then one pass that
-    buckets the routes per capacitor and channel and the groups per
-    capacitor, per net a walk over the channels plus its own groups and
-    routes, and one pass over the nets for the wire table and one,
-    backwards, for the via list — O(rows·cols + caps·cols) besides
-    Step 1. *)
+    Cost: {!Group.of_placement} and {!Plan.make}, then a counting sort
+    of the plan's connections by (capacitor, channel), per net a walk
+    over the channels plus its own groups and attaches, and one pass
+    over the nets for the wire table and one, backwards, for the via
+    list — O(rows·cols + caps·cols) besides Step 1. *)
 val route : Tech.Process.t -> ?p_of_cap:(int -> int) -> Placement.t -> t
 
 (** [msb_parallel ~bits ~p] is the policy used for the paper's tables:

@@ -1,39 +1,38 @@
 open Ccgrid
 
-type route = {
-  group : Group.t;
-  channel : int;
-  track : int;
-  attach : Cell.t;
-}
-
 type t = {
-  routes : route list;
+  order : int array;
+  channel : int array;
+  track : int array;
+  attach : int array;
   tracks_per_channel : int array;
   track_caps : int array array;
 }
 
-(* The attach cell of a follower group [q] joining a shared channel: the
+(* The attach cell of a follower group [g] joining a shared channel: the
    cell nearest the channel horizontally, lowest first (toward the
-   drivers). *)
-let attach_toward_channel (g : Group.t) ~channel =
-  let cols = g.Group.cols in
-  let distance c =
-    (* channel [ch] separates columns ch-1 and ch *)
-    let col = c mod cols in
-    Int.min (abs (col - channel)) (abs (col - (channel - 1)))
-  in
-  if Group.size g = 0 then invalid_arg "Plan: empty group";
-  (* row-major ids: the first of the nearest is the lowest *)
-  let best = ref g.Group.cells.(0) in
-  Array.iter (fun c -> if distance c < distance !best then best := c) g.Group.cells;
+   drivers).  Channel [ch] separates columns ch-1 and ch; row-major ids
+   make the first of the nearest the lowest. *)
+let attach_toward_channel (t : Group.t) g ~channel =
+  let cols = t.Group.cols and cells = t.Group.cells in
+  let lo = t.Group.first.(g) and hi = t.Group.first.(g + 1) in
+  if lo = hi then invalid_arg "Plan: empty group";
+  let best = ref cells.(lo) and best_d = ref max_int in
+  for i = lo to hi - 1 do
+    let col = cells.(i) mod cols in
+    let d = Int.min (abs (col - channel)) (abs (col - (channel - 1))) in
+    if d < !best_d then begin
+      best := cells.(i);
+      best_d := d
+    end
+  done;
   !best
 
 (* The stub-planarity repair and Step 2 on one connection per group:
-   connection [c] joins [group.(c)] to the trunk of its capacitor in
-   channel [channel.(c)] through a stub at the cell
-   ([at_row.(c)], [at_col.(c)]).  [channel], [at_row] and [at_col] are
-   updated in place by the repair.
+   group [g] joins the trunk of its capacitor in channel [channel.(g)]
+   through a stub at cell [attach.(g)], and [order] lists the groups in
+   connection order.  [channel] and [attach] are updated in place by the
+   repair; the plan returned holds them.
 
    Stub planarity.  Each connection straps its group to the trunk with an
    M1 stub at its attach cell's row; when capacitor A straps from the
@@ -49,24 +48,17 @@ let attach_toward_channel (g : Group.t) ~channel =
    connection appears, and derives the precedence once into an n×n slot
    table from the connections of each row: slot a precedes slot b when a
    straps from the left at a row where b straps from the right. *)
-let assign (placement : Placement.t) (group : Group.t array) channel at_row
-    at_col =
+let assign (placement : Placement.t) (groups : Group.t) order channel attach =
   let rows = placement.Placement.rows and cols = placement.Placement.cols in
-  let m = Array.length group in
-  let caps =
-    Array.fold_left
-      (fun acc (g : Group.t) ->
-         if g.Group.cap < 0 then
-           invalid_arg "Plan.of_channels: negative capacitor id";
-         Int.max acc (g.Group.cap + 1))
-      0 group
-  in
+  let m = Array.length order in
+  let caps = Array.length groups.Group.cap_first - 1 in
   Array.iter
     (fun ch ->
        if ch < 0 || ch > cols then invalid_arg "Plan.of_channels: channel out of range")
     channel;
-  let cap c = group.(c).Group.cap in
-  (* the connections of each channel in ascending order: a stable
+  let cap c = groups.Group.cap.(c) in
+  let row c = attach.(c) / cols and col c = attach.(c) mod cols in
+  (* the connections of each channel in connection order: a stable
      counting sort, [conns.(pos.(ch)) .. conns.(pos.(ch + 1) - 1)] *)
   let pos = Array.make (cols + 3) 0 and conns = Array.make m 0 in
   let bucket () =
@@ -75,11 +67,12 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
     for ch = 2 to cols + 2 do
       pos.(ch) <- pos.(ch) + pos.(ch - 1)
     done;
-    for c = 0 to m - 1 do
-      let ch = channel.(c) in
-      conns.(pos.(ch + 1)) <- c;
-      pos.(ch + 1) <- pos.(ch + 1) + 1
-    done
+    Array.iter
+      (fun c ->
+         let ch = channel.(c) in
+         conns.(pos.(ch + 1)) <- c;
+         pos.(ch + 1) <- pos.(ch + 1) + 1)
+      order
   in
   bucket ();
   (* per-channel work arrays, stamped by [epoch]: a capacitor's slot, each
@@ -107,8 +100,8 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
       let s = slot_of.(k) in
       (* channel ch sits left of column ch: an attach cell in column ch
          reaches the channel from the right *)
-      side.(s) <- side.(s) lor (if at_col.(c) >= ch then 2 else 1);
-      let r = at_row.(c) in
+      side.(s) <- side.(s) lor (if col c >= ch then 2 else 1);
+      let r = row c in
       if row_epoch.(r) <> !epoch then begin
         row_epoch.(r) <- !epoch;
         row_first.(r) <- -1
@@ -120,13 +113,13 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
     Bytes.fill before 0 (n * n) '\000';
     for e = pos.(ch) to pos.(ch + 1) - 1 do
       let c = conns.(e) in
-      if at_col.(c) < ch then begin
+      if col c < ch then begin
         let sa = slot_of.(cap c) in
-        let d = ref row_first.(at_row.(c)) in
+        let d = ref row_first.(row c) in
         while !d >= 0 do
           let b = !d in
           let sb = slot_of.(cap b) in
-          if at_col.(b) >= ch && sb <> sa then
+          if col b >= ch && sb <> sa then
             Bytes.set before ((sa * n) + sb) '\001';
           d := next.(b)
         done
@@ -210,14 +203,16 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
     for e = pos.(ch + 1) - 1 downto pos.(ch) do
       if not (settle ch) then begin
         let c = conns.(e) in
-        let row0 = at_row.(c) and col0 = at_col.(c) in
+        let a0 = attach.(c) in
+        let row0 = a0 / cols in
         let candidates =
           Array.fold_right
             (fun x acc ->
                let col = x mod cols in
                if (col = ch - 1 || col = ch) && x / cols <> row0 then x :: acc
                else acc)
-            group.(c).Group.cells []
+            (Array.sub groups.Group.cells groups.Group.first.(c) (Group.size groups c))
+            []
           |> List.sort (fun a b ->
               match
                 Int.compare (abs ((a / cols) - row0)) (abs ((b / cols) - row0))
@@ -226,12 +221,9 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
               | d -> d)
         in
         let rec try_cells = function
-          | [] ->
-            at_row.(c) <- row0;
-            at_col.(c) <- col0
+          | [] -> attach.(c) <- a0
           | x :: rest ->
-            at_row.(c) <- x / cols;
-            at_col.(c) <- x mod cols;
+            attach.(c) <- x;
             if not (settle ch) then try_cells rest
         in
         try_cells candidates
@@ -261,7 +253,7 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
          for e = Array.length mine - 1 downto 0 do
            if not (settle ch) then begin
              let c = mine.(e) in
-             let col = at_col.(c) in
+             let col = col c in
              let other = if col >= ch then col + 1 else col in
              let move into =
                channel.(c) <- into;
@@ -276,164 +268,147 @@ let assign (placement : Placement.t) (group : Group.t array) channel at_row
       ignore (settle ch : bool)
     done
   end;
-  let routes = ref [] in
-  for c = m - 1 downto 0 do
-    routes :=
-      { group = group.(c); channel = channel.(c); track = track.(c);
-        attach = Cell.make ~row:at_row.(c) ~col:at_col.(c) }
-      :: !routes
-  done;
-  { routes = !routes; tracks_per_channel; track_caps }
+  { order; channel; track; attach; tracks_per_channel; track_caps }
 
-let of_channels (placement : Placement.t) choices =
-  match choices with
-  | [] -> assign placement [||] [||] [||] [||]
-  | _ :: _ ->
-    let m = List.length choices in
-    let group = Array.make m Group.none and channel = Array.make m 0 in
-    let at_row = Array.make m 0 and at_col = Array.make m 0 in
-    List.iteri
-      (fun c (g, ch, (a : Cell.t)) ->
-         group.(c) <- g;
-         channel.(c) <- ch;
-         at_row.(c) <- a.Cell.row;
-         at_col.(c) <- a.Cell.col)
-      choices;
-    assign placement group channel at_row at_col
+let of_channels (placement : Placement.t) (groups : Group.t) choices =
+  let m = Group.count groups in
+  let once () =
+    invalid_arg "Plan.of_channels: each group needs exactly one connection"
+  in
+  if List.compare_length_with choices m <> 0 then once ();
+  let order = Array.make m 0 and channel = Array.make m 0 in
+  let attach = Array.make m 0 and seen = Array.make m false in
+  List.iteri
+    (fun c (g, ch, a) ->
+       if g < 0 || g >= m || seen.(g) then once ();
+       seen.(g) <- true;
+       order.(c) <- g;
+       channel.(g) <- ch;
+       attach.(g) <- a)
+    choices;
+  assign placement groups order channel attach
 
-(* Step 1: channel selection for the groups of one capacitor, in group
+(* Step 1: channel selection for the groups of every capacitor, in group
    order, handing each its connection through [emit].  The partners of
-   group [j] are the groups not yet routed whose column spans meet its
-   own (Algorithm 1 line 14).  A per-column index lists the groups
-   spanning each column in ascending order, so partners come from [j]'s
-   own columns instead of a test of every pair; a stamp keeps each
-   partner once, and they are visited in ascending group order, as
-   Algorithm 1 scans them.  The first partner fixes [c_j]; each partner
-   records on which sides of it the pair could share a channel, and the
-   sharers of the chosen side follow [j] in descending group order. *)
-let select_channels ~cols groups_of_i ~emit =
-  let n = Array.length groups_of_i in
+   group [j] are the groups of its capacitor not yet routed whose column
+   spans meet its own (Algorithm 1 line 14).  A per-column index lists
+   the capacitor's groups spanning each column in ascending order, so
+   partners come from [j]'s own columns instead of a test of every pair;
+   a stamp keeps each partner once, and they are visited in ascending
+   group order, as Algorithm 1 scans them.  The first partner fixes
+   [c_j]; each partner records on which sides of it the pair could share
+   a channel, and the sharers of the chosen side follow [j] in
+   descending group order.  Every buffer is indexed by group id or sized
+   for the largest capacitor, and allocated once. *)
+let select_channels ~cols (t : Group.t) ~emit =
+  let m = Group.count t and caps = Array.length t.Group.cap_first - 1 in
+  let col_lo = t.Group.col_lo and col_hi = t.Group.col_hi in
+  let span_sum lo hi =
+    let s = ref 0 in
+    for q = lo to hi - 1 do
+      s := !s + (col_hi.(q) - col_lo.(q) + 1)
+    done;
+    !s
+  in
+  let spans = ref 0 in
+  for k = 0 to caps - 1 do
+    spans := Int.max !spans (span_sum t.Group.cap_first.(k) t.Group.cap_first.(k + 1))
+  done;
   (* the groups spanning column [col] are
      [col_groups.(col_pos.(col)) .. col_groups.(col_pos.(col + 1) - 1)] *)
-  let col_pos = Array.make (cols + 2) 0 in
-  Array.iter
-    (fun (q : Group.t) ->
-       for col = q.Group.col_lo to q.Group.col_hi do
-         col_pos.(col + 2) <- col_pos.(col + 2) + 1
-       done)
-    groups_of_i;
-  for col = 2 to cols + 1 do
-    col_pos.(col) <- col_pos.(col) + col_pos.(col - 1)
-  done;
-  let col_groups = Array.make col_pos.(cols + 1) 0 in
-  Array.iteri
-    (fun k (q : Group.t) ->
-       for col = q.Group.col_lo to q.Group.col_hi do
-         col_groups.(col_pos.(col + 1)) <- k;
-         col_pos.(col + 1) <- col_pos.(col + 1) + 1
-       done)
-    groups_of_i;
-  let visited = Array.make n false and stamp = Array.make n (-1) in
-  let partners = Array.make n 0 and sides = Array.make n 0 in
-  for j = 0 to n - 1 do
-    if not visited.(j) then begin
-      let p = groups_of_i.(j) in
-      visited.(j) <- true;
-      let np = ref 0 in
-      for col = p.Group.col_lo to p.Group.col_hi do
-        for e = col_pos.(col) to col_pos.(col + 1) - 1 do
-          let k = col_groups.(e) in
-          if (not visited.(k)) && stamp.(k) <> j then begin
-            stamp.(k) <- j;
-            partners.(!np) <- k;
-            incr np
-          end
-        done
-      done;
-      let np = !np in
-      (* one column's index is ascending already *)
-      if np > 1 && p.Group.col_lo < p.Group.col_hi then begin
-        let sorted = Array.sub partners 0 np in
-        Array.sort Int.compare sorted;
-        Array.blit sorted 0 partners 0 np
-      end;
-      if np = 0 then begin
-        (* solo group: attach at the cell closest to the bottom (its
-           first, row-major), trunk in the channel on its left *)
-        if Group.size p = 0 then invalid_arg "Plan: empty group";
-        let attach = p.Group.cells.(0) in
-        emit p (attach mod cols) attach
-      end
-      else begin
-        let up, uq0 = Group.closest_cells p groups_of_i.(partners.(0)) in
-        let c_j = up mod cols in
-        let left = ref 0 and right = ref 0 in
-        for e = 0 to np - 1 do
-          let uq =
-            if e = 0 then uq0
-            else snd (Group.closest_cells p groups_of_i.(partners.(e)))
-          in
-          let uq_col = uq mod cols in
-          let l = uq_col = c_j - 1 || uq_col = c_j
-          and r = uq_col = c_j || uq_col = c_j + 1 in
-          if l then incr left;
-          if r then incr right;
-          sides.(e) <- (if l then 1 else 0) lor (if r then 2 else 0)
+  let col_pos = Array.make (cols + 2) 0 and col_groups = Array.make !spans 0 in
+  let visited = Array.make m false and stamp = Array.make m (-1) in
+  let partners = Array.make m 0 and sides = Array.make m 0 in
+  let pair = Array.make 2 0 in
+  for k = 0 to caps - 1 do
+    let lo = t.Group.cap_first.(k) and hi = t.Group.cap_first.(k + 1) in
+    Array.fill col_pos 0 (cols + 2) 0;
+    for q = lo to hi - 1 do
+      for col = col_lo.(q) to col_hi.(q) do
+        col_pos.(col + 2) <- col_pos.(col + 2) + 1
+      done
+    done;
+    for col = 2 to cols + 1 do
+      col_pos.(col) <- col_pos.(col) + col_pos.(col - 1)
+    done;
+    for q = lo to hi - 1 do
+      for col = col_lo.(q) to col_hi.(q) do
+        col_groups.(col_pos.(col + 1)) <- q;
+        col_pos.(col + 1) <- col_pos.(col + 1) + 1
+      done
+    done;
+    for j = lo to hi - 1 do
+      if not visited.(j) then begin
+        visited.(j) <- true;
+        let np = ref 0 in
+        for col = col_lo.(j) to col_hi.(j) do
+          for e = col_pos.(col) to col_pos.(col + 1) - 1 do
+            let q = col_groups.(e) in
+            if (not visited.(q)) && stamp.(q) <> j then begin
+              stamp.(q) <- j;
+              partners.(!np) <- q;
+              incr np
+            end
+          done
         done;
-        (* Algorithm 1 line 29: strictly more sharing on the left wins,
-           ties route right *)
-        let side_left = !left > !right in
-        let channel = if side_left then c_j else c_j + 1 in
-        let flag = if side_left then 1 else 2 in
-        emit p channel up;
-        for e = np - 1 downto 0 do
-          if sides.(e) land flag <> 0 then begin
-            let q = groups_of_i.(partners.(e)) in
-            visited.(partners.(e)) <- true;
-            emit q channel (attach_toward_channel q ~channel)
-          end
-        done
+        let np = !np in
+        (* one column's index is ascending already *)
+        if np > 1 && col_lo.(j) < col_hi.(j) then begin
+          let sorted = Array.sub partners 0 np in
+          Array.sort Int.compare sorted;
+          Array.blit sorted 0 partners 0 np
+        end;
+        if np = 0 then begin
+          (* solo group: attach at the cell closest to the bottom (its
+             first, row-major), trunk in the channel on its left *)
+          if Group.size t j = 0 then invalid_arg "Plan: empty group";
+          let attach = t.Group.cells.(t.Group.first.(j)) in
+          emit j (attach mod cols) attach
+        end
+        else begin
+          Group.closest_cells t j partners.(0) pair;
+          let up = pair.(0) in
+          let c_j = up mod cols in
+          let left = ref 0 and right = ref 0 in
+          for e = 0 to np - 1 do
+            if e > 0 then Group.closest_cells t j partners.(e) pair;
+            let uq_col = pair.(1) mod cols in
+            let l = uq_col = c_j - 1 || uq_col = c_j
+            and r = uq_col = c_j || uq_col = c_j + 1 in
+            if l then incr left;
+            if r then incr right;
+            sides.(e) <- (if l then 1 else 0) lor (if r then 2 else 0)
+          done;
+          (* Algorithm 1 line 29: strictly more sharing on the left wins,
+             ties route right *)
+          let side_left = !left > !right in
+          let channel = if side_left then c_j else c_j + 1 in
+          let flag = if side_left then 1 else 2 in
+          emit j channel up;
+          for e = np - 1 downto 0 do
+            if sides.(e) land flag <> 0 then begin
+              let q = partners.(e) in
+              visited.(q) <- true;
+              emit q channel (attach_toward_channel t q ~channel)
+            end
+          done
+        end
       end
-    end
+    done
   done
 
-let make (placement : Placement.t) groups =
-  let caps = placement.Placement.bits + 1 and cols = placement.Placement.cols in
-  (* the groups of each capacitor, in order *)
-  let count = Array.make caps 0 in
-  List.iter
-    (fun (g : Group.t) ->
-       let k = g.Group.cap in
-       if k >= 0 && k < caps then count.(k) <- count.(k) + 1)
-    groups;
-  let m = Array.fold_left ( + ) 0 count in
-  if m = 0 then assign placement [||] [||] [||] [||]
-  else begin
-    let per_cap = Array.map (fun n -> Array.make n Group.none) count in
-    Array.fill count 0 caps 0;
-    List.iter
-      (fun (g : Group.t) ->
-         let k = g.Group.cap in
-         if k >= 0 && k < caps then begin
-           per_cap.(k).(count.(k)) <- g;
-           count.(k) <- count.(k) + 1
-         end)
-      groups;
-    let group = Array.make m Group.none and channel = Array.make m 0 in
-    let at_row = Array.make m 0 and at_col = Array.make m 0 in
-    let out = ref 0 in
-    let emit g ch a =
-      group.(!out) <- g;
-      channel.(!out) <- ch;
-      at_row.(!out) <- a / cols;
-      at_col.(!out) <- a mod cols;
-      incr out
-    in
-    Array.iter (fun gs -> select_channels ~cols gs ~emit) per_cap;
-    assign placement group channel at_row at_col
-  end
-
-let routes_of_cap t k =
-  List.filter (fun r -> r.group.Group.cap = k) t.routes
+let make (placement : Placement.t) (groups : Group.t) =
+  let m = Group.count groups in
+  let order = Array.make m 0 and channel = Array.make m 0 in
+  let attach = Array.make m 0 in
+  let out = ref 0 in
+  let emit g ch a =
+    order.(!out) <- g;
+    channel.(g) <- ch;
+    attach.(g) <- a;
+    incr out
+  in
+  select_channels ~cols:placement.Placement.cols groups ~emit;
+  assign placement groups order channel attach
 
 let total_tracks t = Array.fold_left ( + ) 0 t.tracks_per_channel

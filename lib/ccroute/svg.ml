@@ -35,20 +35,19 @@ let render ?(show_top = true) (layout : Layout.t) =
   let placement = layout.Layout.placement in
   for row = 0 to placement.Placement.rows - 1 do
     for col = 0 to placement.Placement.cols - 1 do
-      let cell = Cell.make ~row ~col in
-      let center = Layout.cell_center layout cell in
+      let x = layout.Layout.col_x.(col) and y = layout.Layout.row_y.(row) in
       let id = placement.Placement.assign.(row).(col) in
       add
         "<rect x=\"%.2f\" y=\"%.2f\" width=\"%.2f\" height=\"%.2f\" \
          fill=\"%s\" stroke=\"#666\" stroke-width=\"0.5\" fill-opacity=\"0.55\"/>\n"
-        (px center.Geom.Point.x -. (cw /. 2.))
-        (py center.Geom.Point.y -. (ch /. 2.))
+        (px x -. (cw /. 2.))
+        (py y -. (ch /. 2.))
         cw ch (cap_color id);
       if id <> Placement.dummy then
         add
           "<text x=\"%.2f\" y=\"%.2f\" font-size=\"%.1f\" text-anchor=\"middle\" \
            dominant-baseline=\"central\" font-family=\"monospace\">%c</text>\n"
-          (px center.Geom.Point.x) (py center.Geom.Point.y) (ch /. 2.5)
+          (px x) (py y) (ch /. 2.5)
           (Render.glyph id)
     done
   done;

@@ -37,12 +37,28 @@ let default_parallel ~bits style =
    traces all read it. *)
 let stage name f = Telemetry.Span.with_ ~name f
 
+(* The input gate, when [verify]: the tech rules and, given
+   [~style:(bits, style)], the style rules, as [Verify.Engine.lint] runs
+   them before it places — so an out-of-domain input meets its rule
+   instead of raising in the placer or the router.  It runs outside
+   every stage and the Table III clock.  Rejection raises
+   [Verify.Engine.Rejected]; otherwise the diagnostics it passed with
+   are returned. *)
+let admit ~verify ~what ?style tech =
+  if not verify then []
+  else begin
+    let diags = Verify.Engine.check_inputs ?style tech in
+    Verify.Engine.assert_clean ~what diags;
+    diags
+  end
+
 (* The verification gate: nothing leaves place-and-route for extraction
-   unless the registry linter signs off on tech, placement and layout.
-   Rejection raises [Verify.Engine.Rejected] carrying every diagnostic;
-   otherwise the diagnostics it passed with are returned. *)
+   unless the registry linter signs off on placement and layout, the
+   tech having passed [admit].  Rejection raises
+   [Verify.Engine.Rejected] carrying every diagnostic; otherwise the
+   diagnostics it passed with are returned. *)
 let verify_layout ~what (layout : Ccroute.Layout.t) =
-  let diags = Verify.Engine.check_artifacts layout in
+  let diags = Verify.Engine.check_built layout in
   Log.debug (fun m ->
       m "%s: verification (%d diagnostics)" what (List.length diags));
   Verify.Engine.assert_clean ~what diags;
@@ -60,16 +76,19 @@ let lvs_layout ~what layout =
   diags
 
 (* The verify and LVS gates of one layout, when [verify]: the diagnostics
-   each passed with. *)
-let gates ~verify ~what layout =
+   each passed with, those the input gate passed with ([inputs]) first
+   among verify's. *)
+let gates ~verify ~what ~inputs layout =
   if verify then
     let v = stage "verify" (fun () -> verify_layout ~what layout) in
-    (v, stage "lvs" (fun () -> lvs_layout ~what layout))
+    (inputs @ v, stage "lvs" (fun () -> lvs_layout ~what layout))
   else ([], [])
 
 (* Place, route and gate one design: the layout, the place+route seconds
    and the gates' diagnostics. *)
 let place_route_gated ~tech ?parallel ~verify ~bits style =
+  let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
+  let inputs = admit ~verify ~what ~style:(bits, style) tech in
   let parallel =
     Option.value parallel ~default:(default_parallel ~bits style)
   in
@@ -82,13 +101,12 @@ let place_route_gated ~tech ?parallel ~verify ~bits style =
   (* Table III measurement: the clock stops before the verification gate
      runs, so linting never skews place+route timings. *)
   let t1 = Telemetry.Clock.now_ns () in
-  let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
-  let diagnostics = gates ~verify ~what layout in
+  let diagnostics = gates ~verify ~what ~inputs layout in
   let elapsed = Telemetry.Clock.to_s (Int64.sub t1 t0) in
   Log.debug (fun m ->
       m "%s %d-bit: place+route %.3f ms (%d groups, %d tracks)"
         (Ccplace.Style.name style) bits (1e3 *. elapsed)
-        (List.length layout.Ccroute.Layout.groups)
+        (Ccroute.Group.count layout.Ccroute.Layout.groups)
         (Ccroute.Plan.total_tracks layout.Ccroute.Layout.plan));
   (layout, elapsed, diagnostics)
 
@@ -193,13 +211,14 @@ let run_placement ?(tech = Tech.Process.finfet_12nm) ?(verify = true)
         ("bits", Telemetry.Span.Int bits) ]
     (fun () ->
        Telemetry.Metrics.incr "flow/runs_total";
-       let layout =
-         stage "route" (fun () ->
-             Ccroute.Layout.route tech ~p_of_cap:parallel placement)
-       in
        let what =
          Printf.sprintf "%s %d-bit (prebuilt placement)"
            placement.Ccgrid.Placement.style_name bits
        in
-       let diagnostics = gates ~verify ~what layout in
+       let inputs = admit ~verify ~what tech in
+       let layout =
+         stage "route" (fun () ->
+             Ccroute.Layout.route tech ~p_of_cap:parallel placement)
+       in
+       let diagnostics = gates ~verify ~what ~inputs layout in
        analyze_layout ~tech ~style ~diagnostics layout)

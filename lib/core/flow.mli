@@ -53,10 +53,14 @@ val elapsed_place_route_s : result -> float
     Sec. V ("Both S and BC use our parallel routing method").
 
     [verify] (default [true]) gates the flow on the {!Verify} registry
-    linter: the tech description, the placement and the routed layout are
-    all audited {e before} extraction, and any Error-severity diagnostic
-    raises {!Verify.Engine.Rejected} — bad artifacts are rejected loudly
-    rather than silently mis-measured.  Pass [~verify:false] to route
+    linter: the tech description and the style are audited before
+    anything is placed, and the placement and the routed layout before
+    extraction; any Error-severity diagnostic raises
+    {!Verify.Engine.Rejected} — bad artifacts are rejected loudly rather
+    than silently mis-measured, and an out-of-domain input (a bit width
+    outside [1, 16], a block-chess core or granularity out of range, a
+    broken layer stack) meets its rule id instead of raising in the
+    placer or the router.  Pass [~verify:false] to route
     deliberately out-of-contract artifacts (e.g. to study them with the
     linter itself). *)
 val run :
@@ -88,16 +92,18 @@ val default_parallel : bits:int -> Ccplace.Style.t -> int -> int
     gradient angle.  Raises [Invalid_argument] when
     the placement's counts are not binary-weighted: the DAC transfer
     model assumes binary ratios (use the extraction layer directly for
-    general ratios).  [verify] gates on the linter exactly as in {!run} —
-    hand-constructed placements that break the common-centroid contract
-    raise {!Verify.Engine.Rejected} unless [~verify:false]. *)
+    general ratios).  [verify] gates on the linter as in {!run}, the tech
+    before routing: hand-constructed placements that break the
+    common-centroid contract raise {!Verify.Engine.Rejected} unless
+    [~verify:false]. *)
 val run_placement :
   ?tech:Tech.Process.t -> ?verify:bool -> Ccgrid.Placement.t -> result
 
 (** [place_route ?tech ?parallel ?verify ~bits style] runs only placement
     and routing, returning the layout and the wall-clock seconds of place
-    + route, without analysis cost.  The verification gate runs {e after}
-    the clock stops, so timings stay comparable.  Table III itself reads
+    + route, without analysis cost.  The input gate runs before the
+    clock starts and the verification gate {e after} it stops, so
+    timings stay comparable.  Table III itself reads
     {!median_run}'s {!elapsed_place_route_s}. *)
 val place_route :
   ?tech:Tech.Process.t ->

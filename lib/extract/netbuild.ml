@@ -70,19 +70,20 @@ let part_kind_name = function
   | Wire -> "wire"
   | Plate -> "plate"
 
-(* Trunk [tk]'s event heights, written from [hs.(at)] on: sorted by
+(* Trunk [tk]'s event heights, written from [hs.(at)] on: its low end
+   and the row y of each attach cell, where a stub meets it, sorted by
    insertion (a trunk has a handful of events) with the float compare
    applied directly, then repeats dropped in place.  Returns how many
    remain. *)
-let events hs at (tk : Layout.trunk) =
+let events (layout : Layout.t) hs at (tk : Layout.trunk) =
+  let cols = layout.Layout.placement.Placement.cols in
+  let row_y = layout.Layout.row_y and attach = layout.Layout.plan.Plan.attach in
   hs.(at) <- tk.Layout.tk_y_low;
-  let rec fill i = function
-    | [] -> i
-    | (a : Layout.attach_point) :: rest ->
-      hs.(i) <- a.Layout.ap_y;
-      fill (i + 1) rest
-  in
-  let stop = fill (at + 1) tk.Layout.tk_attaches in
+  let attaches = tk.Layout.tk_attaches in
+  for i = 0 to Array.length attaches - 1 do
+    hs.(at + 1 + i) <- row_y.(attach.(attaches.(i)) / cols)
+  done;
+  let stop = at + 1 + Array.length attaches in
   for i = at + 1 to stop - 1 do
     let y = hs.(i) in
     let j = ref i in
@@ -101,9 +102,11 @@ let events hs at (tk : Layout.trunk) =
   done;
   !k - at
 
-(* [event_index hs lo hi y] is the position of [y] among the sorted
-   heights [hs.(lo .. hi - 1)], counted from [lo]. *)
-let event_index hs lo hi y =
+(* [event_index hs lo hi ys i] is the position of [ys.(i)] among the
+   sorted heights [hs.(lo .. hi - 1)], counted from [lo].  The height is
+   read here, so no float crosses a call. *)
+let event_index hs lo hi ys i =
+  let y = ys.(i) in
   let a = ref lo and z = ref hi in
   while !a < !z do
     let m = (!a + !z) / 2 in
@@ -160,6 +163,7 @@ let lookup (layout : Layout.t) =
    is the result. *)
 let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   let cols = layout.Layout.placement.Placement.cols in
+  let row_y = layout.Layout.row_y in
   let node_of_cell = lk.node_of_cell in
   let trunks = Array.of_list net.Layout.cn_trunks in
   let nt = Array.length trunks in
@@ -167,25 +171,24 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
     Array.make
       (List.fold_left
          (fun acc (tk : Layout.trunk) ->
-            acc + 1 + List.length tk.Layout.tk_attaches)
+            acc + 1 + Array.length tk.Layout.tk_attaches)
          0 net.Layout.cn_trunks)
       0.
   in
   let h0 = Array.make (nt + 1) 0 in
   for t = 0 to nt - 1 do
-    h0.(t + 1) <- h0.(t) + events heights h0.(t) trunks.(t)
+    h0.(t + 1) <- h0.(t) + events layout heights h0.(t) trunks.(t)
   done;
   (* --- unit-capacitor cell nodes, numbered on first use; a valid net
      has exactly its groups' cells --- *)
+  let groups = layout.Layout.groups in
+  let attach = layout.Layout.plan.Plan.attach in
   let size =
-    Array.fold_left
-      (fun acc (g : Group.t) -> acc + Group.size g)
-      0 net.Layout.cn_groups
+    Array.fold_left (fun acc g -> acc + Group.size groups g) 0 net.Layout.cn_groups
     |> Int.max 1
   in
   let cells = ref (Array.make size 0) in
   let n_cells = ref 0 and n_nodes = ref 1 in
-  let cell_id (c : Cell.t) = (c.Cell.row * cols) + c.Cell.col in
   let cell_node id =
     let n = node_of_cell.(id) in
     if n >= 0 then n
@@ -211,9 +214,8 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   for t = 0 to nt - 1 do
     first.(t) <- !n_nodes;
     n_nodes := !n_nodes + h0.(t + 1) - h0.(t);
-    List.iter
-      (fun (a : Layout.attach_point) ->
-         ignore (cell_node (cell_id a.Layout.ap_cell)))
+    Array.iter
+      (fun g -> ignore (cell_node attach.(g)))
       trunks.(t).Layout.tk_attaches
   done;
   let primary =
@@ -239,10 +241,11 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   in
   let tap0 = !n_nodes in
   n_nodes := tap0 + Array.length by_x;
+  let e = groups.Group.tree_edges in
   Array.iter
-    (fun (g : Group.t) ->
-       let e = g.Group.tree_edges in
-       for k = 0 to Group.edges g - 1 do
+    (fun g ->
+       let e0 = Group.edge_first groups g in
+       for k = e0 to e0 + Group.edges groups g - 1 do
          ignore (cell_node e.((2 * k) + 1));
          ignore (cell_node e.(2 * k))
        done)
@@ -271,10 +274,13 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
       edge acc a b k x y
     end
   in
-  let trunk_node t y =
-    first.(t) + event_index heights h0.(t) h0.(t + 1) y
+  (* trunk [t]'s node at the height [ys.(i)] *)
+  let trunk_node t ys i =
+    first.(t) + event_index heights h0.(t) h0.(t + 1) ys i
   in
-  let bottom t = trunk_node t trunks.(t).Layout.tk_y_low in
+  let lows = Array.make nt 0. in
+  Array.iteri (fun t (tk : Layout.trunk) -> lows.(t) <- tk.Layout.tk_y_low) trunks;
+  let bottom t = trunk_node t lows t in
   (* driver input via to the primary trunk's bottom node; the bridge: a
      junction via from each tap to its trunk, then segments along x *)
   join 0 (bottom primary) Driver_via primary 0;
@@ -291,19 +297,19 @@ let enumerate (layout : Layout.t) lk (net : Layout.capnet) ~start ~edge =
   (* attach straps: via + stub wire to each strapped cell *)
   let j = ref 0 in
   for t = 0 to nt - 1 do
-    List.iter
-      (fun (a : Layout.attach_point) ->
-         join (trunk_node t a.Layout.ap_y) (cell_node (cell_id a.Layout.ap_cell))
-           Strap t !j;
+    Array.iter
+      (fun g ->
+         let cell = attach.(g) in
+         join (trunk_node t row_y (cell / cols)) (cell_node cell) Strap t !j;
          incr j)
       trunks.(t).Layout.tk_attaches
   done;
   (* branch (abutment) connections inside each group: they fill in
      whatever the straps did not already connect *)
   Array.iter
-    (fun (g : Group.t) ->
-       let e = g.Group.tree_edges in
-       for k = 0 to Group.edges g - 1 do
+    (fun g ->
+       let e0 = Group.edge_first groups g in
+       for k = e0 to e0 + Group.edges groups g - 1 do
          let a = e.(2 * k) and b = e.((2 * k) + 1) in
          join (cell_node a) (cell_node b) Abutment a b
        done)
@@ -344,7 +350,7 @@ let build_net (layout : Layout.t) lk ~cap =
      the x at which its stub meets the trunk *)
   let n_attaches =
     List.fold_left
-      (fun acc (tk : Layout.trunk) -> acc + List.length tk.Layout.tk_attaches)
+      (fun acc (tk : Layout.trunk) -> acc + Array.length tk.Layout.tk_attaches)
       0 net.Layout.cn_trunks
   in
   let attach_cell = Array.make n_attaches 0
@@ -352,11 +358,10 @@ let build_net (layout : Layout.t) lk ~cap =
   let j = ref 0 in
   List.iter
     (fun (tk : Layout.trunk) ->
-       List.iter
-         (fun (a : Layout.attach_point) ->
-            let c = a.Layout.ap_cell in
-            attach_cell.(!j) <- (c.Cell.row * cols) + c.Cell.col;
-            attach_x.(!j) <- a.Layout.ap_x;
+       Array.iter
+         (fun g ->
+            attach_cell.(!j) <- layout.Layout.plan.Plan.attach.(g);
+            attach_x.(!j) <- tk.Layout.tk_x;
             incr j)
          tk.Layout.tk_attaches)
     net.Layout.cn_trunks;

@@ -85,7 +85,7 @@ let bit_metrics layout ~elmore_fs sums cap =
   let bends =
     let net = layout.Layout.nets.(cap) in
     List.fold_left
-      (fun acc (tk : Layout.trunk) -> acc + List.length tk.Layout.tk_attaches)
+      (fun acc (tk : Layout.trunk) -> acc + Array.length tk.Layout.tk_attaches)
       0 net.Layout.cn_trunks
     + (match net.Layout.cn_bridge_y with
        | Some _ -> List.length net.Layout.cn_trunks

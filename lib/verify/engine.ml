@@ -49,11 +49,22 @@ let check_layout layout =
   Telemetry.Span.with_ ~name:"verify.layout" (fun () ->
       instrumented "layout" (Route_rules.check layout))
 
-let check_artifacts (layout : Ccroute.Layout.t) =
-  let tech = layout.Ccroute.Layout.tech in
-  check_tech tech
-  @ check_placement tech layout.Ccroute.Layout.placement
+(* Counted like [check_tech] and [check_style], but in no span: the flow
+   runs them before its first stage, where a span would read as one
+   more stage. *)
+let check_inputs ?style tech =
+  instrumented "tech" (Tech_rules.check tech)
+  @
+  match style with
+  | None -> []
+  | Some (bits, style) -> instrumented "style" (Style_rules.check ~bits style)
+
+let check_built (layout : Ccroute.Layout.t) =
+  check_placement layout.Ccroute.Layout.tech layout.Ccroute.Layout.placement
   @ check_layout layout
+
+let check_artifacts (layout : Ccroute.Layout.t) =
+  check_tech layout.Ccroute.Layout.tech @ check_built layout
 
 let has_errors diags =
   List.exists (fun d -> Diagnostic.severity d = Rule.Error) diags

@@ -38,6 +38,19 @@ val check_layout : Ccroute.Layout.t -> Diagnostic.t list
     pre-extraction trust check. *)
 val check_artifacts : Ccroute.Layout.t -> Diagnostic.t list
 
+(** [check_inputs ?style tech] is the ["tech/"] rules and, given
+    [~style:(bits, style)], the ["style/"] rules: what {!lint} checks
+    before it places.  It feeds the rule counters as {!check_tech} and
+    {!check_style} do but opens no span, so a flow can run it before its
+    first stage. *)
+val check_inputs :
+  ?style:int * Ccplace.Style.t -> Tech.Process.t -> Diagnostic.t list
+
+(** [check_built layout] is {!check_artifacts} without the tech rules:
+    the placement and routing rules, for a gate whose tech already
+    passed {!check_inputs}. *)
+val check_built : Ccroute.Layout.t -> Diagnostic.t list
+
 (** [lint ?parallel ?tech ~bits style] is the staged whole-pipeline lint:
     tech and style rules first; when those are error-free the style is
     placed and the placement rules run; when those are error-free too the

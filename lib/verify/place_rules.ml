@@ -174,17 +174,19 @@ let check_binary_weights (p : Placement.t) (emit : emitter) =
               p.Placement.counts.(k) want p.Placement.unit_multiplier))
     expected
 
+(* Cell (row, col) mirrors to (rows - 1 - row, cols - 1 - col); each
+   unordered pair is compared once, from the cell that comes first in
+   row-major order, by index. *)
 let check_mirror (p : Placement.t) (emit : emitter) =
   let rows = p.Placement.rows and cols = p.Placement.cols in
-  let mismatches = ref 0 and example = ref None in
+  let assign = p.Placement.assign in
+  let mismatches = ref 0 and example = ref (-1) in
   for row = 0 to rows - 1 do
+    let mrow = rows - 1 - row in
     for col = 0 to cols - 1 do
-      let c = Cell.make ~row ~col in
-      let m = Cell.mirror ~rows ~cols c in
-      (* visit each unordered pair once *)
-      if Cell.compare c m <= 0 then begin
-        let id = p.Placement.assign.(row).(col) in
-        let mid = p.Placement.assign.(m.Cell.row).(m.Cell.col) in
+      let mcol = cols - 1 - col in
+      if row < mrow || (row = mrow && col <= mcol) then begin
+        let id = assign.(row).(col) and mid = assign.(mrow).(mcol) in
         let fine =
           (not (valid_id p id))   (* invalid ids are grid-coverage's finding *)
           || (not (valid_id p mid))
@@ -194,14 +196,16 @@ let check_mirror (p : Placement.t) (emit : emitter) =
         in
         if not fine then begin
           incr mismatches;
-          if !example = None then example := Some (c, id, m, mid)
+          if !example < 0 then example := (row * cols) + col
         end
       end
     done
   done;
-  match !example with
-  | None -> ()
-  | Some (c, id, m, mid) ->
+  if !example >= 0 then begin
+    let c = Cell.make ~row:(!example / cols) ~col:(!example mod cols) in
+    let m = Cell.mirror ~rows ~cols c in
+    let id = assign.(c.Cell.row).(c.Cell.col)
+    and mid = assign.(m.Cell.row).(m.Cell.col) in
     let name k = if k = dummy then "dummy" else Printf.sprintf "C_%d" k in
     emit r_mirror
       ~loc:(Format.asprintf "cell %a" Cell.pp c)
@@ -213,6 +217,7 @@ let check_mirror (p : Placement.t) (emit : emitter) =
          (name id)
          (Format.asprintf "%a" Cell.pp m)
          (name mid))
+  end
 
 (* [sums] is Placement.position_sums: the count and row-major position
    sum of each capacitor, from one pass over the grid. *)

@@ -193,9 +193,13 @@ let check_net_coverage (layout : Layout.t) out =
        let cap = net.Layout.cn_cap in
        if net.Layout.cn_trunks = [] then
          emit out r_net_routed "C_%d has no trunk" cap;
+       let groups = layout.Layout.groups in
        let covered =
          Array.fold_left
-           (fun acc (g : Group.t) -> acc + Group.size g)
+           (fun acc g ->
+              (* an id outside the table covers nothing *)
+              if g >= 0 && g < Group.count groups then acc + Group.size groups g
+              else acc)
            0 net.Layout.cn_groups
        in
        if covered <> placement.Placement.counts.(cap) then

@@ -120,6 +120,61 @@ let test_run_placement_rejects_general_ratios () =
     (try ignore (Ccdac.Flow.run_placement p); false
      with Invalid_argument _ -> true)
 
+(* --- the input gate --- *)
+
+(* The error rule ids [f ()] is rejected with; [f] must raise
+   [Verify.Engine.Rejected] (any other exception fails the test). *)
+let rejected_with f =
+  match f () with
+  | _ -> Alcotest.fail "accepted an out-of-domain input"
+  | exception Verify.Engine.Rejected { diagnostics; _ } ->
+    List.sort_uniq String.compare
+      (List.map
+         (fun (d : Verify.Diagnostic.t) -> d.Verify.Diagnostic.rule.Verify.Rule.id)
+         (Verify.Diagnostic.errors diagnostics))
+
+(* An out-of-domain input class meets rule [rule] in [Flow.run] and
+   [Flow.place_route], under the same error rule ids as
+   [Verify.Engine.lint], before the placer or the router sees it. *)
+let check_input_gate ?(tech = Tech.Process.finfet_12nm) ~rule inputs =
+  List.iter
+    (fun (bits, style) ->
+       let what = Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits in
+       let linted =
+         List.sort_uniq String.compare
+           (List.map
+              (fun (d : Verify.Diagnostic.t) -> d.Verify.Diagnostic.rule.Verify.Rule.id)
+              (Verify.Diagnostic.errors (Verify.Engine.lint ~tech ~bits style)))
+       in
+       Alcotest.(check bool) (what ^ ": lint names " ^ rule) true (List.mem rule linted);
+       Alcotest.(check (list string)) (what ^ ": run") linted
+         (rejected_with (fun () -> Ccdac.Flow.run ~tech ~bits style));
+       Alcotest.(check (list string)) (what ^ ": place_route") linted
+         (rejected_with (fun () -> Ccdac.Flow.place_route ~tech ~bits style)))
+    inputs
+
+let test_gate_core_bits () =
+  check_input_gate ~rule:"style/block-core-bits"
+    [ (8, Ccplace.Style.Block_chess { core_bits = 0; granularity = 2 });
+      (8, Ccplace.Style.Block_chess { core_bits = 8; granularity = 2 }) ]
+
+let test_gate_granularity () =
+  check_input_gate ~rule:"style/block-granularity"
+    [ (8, Ccplace.Style.Block_chess { core_bits = 4; granularity = 0 }) ]
+
+let test_gate_bits () =
+  check_input_gate ~rule:"style/bits-range"
+    [ (0, Ccplace.Style.Spiral); (17, Ccplace.Style.Spiral) ]
+
+(* an empty layer stack: [run_placement] checks the tech before routing
+   too *)
+let test_gate_layer_stack () =
+  let tech = { Tech.Process.finfet_12nm with Tech.Process.stack = [] } in
+  check_input_gate ~tech ~rule:"tech/layer-stack" [ (6, Ccplace.Style.Spiral) ];
+  Alcotest.(check (list string)) "run_placement" [ "tech/layer-stack" ]
+    (rejected_with (fun () ->
+         Ccdac.Flow.run_placement ~tech (Ccplace.Spiral.place ~bits:6)))
+
 (* --- sweep --- *)
 
 (* the BC entry of [Sweep.row], the best of its family *)
@@ -250,7 +305,11 @@ let () =
           Alcotest.test_case "verify-gate time excluded" `Quick
             test_elapsed_excludes_verify_gate;
           Alcotest.test_case "run_placement refined" `Quick test_run_placement_refined;
-          Alcotest.test_case "run_placement general" `Quick test_run_placement_rejects_general_ratios ] );
+          Alcotest.test_case "run_placement general" `Quick test_run_placement_rejects_general_ratios;
+          Alcotest.test_case "input gate: block core bits" `Quick test_gate_core_bits;
+          Alcotest.test_case "input gate: granularity" `Quick test_gate_granularity;
+          Alcotest.test_case "input gate: bits range" `Quick test_gate_bits;
+          Alcotest.test_case "input gate: layer stack" `Quick test_gate_layer_stack ] );
       ( "sweep",
         [ Alcotest.test_case "best block is BC" `Quick test_best_block_is_block;
           Alcotest.test_case "best block max" `Quick test_best_block_beats_family_on_f3db;

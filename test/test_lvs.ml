@@ -5,11 +5,33 @@
 
 module L = Ccroute.Layout
 
-(* a group's tree edges as (parent, child) cells, in tree order *)
-let edge_cells (g : Ccroute.Group.t) =
-  List.init (Ccroute.Group.edges g) (fun e ->
-      ( Ccroute.Group.cell g g.Ccroute.Group.tree_edges.(2 * e),
-        Ccroute.Group.cell g g.Ccroute.Group.tree_edges.((2 * e) + 1) ))
+(* group [g]'s tree edges in [l] as (parent, child) cells, in tree
+   order *)
+let edge_cells (l : L.t) g =
+  let groups = l.L.groups in
+  let e = groups.Ccroute.Group.tree_edges
+  and e0 = Ccroute.Group.edge_first groups g in
+  List.init (Ccroute.Group.edges groups g) (fun k ->
+      ( Ccroute.Group.cell groups e.(2 * (e0 + k)),
+        Ccroute.Group.cell groups e.((2 * (e0 + k)) + 1) ))
+
+(* A trunk's attaches decoded: each group strapped to it, its attach
+   cell, and where its stub meets the trunk — the trunk's x at the
+   attach cell's row y. *)
+type attach = {
+  a_group : int;
+  a_cell : Ccgrid.Cell.t;
+  a_x : float;
+  a_y : float;
+}
+
+let attaches (l : L.t) (tk : L.trunk) =
+  List.map
+    (fun g ->
+       let c = Ccroute.Group.cell l.L.groups l.L.plan.Ccroute.Plan.attach.(g) in
+       { a_group = g; a_cell = c; a_x = tk.L.tk_x;
+         a_y = l.L.row_y.(c.Ccgrid.Cell.row) })
+    (Array.to_list tk.L.tk_attaches)
 
 let tech = Tech.Process.finfet_12nm
 
@@ -434,16 +456,9 @@ let mutate_top_wires f l =
    so removing that via provably detaches the group *)
 let single_attach_of l k =
   let net = L.net l k in
-  let all =
-    List.concat_map (fun (tk : L.trunk) -> tk.L.tk_attaches) net.L.cn_trunks
-  in
+  let all = List.concat_map (attaches l) net.L.cn_trunks in
   List.find_opt
-    (fun (a : L.attach_point) ->
-       List.length
-         (List.filter
-            (fun (b : L.attach_point) -> b.L.ap_group = a.L.ap_group)
-            all)
-       = 1)
+    (fun a -> List.length (List.filter (fun b -> b.a_group = a.a_group) all) = 1)
     all
 
 let test_mut_drop_attach_via () =
@@ -461,7 +476,7 @@ let test_mut_drop_attach_via () =
     List.filter
       (fun (v : L.via) ->
          not
-           (v.L.v_cap = k && near v.L.v_x a.L.ap_x && near v.L.v_y a.L.ap_y))
+           (v.L.v_cap = k && near v.L.v_x a.a_x && near v.L.v_y a.a_y))
       l.L.vias
   in
   Alcotest.(check int) "one via dropped"
@@ -595,10 +610,10 @@ let drop_group l =
          if !found = None then
            match
              Array.find_opt
-               (fun (g : Ccroute.Group.t) -> Ccroute.Group.size g >= 2)
+               (fun g -> Ccroute.Group.size l.L.groups g >= 2)
                n.L.cn_groups
            with
-           | Some g -> found := Some (n.L.cn_cap, g.Ccroute.Group.id)
+           | Some g -> found := Some (n.L.cn_cap, g)
            | None -> ())
       l.L.nets;
     match !found with
@@ -611,9 +626,7 @@ let drop_group l =
     { net with
       L.cn_groups =
         Array.of_list
-          (List.filter
-             (fun (g : Ccroute.Group.t) -> g.Ccroute.Group.id <> victim)
-             (Array.to_list net.L.cn_groups)) };
+          (List.filter (fun g -> g <> victim) (Array.to_list net.L.cn_groups)) };
   { l with L.nets }
 
 let test_mut_netbuild_mismatch () =
@@ -631,9 +644,7 @@ let drop_only_strap l =
   let straps =
     List.concat_map
       (fun (tk : L.trunk) ->
-         List.filter
-           (fun (a : L.attach_point) -> a.L.ap_group = group)
-           tk.L.tk_attaches)
+         List.filter (fun g -> g = group) (Array.to_list tk.L.tk_attaches))
       net.L.cn_trunks
   in
   Alcotest.(check int) "C_3 group 4 has one strap" 1 (List.length straps);
@@ -645,9 +656,9 @@ let drop_only_strap l =
           (fun (tk : L.trunk) ->
              { tk with
                L.tk_attaches =
-                 List.filter
-                   (fun (a : L.attach_point) -> a.L.ap_group <> group)
-                   tk.L.tk_attaches })
+                 Array.of_list
+                   (List.filter (fun g -> g <> group)
+                      (Array.to_list tk.L.tk_attaches)) })
           net.L.cn_trunks };
   { l with L.nets }
 
@@ -852,9 +863,7 @@ let reference_build (l : L.t) ~cap =
       (fun (tk : L.trunk) ->
          Array.of_list
            (List.sort_uniq Float.compare
-              (tk.L.tk_y_low
-               :: List.map (fun (a : L.attach_point) -> a.L.ap_y)
-                 tk.L.tk_attaches)))
+              (tk.L.tk_y_low :: List.map (fun a -> a.a_y) (attaches l tk))))
       trunks
   in
   let tree = Rcnet.Rctree.create () in
@@ -877,9 +886,7 @@ let reference_build (l : L.t) ~cap =
        for _ = 2 to Array.length heights.(t) do
          ignore (node 0.)
        done;
-       List.iter
-         (fun (a : L.attach_point) -> ignore (cell_node a.L.ap_cell))
-         tk.L.tk_attaches)
+       List.iter (fun a -> ignore (cell_node a.a_cell)) (attaches l tk))
     trunks;
   let primary =
     match
@@ -900,12 +907,12 @@ let reference_build (l : L.t) ~cap =
            (List.init (Array.length trunks) Fun.id))
   in
   Array.iter
-    (fun (g : Ccroute.Group.t) ->
+    (fun g ->
        List.iter
          (fun (a, b) ->
             ignore (cell_node b);
             ignore (cell_node a))
-         (edge_cells g))
+         (edge_cells l g))
     net.L.cn_groups;
   let parent = Array.init (Rcnet.Rctree.num_nodes tree) Fun.id in
   let rec find i = if parent.(i) = i then i else find parent.(i) in
@@ -949,16 +956,16 @@ let reference_build (l : L.t) ~cap =
   Array.iteri
     (fun t (tk : L.trunk) ->
        List.iter
-         (fun (a : L.attach_point) ->
-            let cell = a.L.ap_cell in
+         (fun a ->
+            let cell = a.a_cell in
             let r, c =
-              wire m1 (Float.abs (l.L.col_x.(cell.Ccgrid.Cell.col) -. a.L.ap_x))
+              wire m1 (Float.abs (l.L.col_x.(cell.Ccgrid.Cell.col) -. a.a_x))
             in
-            edge (trunk_node t a.L.ap_y) (cell_node cell) (rvia +. r, c))
-         tk.L.tk_attaches)
+            edge (trunk_node t a.a_y) (cell_node cell) (rvia +. r, c))
+         (attaches l tk))
     trunks;
   Array.iter
-    (fun (g : Ccroute.Group.t) ->
+    (fun g ->
        List.iter
          (fun ((a : Ccgrid.Cell.t), (b : Ccgrid.Cell.t)) ->
             let len =
@@ -967,7 +974,7 @@ let reference_build (l : L.t) ~cap =
             in
             edge (cell_node a) (cell_node b)
               (tech.Tech.Process.plate_resistance *. len, 0.))
-         (edge_cells g))
+         (edge_cells l g))
     net.L.cn_groups;
   (tree, Rcnet.Rctree.node_of_int tree root, List.rev !cells)
 
@@ -1103,8 +1110,9 @@ let repeat_straps l =
                List.map
                  (fun (tk : L.trunk) ->
                     match tk.L.tk_attaches with
-                    | a :: _ -> { tk with L.tk_attaches = a :: tk.L.tk_attaches }
-                    | [] -> tk)
+                    | [||] -> tk
+                    | att ->
+                      { tk with L.tk_attaches = Array.append [| att.(0) |] att })
                  n.L.cn_trunks })
         l.L.nets }
 
@@ -1660,8 +1668,8 @@ let test_trunk_channels_consistent () =
             let plan_channels =
               List.sort_uniq Int.compare
                 (List.map
-                   (fun (r : Ccroute.Plan.route) -> r.Ccroute.Plan.channel)
-                   (Ccroute.Plan.routes_of_cap l.L.plan n.L.cn_cap))
+                   (fun g -> l.L.plan.Ccroute.Plan.channel.(g))
+                   (Array.to_list n.L.cn_groups))
             in
             let trunk_channels =
               List.sort Int.compare

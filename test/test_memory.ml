@@ -220,6 +220,61 @@ let test_no_forced_minor () =
   Alcotest.(check int) "no runtime events lost" 0 !lost;
   Alcotest.(check int) "forced minor collections" 0 !forced
 
+(* The 16 designs of the benchmark's signoff_pnr workload: four styles
+   at 6, 8, 10 and 12 bits. *)
+let signoff_designs =
+  List.concat_map
+    (fun bits ->
+       List.map (fun style -> (bits, style))
+         Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
+    [ 6; 8; 10; 12 ]
+
+(* Minor-heap words allocated by one Flow.place_route ~verify:true pass
+   of the 16 signoff designs, after a warm-up pass.  The count repeats
+   exactly from run to run; 2,225,435 words when the routing plan still
+   held a record per group and the placement checks built a cell pair
+   or a point per cell. *)
+let test_signoff_minor_words () =
+  let pass () =
+    List.iter
+      (fun (bits, style) ->
+         ignore (Ccdac.Flow.place_route ~verify:true ~bits style : _ * float))
+      signoff_designs
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 1.1M minor words (got %.0f)" words)
+    true (words <= 1.1e6)
+
+(* What a routed 12-bit chessboard keeps alive: nearly every cell is its
+   own group, so per-group blocks would dominate.  The size is the rise
+   in live major-heap words across building it, each side read after a
+   full major collection, once a small design has been routed; it reads
+   within 0.05% of [Obj.reachable_words] of the layout, which counts the
+   shared tech record too.  227,543 reachable words (1.74 MB) with a
+   record per group and an attach record per strap. *)
+let test_chessboard_retained () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore
+    (Ccroute.Layout.route Tech.Process.finfet_12nm (Ccplace.Chessboard.place ~bits:6)
+     : Ccroute.Layout.t);
+  let before = live () in
+  let layout =
+    Ccroute.Layout.route Tech.Process.finfet_12nm
+      (Ccplace.Chessboard.place ~bits:12)
+  in
+  let mb = float_of_int (live () - before) /. float_of_int words_per_mb in
+  ignore (Sys.opaque_identity layout);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 1.2 MB retained (got %.3f)" mb)
+    true (mb <= 1.2)
+
 let () =
   Alcotest.run "memory"
     [ ( "sampling",
@@ -240,4 +295,8 @@ let () =
         ] );
       ( "gc",
         [ Alcotest.test_case "no forced minor collections" `Quick
-            test_no_forced_minor ] ) ]
+            test_no_forced_minor;
+          Alcotest.test_case "signoff minor words" `Quick
+            test_signoff_minor_words;
+          Alcotest.test_case "chessboard retained size" `Quick
+            test_chessboard_retained ] ) ]

@@ -8,7 +8,8 @@ let all_styles bits =
 
 (* Connected groups of capacitor [k]: the trunk connections it needs. *)
 let groups_of p k =
-  List.length (Ccroute.Group.of_cap (Ccroute.Group.of_placement p) k)
+  let groups = Ccroute.Group.of_placement p in
+  groups.Ccroute.Group.cap_first.(k + 1) - groups.Ccroute.Group.cap_first.(k)
 
 let check_valid p =
   match Ccgrid.Placement.validate p with

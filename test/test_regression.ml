@@ -17,7 +17,7 @@ let test_spiral6_group_structure () =
   Alcotest.(check int) "C_6 one group" 1 (groups_of 6);
   Alcotest.(check int) "C_2 two groups" 2 (groups_of 2);
   Alcotest.(check int) "total groups" 11
-    (List.length layout.Ccroute.Layout.groups)
+    (Ccroute.Group.count layout.Ccroute.Layout.groups)
 
 let test_spiral6_trunks () =
   let layout = Lazy.force spiral6 in
@@ -69,26 +69,34 @@ let test_placement_fingerprints () =
 
 (* One MD5 over everything placement and routing decide for a design:
    the placement's serial text, the groups (capacitor, cells, tree
-   edges), the plan's routes (group id, channel, track, attach cell) and
-   every wire, via and top-plate wire, floats printed exactly with %h. *)
+   edges), the plan's routes in connection order (group id, channel,
+   track, attach cell) and every wire, via and top-plate wire, floats
+   printed exactly with %h. *)
 let layout_digest (l : Ccroute.Layout.t) =
   let b = Buffer.create 65536 in
-  let cell (c : Ccgrid.Cell.t) = Printf.bprintf b "(%d,%d)" c.row c.col in
+  let groups = l.groups in
+  let cell i =
+    let (c : Ccgrid.Cell.t) = Ccroute.Group.cell groups i in
+    Printf.bprintf b "(%d,%d)" c.row c.col
+  in
   Buffer.add_string b (Ccgrid.Serial.to_string l.placement);
-  List.iter
-    (fun (g : Ccroute.Group.t) ->
-       let id i = cell (Ccroute.Group.cell g i) in
-       Printf.bprintf b "\ngroup %d C_%d:" g.id g.cap;
-       Array.iter id g.cells;
-       Buffer.add_string b " edges:";
-       Array.iter id g.tree_edges)
-    l.groups;
-  List.iter
-    (fun (r : Ccroute.Plan.route) ->
-       Printf.bprintf b "\nroute %d ch %d track %d at " r.group.id r.channel
-         r.track;
-       cell r.attach)
-    l.plan.routes;
+  for g = 0 to Ccroute.Group.count groups - 1 do
+    Printf.bprintf b "\ngroup %d C_%d:" g groups.cap.(g);
+    for i = groups.first.(g) to groups.first.(g + 1) - 1 do
+      cell groups.cells.(i)
+    done;
+    Buffer.add_string b " edges:";
+    let e0 = Ccroute.Group.edge_first groups g in
+    for i = 2 * e0 to (2 * (e0 + Ccroute.Group.edges groups g)) - 1 do
+      cell groups.tree_edges.(i)
+    done
+  done;
+  Array.iter
+    (fun g ->
+       Printf.bprintf b "\nroute %d ch %d track %d at " g l.plan.channel.(g)
+         l.plan.track.(g);
+       cell l.plan.attach.(g))
+    l.plan.order;
   let kind : Ccroute.Layout.wire_kind -> string = function
     | Branch -> "branch"
     | Stub -> "stub"

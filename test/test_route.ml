@@ -5,27 +5,40 @@ let tech = Tech.Process.finfet_12nm
 let spiral6 = Ccplace.Spiral.place ~bits:6
 let chess6 = Ccplace.Chessboard.place ~bits:6
 
-(* a group's cells and tree edges, decoded *)
-let cells_of (g : Ccroute.Group.t) =
-  Array.to_list (Array.map (Ccroute.Group.cell g) g.Ccroute.Group.cells)
+(* group [g]'s cells and tree edges, decoded *)
+let cells_of (t : Ccroute.Group.t) g =
+  List.init (Ccroute.Group.size t g) (fun i ->
+      Ccroute.Group.cell t t.Ccroute.Group.cells.(t.Ccroute.Group.first.(g) + i))
 
-let edges_of (g : Ccroute.Group.t) =
-  List.init (Ccroute.Group.edges g) (fun e ->
-      ( Ccroute.Group.cell g g.Ccroute.Group.tree_edges.(2 * e),
-        Ccroute.Group.cell g g.Ccroute.Group.tree_edges.((2 * e) + 1) ))
+let edges_of (t : Ccroute.Group.t) g =
+  let e = t.Ccroute.Group.tree_edges and e0 = Ccroute.Group.edge_first t g in
+  List.init (Ccroute.Group.edges t g) (fun k ->
+      ( Ccroute.Group.cell t e.(2 * (e0 + k)),
+        Ccroute.Group.cell t e.((2 * (e0 + k)) + 1) ))
 
-(* the group of [cells] on a grid of [cols] columns *)
-let group_of_cells ~cols ~cap ~id cells =
-  let ids =
-    List.sort_uniq Int.compare
-      (List.map (fun (c : Ccgrid.Cell.t) -> (c.Ccgrid.Cell.row * cols) + c.Ccgrid.Cell.col) cells)
+(* the ids of every group of [t] *)
+let ids (t : Ccroute.Group.t) = List.init (Ccroute.Group.count t) Fun.id
+
+(* the ids of capacitor [k]'s groups *)
+let ids_of_cap (t : Ccroute.Group.t) k =
+  let lo = t.Ccroute.Group.cap_first.(k) in
+  List.init (t.Ccroute.Group.cap_first.(k + 1) - lo) (( + ) lo)
+
+(* A table of capacitor 0's groups, one per cell list, on a grid of
+   [cols] columns; no tree edges (the groups need not be connected). *)
+let table_of_cells ~cols cell_lists =
+  let id (c : Ccgrid.Cell.t) = (c.Ccgrid.Cell.row * cols) + c.Ccgrid.Cell.col in
+  let groups =
+    List.map (fun cells -> Array.of_list (List.sort_uniq Int.compare (List.map id cells)))
+      cell_lists
   in
-  let fold f z = List.fold_left (fun a (c : Ccgrid.Cell.t) -> f a c) z cells in
-  { Ccroute.Group.cap; id; cols; cells = Array.of_list ids; tree_edges = [||];
-    col_lo = fold (fun a c -> Int.min a c.Ccgrid.Cell.col) max_int;
-    col_hi = fold (fun a c -> Int.max a c.Ccgrid.Cell.col) min_int;
-    row_lo = fold (fun a c -> Int.min a c.Ccgrid.Cell.row) max_int;
-    row_hi = fold (fun a c -> Int.max a c.Ccgrid.Cell.row) min_int }
+  let n = List.length groups in
+  let first = Array.make (n + 1) 0 in
+  List.iteri (fun g a -> first.(g + 1) <- first.(g) + Array.length a) groups;
+  let span f z = Array.of_list (List.map (Array.fold_left (fun a i -> f a (i mod cols)) z) groups) in
+  { Ccroute.Group.cols; cap = Array.make n 0; first; cells = Array.concat groups;
+    tree_edges = [||]; col_lo = span Int.min max_int; col_hi = span Int.max min_int;
+    cap_first = [| 0; n |] }
 
 (* --- groups --- *)
 
@@ -34,7 +47,7 @@ let test_groups_partition_cells () =
     (fun p ->
        let groups = Ccroute.Group.of_placement p in
        for k = 0 to p.Ccgrid.Placement.bits do
-         let group_cells = List.concat_map cells_of (Ccroute.Group.of_cap groups k) in
+         let group_cells = List.concat_map (cells_of groups) (ids_of_cap groups k) in
          Alcotest.(check int)
            (Printf.sprintf "C_%d partitioned" k)
            p.Ccgrid.Placement.counts.(k)
@@ -45,76 +58,76 @@ let test_groups_partition_cells () =
 let test_groups_are_connected () =
   let groups = Ccroute.Group.of_placement ~mode:Ccroute.Group.Connected spiral6 in
   List.iter
-    (fun (g : Ccroute.Group.t) ->
+    (fun g ->
        (* tree edges span the group: |E| = |V| - 1 *)
        Alcotest.(check int) "tree edges"
-         (Ccroute.Group.size g - 1)
-         (Ccroute.Group.edges g);
+         (Ccroute.Group.size groups g - 1)
+         (List.length (edges_of groups g));
        List.iter
          (fun (a, b) ->
             Alcotest.(check bool) "edges adjacent" true (Ccgrid.Cell.adjacent a b))
-         (edges_of g))
-    groups
+         (edges_of groups g))
+    (ids groups)
 
 let test_chessboard_groups_are_singletons () =
   let groups = Ccroute.Group.of_placement chess6 in
   List.iter
-    (fun (g : Ccroute.Group.t) ->
-       if g.Ccroute.Group.cap = 6 then
-         Alcotest.(check int) "singleton" 1 (Ccroute.Group.size g))
-    groups
+    (fun g ->
+       if groups.Ccroute.Group.cap.(g) = 6 then
+         Alcotest.(check int) "singleton" 1 (Ccroute.Group.size groups g))
+    (ids groups)
 
 let test_group_spans () =
   let groups = Ccroute.Group.of_placement spiral6 in
   List.iter
-    (fun (g : Ccroute.Group.t) ->
+    (fun g ->
        List.iter
          (fun (c : Ccgrid.Cell.t) ->
             Alcotest.(check bool) "col in span" true
-              (c.Ccgrid.Cell.col >= g.Ccroute.Group.col_lo
-               && c.Ccgrid.Cell.col <= g.Ccroute.Group.col_hi);
+              (c.Ccgrid.Cell.col >= groups.Ccroute.Group.col_lo.(g)
+               && c.Ccgrid.Cell.col <= groups.Ccroute.Group.col_hi.(g));
             Alcotest.(check bool) "row in span" true
-              (c.Ccgrid.Cell.row >= g.Ccroute.Group.row_lo
-               && c.Ccgrid.Cell.row <= g.Ccroute.Group.row_hi))
-         (cells_of g))
-    groups
+              (c.Ccgrid.Cell.row >= Ccroute.Group.row_lo groups g
+               && c.Ccgrid.Cell.row <= Ccroute.Group.row_hi groups g))
+         (cells_of groups g))
+    (ids groups)
 
 let test_straight_runs_are_straight () =
   let groups =
     Ccroute.Group.of_placement ~mode:Ccroute.Group.Straight_runs spiral6
   in
   List.iter
-    (fun (g : Ccroute.Group.t) ->
-       let same_row =
-         g.Ccroute.Group.row_lo = g.Ccroute.Group.row_hi
-       and same_col = g.Ccroute.Group.col_lo = g.Ccroute.Group.col_hi in
+    (fun g ->
+       let same_row = Ccroute.Group.row_lo groups g = Ccroute.Group.row_hi groups g
+       and same_col =
+         groups.Ccroute.Group.col_lo.(g) = groups.Ccroute.Group.col_hi.(g)
+       in
        Alcotest.(check bool) "row or column" true (same_row || same_col))
-    groups
+    (ids groups)
 
 let test_closest_cells () =
-  let mk cap id cells = group_of_cells ~cols:10 ~cap ~id cells in
-  let a =
-    mk 3 0 [ Ccgrid.Cell.make ~row:0 ~col:0; Ccgrid.Cell.make ~row:5 ~col:3 ]
+  let t =
+    table_of_cells ~cols:10
+      [ [ Ccgrid.Cell.make ~row:0 ~col:0; Ccgrid.Cell.make ~row:5 ~col:3 ];
+        [ Ccgrid.Cell.make ~row:5 ~col:4; Ccgrid.Cell.make ~row:9 ~col:9 ] ]
   in
-  let b =
-    mk 3 1 [ Ccgrid.Cell.make ~row:5 ~col:4; Ccgrid.Cell.make ~row:9 ~col:9 ]
-  in
-  let ua, ub = Ccroute.Group.closest_cells a b in
+  let out = Array.make 2 (-1) in
+  Ccroute.Group.closest_cells t 0 1 out;
   Alcotest.(check bool) "closest pair" true
-    (Ccgrid.Cell.equal (Ccroute.Group.cell a ua) (Ccgrid.Cell.make ~row:5 ~col:3)
-     && Ccgrid.Cell.equal (Ccroute.Group.cell b ub) (Ccgrid.Cell.make ~row:5 ~col:4))
+    (Ccgrid.Cell.equal (Ccroute.Group.cell t out.(0)) (Ccgrid.Cell.make ~row:5 ~col:3)
+     && Ccgrid.Cell.equal (Ccroute.Group.cell t out.(1)) (Ccgrid.Cell.make ~row:5 ~col:4))
 
 let test_col_span_overlap () =
-  let mk lo hi =
-    { Ccroute.Group.none with Ccroute.Group.cap = 0; id = 0; col_lo = lo;
-      col_hi = hi; row_lo = 0; row_hi = 0 }
+  (* two one-row groups spanning columns [lo_a, hi_a] and [lo_b, hi_b] *)
+  let overlap (lo_a, hi_a) (lo_b, hi_b) =
+    let row lo hi = List.init (hi - lo + 1) (fun i -> Ccgrid.Cell.make ~row:0 ~col:(lo + i)) in
+    Ccroute.Group.col_span_overlap
+      (table_of_cells ~cols:10 [ row lo_a hi_a; row lo_b hi_b ])
+      0 1
   in
-  Alcotest.(check bool) "overlap" true
-    (Ccroute.Group.col_span_overlap (mk 0 3) (mk 2 5));
-  Alcotest.(check bool) "disjoint" false
-    (Ccroute.Group.col_span_overlap (mk 0 1) (mk 3 5));
-  Alcotest.(check bool) "touching" true
-    (Ccroute.Group.col_span_overlap (mk 0 2) (mk 2 4))
+  Alcotest.(check bool) "overlap" true (overlap (0, 3) (2, 5));
+  Alcotest.(check bool) "disjoint" false (overlap (0, 1) (3, 5));
+  Alcotest.(check bool) "touching" true (overlap (0, 2) (2, 4))
 
 (* --- plan (Algorithm 1) --- *)
 
@@ -126,8 +139,10 @@ let test_every_group_routed () =
   List.iter
     (fun p ->
        let groups, plan = plan_of p in
-       Alcotest.(check int) "one route per group" (List.length groups)
-         (List.length plan.Ccroute.Plan.routes))
+       Alcotest.(check int) "one route per group" (Ccroute.Group.count groups)
+         (Array.length plan.Ccroute.Plan.order);
+       Alcotest.(check (list int)) "each group once" (ids groups)
+         (List.sort Int.compare (Array.to_list plan.Ccroute.Plan.order)))
     [ spiral6; chess6; Ccplace.Rowwise.place ~bits:8 ]
 
 let test_tracks_count_distinct_caps () =
@@ -146,47 +161,47 @@ let test_tracks_count_distinct_caps () =
     plan.Ccroute.Plan.track_caps
 
 let test_track_indices_dense () =
-  let _, plan = plan_of spiral6 in
+  let groups, plan = plan_of spiral6 in
   List.iter
-    (fun (r : Ccroute.Plan.route) ->
+    (fun g ->
        Alcotest.(check bool) "track in range" true
-         (r.Ccroute.Plan.track >= 0
-          && r.Ccroute.Plan.track
-             < plan.Ccroute.Plan.tracks_per_channel.(r.Ccroute.Plan.channel)))
-    plan.Ccroute.Plan.routes
+         (plan.Ccroute.Plan.track.(g) >= 0
+          && plan.Ccroute.Plan.track.(g)
+             < plan.Ccroute.Plan.tracks_per_channel.(plan.Ccroute.Plan.channel.(g))))
+    (ids groups)
 
 let test_same_cap_same_channel_same_track () =
-  let _, plan = plan_of chess6 in
+  let groups, plan = plan_of chess6 in
   let seen = Hashtbl.create 16 in
   List.iter
-    (fun (r : Ccroute.Plan.route) ->
-       let key = (r.Ccroute.Plan.channel, r.Ccroute.Plan.group.Ccroute.Group.cap) in
+    (fun g ->
+       let key = (plan.Ccroute.Plan.channel.(g), groups.Ccroute.Group.cap.(g)) in
        match Hashtbl.find_opt seen key with
-       | Some track -> Alcotest.(check int) "shared track" track r.Ccroute.Plan.track
-       | None -> Hashtbl.add seen key r.Ccroute.Plan.track)
-    plan.Ccroute.Plan.routes
+       | Some track -> Alcotest.(check int) "shared track" track plan.Ccroute.Plan.track.(g)
+       | None -> Hashtbl.add seen key plan.Ccroute.Plan.track.(g))
+    (ids groups)
 
 let test_attach_is_group_member () =
   List.iter
     (fun p ->
-       let _, plan = plan_of p in
+       let groups, plan = plan_of p in
        List.iter
-         (fun (r : Ccroute.Plan.route) ->
+         (fun g ->
             Alcotest.(check bool) "attach in group" true
               (List.exists
-                 (Ccgrid.Cell.equal r.Ccroute.Plan.attach)
-                 (cells_of r.Ccroute.Plan.group)))
-         plan.Ccroute.Plan.routes)
+                 (Ccgrid.Cell.equal (Ccroute.Group.cell groups plan.Ccroute.Plan.attach.(g)))
+                 (cells_of groups g)))
+         (ids groups))
     [ spiral6; chess6 ]
 
 let test_channel_in_range () =
-  let _, plan = plan_of chess6 in
+  let groups, plan = plan_of chess6 in
   List.iter
-    (fun (r : Ccroute.Plan.route) ->
+    (fun g ->
        Alcotest.(check bool) "channel in range" true
-         (r.Ccroute.Plan.channel >= 0
-          && r.Ccroute.Plan.channel <= chess6.Ccgrid.Placement.cols))
-    plan.Ccroute.Plan.routes
+         (plan.Ccroute.Plan.channel.(g) >= 0
+          && plan.Ccroute.Plan.channel.(g) <= chess6.Ccgrid.Placement.cols))
+    (ids groups)
 
 (* --- layout --- *)
 
@@ -237,11 +252,16 @@ let test_layout_trunk_extents () =
          (fun (tk : Ccroute.Layout.trunk) ->
             Alcotest.(check bool) "y_low <= y_high" true
               (tk.Ccroute.Layout.tk_y_low <= tk.Ccroute.Layout.tk_y_high +. 1e-9);
-            List.iter
-              (fun (a : Ccroute.Layout.attach_point) ->
+            Array.iter
+              (fun g ->
+                 let cols = layout6.Ccroute.Layout.placement.Ccgrid.Placement.cols in
+                 let y =
+                   layout6.Ccroute.Layout.row_y.(
+                     layout6.Ccroute.Layout.plan.Ccroute.Plan.attach.(g) / cols)
+                 in
                  Alcotest.(check bool) "attach on trunk" true
-                   (a.Ccroute.Layout.ap_y >= tk.Ccroute.Layout.tk_y_low -. 1e-9
-                    && a.Ccroute.Layout.ap_y <= tk.Ccroute.Layout.tk_y_high +. 1e-9))
+                   (y >= tk.Ccroute.Layout.tk_y_low -. 1e-9
+                    && y <= tk.Ccroute.Layout.tk_y_high +. 1e-9))
               tk.Ccroute.Layout.tk_attaches)
          net.Ccroute.Layout.cn_trunks)
     layout6.Ccroute.Layout.nets
@@ -392,10 +412,13 @@ type rgroup = {
   r_row_hi : int;
 }
 
-let decode (g : Ccroute.Group.t) =
-  { r_cap = g.cap; r_id = g.id; r_cells = cells_of g; r_edges = edges_of g;
-    r_col_lo = g.col_lo; r_col_hi = g.col_hi; r_row_lo = g.row_lo;
-    r_row_hi = g.row_hi }
+let decode (t : Ccroute.Group.t) g =
+  { r_cap = t.cap.(g); r_id = g; r_cells = cells_of t g; r_edges = edges_of t g;
+    r_col_lo = t.col_lo.(g); r_col_hi = t.col_hi.(g);
+    r_row_lo = Ccroute.Group.row_lo t g; r_row_hi = Ccroute.Group.row_hi t g }
+
+(* every group of [t], decoded in id order *)
+let decode_all t = List.map (decode t) (ids t)
 
 let reference_group ~cap ~id cells tree_edges =
   let cols = List.map (fun (c : Ccgrid.Cell.t) -> c.col) cells
@@ -571,16 +594,18 @@ let reference_closest (a : Ccgrid.Cell.t list) (b : Ccgrid.Cell.t list) =
   | Some (ca, cb, _) -> (ca, cb)
   | None -> invalid_arg "reference_closest: empty group"
 
-let reference_attach (g : Ccroute.Group.t) ~channel =
+let reference_attach (t : Ccroute.Group.t) g ~channel =
   let key (c : Ccgrid.Cell.t) =
     (Int.min (abs (c.col - channel)) (abs (c.col - (channel - 1))), c.row, c.col)
   in
-  match cells_of g with
+  match cells_of t g with
   | [] -> invalid_arg "reference_attach: empty group"
   | first :: rest ->
     List.fold_left (fun best c -> if key c < key best then c else best) first rest
 
-let reference_select (groups : Ccroute.Group.t array) =
+(* Step 1 for one capacitor's groups [groups] of table [t]: one
+   (group id, channel, attach cell) per group, in connection order *)
+let reference_select (t : Ccroute.Group.t) (groups : int array) =
   let n = Array.length groups in
   let visited = Array.make n false in
   let chosen = ref [] in
@@ -594,8 +619,10 @@ let reference_select (groups : Ccroute.Group.t array) =
       for k = 0 to n - 1 do
         if (not visited.(k)) && k <> j then begin
           let q = groups.(k) in
-          if Ccroute.Group.col_span_overlap p q then begin
-            let up, (uq : Ccgrid.Cell.t) = reference_closest (cells_of p) (cells_of q) in
+          if Ccroute.Group.col_span_overlap t p q then begin
+            let up, (uq : Ccgrid.Cell.t) =
+              reference_closest (cells_of t p) (cells_of t q)
+            in
             if !c_j = -1 then begin
               c_j := up.col;
               u_p := Some up
@@ -611,7 +638,7 @@ let reference_select (groups : Ccroute.Group.t array) =
           List.fold_left
             (fun (best : Ccgrid.Cell.t) (c : Ccgrid.Cell.t) ->
                if (c.row, c.col) < (best.row, best.col) then c else best)
-            (List.hd (cells_of p)) (cells_of p)
+            (List.hd (cells_of t p)) (cells_of t p)
         in
         emit p attach.col attach
       | Some up ->
@@ -621,7 +648,7 @@ let reference_select (groups : Ccroute.Group.t array) =
         List.iter
           (fun (k, q) ->
              visited.(k) <- true;
-             emit q channel (reference_attach q ~channel))
+             emit q channel (reference_attach t q ~channel))
           (if side_left then !left else !right)
     end
   done;
@@ -640,7 +667,8 @@ type paths = {
   mutable moved : int;
 }
 
-let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choices =
+let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t)
+    (t : Ccroute.Group.t) choices =
   let cols = placement.Ccgrid.Placement.cols in
   (* Stub planarity repair.  Each connection straps its group to the
      trunk with an M1 stub at its attach cell's row; when capacitor A
@@ -654,8 +682,7 @@ let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choic
   let choices =
     Array.of_list
       (List.map
-         (fun ((g : Ccroute.Group.t), channel, attach) ->
-            (g.Ccroute.Group.cap, g, ref channel, ref attach))
+         (fun (g, channel, attach) -> (t.Ccroute.Group.cap.(g), g, ref channel, ref attach))
          choices)
   in
   let cyclic channel idxs =
@@ -719,7 +746,7 @@ let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choic
                     (fun (c : Ccgrid.Cell.t) ->
                        (c.Ccgrid.Cell.col = channel - 1 || c.Ccgrid.Cell.col = channel)
                        && c.Ccgrid.Cell.row <> original.Ccgrid.Cell.row)
-                    (cells_of g)
+                    (cells_of t g)
                   |> List.sort
                        (fun (a : Ccgrid.Cell.t) (b : Ccgrid.Cell.t) ->
                           match
@@ -878,21 +905,27 @@ let reference_of_channels (paths : paths) (placement : Ccgrid.Placement.t) choic
          track_caps.(channel).(track) <- caps.(i)
        done)
     channel_caps;
-  let routes =
-    List.map
-      (fun (cap, group, channel, attach) ->
-         { Ccroute.Plan.group; channel;
-           track = Hashtbl.find track_table (channel, cap); attach })
-      per_cap_choices
-  in
-  { Ccroute.Plan.routes; tracks_per_channel; track_caps }
+  let m = List.length per_cap_choices in
+  let order = Array.make m 0 and channel = Array.make m 0 in
+  let track = Array.make m 0 and attach = Array.make m 0 in
+  List.iteri
+    (fun c (cap, g, ch, (at : Ccgrid.Cell.t)) ->
+       order.(c) <- g;
+       channel.(g) <- ch;
+       track.(g) <- Hashtbl.find track_table (ch, cap);
+       attach.(g) <- (at.row * cols) + at.col)
+    per_cap_choices;
+  { Ccroute.Plan.order; channel; track; attach; tracks_per_channel; track_caps }
+
+(* Step 1's choices over every capacitor of [groups], in id order *)
+let reference_choices (p : Ccgrid.Placement.t) groups =
+  List.concat_map
+    (fun cap -> reference_select groups (Array.of_list (ids_of_cap groups cap)))
+    (List.init (p.bits + 1) Fun.id)
 
 let reference_plan (p : Ccgrid.Placement.t) groups =
-  reference_of_channels { cyclic = 0; reattached = 0; moved = 0 } p
-    (List.concat_map
-       (fun cap ->
-          reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
-       (List.init (p.bits + 1) Fun.id))
+  reference_of_channels { cyclic = 0; reattached = 0; moved = 0 } p groups
+    (reference_choices p groups)
 
 (* Random assignments: 1-5 bits, 1-12 rows and columns (odd, even and
    non-square grids), dummies, and cells that copy a neighbour's id with
@@ -941,31 +974,21 @@ let prop_matches_reference mode name =
       let p = placement_of_assignment a in
       let groups = Ccroute.Group.of_placement ~mode p in
       let reference = reference_groups mode p in
-      if List.map decode groups <> reference then
+      if decode_all groups <> reference then
         QCheck.Test.fail_report "groups differ";
       if Ccroute.Plan.make p groups <> reference_plan p groups then
         QCheck.Test.fail_report "plans differ";
       true)
 
-let same_plan (a : Ccroute.Plan.t) (b : Ccroute.Plan.t) =
-  List.compare_lengths a.routes b.routes = 0
-  && List.for_all2
-    (fun (x : Ccroute.Plan.route) (y : Ccroute.Plan.route) ->
-       x.group == y.group && x.channel = y.channel && x.track = y.track
-       && Ccgrid.Cell.equal x.attach y.attach)
-    a.routes b.routes
-  && a.tracks_per_channel = b.tracks_per_channel
-  && a.track_caps = b.track_caps
-
 (* Step-1 choices drawn at random: each group attaches at a random member
    cell, to the channel on that cell's left or right. *)
 let random_choices st groups =
   List.map
-    (fun (g : Ccroute.Group.t) ->
-       let cells = Array.of_list (cells_of g) in
+    (fun g ->
+       let cells = Array.of_list (cells_of groups g) in
        let (c : Ccgrid.Cell.t) = cells.(Random.State.int st (Array.length cells)) in
        (g, (if Random.State.bool st then c.col else c.col + 1), c))
-    groups
+    (ids groups)
 
 (* Plan inputs built by hand from single-cell groups: (cap, row, col,
    channel) connects the cell at (row, col) to [channel], in the order
@@ -977,14 +1000,14 @@ let hand_built ~rows ~cols connections =
   let p = placement_of_assignment (bits, assign) in
   let groups = Ccroute.Group.of_placement p in
   ( p,
+    groups,
     List.map
       (fun (_, row, col, channel) ->
          let at = Ccgrid.Cell.make ~row ~col in
          let g =
            List.find
-             (fun (g : Ccroute.Group.t) ->
-                List.exists (Ccgrid.Cell.equal at) (cells_of g))
-             groups
+             (fun g -> List.exists (Ccgrid.Cell.equal at) (cells_of groups g))
+             (ids groups)
          in
          (g, channel, at))
       connections )
@@ -1022,30 +1045,31 @@ let undone_moves () =
    other channel that stays. *)
 let test_of_channels_matches_reference () =
   let paths = { cyclic = 0; reattached = 0; moved = 0 } in
-  let check what p choices =
-    if not (same_plan (Ccroute.Plan.of_channels p choices)
-              (reference_of_channels paths p choices))
+  let check what (p : Ccgrid.Placement.t) groups choices =
+    let ids =
+      List.map
+        (fun (g, ch, (at : Ccgrid.Cell.t)) -> (g, ch, (at.row * p.cols) + at.col))
+        choices
+    in
+    if Ccroute.Plan.of_channels p groups ids
+       <> reference_of_channels paths p groups choices
     then Alcotest.failf "%s: plans differ" what
   in
-  let p, choices = two_stuck_channels () in
-  check "two stuck channels" p choices;
-  let p, choices = undone_moves () in
-  check "undone moves" p choices;
+  let p, groups, choices = two_stuck_channels () in
+  check "two stuck channels" p groups choices;
+  let p, groups, choices = undone_moves () in
+  check "undone moves" p groups choices;
   let rand = Random.State.make [| 22 |] in
   for i = 1 to 3000 do
     let p = placement_of_assignment (QCheck.Gen.generate1 ~rand gen_assignment) in
     let groups = Ccroute.Group.of_placement p in
-    check (Printf.sprintf "random grid %d" i) p (random_choices rand groups)
+    check (Printf.sprintf "random grid %d" i) p groups (random_choices rand groups)
   done;
   List.iter
     (fun (bits, style) ->
        let p = Ccplace.Style.place ~bits style in
        let groups = Ccroute.Group.of_placement p in
-       check (Ccplace.Style.name style) p
-         (List.concat_map
-            (fun cap ->
-               reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
-            (List.init (bits + 1) Fun.id)))
+       check (Ccplace.Style.name style) p groups (reference_choices p groups))
     Ccplace.Style.
       [ (8, Block_chess { core_bits = 6; granularity = 4 });
         (13, Block_chess { core_bits = 11; granularity = 2 }) ];
@@ -1054,12 +1078,9 @@ let test_of_channels_matches_reference () =
       ~counts:(Array.append [| 1; 1; 2; 4; 8 |] (Array.make 63 16))
   in
   let groups = Ccroute.Group.of_placement thermometer in
-  check "thermometer, Step 1" thermometer
-    (List.concat_map
-       (fun cap ->
-          reference_select (Array.of_list (Ccroute.Group.of_cap groups cap)))
-       (List.init (thermometer.bits + 1) Fun.id));
-  check "thermometer, random choices" thermometer
+  check "thermometer, Step 1" thermometer groups
+    (reference_choices thermometer groups);
+  check "thermometer, random choices" thermometer groups
     (random_choices rand groups);
   Alcotest.(check bool)
     (Printf.sprintf "repair paths reached (%d cyclic, %d re-attached, %d moved)"
@@ -1096,29 +1117,30 @@ let prop_closest_matches_reference =
     (fun (a, b) ->
        a = [] || b = []
        ||
-       let ga = group_of_cells ~cols:12 ~cap:0 ~id:0 a
-       and gb = group_of_cells ~cols:12 ~cap:0 ~id:1 b in
-       let ua, ub = Ccroute.Group.closest_cells ga gb
-       and ra, rb = reference_closest a b in
-       Ccgrid.Cell.equal (Ccroute.Group.cell ga ua) ra
-       && Ccgrid.Cell.equal (Ccroute.Group.cell gb ub) rb)
+       let t = table_of_cells ~cols:12 [ a; b ] and out = Array.make 2 (-1) in
+       Ccroute.Group.closest_cells t 0 1 out;
+       let ra, rb = reference_closest a b in
+       Ccgrid.Cell.equal (Ccroute.Group.cell t out.(0)) ra
+       && Ccgrid.Cell.equal (Ccroute.Group.cell t out.(1)) rb)
 
 let test_cells_shared_with_edges () =
+  let t = Ccroute.Group.of_placement (Ccplace.Block_chess.place ~bits:8 ()) in
   List.iter
-    (fun (g : Ccroute.Group.t) ->
-       Array.iter
-         (fun i ->
+    (fun g ->
+       let cells = cells_of t g in
+       List.iter
+         (fun (a, b) ->
             Alcotest.(check bool) "edge ends are the group's cells" true
-              (Array.mem i g.cells))
-         g.tree_edges)
-    (Ccroute.Group.of_placement (Ccplace.Block_chess.place ~bits:8 ()))
+              (List.mem a cells && List.mem b cells))
+         (edges_of t g))
+    (ids t)
 
 (* The id arrays decode to the cells and tree edges the list-based
    formation built, in the same order: every style at 2-16 bits, every
    block-chess (core, g) pair at 3-10 bits, and Ccplace.General banks. *)
 let test_ids_decode_to_parent () =
   let check what p =
-    let got = List.map decode (Ccroute.Group.of_placement p) in
+    let got = decode_all (Ccroute.Group.of_placement p) in
     if got <> parent_components p then Alcotest.failf "%s: groups differ" what
   in
   for bits = 2 to 16 do
