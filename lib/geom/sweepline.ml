@@ -17,24 +17,24 @@ type buf = {
    array that the current call needs are meaningful. *)
 type scratch = {
   (* radix sorts: the keys aligned with the array being sorted, a second
-     key and index array to scatter into, one digit's bucket counts and
-     this call's digit width *)
+     key and index array to scatter into, one digit's bucket counts, this
+     call's digit width, and the keys sorted since the scratch was made *)
   mutable keys : int array;
   mutable keys' : int array;
   mutable idx' : int array;
   mutable count : int array;
   mutable digit : int;
-  (* collinear passes: horizontals then points, verticals then points,
+  mutable sort_keys : int;
+  (* collinear passes: the major class and the points, the minor class,
      and the open buffer *)
-  mutable hp : int array;
-  mutable vp : int array;
+  mutable major : int array;
+  mutable minor : int array;
   opn : buf;
-  (* crossing pass: horizontals by y, their extents by rank, the insert
+  (* crossing pass: the minor boxes' x and y extent by rank, the insert
      and remove streams, and the active-rank bitset *)
-  mutable by_y : int array;
-  mutable hx0 : int array;
-  mutable hx1 : int array;
-  mutable hy : int array;
+  mutable mx : int array;
+  mutable my0 : int array;
+  mutable my1 : int array;
   mutable ins : int array;
   mutable rem : int array;
   mutable active : int array;
@@ -42,9 +42,11 @@ type scratch = {
 
 let scratch () =
   { keys = [||]; keys' = [||]; idx' = [||]; count = [||]; digit = 1;
-    hp = [||]; vp = [||]; opn = { items = Array.make 16 0; len = 0 };
-    by_y = [||]; hx0 = [||]; hx1 = [||]; hy = [||]; ins = [||]; rem = [||];
-    active = [||] }
+    sort_keys = 0; major = [||]; minor = [||];
+    opn = { items = Array.make 16 0; len = 0 }; mx = [||]; my0 = [||];
+    my1 = [||]; ins = [||]; rem = [||]; active = [||] }
+
+let sort_keys sc = sc.sort_keys
 
 (* [a] if it holds [n] slots, else a fresh array that does *)
 let room a n = if Array.length a >= n then a else Array.make n 0
@@ -67,6 +69,7 @@ let set_digit sc range =
    minimum, and scattered with their indices one digit at a time, low
    digit first, for as many digits as the key range spans. *)
 let sort_by sc idx n key =
+  sc.sort_keys <- sc.sort_keys + n;
   let lo = ref max_int and hi = ref min_int in
   for p = 0 to n - 1 do
     let v = key.(idx.(p)) in
@@ -167,76 +170,110 @@ let ctz32 w =
   if !w land 0x1 = 0 then incr n;
   !n
 
-(* Crossing pass: the [nh] horizontal boxes of [sc.by_y], ranked by y,
-   are active over [x0, x1]; each vertical box (the non-points of
-   [sc.vp.(0 .. nvp-1)], already in x order) reports the active ranks
-   whose y lies in its extent.  Inserts, queries and removals are three
-   sorted streams merged by x — inserts before queries before removals at
-   equal x, so touching endpoints count as contact.  Active ranks are
-   bits of 32-bit words: a query binary-searches its band and skips 32
-   inactive ranks per word read. *)
-let crossing sc b nh nvp emit =
-  let by_y = sc.by_y and vp = sc.vp in
-  sc.hx0 <- room sc.hx0 nh;
-  sc.hx1 <- room sc.hx1 nh;
-  sc.hy <- room sc.hy nh;
-  sc.ins <- room sc.ins nh;
-  sc.rem <- room sc.rem nh;
-  let words = (nh + 31) / 32 in
+(* Crossing pass: the [nm] minor boxes of [sc.minor], in the minor
+   collinear pass's order, are ranked by x and active while the sweep is
+   inside their y extent; each query, a major box or a point of
+   [sc.major.(0 .. nq-1)] already in y order from the major pass, reports
+   the active ranks whose x lies in its extent.  Inserts, queries and
+   removals are three sorted streams merged by y: inserts before queries
+   before removals at equal y, so touching endpoints count as contact.
+   Active ranks are bits of 32-bit words: a query binary-searches its
+   band and skips 32 inactive ranks per word read. *)
+let crossing sc b nm nq emit =
+  let minor = sc.minor and major = sc.major in
+  sc.mx <- room sc.mx nm;
+  sc.my0 <- room sc.my0 nm;
+  sc.my1 <- room sc.my1 nm;
+  sc.ins <- room sc.ins nm;
+  sc.rem <- room sc.rem nm;
+  let words = (nm + 31) / 32 in
   sc.active <- room sc.active words;
-  let hx0 = sc.hx0 and hx1 = sc.hx1 and hy = sc.hy in
+  let mx = sc.mx and my0 = sc.my0 and my1 = sc.my1 in
   let ins = sc.ins and rem = sc.rem and active = sc.active in
-  for r = 0 to nh - 1 do
-    let s = by_y.(r) in
-    hx0.(r) <- b.x0.(s);
-    hx1.(r) <- b.x1.(s);
-    hy.(r) <- b.y0.(s);
+  for r = 0 to nm - 1 do
+    let s = minor.(r) in
+    mx.(r) <- b.x0.(s);
+    my0.(r) <- b.y0.(s);
+    my1.(r) <- b.y1.(s);
     ins.(r) <- r;
     rem.(r) <- r
   done;
-  sort_by sc ins nh hx0;
-  sort_by sc rem nh hx1;
+  sort_by sc ins nm my0;
+  sort_by sc rem nm my1;
   Array.fill active 0 words 0;
   let ni = ref 0 and nr = ref 0 in
-  for q = 0 to nvp - 1 do
-    let v = vp.(q) in
-    let ylo = b.y0.(v) and yhi = b.y1.(v) in
-    if yhi > ylo then begin
-      let x = b.x0.(v) in
-      while !ni < nh && hx0.(ins.(!ni)) <= x do
-        let r = ins.(!ni) in
-        active.(r lsr 5) <- active.(r lsr 5) lor (1 lsl (r land 31));
-        incr ni
-      done;
-      while !nr < nh && hx1.(rem.(!nr)) < x do
-        let r = rem.(!nr) in
-        active.(r lsr 5) <- active.(r lsr 5) land lnot (1 lsl (r land 31));
-        incr nr
-      done;
-      (* first rank with y >= ylo *)
-      let a = ref 0 and z = ref nh in
+  for p = 0 to nq - 1 do
+    let q = major.(p) in
+    let y = b.y0.(q) in
+    while !ni < nm && my0.(ins.(!ni)) <= y do
+      let r = ins.(!ni) in
+      active.(r lsr 5) <- active.(r lsr 5) lor (1 lsl (r land 31));
+      incr ni
+    done;
+    while !nr < nm && my1.(rem.(!nr)) < y do
+      let r = rem.(!nr) in
+      active.(r lsr 5) <- active.(r lsr 5) land lnot (1 lsl (r land 31));
+      incr nr
+    done;
+    (* a rank leaves only after it entered, so [!ni - !nr] are active *)
+    if !ni > !nr then begin
+      let xlo = b.x0.(q) and xhi = b.x1.(q) in
+      (* first rank with x >= xlo *)
+      let a = ref 0 and z = ref nm in
       while !a < !z do
         let m = (!a + !z) / 2 in
-        if hy.(m) < ylo then a := m + 1 else z := m
+        if mx.(m) < xlo then a := m + 1 else z := m
       done;
       let r = ref !a in
-      while !r < nh do
+      while !r < nm do
         let w = active.(!r lsr 5) lsr (!r land 31) in
         if w = 0 then begin
           let next = (!r lor 31) + 1 in
-          r := if next < nh && hy.(next) <= yhi then next else nh
+          r := if next < nm && mx.(next) <= xhi then next else nm
         end
         else begin
           let r' = !r + ctz32 w in
-          if hy.(r') <= yhi then begin
-            emit by_y.(r') v;
+          if mx.(r') <= xhi then begin
+            emit minor.(r') q;
             r := r' + 1
           end
-          else r := nh
+          else r := nm
         end
       done
     end
   done
+
+(* The three passes over boxes whose horizontals are the major class, at
+   least as many as the verticals (the minor class).  Points ride the
+   major collinear pass alone, which reports major-major, major-point and
+   point-point pairs; the minor collinear pass reports minor-minor pairs;
+   the crossing reports each minor box with the major boxes and points
+   that touch it.  No pair has two of these, so each is reported once. *)
+let sweep sc b ~nmin f =
+  let n = Array.length b.x0 in
+  let nq = n - nmin in
+  sc.keys <- room sc.keys nq;
+  sc.keys' <- room sc.keys' nq;
+  sc.idx' <- room sc.idx' nq;
+  sc.major <- room sc.major nq;
+  sc.minor <- room sc.minor nmin;
+  let major = sc.major and minor = sc.minor in
+  let iq = ref 0 and im = ref 0 in
+  for i = 0 to n - 1 do
+    if b.y1.(i) > b.y0.(i) then begin
+      minor.(!im) <- i;
+      incr im
+    end
+    else begin
+      major.(!iq) <- i;
+      incr iq
+    end
+  done;
+  collinear sc ~fixed:b.y0 ~lo:b.x0 ~hi:b.x1 major nq ~emit:f;
+  if nmin > 0 then begin
+    collinear sc ~fixed:b.x0 ~lo:b.y0 ~hi:b.y1 minor nmin ~emit:f;
+    crossing sc b nmin nq f
+  end
 
 let contacts sc b f =
   let n = Array.length b.x0 in
@@ -260,51 +297,9 @@ let contacts sc b f =
     if x1 > !hi then hi := x1;
     if y1 > !hi then hi := y1
   done;
-  let nh = !nh and nv = !nv in
-  let np = n - nh - nv in
   set_digit sc (if n = 0 then 0 else !hi - !lo);
-  let longest = np + Int.max nh nv in
-  sc.keys <- room sc.keys longest;
-  sc.keys' <- room sc.keys' longest;
-  sc.idx' <- room sc.idx' longest;
-  (* horizontals then points; verticals then points *)
-  sc.hp <- room sc.hp (nh + np);
-  sc.vp <- room sc.vp (nv + np);
-  let hp = sc.hp and vp = sc.vp in
-  let ih = ref 0 and iv = ref 0 and ip = ref 0 in
-  for i = 0 to n - 1 do
-    if b.x1.(i) > b.x0.(i) then begin
-      hp.(!ih) <- i;
-      incr ih
-    end
-    else if b.y1.(i) > b.y0.(i) then begin
-      vp.(!iv) <- i;
-      incr iv
-    end
-    else begin
-      hp.(nh + !ip) <- i;
-      vp.(nv + !ip) <- i;
-      incr ip
-    end
-  done;
-  collinear sc ~fixed:b.y0 ~lo:b.x0 ~hi:b.x1 hp (nh + np) ~emit:f;
-  (* points ride in both collinear passes.  Two points touch only where
-     they coincide, and the horizontal pass reports every such pair: the
-     later of the two is scanned at the earlier's x, before anything
-     starting past it could close the earlier.  So the vertical pass
-     skips point pairs. *)
-  let is_point i = b.x0.(i) = b.x1.(i) && b.y0.(i) = b.y1.(i) in
-  collinear sc ~fixed:b.x0 ~lo:b.y0 ~hi:b.y1 vp (nv + np) ~emit:(fun o s ->
-      if not (is_point o && is_point s) then f o s);
-  (* horizontals by y: the horizontal pass's order without its points *)
-  sc.by_y <- room sc.by_y nh;
-  let by_y = sc.by_y in
-  let k = ref 0 in
-  for p = 0 to nh + np - 1 do
-    let i = hp.(p) in
-    if not (is_point i) then begin
-      by_y.(!k) <- i;
-      incr k
-    end
-  done;
-  crossing sc b nh (nv + np) f
+  (* the larger class is the major one: verticals are swept as the
+     horizontals of the transposed boxes *)
+  if !nv > !nh then
+    sweep sc { x0 = b.y0; y0 = b.x0; x1 = b.y1; y1 = b.x1 } ~nmin:!nh f
+  else sweep sc b ~nmin:!nv f

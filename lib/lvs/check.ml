@@ -279,9 +279,10 @@ let run layout =
           Shape.of_layout layout)
     | wrong -> Error wrong
   in
-  let diagnostics, stats =
+  let diagnostics, stats, sort_keys =
     match flat with
-    | Error rejected -> (rejected, { shapes = 0; contacts = 0; components = 0 })
+    | Error rejected ->
+      (rejected, { shapes = 0; contacts = 0; components = 0 }, 0)
     | Ok shapes ->
       let ex =
         Telemetry.Span.with_ ~name:"lvs.extract" (fun () ->
@@ -294,11 +295,13 @@ let run layout =
       ( diagnostics,
         { shapes = Shape.count shapes;
           contacts = ex.Extracted.n_contacts;
-          components = ex.Extracted.n_components } )
+          components = ex.Extracted.n_components },
+        ex.Extracted.sort_keys )
   in
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.set "lvs/shapes" (float_of_int stats.shapes);
     Telemetry.Metrics.set "lvs/contacts" (float_of_int stats.contacts);
+    Telemetry.Metrics.set "lvs/sort_keys" (float_of_int sort_keys);
     Telemetry.Metrics.set "lvs/components" (float_of_int stats.components);
     List.iter
       (fun (d : D.t) ->

@@ -58,7 +58,7 @@ val classify :
 
 (** [run layout] is the full instrumented pass (spans [lvs.flatten],
     [lvs.extract], [lvs.compare]; metrics [lvs/shapes], [lvs/contacts],
-    [lvs/components], [lvs/defects_total]). *)
+    [lvs/sort_keys], [lvs/components], [lvs/defects_total]). *)
 val run : Ccroute.Layout.t -> result
 
 (** [check layout] is [(run layout).diagnostics]. *)

@@ -2,6 +2,7 @@ type t = {
   comp_of : int array;
   n_components : int;
   n_contacts : int;
+  sort_keys : int;
 }
 
 (* --- the plate lattice --- *)
@@ -141,14 +142,15 @@ let layer_contacts sc lat (shapes : Shape.t) name f =
 let contacts shapes name f =
   layer_contacts (Geom.Sweepline.scratch ()) (lattice shapes) shapes name f
 
-(* Union-find with path halving and union by size. *)
+(* Union-find with path halving, linking the larger root under the
+   smaller: every shape's parent is at most its own id, and a component's
+   root is its lowest shape id. *)
 let extract (shapes : Shape.t) =
   let n = Shape.count shapes in
   let parent = Array.make n 0 in
   for i = 0 to n - 1 do
     parent.(i) <- i
   done;
-  let size = Array.make n 1 in
   let rec find i =
     let p = parent.(i) in
     if p = i then i
@@ -157,14 +159,9 @@ let extract (shapes : Shape.t) =
       find parent.(i)
     end
   in
-  let link small big =
-    parent.(small) <- big;
-    size.(big) <- size.(big) + size.(small)
-  in
   let union a b =
     let ra = find a and rb = find b in
-    if ra <> rb then
-      if size.(ra) >= size.(rb) then link rb ra else link ra rb
+    if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
   in
   let contacts = ref 0 in
   (* all three layers in one sweep scratch and one lattice; a via carries
@@ -177,21 +174,17 @@ let extract (shapes : Shape.t) =
            incr contacts;
            union a b))
     Tech.Layer.[ M1; M2; M3 ];
-  (* densify component ids in shape order, in place: point every shape
-     at its root, then replace each root pointer with its component's
-     dense id (numbered in the sizes' array, free once linking is done) *)
-  for i = 0 to n - 1 do
-    parent.(i) <- find i
-  done;
-  let comp_of_root = size in
-  Array.fill comp_of_root 0 n (-1);
+  (* number the components in shape order, in place: a root takes the
+     next number, and any other shape copies the number of its parent,
+     a lower id already numbered *)
   let next = ref 0 in
   for i = 0 to n - 1 do
-    let r = parent.(i) in
-    if comp_of_root.(r) < 0 then begin
-      comp_of_root.(r) <- !next;
+    let p = parent.(i) in
+    if p = i then begin
+      parent.(i) <- !next;
       incr next
-    end;
-    parent.(i) <- comp_of_root.(r)
+    end
+    else parent.(i) <- parent.(p)
   done;
-  { comp_of = parent; n_components = !next; n_contacts = !contacts }
+  { comp_of = parent; n_components = !next; n_contacts = !contacts;
+    sort_keys = Geom.Sweepline.sort_keys sc }

@@ -15,16 +15,21 @@
     M3, so its same-layer contacts merge the two layers' components).
 
     A layer of n wires and vias and k contacts costs the sweep's
-    O(n·d + k + B/32), d being its radix digit passes and B the
-    horizontal shapes summed over the y bands of its vertical ones, plus
-    O(n + k) lattice lookups and a near-constant amortised union-find
-    step per contact.  The result partitions the flattened shape set into
-    electrical components — the extracted nets. *)
+    O(n·d + k + Σ_q (log m + b_q / 32)), d being its radix digit passes,
+    m the shapes of its smaller wire direction and b_q those in the band
+    of each other wire or via q, plus O(n + k) lattice lookups and a
+    union-find step per contact: path halving, linking the larger root
+    under the smaller (O(log n) amortised), so a component's root is its
+    lowest shape id and the numbering needs no second table.  The result
+    partitions the flattened shape set into electrical components — the
+    extracted nets. *)
 
 type t = {
   comp_of : int array;     (** shape id -> dense component index *)
   n_components : int;
   n_contacts : int;        (** same-layer contact pairs found *)
+  sort_keys : int;         (** keys the three sweeps' radix sorts ordered
+                               ({!Geom.Sweepline.sort_keys}) *)
 }
 
 (** [contacts shapes layer f] calls [f a b] exactly once for every

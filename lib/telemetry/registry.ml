@@ -43,6 +43,10 @@ let definitions =
       ~cardinality:"1"
       ~doc:"Same-layer contact pairs found by the sweepline and the plate \
             lattice.";
+    m ~id:"lvs/sort_keys" ~kind:Metric.Gauge ~stage:"lvs" ~unit_:"1"
+      ~cardinality:"1"
+      ~doc:"Keys the last extraction's sweep radix-sorted over its three \
+            layers, one per box index per sort.";
     m ~id:"lvs/components" ~kind:Metric.Gauge ~stage:"lvs" ~unit_:"1"
       ~cardinality:"1"
       ~doc:"Connected components after closing connectivity through vias.";

@@ -20,6 +20,14 @@ let r_geometry =
        spacing non-negative, and the wire pitch smaller than the cell width \
        (channel tracks must fit next to a cell)."
 
+let r_grid =
+  Rule.make ~id:"tech/grid" ~category:Rule.Tech ~severity:Rule.Error
+    ~doc:
+      "Wire pitch, cell width, cell height and cell spacing must each be a \
+       whole number of nanometres, to within 1e-12 um of float rounding: \
+       the router sums and halves these lengths, so every drawn coordinate \
+       lands on LVS's 0.5 nm grid."
+
 let r_stack =
   Rule.make ~id:"tech/layer-stack" ~category:Rule.Tech ~severity:Rule.Error
     ~doc:
@@ -33,7 +41,18 @@ let r_statistics =
        positive correlation length, non-negative gradient slope and mismatch \
        coefficient, and a finite gradient angle."
 
-let rules = [ r_resistance; r_capacitance; r_geometry; r_stack; r_statistics ]
+let rules =
+  [ r_resistance; r_capacitance; r_geometry; r_grid; r_stack; r_statistics ]
+
+(* How far (nm) a tech length may lie from a whole nanometre.  The
+   router adds a length once per column, channel or track, so an error
+   of e um in one reaches a coordinate thousands of times over, while LVS
+   snaps a coordinate only within 1e-6 um (Lvs.Shape.tolerance_um): a
+   cell width 5e-7 um past a whole nanometre already puts a 6-bit
+   spiral's columns off the grid.  1e-12 um is far below that drift and
+   far above the rounding of a whole-nanometre length written in
+   decimal micrometres. *)
+let grid_tolerance_nm = 1e-9
 
 let check (tech : Tech.Process.t) =
   let out = ref [] in
@@ -90,6 +109,15 @@ let check (tech : Tech.Process.t) =
   then
     emit r_geometry "wire pitch %g um is not smaller than the cell width %g um"
       tech.Tech.Process.wire_pitch tech.Tech.Process.cell_width;
+  List.iter
+    (fun (what, v) ->
+       let nm = v *. 1000. in
+       if not (Float.abs (nm -. Float.round nm) <= grid_tolerance_nm) then
+         emit r_grid "%s %.12g um is not a whole number of nanometres" what v)
+    [ ("wire pitch", tech.Tech.Process.wire_pitch);
+      ("cell width", tech.Tech.Process.cell_width);
+      ("cell height", tech.Tech.Process.cell_height);
+      ("cell spacing", tech.Tech.Process.cell_spacing) ];
   (* layer stack *)
   let names =
     List.map (fun (l : Tech.Layer.t) -> l.Tech.Layer.name)

@@ -11,6 +11,9 @@ val r_capacitance : Rule.t
 (** ["tech/geometry"] *)
 val r_geometry : Rule.t
 
+(** ["tech/grid"] *)
+val r_grid : Rule.t
+
 (** ["tech/layer-stack"] *)
 val r_stack : Rule.t
 

@@ -175,6 +175,74 @@ let test_gate_layer_stack () =
     (rejected_with (fun () ->
          Ccdac.Flow.run_placement ~tech (Ccplace.Spiral.place ~bits:6)))
 
+(* a cell width a tenth of a nanometre off: every column centre adds
+   half of a 1770.4 nm pitch *)
+let test_gate_grid () =
+  let tech = { Tech.Process.finfet_12nm with Tech.Process.cell_width = 1.7004 } in
+  check_input_gate ~tech ~rule:"tech/grid"
+    [ (6, Ccplace.Style.Spiral); (8, Ccplace.Style.Chessboard) ];
+  Alcotest.(check (list string)) "run_placement" [ "tech/grid" ]
+    (rejected_with (fun () ->
+         Ccdac.Flow.run_placement ~tech (Ccplace.Spiral.place ~bits:6)))
+
+(* Perturbed techs: each of the four lengths the router sums is a whole
+   number of nanometres in a plausible range, plus an offset: none (3 in
+   4), float-rounding size (1e-13 um), or 1e-11 to 1e-4 um either way.
+   The rule admits exactly the techs with no offset past float rounding,
+   about 3 in 5, and every tech it admits routes verify- and LVS-clean at
+   6 bits in every style; every other one is rejected under tech/grid
+   before placing. *)
+let gen_perturbed =
+  let open QCheck.Gen in
+  let offset =
+    frequency
+      [ (12, return 0.); (2, oneofl [ 1e-13; -1e-13 ]);
+        (2, oneofl [ 1e-11; -1e-11; 1e-9; -1e-9; 1e-7; -1e-7; 5e-7; -5e-7;
+                     9e-7; -9e-7; 1e-4; -1e-4 ]) ]
+  in
+  let field lo hi = pair (int_range lo hi) offset in
+  (* nanometres: wire pitch, cell width, cell height, cell spacing *)
+  quad (field 40 120) (field 1000 2500) (field 1000 2500) (field 1 150)
+
+let perturbed_tech (pitch, width, height, spacing) =
+  let um (nm, off) = (float_of_int nm /. 1000.) +. off in
+  { Tech.Process.finfet_12nm with
+    Tech.Process.wire_pitch = um pitch;
+    cell_width = um width;
+    cell_height = um height;
+    cell_spacing = um spacing }
+
+let perturbed_arb =
+  QCheck.make
+    ~print:(fun fields ->
+        let t = perturbed_tech fields in
+        Printf.sprintf "pitch %.17g, width %.17g, height %.17g, spacing %.17g um"
+          t.Tech.Process.wire_pitch t.Tech.Process.cell_width
+          t.Tech.Process.cell_height t.Tech.Process.cell_spacing)
+    gen_perturbed
+
+let prop_perturbed_techs =
+  QCheck.Test.make ~name:"perturbed techs: admitted ones route LVS-clean"
+    ~count:100 perturbed_arb
+    (fun (((_, op), (_, ow), (_, oh), (_, os)) as fields) ->
+       let whole =
+         List.for_all (fun off -> Float.abs off <= 1e-12) [ op; ow; oh; os ]
+       in
+       let tech = perturbed_tech fields in
+       let admitted = Verify.Engine.check_tech tech = [] in
+       admitted = whole
+       && List.for_all
+         (fun style ->
+            if admitted then begin
+              (* the verify and LVS gates raise on any defect *)
+              ignore (Ccdac.Flow.place_route ~tech ~bits:6 style : _ * float);
+              true
+            end
+            else
+              rejected_with (fun () -> Ccdac.Flow.place_route ~tech ~bits:6 style)
+              = [ "tech/grid" ])
+         Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits:6 ])
+
 (* --- sweep --- *)
 
 (* the BC entry of [Sweep.row], the best of its family *)
@@ -309,7 +377,9 @@ let () =
           Alcotest.test_case "input gate: block core bits" `Quick test_gate_core_bits;
           Alcotest.test_case "input gate: granularity" `Quick test_gate_granularity;
           Alcotest.test_case "input gate: bits range" `Quick test_gate_bits;
-          Alcotest.test_case "input gate: layer stack" `Quick test_gate_layer_stack ] );
+          Alcotest.test_case "input gate: layer stack" `Quick test_gate_layer_stack;
+          Alcotest.test_case "input gate: tech grid" `Quick test_gate_grid;
+          QCheck_alcotest.to_alcotest prop_perturbed_techs ] );
       ( "sweep",
         [ Alcotest.test_case "best block is BC" `Quick test_best_block_is_block;
           Alcotest.test_case "best block max" `Quick test_best_block_beats_family_on_f3db;

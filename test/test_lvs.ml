@@ -160,6 +160,42 @@ let test_sweepline_points () =
     [ (0, 1); (0, 3); (1, 3); (2, 3) ]
     (contacts (boxes_of segs))
 
+(* An M3-like layer: verticals and via points, no horizontal, so the
+   verticals are the major class and the minor class is empty; two vias
+   coincide mid-wire and one sits on a wire's end. *)
+let test_sweepline_verticals_and_vias () =
+  let segs =
+    [ (0, 0, 0, 10);    (* 0: V *)
+      (0, 4, 0, 4);     (* 1: via on 0 *)
+      (0, 4, 0, 4);     (* 2: via coinciding with 1 *)
+      (0, 10, 0, 14);   (* 3: V continuing 0 *)
+      (5, 0, 5, 6);     (* 4: V, alone *)
+      (5, 7, 5, 7);     (* 5: via just past 4's end *)
+      (0, 14, 0, 14);   (* 6: via on 3's end *)
+      (1, 4, 1, 4) ]    (* 7: via beside 1 *)
+  in
+  Alcotest.(check (list (pair int int)))
+    "vertical contacts"
+    [ (0, 1); (0, 2); (0, 3); (1, 2); (3, 6) ]
+    (contacts (boxes_of segs))
+
+(* A chessboard-M1-like layer: stubs and via points, no vertical. *)
+let test_sweepline_no_verticals () =
+  let segs =
+    [ (0, 0, 10, 0);    (* 0: H *)
+      (10, 0, 20, 0);   (* 1: H touching 0's end *)
+      (3, 0, 3, 0);     (* 2: via on 0 *)
+      (3, 0, 3, 0);     (* 3: via coinciding with 2 *)
+      (10, 0, 10, 0);   (* 4: via on the 0-1 junction *)
+      (21, 0, 21, 0);   (* 5: via just past 1 *)
+      (0, 2, 4, 2);     (* 6: H on another row *)
+      (4, 2, 4, 2) ]    (* 7: via on 6's end *)
+  in
+  Alcotest.(check (list (pair int int)))
+    "horizontal contacts"
+    [ (0, 1); (0, 2); (0, 3); (0, 4); (1, 4); (2, 3); (6, 7) ]
+    (contacts (boxes_of segs))
+
 let test_sweepline_rejects_rect () =
   Alcotest.check_raises "extended in both axes"
     (Invalid_argument
@@ -272,6 +308,80 @@ let agrees_with_oracle segs =
 let prop_sweepline_matches_all_pairs =
   QCheck.Test.make ~name:"matches all-pairs oracle" ~count:300 segs_arb
     agrees_with_oracle
+
+(* The same oracle on soups whose class mix is skewed, as in routed
+   layers, where the sweep's roles follow the counts: all points, no
+   verticals, no horizontals, and 9:1 either way (with points).  Each
+   shape's class comes from the soup's (horizontal, vertical, point)
+   weights.  A shape is fresh on the lattice, a copy of an earlier one
+   (same class), or drawn from an earlier shape's high end, off by a
+   gap along its own axis: along the earlier shape that is a collinear
+   continuation, across it a tee, and a point lands on or beside the
+   end. *)
+type skewed_spec =
+  | S_fresh of int * int * int * int  (* class, x, y, length (lattice) *)
+  | S_copy of int
+  | S_from of int * int * int * int   (* class, earlier shape, gap, length *)
+
+let mixes =
+  [ ("all points", (0, 0, 1)); ("no verticals", (3, 0, 1));
+    ("no horizontals", (0, 3, 1)); ("9:1 horizontal", (9, 1, 4));
+    ("9:1 vertical", (1, 9, 4)) ]
+
+let gen_skewed =
+  let open QCheck.Gen in
+  let grid = int_range 0 24 and len = int_range 1 8 in
+  let earlier = int_range 0 1000 and gap = int_range 0 (Array.length gaps - 1) in
+  oneofl mixes >>= fun (name, (h, v, p)) ->
+  let cls =
+    frequency
+      (List.filter (fun (w, _) -> w > 0) [ (h, return 0); (v, return 1); (p, return 2) ])
+  in
+  map
+    (fun specs -> (name, specs))
+    (pair (oneofl [ 2; 6_000_002 ])
+       (list_size (int_range 1 160)
+          (frequency
+             [ (10, map (fun (c, x, y, l) -> S_fresh (c, x, y, l)) (quad cls grid grid len));
+               (3, map (fun i -> S_copy i) earlier);
+               (7, map (fun (c, (i, g, l)) -> S_from (c, i, g, l))
+                     (pair cls (triple earlier gap len))) ])))
+
+let segs_of_skewed (pitch, specs) =
+  let out = Array.make (List.length specs) (0, 0, 0, 0) in
+  List.iteri
+    (fun id spec ->
+       let at k = pitch * k in
+       out.(id) <-
+         (match spec with
+          | S_fresh (0, x, y, l) -> (at x, at y, at (x + l), at y)
+          | S_fresh (1, x, y, l) -> (at x, at y, at x, at (y + l))
+          | S_fresh (_, x, y, _) -> (at x, at y, at x, at y)
+          | S_copy i -> out.(i mod Int.max id 1)
+          | S_from (c, i, g, l) ->
+            let ax, ay, bx, by = out.(i mod Int.max id 1) in
+            let hx = Int.max ax bx and hy = Int.max ay by in
+            (match c with
+             | 0 -> (hx + gaps.(g), hy, hx + at l, hy)
+             | 1 -> (hx, hy + gaps.(g), hx, hy + at l)
+             | _ -> (hx + gaps.(g), hy, hx + gaps.(g), hy))))
+    specs;
+  Array.to_list out
+
+let skewed_arb =
+  let print (name, segs) =
+    String.concat "\n"
+      (name
+       :: List.mapi
+         (fun i (ax, ay, bx, by) -> Printf.sprintf "%d: (%d, %d)-(%d, %d)" i ax ay bx by)
+         segs)
+  in
+  QCheck.make ~print
+    (QCheck.Gen.map (fun (name, specs) -> (name, segs_of_skewed specs)) gen_skewed)
+
+let prop_sweepline_skewed_mixes =
+  QCheck.Test.make ~name:"skewed class mixes match all-pairs oracle" ~count:300
+    skewed_arb (fun (_, segs) -> agrees_with_oracle segs)
 
 (* --- clean layouts certify clean --- *)
 
@@ -416,28 +526,53 @@ let signoff_pins =
      [ "dc13a829542c5c60982dd24a08283a0c"; "1e61b0ce5af520a9608065b5e6fa1035";
        "6310a881a71db630ab552bcc0cdf8928" ]) ]
 
+(* the 16 designs, named, routed once for every test that reads them *)
+let signoff_layouts =
+  lazy
+    (List.concat_map
+       (fun bits ->
+          List.map
+            (fun style ->
+               ( Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
+                 layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style)
+                   style bits ))
+            Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
+       [ 6; 8; 10; 12 ])
+
 let test_signoff_pins () =
   let actual =
-    List.concat_map
-      (fun bits ->
-         List.map
-           (fun style ->
-              let l =
-                layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style)
-                  style bits
-              in
-              let s = (Lvs.Check.run l).Lvs.Check.stats in
-              let shapes = flat l in
-              ( Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits,
-                (s.Lvs.Check.shapes, s.Lvs.Check.contacts, s.Lvs.Check.components),
-                List.map
-                  (fun layer -> pairs_digest (layer_contacts shapes layer))
-                  Tech.Layer.[ M1; M2; M3 ] ))
-           Ccplace.Style.[ Rowwise; Chessboard; Spiral; block_default ~bits ])
-      [ 6; 8; 10; 12 ]
+    List.map
+      (fun (name, l) ->
+         let s = (Lvs.Check.run l).Lvs.Check.stats in
+         let shapes = flat l in
+         ( name,
+           (s.Lvs.Check.shapes, s.Lvs.Check.contacts, s.Lvs.Check.components),
+           List.map
+             (fun layer -> pairs_digest (layer_contacts shapes layer))
+             Tech.Layer.[ M1; M2; M3 ] ))
+      (Lazy.force signoff_layouts)
   in
   Alcotest.(check (list (triple string (triple int int int) (list string))))
     "stats and per-layer contact digests" signoff_pins actual
+
+(* The sweep's work, one key per index per radix sort (lvs/sort_keys).
+   Horizontals, verticals and points number 19,711, 2,160 and 8,866 on
+   M1 over the 16 designs, 16, 480 and 0 on M2, and 0, 699 and 8,866 on
+   M3.  Sorting every point in both collinear scans and the major class
+   for the crossing, as the sweep did before the minor class drove it,
+   ordered 156,514 keys here and 50,796 for the 12-bit chessboard, whose
+   M1 has no verticals. *)
+let test_sort_keys_pinned () =
+  let keys l = (Lvs.Extracted.extract (flat l)).Lvs.Extracted.sort_keys in
+  let layouts = Lazy.force signoff_layouts in
+  Alcotest.(check int) "16 signoff designs" 85_948
+    (List.fold_left (fun acc (_, l) -> acc + keys l) 0 layouts);
+  let chessboard12 = List.assoc "chessboard 12-bit" layouts in
+  let (_ : Lvs.Check.result), dump =
+    Telemetry.Metrics.collect (fun () -> Lvs.Check.run chessboard12)
+  in
+  Alcotest.(check (option (float 0.))) "12-bit chessboard gauge"
+    (Some 25_602.) (Telemetry.Metrics.gauge dump "lvs/sort_keys")
 
 (* --- mutation harness --- *)
 
@@ -1160,12 +1295,17 @@ let test_off_grid_via () =
     (r.Lvs.Check.stats = { Lvs.Check.shapes = 0; contacts = 0; components = 0 })
 
 let test_off_grid_tech () =
-  (* a 64.3 nm pitch puts track centres on tenths of a nanometre *)
+  (* a 64.3 nm pitch puts track centres on tenths of a nanometre: LVS
+     rejects the routed layout, and the flow rejects the tech under
+     tech/grid before it places *)
   let tech = { Tech.Process.finfet_12nm with Tech.Process.wire_pitch = 0.0643 } in
+  let routed = Ccroute.Layout.route tech (Ccplace.Spiral.place ~bits:6) in
+  Alcotest.(check (list string)) "rejected off the grid" [ "lvs/off-grid" ]
+    (fired (Lvs.Check.check routed));
   match Ccdac.Flow.run ~tech ~bits:6 Ccplace.Style.Spiral with
   | _ -> Alcotest.fail "expected Verify.Engine.Rejected"
   | exception Verify.Engine.Rejected { diagnostics; _ } ->
-    Alcotest.(check (list string)) "rejected off the grid" [ "lvs/off-grid" ]
+    Alcotest.(check (list string)) "rejected by the tech rule" [ "tech/grid" ]
       (fired diagnostics)
 
 let test_noise_snaps () =
@@ -1378,11 +1518,11 @@ let reference_extract r =
       find parent.(i)
     end
   in
-  let contacts = ref 0 in
+  let contacts = ref 0 and sc = Geom.Sweepline.scratch () in
   Array.iter
     (fun (l : Lvs.Shape.layer) ->
        let ids = l.Lvs.Shape.ids in
-       Geom.Sweepline.contacts (Geom.Sweepline.scratch ()) l.Lvs.Shape.boxes
+       Geom.Sweepline.contacts sc l.Lvs.Shape.boxes
          (fun a b ->
             incr contacts;
             let ra = find ids.(a) and rb = find ids.(b) in
@@ -1399,7 +1539,8 @@ let reference_extract r =
         end;
         comp.(root))
   in
-  { Lvs.Extracted.comp_of; n_components = !next; n_contacts = !contacts }
+  { Lvs.Extracted.comp_of; n_components = !next; n_contacts = !contacts;
+    sort_keys = Geom.Sweepline.sort_keys sc }
 
 (* [l] through both paths: the same diagnostics when flattening fails;
    otherwise the same kinds, labels, pads and drivers, the same contact
@@ -1701,15 +1842,20 @@ let () =
     [ ( "sweepline",
         [ test_case "basic contacts" `Quick test_sweepline_basic;
           test_case "points" `Quick test_sweepline_points;
+          test_case "verticals and vias" `Quick
+            test_sweepline_verticals_and_vias;
+          test_case "no verticals" `Quick test_sweepline_no_verticals;
           test_case "rejects rectangles" `Quick test_sweepline_rejects_rect;
-          QCheck_alcotest.to_alcotest prop_sweepline_matches_all_pairs ] );
+          QCheck_alcotest.to_alcotest prop_sweepline_matches_all_pairs;
+          QCheck_alcotest.to_alcotest prop_sweepline_skewed_mixes ] );
       ( "clean",
         [ test_case "style x bits sweep" `Slow test_clean_sweep;
           test_case "parallel wires" `Quick test_clean_parallel_wires;
           test_case "odd-N chessboard" `Quick test_odd_chessboard;
           test_case "stub planarity repair" `Quick test_stub_planarity_repair;
           test_case "stats" `Quick test_stats_sane;
-          test_case "signoff designs pinned" `Slow test_signoff_pins ] );
+          test_case "signoff designs pinned" `Slow test_signoff_pins;
+          test_case "sweep sort keys pinned" `Slow test_sort_keys_pinned ] );
       ( "mutations",
         [ test_case "drop attach via" `Quick test_mut_drop_attach_via;
           test_case "delete bridge" `Quick test_mut_drop_bridge;

@@ -249,6 +249,37 @@ let test_signoff_minor_words () =
     (Printf.sprintf "at most 1.1M minor words (got %.0f)" words)
     true (words <= 1.1e6)
 
+(* Major-heap words allocated by one Lvs.Check.run pass over the 16
+   signoff layouts, routed as the flow routes them, after a warm-up pass:
+   words allocated there directly (arrays past the minor heap's limit)
+   plus words promoted to it, read live from this domain's counters.
+   Reads about 678,000; 874,017 when every sweep sorted the points in
+   both collinear scans and the major class for the crossing, and the
+   union-find kept a size per shape. *)
+let test_lvs_major_words () =
+  let layouts =
+    List.map
+      (fun (bits, style) ->
+         fst (Ccdac.Flow.place_route ~verify:false ~bits style))
+      signoff_designs
+  in
+  let pass () =
+    List.iter
+      (fun l -> ignore (Lvs.Check.run l : Lvs.Check.result))
+      layouts
+  in
+  let major () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  pass ();
+  let w0 = major () in
+  pass ();
+  let words = major () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 0.70M major words (got %.0f)" words)
+    true (words <= 0.70e6)
+
 (* What a routed 12-bit chessboard keeps alive: nearly every cell is its
    own group, so per-group blocks would dominate.  The size is the rise
    in live major-heap words across building it, each side read after a
@@ -298,5 +329,6 @@ let () =
             test_no_forced_minor;
           Alcotest.test_case "signoff minor words" `Quick
             test_signoff_minor_words;
+          Alcotest.test_case "LVS major words" `Quick test_lvs_major_words;
           Alcotest.test_case "chessboard retained size" `Quick
             test_chessboard_retained ] ) ]

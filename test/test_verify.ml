@@ -200,6 +200,30 @@ let test_bad_tech_geometry () =
   check_fired "zero wire pitch" [ "tech/geometry" ]
     (Verify.Engine.check_tech { tech with Tech.Process.wire_pitch = 0. })
 
+(* each of the four lengths the router sums, a tenth of a nanometre off
+   (1770.4 nm cell pitch: every column centre off the 0.5 nm grid), or
+   within float rounding of a whole nanometre *)
+let test_bad_tech_grid () =
+  let off = [ ("wire pitch", { tech with Tech.Process.wire_pitch = 0.0643 });
+              ("cell width", { tech with Tech.Process.cell_width = 1.7004 });
+              ("cell height", { tech with Tech.Process.cell_height = 1.7004 });
+              ("cell spacing", { tech with Tech.Process.cell_spacing = 0.0701 }) ]
+  in
+  List.iter
+    (fun (what, t) ->
+       let diags = Verify.Engine.check_tech t in
+       check_fired what [ "tech/grid" ] diags;
+       Alcotest.(check bool) (what ^ " named") true
+         (String.starts_with ~prefix:what (List.hd diags).Verify.Diagnostic.detail))
+    off;
+  check_fired "5e-7 um past a nanometre" [ "tech/grid" ]
+    (Verify.Engine.check_tech
+       { tech with Tech.Process.cell_width = 1.7 +. 5e-7 });
+  check_fired "sums of decimal lengths" []
+    (Verify.Engine.check_tech
+       { tech with Tech.Process.cell_width = 1.6 +. 0.1;
+                   cell_spacing = 0.01 +. 0.06 })
+
 let test_bad_tech_statistics () =
   check_fired "rho_u out of range" [ "tech/statistics" ]
     (Verify.Engine.check_tech { tech with Tech.Process.rho_u = 1.5 })
@@ -648,6 +672,7 @@ let () =
           Alcotest.test_case "capacitance" `Quick test_bad_tech_capacitance;
           Alcotest.test_case "stack" `Quick test_bad_tech_stack;
           Alcotest.test_case "geometry" `Quick test_bad_tech_geometry;
+          Alcotest.test_case "grid" `Quick test_bad_tech_grid;
           Alcotest.test_case "statistics" `Quick test_bad_tech_statistics ] );
       ( "bad style",
         [ Alcotest.test_case "core bits" `Quick test_bad_style_core_bits;
