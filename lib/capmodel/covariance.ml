@@ -1,6 +1,7 @@
 type t = {
   matrix : float array array;  (* Cov(j, k), fF^2; symmetric *)
   points : int;                (* Lattice.transform_points, 0 for the pair sum *)
+  lookups : int;               (* Lattice.direct_lookups, 0 for the pair sum *)
 }
 
 let pairwise_sums tech positions =
@@ -22,17 +23,21 @@ let build tech positions =
     let s = Tech.Process.sigma_u tech in
     s *. s
   in
-  let sums, points =
+  let sums, points, lookups =
     match Lattice.of_positions tech positions with
     | Some lattice ->
-      (Lattice.correlation_sums tech lattice, Lattice.transform_points lattice)
-    | None -> (pairwise_sums tech positions, 0)
+      ( Lattice.correlation_sums tech lattice,
+        Lattice.transform_points lattice,
+        Lattice.direct_lookups lattice )
+    | None -> (pairwise_sums tech positions, 0, 0)
   in
-  { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums; points }
+  { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums; points; lookups }
 
 let size t = Array.length t.matrix
 
 let transform_points t = t.points
+
+let direct_lookups t = t.lookups
 
 let check_index t k =
   if k < 0 || k >= size t then invalid_arg "Covariance: capacitor index out of range"

@@ -12,12 +12,14 @@ type t
     capacitors whose unit-cell centre positions are given per capacitor
     index.  When every position lies on [tech]'s half-pitch lattice
     (always true for {!Ccgrid.Placement.positions_by_cap}), the cell-pair
-    sums come from the lattice kernel {!Lattice}: a capacitor of at most
-    [log2 G] cells, on a transform grid of [G] points, is summed
-    directly over every cell of the array, and the rest go through 2-D
-    FFT convolutions at [O(G log G)] per pair of capacitors.  The result
-    equals the pair sum up to float rounding but not bitwise.  Otherwise
-    every pair of cells is enumerated: [O(G^2)] for [G] unit cells. *)
+    sums come from the lattice kernel {!Lattice}: the largest capacitor
+    (or the lattice points no cell covers, when they are more) is
+    derived from the others, the smallest capacitors are summed directly
+    among themselves, and the rest go through 2-D FFT convolutions at
+    [O(G log G)] per pair of capacitors on a transform grid of [G]
+    points.  The result equals the pair sum up to float rounding but
+    not bitwise.  Otherwise every pair of cells is enumerated: [O(G^2)]
+    for [G] unit cells. *)
 val build : Tech.Process.t -> Geom.Point.t array array -> t
 
 (** Number of capacitors. *)
@@ -28,6 +30,11 @@ val size : t -> int
     run times transform-grid points; [0] when it transformed no
     capacitor), or [0] when it enumerated cell pairs. *)
 val transform_points : t -> int
+
+(** [direct_lookups t] is the build's direct work:
+    {!Lattice.direct_lookups} of the lattice it used (table lookups of
+    the direct sums), or [0] when it enumerated cell pairs. *)
+val direct_lookups : t -> int
 
 (** [variance t k] is [sigma_k^2] in fF^2.  [Cov(k, k) = variance t k]. *)
 val variance : t -> int -> float

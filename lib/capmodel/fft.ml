@@ -191,19 +191,19 @@ let check_rows t re im =
   if not (Array.for_all same re && Array.for_all same im) then
     invalid_arg "Fft: rows of different lengths"
 
-let head_forward_rows t ~half re im =
+let head_forward_rows t ~half ~width re im =
   let h = t.n / 2 in
   for j = 0 to h - 1 do
     let wr = t.wr.(j) and wi = t.wi.(j) in
     let ar = re.(j) and ai = im.(j) and br = re.(j + h) and bi = im.(j + h) in
     if half then
-      for c = 0 to Array.length ar - 1 do
+      for c = 0 to width - 1 do
         let xr = ar.(c) and xi = ai.(c) in
         br.(c) <- (xr *. wr) -. (xi *. wi);
         bi.(c) <- (xr *. wi) +. (xi *. wr)
       done
     else
-      for c = 0 to Array.length ar - 1 do
+      for c = 0 to width - 1 do
         let xr = ar.(c) and xi = ai.(c) and yr = br.(c) and yi = bi.(c) in
         ar.(c) <- xr +. yr;
         ai.(c) <- xi +. yi;
@@ -235,7 +235,7 @@ let head_inverse_rows t ~half re im =
       done
   done
 
-let quarter_forward_rows t q re im =
+let quarter_forward_rows t q ~width re im =
   let s = t.n / (4 * q) in
   for j = 0 to q - 1 do
     let w1r = t.wr.(j * s) and w1i = t.wi.(j * s) in
@@ -246,7 +246,7 @@ let quarter_forward_rows t q re im =
       let r0 = re.(i0) and m0 = im.(i0) and r1 = re.(i0 + q) and m1 = im.(i0 + q) in
       let r2 = re.(i0 + (2 * q)) and m2 = im.(i0 + (2 * q)) in
       let r3 = re.(i0 + (3 * q)) and m3 = im.(i0 + (3 * q)) in
-      for c = 0 to Array.length r0 - 1 do
+      for c = 0 to width - 1 do
         let x0r = r0.(c) and x0i = m0.(c) and x1r = r1.(c) and x1i = m1.(c) in
         let x2r = r2.(c) and x2i = m2.(c) and x3r = r3.(c) and x3i = m3.(c) in
         let ar = x0r +. x2r and ai = x0i +. x2i and cr = x0r -. x2r and ci = x0i -. x2i in
@@ -297,10 +297,10 @@ let quarter_inverse_rows t q re im =
     done
   done
 
-let tail_stage_rows t re im =
+let tail_stage_rows t ~width re im =
   for b = 0 to (t.n / 2) - 1 do
     let ar = re.(2 * b) and ai = im.(2 * b) and br = re.((2 * b) + 1) and bi = im.((2 * b) + 1) in
-    for c = 0 to Array.length ar - 1 do
+    for c = 0 to width - 1 do
       let xr = ar.(c) and xi = ai.(c) and yr = br.(c) and yi = bi.(c) in
       ar.(c) <- xr +. yr;
       ai.(c) <- xi +. yi;
@@ -309,17 +309,24 @@ let tail_stage_rows t re im =
     done
   done
 
-let forward_columns ?(half = false) t ~re ~im =
+let forward_columns ?(half = false) ?cols t ~re ~im =
   check_rows t re im;
-  head_forward_rows t ~half re im;
+  let width = Array.length re.(0) in
+  let width =
+    match cols with
+    | None -> width
+    | Some w when w >= 0 && w <= width -> w
+    | Some _ -> invalid_arg "Fft: column bound outside the rows"
+  in
+  head_forward_rows t ~half ~width re im;
   for s = 0 to Array.length t.quarters - 1 do
-    quarter_forward_rows t t.quarters.(s) re im
+    quarter_forward_rows t t.quarters.(s) ~width re im
   done;
-  if t.tail then tail_stage_rows t re im
+  if t.tail then tail_stage_rows t ~width re im
 
 let inverse_columns ?(half = false) t ~re ~im =
   check_rows t re im;
-  if t.tail then tail_stage_rows t re im;
+  if t.tail then tail_stage_rows t ~width:(Array.length re.(0)) re im;
   for s = Array.length t.quarters - 1 downto 0 do
     quarter_inverse_rows t t.quarters.(s) re im
   done;

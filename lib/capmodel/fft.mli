@@ -39,10 +39,12 @@ val inverse : ?half:bool -> t -> re:float array -> im:float array -> unit
 (** [forward_columns t ~re ~im] applies {!forward} to every column of the
     matrix with rows [re.(k)], [im.(k)] ([size t] rows of one width).
     Each butterfly runs along whole rows, so no column is copied out.
-    [~half:true] takes the second half of the rows as zero.  Raises
-    [Invalid_argument] on a wrong row count or ragged rows. *)
+    [~half:true] takes the second half of the rows as zero.  [~cols:w]
+    transforms only the first [w] columns and leaves the rest untouched.
+    Raises [Invalid_argument] on a wrong row count, ragged rows or a
+    bound outside [0, width]. *)
 val forward_columns :
-  ?half:bool -> t -> re:float array array -> im:float array array -> unit
+  ?half:bool -> ?cols:int -> t -> re:float array array -> im:float array array -> unit
 
 (** [inverse_columns t ~re ~im] applies {!inverse} to every column;
     [~half:true] computes only the first half of the rows. *)

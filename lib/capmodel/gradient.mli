@@ -26,6 +26,17 @@ val capacitor_value :
 val systematic_shift :
   Tech.Process.t -> ?theta:float -> Geom.Point.t array -> float
 
+(** [grid_values tech ?theta ~xs ~ys ~caps ids] is {!capacitor_value}
+    of every capacitor [0 .. caps - 1] of a grid without building its
+    points: the cell at row [r] and column [c] sits at
+    [(xs.(c), ys.(r))] and belongs to capacitor [ids.(r).(c)] (any other
+    id is skipped).  Each capacitor's cells are added in row-major
+    order, so entry [k] is bitwise [capacitor_value] of capacitor [k]'s
+    positions listed in that order. *)
+val grid_values :
+  Tech.Process.t -> ?theta:float -> xs:float array -> ys:float array -> caps:int ->
+  int array array -> float array
+
 (** [worst_theta ~samples ~objective] sweeps the gradient angle over
     [samples] values in [0, pi) and returns the angle maximising
     [objective theta] together with the objective value.  [samples >= 1]. *)

@@ -6,19 +6,27 @@
     every correlation, and every sum over cell pairs is a
     cross-correlation of indicator grids.
 
-    The kernel chooses per capacitor, from its cell count alone.  On a
-    transform grid of [G] points, a capacitor of at most [log2 G] cells
-    gets its column by summing the table directly over every pair of its
-    cells with the array's cells: [n_k] lookups per cell, so
-    [sum_k n_k] times the array's cell count over these small capacitors
-    (at 12 bits C_0..C_4, [16 * 4096]).  The others go through 2-D FFT
-    convolutions, two capacitors per forward and inverse pair, at
-    [O(G log G)] per pair, in place of the [O(G^2)] pair enumeration.
-    The result equals the pair sum up to float rounding; it is not
-    bitwise equal. *)
+    The sums run over parts: the capacitors, plus a remainder that
+    completes them to the lattice rectangle's indicator (+1 on each
+    point no cell covers, -1 for each repeated copy of a cell).  The
+    kernel never transforms the largest part: its sums follow from the
+    others' and from the rectangle's convolution with the table, which
+    prefix sums give at every point in [O(1)] (for a binary-weighted
+    array that part is C_N, half the cells; for a sparse input it is the
+    remainder, which no capacitor needs).  Of the other parts, the
+    smallest are summed directly among themselves, one table lookup per
+    pair of their cells; the middle ones go through 2-D FFT
+    convolutions, two parts per forward and inverse pair at
+    [O(G log G)] on a transform grid of [G] points, and each such column
+    also gives the direct parts' sums with that part.  A cost model with
+    constants measured on this kernel picks the split per input (at 12
+    bits, C_0..C_7 direct and C_8..C_11 in two pairs).  The result
+    equals the pair sum up to float rounding; it is not bitwise
+    equal. *)
 
 (** Unit-cell positions snapped onto the lattice, with the transform
-    grid that holds every displacement between them. *)
+    grid that holds every displacement between them and the kernel's
+    split of the parts. *)
 type t
 
 (** [of_positions tech positions] is the lattice of the per-capacitor
@@ -29,15 +37,19 @@ type t
     2^18). *)
 val of_positions : Tech.Process.t -> Geom.Point.t array array -> t option
 
-(** [transform_points t] is the kernel's work count: the number of 2-D
-    transforms {!correlation_sums} runs times the points [G] of the
-    transform grid.  Only the capacitors of more than [log2 G] cells are
-    transformed: one transform of the correlation, then a forward and an
-    inverse per pair of them, so [(1 + 2 ceil (m / 2)) G] for [m] such
-    capacitors, and [0] when [m = 0] (147,456 for a 12-bit spiral, 8 of
-    13 capacitors on [128 x 128] points).  The direct sums are not
-    counted. *)
+(** [transform_points t] is the kernel's transform work: the number of
+    2-D transforms {!correlation_sums} runs times the points [G] of the
+    transform grid.  For [m] transformed parts that is R's transform,
+    counted once, and a forward and an inverse per pair of them,
+    [(1 + 2 ceil (m / 2)) G], and [0] when [m = 0] (81,920 for a 12-bit
+    spiral: C_8..C_11 on [128 x 128] points). *)
 val transform_points : t -> int
+
+(** [direct_lookups t] is the kernel's direct work: the table lookups
+    of the direct sums, [s (s - 1) / 2] over the [s] cells of the
+    directly summed parts, self pairs not looked up (8,128 for a 12-bit
+    spiral: the 128 cells of C_0..C_7). *)
+val direct_lookups : t -> int
 
 (** [correlation_sums tech t] is [s] with
     [s.(j).(k) = sum_{a in j} sum_{b in k} rho_ab], self pairs included

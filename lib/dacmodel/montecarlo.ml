@@ -60,11 +60,7 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     *. float_of_int placement.Ccgrid.Placement.unit_multiplier
     *. tech.Tech.Process.unit_cap
   in
-  let positions = Ccgrid.Placement.positions_by_cap tech placement in
-  let sys =
-    Array.map (fun ps -> Capmodel.Gradient.systematic_shift tech ?theta ps)
-      positions
-  in
+  let sys = Nonlinearity.systematic_shifts tech ?theta placement in
   let cov =
     match cov with
     | Some cov -> cov

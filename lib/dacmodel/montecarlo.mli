@@ -32,8 +32,9 @@ type t = {
     counter-based substream keyed by [(seed, trial)], so the statistics
     are {e bitwise identical} at every [jobs] value (docs/PARALLEL.md).
     Cost: one covariance build unless [cov] is given
-    ({!Capmodel.Covariance.build}; its lattice kernel sums the small
-    capacitors directly and transforms the rest), one Cholesky
+    ({!Capmodel.Covariance.build}; its lattice kernel derives the
+    largest capacitor, sums the small ones directly and transforms the
+    rest), one Cholesky
     factorisation, [O(N^2)] flops per trial (the correlated draw;
     {!evaluate} is [O(N)]), and an expected [O(trials)] selection for
     each 95th percentile ({!percentile}).

@@ -122,32 +122,50 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   done;
   dnl
 
-let covariance tech placement =
+(* the span, and the gauges of the build's work *)
+let covariance_of tech ~bits positions =
   Telemetry.Span.with_ ~name:"analyse.covariance"
-    ~attrs:[ ("bits", Telemetry.Span.Int placement.Ccgrid.Placement.bits) ]
+    ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
   @@ fun () ->
-  let cov =
-    Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech placement)
-  in
+  let cov = Capmodel.Covariance.build tech positions in
   Telemetry.Metrics.set "analyse/covariance_points"
     (float_of_int (Capmodel.Covariance.transform_points cov));
+  Telemetry.Metrics.set "analyse/covariance_lookups"
+    (float_of_int (Capmodel.Covariance.direct_lookups cov));
   cov
 
+let covariance tech (placement : Ccgrid.Placement.t) =
+  covariance_of tech ~bits:placement.Ccgrid.Placement.bits
+    (Ccgrid.Placement.positions_by_cap tech placement)
+
+let systematic_shifts tech ?theta (placement : Ccgrid.Placement.t) =
+  let xs, ys = Ccgrid.Placement.axes tech placement in
+  let values =
+    Capmodel.Gradient.grid_values tech ?theta ~xs ~ys
+      ~caps:(Array.length placement.Ccgrid.Placement.counts)
+      placement.Ccgrid.Placement.assign
+  in
+  Array.mapi
+    (fun k v ->
+       v -. (float_of_int placement.Ccgrid.Placement.counts.(k) *. tech.Tech.Process.unit_cap))
+    values
+
 (* Systematic shifts, covariance matrix, and total-capacitance sigma of a
-   placement — the model inputs shared by [analyze] and [attribute]. *)
+   placement — the model inputs shared by [analyze] and [attribute].
+   The gradient's shifts come from the grid; the cell positions are
+   built at most once, for a profile's shifts and the covariance. *)
 let model_inputs tech ?theta ?profile ?cov (placement : Ccgrid.Placement.t) =
   let bits = placement.Ccgrid.Placement.bits in
-  let positions = Ccgrid.Placement.positions_by_cap tech placement in
-  let systematic_shift =
+  let positions = lazy (Ccgrid.Placement.positions_by_cap tech placement) in
+  let sys =
     match profile with
-    | Some p -> Capmodel.Profile.systematic_shift tech p
-    | None -> Capmodel.Gradient.systematic_shift tech ?theta
+    | Some p -> Array.map (Capmodel.Profile.systematic_shift tech p) (Lazy.force positions)
+    | None -> systematic_shifts tech ?theta placement
   in
-  let sys = Array.map systematic_shift positions in
   let cov =
     match cov with
     | Some cov -> cov
-    | None -> covariance tech placement
+    | None -> covariance_of tech ~bits (Lazy.force positions)
   in
   let all_caps = List.init (bits + 1) (fun k -> k) in
   let sigma_t = Capmodel.Covariance.sigma_of_subset cov all_caps in

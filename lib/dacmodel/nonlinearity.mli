@@ -21,9 +21,19 @@ type t = {
     placement's capacitors ({!Capmodel.Covariance.build} on
     {!Ccgrid.Placement.positions_by_cap}), built inside an
     [analyse.covariance] span that sets the [analyse/covariance_points]
-    gauge.  {!analyze}, {!attribute} and {!Montecarlo.run} take it as
-    [?cov], so a flow builds it once; without it they build it here. *)
+    and [analyse/covariance_lookups] gauges.  {!analyze}, {!attribute}
+    and {!Montecarlo.run} take it as [?cov], so a flow builds it once;
+    without it they build it here, from the one positions array the
+    analysis builds. *)
 val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
+
+(** [systematic_shifts tech ?theta placement] is every capacitor's
+    oxide-gradient shift [Delta C_k^sys] (Eq. 12), bitwise
+    {!Capmodel.Gradient.systematic_shift} of its positions, summed over
+    the grid ({!Capmodel.Gradient.grid_values}) without building a
+    point per cell. *)
+val systematic_shifts :
+  Tech.Process.t -> ?theta:float -> Ccgrid.Placement.t -> float array
 
 (** [analyze tech ?theta ?profile ?cov ?top_parasitic placement]:
     [top_parasitic] is the extracted [sum C^TS] in fF (default 0);

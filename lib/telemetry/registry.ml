@@ -92,6 +92,11 @@ let definitions =
       ~doc:"Work of the last covariance build: 2-D transforms times \
             transform-grid points of the lattice kernel, 0 when it \
             enumerated cell pairs.";
+    m ~id:"analyse/covariance_lookups" ~kind:Metric.Gauge ~stage:"analyse"
+      ~unit_:"1" ~cardinality:"1"
+      ~doc:"Direct work of the last covariance build: table lookups of \
+            the lattice kernel's direct sums, 0 when it enumerated cell \
+            pairs.";
     m ~id:"analyse/mc_trials_total" ~kind:Metric.Counter ~stage:"analyse"
       ~unit_:"1" ~cardinality:"1"
       ~doc:"Monte-Carlo mismatch trials evaluated.";

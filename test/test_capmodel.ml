@@ -162,7 +162,7 @@ let test_covariance_bad_index () =
 
    The FFT kernel is exact up to float rounding, not bitwise equal to the
    pair enumeration: every entry must agree to a relative 1e-10 (observed
-   over every style: 4.1e-16 up to 4 bits, 1.7e-13 up to 10, 1.4e-12 at
+   over every style: 2.3e-15 up to 4 bits, 1.7e-13 up to 10, 1.4e-12 at
    12). *)
 
 let oracle_tol = 1e-10
@@ -254,8 +254,8 @@ let test_lattice_degenerate_axes () =
 let test_covariance_kernel_choice () =
   (* build uses the lattice kernel for every input on the lattice, down
      to the smallest array, and the pair sum off the lattice or over the
-     transform-grid cap; the kernel transforms only the capacitors it
-     does not sum directly *)
+     transform-grid cap; the kernel transforms only the parts its cost
+     model does not sum directly, and never the largest *)
   let sigma2_u = Tech.Process.sigma_u tech *. Tech.Process.sigma_u tech in
   let built_from sums positions =
     let cov = Capmodel.Covariance.build tech positions in
@@ -274,13 +274,17 @@ let test_covariance_kernel_choice () =
     (built_from (lattice_sums (spiral 4)) (spiral 4));
   Alcotest.(check bool) "2-bit: lattice" true
     (built_from (lattice_sums (spiral 2)) (spiral 2));
-  Alcotest.(check bool) "lattice work counted" true
-    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 4)) > 0);
-  (* capacitors of at most log2 G cells are summed directly: at 12 bits
-     (G = 128 x 128) C_0..C_4 are, so 8 of 13 are transformed, in 4
-     pairs after R's transform; at 2 bits (G = 4 x 4) all 3 are *)
-  Alcotest.(check int) "12-bit: 9 transforms of 128 x 128" 147_456
-    (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 12)));
+  (* at 4 bits C_0..C_3 (8 cells) are summed directly and C_4 is
+     derived: 8 * 7 / 2 lookups and no transform *)
+  Alcotest.(check int) "lattice work counted: 4-bit lookups" 28
+    (Capmodel.Covariance.direct_lookups (Capmodel.Covariance.build tech (spiral 4)));
+  (* at 12 bits (G = 128 x 128) C_0..C_7 (128 cells) are summed
+     directly, C_8..C_11 go through R's transform and 2 pairs, and C_12
+     is derived: (1 + 2 * 2) * 2^14 points, 128 * 127 / 2 lookups *)
+  let cov12 = Capmodel.Covariance.build tech (spiral 12) in
+  Alcotest.(check int) "12-bit: 5 transforms of 128 x 128" 81_920
+    (Capmodel.Covariance.transform_points cov12);
+  Alcotest.(check int) "12-bit: lookups" 8_128 (Capmodel.Covariance.direct_lookups cov12);
   Alcotest.(check int) "2-bit: no transform" 0
     (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech (spiral 2)));
   let off = [| [| point ~x:0.1234 ~y:0. |]; [| point ~x:0. ~y:0. |] |] in
@@ -289,11 +293,90 @@ let test_covariance_kernel_choice () =
   Alcotest.(check bool) "off-lattice: pair sum" true (built_from (pairwise_sums off) off);
   Alcotest.(check int) "pair sum counts no transform points" 0
     (Capmodel.Covariance.transform_points (Capmodel.Covariance.build tech off));
+  Alcotest.(check int) "pair sum counts no lookups" 0
+    (Capmodel.Covariance.direct_lookups (Capmodel.Covariance.build tech off));
   (* unit stride over 2^12 half-pitches on both axes: an 8192 x 8192 grid *)
   let wide = lattice_positions [ [ (0, 0); (1, 1) ]; [ (4096, 4096) ] ] in
   Alcotest.(check bool) "over the grid cap: pair sum" true
     (Option.is_none (Capmodel.Lattice.of_positions tech wide)
      && built_from (pairwise_sums wide) wide)
+
+(* The remainder and the split, each against the pair sum.  The work
+   counts show which parts were summed directly and which transformed:
+   [s] direct cells make [s (s - 1) / 2] lookups, and [m] transformed
+   parts on [G] points make [(1 + 2 ceil (m / 2)) G] transform points. *)
+let work positions =
+  let cov = Capmodel.Covariance.build tech positions in
+  (Capmodel.Covariance.direct_lookups cov, Capmodel.Covariance.transform_points cov)
+
+let check_work what positions ~lookups ~points =
+  check_kernels_agree what positions;
+  Alcotest.(check (pair int int)) (what ^ ": lookups, points") (lookups, points)
+    (work positions)
+
+let test_lattice_dummies () =
+  (* a 6-bit spiral with 5 cells of C_6 made dummies: the remainder's 5
+     holes are summed directly with C_0..C_5 (32 + 5 cells) *)
+  let p = Ccplace.Style.place ~bits:6 Ccplace.Style.Spiral in
+  let assign = Array.map Array.copy p.Ccgrid.Placement.assign in
+  let cleared = ref 0 in
+  Array.iteri
+    (fun r row ->
+       Array.iteri
+         (fun c id ->
+            if id = 6 && !cleared < 5 && (r + c) mod 3 = 0 then begin
+              assign.(r).(c) <- Ccgrid.Placement.dummy;
+              incr cleared
+            end)
+         row)
+    assign;
+  let counts = Array.copy p.Ccgrid.Placement.counts in
+  counts.(6) <- counts.(6) - 5;
+  let q =
+    Ccgrid.Placement.create ~bits:6 ~rows:p.Ccgrid.Placement.rows
+      ~cols:p.Ccgrid.Placement.cols ~unit_multiplier:1 ~counts ~assign ~style_name:"dummies"
+  in
+  check_work "6-bit spiral with 5 dummies" (Ccgrid.Placement.positions_by_cap tech q)
+    ~lookups:(37 * 36 / 2) ~points:0
+
+let test_lattice_sparse () =
+  (* 7 cells on a 41 x 61 lattice (128 x 128 transform points): the
+     holes are the largest part and no capacitor needs them, so every
+     capacitor is summed directly *)
+  check_work "sparse"
+    (lattice_positions
+       [ [ (0, 0); (1, 1); (0, 5) ]; [ (40, 60) ]; [ (17, 3); (22, 9); (22, 9) ] ])
+    ~lookups:21 ~points:0
+
+let test_lattice_repeated () =
+  (* repeated cells give the remainder negative weights *)
+  let square k = List.init (k * k) (fun i -> (i / k, i mod k)) in
+  (* a full 4 x 4 capacitor is derived; the 3 extra copies are summed
+     directly with the 3 cells of the small capacitors *)
+  check_work "extra copies summed directly"
+    (lattice_positions [ square 4; [ (0, 0); (0, 0) ]; [ (1, 1) ] ])
+    ~lookups:15 ~points:0;
+  (* a full 32 x 32 capacitor is derived; two capacitors of 300 repeated
+     cells and the 600 extra copies are all transformed: no direct part *)
+  let band lo = List.init 300 (fun i -> ((lo + i) / 32, (lo + i) mod 32)) in
+  check_work "extra copies transformed"
+    (lattice_positions [ square 32; band 0; band 500 ])
+    ~lookups:0 ~points:((1 + 4) * 64 * 64)
+
+let test_lattice_splits () =
+  (* all direct: a 6-bit spiral sums C_0..C_5 (32 cells) and derives C_6 *)
+  check_work "all direct"
+    (Ccgrid.Placement.positions_by_cap tech (Ccplace.Style.place ~bits:6 Ccplace.Style.Spiral))
+    ~lookups:(32 * 31 / 2) ~points:0;
+  (* no direct part: half of a 32 x 32 grid is derived, the two quarters
+     of the other half share one transform pair *)
+  let cells f = List.filter f (List.init 1024 (fun i -> (i / 32, i mod 32))) in
+  check_work "no direct part"
+    (lattice_positions
+       [ cells (fun (r, c) -> (r + c) mod 2 = 0);
+         cells (fun (r, c) -> (r + c) mod 2 = 1 && r < 16);
+         cells (fun (r, c) -> (r + c) mod 2 = 1 && r >= 16) ])
+    ~lookups:0 ~points:(3 * 64 * 64)
 
 (* --- fft (the lattice kernel's transform) ---
 
@@ -430,6 +513,38 @@ let test_fft_columns () =
            ( "half inverse", h, Capmodel.Fft.inverse_columns ~half:true p,
              Capmodel.Fft.inverse ~half:true p ) ])
     [ (1, 3); (2, 1); (4, 5); (8, 2); (16, 3); (32, 1); (64, 4); (128, 2); (512, 3) ]
+
+let test_fft_column_bound () =
+  (* ~cols:w transforms the first w columns exactly as the per-column
+     transform does and leaves the others bitwise untouched *)
+  List.iter
+    (fun (n, width) ->
+       let p = Capmodel.Fft.plan n in
+       let cell r c = cos (float_of_int ((r * 13) + (c * 5))) in
+       let re = Array.init n (fun r -> Array.init width (fun c -> cell r c)) in
+       let im = Array.init n (fun r -> Array.init width (fun c -> cell c r)) in
+       let column m c = Array.init n (fun r -> m.(r).(c)) in
+       List.iter
+         (fun (half, w) ->
+            let rr = Array.map Array.copy re and ri = Array.map Array.copy im in
+            Capmodel.Fft.forward_columns ~half ~cols:w p ~re:rr ~im:ri;
+            for c = 0 to width - 1 do
+              let what = Printf.sprintf "n=%d w=%d half=%b column %d" n w half c in
+              let cr = column re c and ci = column im c in
+              if c < w then Capmodel.Fft.forward ~half p ~re:cr ~im:ci;
+              check_close what 0. (cr, ci) (column rr c, column ri c)
+            done)
+         [ (false, 0); (false, 1); (false, width - 1); (false, width); (true, 1);
+           (true, width - 1) ])
+    [ (1, 3); (2, 2); (4, 5); (8, 3); (16, 4); (128, 3); (256, 2) ];
+  let p = Capmodel.Fft.plan 4 in
+  let rows () = Array.init 4 (fun _ -> Array.make 3 0.) in
+  Alcotest.check_raises "bound past the rows"
+    (Invalid_argument "Fft: column bound outside the rows")
+    (fun () -> Capmodel.Fft.forward_columns ~cols:4 p ~re:(rows ()) ~im:(rows ()));
+  Alcotest.check_raises "negative bound"
+    (Invalid_argument "Fft: column bound outside the rows")
+    (fun () -> Capmodel.Fft.forward_columns ~cols:(-1) p ~re:(rows ()) ~im:(rows ()))
 
 let test_fft_impulse () =
   (* the DFT of an impulse is flat, in any order *)
@@ -579,6 +694,54 @@ let prop_wide_lattice_matches_pairwise =
        check_kernels_agree "wide lattice" (lattice_positions caps);
        true)
 
+let prop_serial_grids_match_pairwise =
+  (* random label grids through the text format, dummies ('.') included:
+     labels drawn with binary weights so one capacitor is about half the
+     array, as in a DAC, up to 32 x 32 cells (where the cost model
+     transforms the second largest capacitor) *)
+  let open QCheck.Gen in
+  let gen =
+    triple (int_range 1 6) (int_range 1 32) (int_range 1 32) >>= fun (bits, rows, cols) ->
+    map
+      (fun labels ->
+         let counts = Array.make (bits + 1) 0 in
+         let grid =
+           List.map
+             (fun row ->
+                String.concat " "
+                  (List.map
+                     (fun draw ->
+                        (* draw in [0, 2^(bits + 1)): the top half is C_bits,
+                           the next quarter C_(bits-1), ...; the lowest
+                           value is a dummy *)
+                        let rec label k = if k = 0 || draw >= 1 lsl k then k else label (k - 1) in
+                        if draw = 0 then "."
+                        else begin
+                          let id = label bits in
+                          counts.(id) <- counts.(id) + 1;
+                          String.make 1 (Ccgrid.Render.glyph id)
+                        end)
+                     row))
+             labels
+         in
+         String.concat "\n"
+           ([ "ccdac-placement v1";
+              Printf.sprintf "bits %d rows %d cols %d multiplier 1 style random" bits rows cols;
+              "counts " ^ String.concat " " (List.map string_of_int (Array.to_list counts)) ]
+            @ grid)
+         ^ "\n")
+      (list_repeat rows (list_repeat cols (int_range 0 ((2 lsl bits) - 1))))
+  in
+  QCheck.Test.make ~name:"serial label grids = pair sum" ~count:100 (QCheck.make ~print:Fun.id gen)
+    (fun text ->
+       match Ccgrid.Serial.of_string text with
+       | Error msg -> QCheck.Test.fail_reportf "generated grid rejected: %s" msg
+       | Ok p ->
+         let positions = Ccgrid.Placement.positions_by_cap tech p in
+         if Array.exists (fun ps -> Array.length ps > 0) positions then
+           check_kernels_agree "serial grid" positions;
+         true)
+
 let prop_fft_linearity =
   QCheck.Test.make ~name:"fft is linear" ~count:30
     QCheck.(pair (float_range (-3.) 3.) (float_range (-3.) 3.))
@@ -625,12 +788,17 @@ let () =
             test_lattice_matches_pairwise;
           Alcotest.test_case "general weights" `Quick test_lattice_general_weights;
           Alcotest.test_case "degenerate axes" `Quick test_lattice_degenerate_axes;
-          Alcotest.test_case "kernel choice" `Quick test_covariance_kernel_choice ] );
+          Alcotest.test_case "kernel choice" `Quick test_covariance_kernel_choice;
+          Alcotest.test_case "dummy cells" `Quick test_lattice_dummies;
+          Alcotest.test_case "sparse: remainder derived" `Quick test_lattice_sparse;
+          Alcotest.test_case "repeated cells" `Quick test_lattice_repeated;
+          Alcotest.test_case "all direct, no direct part" `Quick test_lattice_splits ] );
       ( "fft",
         [ Alcotest.test_case "forward = naive DFT, 1-1024" `Quick test_fft_forward_naive;
           Alcotest.test_case "inverse = naive DFT, 1-1024" `Quick test_fft_inverse_naive;
           Alcotest.test_case "pruned halves" `Quick test_fft_pruned_halves;
           Alcotest.test_case "columns = per-column transforms" `Quick test_fft_columns;
+          Alcotest.test_case "column bound" `Quick test_fft_column_bound;
           Alcotest.test_case "impulse" `Quick test_fft_impulse;
           Alcotest.test_case "single tone" `Quick test_fft_single_tone;
           Alcotest.test_case "roundtrip" `Quick test_fft_roundtrip;
@@ -643,4 +811,5 @@ let () =
             prop_weighted_sigma_nonneg;
             prop_lattice_matches_pairwise;
             prop_wide_lattice_matches_pairwise;
+            prop_serial_grids_match_pairwise;
             prop_fft_linearity ] ) ]

@@ -212,6 +212,31 @@ let reference_dnl (p : Ccgrid.Placement.t) ~sys ~cov ~sigma_t ~top_parasitic =
         (step -. lsb) /. lsb
       end)
 
+let test_grid_shifts_bitwise () =
+  (* the grid pass adds each capacitor's unit values in the order of its
+     positions, so it is bitwise the per-position sum, at any angle and
+     with dummies in the grid *)
+  let bitwise a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.iter
+    (fun (what, p) ->
+       List.iter
+         (fun theta ->
+            let expected =
+              Array.map (Capmodel.Gradient.systematic_shift tech ?theta)
+                (Ccgrid.Placement.positions_by_cap tech p)
+            in
+            Alcotest.(check bool) what true
+              (Array.for_all2 bitwise expected
+                 (Dacmodel.Nonlinearity.systematic_shifts tech ?theta p)))
+         [ None; Some 0.3; Some 2.9 ])
+    [ ("8-bit spiral", Ccplace.Style.place ~bits:8 Ccplace.Style.Spiral);
+      ("7-bit chessboard", Ccplace.Style.place ~bits:7 Ccplace.Style.Chessboard);
+      ( "dummies",
+        Ccgrid.Placement.create ~bits:2 ~rows:2 ~cols:3 ~unit_multiplier:1
+          ~counts:[| 1; 1; 2 |]
+          ~assign:[| [| 2; Ccgrid.Placement.dummy; 0 |]; [| 1; 2; Ccgrid.Placement.dummy |] |]
+          ~style_name:"dummies" ) ]
+
 let test_dnl_steps_match_per_code () =
   let bitwise a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a in
@@ -378,6 +403,7 @@ let () =
           Alcotest.test_case "gain error" `Quick test_top_parasitic_gain_error;
           Alcotest.test_case "dispersion helps" `Quick test_dispersion_reduces_nonlinearity;
           Alcotest.test_case "theta override" `Quick test_theta_override;
+          Alcotest.test_case "grid shifts bitwise" `Quick test_grid_shifts_bitwise;
           Alcotest.test_case "dnl steps = per-code loop" `Slow
             test_dnl_steps_match_per_code;
           Alcotest.test_case "inl = per-code loop" `Slow

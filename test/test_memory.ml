@@ -280,6 +280,25 @@ let test_lvs_major_words () =
     (Printf.sprintf "at most 0.70M major words (got %.0f)" words)
     true (words <= 0.70e6)
 
+(* Minor words of one warmed covariance build of the 12-bit spiral: the
+   two 128 x 128 transform planes, R's table and the cells.  Reads about
+   41,300; 41,244 when C_0..C_4 were summed against every cell and the
+   other 8 capacitors transformed, and 64,977 in a version that kept
+   row, column and weight arrays per part. *)
+let test_covariance_minor_words () =
+  let tech = Tech.Process.finfet_12nm in
+  let positions =
+    Ccgrid.Placement.positions_by_cap tech (Ccplace.Style.place ~bits:12 Ccplace.Style.Spiral)
+  in
+  let build () = ignore (Capmodel.Covariance.build tech positions : Capmodel.Covariance.t) in
+  build ();
+  let w0 = Gc.minor_words () in
+  build ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 42,000 minor words (got %.0f)" words)
+    true (words <= 42_000.)
+
 (* What a routed 12-bit chessboard keeps alive: nearly every cell is its
    own group, so per-group blocks would dominate.  The size is the rise
    in live major-heap words across building it, each side read after a
@@ -330,5 +349,7 @@ let () =
           Alcotest.test_case "signoff minor words" `Quick
             test_signoff_minor_words;
           Alcotest.test_case "LVS major words" `Quick test_lvs_major_words;
+          Alcotest.test_case "covariance minor words" `Quick
+            test_covariance_minor_words;
           Alcotest.test_case "chessboard retained size" `Quick
             test_chessboard_retained ] ) ]
