@@ -325,17 +325,47 @@ let mc_cmd =
     Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ trials_arg
           $ jobs_arg)
 
-(* --- lint --- *)
+(* --- lint and lvs: one labelled run per configuration --- *)
+
+let report_json_arg =
+  let doc = "Emit machine-readable JSON instead of text." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let report_werror_arg =
+  let doc = "Treat warnings as errors (nonzero exit on any finding)." in
+  Arg.(value & flag & info [ "werror" ] ~doc)
+
+(* The report of [ccgen lint] and [ccgen lvs]: one "label: summary" line
+   per run, each finding indented below it, and a count line over
+   several runs; with [json], one object per run ([to_json label run])
+   inside a [runs] array.  [clean_note] follows a clean run's "clean".
+   Exits 1 when any run fails the gate. *)
+let print_runs ~json ~werror ~diagnostics ~clean_note ~to_json runs =
+  if json then
+    print_endline
+      (Printf.sprintf "{\"version\": 1, \"runs\": [%s]}"
+         (String.concat ", "
+            (List.map (fun (label, run) -> to_json label run) runs)))
+  else begin
+    List.iter
+      (fun (label, run) ->
+         match diagnostics run with
+         | [] -> Printf.printf "%s: clean%s\n" label (clean_note run)
+         | diags ->
+           Printf.printf "%s: %s\n" label (Verify.Report.summary_line diags);
+           List.iter
+             (fun d -> Printf.printf "  %s\n" (Format.asprintf "%a" Diag.pp d))
+             (Diag.sort diags))
+      runs;
+    let clean = List.filter (fun (_, run) -> diagnostics run = []) runs in
+    if List.length runs > 1 then
+      Printf.printf "%d configuration(s), %d clean\n" (List.length runs)
+        (List.length clean)
+  end;
+  if List.exists (fun (_, run) -> Diag.fails ~werror (diagnostics run)) runs
+  then exit 1
 
 let lint_cmd =
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let werror_arg =
-    let doc = "Treat warnings as errors (nonzero exit on any finding)." in
-    Arg.(value & flag & info [ "werror" ] ~doc)
-  in
   let all_arg =
     let doc =
       "Lint every shipped configuration: the four placement styles \
@@ -356,12 +386,12 @@ let lint_cmd =
     if json then print_endline (Verify.Report.json_rules ())
     else
       List.iter
-        (fun (r : Verify.Rule.t) ->
-           Printf.printf "%-34s %-9s %-7s %s\n" r.Verify.Rule.id
-             (Verify.Rule.category_name r.Verify.Rule.category)
-             (Verify.Rule.severity_name r.Verify.Rule.severity)
-             r.Verify.Rule.doc)
-        Verify.Registry.all
+        (fun (r : Diag.rule) ->
+           Printf.printf "%-34s %-9s %-7s %s\n" r.Diag.id
+             (Verify.Report.category r)
+             (Diag.severity_name r.Diag.severity)
+             r.Diag.doc)
+        Verify.Registry.all.Diag.rules
   in
   (* one linted configuration: label + diagnostics *)
   let lint_style tech bits style =
@@ -394,41 +424,10 @@ let lint_cmd =
           check_bits bits;
           [ lint_style tech bits (resolve_style ~bits ~granularity style) ]
       in
-      if json then begin
-        print_string "{\"version\": 1, \"runs\": [";
-        List.iteri
-          (fun i (label, diags) ->
-             if i > 0 then print_string ", ";
-             print_string (Verify.Report.json ~label diags))
-          runs;
-        print_endline "]}"
-      end
-      else
-        List.iter
-          (fun (label, diags) ->
-             match diags with
-             | [] -> Printf.printf "%s: clean\n" label
-             | diags ->
-               Printf.printf "%s: %s\n" label (Verify.Report.summary_line diags);
-               List.iter
-                 (fun d ->
-                    Printf.printf "  %s\n"
-                      (Format.asprintf "%a" Verify.Diagnostic.pp d))
-                 (Verify.Diagnostic.sort diags))
-          runs;
-      let dirty =
-        List.exists
-          (fun (_, diags) ->
-             Result.is_error (Verify.Engine.gate ~werror diags))
-          runs
-      in
-      if not json then begin
-        let total = List.length runs in
-        let clean = List.length (List.filter (fun (_, d) -> d = []) runs) in
-        if total > 1 then
-          Printf.printf "%d configuration(s), %d clean\n" total clean
-      end;
-      if dirty then exit 1
+      print_runs ~json ~werror ~diagnostics:Fun.id
+        ~clean_note:(fun _ -> "")
+        ~to_json:(fun label diags -> Verify.Report.json ~label diags)
+        runs
     end
   in
   let doc =
@@ -436,20 +435,11 @@ let lint_cmd =
      layout; nonzero exit on any error-severity diagnostic."
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ json_arg
-          $ werror_arg $ all_arg $ rules_arg $ load_lint_arg)
-
-(* --- lvs --- *)
+    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg
+          $ report_json_arg $ report_werror_arg $ all_arg $ rules_arg
+          $ load_lint_arg)
 
 let lvs_cmd =
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let werror_arg =
-    let doc = "Treat warnings as errors (nonzero exit on any finding)." in
-    Arg.(value & flag & info [ "werror" ] ~doc)
-  in
   let all_arg =
     let doc =
       "Certify every shipped configuration: spiral, chessboard, rowwise and \
@@ -482,58 +472,21 @@ let lvs_cmd =
         [ lvs_style tech granularity bits style ]
       end
     in
-    if json then begin
-      print_string "{\"version\": 1, \"runs\": [";
-      List.iteri
-        (fun i (label, (r : Lvs.Check.result)) ->
-           if i > 0 then print_string ", ";
-           Printf.printf
-             "{\"label\": \"%s\", \"stats\": {\"shapes\": %d, \
-              \"contacts\": %d, \"components\": %d}, \"report\": %s}"
-             label r.Lvs.Check.stats.Lvs.Check.shapes
-             r.Lvs.Check.stats.Lvs.Check.contacts
-             r.Lvs.Check.stats.Lvs.Check.components
-             (Verify.Report.json r.Lvs.Check.diagnostics))
-        runs;
-      print_endline "]}"
-    end
-    else
-      List.iter
-        (fun (label, (r : Lvs.Check.result)) ->
-           let s = r.Lvs.Check.stats in
-           match r.Lvs.Check.diagnostics with
-           | [] ->
-             Printf.printf
-               "%s: clean (%d shapes, %d contacts, %d components)\n" label
-               s.Lvs.Check.shapes s.Lvs.Check.contacts s.Lvs.Check.components
-           | diags ->
-             Printf.printf "%s: %s\n" label (Verify.Report.summary_line diags);
-             List.iter
-               (fun d ->
-                  Printf.printf "  %s\n"
-                    (Format.asprintf "%a" Verify.Diagnostic.pp d))
-               (Verify.Diagnostic.sort diags))
-        runs;
-    let dirty =
-      List.exists
-        (fun (_, (r : Lvs.Check.result)) ->
-           Result.is_error
-             (Verify.Engine.gate ~werror r.Lvs.Check.diagnostics))
-        runs
-    in
-    if not json then begin
-      let total = List.length runs in
-      let clean =
-        List.length
-          (List.filter
-             (fun (_, (r : Lvs.Check.result)) ->
-                r.Lvs.Check.diagnostics = [])
-             runs)
-      in
-      if total > 1 then
-        Printf.printf "%d configuration(s), %d clean\n" total clean
-    end;
-    if dirty then exit 1
+    print_runs ~json ~werror
+      ~diagnostics:(fun (r : Lvs.Check.result) -> r.Lvs.Check.diagnostics)
+      ~clean_note:(fun (r : Lvs.Check.result) ->
+          let s = r.Lvs.Check.stats in
+          Printf.sprintf " (%d shapes, %d contacts, %d components)"
+            s.Lvs.Check.shapes s.Lvs.Check.contacts s.Lvs.Check.components)
+      ~to_json:(fun label (r : Lvs.Check.result) ->
+          let s = r.Lvs.Check.stats in
+          Printf.sprintf
+            "{\"label\": \"%s\", \"stats\": {\"shapes\": %d, \
+             \"contacts\": %d, \"components\": %d}, \"report\": %s}"
+            label s.Lvs.Check.shapes s.Lvs.Check.contacts
+            s.Lvs.Check.components
+            (Verify.Report.json r.Lvs.Check.diagnostics))
+      runs
   in
   let doc =
     "Extract whole-layout connectivity with the sweepline engine and certify \
@@ -541,8 +494,8 @@ let lvs_cmd =
      Netbuild cross-check); nonzero exit on any lvs/* error."
   in
   Cmd.v (Cmd.info "lvs" ~doc)
-    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg $ json_arg
-          $ werror_arg $ all_arg)
+    Term.(const run $ bits_arg $ style_arg $ gran_arg $ tech_arg
+          $ report_json_arg $ report_werror_arg $ all_arg)
 
 (* --- the measured (style, bits) matrix shared by profile and record --- *)
 

@@ -52,8 +52,9 @@ let list_rules_arg =
 
 let run root werror json rules allowlist_path no_allowlist list_rules =
   if list_rules then begin
-    if json then print_string (Srclint.Report.json_rules ())
-    else Format.printf "%a" Srclint.Report.pp_rules ();
+    print_string
+      (if json then Srclint.Report.json_rules ()
+       else Srclint.Report.text_rules ());
     exit 0
   end;
   let rules =
@@ -66,7 +67,7 @@ let run root werror json rules allowlist_path no_allowlist list_rules =
   in
   (match rules with
    | Some patterns -> begin
-       match Srclint.Registry.pattern_selects_nothing patterns with
+       match Diag.selects_nothing Srclint.Registry.all patterns with
        | [] -> ()
        | bad ->
          Printf.eprintf "cclint: --rules selects no known rule: %s\n"
@@ -93,8 +94,7 @@ let run root werror json rules allowlist_path no_allowlist list_rules =
   end;
   if json then print_string (Srclint.Report.json result)
   else print_string (Srclint.Report.text result);
-  if Srclint.Engine.has_findings ~werror result.Srclint.Engine.diagnostics
-  then exit 1
+  if Diag.fails ~werror result.Srclint.Engine.diagnostics then exit 1
 
 let () =
   let term =

@@ -17,8 +17,8 @@ type result = {
   f3db_mhz : float;
   critical_bit : int;
   area : float;
-  verify_diagnostics : Verify.Diagnostic.t list;
-  lvs_diagnostics : Verify.Diagnostic.t list;
+  verify_diagnostics : Diag.t list;
+  lvs_diagnostics : Diag.t list;
   telemetry : Telemetry.Summary.t;
   elapsed_place_route_s : float;
 }

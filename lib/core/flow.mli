@@ -25,10 +25,10 @@ type result = {
   f3db_mhz : float;          (** Eq. 16 *)
   critical_bit : int;
   area : float;              (** um^2 *)
-  verify_diagnostics : Verify.Diagnostic.t list;
+  verify_diagnostics : Diag.t list;
       (** what the verify gate passed the layout with: warnings and infos
           only, since an error raises; [[]] under [~verify:false] *)
-  lvs_diagnostics : Verify.Diagnostic.t list;
+  lvs_diagnostics : Diag.t list;
       (** the same for the LVS gate *)
   telemetry : Telemetry.Summary.t;
       (** per-stage spans and metrics for this run (see docs/TELEMETRY.md);

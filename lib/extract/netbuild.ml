@@ -122,9 +122,7 @@ let unrouted cap =
   Verify.Engine.Rejected
     { what = Printf.sprintf "RC extraction of C_%d" cap;
       diagnostics =
-        [ Verify.Diagnostic.makef
-            ~loc:(Printf.sprintf "C_%d" cap)
-            Verify.Lvs_rules.r_open
+        [ Diag.makef ~loc:(Printf.sprintf "C_%d" cap) Verify.Lvs_rules.r_open
             "capacitor has no routed net: no trunk reaches the driver row, \
              so no RC tree can be built" ] }
 

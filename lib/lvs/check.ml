@@ -1,4 +1,3 @@
-module D = Verify.Diagnostic
 module LR = Verify.Lvs_rules
 
 type stats = {
@@ -8,7 +7,7 @@ type stats = {
 }
 
 type result = {
-  diagnostics : D.t list;
+  diagnostics : Diag.t list;
   stats : stats;
 }
 
@@ -93,7 +92,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
             keys
         in
         emit
-          (D.makef ~loc:(List.hd names) LR.r_short
+          (Diag.makef ~loc:(List.hd names) LR.r_short
              "extracted component of %d shapes joins nets %s" comp_shapes.(c)
              (String.concat ", " names))
       end
@@ -120,14 +119,14 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
     if cap_driver.(k) < 0 then begin
       fractured.(k) <- true;
       emit
-        (D.makef ~loc:(cap_loc k) LR.r_open
+        (Diag.makef ~loc:(cap_loc k) LR.r_open
            "no driver terminal: no via of the net reaches the driver row \
             (y = 0)")
     end;
     if cap_split.(k) then begin
       fractured.(k) <- true;
       emit
-        (D.makef ~loc:(cap_loc k) LR.r_open
+        (Diag.makef ~loc:(cap_loc k) LR.r_open
            "net fractured into %d disconnected pieces (%d cell plates)"
            (List.length (List.sort_uniq Int.compare anchored.(k)))
            cap_pads.(k))
@@ -157,7 +156,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
     if stray.(k) > 0 then begin
       floating.(k) <- true;
       emit
-        (D.makef ~loc:(cap_loc k) LR.r_floating_cell
+        (Diag.makef ~loc:(cap_loc k) LR.r_floating_cell
            "%d of %d unit cells unreachable from the driver: %s%s" stray.(k)
            cap_pads.(k)
            (String.concat ", "
@@ -174,7 +173,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
         else Some (Shape.label_name comp_label.(c))
       in
       emit
-        (D.makef ?loc LR.r_dangling
+        (Diag.makef ?loc LR.r_dangling
            "dead metal: component of %d shapes touches no cell plate and no \
             driver terminal"
            comp_shapes.(c))
@@ -187,7 +186,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
   done;
   if !top_comps >= 2 then
     emit
-      (D.makef ~loc:"TOP" LR.r_top_open
+      (Diag.makef ~loc:"TOP" LR.r_top_open
          "top plate fractured into %d components" !top_comps);
   (* Netbuild cross-check, only for geometrically clean nets: the cells
      the drawn geometry connects to the driver must be exactly the cells
@@ -209,7 +208,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
        to compare: the plan is at fault, not Netbuild *)
     if clean && (k >= Array.length p_of_cap || p_of_cap.(k) < 1) then
       emit
-        (D.makef ~loc:(cap_loc k) Verify.Route_rules.r_parallel_positive
+        (Diag.makef ~loc:(cap_loc k) Verify.Route_rules.r_parallel_positive
            "%s; the RC tree cross-check is skipped"
            (if k >= Array.length p_of_cap then "no parallel-wire count"
             else Printf.sprintf "parallel-wire count %d is below 1" p_of_cap.(k)))
@@ -217,7 +216,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
       match topology ~cap:k with
       | exception e ->
         emit
-          (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+          (Diag.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
              "Netbuild failed on a geometrically clean net: %s"
              (Printexc.to_string e))
       | tp ->
@@ -248,7 +247,7 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
             else Printf.sprintf "; %s %s" what (Shape.cell_name shapes id)
           in
           emit
-            (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+            (Diag.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
                "extracted driver component reaches %d cells but the RC tree \
                 models %d (%d drawn-only, %d tree-only%s%s)"
                cap_pads.(k) n_tree !drawn_only !tree_only
@@ -260,13 +259,13 @@ let classify (shapes : Shape.t) (ex : Extracted.t)
         let pieces = tp.Extract.Netbuild.pieces in
         if pieces > 1 then
           emit
-            (D.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
+            (Diag.makef ~loc:(cap_loc k) LR.r_netbuild_mismatch
                "the RC model falls into %d disconnected pieces, so no tree \
                 joins its cells to the driver"
                pieces)
     end
   done;
-  D.sort !diags
+  Diag.sort !diags
 
 let run layout =
   (* flatten and the Netbuild cross-check read the lattice by placement
@@ -304,8 +303,8 @@ let run layout =
     Telemetry.Metrics.set "lvs/sort_keys" (float_of_int sort_keys);
     Telemetry.Metrics.set "lvs/components" (float_of_int stats.components);
     List.iter
-      (fun (d : D.t) ->
-         Telemetry.Metrics.incr ~label:d.D.rule.Verify.Rule.id
+      (fun (d : Diag.t) ->
+         Telemetry.Metrics.incr ~label:d.Diag.rule.Diag.id
            "lvs/defects_total")
       diagnostics
   end;

@@ -47,14 +47,14 @@ type stats = {
 }
 
 type result = {
-  diagnostics : Verify.Diagnostic.t list;  (** sorted, possibly empty *)
+  diagnostics : Diag.t list;  (** sorted, possibly empty *)
   stats : stats;      (** all zero when the layout is not extracted *)
 }
 
 (** [classify shapes ex layout] is the comparison pass alone (no
     telemetry): the sorted diagnostics. *)
 val classify :
-  Shape.t -> Extracted.t -> Ccroute.Layout.t -> Verify.Diagnostic.t list
+  Shape.t -> Extracted.t -> Ccroute.Layout.t -> Diag.t list
 
 (** [run layout] is the full instrumented pass (spans [lvs.flatten],
     [lvs.extract], [lvs.compare]; metrics [lvs/shapes], [lvs/contacts],
@@ -62,4 +62,4 @@ val classify :
 val run : Ccroute.Layout.t -> result
 
 (** [check layout] is [(run layout).diagnostics]. *)
-val check : Ccroute.Layout.t -> Verify.Diagnostic.t list
+val check : Ccroute.Layout.t -> Diag.t list

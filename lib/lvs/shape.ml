@@ -1,6 +1,5 @@
 open Ccgrid
 module L = Ccroute.Layout
-module D = Verify.Diagnostic
 
 type kind =
   | Pad
@@ -123,7 +122,7 @@ let where id k l1 l2 =
    diagnostics of the first [max_reported], newest first. *)
 type tally = {
   mutable caught : int;
-  mutable first : D.t list;
+  mutable first : Diag.t list;
 }
 
 let tally () = { caught = 0; first = [] }
@@ -135,7 +134,7 @@ let note t d =
 (* the diagnostic counting what [t] caught beyond the first few *)
 let rest t rule what =
   if t.caught > max_reported then
-    [ D.makef rule "%d more %s" (t.caught - max_reported) what ]
+    [ Diag.makef rule "%d more %s" (t.caught - max_reported) what ]
   else []
 
 let of_layout (l : L.t) =
@@ -188,7 +187,7 @@ let of_layout (l : L.t) =
     if (lab = top && k = Via) || (lab <> top && (lab < 0 || lab >= n_nets))
     then
       note unknown (fun () ->
-          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_unknown_net
+          Diag.makef ~loc:(label_name lab) Verify.Lvs_rules.r_unknown_net
             "%s names C_%d, but the layout's nets are C_0..C_%d"
             (where id k l1 l2) lab (n_nets - 1));
     if sax = off_grid || say = off_grid || sbx = off_grid || sby = off_grid
@@ -196,7 +195,7 @@ let of_layout (l : L.t) =
       note off (fun () ->
           let ax = xy.(j) and ay = xy.(j + 1) and bx = xy.(j + 2)
           and by = xy.(j + 3) in
-          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_off_grid
+          Diag.makef ~loc:(label_name lab) Verify.Lvs_rules.r_off_grid
             "%s at x [%.6f, %.6f] y [%.6f, %.6f] um is off the %g nm grid"
             (where id k l1 l2) (Float.min ax bx) (Float.max ax bx)
             (Float.min ay by) (Float.max ay by) unit_nm);
@@ -204,7 +203,7 @@ let of_layout (l : L.t) =
     end
     else if sax <> sbx && say <> sby then begin
       note diagonal (fun () ->
-          D.makef ~loc:(label_name lab) Verify.Lvs_rules.r_diagonal
+          Diag.makef ~loc:(label_name lab) Verify.Lvs_rules.r_diagonal
             "%s from (%.6f, %.6f) to (%.6f, %.6f) um runs along both axes"
             (where id k l1 l2) xy.(j) xy.(j + 1) xy.(j + 2) xy.(j + 3));
       false
@@ -283,7 +282,7 @@ let of_layout (l : L.t) =
     l.L.vias;
   if off.caught > 0 || unknown.caught > 0 || diagonal.caught > 0 then
     Error
-      (D.sort
+      (Diag.sort
          (rest off Verify.Lvs_rules.r_off_grid
             (Printf.sprintf "shapes off the %g nm grid" unit_nm)
           @ rest unknown Verify.Lvs_rules.r_unknown_net

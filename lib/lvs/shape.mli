@@ -81,7 +81,7 @@ type t = {
     extended in both axes, each family with one more counting the rest.
     Plates are checked like every other shape; one with a known net on
     the grid is written without a box. *)
-val of_layout : Ccroute.Layout.t -> (t, Verify.Diagnostic.t list) result
+val of_layout : Ccroute.Layout.t -> (t, Diag.t list) result
 
 (** Number of shapes. *)
 val count : t -> int

@@ -18,7 +18,7 @@ let coverage_policy =
     unit_ = "1";
     kind = Policy.Exact_set;
     sense = Policy.Neither;
-    severity = Verify.Rule.Error }
+    severity = Diag.Error }
 
 (* Pull the observation a policy judges out of a record.  The mapping is
    the other half of the Policy.catalogue contract. *)
@@ -80,7 +80,7 @@ let sort_findings fs =
        match Int.compare (verdict_rank a.verdict) (verdict_rank b.verdict) with
        | 0 ->
          (match
-            Verify.Rule.compare_severity a.policy.Policy.severity
+            Diag.compare_severity a.policy.Policy.severity
               b.policy.Policy.severity
           with
           | 0 ->
@@ -136,16 +136,14 @@ let diff ~baseline ~current =
   in
   { findings = sort_findings findings; warnings = List.rev warnings @ extra }
 
-let disqualifies ?(werror = false) f =
-  (match f.verdict with
-   | Policy.Regressed | Policy.Incomparable -> true
-   | Policy.Improved | Policy.Unchanged -> false)
-  && (werror
-      || match f.policy.Policy.severity with
-         | Verify.Rule.Error -> true
-         | Verify.Rule.Warning | Verify.Rule.Info -> false)
-
-let failing ?werror t = List.filter (disqualifies ?werror) t.findings
+let failing ?werror t =
+  List.filter
+    (fun f ->
+       (match f.verdict with
+        | Policy.Regressed | Policy.Incomparable -> true
+        | Policy.Improved | Policy.Unchanged -> false)
+       && Diag.disqualifies ?werror f.policy.Policy.severity)
+    t.findings
 
 let gate ?werror t =
   match failing ?werror t with [] -> Ok () | fs -> Error fs
@@ -208,7 +206,7 @@ let to_json t =
                     ("metric", Json.Str f.policy.Policy.metric);
                     ( "severity",
                       Json.Str
-                        (Verify.Rule.severity_name f.policy.Policy.severity) );
+                        (Diag.severity_name f.policy.Policy.severity) );
                     ("verdict", Json.Str (Policy.verdict_name f.verdict));
                     ("detail", Json.Str f.detail) ])
              t.findings) );

@@ -35,12 +35,13 @@ val compare_records : baseline:Record.t -> current:Record.t -> finding list
 val diff : baseline:Record.t list -> current:Record.t list -> t
 
 (** [failing ?werror t] is the findings that disqualify: verdict
-    [Regressed] or [Incomparable], of [Error] severity — or any severity
-    under [werror].  Empty means the gate passes. *)
+    [Regressed] or [Incomparable], of a severity {!Diag.disqualifies}
+    ([Error], or [Warning] under [werror]).  Empty means the gate
+    passes. *)
 val failing : ?werror:bool -> t -> finding list
 
 (** [gate ?werror t] is [Error (failing t)] when disqualifying findings
-    exist, mirroring [Verify.Engine.gate]. *)
+    exist. *)
 val gate : ?werror:bool -> t -> (unit, finding list) result
 
 (** ["clean"] or e.g. ["2 regressed, 1 incomparable, 3 improved"]. *)

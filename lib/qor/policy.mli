@@ -42,8 +42,8 @@ type t = {
   unit_ : string;
   kind : kind;
   sense : sense;
-  severity : Verify.Rule.severity;  (** [Error] fails the gate outright;
-                                        [Warning] fails under [--werror] *)
+  severity : Diag.severity;  (** [Error] fails the gate outright;
+                                [Warning] fails under [--werror] *)
 }
 
 (** What a policy is judged over. *)

@@ -109,8 +109,8 @@ let of_result ?(repeat = 1) (r : Ccdac.Flow.result) =
     bends = p.Extract.Parasitics.total_bends;
     wirelength_um = p.Extract.Parasitics.total_wirelength;
     area_um2 = r.Ccdac.Flow.area;
-    verify_rules = Verify.Diagnostic.rule_ids r.Ccdac.Flow.verify_diagnostics;
-    lvs_rules = Verify.Diagnostic.rule_ids r.Ccdac.Flow.lvs_diagnostics;
+    verify_rules = Diag.rule_ids r.Ccdac.Flow.verify_diagnostics;
+    lvs_rules = Diag.rule_ids r.Ccdac.Flow.lvs_diagnostics;
     provenance = Provenance.capture () }
 
 let to_json t =

@@ -13,27 +13,24 @@ type t = {
 let empty = { file = ".cclint"; entries = [] }
 
 let stale_rule =
-  Rule.make ~id:"meta/stale-suppression" ~category:Rule.Meta
-    ~severity:Rule.Error
+  Diag.rule ~id:"meta/stale-suppression" ~severity:Diag.Error
     ~doc:
       "The allowlist entry suppressed nothing; the violation it excused \
        is gone, so the entry must go too."
 
 let missing_justification_rule =
-  Rule.make ~id:"meta/missing-justification" ~category:Rule.Meta
-    ~severity:Rule.Error
+  Diag.rule ~id:"meta/missing-justification" ~severity:Diag.Error
     ~doc:
       "Every suppression must say why it is sound, in the entry itself."
 
 let unknown_rule_rule =
-  Rule.make ~id:"meta/unknown-rule" ~category:Rule.Meta ~severity:Rule.Error
+  Diag.rule ~id:"meta/unknown-rule" ~severity:Diag.Error
     ~doc:
       "The allowlist entry names a rule the registry does not know — a \
        typo would otherwise suppress nothing, silently."
 
 let duplicate_rule =
-  Rule.make ~id:"meta/duplicate-suppression" ~category:Rule.Meta
-    ~severity:Rule.Error
+  Diag.rule ~id:"meta/duplicate-suppression" ~severity:Diag.Error
     ~doc:
       "Two allowlist entries name the same (rule, path); only the first \
        can ever match, so the second is dead weight that would otherwise \

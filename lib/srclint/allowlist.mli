@@ -40,10 +40,10 @@ val parse_string : file:string -> string -> (t, string) result
     error. *)
 val load : string -> (t, string) result
 
-val stale_rule : Rule.t
-val missing_justification_rule : Rule.t
-val unknown_rule_rule : Rule.t
-val duplicate_rule : Rule.t
+val stale_rule : Diag.rule
+val missing_justification_rule : Diag.rule
+val unknown_rule_rule : Diag.rule
+val duplicate_rule : Diag.rule
 
 (** The ["meta/"] rules the allowlist machinery can emit. *)
-val rules : Rule.t list
+val rules : Diag.rule list

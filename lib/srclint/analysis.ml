@@ -71,8 +71,8 @@ let taint ~manifest graph mods =
                 | None -> None
                 | Some (names, (source, sline)) ->
                   Some
-                    (Diagnostic.makef ~rule:(rule_of_kind kind)
-                       ~file:d.Summary.d_file ~line:d.Summary.d_line
+                    (Diag.makef ~loc:d.Summary.d_file ~line:d.Summary.d_line
+                       (rule_of_kind kind)
                        "%s reaches %s (%s taint, source at line %d of the \
                         chain's last file): %s"
                        d.Summary.d_name source (Names.kind_name kind) sline
@@ -120,8 +120,7 @@ let escape ~manifest graph mods =
     Printf.ksprintf
       (fun detail ->
          emit :=
-           Diagnostic.make ~rule:Typed_rules.domain_escape
-             ~file ~line detail
+           Diag.make ~loc:file ~line Typed_rules.domain_escape detail
            :: !emit)
       fmt
   in
@@ -278,7 +277,7 @@ let layering ~manifest ~libs edges =
   let diag rule ~file ~line fmt =
     Printf.ksprintf
       (fun detail ->
-         out := Diagnostic.make ~rule ~file ~line detail :: !out)
+         out := Diag.make ~loc:file ~line rule detail :: !out)
       fmt
   in
   List.iter

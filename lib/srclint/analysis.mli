@@ -1,14 +1,14 @@
 (** The three typed whole-program analyses: effect/determinism taint,
     domain-escape race detection and architecture layering.  Each takes
     summarized modules plus the committed manifest and yields ordinary
-    {!Diagnostic.t}s. *)
+    {!Diag.t}s. *)
 
 (** [taint ~manifest graph mods]: for every def in a [pure]-contracted
     library that transitively reaches an ambient-effect source, an
     ["int/taint-*"] diagnostic naming the concrete call chain. *)
 val taint :
   manifest:Manifest.t -> Callgraph.t -> Summary.moddef list ->
-  Diagnostic.t list
+  Diag.t list
 
 (** [escape ~manifest graph mods]: ["int/domain-escape"] diagnostics for
     mutable state written from within [Par.Pool] task closures without
@@ -16,7 +16,7 @@ val taint :
     callee chain. *)
 val escape :
   manifest:Manifest.t -> Callgraph.t -> Summary.moddef list ->
-  Diagnostic.t list
+  Diag.t list
 
 (** One cross-library dependency edge, anchored to its first use site. *)
 type edge = {
@@ -39,11 +39,11 @@ val edges :
     way, since dune already rejects real ones). *)
 val layering :
   manifest:Manifest.t -> libs:string list -> edge list ->
-  Diagnostic.t list
+  Diag.t list
 
 (** [run ~manifest ~libs ~lib_of_module mods]: manifest validation plus
     all three analyses, concatenated. *)
 val run :
   manifest:Manifest.t -> libs:string list ->
   lib_of_module:(string -> string option) -> Summary.moddef list ->
-  Diagnostic.t list
+  Diag.t list

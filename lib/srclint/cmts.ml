@@ -12,7 +12,7 @@ type universe = {
   mods : Summary.moddef list;
   lib_of_module : string -> string option;
       (* canonical head module ("Ccplace") -> lib dir ("ccplace") *)
-  errors : Diagnostic.t list;
+  errors : Diag.t list;
 }
 
 type built = {
@@ -94,7 +94,7 @@ let digest_file path =
 
 let cmt_error ~file fmt =
   Printf.ksprintf
-    (fun detail -> Diagnostic.make ~rule:Typed_rules.cmt_error ~file detail)
+    (fun detail -> Diag.make ~loc:file Typed_rules.cmt_error detail)
     fmt
 
 (* One finding per source whose cmt is missing or was built from another

@@ -8,7 +8,7 @@ type universe = {
   mods : Summary.moddef list;
   lib_of_module : string -> string option;
       (** canonical head module (["Ccplace"]) to lib dir (["ccplace"]) *)
-  errors : Diagnostic.t list;
+  errors : Diag.t list;
       (** [meta/cmt-error] findings: one per library with no [.cmt], one
           per unreadable [.cmt], one per [.ml] whose implementation
           [.cmt] is missing or records another source digest, and one

@@ -1,40 +1,35 @@
 open Parsetree
 
 let wall_clock =
-  Rule.make ~id:"det/wall-clock" ~category:Rule.Determinism
-    ~severity:Rule.Error
+  Diag.rule ~id:"det/wall-clock" ~severity:Diag.Error
     ~doc:
       "Library code must not read the wall clock (Unix.gettimeofday, \
        Sys.time, ...); use Telemetry.Clock for durations or thread a \
        timestamp in from the caller."
 
 let random_self_init =
-  Rule.make ~id:"det/random-self-init" ~category:Rule.Determinism
-    ~severity:Rule.Error
+  Diag.rule ~id:"det/random-self-init" ~severity:Diag.Error
     ~doc:
       "Random.self_init seeds from ambient entropy and destroys \
        reproducibility everywhere, tests included; seed explicitly \
        (Par.Rng substreams, Random.State.make)."
 
 let ambient_random =
-  Rule.make ~id:"det/ambient-random" ~category:Rule.Determinism
-    ~severity:Rule.Error
+  Diag.rule ~id:"det/ambient-random" ~severity:Diag.Error
     ~doc:
       "The global Random state is shared across domains and \
        schedule-dependent; use Random.State values derived from Par.Rng \
        substreams instead."
 
 let getenv =
-  Rule.make ~id:"det/getenv" ~category:Rule.Determinism
-    ~severity:Rule.Warning
+  Diag.rule ~id:"det/getenv" ~severity:Diag.Warning
     ~doc:
       "Reading the environment makes library behaviour ambient; resolve \
        configuration at the CLI boundary and pass it down (Par.Jobs owns \
        the one sanctioned knob)."
 
 let gc_mutation =
-  Rule.make ~id:"det/gc-mutation" ~category:Rule.Determinism
-    ~severity:Rule.Error
+  Diag.rule ~id:"det/gc-mutation" ~severity:Diag.Error
     ~doc:
       "Mutating the GC (Gc.set, Gc.compact, Gc.full_major, ...) from \
        library or CLI code changes process-wide collection scheduling and \
@@ -72,8 +67,7 @@ let check (src : Source.t) =
   let emit rule loc name =
     let line, col = Source.line_col loc in
     out :=
-      Diagnostic.makef ~rule ~file:src.Source.path ~line ~col "use of %s"
-        name
+      Diag.makef ~loc:src.Source.path ~line ~col rule "use of %s" name
       :: !out
   in
   Source.iter_exprs src.Source.ast (fun e ->

@@ -7,5 +7,5 @@
     ([Qor.Provenance.capture], which stamps records by design) carries a
     justified [.cclint] suppression. *)
 
-val rules : Rule.t list
-val check : Source.t -> Diagnostic.t list
+val rules : Diag.rule list
+val check : Source.t -> Diag.t list

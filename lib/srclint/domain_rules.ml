@@ -1,31 +1,27 @@
 open Parsetree
 
 let global_ref =
-  Rule.make ~id:"domain/global-ref" ~category:Rule.Domain_safety
-    ~severity:Rule.Error
+  Diag.rule ~id:"domain/global-ref" ~severity:Diag.Error
     ~doc:
       "A top-level ref cell is shared by every Par.Pool worker domain; \
        allocate state per call, use Atomic, or suppress with the guarding \
        discipline spelled out."
 
 let global_mutable =
-  Rule.make ~id:"domain/global-mutable" ~category:Rule.Domain_safety
-    ~severity:Rule.Error
+  Diag.rule ~id:"domain/global-mutable" ~severity:Diag.Error
     ~doc:
       "A top-level mutable container (Hashtbl, Queue, Buffer, Stack, \
        array, bytes) is shared by every worker domain; allocate per call \
        or suppress with the guarding discipline spelled out."
 
 let dls =
-  Rule.make ~id:"domain/dls" ~category:Rule.Domain_safety
-    ~severity:Rule.Error
+  Diag.rule ~id:"domain/dls" ~severity:Diag.Error
     ~doc:
       "Domain-local storage is reserved for lib/telemetry and lib/par; \
        anywhere else it hides per-domain state the pool cannot propagate."
 
 let spawn =
-  Rule.make ~id:"domain/spawn" ~category:Rule.Domain_safety
-    ~severity:Rule.Error
+  Diag.rule ~id:"domain/spawn" ~severity:Diag.Error
     ~doc:
       "Domain.spawn is reserved for lib/par: raw domains bypass the pool's \
        ordering, fault-isolation, telemetry-inheritance and scheduler- \
@@ -53,7 +49,7 @@ let check (src : Source.t) =
   let out = ref [] in
   let emit rule loc detail =
     let line, col = Source.line_col loc in
-    out := Diagnostic.make ~rule ~file:src.Source.path ~line ~col detail :: !out
+    out := Diag.make ~loc:src.Source.path ~line ~col rule detail :: !out
   in
   (* --- top-level mutable state, descending into nested modules --- *)
   let scan_binding_rhs e =
@@ -134,4 +130,4 @@ let check (src : Source.t) =
           if String.equal name "Domain.spawn" then
             emit spawn e.pexp_loc "use of Domain.spawn"
         | _ -> ());
-  Diagnostic.sort !out
+  Diag.sort !out

@@ -7,5 +7,5 @@
     storage is reserved for the two libraries that own the worker
     machinery, [lib/telemetry] and [lib/par]. *)
 
-val rules : Rule.t list
-val check : Source.t -> Diagnostic.t list
+val rules : Diag.rule list
+val check : Source.t -> Diag.t list

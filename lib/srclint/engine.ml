@@ -5,7 +5,7 @@ type suppression = {
 
 type result = {
   files_scanned : int;
-  diagnostics : Diagnostic.t list;
+  diagnostics : Diag.t list;
   suppressions : suppression list;
 }
 
@@ -46,7 +46,7 @@ let check_source src =
 
 let check_string ~path contents =
   match Source.parse ~path contents with
-  | Ok src -> Diagnostic.sort (check_source src)
+  | Ok src -> Diag.sort (check_source src)
   | Error diag -> [ diag ]
 
 let check_file ~root path =
@@ -55,15 +55,14 @@ let check_file ~root path =
   with
   | contents -> check_string ~path contents
   | exception Sys_error msg ->
-    [ Diagnostic.makef ~rule:Source.parse_error_rule ~file:path
-        "unreadable: %s" msg ]
+    [ Diag.makef ~loc:path Source.parse_error_rule "unreadable: %s" msg ]
 
 let apply_allowlist (allowlist : Allowlist.t) diags =
   let suppressed_by d =
     List.find_opt
       (fun (e : Allowlist.entry) ->
-         e.Allowlist.rule_id = d.Diagnostic.rule.Rule.id
-         && e.Allowlist.path = d.Diagnostic.file)
+         e.Allowlist.rule_id = d.Diag.rule.Diag.id
+         && e.Allowlist.path = d.Diag.loc)
       allowlist.Allowlist.entries
   in
   let kept, matches =
@@ -79,8 +78,8 @@ let apply_allowlist (allowlist : Allowlist.t) diags =
     Printf.ksprintf
       (fun detail ->
          meta :=
-           Diagnostic.make ~rule ~file:allowlist.Allowlist.file
-             ~line:e.Allowlist.line detail
+           Diag.make ~loc:allowlist.Allowlist.file ~line:e.Allowlist.line rule
+             detail
            :: !meta)
       fmt
   in
@@ -106,7 +105,7 @@ let apply_allowlist (allowlist : Allowlist.t) diags =
              emit Allowlist.missing_justification_rule e
                "suppression of %s in %s has no justification"
                e.Allowlist.rule_id e.Allowlist.path;
-           if not (List.mem e.Allowlist.rule_id Registry.ids) then
+           if Option.is_none (Diag.find Registry.all e.Allowlist.rule_id) then
              emit Allowlist.unknown_rule_rule e "unknown rule %s"
                e.Allowlist.rule_id
            else if matched = 0 then
@@ -128,10 +127,10 @@ let run ?rules ?(allowlist = Allowlist.empty) ~root () =
   let selected id =
     match rules with
     | None -> true
-    | Some patterns -> Registry.matches ~patterns id
+    | Some patterns -> Diag.matches ~patterns id
   in
   let diags =
-    List.filter (fun d -> selected d.Diagnostic.rule.Rule.id) diags
+    List.filter (fun d -> selected d.Diag.rule.Diag.id) diags
   in
   let allowlist =
     { allowlist with
@@ -142,14 +141,5 @@ let run ?rules ?(allowlist = Allowlist.empty) ~root () =
   in
   let diagnostics, suppressions = apply_allowlist allowlist diags in
   { files_scanned = List.length files;
-    diagnostics = Diagnostic.sort diagnostics;
+    diagnostics = Diag.sort diagnostics;
     suppressions }
-
-let has_findings ?(werror = false) diags =
-  List.exists
-    (fun d ->
-       match Diagnostic.severity d with
-       | Rule.Error -> true
-       | Rule.Warning -> werror
-       | Rule.Info -> false)
-    diags

@@ -1,24 +1,21 @@
 open Parsetree
 
 let catchall_swallow =
-  Rule.make ~id:"err/catchall-swallow" ~category:Rule.Error_handling
-    ~severity:Rule.Error
+  Diag.rule ~id:"err/catchall-swallow" ~severity:Diag.Error
     ~doc:
       "A catch-all exception handler that neither re-raises nor fails \
        hides real faults (including Par.Pool task errors); match the \
        exceptions you expect, or re-raise the rest."
 
 let assert_false =
-  Rule.make ~id:"err/assert-false" ~category:Rule.Error_handling
-    ~severity:Rule.Warning
+  Diag.rule ~id:"err/assert-false" ~severity:Diag.Warning
     ~doc:
       "assert false is an unrecoverable trap with no message; prefer a \
        typed error (invalid_arg, Error) or suppress with the invariant \
        that makes the branch unreachable spelled out."
 
 let exit_in_lib =
-  Rule.make ~id:"err/exit-in-lib" ~category:Rule.Error_handling
-    ~severity:Rule.Error
+  Diag.rule ~id:"err/exit-in-lib" ~severity:Diag.Error
     ~doc:
       "exit belongs to executables; library code must raise and let the \
        caller decide the process's fate."
@@ -70,7 +67,7 @@ let check (src : Source.t) =
   let out = ref [] in
   let emit rule loc detail =
     let line, col = Source.line_col loc in
-    out := Diagnostic.make ~rule ~file:src.Source.path ~line ~col detail :: !out
+    out := Diag.make ~loc:src.Source.path ~line ~col rule detail :: !out
   in
   let in_lib = src.Source.zone = Source.Lib in
   let in_lib_or_bin = in_lib || src.Source.zone = Source.Bin in

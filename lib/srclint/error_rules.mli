@@ -4,5 +4,5 @@
     answers), must prefer typed failures over [assert false] traps, and
     must never [exit] — that is the executable's decision. *)
 
-val rules : Rule.t list
-val check : Source.t -> Diagnostic.t list
+val rules : Diag.rule list
+val check : Source.t -> Diag.t list

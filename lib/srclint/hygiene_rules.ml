@@ -1,8 +1,7 @@
 open Parsetree
 
 let poly_compare =
-  Rule.make ~id:"hyg/poly-compare" ~category:Rule.Hygiene
-    ~severity:Rule.Error
+  Diag.rule ~id:"hyg/poly-compare" ~severity:Diag.Error
     ~doc:
       "Polymorphic compare is NaN-hostile on floats and \
        representation-fragile on records; kernels must sort and compare \
@@ -10,21 +9,19 @@ let poly_compare =
        ...)."
 
 let float_equality =
-  Rule.make ~id:"hyg/float-equality" ~category:Rule.Hygiene
-    ~severity:Rule.Error
+  Diag.rule ~id:"hyg/float-equality" ~severity:Diag.Error
     ~doc:
       "Structural (=)/(<>) against a float literal; use Float.equal, a \
        sign test, or an explicit tolerance."
 
 let print_in_lib =
-  Rule.make ~id:"hyg/print-in-lib" ~category:Rule.Hygiene
-    ~severity:Rule.Error
+  Diag.rule ~id:"hyg/print-in-lib" ~severity:Diag.Error
     ~doc:
       "Library code must not write to stdout/stderr; return strings, \
        take a Format.formatter, or use Logs — printing is the CLI's job."
 
 let obj_magic =
-  Rule.make ~id:"hyg/obj-magic" ~category:Rule.Hygiene ~severity:Rule.Error
+  Diag.rule ~id:"hyg/obj-magic" ~severity:Diag.Error
     ~doc:"Obj.magic/Obj.repr defeat the type system; there is no sanctioned \
           use in this tree."
 
@@ -40,7 +37,7 @@ let obj_idents = [ "Obj.magic"; "Obj.repr"; "Obj.obj" ]
 
 let eq_operators = [ "="; "<>"; "=="; "!=" ]
 
-(* A file that binds its own [compare] (Diagnostic.compare, a local
+(* A file that binds its own [compare] (Diag.compare, a local
    comparator passed to sort, ...) uses that binding, not the polymorphic
    one — skip bare-[compare] findings there. *)
 let binds_compare ast =
@@ -76,7 +73,7 @@ let check (src : Source.t) =
   let out = ref [] in
   let emit rule loc detail =
     let line, col = Source.line_col loc in
-    out := Diagnostic.make ~rule ~file:src.Source.path ~line ~col detail :: !out
+    out := Diag.make ~loc:src.Source.path ~line ~col rule detail :: !out
   in
   let in_lib = src.Source.zone = Source.Lib in
   let compare_shadowed = binds_compare src.Source.ast in

@@ -8,5 +8,5 @@
     its own [compare] (a module defining [M.compare] is the typed
     comparator, not a use of the polymorphic one). *)
 
-val rules : Rule.t list
-val check : Source.t -> Diagnostic.t list
+val rules : Diag.rule list
+val check : Source.t -> Diag.t list

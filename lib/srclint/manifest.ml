@@ -126,8 +126,8 @@ let validate t ~libs =
     Printf.ksprintf
       (fun detail ->
          out :=
-           Diagnostic.make ~rule:Typed_rules.manifest_error
-             ~file:t.file ~line:loc.dline detail
+           Diag.make ~loc:t.file ~line:loc.dline Typed_rules.manifest_error
+             detail
            :: !out)
       fmt
   in

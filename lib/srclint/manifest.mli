@@ -51,4 +51,4 @@ val load : root:string -> (t, string) result
 (** [validate t ~libs] emits [meta/ccdeps-manifest] diagnostics for
     directives naming no known sublibrary and duplicate layer
     declarations. *)
-val validate : t -> libs:string list -> Diagnostic.t list
+val validate : t -> libs:string list -> Diag.t list

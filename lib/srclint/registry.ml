@@ -1,44 +1,10 @@
 let all =
-  let rules =
-    Det_rules.rules @ Domain_rules.rules @ Error_rules.rules
-    @ Hygiene_rules.rules @ Typed_rules.rules @ Allowlist.rules
-    @ [ Source.parse_error_rule ]
-  in
-  let sorted =
-    List.sort (fun a b -> String.compare a.Rule.id b.Rule.id) rules
-  in
-  let rec check_unique = function
-    | a :: (b :: _ as rest) ->
-      if a.Rule.id = b.Rule.id then
-        invalid_arg ("Srclint.Registry: duplicate rule id " ^ a.Rule.id);
-      check_unique rest
-    | _ -> ()
-  in
-  check_unique sorted;
-  sorted
-
-let find id = List.find_opt (fun r -> r.Rule.id = id) all
-
-let by_category c = List.filter (fun r -> r.Rule.category = c) all
-
-let ids = List.map (fun r -> r.Rule.id) all
-
-let normalize_pattern p =
-  let strip suffix p =
-    if Filename.check_suffix p suffix then Filename.chop_suffix p suffix
-    else p
-  in
-  strip "*" p |> strip "/"
-
-let pattern_matches p id =
-  let family = normalize_pattern p in
-  id = p
-  || String.length id > String.length family + 1
-     && String.sub id 0 (String.length family + 1) = family ^ "/"
-
-let matches ~patterns id = List.exists (fun p -> pattern_matches p id) patterns
-
-let pattern_selects_nothing patterns =
-  List.filter
-    (fun p -> not (List.exists (fun id -> pattern_matches p id) ids))
-    patterns
+  Diag.catalogue
+    ~categories:
+      [ ("det", "determinism"); ("domain", "domain-safety");
+        ("err", "error-handling"); ("hyg", "hygiene");
+        ("int", "interprocedural"); ("arch", "architecture");
+        ("meta", "meta") ]
+    (Det_rules.rules @ Domain_rules.rules @ Error_rules.rules
+     @ Hygiene_rules.rules @ Typed_rules.rules @ Allowlist.rules
+     @ [ Source.parse_error_rule ])

@@ -1,30 +1,11 @@
-(** The source-lint rule registry: every rule any checker (or the
-    allowlist/parse machinery) can emit, aggregated from {!Det_rules},
-    {!Domain_rules}, {!Error_rules}, {!Hygiene_rules}, {!Allowlist} and
-    {!Source}.
-
-    Ids are guaranteed unique (checked at module initialisation) and the
-    catalogue is sorted by id, so documentation, JSON output and tests all
-    see one stable order. *)
-
-(** Every registered rule, sorted by id.  Raises [Invalid_argument] at
-    first use if two checker modules declare the same id. *)
-val all : Rule.t list
-
-(** [find id]. *)
-val find : string -> Rule.t option
-
-(** [by_category c] keeps the registered rules of one category, sorted. *)
-val by_category : Rule.category -> Rule.t list
-
-(** [ids] is the sorted list of every registered rule id. *)
-val ids : string list
-
-(** [matches ~patterns id]: does [id] satisfy the [--rules] filter?  A
-    pattern selects its exact id, or a whole family by prefix — ["det"],
-    ["det/"] and ["det/*"] all select every ["det/"] rule. *)
-val matches : patterns:string list -> string -> bool
-
-(** [pattern_selects_nothing patterns] is the sublist of [patterns] that
-    select no registered rule — user typos to report. *)
-val pattern_selects_nothing : string list -> string list
+(** The source linter's rule catalogue: every rule a checker (or the
+    allowlist and parse machinery) can emit — {!Det_rules},
+    {!Domain_rules}, {!Error_rules}, {!Hygiene_rules}, {!Typed_rules},
+    {!Allowlist} and {!Source} — sorted by id, and the category each rule
+    family reports under: [det] determinism, [domain] domain-safety,
+    [err] error-handling, [hyg] hygiene, [int] interprocedural (the typed
+    pass's taint and domain-escape findings), [arch] architecture (its
+    layering findings) and [meta] (the analyzer's own bookkeeping).
+    Raises [Invalid_argument] at module initialisation if two rules share
+    an id. *)
+val all : Diag.catalogue

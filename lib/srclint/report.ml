@@ -1,118 +1,71 @@
-let counts (r : Engine.result) =
-  ( Diagnostic.count Rule.Error r.Engine.diagnostics,
-    Diagnostic.count Rule.Warning r.Engine.diagnostics,
-    Diagnostic.count Rule.Info r.Engine.diagnostics )
-
 let suppressed_total (r : Engine.result) =
   List.fold_left
     (fun acc s -> acc + s.Engine.matched)
     0 r.Engine.suppressions
 
 let summary_line (r : Engine.result) =
-  let errors, warnings, infos = counts r in
-  let buf = Buffer.create 64 in
-  if errors = 0 && warnings = 0 && infos = 0 then
-    Buffer.add_string buf "source tree clean"
-  else begin
-    let part n what =
-      if n > 0 then begin
-        if Buffer.length buf > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf
-          (Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s"))
-      end
-    in
-    part errors "error";
-    part warnings "warning";
-    part infos "info";
-    ()
-  end;
-  Buffer.add_string buf
-    (Printf.sprintf " (%d file%s scanned" r.Engine.files_scanned
-       (if r.Engine.files_scanned = 1 then "" else "s"));
+  let plural n = if n = 1 then "" else "s" in
   let sup = suppressed_total r in
-  if sup > 0 then
-    Buffer.add_string buf (Printf.sprintf ", %d finding%s suppressed" sup
-                             (if sup = 1 then "" else "s"));
-  Buffer.add_string buf ")";
-  Buffer.contents buf
+  Printf.sprintf "%s (%d file%s scanned%s)"
+    (Diag.summary ~clean:"source tree clean" r.Engine.diagnostics)
+    r.Engine.files_scanned (plural r.Engine.files_scanned)
+    (if sup > 0 then Printf.sprintf ", %d finding%s suppressed" sup (plural sup)
+     else "")
 
-let pp_text ppf (r : Engine.result) =
-  List.iter
-    (fun d -> Format.fprintf ppf "%a@." Diagnostic.pp d)
-    r.Engine.diagnostics;
-  Format.fprintf ppf "%s@." (summary_line r)
+let text (r : Engine.result) =
+  String.concat ""
+    (List.map (fun d -> Format.asprintf "%a\n" Diag.pp d) r.Engine.diagnostics
+     @ [ summary_line r; "\n" ])
 
-let text r = Format.asprintf "%a" pp_text r
+let category (r : Diag.rule) = Diag.category Registry.all r
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let diag_json (d : Diagnostic.t) =
+let diag_json (d : Diag.t) =
   Printf.sprintf
     "{\"rule\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \
      \"file\": \"%s\", \"line\": %d, \"col\": %d, \"detail\": \"%s\"}"
-    (json_escape d.Diagnostic.rule.Rule.id)
-    (Rule.category_name d.Diagnostic.rule.Rule.category)
-    (Rule.severity_name d.Diagnostic.rule.Rule.severity)
-    (json_escape d.Diagnostic.file)
-    d.Diagnostic.line d.Diagnostic.col
-    (json_escape d.Diagnostic.detail)
+    (Diag.json_escape d.Diag.rule.Diag.id) (category d.Diag.rule)
+    (Diag.severity_name (Diag.severity d))
+    (Diag.json_escape d.Diag.loc) d.Diag.line d.Diag.col
+    (Diag.json_escape d.Diag.detail)
 
 let suppression_json (s : Engine.suppression) =
   let e = s.Engine.entry in
   Printf.sprintf
     "{\"rule\": \"%s\", \"path\": \"%s\", \"line\": %d, \"matched\": %d, \
      \"justification\": \"%s\"}"
-    (json_escape e.Allowlist.rule_id)
-    (json_escape e.Allowlist.path)
+    (Diag.json_escape e.Allowlist.rule_id)
+    (Diag.json_escape e.Allowlist.path)
     e.Allowlist.line s.Engine.matched
-    (json_escape e.Allowlist.justification)
+    (Diag.json_escape e.Allowlist.justification)
 
 let json (r : Engine.result) =
-  let errors, warnings, infos = counts r in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"version\": 1, \"tool\": \"cclint\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       " \"summary\": {\"errors\": %d, \"warnings\": %d, \"infos\": %d, \
-        \"total\": %d, \"suppressed\": %d, \"files_scanned\": %d},\n"
-       errors warnings infos
-       (List.length r.Engine.diagnostics)
-       (suppressed_total r) r.Engine.files_scanned);
-  Buffer.add_string buf " \"diagnostics\": [";
-  Buffer.add_string buf
-    (String.concat ",\n   " (List.map diag_json r.Engine.diagnostics));
-  Buffer.add_string buf "],\n \"suppressions\": [";
-  Buffer.add_string buf
-    (String.concat ",\n   " (List.map suppression_json r.Engine.suppressions));
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  Printf.sprintf
+    "{\"version\": 1, \"tool\": \"cclint\",\n\
+    \ \"summary\": {%s, \"suppressed\": %d, \"files_scanned\": %d},\n\
+    \ \"diagnostics\": [%s],\n\
+    \ \"suppressions\": [%s]}\n"
+    (Diag.json_counts r.Engine.diagnostics)
+    (suppressed_total r) r.Engine.files_scanned
+    (String.concat ",\n   " (List.map diag_json r.Engine.diagnostics))
+    (String.concat ",\n   " (List.map suppression_json r.Engine.suppressions))
 
-let rule_json (r : Rule.t) =
+let rule_json (r : Diag.rule) =
   Printf.sprintf
     "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \"doc\": \
      \"%s\"}"
-    (json_escape r.Rule.id)
-    (Rule.category_name r.Rule.category)
-    (Rule.severity_name r.Rule.severity)
-    (json_escape r.Rule.doc)
+    (Diag.json_escape r.Diag.id) (category r)
+    (Diag.severity_name r.Diag.severity)
+    (Diag.json_escape r.Diag.doc)
 
 let json_rules () =
   Printf.sprintf "{\"version\": 1, \"tool\": \"cclint\", \"rules\": [%s]}\n"
-    (String.concat ",\n  " (List.map rule_json Registry.all))
+    (String.concat ",\n  " (List.map rule_json Registry.all.Diag.rules))
 
-let pp_rules ppf () =
-  List.iter (fun r -> Format.fprintf ppf "%a@." Rule.pp r) Registry.all
+let text_rules () =
+  String.concat ""
+    (List.map
+       (fun (r : Diag.rule) ->
+          Printf.sprintf "%s[%s] (%s): %s\n"
+            (Diag.severity_name r.Diag.severity) r.Diag.id (category r)
+            r.Diag.doc)
+       Registry.all.Diag.rules)

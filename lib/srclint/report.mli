@@ -1,20 +1,20 @@
-(** Renderers for one {!Engine.result}: a pretty text form for terminals
-    and a stable machine-readable JSON form for CI artifacts.  Both render
-    diagnostics in {!Diagnostic.compare} order (errors first), so output
-    is deterministic regardless of scan order. *)
+(** The source linter's report document for one {!Engine.result}: a text
+    form for terminals and a stable machine-readable JSON form for CI
+    artifacts.  Both render findings in {!Engine.result} order, which is
+    {!Diag.compare} order (errors first), so output is deterministic
+    regardless of scan order. *)
 
-(** [pp_text ppf result] prints one line per finding followed by a summary
-    line ("source tree clean" or counts, plus suppression count). *)
-val pp_text : Format.formatter -> Engine.result -> unit
-
-(** [text result] is {!pp_text} to a string. *)
+(** [text result] is one line per finding followed by a summary line
+    ("source tree clean" or counts, plus files scanned and suppression
+    count). *)
 val text : Engine.result -> string
 
 (** [summary_line result] is just the final counts line. *)
 val summary_line : Engine.result -> string
 
-(** [json_escape s] escapes [s] for embedding in a JSON string literal. *)
-val json_escape : string -> string
+(** [category rule] is the category of [rule]'s family in
+    {!Registry.all}. *)
+val category : Diag.rule -> string
 
 (** [json result] is a self-contained JSON object:
 
@@ -30,12 +30,14 @@ val json_escape : string -> string
        {"rule": "det/wall-clock", "path": "lib/qor/provenance.ml",
         "line": 3, "matched": 1, "justification": "..."}]}
     v}
-*)
+
+    A finding's ["file"] is its {!Diag.t} [loc]. *)
 val json : Engine.result -> string
 
 (** [json_rules ()] renders the whole {!Registry} catalogue as JSON
     (id, category, severity, doc per rule). *)
 val json_rules : unit -> string
 
-(** [pp_rules ppf ()] renders the catalogue as text, one rule per line. *)
-val pp_rules : Format.formatter -> unit -> unit
+(** [text_rules ()] renders the catalogue as text, one rule per line:
+    ["error[det/wall-clock] (determinism): ..."]. *)
+val text_rules : unit -> string

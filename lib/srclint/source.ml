@@ -24,7 +24,7 @@ let lib_of_path path =
   | _ -> None
 
 let parse_error_rule =
-  Rule.make ~id:"meta/parse-error" ~category:Rule.Meta ~severity:Rule.Error
+  Diag.rule ~id:"meta/parse-error" ~severity:Diag.Error
     ~doc:
       "The file does not parse with the compiler frontend; the analyzer \
        cannot vouch for anything in it."
@@ -43,13 +43,11 @@ let parse ~path contents =
   | exception Syntaxerr.Error err ->
     let line, col = line_col (Syntaxerr.location_of_error err) in
     Error
-      (Diagnostic.make ~rule:parse_error_rule ~file:path ~line ~col
-         "syntax error")
+      (Diag.make ~loc:path ~line ~col parse_error_rule "syntax error")
   | exception Lexer.Error (_, loc) ->
     let line, col = line_col loc in
     Error
-      (Diagnostic.make ~rule:parse_error_rule ~file:path ~line ~col
-         "lexer error")
+      (Diag.make ~loc:path ~line ~col parse_error_rule "lexer error")
 
 let iter_exprs ast f =
   let expr self e =

@@ -31,10 +31,10 @@ val lib_of_path : string -> string option
 (** [parse ~path contents] parses [contents] as an implementation file.
     Syntax and lexer errors come back as a [meta/parse-error] finding
     instead of an exception, so one broken file cannot stop the scan. *)
-val parse : path:string -> string -> (t, Diagnostic.t) result
+val parse : path:string -> string -> (t, Diag.t) result
 
 (** The rule {!parse} emits on unparseable input. *)
-val parse_error_rule : Rule.t
+val parse_error_rule : Diag.rule
 
 (** [line_col loc] is the 1-based line and 0-based column of [loc]'s
     start. *)

@@ -6,7 +6,7 @@
 let run ~root =
   match Manifest.load ~root with
   | Error msg ->
-    [ Diagnostic.make ~rule:Typed_rules.manifest_error ~file:Manifest.path msg ]
+    [ Diag.make ~loc:Manifest.path Typed_rules.manifest_error msg ]
   | Ok manifest ->
     let u = Cmts.load ~root in
     u.Cmts.errors

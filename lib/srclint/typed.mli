@@ -1,7 +1,7 @@
 (** The typed whole-program pass: [.ccdeps] manifest + every [.cmt]
-    under [_build/default/lib] in, {!Diagnostic.t}s out. *)
+    under [_build/default/lib] in, {!Diag.t}s out. *)
 
 (** [run ~root] is the full diagnostic list: manifest problems, missing,
     stale or unreadable cmts, and the taint / domain-escape / layering
     findings. *)
-val run : root:string -> Diagnostic.t list
+val run : root:string -> Diag.t list

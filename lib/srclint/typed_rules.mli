@@ -6,27 +6,27 @@
 
 (** {2 Effect/determinism taint (["int/taint-*"])} *)
 
-val taint_wall_clock : Rule.t
-val taint_random : Rule.t
-val taint_getenv : Rule.t
-val taint_gc : Rule.t
-val taint_print : Rule.t
+val taint_wall_clock : Diag.rule
+val taint_random : Diag.rule
+val taint_getenv : Diag.rule
+val taint_gc : Diag.rule
+val taint_print : Diag.rule
 
 (** {2 Domain-escape race detection} *)
 
-val domain_escape : Rule.t
+val domain_escape : Diag.rule
 
 (** {2 Architecture layering (["arch/*"])} *)
 
-val layer_violation : Rule.t
-val forbidden_dep : Rule.t
-val layer_cycle : Rule.t
-val undeclared_lib : Rule.t
+val layer_violation : Diag.rule
+val forbidden_dep : Diag.rule
+val layer_cycle : Diag.rule
+val undeclared_lib : Diag.rule
 
 (** {2 Typed-pass bookkeeping} *)
 
-val cmt_error : Rule.t
-val manifest_error : Rule.t
+val cmt_error : Diag.rule
+val manifest_error : Diag.rule
 
 (** Every rule above, for {!Registry.all}. *)
-val rules : Rule.t list
+val rules : Diag.rule list

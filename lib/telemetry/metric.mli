@@ -1,7 +1,7 @@
 (** A metric definition: the static identity of one quantity the
     instrumented flow reports.
 
-    Metrics are data, not code — mirroring the {!Verify.Rule} design:
+    Metrics are data, not code — mirroring the {!Diag.rule} design:
     each instrumented layer owns a handful of definitions, {!Registry}
     aggregates them into the catalogue that backs documentation
     ([docs/TELEMETRY.md]), dumps and the [ccgen profile] CLI, and the

@@ -1,6 +1,6 @@
 (** The metric catalogue: every id the instrumented flow may record.
 
-    Mirrors {!Verify.Registry}: definitions are aggregated here, checked
+    Mirrors {!Diag.catalogue}: definitions are aggregated here, checked
     for duplicate ids at module initialisation, and looked up by the
     runtime store before any value is accepted — an unregistered id is a
     programming error, caught loudly ({!Metrics} raises), never a silent

@@ -1,20 +1,20 @@
 exception
   Rejected of {
     what : string;                   (* artifact name, e.g. "spiral 8-bit" *)
-    diagnostics : Diagnostic.t list; (* full sorted run, not only errors *)
+    diagnostics : Diag.t list; (* full sorted run, not only errors *)
   }
 
 let () =
   Printexc.register_printer (function
     | Rejected { what; diagnostics } ->
       let shown =
-        List.filteri (fun i _ -> i < 8) (Diagnostic.errors diagnostics)
+        List.filteri (fun i _ -> i < 8) (Diag.errors diagnostics)
       in
       Some
         (Format.asprintf "@[<v>Verify.Engine.Rejected (%s): %s%a@]" what
            (Report.summary_line diagnostics)
            (Format.pp_print_list ~pp_sep:(fun _ () -> ())
-              (fun ppf d -> Format.fprintf ppf "@,  %a" Diagnostic.pp d))
+              (fun ppf d -> Format.fprintf ppf "@,  %a" Diag.pp d))
            shown)
     | _ -> None)
 
@@ -25,8 +25,8 @@ let instrumented artifact diags =
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.incr ~label:artifact "verify/checks_total";
     List.iter
-      (fun (d : Diagnostic.t) ->
-         Telemetry.Metrics.incr ~label:d.Diagnostic.rule.Rule.id
+      (fun (d : Diag.t) ->
+         Telemetry.Metrics.incr ~label:d.Diag.rule.Diag.id
            "verify/rule_fired_total")
       diags
   end;
@@ -66,23 +66,9 @@ let check_built (layout : Ccroute.Layout.t) =
 let check_artifacts (layout : Ccroute.Layout.t) =
   check_tech layout.Ccroute.Layout.tech @ check_built layout
 
-let has_errors diags =
-  List.exists (fun d -> Diagnostic.severity d = Rule.Error) diags
-
-let worst diags =
-  List.fold_left
-    (fun acc d ->
-       match acc with
-       | None -> Some (Diagnostic.severity d)
-       | Some s ->
-         if Rule.compare_severity (Diagnostic.severity d) s < 0 then
-           Some (Diagnostic.severity d)
-         else acc)
-    None diags
-
 let lint_placement ?parallel ?(tech = Tech.Process.finfet_12nm) placement =
   let pre = check_tech tech @ check_placement tech placement in
-  if has_errors pre then pre
+  if Diag.fails pre then pre
   else begin
     let p_of_cap = Option.value parallel ~default:(fun _ -> 1) in
     let layout = Ccroute.Layout.route tech ~p_of_cap placement in
@@ -91,12 +77,12 @@ let lint_placement ?parallel ?(tech = Tech.Process.finfet_12nm) placement =
 
 let lint ?parallel ?(tech = Tech.Process.finfet_12nm) ~bits style =
   let pre = check_tech tech @ check_style ~bits style in
-  if has_errors pre then pre
+  if Diag.fails pre then pre
   else begin
     let placement = Ccplace.Style.place ~bits style in
     let place_diags = check_placement tech placement in
     let pre = pre @ place_diags in
-    if has_errors pre then pre
+    if Diag.fails pre then pre
     else begin
       let p_of_cap = Option.value parallel ~default:(fun _ -> 1) in
       let layout = Ccroute.Layout.route tech ~p_of_cap placement in
@@ -104,17 +90,6 @@ let lint ?parallel ?(tech = Tech.Process.finfet_12nm) ~bits style =
     end
   end
 
-let gate ?(werror = false) diags =
-  let disqualifying d =
-    match Diagnostic.severity d with
-    | Rule.Error -> true
-    | Rule.Warning -> werror
-    | Rule.Info -> false
-  in
-  if List.exists disqualifying diags then Error (Diagnostic.sort diags)
-  else Ok ()
-
 let assert_clean ?werror ?(what = "artifact") diags =
-  match gate ?werror diags with
-  | Ok () -> ()
-  | Error diagnostics -> raise (Rejected { what; diagnostics })
+  if Diag.fails ?werror diags then
+    raise (Rejected { what; diagnostics = Diag.sort diags })

@@ -1,5 +1,5 @@
-let lvs ?(severity = Rule.Error) rule_id doc =
-  Rule.make ~id:("lvs/" ^ rule_id) ~category:Rule.Lvs ~severity ~doc
+let lvs ?(severity = Diag.Error) rule_id doc =
+  Diag.rule ~id:("lvs/" ^ rule_id) ~severity ~doc
 
 let r_short =
   lvs "short"
@@ -16,7 +16,7 @@ let r_floating_cell =
     "Every placed unit cell's bottom plate must be reachable from its \
      capacitor's driver terminal through drawn geometry."
 
-let r_dangling = lvs "dangling" ~severity:Rule.Warning
+let r_dangling = lvs "dangling" ~severity:Diag.Warning
     "A component carrying net-labelled shapes but neither a cell plate nor \
      a driver terminal is dead metal (antenna)."
 

@@ -6,31 +6,31 @@
     round — the registry stays free of geometry). *)
 
 (** ["lvs/short"] *)
-val r_short : Rule.t
+val r_short : Diag.rule
 
 (** ["lvs/open"] *)
-val r_open : Rule.t
+val r_open : Diag.rule
 
 (** ["lvs/floating-cell"] *)
-val r_floating_cell : Rule.t
+val r_floating_cell : Diag.rule
 
 (** ["lvs/dangling"] — warning severity *)
-val r_dangling : Rule.t
+val r_dangling : Diag.rule
 
 (** ["lvs/top-open"] *)
-val r_top_open : Rule.t
+val r_top_open : Diag.rule
 
 (** ["lvs/netbuild-mismatch"] *)
-val r_netbuild_mismatch : Rule.t
+val r_netbuild_mismatch : Diag.rule
 
 (** ["lvs/off-grid"] *)
-val r_off_grid : Rule.t
+val r_off_grid : Diag.rule
 
 (** ["lvs/unknown-net"] *)
-val r_unknown_net : Rule.t
+val r_unknown_net : Diag.rule
 
 (** ["lvs/diagonal"] *)
-val r_diagonal : Rule.t
+val r_diagonal : Diag.rule
 
 (** Every rule this module owns. *)
-val rules : Rule.t list
+val rules : Diag.rule list

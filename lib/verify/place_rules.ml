@@ -1,60 +1,53 @@
 open Ccgrid
 
 let r_well_formed =
-  Rule.make ~id:"place/well-formed" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/well-formed" ~severity:Diag.Error
     ~doc:
       "The placement record must be structurally valid: bits in range, \
        positive grid dimensions, a counts array of length bits+1, an \
        assignment matrix matching the grid, and a unit multiplier >= 1."
 
 let r_grid_coverage =
-  Rule.make ~id:"place/grid-coverage" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/grid-coverage" ~severity:Diag.Error
     ~doc:
       "Every grid cell must hold a declared capacitor id or a dummy — no \
        holes or out-of-range ids."
 
 let r_cell_count =
-  Rule.make ~id:"place/cell-count" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/cell-count" ~severity:Diag.Error
     ~doc:
       "Each capacitor must occupy exactly counts[k] grid cells — the cell \
        population realises the declared ratios."
 
 let r_binary_weights =
-  Rule.make ~id:"place/binary-weights" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/binary-weights" ~severity:Diag.Error
     ~doc:
       "The declared counts must be the binary weights 1, 1, 2, ..., 2^(N-1) \
        scaled by the unit multiplier — what the DAC transfer and INL/DNL \
        models assume."
 
 let r_mirror =
-  Rule.make ~id:"place/mirror-symmetry" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/mirror-symmetry" ~severity:Diag.Error
     ~doc:
       "The assignment must be invariant under 180-degree rotation about the \
        array centre, with the split pair C_0/C_1 mirroring each other — the \
        pair discipline that cancels linear gradients."
 
 let r_centroid =
-  Rule.make ~id:"place/centroid" ~category:Rule.Placement ~severity:Rule.Error
+  Diag.rule ~id:"place/centroid" ~severity:Diag.Error
     ~doc:
       "Every capacitor with at least two cells must have its centroid on \
        the array centre (within tolerance) — the common-centroid property \
        itself."
 
 let r_lsb_pair =
-  Rule.make ~id:"place/lsb-pair-centroid" ~category:Rule.Placement
-    ~severity:Rule.Error
+  Diag.rule ~id:"place/lsb-pair-centroid" ~severity:Diag.Error
     ~doc:
       "C_0 and C_1 are single-cell capacitors placed as a split pair: their \
        joint centroid must be on the array centre."
 
 let r_dispersion =
-  Rule.make ~id:"place/dispersion" ~category:Rule.Placement
-    ~severity:Rule.Warning
+  Diag.rule ~id:"place/dispersion" ~severity:Diag.Warning
     ~doc:
       "The count-weighted RMS dispersion of the capacitors must stay within \
        the declared bound of the whole-array RMS — placements above it \
@@ -66,7 +59,7 @@ let rules =
 
 let dummy = -1
 
-type emitter = Rule.t -> ?loc:string -> string -> unit
+type emitter = Diag.rule -> ?loc:string -> string -> unit
 
 let structural (p : Placement.t) (emit : emitter) =
   let ok = ref true in
@@ -263,7 +256,7 @@ let check_dispersion ~bound tech (p : Placement.t) (emit : emitter) =
 let check ?(centroid_tol = 1e-6) ?(dispersion_bound = 1.1) tech
     (p : Placement.t) =
   let out = ref [] in
-  let emit : emitter = fun rule ?loc detail -> out := Diagnostic.make ?loc rule detail :: !out in
+  let emit : emitter = fun rule ?loc detail -> out := Diag.make ?loc rule detail :: !out in
   if structural p emit then begin
     check_coverage p emit;
     let occ = occupancy p in

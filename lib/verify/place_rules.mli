@@ -6,31 +6,31 @@
     rule fires — the remaining checks assume a well-shaped grid. *)
 
 (** ["place/well-formed"] *)
-val r_well_formed : Rule.t
+val r_well_formed : Diag.rule
 
 (** ["place/grid-coverage"] *)
-val r_grid_coverage : Rule.t
+val r_grid_coverage : Diag.rule
 
 (** ["place/cell-count"] *)
-val r_cell_count : Rule.t
+val r_cell_count : Diag.rule
 
 (** ["place/binary-weights"] *)
-val r_binary_weights : Rule.t
+val r_binary_weights : Diag.rule
 
 (** ["place/mirror-symmetry"] *)
-val r_mirror : Rule.t
+val r_mirror : Diag.rule
 
 (** ["place/centroid"] *)
-val r_centroid : Rule.t
+val r_centroid : Diag.rule
 
 (** ["place/lsb-pair-centroid"] *)
-val r_lsb_pair : Rule.t
+val r_lsb_pair : Diag.rule
 
 (** ["place/dispersion"] *)
-val r_dispersion : Rule.t
+val r_dispersion : Diag.rule
 
 (** Every rule this module owns. *)
-val rules : Rule.t list
+val rules : Diag.rule list
 
 (** [check ?centroid_tol ?dispersion_bound tech placement].
 
@@ -45,4 +45,4 @@ val check :
   ?dispersion_bound:float ->
   Tech.Process.t ->
   Ccgrid.Placement.t ->
-  Diagnostic.t list
+  Diag.t list

@@ -1,21 +1,7 @@
 let all =
-  let rules =
-    List.sort
-      (fun a b -> String.compare a.Rule.id b.Rule.id)
-      (Place_rules.rules @ Route_rules.rules @ Tech_rules.rules
-       @ Style_rules.rules @ Lvs_rules.rules)
-  in
-  let rec dup = function
-    | a :: (b :: _ as rest) ->
-      if String.equal a.Rule.id b.Rule.id then Some a.Rule.id else dup rest
-    | [ _ ] | [] -> None
-  in
-  match dup rules with
-  | Some id -> invalid_arg ("Verify.Registry: duplicate rule id " ^ id)
-  | None -> rules
-
-let find id = List.find_opt (fun r -> String.equal r.Rule.id id) all
-
-let by_category c = List.filter (fun r -> r.Rule.category = c) all
-
-let ids = List.map (fun r -> r.Rule.id) all
+  Diag.catalogue
+    ~categories:
+      [ ("place", "placement"); ("route", "routing"); ("tech", "tech");
+        ("style", "style"); ("lvs", "lvs") ]
+    (Place_rules.rules @ Route_rules.rules @ Tech_rules.rules
+     @ Style_rules.rules @ Lvs_rules.rules)

@@ -1,19 +1,7 @@
-(** The rule registry: every rule any checker can emit, aggregated from
-    {!Place_rules}, {!Route_rules}, {!Tech_rules} and {!Style_rules}.
-
-    Ids are guaranteed unique (checked at module initialisation) and the
-    catalogue is sorted by id, so documentation, JSON output and tests all
-    see one stable order. *)
-
-(** Every registered rule, sorted by id.  Raises [Invalid_argument] at
-    first use if two checker modules declare the same id. *)
-val all : Rule.t list
-
-(** [find id]. *)
-val find : string -> Rule.t option
-
-(** [by_category c] keeps the registered rules of one category, sorted. *)
-val by_category : Rule.category -> Rule.t list
-
-(** [ids] is the sorted list of every registered rule id. *)
-val ids : string list
+(** The layout checker's rule catalogue: every rule {!Place_rules},
+    {!Route_rules}, {!Tech_rules}, {!Style_rules} and {!Lvs_rules}
+    declare, sorted by id, and the category each rule family reports
+    under ([place] is ["placement"], [route] is ["routing"]; [tech],
+    [style] and [lvs] are their own).  Raises [Invalid_argument] at
+    module initialisation if two rules share an id. *)
+val all : Diag.catalogue

@@ -1,91 +1,40 @@
-let summary_counts diags =
-  ( Diagnostic.count Rule.Error diags,
-    Diagnostic.count Rule.Warning diags,
-    Diagnostic.count Rule.Info diags )
+let summary_line diags = Diag.summary ~clean:"clean" diags
 
-let summary_line diags =
-  let errors, warnings, infos = summary_counts diags in
-  if errors = 0 && warnings = 0 && infos = 0 then "clean"
-  else begin
-    let part n what = Printf.sprintf "%d %s%s" n what (if n = 1 then "" else "s") in
-    String.concat ", "
-      (List.filter_map
-         (fun (n, what) -> if n = 0 then None else Some (part n what))
-         [ (errors, "error"); (warnings, "warning"); (infos, "info") ])
-  end
+let text diags =
+  let diags = Diag.sort diags in
+  String.concat ""
+    (List.map (fun d -> Format.asprintf "%a\n" Diag.pp d) diags
+     @ [ summary_line diags; "\n" ])
 
-let pp_text ppf diags =
-  let diags = Diagnostic.sort diags in
-  List.iter (fun d -> Format.fprintf ppf "%a@." Diagnostic.pp d) diags;
-  Format.fprintf ppf "%s@." (summary_line diags)
+let category (r : Diag.rule) = Diag.category Registry.all r
 
-let text diags = Format.asprintf "%a" pp_text diags
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_diagnostic b (d : Diagnostic.t) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"rule\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\""
-       (json_escape d.Diagnostic.rule.Rule.id)
-       (Rule.category_name d.Diagnostic.rule.Rule.category)
-       (Rule.severity_name d.Diagnostic.rule.Rule.severity));
-  (match d.Diagnostic.loc with
-   | None -> ()
-   | Some loc ->
-     Buffer.add_string b (Printf.sprintf ", \"loc\": \"%s\"" (json_escape loc)));
-  Buffer.add_string b
-    (Printf.sprintf ", \"detail\": \"%s\"}" (json_escape d.Diagnostic.detail))
+let json_diagnostic (d : Diag.t) =
+  Printf.sprintf "{\"rule\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\"%s, \
+                  \"detail\": \"%s\"}"
+    (Diag.json_escape d.Diag.rule.Diag.id) (category d.Diag.rule)
+    (Diag.severity_name (Diag.severity d))
+    (if d.Diag.loc = "" then ""
+     else Printf.sprintf ", \"loc\": \"%s\"" (Diag.json_escape d.Diag.loc))
+    (Diag.json_escape d.Diag.detail)
 
 let json ?label diags =
-  let diags = Diagnostic.sort diags in
-  let errors, warnings, infos = summary_counts diags in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"version\": 1";
-  (match label with
-   | None -> ()
-   | Some l ->
-     Buffer.add_string b (Printf.sprintf ", \"label\": \"%s\"" (json_escape l)));
-  Buffer.add_string b
-    (Printf.sprintf
-       ", \"summary\": {\"errors\": %d, \"warnings\": %d, \"infos\": %d, \
-        \"total\": %d}, \"diagnostics\": ["
-       errors warnings infos (List.length diags));
-  List.iteri
-    (fun i d ->
-       if i > 0 then Buffer.add_string b ", ";
-       json_diagnostic b d)
-    diags;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let diags = Diag.sort diags in
+  Printf.sprintf "{\"version\": 1%s, \"summary\": {%s}, \"diagnostics\": [%s]}"
+    (match label with
+     | None -> ""
+     | Some l -> Printf.sprintf ", \"label\": \"%s\"" (Diag.json_escape l))
+    (Diag.json_counts diags)
+    (String.concat ", " (List.map json_diagnostic diags))
 
 let json_rules () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"version\": 1, \"rules\": [";
-  List.iteri
-    (fun i (r : Rule.t) ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_string b
-         (Printf.sprintf
-            "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \
-             \"doc\": \"%s\"}"
-            (json_escape r.Rule.id)
-            (Rule.category_name r.Rule.category)
-            (Rule.severity_name r.Rule.severity)
-            (json_escape r.Rule.doc)))
-    Registry.all;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Printf.sprintf "{\"version\": 1, \"rules\": [%s]}"
+    (String.concat ", "
+       (List.map
+          (fun (r : Diag.rule) ->
+             Printf.sprintf
+               "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \
+                \"doc\": \"%s\"}"
+               (Diag.json_escape r.Diag.id) (category r)
+               (Diag.severity_name r.Diag.severity)
+               (Diag.json_escape r.Diag.doc))
+          Registry.all.Diag.rules))

@@ -1,21 +1,19 @@
-(** Diagnostic reporters: a pretty text form for terminals and a stable
-    machine-readable JSON form for tooling.
+(** The layout checker's report document: a text form for terminals and
+    a stable machine-readable JSON form for tooling.
 
-    Both render diagnostics in {!Diagnostic.compare} order (errors first),
-    so output is deterministic regardless of checker execution order. *)
+    Both render findings in {!Diag.compare} order (errors first), so
+    output is deterministic regardless of checker execution order. *)
 
-(** [pp_text ppf diags] prints one line per diagnostic followed by a
-    summary line ("clean" or "2 errors, 1 warning"). *)
-val pp_text : Format.formatter -> Diagnostic.t list -> unit
-
-(** [text diags] is {!pp_text} to a string. *)
-val text : Diagnostic.t list -> string
+(** [text diags] is one line per finding followed by a summary line
+    ("clean" or "2 errors, 1 warning"). *)
+val text : Diag.t list -> string
 
 (** [summary_line diags] is just the final counts line. *)
-val summary_line : Diagnostic.t list -> string
+val summary_line : Diag.t list -> string
 
-(** [json_escape s] escapes [s] for embedding in a JSON string literal. *)
-val json_escape : string -> string
+(** [category rule] is the category of [rule]'s family in
+    {!Registry.all}. *)
+val category : Diag.rule -> string
 
 (** [json ?label diags] is a self-contained JSON object:
 
@@ -28,8 +26,9 @@ val json_escape : string -> string
         "severity": "error", "loc": "C_3", "detail": "..."}]}
     v}
 
-    [label] (optional) names the linted configuration. *)
-val json : ?label:string -> Diagnostic.t list -> string
+    [label] (optional) names the linted configuration; a finding with no
+    anchor has no ["loc"]. *)
+val json : ?label:string -> Diag.t list -> string
 
 (** [json_rules ()] renders the whole {!Registry} catalogue as JSON
     (id, category, severity, doc per rule). *)

@@ -2,8 +2,7 @@ open Ccgrid
 open Ccroute
 
 let route rule_id doc =
-  Rule.make ~id:("route/" ^ rule_id) ~category:Rule.Routing
-    ~severity:Rule.Error ~doc
+  Diag.rule ~id:("route/" ^ rule_id) ~severity:Diag.Error ~doc
 
 let r_wire_in_outline =
   route "wire-in-outline"
@@ -68,9 +67,9 @@ let rules =
    top-level so that each call instantiates its own format type: an
    [emit] passed to the checks as an argument would be monomorphic. *)
 let emit out ?loc rule fmt =
-  Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+  Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
 
-(* --- the post-route invariants: no loc, so Diagnostic.sort orders them
+(* --- the post-route invariants: no loc, so Diag.sort orders them
    by (rule id, detail) --- *)
 
 let check_outline (layout : Layout.t) out =
@@ -313,6 +312,6 @@ let check layout =
         check_wire_directions layout out;
         (* (rule id, detail) order, independent of hash-table and checker
            iteration order *)
-        Diagnostic.sort !out)
+        Diag.sort !out)
   in
   checked @ check_extensions layout

@@ -7,50 +7,50 @@
     column and row). *)
 
 (** ["route/wire-in-outline"] *)
-val r_wire_in_outline : Rule.t
+val r_wire_in_outline : Diag.rule
 
 (** ["route/via-in-outline"] *)
-val r_via_in_outline : Rule.t
+val r_via_in_outline : Diag.rule
 
 (** ["route/trunk-in-channel"] *)
-val r_trunk_in_channel : Rule.t
+val r_trunk_in_channel : Diag.rule
 
 (** ["route/track-separation"] *)
-val r_track_separation : Rule.t
+val r_track_separation : Diag.rule
 
 (** ["route/net-routed"] *)
-val r_net_routed : Rule.t
+val r_net_routed : Diag.rule
 
 (** ["route/net-coverage"] *)
-val r_net_coverage : Rule.t
+val r_net_coverage : Diag.rule
 
 (** ["route/parallel-consistency"] *)
-val r_parallel_consistency : Rule.t
+val r_parallel_consistency : Diag.rule
 
 (** ["route/reserved-direction"] *)
-val r_reserved_direction : Rule.t
+val r_reserved_direction : Diag.rule
 
 (** ["route/extent"] *)
-val r_extent : Rule.t
+val r_extent : Diag.rule
 
 (** ["route/top-plate"] *)
-val r_top_plate : Rule.t
+val r_top_plate : Diag.rule
 
 (** ["route/parallel-positive"] *)
-val r_parallel_positive : Rule.t
+val r_parallel_positive : Diag.rule
 
 (** ["route/lattice"] *)
-val r_lattice : Rule.t
+val r_lattice : Diag.rule
 
 (** Every rule this module owns. *)
-val rules : Rule.t list
+val rules : Diag.rule list
 
 (** [check layout] runs every routing rule.  The post-route invariants
     come first, sorted by rule id then detail (inside a [route.check]
     span); the extensions follow in emission order. *)
-val check : Ccroute.Layout.t -> Diagnostic.t list
+val check : Ccroute.Layout.t -> Diag.t list
 
 (** [check_lattice layout] is the [route/lattice] part of {!check}
     alone: LVS runs it before flattening, which reads the lattice by
     placement column and row. *)
-val check_lattice : Ccroute.Layout.t -> Diagnostic.t list
+val check_lattice : Ccroute.Layout.t -> Diag.t list

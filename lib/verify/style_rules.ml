@@ -1,5 +1,5 @@
 let r_bits =
-  Rule.make ~id:"style/bits-range" ~category:Rule.Style ~severity:Rule.Error
+  Diag.rule ~id:"style/bits-range" ~severity:Diag.Error
     ~doc:
       (Printf.sprintf
          "The DAC resolution must lie in [1, %d] (the binary-weight table's \
@@ -7,20 +7,17 @@ let r_bits =
          Ccgrid.Weights.max_bits)
 
 let r_core_bits =
-  Rule.make ~id:"style/block-core-bits" ~category:Rule.Style
-    ~severity:Rule.Error
+  Diag.rule ~id:"style/block-core-bits" ~severity:Diag.Error
     ~doc:
       "A block-chessboard core must hold at least C_0..C_1 and leave at \
        least one MSB outside: core_bits in [1, bits - 1]."
 
 let r_granularity =
-  Rule.make ~id:"style/block-granularity" ~category:Rule.Style
-    ~severity:Rule.Error
+  Diag.rule ~id:"style/block-granularity" ~severity:Diag.Error
     ~doc:"A block-chessboard granularity (cells per block side) must be >= 1."
 
 let r_unswept =
-  Rule.make ~id:"style/block-granularity-unswept" ~category:Rule.Style
-    ~severity:Rule.Warning
+  Diag.rule ~id:"style/block-granularity-unswept" ~severity:Diag.Warning
     ~doc:
       "The granularity is outside the set swept by the paper's tables \
        (powers of two capped by the MSB block count); results for it are \
@@ -31,7 +28,7 @@ let rules = [ r_bits; r_core_bits; r_granularity; r_unswept ]
 let check ~bits style =
   let out = ref [] in
   let emit rule ?loc fmt =
-    Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+    Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
   in
   let bits_ok = bits >= 1 && bits <= Ccgrid.Weights.max_bits in
   if not bits_ok then

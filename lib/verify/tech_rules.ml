@@ -1,27 +1,25 @@
 let r_resistance =
-  Rule.make ~id:"tech/positive-resistance" ~category:Rule.Tech
-    ~severity:Rule.Error
+  Diag.rule ~id:"tech/positive-resistance" ~severity:Diag.Error
     ~doc:
       "Via, plate and per-layer sheet resistances must be strictly positive \
        (the RC network is singular otherwise)."
 
 let r_capacitance =
-  Rule.make ~id:"tech/positive-capacitance" ~category:Rule.Tech
-    ~severity:Rule.Error
+  Diag.rule ~id:"tech/positive-capacitance" ~severity:Diag.Error
     ~doc:
       "The unit capacitance must be strictly positive; per-layer area and \
        coupling capacitances and the top-substrate capacitance must be \
        non-negative."
 
 let r_geometry =
-  Rule.make ~id:"tech/geometry" ~category:Rule.Tech ~severity:Rule.Error
+  Diag.rule ~id:"tech/geometry" ~severity:Diag.Error
     ~doc:
       "Cell width/height and wire pitch must be strictly positive, cell \
        spacing non-negative, and the wire pitch smaller than the cell width \
        (channel tracks must fit next to a cell)."
 
 let r_grid =
-  Rule.make ~id:"tech/grid" ~category:Rule.Tech ~severity:Rule.Error
+  Diag.rule ~id:"tech/grid" ~severity:Diag.Error
     ~doc:
       "Wire pitch, cell width, cell height and cell spacing must each be a \
        whole number of nanometres, to within 1e-12 um of float rounding: \
@@ -29,13 +27,13 @@ let r_grid =
        lands on LVS's 0.5 nm grid."
 
 let r_stack =
-  Rule.make ~id:"tech/layer-stack" ~category:Rule.Tech ~severity:Rule.Error
+  Diag.rule ~id:"tech/layer-stack" ~severity:Diag.Error
     ~doc:
       "The metal stack must list M1, M2 and M3 exactly once each, in \
        monotone bottom-up order."
 
 let r_statistics =
-  Rule.make ~id:"tech/statistics" ~category:Rule.Tech ~severity:Rule.Error
+  Diag.rule ~id:"tech/statistics" ~severity:Diag.Error
     ~doc:
       "Statistical parameters must be sane: 0 <= rho_u < 1, a strictly \
        positive correlation length, non-negative gradient slope and mismatch \
@@ -57,7 +55,7 @@ let grid_tolerance_nm = 1e-9
 let check (tech : Tech.Process.t) =
   let out = ref [] in
   let emit rule ?loc fmt =
-    Printf.ksprintf (fun d -> out := Diagnostic.make ?loc rule d :: !out) fmt
+    Printf.ksprintf (fun d -> out := Diag.make ?loc rule d :: !out) fmt
   in
   let layer_loc (l : Tech.Layer.t) =
     Format.asprintf "%a" Tech.Layer.pp_name l.Tech.Layer.name

@@ -22,7 +22,7 @@ let summarize ~lib ~modname src =
 (* The exact (sorted, deduplicated) rule-id set a fixture fires. *)
 let check_ids what expected diags =
   Alcotest.(check (list string)) what expected
-    (Srclint.Diagnostic.rule_ids diags)
+    (Diag.rule_ids diags)
 
 let run_typed ~manifest mods =
   let libs =
@@ -66,12 +66,11 @@ let test_taint_chain () =
     (List.length diags);
   let kernel_diag =
     List.find
-      (fun (d : Srclint.Diagnostic.t) -> d.Srclint.Diagnostic.line = 5)
+      (fun (d : Diag.t) -> d.Diag.line = 5)
       diags
   in
   Alcotest.(check bool) "detail names the full call chain" true
-    (let open Srclint.Diagnostic in
-     let contains ~sub s =
+    (let contains ~sub s =
        let n = String.length sub in
        let rec go i =
          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
@@ -80,7 +79,7 @@ let test_taint_chain () =
      in
      contains
        ~sub:"Fixkern.kernel -> Fixkern.mid -> Fixkern.Impl.stamp -> Sys.time"
-       kernel_diag.detail)
+       kernel_diag.Diag.detail)
 
 let test_taint_clean () =
   let manifest = manifest_exn "layer fixkern 0\npure fixkern : fixture" in
@@ -260,7 +259,7 @@ let test_registry_has_typed_rules () =
   List.iter
     (fun id ->
        Alcotest.(check bool) (id ^ " registered") true
-         (List.mem id Srclint.Registry.ids))
+         (List.mem id (Diag.ids Srclint.Registry.all)))
     [ "int/taint-wall-clock"; "int/taint-random"; "int/taint-getenv";
       "int/taint-gc"; "int/taint-print"; "int/domain-escape";
       "arch/layer-violation"; "arch/forbidden-dep"; "arch/layer-cycle";
@@ -337,9 +336,7 @@ let save_cmt ~root name =
 
 let cmt_findings ~root =
   (Srclint.Engine.run ~root ()).Srclint.Engine.diagnostics
-  |> List.map (fun (d : Srclint.Diagnostic.t) ->
-      let open Srclint.Diagnostic in
-      (d.rule.Srclint.Rule.id, d.file, d.detail))
+  |> List.map (fun (d : Diag.t) -> (d.Diag.rule.Diag.id, d.Diag.loc, d.Diag.detail))
 
 let test_cmt_freshness () =
   let root = Filename.temp_file "ccdeps-cmts" "" in

@@ -130,8 +130,8 @@ let rejected_with f =
   | exception Verify.Engine.Rejected { diagnostics; _ } ->
     List.sort_uniq String.compare
       (List.map
-         (fun (d : Verify.Diagnostic.t) -> d.Verify.Diagnostic.rule.Verify.Rule.id)
-         (Verify.Diagnostic.errors diagnostics))
+         (fun (d : Diag.t) -> d.Diag.rule.Diag.id)
+         (Diag.errors diagnostics))
 
 (* An out-of-domain input class meets rule [rule] in [Flow.run] and
    [Flow.place_route], under the same error rule ids as
@@ -143,8 +143,8 @@ let check_input_gate ?(tech = Tech.Process.finfet_12nm) ~rule inputs =
        let linted =
          List.sort_uniq String.compare
            (List.map
-              (fun (d : Verify.Diagnostic.t) -> d.Verify.Diagnostic.rule.Verify.Rule.id)
-              (Verify.Diagnostic.errors (Verify.Engine.lint ~tech ~bits style)))
+              (fun (d : Diag.t) -> d.Diag.rule.Diag.id)
+              (Diag.errors (Verify.Engine.lint ~tech ~bits style)))
        in
        Alcotest.(check bool) (what ^ ": lint names " ^ rule) true (List.mem rule linted);
        Alcotest.(check (list string)) (what ^ ": run") linted

@@ -75,7 +75,7 @@ let test_general_routes_and_extracts () =
    | [] -> ()
    | d :: _ ->
      Alcotest.failf "layout violation: %s"
-       (Format.asprintf "%a" Verify.Diagnostic.pp d));
+       (Format.asprintf "%a" Diag.pp d));
   let par = Extract.Parasitics.extract layout in
   Alcotest.(check bool) "extraction sane" true
     (par.Extract.Parasitics.critical_elmore_fs > 0.

@@ -41,15 +41,15 @@ let layout_of ?p_of_cap style bits =
 
 let spiral6 = layout_of Ccplace.Style.Spiral 6
 
-let fired diags = Verify.Diagnostic.rule_ids diags
+let fired diags = Diag.rule_ids diags
 
 let triples diags =
   List.sort compare
     (List.map
-       (fun (d : Verify.Diagnostic.t) ->
-          ( d.Verify.Diagnostic.rule.Verify.Rule.id,
-            Option.value ~default:"-" d.Verify.Diagnostic.loc,
-            d.Verify.Diagnostic.detail ))
+       (fun (d : Diag.t) ->
+          ( d.Diag.rule.Diag.id,
+            (if d.Diag.loc = "" then "-" else d.Diag.loc),
+            d.Diag.detail ))
        diags)
 
 (* Every diagnostic of each mutation and triage case as sorted (rule id,
@@ -979,8 +979,7 @@ let reference_build (l : L.t) ~cap =
       (Verify.Engine.Rejected
          { what = Printf.sprintf "RC extraction of C_%d" cap;
            diagnostics =
-             [ Verify.Diagnostic.makef
-                 ~loc:(Printf.sprintf "C_%d" cap)
+             [ Diag.makef ~loc:(Printf.sprintf "C_%d" cap)
                  Verify.Lvs_rules.r_open
                  "capacitor has no routed net: no trunk reaches the driver \
                   row, so no RC tree can be built" ] });
@@ -1363,7 +1362,6 @@ let reference_snap v =
   else r_off_grid
 
 let reference_flatten (l : L.t) =
-  let module D = Verify.Diagnostic in
   let module S = Lvs.Shape in
   let p = l.L.placement in
   let rows = p.Ccgrid.Placement.rows and cols = p.Ccgrid.Placement.cols in
@@ -1395,7 +1393,7 @@ let reference_flatten (l : L.t) =
       incr n_unknown;
       if !n_unknown <= 8 then
         unknown :=
-          D.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_unknown_net
+          Diag.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_unknown_net
             "shape %d (%s on %s) names C_%d, but the layout's nets are \
              C_0..C_%d"
             id (S.kind_name k) (layers_name l1 l2) lab (n_nets - 1)
@@ -1407,7 +1405,7 @@ let reference_flatten (l : L.t) =
       incr n_off;
       if !n_off <= 8 then
         off :=
-          D.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_off_grid
+          Diag.makef ~loc:(S.label_name lab) Verify.Lvs_rules.r_off_grid
             "shape %d (%s on %s) at x [%.6f, %.6f] y [%.6f, %.6f] um is off \
              the %g nm grid"
             id (S.kind_name k) (layers_name l1 l2) (Float.min ax bx)
@@ -1467,13 +1465,13 @@ let reference_flatten (l : L.t) =
     l.L.vias;
   if !n_off > 0 || !n_unknown > 0 then
     Error
-      (D.sort
+      (Diag.sort
          ((if !n_off > 8 then
-             [ D.makef Verify.Lvs_rules.r_off_grid
+             [ Diag.makef Verify.Lvs_rules.r_off_grid
                  "%d more shapes off the %g nm grid" (!n_off - 8) S.unit_nm ]
            else [])
           @ (if !n_unknown > 8 then
-               [ D.makef Verify.Lvs_rules.r_unknown_net
+               [ Diag.makef Verify.Lvs_rules.r_unknown_net
                    "%d more shapes name no net of the layout"
                    (!n_unknown - 8) ]
              else [])
@@ -1826,15 +1824,19 @@ let test_trunk_channels_consistent () =
 (* --- lvs/* registry entries --- *)
 
 let test_lvs_rules_registered () =
-  let lvs_rules = Verify.Registry.by_category Verify.Rule.Lvs in
+  let lvs_rules =
+    List.filter
+      (fun (r : Diag.rule) -> Diag.family r.Diag.id = "lvs")
+      Verify.Registry.all.Diag.rules
+  in
   Alcotest.(check (list string))
     "catalogued"
     [ "lvs/dangling"; "lvs/diagonal"; "lvs/floating-cell";
       "lvs/netbuild-mismatch"; "lvs/off-grid"; "lvs/open"; "lvs/short";
       "lvs/top-open"; "lvs/unknown-net" ]
-    (List.map (fun (r : Verify.Rule.t) -> r.Verify.Rule.id) lvs_rules);
+    (List.map (fun (r : Diag.rule) -> r.Diag.id) lvs_rules);
   Alcotest.(check bool) "dangling is a warning" true
-    (Verify.Lvs_rules.r_dangling.Verify.Rule.severity = Verify.Rule.Warning)
+    (Verify.Lvs_rules.r_dangling.Diag.severity = Diag.Warning)
 
 let () =
   let open Alcotest in

@@ -244,9 +244,8 @@ let test_doc_catalogues_match_registries () =
   in
   let registered_rules =
     List.map
-      (fun (r : Verify.Rule.t) ->
-         (r.Verify.Rule.id, Verify.Rule.severity_name r.Verify.Rule.severity))
-      Verify.Registry.all
+      (fun (r : Diag.rule) -> (r.Diag.id, Diag.severity_name r.Diag.severity))
+      Verify.Registry.all.Diag.rules
     |> sorted
   in
   Alcotest.(check (list (pair string string)))
@@ -262,7 +261,7 @@ let test_doc_catalogues_match_registries () =
   let catalogued_policies =
     List.map
       (fun (p : Qor.Policy.t) ->
-         (p.Qor.Policy.id, Verify.Rule.severity_name p.Qor.Policy.severity))
+         (p.Qor.Policy.id, Diag.severity_name p.Qor.Policy.severity))
       Qor.Policy.catalogue
     |> sorted
   in
@@ -275,10 +274,8 @@ let test_doc_catalogues_match_registries () =
   let srclint_doc = "../docs/SRCLINT.md" in
   let registered_srclint =
     List.map
-      (fun (r : Srclint.Rule.t) ->
-         ( r.Srclint.Rule.id,
-           Srclint.Rule.severity_name r.Srclint.Rule.severity ))
-      Srclint.Registry.all
+      (fun (r : Diag.rule) -> (r.Diag.id, Diag.severity_name r.Diag.severity))
+      Srclint.Registry.all.Diag.rules
   in
   List.iter
     (fun (id, severity) ->
@@ -291,7 +288,7 @@ let test_doc_catalogues_match_registries () =
     (List.filter
        (fun id ->
           not (contains text ("`" ^ id ^ "`") || contains text ("**" ^ id ^ "**")))
-       Srclint.Registry.ids)
+       (Diag.ids Srclint.Registry.all))
 
 (* docs/TELEMETRY.md's "Memory at 10 and 12 bits" table, re-measured:
    every per-stage MB cell and both totals of the spiral flow at 10 and

@@ -334,7 +334,7 @@ let test_record_rules_from_result () =
   let warned =
     { r with
       Ccdac.Flow.lvs_diagnostics =
-        [ Verify.Diagnostic.make Verify.Lvs_rules.r_dangling "hand-added" ] }
+        [ Diag.make Verify.Lvs_rules.r_dangling "hand-added" ] }
   in
   let record = Qor.Record.of_result warned in
   Alcotest.(check (list string)) "lvs rules" [ "lvs/dangling" ]

@@ -7,7 +7,7 @@
 let lib_path = "lib/fake/kernel.ml"
 
 let fired path src =
-  Srclint.Diagnostic.rule_ids (Srclint.Engine.check_string ~path src)
+  Diag.rule_ids (Srclint.Engine.check_string ~path src)
 
 (* [check_fired what expected path src] pins the EXACT rule-id set a
    snippet fires — not just membership — so a new rule that starts
@@ -182,26 +182,26 @@ let test_parse_error () =
 (* --- registry --- *)
 
 let test_registry () =
-  let ids = Srclint.Registry.ids in
+  let ids = Diag.ids Srclint.Registry.all in
   Alcotest.(check (list string)) "sorted and unique"
     (List.sort_uniq String.compare ids)
     ids;
   Alcotest.(check bool) "at least 12 source rules" true
     (List.length
        (List.filter
-          (fun r -> r.Srclint.Rule.category <> Srclint.Rule.Meta)
-          Srclint.Registry.all)
+          (fun (r : Diag.rule) -> Diag.family r.Diag.id <> "meta")
+          Srclint.Registry.all.Diag.rules)
      >= 12);
   List.iter
-    (fun r ->
+    (fun (r : Diag.rule) ->
        Alcotest.(check bool)
-         (r.Srclint.Rule.id ^ " documented")
+         (r.Diag.id ^ " documented")
          true
-         (String.length r.Srclint.Rule.doc > 20))
-    Srclint.Registry.all
+         (String.length r.Diag.doc > 20))
+    Srclint.Registry.all.Diag.rules
 
 let test_rules_filter () =
-  let m patterns id = Srclint.Registry.matches ~patterns id in
+  let m patterns id = Diag.matches ~patterns id in
   Alcotest.(check bool) "exact id" true
     (m [ "det/wall-clock" ] "det/wall-clock");
   Alcotest.(check bool) "family prefix" true (m [ "det" ] "det/wall-clock");
@@ -209,7 +209,7 @@ let test_rules_filter () =
   Alcotest.(check bool) "no cross-family match" false
     (m [ "det" ] "hyg/poly-compare");
   Alcotest.(check (list string)) "typo detection" [ "nosuch" ]
-    (Srclint.Registry.pattern_selects_nothing [ "det"; "nosuch" ])
+    (Diag.selects_nothing Srclint.Registry.all [ "det"; "nosuch" ])
 
 (* --- allowlist --- *)
 
@@ -232,7 +232,7 @@ let test_allowlist_suppresses () =
     run_with_allowlist allowlist lib_path "let now () = Unix.gettimeofday ()"
   in
   Alcotest.(check (list string)) "finding suppressed, no meta" []
-    (Srclint.Diagnostic.rule_ids kept);
+    (Diag.rule_ids kept);
   Alcotest.(check int) "one entry, one match" 1
     (List.length (List.filter (fun s -> s.Srclint.Engine.matched = 1) sups))
 
@@ -244,7 +244,7 @@ let test_allowlist_stale () =
   let kept, _ = run_with_allowlist allowlist lib_path "let id x = x" in
   Alcotest.(check (list string)) "stale entry is itself an error"
     [ "meta/stale-suppression" ]
-    (Srclint.Diagnostic.rule_ids kept)
+    (Diag.rule_ids kept)
 
 let test_allowlist_missing_justification () =
   let allowlist =
@@ -254,7 +254,7 @@ let test_allowlist_missing_justification () =
   in
   Alcotest.(check (list string)) "suppressed but flagged"
     [ "meta/missing-justification" ]
-    (Srclint.Diagnostic.rule_ids kept)
+    (Diag.rule_ids kept)
 
 let test_allowlist_unknown_rule () =
   let allowlist =
@@ -262,7 +262,7 @@ let test_allowlist_unknown_rule () =
   let kept, _ = run_with_allowlist allowlist lib_path "let id x = x" in
   Alcotest.(check (list string)) "typos cannot suppress silently"
     [ "meta/unknown-rule" ]
-    (Srclint.Diagnostic.rule_ids kept)
+    (Diag.rule_ids kept)
 
 let test_allowlist_duplicate () =
   let allowlist =
@@ -277,7 +277,7 @@ let test_allowlist_duplicate () =
      a coin-flip between duplicate and stale. *)
   Alcotest.(check (list string)) "duplicate entry is itself an error"
     [ "meta/duplicate-suppression" ]
-    (Srclint.Diagnostic.rule_ids kept);
+    (Diag.rule_ids kept);
   (match sups with
    | [ first; second ] ->
      Alcotest.(check int) "first entry matches" 1
@@ -287,13 +287,10 @@ let test_allowlist_duplicate () =
    | _ -> Alcotest.fail "expected two suppression records");
   let dup =
     List.find
-      (fun (d : Srclint.Diagnostic.t) ->
-         d.Srclint.Diagnostic.rule.Srclint.Rule.id
-         = "meta/duplicate-suppression")
+      (fun (d : Diag.t) -> d.Diag.rule.Diag.id = "meta/duplicate-suppression")
       kept
   in
-  Alcotest.(check int) "anchored at the duplicate's line" 2
-    dup.Srclint.Diagnostic.line
+  Alcotest.(check int) "anchored at the duplicate's line" 2 dup.Diag.line
 
 let test_allowlist_malformed () =
   match Srclint.Allowlist.parse_string ~file:".cclint" "just-one-token\n" with
@@ -337,7 +334,7 @@ let test_json_roundtrip () =
   in
   let result =
     { Srclint.Engine.files_scanned = 1;
-      diagnostics = Srclint.Diagnostic.sort diagnostics;
+      diagnostics = Diag.sort diagnostics;
       suppressions }
   in
   match Telemetry.Json.parse (Srclint.Report.json result) with
@@ -372,15 +369,15 @@ let test_json_roundtrip () =
 (* a located finding prints line and column; a file-scoped one (line 0)
    prints its path alone in text and keeps both fields in JSON *)
 let test_text_rendering () =
-  let rule id = Option.get (Srclint.Registry.find id) in
+  let rule id = Option.get (Diag.find Srclint.Registry.all id) in
   let located =
-    Srclint.Diagnostic.make ~rule:(rule "det/wall-clock") ~file:"lib/x.ml" ~line:72
-      ~col:18 "wall clock"
+    Diag.make ~loc:"lib/x.ml" ~line:72 ~col:18 (rule "det/wall-clock")
+      "wall clock"
   and file_scoped =
-    Srclint.Diagnostic.make ~rule:(rule "meta/cmt-error") ~file:"lib/capmodel"
+    Diag.make ~loc:"lib/capmodel" (rule "meta/cmt-error")
       "no implementation .cmt"
   in
-  let render d = Format.asprintf "%a" Srclint.Diagnostic.pp d in
+  let render d = Format.asprintf "%a" Diag.pp d in
   Alcotest.(check string) "located" "error[det/wall-clock] lib/x.ml:72:18: wall clock"
     (render located);
   Alcotest.(check string) "file-scoped"
@@ -410,7 +407,8 @@ let test_rules_json () =
       | Some l -> List.length l
       | None -> 0
     in
-    Alcotest.(check int) "catalogue size" (List.length Srclint.Registry.all) n
+    Alcotest.(check int) "catalogue size"
+      (List.length Srclint.Registry.all.Diag.rules) n
 
 let () =
   Alcotest.run "srclint"

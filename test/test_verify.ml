@@ -42,10 +42,9 @@ let cell_of p k = List.hd (Ccgrid.Placement.cells_of p k)
 let set (p : Ccgrid.Placement.t) (c : Ccgrid.Cell.t) id =
   p.Ccgrid.Placement.assign.(c.Ccgrid.Cell.row).(c.Ccgrid.Cell.col) <- id
 
-let fired diags = Verify.Diagnostic.rule_ids diags
+let fired diags = Diag.rule_ids diags
 
-let rule_and_detail (d : Verify.Diagnostic.t) =
-  (d.Verify.Diagnostic.rule.Verify.Rule.id, d.Verify.Diagnostic.detail)
+let rule_and_detail (d : Diag.t) = (d.Diag.rule.Diag.id, d.Diag.detail)
 
 let check_fired what expected diags =
   Alcotest.(check (list string)) what expected (fired diags)
@@ -53,7 +52,7 @@ let check_fired what expected diags =
 (* --- registry --- *)
 
 let test_registry_unique_sorted () =
-  let ids = Verify.Registry.ids in
+  let ids = Diag.ids Verify.Registry.all in
   Alcotest.(check (list string)) "sorted and unique"
     (List.sort_uniq String.compare ids)
     ids;
@@ -61,35 +60,39 @@ let test_registry_unique_sorted () =
 
 let test_registry_find () =
   Alcotest.(check bool) "finds place/centroid" true
-    (Verify.Registry.find "place/centroid" <> None);
+    (Diag.find Verify.Registry.all "place/centroid" <> None);
   Alcotest.(check bool) "unknown id" true
-    (Verify.Registry.find "place/no-such-rule" = None)
+    (Diag.find Verify.Registry.all "place/no-such-rule" = None)
 
 let test_registry_docs () =
   List.iter
-    (fun (r : Verify.Rule.t) ->
-       Alcotest.(check bool) (r.Verify.Rule.id ^ " documented") true
-         (String.length r.Verify.Rule.doc > 10))
-    Verify.Registry.all
+    (fun (r : Diag.rule) ->
+       Alcotest.(check bool) (r.Diag.id ^ " documented") true
+         (String.length r.Diag.doc > 10))
+    Verify.Registry.all.Diag.rules
 
+(* docs/VERIFY.md's id scheme: a rule's family (the id before '/') names
+   its category *)
 let test_registry_categories () =
+  let categories =
+    [ ("place", "placement"); ("route", "routing"); ("tech", "tech");
+      ("style", "style"); ("lvs", "lvs") ]
+  in
+  let rules = Verify.Registry.all.Diag.rules in
   List.iter
-    (fun (cat, prefix) ->
-       let rules = Verify.Registry.by_category cat in
+    (fun (family, _) ->
        Alcotest.(check bool)
-         (prefix ^ " rules present") true
-         (rules <> []);
-       List.iter
-         (fun (r : Verify.Rule.t) ->
-            Alcotest.(check bool)
-              (r.Verify.Rule.id ^ " prefixed " ^ prefix)
-              true
-              (String.length r.Verify.Rule.id > String.length prefix
-               && String.sub r.Verify.Rule.id 0 (String.length prefix) = prefix))
-         rules)
-    [ (Verify.Rule.Placement, "place/"); (Verify.Rule.Routing, "route/");
-      (Verify.Rule.Tech, "tech/"); (Verify.Rule.Style, "style/");
-      (Verify.Rule.Lvs, "lvs/") ]
+         (family ^ " rules present") true
+         (List.exists (fun (r : Diag.rule) -> Diag.family r.Diag.id = family)
+            rules))
+    categories;
+  List.iter
+    (fun (r : Diag.rule) ->
+       Alcotest.(check (option string))
+         (r.Diag.id ^ " category")
+         (List.assoc_opt (Diag.family r.Diag.id) categories)
+         (Some (Verify.Report.category r)))
+    rules
 
 (* --- clean paths --- *)
 
@@ -177,9 +180,9 @@ let test_dispersion_bound () =
   in
   check_fired "tight bound" [ "place/dispersion" ] diags;
   Alcotest.(check bool) "warning only, passes gate" true
-    (Result.is_ok (Verify.Engine.gate diags));
+    (not (Diag.fails diags));
   Alcotest.(check bool) "werror promotes" true
-    (Result.is_error (Verify.Engine.gate ~werror:true diags))
+    (Diag.fails ~werror:true diags)
 
 (* --- corrupted tech --- *)
 
@@ -214,7 +217,7 @@ let test_bad_tech_grid () =
        let diags = Verify.Engine.check_tech t in
        check_fired what [ "tech/grid" ] diags;
        Alcotest.(check bool) (what ^ " named") true
-         (String.starts_with ~prefix:what (List.hd diags).Verify.Diagnostic.detail))
+         (String.starts_with ~prefix:what (List.hd diags).Diag.detail))
     off;
   check_fired "5e-7 um past a nanometre" [ "tech/grid" ]
     (Verify.Engine.check_tech
@@ -250,8 +253,7 @@ let test_unswept_granularity () =
       (Ccplace.Style.Block_chess { core_bits = 4; granularity = 3 })
   in
   check_fired "unswept granularity" [ "style/block-granularity-unswept" ] diags;
-  Alcotest.(check bool) "warning only" true
-    (Result.is_ok (Verify.Engine.gate diags))
+  Alcotest.(check bool) "warning only" true (not (Diag.fails diags))
 
 (* --- corrupted layouts (through the registry) --- *)
 
@@ -434,8 +436,7 @@ let test_bad_layout_each_rule () =
          diags;
        Alcotest.(check int) (what ^ ": count") count (List.length diags);
        Alcotest.(check bool) (what ^ ": no loc") true
-         (List.for_all (fun (d : Verify.Diagnostic.t) -> d.Verify.Diagnostic.loc = None)
-            diags);
+         (List.for_all (fun (d : Diag.t) -> d.Diag.loc = "") diags);
        List.iter
          (fun (rule, detail) ->
             Alcotest.(check bool)
@@ -472,19 +473,16 @@ let test_flow_rejected_payload () =
   | exception Verify.Engine.Rejected { what; diagnostics } ->
     Alcotest.(check bool) "names artifact" true
       (String.length what > 0);
-    Alcotest.(check bool) "carries errors" true
-      (Verify.Engine.has_errors diagnostics)
+    Alcotest.(check bool) "carries errors" true (Diag.errors diagnostics <> [])
 
 (* --- engine helpers --- *)
 
-let test_gate_and_worst () =
-  Alcotest.(check bool) "clean gate" true (Result.is_ok (Verify.Engine.gate []));
-  Alcotest.(check bool) "no worst" true (Verify.Engine.worst [] = None);
+let test_gate () =
+  Alcotest.(check bool) "clean gate" true (not (Diag.fails []));
   let p = clone spiral6p in
   set p (cell_of p 3) 2;
   let diags = Verify.Engine.check_placement tech p in
-  Alcotest.(check bool) "worst is error" true
-    (Verify.Engine.worst diags = Some Verify.Rule.Error)
+  Alcotest.(check bool) "error fails the gate" true (Diag.fails diags)
 
 let test_report_text_and_json () =
   let p = clone spiral6p in
@@ -504,7 +502,7 @@ let test_report_text_and_json () =
 let test_diagnostic_order () =
   (* one severity and no loc, as every route check reports: (rule id,
      detail) order *)
-  let d rule detail = Verify.Diagnostic.make rule detail in
+  let d rule detail = Diag.make rule detail in
   let a = Verify.Route_rules.r_net_coverage
   and b = Verify.Route_rules.r_net_routed in
   Alcotest.(check (list (pair string string)))
@@ -512,11 +510,11 @@ let test_diagnostic_order () =
     [ ("route/net-coverage", "a"); ("route/net-coverage", "z");
       ("route/net-routed", "1"); ("route/net-routed", "2") ]
     (List.map rule_and_detail
-       (Verify.Diagnostic.sort [ d b "2"; d a "z"; d b "1"; d a "a" ]));
+       (Diag.sort [ d b "2"; d a "z"; d b "1"; d a "a" ]));
   Alcotest.(check int) "equal diagnostics compare 0" 0
-    (Verify.Diagnostic.compare (d a "x") (d a "x"));
+    (Diag.compare (d a "x") (d a "x"));
   Alcotest.(check bool) "rule dominates detail" true
-    (Verify.Diagnostic.compare (d a "z") (d b "a") < 0)
+    (Diag.compare (d a "z") (d b "a") < 0)
 
 (* --- check: the route rules through Verify.Engine.check_layout --- *)
 
@@ -532,7 +530,7 @@ let test_all_styles_clean () =
          | [] -> ()
          | d :: _ ->
            Alcotest.failf "%s %d-bit: %s" (Ccplace.Style.name style) bits
-             (Format.asprintf "%a" Verify.Diagnostic.pp d))
+             (Format.asprintf "%a" Diag.pp d))
       (Ccplace.Style.Spiral :: Ccplace.Style.Chessboard :: Ccplace.Style.Rowwise
        :: Ccplace.Style.block_family ~bits)
   done
@@ -694,7 +692,7 @@ let () =
         [ Alcotest.test_case "rejects corrupted" `Quick test_flow_rejects_corrupted;
           Alcotest.test_case "payload" `Quick test_flow_rejected_payload ] );
       ( "engine",
-        [ Alcotest.test_case "gate and worst" `Quick test_gate_and_worst;
+        [ Alcotest.test_case "gate" `Quick test_gate;
           Alcotest.test_case "reports" `Quick test_report_text_and_json;
           Alcotest.test_case "diagnostic order" `Quick test_diagnostic_order ] );
       ( "check",
