@@ -22,6 +22,11 @@ let r_track_separation =
     "Two trunks sharing a channel must be at least half the sum of their \
      bundle widths apart."
 
+let r_stub_separation =
+  route "stub-separation"
+    "Two stubs of different nets entering one channel in the same row must \
+     neither overlap nor touch."
+
 let r_net_routed = route "net-routed" "Every capacitor must have a trunk."
 
 let r_net_coverage =
@@ -59,9 +64,9 @@ let r_lattice =
 
 let rules =
   [ r_wire_in_outline; r_via_in_outline; r_trunk_in_channel;
-    r_track_separation; r_net_routed; r_net_coverage; r_parallel_consistency;
-    r_reserved_direction; r_extent; r_top_plate; r_parallel_positive;
-    r_lattice ]
+    r_track_separation; r_stub_separation; r_net_routed; r_net_coverage;
+    r_parallel_consistency; r_reserved_direction; r_extent; r_top_plate;
+    r_parallel_positive; r_lattice ]
 
 (* [emit out ?loc rule fmt ...] formats one diagnostic onto [out].  It is
    top-level so that each call instantiates its own format type: an
@@ -183,6 +188,80 @@ let check_track_separation (layout : Layout.t) out =
        in
        walk sorted)
     trunks_by_channel
+
+(* Each stub runs along its attach cell's row from the cell's column x to
+   its trunk's x, so two stubs of different nets that enter one channel
+   from opposite sides in the same row short when each reaches past the
+   other's trunk.  The stubs are bucketed by (row, channel) through one
+   in-place sort of int codes [bucket * n + stub], with their extents in
+   flat arrays; a stub whose group, cell, channel or column centre lies
+   outside the plan or the lattice is left to the other rules. *)
+let check_stub_separation (layout : Layout.t) out =
+  let cols = layout.Layout.placement.Placement.cols
+  and cells =
+    layout.Layout.placement.Placement.rows
+    * layout.Layout.placement.Placement.cols
+  and attach = layout.Layout.plan.Plan.attach
+  and col_x = layout.Layout.col_x
+  and nets = layout.Layout.nets in
+  let rec stubs acc = function
+    | [] -> acc
+    | (tk : Layout.trunk) :: rest ->
+      stubs (acc + Array.length tk.Layout.tk_attaches) rest
+  in
+  let n = Array.fold_left (fun acc net -> stubs acc net.Layout.cn_trunks) 0 nets in
+  let code = Array.make n max_int and cap = Array.make n 0
+  and lo = Array.make n 0. and hi = Array.make n 0. in
+  let m = ref 0 in
+  let rec fill = function
+    | [] -> ()
+    | (tk : Layout.trunk) :: rest ->
+      let ch = tk.Layout.tk_channel and groups = tk.Layout.tk_attaches in
+      for a = 0 to Array.length groups - 1 do
+        let g = groups.(a) in
+        let cell = if g >= 0 && g < Array.length attach then attach.(g) else -1 in
+        if cell >= 0 && cell < cells && ch >= 0 && ch <= cols
+           && cell mod cols < Array.length col_x
+        then begin
+          let i = !m and x = col_x.(cell mod cols) in
+          code.(i) <- ((((cell / cols) * (cols + 1)) + ch) * n) + i;
+          cap.(i) <- tk.Layout.tk_cap;
+          if x <= tk.Layout.tk_x then begin
+            lo.(i) <- x;
+            hi.(i) <- tk.Layout.tk_x
+          end
+          else begin
+            lo.(i) <- tk.Layout.tk_x;
+            hi.(i) <- x
+          end;
+          m := i + 1
+        end
+      done;
+      fill rest
+  in
+  Array.iter (fun (net : Layout.capnet) -> fill net.Layout.cn_trunks) nets;
+  Array.sort Int.compare code;
+  let eps = 1e-6 in
+  let first = ref 0 in
+  while !first < !m do
+    let bucket = code.(!first) / n in
+    let last = ref !first in
+    while !last + 1 < !m && code.(!last + 1) / n = bucket do incr last done;
+    for a = !first to !last - 1 do
+      for b = a + 1 to !last do
+        let i = code.(a) mod n and j = code.(b) mod n in
+        if cap.(i) <> cap.(j) && lo.(i) <= hi.(j) +. eps
+           && lo.(j) <= hi.(i) +. eps
+        then
+          emit out r_stub_separation
+            "channel %d row %d: stubs of C_%d (%.3f to %.3f um) and C_%d \
+             (%.3f to %.3f um) meet"
+            (bucket mod (cols + 1)) (bucket / (cols + 1)) cap.(i) lo.(i)
+            hi.(i) cap.(j) lo.(j) hi.(j)
+      done
+    done;
+    first := !last + 1
+  done
 
 (* every capacitor must have a routed net whose groups cover its cells *)
 let check_net_coverage (layout : Layout.t) out =
@@ -307,6 +386,7 @@ let check layout =
         check_outline layout out;
         check_trunks_in_channels layout out;
         check_track_separation layout out;
+        check_stub_separation layout out;
         check_net_coverage layout out;
         check_parallel_consistency layout out;
         check_wire_directions layout out;

@@ -1,6 +1,7 @@
 (** Routing rules: the post-route invariants of a routed layout
     (everything inside the outline, trunks inside their channels, distinct
-    tracks not colliding, every capacitor's net present and covering its
+    tracks not colliding, the stubs of different nets in one channel row
+    apart, every capacitor's net present and covering its
     cells, bundle widths matching the parallel-wire plan, reserved layer
     directions), plus layout-level extensions (positive extent, routed
     top plate, valid parallel-wire plan, one lattice centre per placement
@@ -17,6 +18,9 @@ val r_trunk_in_channel : Diag.rule
 
 (** ["route/track-separation"] *)
 val r_track_separation : Diag.rule
+
+(** ["route/stub-separation"] *)
+val r_stub_separation : Diag.rule
 
 (** ["route/net-routed"] *)
 val r_net_routed : Diag.rule

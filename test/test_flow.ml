@@ -185,6 +185,16 @@ let test_gate_grid () =
     (rejected_with (fun () ->
          Ccdac.Flow.run_placement ~tech (Ccplace.Spiral.place ~bits:6)))
 
+(* ROADMAP item 1's 16x16 8-bit label grid, whose stubs of C_6, C_7 and
+   C_8 meet in channel 15: the verify gate rejects it under
+   route/stub-separation before LVS would find the short. *)
+let test_gate_stub_short () =
+  match Ccgrid.Serial.load ~path:"stub_short_8bit.cc" with
+  | Error msg -> Alcotest.fail msg
+  | Ok p ->
+    Alcotest.(check (list string)) "run_placement" [ "route/stub-separation" ]
+      (rejected_with (fun () -> Ccdac.Flow.run_placement p))
+
 (* Perturbed techs: each of the four lengths the router sums is a whole
    number of nanometres in a plausible range, plus an offset: none (3 in
    4), float-rounding size (1e-13 um), or 1e-11 to 1e-4 um either way.
@@ -379,6 +389,7 @@ let () =
           Alcotest.test_case "input gate: bits range" `Quick test_gate_bits;
           Alcotest.test_case "input gate: layer stack" `Quick test_gate_layer_stack;
           Alcotest.test_case "input gate: tech grid" `Quick test_gate_grid;
+          Alcotest.test_case "stub short before LVS" `Quick test_gate_stub_short;
           QCheck_alcotest.to_alcotest prop_perturbed_techs ] );
       ( "sweep",
         [ Alcotest.test_case "best block is BC" `Quick test_best_block_is_block;

@@ -361,15 +361,33 @@ let test_bad_layout_zero_parallel_shared_channel () =
   Alcotest.(check bool) "no track-separation diagnostic" true
     (not (List.mem_assoc "route/track-separation" diags))
 
-(* One corrupted 6-bit spiral per route rule that no other case fires:
-   the rules it fires, its diagnostic count and the details it must
-   carry, byte for byte. *)
+(* The 16x16 8-bit mirror-pair label grid of ROADMAP item 1: in channel
+   15, rows 3 and 9 each carry a stub of C_8 from column 14 and one of
+   C_6 or C_7 from column 15, each reaching past the other's trunk.  It
+   passes every other rule, and LVS joins the three nets. *)
+let stub_short () =
+  match Ccgrid.Serial.load ~path:"stub_short_8bit.cc" with
+  | Ok p -> Ccroute.Layout.route tech p
+  | Error msg -> Alcotest.fail msg
+
+(* One corrupted 6-bit spiral per route rule that no other case fires
+   (and, for the stub rule, the grid above): the rules it fires, its
+   diagnostic count and the details it must carry, byte for byte. *)
 let test_bad_layout_each_rule () =
   let open Ccroute.Layout in
   let l = spiral6 in
   let tk = List.hd l.nets.(3).cn_trunks in
   let cases =
-    [ ( "via escapes",
+    [ ( "stubs meet",
+        stub_short (),
+        2,
+        [ ( "route/stub-separation",
+            "channel 15 row 3: stubs of C_6 (32.246 to 33.707 um) and C_8 \
+             (31.297 to 32.758 um) meet" );
+          ( "route/stub-separation",
+            "channel 15 row 9: stubs of C_7 (32.630 to 33.707 um) and C_8 \
+             (31.297 to 32.758 um) meet" ) ] );
+      ( "via escapes",
         { l with vias = { v_cap = 3; v_x = -5.; v_y = 1.; v_p = 1 } :: l.vias },
         1,
         [ ("route/via-in-outline", "net C_3 via (-5.00,1.00) escapes") ] );
