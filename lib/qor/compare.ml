@@ -31,7 +31,6 @@ let observe (p : Policy.t) (r : Record.t) =
   | "qor/bends" -> Some (Policy.Count r.Record.bends)
   | "qor/wirelength_um" -> Some (Policy.Scalar r.Record.wirelength_um)
   | "qor/area_um2" -> Some (Policy.Scalar r.Record.area_um2)
-  | "qor/place_route_s" -> Some (Policy.Scalar r.Record.place_route_s)
   (* The memory metrics exist only in records captured with
      Telemetry.Memory sampling on; a record without them (alloc = nan)
      observes None, so mixed old/new comparisons skip the metric instead
@@ -39,9 +38,6 @@ let observe (p : Policy.t) (r : Record.t) =
   | "qor/alloc_mb_total" ->
     if Float.is_nan r.Record.alloc_mb_total then None
     else Some (Policy.Scalar r.Record.alloc_mb_total)
-  | "qor/peak_heap_mb" ->
-    if Float.is_nan r.Record.peak_heap_mb then None
-    else Some (Policy.Scalar r.Record.peak_heap_mb)
   | "qor/major_collections" ->
     if Float.is_nan r.Record.alloc_mb_total then None
     else Some (Policy.Scalar (float_of_int r.Record.major_collections))
@@ -57,12 +53,11 @@ let note_verdict v =
 let compare_records ~(baseline : Record.t) ~(current : Record.t) =
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.incr "qor/diffs_total";
-  let repeat = max 1 (min baseline.Record.repeat current.Record.repeat) in
   List.filter_map
     (fun (p : Policy.t) ->
        match observe p baseline, observe p current with
        | Some b, Some c ->
-         let verdict, detail = Policy.judge p ~repeat ~baseline:b ~current:c in
+         let verdict, detail = Policy.judge p ~baseline:b ~current:c in
          note_verdict verdict;
          Some { policy = p; label = current.Record.label; verdict; detail }
        | None, _ | _, None -> None)

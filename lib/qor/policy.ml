@@ -7,7 +7,6 @@ type kind =
   | Rel of {
       tol : float;
       floor : float;
-      repeat_aware : bool;
     }
   | Abs of { tol : float }
   | Exact_count
@@ -54,7 +53,7 @@ let classify sense ~tol delta =
 
 let set_diff a b = List.filter (fun x -> not (List.mem x b)) a
 
-let judge policy ~repeat ~baseline ~current =
+let judge policy ~baseline ~current =
   let nan_guard base cur k =
     if Float.is_nan base || Float.is_nan cur then
       ( Incomparable,
@@ -63,12 +62,8 @@ let judge policy ~repeat ~baseline ~current =
     else k ()
   in
   match policy.kind, baseline, current with
-  | Rel { tol; floor; repeat_aware }, Scalar base, Scalar cur ->
+  | Rel { tol; floor }, Scalar base, Scalar cur ->
     nan_guard base cur @@ fun () ->
-    let floor =
-      if repeat_aware then floor /. Float.sqrt (float_of_int (max 1 repeat))
-      else floor
-    in
     if Float.abs base <= floor && Float.abs cur <= floor then
       ( Unchanged,
         Printf.sprintf "%s: %g -> %g %s, both at or under the %g noise floor"
@@ -124,15 +119,15 @@ let judge policy ~repeat ~baseline ~current =
          | Exact_set -> "exact-set") )
 
 (* The committed catalogue.  Electrical metrics are deterministic
-   analytic results, so they carry Error severity and tight tolerances;
-   wall-clock times are machine-dependent, so they are Warnings with a
-   generous repeat-aware floor — a sub-50 ms stage never fires even
-   under --werror on a noisy CI box. *)
+   analytic results, so they carry Error severity and tight tolerances.
+   Wall-clock time and peak heap have no policy: their floors sat far
+   above every committed reading, so they could not fire, and
+   performance is benchmark/'s to measure. *)
 let catalogue =
   [ { id = "qor/f3db_mhz";
       metric = "f3dB";
       unit_ = "MHz";
-      kind = Rel { tol = 0.02; floor = 1e-3; repeat_aware = false };
+      kind = Rel { tol = 0.02; floor = 1e-3 };
       sense = Higher_better;
       severity = Diag.Error };
     { id = "qor/max_inl_lsb";
@@ -162,37 +157,24 @@ let catalogue =
     { id = "qor/wirelength_um";
       metric = "wirelength";
       unit_ = "um";
-      kind = Rel { tol = 0.01; floor = 1e-6; repeat_aware = false };
+      kind = Rel { tol = 0.01; floor = 1e-6 };
       sense = Lower_better;
       severity = Diag.Warning };
     { id = "qor/area_um2";
       metric = "area";
       unit_ = "um^2";
-      kind = Rel { tol = 0.001; floor = 1e-6; repeat_aware = false };
-      sense = Lower_better;
-      severity = Diag.Warning };
-    { id = "qor/place_route_s";
-      metric = "place+route time";
-      unit_ = "s";
-      kind = Rel { tol = 0.5; floor = 0.05; repeat_aware = true };
+      kind = Rel { tol = 0.001; floor = 1e-6 };
       sense = Lower_better;
       severity = Diag.Warning };
     (* Allocation totals are near-deterministic (same code path, same
        allocations), but GC scheduling varies across machines and
        OCAMLRUNPARAM settings, so the memory metrics are Warnings with
        generous tolerances: allocation within 25% above a 1 MB floor,
-       peak heap within 50% above a 16 MB floor (heap sizing is the
-       runtime's choice), and major collections within +-8. *)
+       and major collections within +-8. *)
     { id = "qor/alloc_mb_total";
       metric = "allocated";
       unit_ = "MB";
-      kind = Rel { tol = 0.25; floor = 1.0; repeat_aware = false };
-      sense = Lower_better;
-      severity = Diag.Warning };
-    { id = "qor/peak_heap_mb";
-      metric = "peak heap";
-      unit_ = "MB";
-      kind = Rel { tol = 0.5; floor = 16.0; repeat_aware = false };
+      kind = Rel { tol = 0.25; floor = 1.0 };
       sense = Lower_better;
       severity = Diag.Warning };
     { id = "qor/major_collections";

@@ -2,13 +2,12 @@
 
     Three families, matching how each metric behaves:
 
-    - {b Rel}: noisy continuous metrics (wall-clock times, and loosely
-      area/wirelength).  A change is judged {e relative} to the baseline,
-      with a noise floor: values whose magnitudes both sit at or under
-      the floor compare equal, and the relative denominator never drops
-      below the floor, so microscopic baselines cannot turn dust into
-      percentages.  Time floors are {e repeat-aware}: medianing [r] runs
-      shrinks the floor by [sqrt r].
+    - {b Rel}: continuous metrics (f3dB, area, wirelength, allocation).
+      A change is judged {e relative} to the baseline, with a noise
+      floor: values whose magnitudes both sit at or under the floor
+      compare equal, and the relative denominator never drops below the
+      floor, so microscopic baselines cannot turn dust into
+      percentages.
     - {b Abs}: deterministic analytic metrics with a meaningful unit
       (INL/DNL in LSB) — an absolute tolerance in that unit.
     - {b Exact}: integers and id sets (via cuts, fired rule ids).  Any
@@ -30,7 +29,6 @@ type kind =
   | Rel of {
       tol : float;           (** allowed fractional change, e.g. 0.02 *)
       floor : float;         (** noise floor in the metric's unit *)
-      repeat_aware : bool;   (** divide [floor] by [sqrt repeat] *)
     }
   | Abs of { tol : float }   (** allowed absolute change *)
   | Exact_count
@@ -60,13 +58,11 @@ type verdict =
 
 val verdict_name : verdict -> string
 
-(** [judge policy ~repeat ~baseline ~current] applies the policy and
-    explains itself: the returned string states the values and the
-    threshold that decided.  [repeat] feeds repeat-aware floors (use the
-    smaller of the two records' repeat counts). *)
+(** [judge policy ~baseline ~current] applies the policy and explains
+    itself: the returned string states the values and the threshold that
+    decided. *)
 val judge :
-  t -> repeat:int -> baseline:observation -> current:observation ->
-  verdict * string
+  t -> baseline:observation -> current:observation -> verdict * string
 
 (** The committed policy catalogue — one entry per compared metric, ids
     under [qor/].  Documented as a table in docs/QOR.md; keep in sync. *)

@@ -390,9 +390,9 @@ let verdict =
     (fun fmt v -> Format.pp_print_string fmt (Qor.Policy.verdict_name v))
     ( = )
 
-let judge ?(repeat = 1) p b c =
+let judge p b c =
   fst
-    (Qor.Policy.judge p ~repeat ~baseline:(Qor.Policy.Scalar b)
+    (Qor.Policy.judge p ~baseline:(Qor.Policy.Scalar b)
        ~current:(Qor.Policy.Scalar c))
 
 let test_policy_rel_thresholds () =
@@ -406,7 +406,15 @@ let test_policy_rel_thresholds () =
     (judge p 1000. 1020.);
   Alcotest.check verdict "past +2% improves" Qor.Policy.Improved
     (judge p 1000. 1021.);
-  Alcotest.check verdict "identical" Qor.Policy.Unchanged (judge p 1000. 1000.)
+  Alcotest.check verdict "identical" Qor.Policy.Unchanged (judge p 1000. 1000.);
+  (* a microscopic baseline cannot inflate the denominator: allocation's
+     1 MB floor stands in for it, so 0.8 -> 1.05 MB reads +25% (at the
+     tolerance) rather than +31% *)
+  let p = policy "qor/alloc_mb_total" in
+  Alcotest.check verdict "floored denominator" Qor.Policy.Regressed
+    (judge p 0.001 4.);
+  Alcotest.check verdict "floored denominator at tolerance"
+    Qor.Policy.Unchanged (judge p 0.8 1.05)
 
 let test_policy_nan_guard () =
   let p = policy "qor/f3db_mhz" in
@@ -415,25 +423,12 @@ let test_policy_nan_guard () =
   Alcotest.check verdict "NaN baseline" Qor.Policy.Incomparable
     (judge p Float.nan 1000.);
   let v, detail =
-    Qor.Policy.judge p ~repeat:1 ~baseline:(Qor.Policy.Scalar Float.nan)
+    Qor.Policy.judge p ~baseline:(Qor.Policy.Scalar Float.nan)
       ~current:(Qor.Policy.Scalar Float.nan)
   in
   Alcotest.check verdict "NaN both" Qor.Policy.Incomparable v;
   Alcotest.(check bool) "detail mentions NaN" true
     (contains detail "NaN")
-
-let test_policy_repeat_floor () =
-  let p = policy "qor/place_route_s" in
-  (* floor 0.05 s at repeat 1: dust under the floor compares equal *)
-  Alcotest.check verdict "under the floor" Qor.Policy.Unchanged
-    (judge p 0.004 0.049);
-  (* repeat 25 shrinks the floor to 0.01: the same change now counts,
-     and a 75% drop on a Lower_better metric is an improvement *)
-  Alcotest.check verdict "repeat shrinks the floor" Qor.Policy.Improved
-    (judge ~repeat:25 p 0.04 0.01);
-  (* microscopic baseline cannot inflate the denominator *)
-  Alcotest.check verdict "floored denominator" Qor.Policy.Regressed
-    (judge p 0.001 0.2)
 
 let test_policy_abs () =
   let p = policy "qor/max_inl_lsb" in
@@ -449,18 +444,18 @@ let test_policy_exact () =
   let p = policy "qor/via_cuts" in
   let count n = Qor.Policy.Count n in
   Alcotest.check verdict "count match" Qor.Policy.Unchanged
-    (fst (Qor.Policy.judge p ~repeat:1 ~baseline:(count 12) ~current:(count 12)));
+    (fst (Qor.Policy.judge p ~baseline:(count 12) ~current:(count 12)));
   (* any drift regresses, even a decrease: the baseline must be blessed *)
   Alcotest.check verdict "count drift" Qor.Policy.Regressed
-    (fst (Qor.Policy.judge p ~repeat:1 ~baseline:(count 12) ~current:(count 11)));
+    (fst (Qor.Policy.judge p ~baseline:(count 12) ~current:(count 11)));
   let ps = policy "qor/verify_rules" in
   let set l = Qor.Policy.Set l in
   Alcotest.check verdict "set order irrelevant" Qor.Policy.Unchanged
     (fst
-       (Qor.Policy.judge ps ~repeat:1 ~baseline:(set [ "b"; "a" ])
+       (Qor.Policy.judge ps ~baseline:(set [ "b"; "a" ])
           ~current:(set [ "a"; "b"; "a" ])));
   let v, detail =
-    Qor.Policy.judge ps ~repeat:1 ~baseline:(set [ "a"; "b" ])
+    Qor.Policy.judge ps ~baseline:(set [ "a"; "b" ])
       ~current:(set [ "a"; "c" ])
   in
   Alcotest.check verdict "set drift" Qor.Policy.Regressed v;
@@ -471,7 +466,7 @@ let test_policy_exact () =
   (* shape mismatch is incomparable, not an exception *)
   Alcotest.check verdict "shape mismatch" Qor.Policy.Incomparable
     (fst
-       (Qor.Policy.judge p ~repeat:1 ~baseline:(count 3)
+       (Qor.Policy.judge p ~baseline:(count 3)
           ~current:(Qor.Policy.Scalar 3.)))
 
 (* --- the sentinel end-to-end --- *)
@@ -804,8 +799,6 @@ let () =
         [ Alcotest.test_case "relative thresholds" `Quick
             test_policy_rel_thresholds;
           Alcotest.test_case "nan guard" `Quick test_policy_nan_guard;
-          Alcotest.test_case "repeat-aware floor" `Quick
-            test_policy_repeat_floor;
           Alcotest.test_case "absolute" `Quick test_policy_abs;
           Alcotest.test_case "exact" `Quick test_policy_exact ] );
       ( "sentinel",
