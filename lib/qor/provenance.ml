@@ -101,7 +101,7 @@ let of_json j =
        if Float.is_finite c then int_of_float c else 0);
     git_commit = Option.bind (Json.member "git_commit" j) Json.to_str }
 
-let changelog = "1.32.0"
+let changelog = "1.33.0"
 
 let server () =
   let p = capture () in
