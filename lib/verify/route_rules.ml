@@ -192,76 +192,88 @@ let check_track_separation (layout : Layout.t) out =
 (* Each stub runs along its attach cell's row from the cell's column x to
    its trunk's x, so two stubs of different nets that enter one channel
    from opposite sides in the same row short when each reaches past the
-   other's trunk.  The stubs are bucketed by (row, channel) through one
-   in-place sort of int codes [bucket * n + stub], with their extents in
-   flat arrays; a stub whose group, cell, channel or column centre lies
-   outside the plan or the lattice is left to the other rules. *)
+   other's trunk.  The rule runs in every verify gate, so it makes one
+   pass with no sort: the trunks are bucketed by channel, and within a
+   channel each stub is chained onto its row ([head], [next]) and compared
+   with the stubs already there.  The extents live in flat arrays sized
+   for the busiest channel.  A stub whose group, cell, channel or column
+   centre lies outside the plan or the lattice is left to the other
+   rules. *)
 let check_stub_separation (layout : Layout.t) out =
-  let cols = layout.Layout.placement.Placement.cols
-  and cells =
-    layout.Layout.placement.Placement.rows
-    * layout.Layout.placement.Placement.cols
+  let rows = layout.Layout.placement.Placement.rows
+  and cols = layout.Layout.placement.Placement.cols
   and attach = layout.Layout.plan.Plan.attach
-  and col_x = layout.Layout.col_x
-  and nets = layout.Layout.nets in
-  let rec stubs acc = function
-    | [] -> acc
-    | (tk : Layout.trunk) :: rest ->
-      stubs (acc + Array.length tk.Layout.tk_attaches) rest
+  and col_x = layout.Layout.col_x in
+  let by_channel = Array.make (cols + 1) [] in
+  Array.fold_right
+    (fun (net : Layout.capnet) () ->
+       List.fold_right
+         (fun (tk : Layout.trunk) () ->
+            let ch = tk.Layout.tk_channel in
+            if ch >= 0 && ch <= cols then
+              by_channel.(ch) <- tk :: by_channel.(ch))
+         net.Layout.cn_trunks ())
+    layout.Layout.nets ();
+  let stubs =
+    List.fold_left
+      (fun acc (tk : Layout.trunk) -> acc + Array.length tk.Layout.tk_attaches)
+      0
   in
-  let n = Array.fold_left (fun acc net -> stubs acc net.Layout.cn_trunks) 0 nets in
-  let code = Array.make n max_int and cap = Array.make n 0
+  let n = Array.fold_left (fun acc tks -> max acc (stubs tks)) 0 by_channel in
+  let head = Array.make rows (-1) and seen = Array.make rows (-1)
+  and next = Array.make n (-1) and cap = Array.make n 0
   and lo = Array.make n 0. and hi = Array.make n 0. in
-  let m = ref 0 in
-  let rec fill = function
-    | [] -> ()
-    | (tk : Layout.trunk) :: rest ->
-      let ch = tk.Layout.tk_channel and groups = tk.Layout.tk_attaches in
-      for a = 0 to Array.length groups - 1 do
-        let g = groups.(a) in
-        let cell = if g >= 0 && g < Array.length attach then attach.(g) else -1 in
-        if cell >= 0 && cell < cells && ch >= 0 && ch <= cols
-           && cell mod cols < Array.length col_x
-        then begin
-          let i = !m and x = col_x.(cell mod cols) in
-          code.(i) <- ((((cell / cols) * (cols + 1)) + ch) * n) + i;
-          cap.(i) <- tk.Layout.tk_cap;
-          if x <= tk.Layout.tk_x then begin
-            lo.(i) <- x;
-            hi.(i) <- tk.Layout.tk_x
-          end
-          else begin
-            lo.(i) <- tk.Layout.tk_x;
-            hi.(i) <- x
-          end;
-          m := i + 1
-        end
-      done;
-      fill rest
-  in
-  Array.iter (fun (net : Layout.capnet) -> fill net.Layout.cn_trunks) nets;
-  Array.sort Int.compare code;
   let eps = 1e-6 in
-  let first = ref 0 in
-  while !first < !m do
-    let bucket = code.(!first) / n in
-    let last = ref !first in
-    while !last + 1 < !m && code.(!last + 1) / n = bucket do incr last done;
-    for a = !first to !last - 1 do
-      for b = a + 1 to !last do
-        let i = code.(a) mod n and j = code.(b) mod n in
-        if cap.(i) <> cap.(j) && lo.(i) <= hi.(j) +. eps
-           && lo.(j) <= hi.(i) +. eps
-        then
-          emit out r_stub_separation
-            "channel %d row %d: stubs of C_%d (%.3f to %.3f um) and C_%d \
-             (%.3f to %.3f um) meet"
-            (bucket mod (cols + 1)) (bucket / (cols + 1)) cap.(i) lo.(i)
-            hi.(i) cap.(j) lo.(j) hi.(j)
-      done
-    done;
-    first := !last + 1
-  done
+  let channel ch trunks =
+    let m = ref 0 in
+    List.iter
+      (fun (tk : Layout.trunk) ->
+         let groups = tk.Layout.tk_attaches in
+         for a = 0 to Array.length groups - 1 do
+           let g = groups.(a) in
+           let cell =
+             if g >= 0 && g < Array.length attach then attach.(g) else -1
+           in
+           if cell >= 0 && cell < rows * cols
+              && cell mod cols < Array.length col_x
+           then begin
+             let j = !m and x = col_x.(cell mod cols) and row = cell / cols in
+             if seen.(row) <> ch then begin
+               seen.(row) <- ch;
+               head.(row) <- -1
+             end;
+             cap.(j) <- tk.Layout.tk_cap;
+             if x <= tk.Layout.tk_x then begin
+               lo.(j) <- x;
+               hi.(j) <- tk.Layout.tk_x
+             end
+             else begin
+               lo.(j) <- tk.Layout.tk_x;
+               hi.(j) <- x
+             end;
+             let i = ref head.(row) in
+             while !i >= 0 do
+               let i' = !i in
+               if cap.(i') <> cap.(j) && lo.(i') <= hi.(j) +. eps
+                  && lo.(j) <= hi.(i') +. eps
+               then
+                 emit out r_stub_separation
+                   "channel %d row %d: stubs of C_%d (%.3f to %.3f um) and \
+                    C_%d (%.3f to %.3f um) meet"
+                   ch row cap.(i') lo.(i') hi.(i') cap.(j) lo.(j) hi.(j);
+               i := next.(i')
+             done;
+             next.(j) <- head.(row);
+             head.(row) <- j;
+             m := j + 1
+           end
+         done)
+      trunks
+  in
+  (* one trunk's stubs are all of one net *)
+  Array.iteri
+    (fun ch trunks -> match trunks with [] | [ _ ] -> () | _ -> channel ch trunks)
+    by_channel
 
 (* every capacitor must have a routed net whose groups cover its cells *)
 let check_net_coverage (layout : Layout.t) out =
