@@ -148,6 +148,13 @@ let ids c = List.map (fun r -> r.id) c.rules
 
 let category c r = List.assoc (family r.id) c.categories
 
+let rule_json c r =
+  Printf.sprintf
+    "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \
+     \"doc\": \"%s\"}"
+    (json_escape r.id) (category c r) (severity_name r.severity)
+    (json_escape r.doc)
+
 let pattern_matches p id =
   let strip suffix p =
     if String.ends_with ~suffix p then Filename.chop_suffix p suffix else p

@@ -66,9 +66,6 @@ val compare : t -> t -> int
 (** [sort diags] is [diags] in {!compare} order. *)
 val sort : t list -> t list
 
-(** [count sev diags]. *)
-val count : severity -> t list -> int
-
 (** [errors diags] keeps only [Error]-severity findings. *)
 val errors : t list -> t list
 
@@ -115,6 +112,10 @@ val ids : catalogue -> string list
 
 (** [category c rule] is the category name of [rule]'s family. *)
 val category : catalogue -> rule -> string
+
+(** [rule_json c rule] is [rule]'s catalogue entry as a JSON object:
+    [{"id": ..., "category": ..., "severity": ..., "doc": ...}]. *)
+val rule_json : catalogue -> rule -> string
 
 (** [matches ~patterns id]: does [id] satisfy a rule filter?  A pattern
     selects its exact id, or a whole family — ["det"], ["det/"] and

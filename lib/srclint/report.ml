@@ -49,17 +49,10 @@ let json (r : Engine.result) =
     (String.concat ",\n   " (List.map diag_json r.Engine.diagnostics))
     (String.concat ",\n   " (List.map suppression_json r.Engine.suppressions))
 
-let rule_json (r : Diag.rule) =
-  Printf.sprintf
-    "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \"doc\": \
-     \"%s\"}"
-    (Diag.json_escape r.Diag.id) (category r)
-    (Diag.severity_name r.Diag.severity)
-    (Diag.json_escape r.Diag.doc)
-
 let json_rules () =
   Printf.sprintf "{\"version\": 1, \"tool\": \"cclint\", \"rules\": [%s]}\n"
-    (String.concat ",\n  " (List.map rule_json Registry.all.Diag.rules))
+    (String.concat ",\n  "
+       (List.map (Diag.rule_json Registry.all) Registry.all.Diag.rules))
 
 let text_rules () =
   String.concat ""

@@ -1,6 +1,6 @@
 exception
   Rejected of {
-    what : string;                   (* artifact name, e.g. "spiral 8-bit" *)
+    what : string;             (* artifact name, e.g. "spiral 8-bit" *)
     diagnostics : Diag.t list; (* full sorted run, not only errors *)
   }
 

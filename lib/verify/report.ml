@@ -29,12 +29,4 @@ let json ?label diags =
 let json_rules () =
   Printf.sprintf "{\"version\": 1, \"rules\": [%s]}"
     (String.concat ", "
-       (List.map
-          (fun (r : Diag.rule) ->
-             Printf.sprintf
-               "{\"id\": \"%s\", \"category\": \"%s\", \"severity\": \"%s\", \
-                \"doc\": \"%s\"}"
-               (Diag.json_escape r.Diag.id) (category r)
-               (Diag.severity_name r.Diag.severity)
-               (Diag.json_escape r.Diag.doc))
-          Registry.all.Diag.rules))
+       (List.map (Diag.rule_json Registry.all) Registry.all.Diag.rules))
