@@ -407,10 +407,13 @@ let test_policy_rel_thresholds () =
   Alcotest.check verdict "past +2% improves" Qor.Policy.Improved
     (judge p 1000. 1021.);
   Alcotest.check verdict "identical" Qor.Policy.Unchanged (judge p 1000. 1000.);
-  (* a microscopic baseline cannot inflate the denominator: allocation's
-     1 MB floor stands in for it, so 0.8 -> 1.05 MB reads +25% (at the
-     tolerance) rather than +31% *)
+  (* allocation's 1 MB floor: two readings at or under it compare equal,
+     and a microscopic baseline cannot inflate the denominator, which the
+     floor stands in for, so 0.8 -> 1.05 MB reads +25% (at the tolerance)
+     rather than +31% *)
   let p = policy "qor/alloc_mb_total" in
+  Alcotest.check verdict "both under the floor" Qor.Policy.Unchanged
+    (judge p 0.004 0.9);
   Alcotest.check verdict "floored denominator" Qor.Policy.Regressed
     (judge p 0.001 4.);
   Alcotest.check verdict "floored denominator at tolerance"
