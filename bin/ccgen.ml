@@ -69,13 +69,19 @@ let style_conv =
   in
   Arg.conv (parse, print)
 
+(* An absent [-g] is the size's default granularity. *)
 let resolve_style ~bits ~granularity = function
   | `Spiral -> Ccplace.Style.Spiral
   | `Chessboard -> Ccplace.Style.Chessboard
   | `Rowwise -> Ccplace.Style.Rowwise
-  | `Block ->
-    Ccplace.Style.Block_chess
-      { core_bits = Ccplace.Block_chess.default_core_bits ~bits; granularity }
+  | `Block -> begin
+      match granularity with
+      | None -> Ccplace.Style.block_default ~bits
+      | Some granularity ->
+        Ccplace.Style.Block_chess
+          { core_bits = Ccplace.Block_chess.default_core_bits ~bits;
+            granularity }
+    end
 
 let bits_arg =
   let doc = "DAC resolution N in bits (the array holds 2^N unit capacitors)." in
@@ -86,8 +92,11 @@ let style_arg =
   Arg.(value & opt style_conv `Spiral & info [ "s"; "style" ] ~docv:"STYLE" ~doc)
 
 let gran_arg =
-  let doc = "Block-chessboard granularity (cells per block side)." in
-  Arg.(value & opt int 2 & info [ "g"; "granularity" ] ~docv:"G" ~doc)
+  let doc =
+    "Block-chessboard granularity (cells per block side); default 2, or 1 \
+     at 2 bits, where 2 is not swept."
+  in
+  Arg.(value & opt (some int) None & info [ "g"; "granularity" ] ~docv:"G" ~doc)
 
 let tech_arg =
   let doc = "Technology preset: finfet (default) or bulk." in
@@ -306,12 +315,14 @@ let mc_cmd =
         ~top_parasitic:r.Ccdac.Flow.parasitics.Extract.Parasitics.total_top_cap
         r.Ccdac.Flow.placement
     in
+    (* six decimals: CI diffs this output at --jobs 1 and 4, and a trial
+       slipped at a pool range boundary moves the mean in the fifth *)
     Printf.printf
       "%s %d-bit, %d trials\n\
-      \  analytic 3-sigma : INL %.3f / DNL %.3f LSB\n\
-      \  Monte-Carlo mean : INL %.3f / DNL %.3f LSB\n\
-      \  Monte-Carlo p95  : INL %.3f / DNL %.3f LSB\n\
-      \  Monte-Carlo max  : INL %.3f / DNL %.3f LSB\n\
+      \  analytic 3-sigma : INL %.6f / DNL %.6f LSB\n\
+      \  Monte-Carlo mean : INL %.6f / DNL %.6f LSB\n\
+      \  Monte-Carlo p95  : INL %.6f / DNL %.6f LSB\n\
+      \  Monte-Carlo max  : INL %.6f / DNL %.6f LSB\n\
       \  yield (0.5 LSB)  : %.1f%%\n"
       (Ccplace.Style.name style) bits trials r.Ccdac.Flow.max_inl
       r.Ccdac.Flow.max_dnl mc.Dacmodel.Montecarlo.mean_inl

@@ -28,12 +28,6 @@ let cholesky m =
   done;
   l
 
-let standard_normal state =
-  (* Box-Muller; u1 in (0, 1] avoids log 0 *)
-  let u1 = 1. -. Random.State.float state 1. in
-  let u2 = Random.State.float state 1. in
-  sqrt (-2. *. Float.log u1) *. cos (2. *. Float.pi *. u2)
-
 type factor = float array array
 
 let factorize cov =
@@ -43,13 +37,17 @@ let factorize cov =
   in
   cholesky m
 
-let draw_from factor state =
+let size = Array.length
+
+let correlate factor z shifts =
   let n = Array.length factor in
-  let z = Array.init n (fun _ -> standard_normal state) in
-  Array.init n
-    (fun i ->
-       let acc = ref 0. in
-       for k = 0 to i do
-         acc := !acc +. (factor.(i).(k) *. z.(k))
-       done;
-       !acc)
+  if Array.length z <> n || Array.length shifts <> n then
+    invalid_arg "Gauss.correlate: buffer size is not the factor's";
+  for i = 0 to n - 1 do
+    let row = factor.(i) in
+    let acc = ref 0. in
+    for k = 0 to i do
+      acc := !acc +. (row.(k) *. z.(k))
+    done;
+    shifts.(i) <- !acc
+  done

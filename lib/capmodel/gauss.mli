@@ -8,8 +8,8 @@
     Cholesky factor of an [(N+1) x (N+1)] matrix. *)
 
 (** A lower-triangular Cholesky factor of a covariance.  Factorise once,
-    then draw from as many independent [Random.State] substreams as
-    needed (the parallel Monte-Carlo engine draws one per trial). *)
+    then correlate as many independent normal vectors as needed (the
+    Monte-Carlo engine draws one per trial). *)
 type factor
 
 (** [factorize cov] factorises the covariance of a built
@@ -17,14 +17,18 @@ type factor
     semidefinite to numerical precision. *)
 val factorize : Covariance.t -> factor
 
-(** [draw_from factor state] is one joint sample of the capacitor
-    shifts, fF, using [state]'s variates. *)
-val draw_from : factor -> Random.State.t -> float array
+(** [size factor] is the number of capacitors [N + 1] it correlates. *)
+val size : factor -> int
+
+(** [correlate factor z shifts] writes [L z] into [shifts]: one joint
+    sample of the capacitor shifts, fF, from the independent N(0,1)
+    variates [z], where [shifts.(i)] sums [L.(i).(k) z.(k)] over
+    [k = 0..i] in that order from [0.].  [z] is only read and must not
+    be [shifts].  [O(N^2)], allocation-free.  Raises [Invalid_argument]
+    unless both arrays have {!size}[ factor] entries. *)
+val correlate : factor -> float array -> float array -> unit
 
 (** [cholesky m] is the lower-triangular factor [l] with [l l^T = m].
     Raises [Invalid_argument] when the matrix is not (numerically)
     positive semidefinite or not square.  Exposed for tests. *)
 val cholesky : float array array -> float array array
-
-(** [standard_normal state] draws one N(0,1) variate (Box-Muller). *)
-val standard_normal : Random.State.t -> float

@@ -9,8 +9,12 @@ type t =
   | Rowwise
 
 let block_default ~bits =
-  Block_chess
-    { core_bits = Block_chess.default_core_bits ~bits; granularity = 2 }
+  let granularity =
+    List.fold_left
+      (fun acc g -> if g <= 2 then Int.max acc g else acc)
+      1 (Block_chess.granularities ~bits)
+  in
+  Block_chess { core_bits = Block_chess.default_core_bits ~bits; granularity }
 
 let block_family ~bits =
   let core_bits = Block_chess.default_core_bits ~bits in

@@ -13,7 +13,9 @@ type t =
     }
   | Rowwise  (** constructive proxy for baseline [1]; see DESIGN.md *)
 
-(** [block_default ~bits] is the default BC configuration for [bits]. *)
+(** [block_default ~bits] is the default BC configuration for [bits]:
+    the default core and the largest swept granularity
+    ({!block_family}) up to 2, so 2 from 3 bits up and 1 below. *)
 val block_default : bits:int -> t
 
 (** [block_family ~bits] lists the BC configurations swept to find the

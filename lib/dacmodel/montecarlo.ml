@@ -21,7 +21,7 @@ type t = {
    A step from code i-1 to i switches bit t+1 on and bits 1..t off (t
    the trailing zeros of i), so DNL takes the N values
    e_(t+1) - sum_{k<=t} e_k. *)
-let evaluate ~bits ~c_t ~top_parasitic ~sys shifts =
+let evaluate_into ~bits ~c_t ~top_parasitic ~sys shifts ~inl ~dnl i =
   let sum = ref 0. in
   for k = 0 to bits do
     sum := !sum +. (shifts.(k) +. sys.(k))
@@ -30,27 +30,70 @@ let evaluate ~bits ~c_t ~top_parasitic ~sys shifts =
   let denom = c_t +. delta_t in
   if denom <= 0. then invalid_arg "Montecarlo: non-positive C_T";
   let full = float_of_int (Transfer.num_codes ~bits) in
-  let pos = ref 0. and neg = ref 0. and below = ref 0. and dnl = ref 0. in
+  let pos = ref 0. and neg = ref 0. and below = ref 0. and worst = ref 0. in
   for k = 1 to bits do
     let d = shifts.(k) +. sys.(k) in
     let e = ((full *. d) -. Float.ldexp delta_t (k - 1)) /. denom in
     if e > 0. then pos := !pos +. e else neg := !neg +. e;
-    dnl := Float.max !dnl (Float.abs (e -. !below));
+    worst := Float.max !worst (Float.abs (e -. !below));
     below := !below +. e
   done;
-  (Float.max !pos (-. !neg), !dnl)
+  inl.(i) <- Float.max !pos (-. !neg);
+  dnl.(i) <- !worst
 
-(* Below this many trials the domain pool does not pay: a trial is a few
-   microseconds, most of it the substream seeding.  On two cores, two
-   domains ran 0.90-1.11x serial speed at 2000-3000 trials and
-   1.10-1.16x at 5000 (docs/PARALLEL.md). *)
-let min_parallel_trials = 5_000
+let evaluate ~bits ~c_t ~top_parasitic ~sys shifts =
+  let inl = [| 0. |] and dnl = [| 0. |] in
+  evaluate_into ~bits ~c_t ~top_parasitic ~sys shifts ~inl ~dnl 0;
+  (inl.(0), dnl.(0))
 
-(* Each trial draws from its own counter-based substream keyed by
-   (seed, trial index) — Par.Rng — so trial [i] is a pure function of
-   the seed.  That makes the whole distribution bitwise-identical at any
-   worker count and in any completion order; the pool only has to keep
-   slot order, which it guarantees. *)
+(* Box-Muller on successive uniforms, u1 then u2 for each normal;
+   u1 = 1 - U lies in (0, 1], which avoids log 0.  This order and
+   arithmetic fix every trial's draw, and with it every statistic:
+   test_mc pins them to the same draw on [Random.State]. *)
+let standard_normals rng ~u z =
+  let n = Array.length z in
+  if Array.length u <> 2 * n then
+    invalid_arg "Montecarlo.standard_normals: u is not twice z";
+  Par.Rng.floats rng u;
+  for k = 0 to n - 1 do
+    let u1 = 1. -. u.(2 * k) in
+    let u2 = u.((2 * k) + 1) in
+    z.(k) <- sqrt (-2. *. Float.log u1) *. cos (2. *. Float.pi *. u2)
+  done
+
+(* Below this many trials the domain pool does not reliably pay.  A
+   10-bit trial is about a microsecond: two MD5 digests, an O(N^2) draw
+   and nothing else allocated, so a pooled range runs without minor
+   collections.  On two cores, two domains won every one of 20 pairs
+   from 2000 trials at 8 and 10 bits (1.46-1.62x median), but lost 4 of
+   20 at 1000 trials and 8 bits; four domains lose below about 3000
+   (docs/PARALLEL.md). *)
+let min_parallel_trials = 2_000
+
+(* eight tasks at the threshold, which the pool's four chunks per domain
+   spread evenly over two domains *)
+let range_trials = 250
+
+(* Trials [first, first + count) on one in-place substream, re-seeded
+   per trial with (seed, trial index) — Par.Rng — so trial [i] is a
+   pure function of the seed wherever its range starts.  That makes the
+   whole distribution bitwise-identical at any worker count and in any
+   completion order; the pool only has to keep slot order, which it
+   guarantees. *)
+let trial_range ~seed ~factor ~bits ~c_t ~top_parasitic ~sys (first, count) =
+  let n = Capmodel.Gauss.size factor in
+  let rng = Par.Rng.substream ~seed ~index:first in
+  let u = Array.make (2 * n) 0. and z = Array.make n 0. in
+  let shifts = Array.make n 0. in
+  let inl = Array.make count 0. and dnl = Array.make count 0. in
+  for i = 0 to count - 1 do
+    if i > 0 then Par.Rng.reseed rng ~seed ~index:(first + i);
+    standard_normals rng ~u z;
+    Capmodel.Gauss.correlate factor z shifts;
+    evaluate_into ~bits ~c_t ~top_parasitic ~sys shifts ~inl ~dnl i
+  done;
+  (inl, dnl)
+
 let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     ~trials placement =
   if trials < 1 then invalid_arg "Montecarlo: trials must be >= 1";
@@ -67,13 +110,17 @@ let trial_curves tech ?(seed = 0x5eed) ?theta ?cov ?(top_parasitic = 0.) ?jobs
     | None -> Nonlinearity.covariance tech placement
   in
   let factor = Capmodel.Gauss.factorize cov in
-  let jobs = if trials < min_parallel_trials then Some 1 else jobs in
-  Par.Pool.map_list_exn ?jobs
-    (fun trial ->
-       let state = Par.Rng.state ~seed ~index:trial in
-       let shifts = Capmodel.Gauss.draw_from factor state in
-       evaluate ~bits ~c_t ~top_parasitic ~sys shifts)
-    (List.init trials Fun.id)
+  let range = trial_range ~seed ~factor ~bits ~c_t ~top_parasitic ~sys in
+  if trials < min_parallel_trials || Par.Jobs.resolve jobs = 1 then
+    range (0, trials)
+  else
+    let ranges =
+      List.init ((trials + range_trials - 1) / range_trials) (fun r ->
+          let first = r * range_trials in
+          (first, Int.min range_trials (trials - first)))
+    in
+    let parts = Par.Pool.map_list_exn ?jobs range ranges in
+    (Array.concat (List.map fst parts), Array.concat (List.map snd parts))
 
 (* Ceiling nearest-rank: the q-quantile of n samples is the ceil(q n)-th
    smallest (1-based).  Flooring instead biases small-n upper percentiles
@@ -127,26 +174,27 @@ let run tech ?seed ?theta ?cov ?top_parasitic ?(bound = 0.5) ?jobs ~trials
     ~attrs:[ ("trials", Telemetry.Span.Int trials) ]
   @@ fun () ->
   Telemetry.Metrics.incr ~n:trials "analyse/mc_trials_total";
-  let curves =
+  let inls, dnls =
     trial_curves tech ?seed ?theta ?cov ?top_parasitic ?jobs ~trials placement
   in
-  let inls = Array.of_list (List.map fst curves) in
-  let dnls = Array.of_list (List.map snd curves) in
-  let mean a =
-    Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
-  in
-  let mean_inl = mean inls and mean_dnl = mean dnls in
-  let max_inl = Array.fold_left Float.max 0. inls
-  and max_dnl = Array.fold_left Float.max 0. dnls in
-  let passes =
-    List.fold_left
-      (fun n (i, d) -> if i <= bound && d <= bound then n + 1 else n)
-      0 curves
-  in
+  let sum_inl = ref 0. and sum_dnl = ref 0. in
+  let max_inl = ref 0. and max_dnl = ref 0. and passes = ref 0 in
+  for i = 0 to trials - 1 do
+    let inl = inls.(i) and dnl = dnls.(i) in
+    sum_inl := !sum_inl +. inl;
+    sum_dnl := !sum_dnl +. dnl;
+    max_inl := Float.max !max_inl inl;
+    max_dnl := Float.max !max_dnl dnl;
+    if inl <= bound && dnl <= bound then incr passes
+  done;
+  let n = float_of_int trials in
   (* the selection reorders the arrays: the order-dependent sums above
      come first *)
-  { trials; mean_inl; mean_dnl;
+  { trials;
+    mean_inl = !sum_inl /. n;
+    mean_dnl = !sum_dnl /. n;
     p95_inl = percentile inls 0.95;
     p95_dnl = percentile dnls 0.95;
-    max_inl; max_dnl;
-    yield = float_of_int passes /. float_of_int trials }
+    max_inl = !max_inl;
+    max_dnl = !max_dnl;
+    yield = float_of_int !passes /. n }

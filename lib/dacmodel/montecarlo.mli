@@ -27,37 +27,52 @@ type t = {
     [cov] is {!Nonlinearity.covariance}[ tech placement] (a flow's
     [Ccdac.Flow.result] carries it), built here when absent.
     [jobs] (default {!Par.Jobs.default}) parallelises the trials over a
-    domain pool once there are at least {!min_parallel_trials} of them;
-    fewer run serially at any [jobs].  Each trial draws from a
-    counter-based substream keyed by [(seed, trial)], so the statistics
-    are {e bitwise identical} at every [jobs] value (docs/PARALLEL.md).
+    domain pool once there are at least {!min_parallel_trials} of them,
+    as ranges of {!range_trials}; fewer run serially at any [jobs].
+    Trial [i] draws from the substream keyed by [(seed, i)]
+    ({!Par.Rng}), so the statistics are {e bitwise identical} at every
+    [jobs] value (docs/PARALLEL.md).
     Cost: one covariance build unless [cov] is given
     ({!Capmodel.Covariance.build}; its lattice kernel derives the
     largest capacitor, sums the small ones directly and transforms the
-    rest), one Cholesky
-    factorisation, [O(N^2)] flops per trial (the correlated draw;
-    {!evaluate} is [O(N)]), and an expected [O(trials)] selection for
-    each 95th percentile ({!percentile}).
+    rest), one Cholesky factorisation, and per trial two MD5 digests
+    (the substream's seed), [O(N^2)] flops (the correlated draw;
+    {!evaluate} is [O(N)]) and no other allocation; then an expected
+    [O(trials)] selection for each 95th percentile ({!percentile}).
     Raises [Invalid_argument] when [trials < 1], and when a draw makes
-    the total capacitance non-positive. *)
+    the total capacitance non-positive (wrapped in
+    [Par.Pool.Task_failed] when the trials ran in the pool). *)
 val run :
   Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
   ?top_parasitic:float -> ?bound:float -> ?jobs:int -> trials:int ->
   Ccgrid.Placement.t -> t
 
-(** [trial_curves tech ?seed ?theta ?cov ?top_parasitic ?jobs placement
-    ~trials] is the per-trial (max |INL|, max |DNL|) list in trial
-    order, for callers that want the raw distribution.  Same determinism
-    contract as {!run}. *)
+(** [trial_curves tech ?seed ?theta ?cov ?top_parasitic ?jobs ~trials
+    placement] is the per-trial max |INL| and max |DNL|, one array each,
+    in trial order, for callers that want the raw distribution.  Same
+    determinism contract and exceptions as {!run}. *)
 val trial_curves :
   Tech.Process.t -> ?seed:int -> ?theta:float -> ?cov:Capmodel.Covariance.t ->
   ?top_parasitic:float -> ?jobs:int -> trials:int -> Ccgrid.Placement.t ->
-  (float * float) list
+  float array * float array
 
 (** Trial count from which {!trial_curves} and {!run} use the domain
     pool.  Below it the pool costs about what it saves (docs/PARALLEL.md
     has the measurement). *)
 val min_parallel_trials : int
+
+(** Trials per pool task: the pool maps consecutive ranges of this many
+    trials (the last one shorter) and concatenates them in range
+    order. *)
+val range_trials : int
+
+(** [standard_normals rng ~u z] overwrites [z] with independent N(0,1)
+    variates by Box–Muller: it draws [Array.length u] uniforms into
+    [u] ({!Par.Rng.floats}), and [z.(k)] is
+    [sqrt (-2 ln u1) cos (2 pi u2)] with [u1 = 1 - u.(2k)] and
+    [u2 = u.(2k+1)].  Allocation-free.  Raises [Invalid_argument]
+    unless [u] has twice [z]'s length.  Exposed for tests. *)
+val standard_normals : Par.Rng.t -> u:float array -> float array -> unit
 
 (** [evaluate ~bits ~c_t ~top_parasitic ~sys shifts] is one trial's
     (max |INL|, max |DNL|) in LSB, for random shifts [shifts] and

@@ -26,8 +26,6 @@ type t = {
 
 let total_resistance m = m.bm_via_resistance +. m.bm_wire_resistance
 
-let layer_of layout name = Tech.Process.layer layout.Layout.tech name
-
 (* Per-capacitor sums over the vias and the routing wires of
    capacitors [0 .. n-1], one pass over each in layout order, so each
    capacitor's floats add up in the order its own vias and wires come.
@@ -60,10 +58,11 @@ let sums layout n =
     layout.Layout.vias;
   let ws = layout.Layout.wires in
   let xy = ws.Layout.Wires.xy in
+  let find_layer = Tech.Process.layers tech in
   for i = 0 to Layout.Wires.length ws - 1 do
     let k = Layout.Wires.cap ws i in
     if k >= 0 && k < n && Layout.Wires.kind ws i <> Layout.Branch then begin
-      let layer = layer_of layout (Layout.Wires.layer ws i)
+      let layer = find_layer (Layout.Wires.layer ws i)
       and p = Layout.Wires.p ws i and j = 4 * i in
       let len =
         Float.abs (xy.(j + 2) -. xy.(j)) +. Float.abs (xy.(j + 3) -. xy.(j + 1))
@@ -114,7 +113,7 @@ let bit_metrics layout ~elmore_fs sums cap =
    [[||]]: built by [Array.map] from a fresh array, it would force a
    minor collection beyond 256 channels. *)
 let coupling_cap layout =
-  let m3 = layer_of layout Tech.Layer.M3 in
+  let m3 = Tech.Process.layer layout.Layout.tech Tech.Layer.M3 in
   let track_caps = layout.Layout.plan.Plan.track_caps in
   let slot = Array.make (Array.length track_caps) [||] in
   Array.iteri

@@ -202,6 +202,9 @@ let crossing sc b nm nq emit =
   sort_by sc rem nm my1;
   Array.fill active 0 words 0;
   let ni = ref 0 and nr = ref 0 in
+  (* [first] is the first rank with x >= the last query's x0, and
+     [first_y] that query's y *)
+  let first = ref 0 and first_y = ref min_int in
   for p = 0 to nq - 1 do
     let q = major.(p) in
     let y = b.y0.(q) in
@@ -218,13 +221,31 @@ let crossing sc b nm nq emit =
     (* a rank leaves only after it entered, so [!ni - !nr] are active *)
     if !ni > !nr then begin
       let xlo = b.x0.(q) and xhi = b.x1.(q) in
-      (* first rank with x >= xlo *)
+      (* first rank with x >= xlo, bisected in [a, z).  The queries of
+         one y come in ascending x0 (the major pass's order), so within
+         a y it only moves forward: doubling steps from the last one
+         bound it first.  A new y bisects all ranks. *)
       let a = ref 0 and z = ref nm in
+      if y = !first_y then begin
+        a := !first;
+        z := !first;
+        if !first < nm && mx.(!first) < xlo then begin
+          let step = ref 1 in
+          while !a + !step < nm && mx.(!a + !step) < xlo do
+            a := !a + !step;
+            step := 2 * !step
+          done;
+          z := Int.min nm (!a + !step);
+          incr a
+        end
+      end;
       while !a < !z do
         let m = (!a + !z) / 2 in
         if mx.(m) < xlo then a := m + 1 else z := m
       done;
-      let r = ref !a in
+      first := !a;
+      first_y := y;
+      let r = ref !first in
       while !r < nm do
         let w = active.(!r lsr 5) lsr (!r land 31) in
         if w = 0 then begin

@@ -82,6 +82,22 @@ let sigma_rel t =
 let sigma_u t = sigma_rel t *. t.unit_cap
 let layer t n = Layer.find t.stack n
 
+let layers t =
+  let m1 = ref None and m2 = ref None and m3 = ref None in
+  fun n ->
+    let cell =
+      match n with
+      | Layer.M1 -> m1
+      | Layer.M2 -> m2
+      | Layer.M3 -> m3
+    in
+    match !cell with
+    | Some l -> l
+    | None ->
+      let l = layer t n in
+      cell := Some l;
+      l
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>%s: Cu=%.2f fF, pitch=%.3f um, Rvia=%.1f ohm,@ cell=%.2fx%.2f um, \

@@ -71,5 +71,13 @@ val sigma_rel : t -> float
 (** Absolute sigma_u of one unit capacitor, fF. *)
 val sigma_u : t -> float
 
+(** [layer t n] is layer [n] of [t]'s stack ({!Layer.find}: a list
+    search).  Raises [Invalid_argument] when the stack lacks it. *)
 val layer : t -> Layer.name -> Layer.t
+
+(** [layers t] is {!layer}[ t] for a loop over many wires: each layer
+    is looked up on its first use and remembered, so a tech missing a
+    layer raises exactly where [layer] would, and only then.  Make one
+    per loop; it is not meant to be shared between domains. *)
+val layers : t -> Layer.name -> Layer.t
 val pp : Format.formatter -> t -> unit

@@ -324,9 +324,10 @@ let check_parallel_consistency (layout : Layout.t) out =
 let check_wire_directions (layout : Layout.t) out =
   let ws = layout.Layout.wires in
   let xy = ws.Layout.Wires.xy in
+  let find_layer = Tech.Process.layers layout.Layout.tech in
   for i = 0 to Layout.Wires.length ws - 1 do
     let j = 4 * i and kind = Layout.Wires.kind ws i in
-    let layer = Tech.Process.layer layout.Layout.tech (Layout.Wires.layer ws i) in
+    let layer = find_layer (Layout.Wires.layer ws i) in
     let vertical = Float.abs (xy.(j) -. xy.(j + 2)) < 1e-9 in
     let horizontal = Float.abs (xy.(j + 1) -. xy.(j + 3)) < 1e-9 in
     let zero_length = vertical && horizontal in

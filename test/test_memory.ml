@@ -299,6 +299,29 @@ let test_covariance_minor_words () =
     (Printf.sprintf "at most 42,000 minor words (got %.0f)" words)
     true (words <= 42_000.)
 
+(* Minor words of one warmed 1000-trial Monte-Carlo run of the 10-bit
+   spiral given its covariance, serial: two MD5 digests per trial
+   (8,000 words), the factor and the span; the two per-trial arrays go
+   straight to the major heap.  Reads about 10,190; 267,157 when every trial
+   built a Random.State, a seed array, its shift and normal arrays and a
+   result pair. *)
+let test_montecarlo_minor_words () =
+  let tech = Tech.Process.finfet_12nm in
+  let p = Ccplace.Style.place ~bits:10 Ccplace.Style.Spiral in
+  let cov = Dacmodel.Nonlinearity.covariance tech p in
+  let run () =
+    ignore
+      (Dacmodel.Montecarlo.run tech ~seed:1 ~cov ~jobs:1 ~trials:1000 p
+       : Dacmodel.Montecarlo.t)
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 10,500 minor words (got %.0f)" words)
+    true (words <= 10_500.)
+
 (* What a routed 12-bit chessboard keeps alive: nearly every cell is its
    own group, so per-group blocks would dominate.  The size is the rise
    in live major-heap words across building it, each side read after a
@@ -351,5 +374,7 @@ let () =
           Alcotest.test_case "LVS major words" `Quick test_lvs_major_words;
           Alcotest.test_case "covariance minor words" `Quick
             test_covariance_minor_words;
+          Alcotest.test_case "Monte-Carlo minor words" `Quick
+            test_montecarlo_minor_words;
           Alcotest.test_case "chessboard retained size" `Quick
             test_chessboard_retained ] ) ]

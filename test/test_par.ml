@@ -192,6 +192,42 @@ let test_rng_substreams () =
     (Par.Rng.draw ~seed:1 ~index:2 3 = Par.Rng.draw ~seed:1 ~index:2 3);
   Alcotest.(check bool) "mix avalanches" true (Par.Rng.mix 1L <> 1L)
 
+(* The in-place substream draws what [Random.State] draws from the
+   reference state: [float] is [Random.State.float st 1.] bit for bit,
+   fresh or re-seeded, over 1,030 (seed, index) pairs x 64 draws. *)
+let test_rng_in_place_matches_random_state () =
+  let seeds =
+    [ 0; 1; -1; 42; -987_654_321; 0x5eed; 10_000; 1 lsl 40; max_int; min_int ]
+  in
+  let indices = List.init 100 Fun.id @ [ -1; max_int; min_int ] in
+  let reused = Par.Rng.substream ~seed:0 ~index:0 in
+  let u = Array.make 64 0. in
+  let pairs = ref 0 in
+  List.iter
+    (fun seed ->
+       List.iter
+         (fun index ->
+            incr pairs;
+            let st = Par.Rng.state ~seed ~index in
+            let fresh = Par.Rng.substream ~seed ~index in
+            Par.Rng.reseed reused ~seed ~index;
+            Par.Rng.floats reused u;
+            Array.iteri
+              (fun k from_reused ->
+                 let want = Random.State.float st 1. in
+                 let got = Par.Rng.float fresh in
+                 if Int64.bits_of_float got <> Int64.bits_of_float want
+                 || Int64.bits_of_float from_reused <> Int64.bits_of_float want
+                 then
+                   Alcotest.failf
+                     "seed %d index %d draw %d: %h (re-seeded %h) vs \
+                      Random.State %h"
+                     seed index k got from_reused want)
+              u)
+         indices)
+    seeds;
+  Alcotest.(check int) "pairs checked" 1030 !pairs
+
 (* --- Monte-Carlo: bitwise determinism across worker counts --- *)
 
 let spiral6 = Ccplace.Style.place ~bits:6 Ccplace.Style.Spiral
@@ -214,10 +250,22 @@ let test_mc_bitwise_determinism () =
   Alcotest.(check bool) "trial curves identical" true (curves 1 = curves 4)
 
 (* Below [min_parallel_trials] the trials run serially at any [jobs]: no
-   scheduler batch is recorded.  From it on they reach the pool.  The
-   statistics are bitwise identical at jobs 1/2/4 on both sides. *)
+   scheduler batch is recorded.  From it on they reach the pool, as
+   ranges of [range_trials].  The statistics and the per-trial curves are
+   bitwise identical at jobs 1/2/4 below, at and above the threshold,
+   where the last count ends in a short range; and trial [i] is the same
+   whatever the trial count, so a range that starts one trial off shows
+   as a curve that differs from the serial run's prefix. *)
 let test_mc_serial_threshold () =
   let threshold = Dacmodel.Montecarlo.min_parallel_trials in
+  let range = Dacmodel.Montecarlo.range_trials in
+  let above = (2 * threshold) + (range / 2) + 1 in
+  Alcotest.(check bool) "a count that ends in a short range" true
+    (above mod range <> 0);
+  let serial_prefix =
+    Dacmodel.Montecarlo.trial_curves tech ~seed:11 ~jobs:1 ~trials:(range + 3)
+      spiral6
+  in
   List.iter
     (fun (trials, pooled) ->
        let run jobs =
@@ -225,19 +273,31 @@ let test_mc_serial_threshold () =
              Par.Sched.collect (fun () ->
                  Dacmodel.Montecarlo.run tech ~seed:11 ~jobs ~trials spiral6))
        in
+       let curves jobs =
+         Dacmodel.Montecarlo.trial_curves tech ~seed:11 ~jobs ~trials spiral6
+       in
        let reference, serial_batches = run 1 in
+       let reference_curves = curves 1 in
        Alcotest.(check int) (Printf.sprintf "%d trials, jobs=1: no batch" trials) 0
          (List.length serial_batches);
        List.iter
          (fun jobs ->
             let stats, batches = run jobs in
+            let inls, dnls = curves jobs in
             let what = Printf.sprintf "%d trials, jobs=%d" trials jobs in
             Alcotest.(check bool) (what ^ ": identical to serial") true
               (stats = reference);
+            Alcotest.(check bool) (what ^ ": curves identical to serial") true
+              ((inls, dnls) = reference_curves);
+            Alcotest.(check int) (what ^ ": one curve entry per trial") trials
+              (Array.length inls);
+            Alcotest.(check bool) (what ^ ": trial i is the serial trial i") true
+              (Array.sub inls 0 (range + 3) = fst serial_prefix
+               && Array.sub dnls 0 (range + 3) = snd serial_prefix);
             Alcotest.(check bool) (what ^ ": pool batch iff at the threshold") pooled
               (batches <> []))
          [ 2; 4 ])
-    [ (threshold - 1, false); (threshold, true) ]
+    [ (threshold - 1, false); (threshold, true); (above, true) ]
 
 let test_mc_seed_sensitivity () =
   let run seed = Dacmodel.Montecarlo.run tech ~seed ~jobs:2 ~trials:100 spiral6 in
@@ -322,7 +382,9 @@ let () =
           Alcotest.test_case "span inheritance" `Quick
             test_pool_span_inheritance ] );
       ( "rng",
-        [ Alcotest.test_case "substreams" `Quick test_rng_substreams ] );
+        [ Alcotest.test_case "substreams" `Quick test_rng_substreams;
+          Alcotest.test_case "in place = Random.State" `Quick
+            test_rng_in_place_matches_random_state ] );
       ( "determinism",
         [ Alcotest.test_case "monte-carlo bitwise" `Quick
             test_mc_bitwise_determinism;

@@ -255,6 +255,18 @@ let test_unswept_granularity () =
   check_fired "unswept granularity" [ "style/block-granularity-unswept" ] diags;
   Alcotest.(check bool) "warning only" true (not (Diag.fails diags))
 
+(* The default configuration meets every style rule at every size,
+   including 2 bits, where granularity 2 is not swept. *)
+let test_block_default_clean () =
+  for bits = 2 to 16 do
+    match Verify.Engine.check_style ~bits (Ccplace.Style.block_default ~bits) with
+    | [] -> ()
+    | d :: _ ->
+      Alcotest.failf "%d-bit %s: %s %s" bits
+        (Ccplace.Style.name (Ccplace.Style.block_default ~bits))
+        d.Diag.rule.Diag.id d.Diag.detail
+  done
+
 (* --- corrupted layouts (through the registry) --- *)
 
 let test_bad_layout_parallel () =
@@ -694,7 +706,9 @@ let () =
         [ Alcotest.test_case "core bits" `Quick test_bad_style_core_bits;
           Alcotest.test_case "granularity" `Quick test_bad_style_granularity;
           Alcotest.test_case "bits range" `Quick test_bad_style_bits;
-          Alcotest.test_case "unswept" `Quick test_unswept_granularity ] );
+          Alcotest.test_case "unswept" `Quick test_unswept_granularity;
+          Alcotest.test_case "block default clean" `Quick
+            test_block_default_clean ] );
       ( "bad layout",
         [ Alcotest.test_case "parallel via" `Quick test_bad_layout_parallel;
           Alcotest.test_case "outline" `Quick test_bad_layout_outline;
