@@ -18,20 +18,30 @@ let pairwise_sums tech positions =
   done;
   sums
 
-let build tech positions =
+let scaled tech sums ~points ~lookups =
   let sigma2_u =
     let s = Tech.Process.sigma_u tech in
     s *. s
   in
-  let sums, points, lookups =
-    match Lattice.of_positions tech positions with
-    | Some lattice ->
-      ( Lattice.correlation_sums tech lattice,
-        Lattice.transform_points lattice,
-        Lattice.direct_lookups lattice )
-    | None -> (pairwise_sums tech positions, 0, 0)
-  in
   { matrix = Array.map (Array.map (fun s -> sigma2_u *. s)) sums; points; lookups }
+
+let of_lattice tech lattice =
+  scaled tech
+    (Lattice.correlation_sums tech lattice)
+    ~points:(Lattice.transform_points lattice)
+    ~lookups:(Lattice.direct_lookups lattice)
+
+let build tech positions =
+  match Lattice.of_positions tech positions with
+  | Some lattice -> of_lattice tech lattice
+  | None -> scaled tech (pairwise_sums tech positions) ~points:0 ~lookups:0
+
+let of_points tech points =
+  match Lattice.of_points tech points with
+  | Some lattice -> of_lattice tech lattice
+  | None ->
+    let positions = Array.map (Array.map (Lattice.position tech)) points in
+    scaled tech (pairwise_sums tech positions) ~points:0 ~lookups:0
 
 let size t = Array.length t.matrix
 

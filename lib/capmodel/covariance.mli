@@ -12,15 +12,23 @@ type t
     capacitors whose unit-cell centre positions are given per capacitor
     index.  When every position lies on [tech]'s half-pitch lattice
     (always true for {!Ccgrid.Placement.positions_by_cap}), the cell-pair
-    sums come from the lattice kernel {!Lattice}: the largest capacitor
-    (or the lattice points no cell covers, when they are more) is
-    derived from the others, the smallest capacitors are summed directly
-    among themselves, and the rest go through 2-D FFT convolutions at
-    [O(G log G)] per pair of capacitors on a transform grid of [G]
-    points.  The result equals the pair sum up to float rounding but
-    not bitwise.  Otherwise every pair of cells is enumerated: [O(G^2)]
-    for [G] unit cells. *)
+    sums come from the lattice kernel {!Lattice} ({!Lattice.of_positions}
+    snaps them): the largest capacitor (or the lattice points no cell
+    covers, when they are more) is derived from the others, the smallest
+    capacitors are summed directly among themselves, and the rest go
+    through 2-D FFT convolutions at [O(G log G)] per pair of capacitors
+    on a transform grid of [G] points.  The result equals the pair sum
+    up to float rounding but not bitwise.  Otherwise every pair of cells
+    is enumerated: [O(G^2)] for [G] unit cells. *)
 val build : Tech.Process.t -> Geom.Point.t array array -> t
+
+(** [of_points tech points] is [build tech] of the cells at the lattice
+    points [points] ({!Lattice.point}; capacitor [k]'s in
+    [points.(k)]), bit for bit, without a float position per cell: the
+    lattice is read from the integers ({!Lattice.of_points}, which takes
+    [points] over), and only when it declines are the positions
+    ({!Lattice.position}) pair-summed. *)
+val of_points : Tech.Process.t -> int array array -> t
 
 (** Number of capacitors. *)
 val size : t -> int

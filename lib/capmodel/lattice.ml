@@ -48,6 +48,26 @@ let[@inline] snap unit x =
   then Float.to_int r
   else raise Exit
 
+(* A lattice point in one int: [y + 2^20] above [x + 2^20], 21 bits
+   each. *)
+let bias = 1 lsl 20
+
+let point ~y ~x =
+  if abs y >= bias || abs x >= bias then
+    invalid_arg "Lattice.point: coordinate beyond 2^20";
+  ((y + bias) lsl 21) lor (x + bias)
+
+let point_y p = (p lsr 21) - bias
+let point_x p = (p land ((1 lsl 21) - 1)) - bias
+
+let units tech = (Tech.Process.cell_pitch_y tech /. 2., Tech.Process.cell_pitch_x tech /. 2.)
+
+let position tech p =
+  let unit_y, unit_x = units tech in
+  Geom.Point.make
+    ~x:(float_of_int (point_x p) *. unit_x)
+    ~y:(float_of_int (point_y p) *. unit_y)
+
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 (* One lattice axis: the lowest coordinate (in half-pitch units), the
@@ -55,27 +75,24 @@ let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
    stride in micrometres. *)
 type axis = { lo : int; stride : int; lines : int; step : float }
 
-let coord ~horizontal (p : Geom.Point.t) =
-  if horizontal then p.Geom.Point.x else p.Geom.Point.y
-[@@inline]
-
-(* Raises [Exit] when a coordinate is off the lattice. *)
-let axis unit ~horizontal positions =
-  let first = ref None and lo = ref max_int and hi = ref min_int and g = ref 0 in
+(* The axis of the points' [coord] coordinates; there is at least one
+   point. *)
+let axis unit coord points =
+  let lo = ref max_int and hi = ref min_int and g = ref 0 and v0 = ref None in
   Array.iter
-    (Array.iter (fun p ->
-         let v = snap unit (coord ~horizontal p) in
-         (match !first with
-          | None -> first := Some v
+    (fun ps ->
+       for i = 0 to Array.length ps - 1 do
+         let v = coord ps.(i) in
+         (match !v0 with
+          | None -> v0 := Some v
           | Some v0 -> g := gcd !g (v - v0));
          lo := Int.min !lo v;
-         hi := Int.max !hi v))
-    positions;
+         hi := Int.max !hi v
+       done)
+    points;
   let stride = Int.max 1 !g in
   { lo = !lo; stride; lines = ((!hi - !lo) / stride) + 1;
     step = float_of_int stride *. unit }
-
-let index unit a ~horizontal p = (snap unit (coord ~horizontal p) - a.lo) / a.stride
 
 (* log2 of the least power of two >= n *)
 let rec log2_at_least ?(k = 0) n = if 1 lsl k >= n then k else log2_at_least ~k:(k + 1) n
@@ -196,32 +213,41 @@ let plan ~rows ~cols ~b1 ~b2 cells =
     direct = Array.sub needed 0 !best;
     transformed = Array.sub needed !best (count - !best) }
 
-let of_positions tech positions =
-  let unit_x = Tech.Process.cell_pitch_x tech /. 2. in
-  let unit_y = Tech.Process.cell_pitch_y tech /. 2. in
-  if Array.for_all (fun ps -> Array.length ps = 0) positions then None
+let of_points tech points =
+  let unit_y, unit_x = units tech in
+  if Array.for_all (fun ps -> Array.length ps = 0) points then None
   else
-    match
-      (axis unit_y ~horizontal:false positions, axis unit_x ~horizontal:true positions)
-    with
-    | exception Exit -> None
-    | rows, cols ->
-      let b1 = log2_at_least ((2 * rows.lines) - 1)
-      and b2 = log2_at_least ((2 * cols.lines) - 1) in
-      if 1 lsl (b1 + b2) > max_points then None
-      else
-        let caps = Array.length positions in
-        let cells =
-          Array.init (caps + 2) (fun k ->
-              if k = caps || k = caps + 1 then [||]
-              else
-                Array.map
-                  (fun p ->
-                     (index unit_y rows ~horizontal:false p lsl b2)
-                     + index unit_x cols ~horizontal:true p)
-                  positions.(k))
-        in
-        Some (plan ~rows ~cols ~b1 ~b2 cells)
+    let rows = axis unit_y point_y points and cols = axis unit_x point_x points in
+    let b1 = log2_at_least ((2 * rows.lines) - 1)
+    and b2 = log2_at_least ((2 * cols.lines) - 1) in
+    if 1 lsl (b1 + b2) > max_points then None
+    else begin
+      (* each point becomes its cell's index on the transform grid, in
+         place *)
+      Array.iter
+        (fun ps ->
+           for i = 0 to Array.length ps - 1 do
+             let p = ps.(i) in
+             ps.(i) <-
+               (((point_y p - rows.lo) / rows.stride) lsl b2)
+               + ((point_x p - cols.lo) / cols.stride)
+           done)
+        points;
+      let caps = Array.length points in
+      let cells = Array.init (caps + 2) (fun k -> if k < caps then points.(k) else [||]) in
+      Some (plan ~rows ~cols ~b1 ~b2 cells)
+    end
+
+let of_positions tech positions =
+  let unit_y, unit_x = units tech in
+  match
+    Array.map
+      (Array.map (fun (p : Geom.Point.t) ->
+           point ~y:(snap unit_y p.Geom.Point.y) ~x:(snap unit_x p.Geom.Point.x)))
+      positions
+  with
+  | exception Exit -> None
+  | points -> of_points tech points
 
 (* one transform of R when any part needs it, then a forward and an
    inverse per pair of transformed parts *)

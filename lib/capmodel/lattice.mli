@@ -24,17 +24,38 @@
     equals the pair sum up to float rounding; it is not bitwise
     equal. *)
 
-(** Unit-cell positions snapped onto the lattice, with the transform
-    grid that holds every displacement between them and the kernel's
-    split of the parts. *)
+(** The unit cells on the lattice, with the transform grid that holds
+    every displacement between them and the kernel's split of the
+    parts. *)
 type t
 
-(** [of_positions tech positions] is the lattice of the per-capacitor
-    cell centres [positions], or [None] when some position is not
-    exactly a point of [tech]'s half-pitch lattice (as
-    {!Ccgrid.Placement.position} produces), there are no positions, or
-    the transform grid would exceed 2^22 points (a 16-bit array needs
-    2^18). *)
+(** [point ~y ~x] is the lattice point [y] half cell pitches above and
+    [x] to the right of the array centre, packed in one [int] for
+    {!of_points}: a cell in row [r] and column [c] of a [rows x cols]
+    grid is at [y = 2r - (rows - 1)], [x = 2c - (cols - 1)]
+    ({!Ccgrid.Cell.centered}).  Raises [Invalid_argument] when [|y|] or
+    [|x|] reaches 2^20. *)
+val point : y:int -> x:int -> int
+
+(** [position tech p] is the centre of lattice point [p] in
+    micrometres: half of [tech]'s cell pitch times each coordinate, as
+    {!Ccgrid.Placement.position} places a cell. *)
+val position : Tech.Process.t -> int -> Geom.Point.t
+
+(** [of_points tech points] is the lattice of the unit cells at
+    [points.(k)] for capacitor [k] ({!point}), in that order: the axes
+    run from the lowest coordinate in steps of the largest common stride
+    of the coordinates.  It is [None] when there are no cells or the
+    transform grid would exceed 2^22 points (a 16-bit array needs 2^18),
+    and otherwise takes [points] over: their arrays become the lattice's
+    cells, rewritten in place. *)
+val of_points : Tech.Process.t -> int array array -> t option
+
+(** [of_positions tech positions] snaps per-capacitor cell centres onto
+    [tech]'s half-pitch lattice and is {!of_points} of the result, or
+    [None] when some position is not exactly a lattice point (as
+    {!Ccgrid.Placement.position} always produces) or lies 2^20 half
+    pitches or more from the origin. *)
 val of_positions : Tech.Process.t -> Geom.Point.t array array -> t option
 
 (** [transform_points t] is the kernel's transform work: the number of

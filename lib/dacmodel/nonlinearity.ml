@@ -122,21 +122,43 @@ let dnl_codes tech (placement : Ccgrid.Placement.t) ~sys ~cov ~sigma_t
   done;
   dnl
 
-(* the span, and the gauges of the build's work *)
-let covariance_of tech ~bits positions =
+(* Every capacitor's unit cells as lattice points, row-major: the
+   doubled centres of Ccgrid.Cell.centered, without a float per cell. *)
+let lattice_points (placement : Ccgrid.Placement.t) =
+  let { Ccgrid.Placement.rows; cols; assign; _ } = placement in
+  let caps = Ccgrid.Placement.num_caps placement in
+  let centre ~row ~col = Ccgrid.Cell.centered ~rows ~cols (Ccgrid.Cell.make ~row ~col) in
+  let ys = Array.init rows (fun row -> fst (centre ~row ~col:0)) in
+  let xs = Array.init cols (fun col -> snd (centre ~row:0 ~col)) in
+  let count = Array.make caps 0 in
+  Array.iter
+    (Array.iter (fun id -> if id >= 0 && id < caps then count.(id) <- count.(id) + 1))
+    assign;
+  let points = Array.map (fun n -> Array.make n 0) count in
+  Array.fill count 0 caps 0;
+  for row = 0 to rows - 1 do
+    let ids = assign.(row) in
+    for col = 0 to cols - 1 do
+      let id = ids.(col) in
+      if id >= 0 && id < caps then begin
+        points.(id).(count.(id)) <- Capmodel.Lattice.point ~y:ys.(row) ~x:xs.(col);
+        count.(id) <- count.(id) + 1
+      end
+    done
+  done;
+  points
+
+let covariance tech (placement : Ccgrid.Placement.t) =
+  let bits = placement.Ccgrid.Placement.bits in
   Telemetry.Span.with_ ~name:"analyse.covariance"
     ~attrs:[ ("bits", Telemetry.Span.Int bits) ]
   @@ fun () ->
-  let cov = Capmodel.Covariance.build tech positions in
+  let cov = Capmodel.Covariance.of_points tech (lattice_points placement) in
   Telemetry.Metrics.set "analyse/covariance_points"
     (float_of_int (Capmodel.Covariance.transform_points cov));
   Telemetry.Metrics.set "analyse/covariance_lookups"
     (float_of_int (Capmodel.Covariance.direct_lookups cov));
   cov
-
-let covariance tech (placement : Ccgrid.Placement.t) =
-  covariance_of tech ~bits:placement.Ccgrid.Placement.bits
-    (Ccgrid.Placement.positions_by_cap tech placement)
 
 let systematic_shifts tech ?theta (placement : Ccgrid.Placement.t) =
   let xs, ys = Ccgrid.Placement.axes tech placement in
@@ -152,21 +174,18 @@ let systematic_shifts tech ?theta (placement : Ccgrid.Placement.t) =
 
 (* Systematic shifts, covariance matrix, and total-capacitance sigma of a
    placement — the model inputs shared by [analyze] and [attribute].
-   The gradient's shifts come from the grid; the cell positions are
-   built at most once, for a profile's shifts and the covariance. *)
+   The gradient's shifts and the covariance come from the grid; the cell
+   positions are built only for a profile's shifts. *)
 let model_inputs tech ?theta ?profile ?cov (placement : Ccgrid.Placement.t) =
   let bits = placement.Ccgrid.Placement.bits in
-  let positions = lazy (Ccgrid.Placement.positions_by_cap tech placement) in
   let sys =
     match profile with
-    | Some p -> Array.map (Capmodel.Profile.systematic_shift tech p) (Lazy.force positions)
+    | Some p ->
+      Array.map (Capmodel.Profile.systematic_shift tech p)
+        (Ccgrid.Placement.positions_by_cap tech placement)
     | None -> systematic_shifts tech ?theta placement
   in
-  let cov =
-    match cov with
-    | Some cov -> cov
-    | None -> covariance_of tech ~bits (Lazy.force positions)
-  in
+  let cov = match cov with Some cov -> cov | None -> covariance tech placement in
   let all_caps = List.init (bits + 1) (fun k -> k) in
   let sigma_t = Capmodel.Covariance.sigma_of_subset cov all_caps in
   (sys, cov, sigma_t)

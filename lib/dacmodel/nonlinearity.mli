@@ -18,13 +18,14 @@ type t = {
 }
 
 (** [covariance tech placement] is the Eq. 6 covariance of the
-    placement's capacitors ({!Capmodel.Covariance.build} on
-    {!Ccgrid.Placement.positions_by_cap}), built inside an
-    [analyse.covariance] span that sets the [analyse/covariance_points]
-    and [analyse/covariance_lookups] gauges.  {!analyze}, {!attribute}
-    and {!Montecarlo.run} take it as [?cov], so a flow builds it once;
-    without it they build it here, from the one positions array the
-    analysis builds. *)
+    placement's capacitors: {!Capmodel.Covariance.of_points} of each
+    cell's doubled centre, read from [placement.assign] as integers, bit
+    for bit {!Capmodel.Covariance.build} on
+    {!Ccgrid.Placement.positions_by_cap} without a point per cell.  It is
+    built inside an [analyse.covariance] span that sets the
+    [analyse/covariance_points] and [analyse/covariance_lookups] gauges.
+    {!analyze}, {!attribute} and {!Montecarlo.run} take it as [?cov], so
+    a flow builds it once; without it they build it here. *)
 val covariance : Tech.Process.t -> Ccgrid.Placement.t -> Capmodel.Covariance.t
 
 (** [systematic_shifts tech ?theta placement] is every capacitor's

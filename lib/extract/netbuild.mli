@@ -1,5 +1,5 @@
 (** Build the RC tree of one capacitor's bottom-plate charging network
-    from a routed layout (Sec. III-B).
+    from a routed layout (Sec. III-B), and solve its Elmore delays.
 
     The tree is rooted at the driver: input via, primary trunk, bridge
     segments to secondary trunks, attach vias and stubs, then the branch
@@ -7,15 +7,18 @@
     every cell.  Parallel-wire bundles are collapsed into equivalent
     edges (R/p wires, R/p^2 vias, C*p).
 
-    A net is enumerated on arrays, in two passes: the first numbers the
+    A net is enumerated on a {!scratch} made for its layout, whose arrays
+    are sized for the layout's largest net: the first pass numbers the
     nodes, the second walks the candidate edges stage by stage through a
     union-find that keeps a spanning tree.  Cell nodes are looked up in a
     grid-indexed array and trunk nodes by their index in the trunk's
     sorted event heights.  That enumeration is the net's {!topology};
-    {!build} runs the same one and annotates it: node and wire
-    capacitances, edge resistances, and each accepted edge's provenance
-    in a few array slots.  Building formats no strings and allocates no
-    per-edge record.
+    {!solve} and {!build} run the same one and write the node
+    capacitances and edge resistances straight into an
+    {!Rcnet.Rctree.t}'s arrays, with no call per edge.  {!solve} then
+    orients the tree and sums its delays on the scratch too, so solving
+    every net of a layout allocates nothing in proportion to a net;
+    {!build} returns a fresh tree with each edge's provenance.
 
     Every accepted tree edge carries {e provenance}: the physical parts
     (via stacks, wire segments, plate abutments) whose resistances sum to
@@ -48,14 +51,10 @@ type t = {
     for a capacitor with no routed net, and [Invalid_argument] for a
     capacitor id out of range or a parallel-wire count below 1.  A net
     whose {!topology} falls into several pieces builds into a forest,
-    which {!Rcnet.Rctree.orient} (and so every delay) rejects. *)
-val build : Ccroute.Layout.t -> cap:int -> t
-
-(** [builder layout] is [build layout] for building several nets of one
-    layout: the grid-sized cell lookup and the union-find array are
-    allocated once and shared by every net it builds, so use one builder
+    which {!Rcnet.Rctree.orient} (and so every delay) rejects.  Partially
+    applied to a layout it builds every net on one {!scratch}, so use it
     in one domain at a time. *)
-val builder : Ccroute.Layout.t -> cap:int -> t
+val build : Ccroute.Layout.t -> cap:int -> t
 
 (** An RC model's shape without its values. *)
 type topology = {
@@ -70,13 +69,33 @@ type topology = {
     the cells are exactly [(build layout ~cap).cells], and [pieces > 1]
     exactly when orienting that tree raises.  It raises what {!build}
     raises, except on a parallel-wire count, which it never reads.
-    Partially applied to a layout it shares its scratch across nets, as
-    {!builder} does. *)
+    Partially applied to a layout it enumerates every net on one scratch,
+    without the edge arrays a solve needs, so use it in one domain at a
+    time. *)
 val topology : Ccroute.Layout.t -> cap:int -> topology
 
 (** [worst_elmore_fs net] is the maximum Elmore delay from the driver to
     any unit-capacitor cell, femtoseconds. *)
 val worst_elmore_fs : t -> float
+
+(** The arrays one net at a time of one layout is enumerated and solved
+    on, sized for its largest net.  The caller owns it; use it in one
+    domain at a time. *)
+type scratch
+
+val scratch : Ccroute.Layout.t -> scratch
+
+(** [solve s ~cap] is [worst_elmore_fs (build layout ~cap)] for the
+    scratch's layout, bit for bit, with the tree written, oriented and
+    summed in [s]'s arrays.  It raises what {!build} raises, and
+    [Invalid_argument] where orienting the built tree would (a forest). *)
+val solve : scratch -> cap:int -> float
+
+(** [delays s] is a fresh copy of the Elmore delay at every node of the
+    net [s] last solved, indexed by node as {!build} numbers them: bit
+    for bit [Rcnet.Elmore.delays] of the built tree.  Empty before the
+    first solve and after one that raised. *)
+val delays : scratch -> float array
 
 val part_kind_name : part_kind -> string
 

@@ -36,12 +36,12 @@ type t = {
   area : float;                  (** routed-array area, um^2 *)
 }
 
-(** [extract layout] computes every metric, building each capacitor's
-    RC tree ({!Netbuild.build}) once for its Elmore delay.  The wires and
-    vias are bucketed by capacitor once, in layout order, and the
-    adjacent-track coupling reads per-channel track arrays, so besides
-    those builds and the per-bit Elmore analyses, which dominate, the
-    cost is linear in the layout. *)
+(** [extract layout] computes every metric, solving each capacitor's
+    RC tree once for its Elmore delay ({!Netbuild.solve}), every net on
+    one {!Netbuild.scratch} of the layout.  The wires and vias are
+    bucketed by capacitor once, in layout order, and the adjacent-track
+    coupling reads per-channel track arrays, so besides the per-bit
+    solves, which dominate, the cost is linear in the layout. *)
 val extract : Ccroute.Layout.t -> t
 
 (** [total_resistance m] of a bit: [R_V + R_wire], ohm. *)

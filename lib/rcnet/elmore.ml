@@ -1,17 +1,25 @@
 (* Hang the tree from the root (Rctree.orient), then accumulate subtree
    capacitances bottom-up and delays top-down. *)
 
-(* Subtree capacitances in a fresh array, summed in reverse BFS order. *)
-let subtree_caps tree (o : Rctree.orientation) =
-  let subtree = Rctree.node_caps tree in
-  let parent = o.Rctree.parent and order = o.Rctree.order in
-  for i = Array.length order - 1 downto 1 do
-    let u = order.(i) in
-    subtree.(parent.(u)) <- subtree.(parent.(u)) +. subtree.(u)
-  done;
-  subtree
+type scratch = {
+  orientation : Rctree.scratch;
+  mutable work : float array;
+}
 
-let delays tree ~root =
+let scratch n = { orientation = Rctree.scratch n; work = Array.make (Int.max n 0) 0. }
+
+(* Subtree capacitances, summed in reverse BFS order into [d]'s first
+   [num_nodes tree] slots. *)
+let subtree_caps tree (o : Rctree.orientation) d =
+  let n = Rctree.num_nodes tree in
+  Array.blit (Rctree.caps tree) 0 d 0 n;
+  let parent = o.Rctree.parent and order = o.Rctree.order in
+  for i = n - 1 downto 1 do
+    let u = order.(i) in
+    d.(parent.(u)) <- d.(parent.(u)) +. d.(u)
+  done
+
+let delays ?scratch tree ~root =
   let n = Rctree.num_nodes tree in
   if Telemetry.Metrics.enabled () then begin
     Telemetry.Metrics.incr "rcnet/elmore_solves_total";
@@ -19,12 +27,19 @@ let delays tree ~root =
     Telemetry.Metrics.observe "rcnet/edges"
       (float_of_int (Rctree.num_edges tree))
   end;
-  let o = Rctree.orient tree ~root in
+  let o, d =
+    match scratch with
+    | None -> (Rctree.orient tree ~root, Array.make n 0.)
+    | Some s ->
+      let o = Rctree.orient ~scratch:s.orientation tree ~root in
+      if Array.length s.work < n then s.work <- Array.make n 0.;
+      (o, s.work)
+  in
   let parent = o.Rctree.parent and parent_r = o.Rctree.parent_r in
   let order = o.Rctree.order in
   (* the subtree capacitances become the delays in place: in BFS order a
      node's parent slot already holds the parent's delay *)
-  let d = subtree_caps tree o in
+  subtree_caps tree o d;
   d.(order.(0)) <- 0.;
   for i = 1 to n - 1 do
     let u = order.(i) in
@@ -62,7 +77,8 @@ type contribution = {
 let breakdown tree ~root n =
   let o = Rctree.orient tree ~root in
   let { Rctree.parent; parent_r; parent_edge; _ } = o in
-  let subtree = subtree_caps tree o in
+  let subtree = Array.make (Rctree.num_nodes tree) 0. in
+  subtree_caps tree o subtree;
   (* the root->n path, root-first; each edge contributes R_e * C_subtree(e) *)
   let rec walk u acc =
     if parent.(u) < 0 then acc

@@ -9,13 +9,27 @@
     arrays, no lists), then sums subtree capacitances bottom-up in
     reverse breadth-first order.  {!delays} turns that array into the
     delays in place, top-down in breadth-first order.  O(nodes) per
-    query. *)
+    query.  A caller that solves many trees in a row passes one
+    {!scratch} to every {!delays}: the orientation and the delays then
+    reuse its arrays, and a solve allocates nothing in proportion to the
+    tree. *)
 
-(** [delays tree ~root] computes the Elmore delay (femtoseconds: ohm x fF)
-    from [root] to every node, indexed by node.  Raises [Invalid_argument]
-    when the graph is not a tree spanning all nodes (cycle or
-    disconnected). *)
-val delays : Rctree.t -> root:Rctree.node -> float array
+(** Room for solving trees one after another: an {!Rctree.scratch} and
+    the array the delays are summed in, reallocated at exactly a tree's
+    size when it is smaller. *)
+type scratch
+
+(** [scratch n] has room for trees of up to [n] nodes. *)
+val scratch : int -> scratch
+
+(** [delays ?scratch tree ~root] computes the Elmore delay (femtoseconds:
+    ohm x fF) from [root] to every node, indexed by node.  With [scratch]
+    the result is the scratch's own array, overwritten by its next use
+    and possibly longer than the tree; without, a fresh array of
+    [num_nodes tree] slots.  Either way the delays are bit for bit the
+    same.  Raises [Invalid_argument] when the graph is not a tree
+    spanning all nodes (cycle or disconnected). *)
+val delays : ?scratch:scratch -> Rctree.t -> root:Rctree.node -> float array
 
 (** [delay_to tree ~root n]. *)
 val delay_to : Rctree.t -> root:Rctree.node -> Rctree.node -> float

@@ -20,9 +20,6 @@ let resize_nodes t capacity =
   Array.blit t.caps 0 caps 0 t.count;
   t.caps <- caps
 
-let reserve_nodes t n =
-  if n > Array.length t.caps then resize_nodes t n
-
 let add_node t ?(cap = 0.) () =
   if cap < 0. then invalid_arg "Rctree.add_node: negative capacitance";
   let n = t.count in
@@ -48,9 +45,6 @@ let resize_edges t capacity =
   t.ends_a <- ends_a;
   t.ends_b <- ends_b;
   t.res <- res
-
-let reserve_edges t n =
-  if n > Array.length t.res then resize_edges t n
 
 let add_edge t a b ~r =
   check_node t a;
@@ -94,6 +88,23 @@ let node_of_int t i =
   check_node t i;
   i
 
+let refill t ~nodes ~edges =
+  if nodes < 0 || edges < 0 then invalid_arg "Rctree.refill: negative size";
+  if nodes > Array.length t.caps then t.caps <- Array.make nodes 0.
+  else Array.fill t.caps 0 nodes 0.;
+  if edges > Array.length t.res then begin
+    t.ends_a <- Array.make edges 0;
+    t.ends_b <- Array.make edges 0;
+    t.res <- Array.make edges 0.
+  end;
+  t.count <- nodes;
+  t.edge_count <- edges
+
+let caps t = t.caps
+let ends_a t = t.ends_a
+let ends_b t = t.ends_b
+let res t = t.res
+
 type orientation = {
   parent : int array;
   parent_edge : int array;
@@ -101,21 +112,52 @@ type orientation = {
   order : int array;
 }
 
+(* The orientation's arrays and the CSR adjacency behind them, for trees
+   of up to [Array.length bfs] nodes (a tree of n nodes has n - 1
+   edges). *)
+type room = {
+  start : int array;
+  adj : int array;
+  parents : int array;
+  edges : int array;
+  rs : float array;
+  bfs : int array;
+}
+
+type scratch = room ref
+
+let room n =
+  { start = Array.make (n + 1) 0;
+    adj = Array.make (2 * Int.max (n - 1) 0) 0;
+    parents = Array.make n 0;
+    edges = Array.make n 0;
+    rs = Array.make n 0.;
+    bfs = Array.make n 0 }
+
+let scratch n = ref (room (Int.max n 0))
+
 (* A BFS from the root over a CSR adjacency of edge ids: edge [e]'s other
    end seen from [u] is [ends_a.(e) + ends_b.(e) - u], and the BFS queue
    is [order] itself.  Each node's edges are listed in reverse insertion
    order: the sibling order fixes the order of the floating-point sums
-   over the tree, and the pinned delays were computed in this one. *)
-let orient t ~root =
+   over the tree, and the pinned delays were computed in this one.  Only
+   the root's slots of [parent_edge] and [parent_r] are written before
+   the search; every other node's are written when it is reached. *)
+let orient ?scratch:reuse t ~root =
   let n = t.count and m = t.edge_count in
   if m <> n - 1 then
     invalid_arg "Rctree.orient: edge count <> nodes - 1 (not a tree)";
   check_node t root;
+  let s = match reuse with Some s -> s | None -> scratch n in
+  if Array.length !s.bfs < n then s := room n;
+  let { start; adj; parents = parent; edges = parent_edge; rs = parent_r; bfs = order } =
+    !s
+  in
   let ends_a = t.ends_a and ends_b = t.ends_b in
   (* [start.(u)] counts u's edges, then (prefix sums) ends u's slice of
      [adj]; filling each slice back to front leaves it at the slice's
      start, and [start.(n)] closes the last slice *)
-  let start = Array.make (n + 1) 0 in
+  Array.fill start 0 n 0;
   for e = 0 to m - 1 do
     start.(ends_a.(e)) <- start.(ends_a.(e)) + 1;
     start.(ends_b.(e)) <- start.(ends_b.(e)) + 1
@@ -124,7 +166,6 @@ let orient t ~root =
     start.(u) <- start.(u) + start.(u - 1)
   done;
   start.(n) <- 2 * m;
-  let adj = Array.make (2 * m) 0 in
   for e = 0 to m - 1 do
     let a = ends_a.(e) and b = ends_b.(e) in
     start.(a) <- start.(a) - 1;
@@ -132,10 +173,11 @@ let orient t ~root =
     start.(b) <- start.(b) - 1;
     adj.(start.(b)) <- e
   done;
-  let parent = Array.make n (-2) in
-  let parent_edge = Array.make n (-1) and parent_r = Array.make n 0. in
-  let order = Array.make n root in
+  Array.fill parent 0 n (-2);
   parent.(root) <- -1;
+  parent_edge.(root) <- -1;
+  parent_r.(root) <- 0.;
+  order.(0) <- root;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let u = order.(!head) in

@@ -384,6 +384,144 @@ let test_inl_matches_per_code () =
   Alcotest.(check bool)
     (Printf.sprintf "worst disagreement %.3g LSB" !worst) true (!worst <= inl_bar)
 
+(* --- the covariance read from the grid --- *)
+
+(* Nonlinearity.covariance, which reads the lattice from the placement's
+   integer cell centres, against Covariance.build on the float
+   positions: the same outcome, every entry bit for bit, and the same
+   work counts. *)
+let check_grid_covariance tech what p =
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  match
+    ( outcome (fun () ->
+          Capmodel.Covariance.build tech (Ccgrid.Placement.positions_by_cap tech p)),
+      outcome (fun () -> Dacmodel.Nonlinearity.covariance tech p) )
+  with
+  | Error e, Error e' -> Alcotest.(check string) (what ^ ": raises alike") e e'
+  | Ok floats, Ok grid ->
+    let module C = Capmodel.Covariance in
+    let n = C.size floats in
+    Alcotest.(check int) (what ^ ": size") n (C.size grid);
+    Alcotest.(check int) (what ^ ": transform points") (C.transform_points floats)
+      (C.transform_points grid);
+    Alcotest.(check int) (what ^ ": direct lookups") (C.direct_lookups floats)
+      (C.direct_lookups grid);
+    for j = 0 to n - 1 do
+      for k = 0 to n - 1 do
+        if
+          not
+            (Int64.equal
+               (Int64.bits_of_float (C.covariance floats j k))
+               (Int64.bits_of_float (C.covariance grid j k)))
+        then
+          Alcotest.failf "%s: Cov(%d, %d) %h from positions, %h from the grid" what j
+            k (C.covariance floats j k) (C.covariance grid j k)
+      done
+    done
+  | Ok _, Error e -> Alcotest.failf "%s: only the grid path raises: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the positions path raises: %s" what e
+
+let techs =
+  [ ("finfet_12nm", Tech.Process.finfet_12nm); ("bulk_legacy", Tech.Process.bulk_legacy) ]
+
+let test_grid_covariance_styles () =
+  let doubled = ref 0 in
+  for bits = 2 to 14 do
+    List.iter
+      (fun style ->
+         let p = Ccplace.Style.place ~bits style in
+         if p.Ccgrid.Placement.unit_multiplier = 2 then incr doubled;
+         List.iter
+           (fun (tname, tech) ->
+              check_grid_covariance tech
+                (Printf.sprintf "%s %d-bit %s" (Ccplace.Style.name style) bits tname)
+                p)
+           techs)
+      (Ccplace.Style.[ Spiral; Chessboard; Rowwise ] @ Ccplace.Style.block_family ~bits)
+  done;
+  Alcotest.(check bool) "odd-N chessboards with doubled units" true (!doubled >= 6)
+
+let test_grid_covariance_general () =
+  let banks =
+    [ [| 1; 1; 2; 4; 8; 16 |];
+      Array.append [| 1; 1; 2; 4; 8 |] (Array.make 15 16);
+      [| 2; 2; 4 |];
+      [| 1; 2; 3; 5; 8; 13 |];
+      [| 3; 3; 3; 3 |];
+      [| 1; 1; 1 |] ]
+  in
+  let placed = ref 0 in
+  List.iter
+    (fun counts ->
+       List.iter
+         (fun (what, place) ->
+            match place ~counts with
+            | exception Invalid_argument _ -> ()
+            | p ->
+              incr placed;
+              List.iter
+                (fun (tname, tech) ->
+                   check_grid_covariance tech
+                     (Printf.sprintf "%s %d caps %s" what (Array.length counts) tname)
+                     p)
+                techs)
+         [ ("interleaved", Ccplace.General.interleaved);
+           ("clustered", Ccplace.General.clustered) ])
+    banks;
+  Alcotest.(check bool) "most banks place" true (!placed >= 8)
+
+(* Random grids in Ccgrid.Serial's text form, up to 11 x 11 with 1-5
+   bits: each border row and column is all dummies with probability 1/2
+   and any other row or column with probability 1/5, which moves the
+   lattice's low end and, with every other line empty, its stride. *)
+let test_grid_covariance_serial () =
+  let st = Random.State.make [| 36 |] in
+  let strided = ref 0 in
+  for i = 1 to 300 do
+    let rows = 1 + Random.State.int st 11 and cols = 1 + Random.State.int st 11 in
+    let bits = 1 + Random.State.int st 5 in
+    let empty n =
+      Array.init n (fun k ->
+          let border = k = 0 || k = n - 1 in
+          Random.State.int st (if border then 2 else 5) = 0)
+    in
+    let empty_rows = empty rows and empty_cols = empty cols in
+    let assign =
+      Array.init rows (fun r ->
+          Array.init cols (fun c ->
+              if empty_rows.(r) || empty_cols.(c) || Random.State.int st 4 = 0 then
+                Ccgrid.Placement.dummy
+              else Random.State.int st (bits + 1)))
+    in
+    let counts = Array.make (bits + 1) 0 in
+    Array.iter
+      (Array.iter (fun id -> if id >= 0 then counts.(id) <- counts.(id) + 1))
+      assign;
+    let b = Buffer.create 256 in
+    Printf.bprintf b "ccdac-placement v1\nbits %d rows %d cols %d multiplier 1 style random\n"
+      bits rows cols;
+    Printf.bprintf b "counts %s\n"
+      (String.concat " " (Array.to_list (Array.map string_of_int counts)));
+    for r = rows - 1 downto 0 do
+      Printf.bprintf b "%s\n"
+        (String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun id -> if id < 0 then "." else string_of_int id)
+                 assign.(r))))
+    done;
+    match Ccgrid.Serial.of_string (Buffer.contents b) with
+    | Error m -> Alcotest.failf "grid %d does not load: %s" i m
+    | Ok p ->
+      let every_other a = Array.length a >= 3 && a.(1) && not a.(0) in
+      if every_other empty_rows || every_other empty_cols then incr strided;
+      List.iter
+        (fun (tname, tech) ->
+           check_grid_covariance tech (Printf.sprintf "grid %d %s" i tname) p)
+        techs
+  done;
+  Alcotest.(check bool) "some grids leave a line empty inside" true (!strided > 0)
+
 let () =
   Alcotest.run "dacmodel"
     [ ( "transfer",
@@ -408,6 +546,12 @@ let () =
             test_dnl_steps_match_per_code;
           Alcotest.test_case "inl = per-code loop" `Slow
             test_inl_matches_per_code ] );
+      ( "grid covariance",
+        [ Alcotest.test_case "styles 2-14 bits, both techs" `Slow
+            test_grid_covariance_styles;
+          Alcotest.test_case "general banks" `Quick test_grid_covariance_general;
+          Alcotest.test_case "random serial grids" `Quick
+            test_grid_covariance_serial ] );
       ( "speed",
         [ Alcotest.test_case "settling" `Quick test_settling_formula;
           Alcotest.test_case "f3dB" `Quick test_f3db_formula;

@@ -1158,7 +1158,7 @@ let id_names (l : L.t) ids =
    many nets fell into pieces and how many raised. *)
 let check_topology what l =
   let topology = Extract.Netbuild.topology l in
-  let build = Extract.Netbuild.builder l in
+  let build = Extract.Netbuild.build l in
   let split = ref 0 and raised = ref 0 in
   for cap = 0 to Array.length l.L.nets - 1 do
     let where = Printf.sprintf "%s C_%d" what cap in
@@ -1260,6 +1260,71 @@ let test_topology_mutated () =
     (check_topology "dropped strap" (drop_only_strap spiral6));
   Alcotest.(check (pair int int)) "unrouted net: C_2 raises" (0, 1)
     (check_topology "unrouted net" (unrouted_layout 2 spiral6))
+
+(* --- the extraction solve against build then Elmore --- *)
+
+(* Every net of [l] solved on one scratch, first in capacitor order and
+   then in reverse, against a fresh build followed by
+   Rcnet.Elmore.delays: the same exception, or the same worst-cell
+   delay and the same delay at every node, bit for bit.  Returns how
+   many solves raised. *)
+let check_solve what l =
+  let s = Extract.Netbuild.scratch l in
+  let nets = Array.length l.L.nets in
+  let raised = ref 0 in
+  let bits d = Array.to_list (Array.map Int64.bits_of_float d) in
+  List.iter
+    (fun cap ->
+       let where = Printf.sprintf "%s C_%d" what cap in
+       let reference () =
+         let nb = Extract.Netbuild.build l ~cap in
+         ( Rcnet.Elmore.delays nb.Extract.Netbuild.tree ~root:nb.Extract.Netbuild.root,
+           Extract.Netbuild.worst_elmore_fs nb )
+       in
+       match
+         (outcome reference, outcome (fun () -> Extract.Netbuild.solve s ~cap))
+       with
+       | Error e, Error e' ->
+         incr raised;
+         Alcotest.(check string) (where ^ ": raises alike") e e'
+       | Ok (d, worst), Ok worst' ->
+         Alcotest.(check int64) (where ^ ": worst cell delay")
+           (Int64.bits_of_float worst) (Int64.bits_of_float worst');
+         Alcotest.(check (list int64)) (where ^ ": every node's delay") (bits d)
+           (bits (Extract.Netbuild.delays s))
+       | r, v ->
+         Alcotest.failf "%s: build then Elmore gives %s, the solve %s" where
+           (outcome_name r) (outcome_name v))
+    (List.init nets Fun.id @ List.rev (List.init nets Fun.id));
+  !raised
+
+let test_solve_golden () =
+  List.iter
+    (fun (bits, style) ->
+       let l =
+         layout_of ~p_of_cap:(Ccdac.Flow.default_parallel ~bits style) style
+           bits
+       in
+       Alcotest.(check int) "no solve raises" 0
+         (check_solve
+            (Printf.sprintf "%s %d-bit" (Ccplace.Style.name style) bits)
+            l))
+    golden_designs
+
+let test_solve_mutated () =
+  Alcotest.(check int) "dropped group: none raises" 0
+    (check_solve "dropped group" (drop_group spiral6));
+  Alcotest.(check int) "repeated straps: none raises" 0
+    (check_solve "repeated straps" (repeat_straps spiral6));
+  Alcotest.(check int) "dropped strap: the forest C_3 raises, twice" 2
+    (check_solve "dropped strap" (drop_only_strap spiral6));
+  Alcotest.(check int) "unrouted net: C_2 raises, twice" 2
+    (check_solve "unrouted net" (unrouted_layout 2 spiral6));
+  let l = layout_of Ccplace.Style.Chessboard 8 in
+  let p_of_cap = Array.copy l.L.p_of_cap in
+  p_of_cap.(8) <- 0;
+  Alcotest.(check int) "p = 0: C_8 raises, twice" 2
+    (check_solve "p = 0" { l with L.p_of_cap })
 
 (* --- the integer grid --- *)
 
@@ -1878,7 +1943,11 @@ let () =
           test_case "zero parallel count" `Quick test_zero_parallel_lvs ] );
       ( "netbuild topology",
         [ test_case "golden designs" `Slow test_topology_golden;
-          test_case "mutated layouts" `Quick test_topology_mutated ] );
+          test_case "mutated layouts" `Quick test_topology_mutated;
+          test_case "golden designs: solve = build then Elmore" `Slow
+            test_solve_golden;
+          test_case "mutated layouts: solve = build then Elmore" `Quick
+            test_solve_mutated ] );
       ( "grid",
         [ test_case "off-grid via" `Quick test_off_grid_via;
           test_case "sub-nanometre tech rejected" `Quick test_off_grid_tech;
