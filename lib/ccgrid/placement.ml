@@ -98,7 +98,9 @@ let valid_cap t id = id >= 0 && id <= t.bits
 
 (* Each capacitor's array is sized by a count first and seeded with the
    static origin: made from a freshly allocated point, an array longer
-   than 256 words would first force a minor collection. *)
+   than 256 words would first force a minor collection.  A point is
+   built as a record, not by Geom.Point.make, a call across modules that
+   would box both floats first. *)
 let positions_by_cap tech t =
   let xs, ys = axes tech t in
   let count = Array.make (num_caps t) 0 in
@@ -111,7 +113,7 @@ let positions_by_cap tech t =
     for col = 0 to t.cols - 1 do
       let id = t.assign.(row).(col) in
       if valid_cap t id then begin
-        points.(id).(count.(id)) <- Geom.Point.make ~x:xs.(col) ~y:ys.(row);
+        points.(id).(count.(id)) <- { Geom.Point.x = xs.(col); y = ys.(row) };
         count.(id) <- count.(id) + 1
       end
     done

@@ -6,6 +6,10 @@
     [p], and a layer change becomes a [p x p] via array whose effective
     resistance divides by [p^2]. *)
 
+(** [check_p p] raises [Invalid_argument] unless [p >= 1], as every
+    function below does first. *)
+val check_p : int -> unit
+
 (** [wire_resistance layer ~length ~p] in ohm.  Requires [p >= 1],
     [length >= 0]. *)
 val wire_resistance : Layer.t -> length:float -> p:int -> float
